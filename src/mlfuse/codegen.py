@@ -123,6 +123,8 @@ class ConfigurationClass:
 class SearchResult:
     assignment: StatusAssignment
     candidates_evaluated: int
+    # largest l2 error of any tensor an operator writes, on any sample
+    # input; written to the manifest as max_diff
     max_error: float
 
 
@@ -265,15 +267,37 @@ def _statuses_for(joint, classes, n_ops) -> list[dict]:
     return per_op
 
 
+def _worst_error(calls, xs, refs, input_bufs, buffers, delta) -> float:
+    """Largest per-tensor l2 distance from the runtime over all inputs.
+
+    Stops at the first tensor beyond delta and returns its distance.
+    """
+    worst = 0.0
+    for x, ref in zip(xs, refs):
+        for buf, arr in zip(input_bufs, x):
+            np.copyto(buf, arr.reshape(-1))
+        for fn, ins, ws, outs, kw, out_ids in calls:
+            fn(ins, ws, outs, **kw)
+            for tid in out_ids:
+                err = float(np.linalg.norm(
+                    np.subtract(buffers[tid], ref[tid], dtype=np.float64)))
+                if not err <= delta:
+                    return err if math.isfinite(err) else math.inf
+                worst = max(worst, err)
+    return worst
+
+
 def search_status(bundle: ModelBundle, extraction: ExtractionResult, configs,
                   cfg: harness.VerifyConfig | None = None,
                   registry=None) -> SearchResult:
     """Find status values whose behavior matches the runtime within delta.
 
     Candidates are joint assignments over the configuration classes,
-    enumerated in declared domain order. A candidate is rejected on the
-    first input whose l2 distance from the runtime exceeds delta; the
-    accepted candidate is evaluated on every input.
+    enumerated in declared domain order. Every tensor an operator writes is
+    compared with the runtime's copy of it, right after that operator runs:
+    a candidate is rejected at the first tensor whose l2 distance exceeds
+    delta, so a wrong layout cannot hide behind a saturating later operator.
+    The accepted candidate is evaluated on every input.
     """
     cfg = cfg or harness.VerifyConfig()
     registry = registry or default_registry()
@@ -282,8 +306,11 @@ def search_status(bundle: ModelBundle, extraction: ExtractionResult, configs,
 
     plan = interpreter.load(bundle, device=extraction.device, registry=registry)
     xs = harness.make_inputs(graph, cfg)
-    oracle_flat = [harness.flatten_outputs(interpreter.invoke(plan, x))
-                   for x in xs]
+    produced = [t for c in configs for t in c.output_ids]
+    refs = []
+    for x in xs:
+        interpreter.invoke(plan, x)
+        refs.append({t: plan.buffers[t].copy() for t in produced})
 
     shapes = plan.shapes
     weight_ids = {t.id for t in graph.tensors if t.weight_ref is not None}
@@ -320,29 +347,11 @@ def search_status(bundle: ModelBundle, extraction: ExtractionResult, configs,
                     c.params, st, [canonical[k] for k in c.weight_keys])
                 calls.append((c.unit.fn, exec_ins[c.op_index], flats,
                               exec_outs[c.op_index],
-                              {**c.params.values, **arg_kwargs}))
+                              {**c.params.values, **arg_kwargs}, c.output_ids))
         except StatusError:
             continue  # the unit itself rejects this combination
-        worst = 0.0
-        ok = True
-        for x, ref in zip(xs, oracle_flat):
-            for buf, arr in zip(input_bufs, x):
-                np.copyto(buf, arr.reshape(-1))
-            for fn, ins, ws, outs, kw in calls:
-                fn(ins, ws, outs, **kw)
-            cand = np.concatenate([buffers[t].astype(np.float64)
-                                   for t in graph.outputs])
-            err = float(np.linalg.norm(cand - ref))
-            if not math.isfinite(err):
-                ok = False
-                worst = math.inf
-                break
-            if err > worst:
-                worst = err
-            if worst > cfg.delta:
-                ok = False
-                break
-        if ok and worst <= cfg.delta:
+        worst = _worst_error(calls, xs, refs, input_bufs, buffers, cfg.delta)
+        if worst <= cfg.delta:
             assignment = StatusAssignment(
                 class_choices={
                     cls.key: dict(zip((f.name for f in cls.fields), values))
@@ -451,29 +460,30 @@ def _weight_order(name: str) -> tuple[int, int]:
 
 
 def _emit_weights(plan: EmissionPlan) -> str:
-    lines = ["import numpy as np", "", ""]
-    if any(arr.dtype == np.float32 for arr in plan.weights.values()):
-        lines += ["def _f32(bits):",
-                  "    return np.array(bits, dtype=np.uint32).view(np.float32)",
-                  "", ""]
-    for name in sorted(plan.weights, key=_weight_order):
-        arr = plan.weights[name]
-        if arr.dtype == np.float32:
-            words = [f"0x{w:08x}" for w in arr.view(np.uint32).tolist()]
-            lines.append(f"{name} = _f32([")
-            for i in range(0, len(words), 6):
-                lines.append("    " + ", ".join(words[i:i + 6]) + ",")
-            lines.append("])")
-        elif arr.dtype == np.int32:
-            lines.append(f"{name} = np.array([")
-            vals = [str(v) for v in arr.tolist()]
-            for i in range(0, len(vals), 10):
-                lines.append("    " + ", ".join(vals[i:i + 10]) + ",")
-            lines.append("], dtype=np.int32)")
-        else:
-            raise CodegenError(f"cannot embed weight dtype {arr.dtype}")
-        lines.append("")
-    return "\n".join(lines).rstrip("\n") + "\n"
+    # one bytes literal holds every payload and each weight is a read-only
+    # view into it. Every byte is written as an escape, so no stretch of the
+    # blob can read as text in the source.
+    names = sorted(plan.weights, key=_weight_order)
+    for name in names:
+        if plan.weights[name].dtype not in (np.float32, np.int32):
+            raise CodegenError(f"cannot embed weight dtype "
+                               f"{plan.weights[name].dtype}")
+    blob = b"".join(plan.weights[n].tobytes() for n in names)
+    lines = ["import numpy as np", "", "_B = ("]
+    for i in range(0, len(blob), 64):
+        lines.append('    b"\\x' + blob[i:i + 64].hex(" ").replace(" ", "\\x")
+                     + '"')
+    lines += [")", "_F = np.frombuffer(_B, np.float32)"]
+    ends = [0]
+    for n in names:
+        ends.append(ends[-1] + plan.weights[n].size)
+    lines.append("(")
+    lines.extend(_wrap_args(names, indent="    "))
+    lines.append(f") = np.split(_F, {_lit(tuple(ends[1:-1]))})")
+    for n in names:
+        if plan.weights[n].dtype == np.int32:
+            lines.append(f"{n} = {n}.view(np.int32)")
+    return "\n".join(lines) + "\n"
 
 
 def _emit_driver(plan: EmissionPlan) -> str:
@@ -506,6 +516,8 @@ def _emit_driver(plan: EmissionPlan) -> str:
         out.append("")
 
     out.append(f"INPUT_SHAPES = {_lit(plan.input_shapes)}")
+    sizes = tuple(plan.buffers[t][0] for t in plan.input_ids)
+    out.append(f"INPUT_SIZES = {_lit(sizes)}")
     out.append(f"OUTPUT_SHAPES = {_lit(plan.output_shapes)}")
     total = sum(count * 4 for count, _ in plan.buffers.values())
     out.append(f"BUFFER_BYTES = {total}")
@@ -515,7 +527,7 @@ def _emit_driver(plan: EmissionPlan) -> str:
     for tid in sorted(plan.buffers):
         count, dtype_name = plan.buffers[tid]
         out.append(f"    t{tid} = np.empty({count}, "
-                   f"dtype={_NP_DTYPE_TOKEN[dtype_name]})")
+                   f"{_NP_DTYPE_TOKEN[dtype_name]})")
     for slot, tid in enumerate(plan.input_ids):
         out.append(f"    np.copyto(t{tid}, inputs[{slot}].reshape(-1))")
     for step in plan.steps:
@@ -554,36 +566,30 @@ def main(argv):
     reps = 1
     stats_path = None
     paths = []
-    i = 0
-    while i < len(argv):
-        a = argv[i]
-        if a == "--reps":
-            i += 1
-            reps = int(argv[i])
-        elif a == "--stats":
-            i += 1
-            stats_path = argv[i]
-        else:
-            paths.append(a)
-        i += 1
+    args = iter(argv)
+    try:
+        for a in args:
+            if a == "--reps":
+                reps = int(next(args))
+            elif a == "--stats":
+                stats_path = next(args)
+            else:
+                paths.append(a)
+    except (StopIteration, ValueError):
+        paths = ()
     if len(paths) != 2 or reps < 1:
         return _fail("usage: program IN.raw OUT.raw [--reps N] [--stats FILE]")
-    counts = [1 for _ in net_driver.INPUT_SHAPES]
-    for j, shape in enumerate(net_driver.INPUT_SHAPES):
-        for d in shape:
-            counts[j] *= d
-    per_sample = sum(counts)
+    per_sample = sum(net_driver.INPUT_SIZES)
     flat = np.fromfile(paths[0], dtype="<f4").astype(np.float32)
     if flat.size == 0 or flat.size % per_sample != 0:
         return _fail(f"input holds {flat.size} values, "
                      f"need a multiple of {per_sample}")
     samples = []
-    for j in range(flat.size // per_sample):
-        chunk = flat[j * per_sample:(j + 1) * per_sample]
+    for row in flat.reshape(-1, per_sample):
         fields = []
         at = 0
-        for n, shape in zip(counts, net_driver.INPUT_SHAPES):
-            fields.append(chunk[at:at + n].reshape(shape))
+        for n, shape in zip(net_driver.INPUT_SIZES, net_driver.INPUT_SHAPES):
+            fields.append(row[at:at + n].reshape(shape))
             at += n
         samples.append(fields)
     net_driver.run(samples[0])
@@ -617,7 +623,11 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    # file access is the only source of OSError here
+    try:
+        sys.exit(main(sys.argv[1:]))
+    except OSError as e:
+        sys.exit(_fail(f"{e.filename}: {e.strerror}"))
 '''
 
 
@@ -684,7 +694,10 @@ def compile_program(out_dir, sources, toolchain: ToolchainConfig | None = None) 
                 shutil.copy(p, Path(td) / p.name)
             # -s keeps the throwaway build dir out of co_filename so the
             # bytecode is identical no matter where the build ran.
-            _run_tool([python, *toolchain.strip_flags, "-m", "compileall",
+            # no_debug_ranges drops the per-instruction column tables, which
+            # only serve traceback carets (interpreters before 3.11 ignore it).
+            _run_tool([python, *toolchain.strip_flags, "-X", "no_debug_ranges",
+                       "-m", "compileall",
                        "-b", "--invalidation-mode", "unchecked-hash", "-q",
                        "-s", td, td])
             for p in abs_sources:

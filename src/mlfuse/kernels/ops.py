@@ -1,17 +1,29 @@
 """Kernel template bodies shared by the runtime and generated programs.
 
 Every function here is a self-contained template: it may use numpy and the
-two helpers below, nothing else. The emitter copies function source verbatim
+helpers below, nothing else. The emitter copies function source verbatim
 into generated programs, so the same bytes execute on both paths.
 
-Float32 discipline: loops over reduction axes (filter taps, input features,
-softmax classes) stay as explicit Python loops so accumulation order is
-fixed; vectorization only spans independent output lanes. This keeps results
-bit-identical to a naive scalar loop nest.
+Float32 discipline: every reduction is summed in one fixed order, term by
+term onto +0.0, so results are bit-identical to a naive scalar loop nest.
+Filter taps go in (kh, kw, ci) order, input features in index order, softmax
+classes in class order.
 
-Weight buffers arrive flat. Each kernel reshapes them according to the data
-layout its body was written against; callers are responsible for delivering
-payload bytes in that layout.
+Conv and FC reductions are vectorized without giving that order up
+(_sum_products). The terms land in a product tensor whose reduced axis is
+the outermost one, behind a leading row of +0.0 (so the result does not
+depend on whether numpy starts a reduction from its identity or from the
+first row), and one np.add.reduce over that axis adds whole rows in index
+order. This holds only while the reduced axis is outermost and at least two
+output lanes run beside it: numpy sums a lone lane pairwise, so a
+single-lane reduction is padded to two lanes first. matmul, dot, einsum and
+np.sum reorder the sum and are not used for reductions. Depthwise conv,
+pooling, softmax and the tiled variants still loop over their reduction
+axes, with vectorization over independent output lanes only.
+
+Weight buffers arrive flat, and may be read-only. Each kernel reshapes them
+according to the data layout its body was written against; callers are
+responsible for delivering payload bytes in that layout.
 """
 
 import numpy as np
@@ -31,6 +43,27 @@ def _pad_nhwc(x, ph0, ph1, pw0, pw1, value):
                   constant_values=value)
 
 
+def _sum_products(lhs, rhs, acc):
+    # acc = (((0 + lhs[0]*rhs[0]) + lhs[1]*rhs[1]) + ...), where lhs[k] *
+    # rhs[k] broadcasts to acc's shape. Taps go through a product tensor of
+    # at most 64 KiB (or two of acc's rows, if more) in chunks, each
+    # starting from the running sum as its row 0.
+    if acc.size == 1:
+        # numpy would sum a lone lane pairwise: reduce a twin pair instead
+        twin = np.empty(2, np.float32)
+        _sum_products(lhs.reshape(-1, 1).repeat(2, 1), rhs.reshape(-1, 1),
+                      twin)
+        acc[...] = twin[0]
+        return
+    step = max(1, 65536 // (4 * acc.size) - 1)
+    terms = np.zeros((min(step, len(lhs)) + 1,) + acc.shape, np.float32)
+    for k0 in range(0, len(lhs), step):
+        part = terms[:min(step, len(lhs) - k0) + 1]
+        np.multiply(lhs[k0:k0 + step], rhs[k0:k0 + step], out=part[1:])
+        np.add.reduce(part, axis=0, out=acc)
+        terms[0] = acc
+
+
 def conv2d_f32(inputs, weights, outputs, *, in_shape, out_shape, filter_h,
                filter_w, stride_h, stride_w, dilation_h, dilation_w,
                pad_before_h, pad_after_h, pad_before_w, pad_after_w,
@@ -40,21 +73,31 @@ def conv2d_f32(inputs, weights, outputs, *, in_shape, out_shape, filter_h,
     oh, ow, cout = out_shape[1], out_shape[2], out_shape[3]
     x = _pad_nhwc(inputs[0].reshape(in_shape), pad_before_h, pad_after_h,
                   pad_before_w, pad_after_w, 0.0)
-    wk = weights[0].reshape(filter_h, filter_w, cin, cout)
+    taps = filter_h * filter_w * cin
+    wk = weights[0].reshape(taps, cout, 1)
     out = outputs[0].reshape(n, oh, ow, cout)
+    # blocks of whole output rows whose product tensor fits in 64 KiB; when
+    # one row's does not, as many rows as keep both the gathered patches and
+    # a two-row chunk of products within it, with the taps chunked
+    rows = (min(oh, 65536 // (4 * (taps + 1) * cout * ow))
+            or max(1, min(oh, 65536 // (4 * taps * ow),
+                          65536 // (8 * cout * ow))))
+    cols = np.empty((filter_h, filter_w, cin, rows, ow), dtype=np.float32)
+    # every (kh, kw, ci) tap's strided input plane, as one view
+    sn, sy, sx, sc = x.strides
+    win = np.lib.stride_tricks.as_strided(
+        x, (n, filter_h, filter_w, cin, oh, ow),
+        (sn, dilation_h * sy, dilation_w * sx, sc, stride_h * sy,
+         stride_w * sx))
     for b in range(n):
-        ob = out[b]
-        ob.fill(0.0)
-        for kh in range(filter_h):
-            ih = kh * dilation_h
-            for kw in range(filter_w):
-                iw = kw * dilation_w
-                patch = x[b, ih:ih + (oh - 1) * stride_h + 1:stride_h,
-                          iw:iw + (ow - 1) * stride_w + 1:stride_w, :]
-                for ci in range(cin):
-                    ob += patch[:, :, ci, None] * wk[kh, kw, ci]
-        if len(weights) > 1:
-            ob += weights[1]
+        for r0 in range(0, oh, rows):
+            r1 = min(r0 + rows, oh)
+            blk = cols[:, :, :, :r1 - r0]
+            np.copyto(blk, win[b, :, :, :, r0:r1])
+            _sum_products(wk, blk.reshape(taps, 1, (r1 - r0) * ow),
+                          out[b, r0:r1].reshape((r1 - r0) * ow, cout).T)
+    if len(weights) > 1:
+        out += weights[1]
     _apply_clamp(out, activation_min, activation_max)
 
 
@@ -196,14 +239,9 @@ def fully_connected_f32(inputs, weights, outputs, *, batch, in_features,
     out = outputs[0].reshape(batch, out_features)
     if lhs_cacheable:
         x = np.ascontiguousarray(x)
-    for b in range(batch):
-        row = out[b]
-        row.fill(0.0)
-        xr = x[b]
-        for i in range(in_features):
-            row += xr[i] * wt[i]
-        if len(weights) > 1:
-            row += weights[1]
+    _sum_products(x.T[:, :, None], wt[:, None, :], out)
+    if len(weights) > 1:
+        out += weights[1]
     _apply_clamp(out, activation_min, activation_max)
 
 
@@ -315,6 +353,7 @@ def scale_shift_f32(inputs, weights, outputs, *, count, scale, shift):
 HELPERS = {
     "_apply_clamp": _apply_clamp,
     "_pad_nhwc": _pad_nhwc,
+    "_sum_products": _sum_products,
 }
 
 KERNELS = {
@@ -326,21 +365,19 @@ KERNELS = {
     )
 }
 
-# helpers each template body calls, for the emitter's dependency closure
-HELPER_DEPS = {
-    "conv2d_f32": ("_pad_nhwc", "_apply_clamp"),
-    "conv2d_f32_tiled": ("_pad_nhwc", "_apply_clamp"),
-    "depthwise_conv2d_f32": ("_pad_nhwc", "_apply_clamp"),
-    "avg_pool2d_f32": ("_pad_nhwc", "_apply_clamp"),
-    "max_pool2d_f32": ("_pad_nhwc", "_apply_clamp"),
-    "fully_connected_f32": ("_apply_clamp",),
-    "fully_connected_f32_tiled": ("_apply_clamp",),
-    "softmax_f32": (),
-    "relu_f32": (),
-    "reshape_copy": (),
-    "add_f32": ("_apply_clamp",),
-    "add_i32": (),
-    "concat_f32": (),
-    "pad_f32": (),
-    "scale_shift_f32": (),
-}
+
+def _helper_deps(fn) -> tuple:
+    # every helper the body names, nested functions and helpers' own calls
+    # included, for the emitter's dependency closure
+    deps = set()
+    codes = [fn.__code__]
+    while codes:
+        code = codes.pop()
+        for name in (set(code.co_names) & HELPERS.keys()) - deps:
+            deps.add(name)
+            codes.append(HELPERS[name].__code__)
+        codes.extend(c for c in code.co_consts if isinstance(c, type(code)))
+    return tuple(sorted(deps))
+
+
+HELPER_DEPS = {name: _helper_deps(fn) for name, fn in KERNELS.items()}

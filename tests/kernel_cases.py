@@ -70,6 +70,28 @@ def _conv_kwargs(in_shape, out_shape, fh, fw, sh, sw, dh, dw, pads, clamp):
                 activation_max=clamp[1])
 
 
+def _run_conv2d(x, wt, bias, stride, dilation, pads, clamp):
+    """Reference conv kernel on flat buffers against the oracle.
+
+    x: (n, h, w, cin); wt: (cout, fh, fw, cin), delivered in HWIO order.
+    """
+    n, h, w, cin = x.shape
+    cout, fh, fw, _ = wt.shape
+    (sh, sw), (dh, dw) = stride, dilation
+    pt, pb, pl, pr = pads
+    oh = (h + pt + pb - (fh - 1) * dh - 1) // sh + 1
+    ow = (w + pl + pr - (fw - 1) * dw - 1) // sw + 1
+    kwargs = _conv_kwargs((n, h, w, cin), (n, oh, ow, cout),
+                          fh, fw, sh, sw, dh, dw, pads, clamp)
+    out = np.empty(n * oh * ow * cout, dtype=np.float32)
+    flat_w = np.ascontiguousarray(wt.transpose(1, 2, 3, 0)).ravel()
+    ops.conv2d_f32([x.ravel().copy()],
+                   [flat_w] + ([bias] if bias is not None else []), [out],
+                   **kwargs)
+    want = oracles.conv2d(x, wt, bias, stride, dilation, pads, clamp)
+    return out.reshape(n, oh, ow, cout), want
+
+
 @lru_cache(maxsize=None)
 def case_conv2d(i, tiled=False, threads=1):
     rng = np.random.default_rng((101, int(tiled), threads, i))
@@ -81,21 +103,17 @@ def case_conv2d(i, tiled=False, threads=1):
     bias = (rng.uniform(-0.5, 0.5, cout).astype(np.float32)
             if rng.random() < 0.5 else None)
     clamp = _clamp_for(act)
+    if not tiled:
+        return _run_conv2d(x, wt, bias, (sh, sw), (dh, dw), pads, clamp)
     kwargs = _conv_kwargs((n, h, w, cin), (n, oh, ow, cout),
                           fh, fw, sh, sw, dh, dw, pads, clamp)
     out = np.empty(n * oh * ow * cout, dtype=np.float32)
-    if tiled:
-        flat_w = np.ascontiguousarray(wt).ravel().copy()
-        ops.conv2d_f32_tiled(
-            [x.ravel().copy()],
-            [flat_w] + ([bias] if bias is not None else []), [out],
-            threads=threads, im2col=bool(rng.random() < 0.5),
-            row_tile=int(rng.integers(1, 5)), **kwargs)
-    else:
-        flat_w = np.ascontiguousarray(wt.transpose(1, 2, 3, 0)).ravel()
-        ops.conv2d_f32(
-            [x.ravel().copy()],
-            [flat_w] + ([bias] if bias is not None else []), [out], **kwargs)
+    flat_w = np.ascontiguousarray(wt).ravel().copy()
+    ops.conv2d_f32_tiled(
+        [x.ravel().copy()],
+        [flat_w] + ([bias] if bias is not None else []), [out],
+        threads=threads, im2col=bool(rng.random() < 0.5),
+        row_tile=int(rng.integers(1, 5)), **kwargs)
     want = oracles.conv2d(x, wt, bias, (sh, sw), (dh, dw), pads, clamp)
     return out.reshape(n, oh, ow, cout), want
 
@@ -153,6 +171,24 @@ def case_max_pool(i):
     return _pool_case(i, 104, ops.max_pool2d_f32, oracles.max_pool2d)
 
 
+def _run_fully_connected(x, wt, bias, clamp, lhs_cacheable=False):
+    """Reference FC kernel on flat buffers against the oracle.
+
+    x: (batch, in); wt: (out, in), delivered transposed.
+    """
+    batch, nin = x.shape
+    nout = wt.shape[0]
+    out = np.empty(batch * nout, dtype=np.float32)
+    ops.fully_connected_f32(
+        [x.ravel().copy()],
+        [np.ascontiguousarray(wt.T).ravel()]
+        + ([bias] if bias is not None else []), [out],
+        batch=batch, in_features=nin, out_features=nout,
+        activation_min=clamp[0], activation_max=clamp[1],
+        lhs_cacheable=lhs_cacheable)
+    return out.reshape(batch, nout), oracles.fully_connected(x, wt, bias, clamp)
+
+
 @lru_cache(maxsize=None)
 def case_fully_connected(i, tiled=False, threads=1):
     rng = np.random.default_rng((105, int(tiled), threads, i))
@@ -165,20 +201,110 @@ def case_fully_connected(i, tiled=False, threads=1):
     wt = rng.uniform(-1, 1, (nout, nin)).astype(np.float32)
     bias = (rng.uniform(-0.5, 0.5, nout).astype(np.float32)
             if rng.random() < 0.5 else None)
-    flat_w = np.ascontiguousarray(wt.T).ravel()
+    lhs_cacheable = bool(rng.random() < 0.5)
+    if not tiled:
+        return _run_fully_connected(x, wt, bias, clamp, lhs_cacheable)
     out = np.empty(batch * nout, dtype=np.float32)
-    common = dict(batch=batch, in_features=nin, out_features=nout,
-                  activation_min=clamp[0], activation_max=clamp[1],
-                  lhs_cacheable=bool(rng.random() < 0.5))
-    ws = [flat_w] + ([bias] if bias is not None else [])
-    if tiled:
-        ops.fully_connected_f32_tiled(
-            [x.ravel().copy()], ws, [out], threads=threads,
-            col_tile=int(rng.integers(1, 5)), **common)
-    else:
-        ops.fully_connected_f32([x.ravel().copy()], ws, [out], **common)
+    ops.fully_connected_f32_tiled(
+        [x.ravel().copy()],
+        [np.ascontiguousarray(wt.T).ravel()]
+        + ([bias] if bias is not None else []), [out],
+        batch=batch, in_features=nin, out_features=nout,
+        activation_min=clamp[0], activation_max=clamp[1],
+        lhs_cacheable=lhs_cacheable, threads=threads,
+        col_tile=int(rng.integers(1, 5)))
     want = oracles.fully_connected(x, wt, bias, clamp)
     return out.reshape(batch, nout), want
+
+
+def _with_negative_zeros(rng, a, share):
+    """a with the given share of its elements (all for share=1) set to -0.0."""
+    a = a.copy()
+    a[rng.random(a.shape) < share] = np.float32(-0.0)
+    return a
+
+
+# Edge shapes and values where numpy could change the summation order of a
+# vectorized reduction, or lose the sign of a zero: a single output lane
+# (which numpy sums pairwise), a lone lane per batch row, inputs of -0.0,
+# and reductions long enough to be split into chunks.
+FC_EDGE_KINDS = ("single_lane", "single_lane_batched", "all_negative_zero",
+                 "some_negative_zero", "large_k")
+
+
+@lru_cache(maxsize=None)
+def case_fully_connected_edge(i):
+    rng = np.random.default_rng((114, i))
+    kind = FC_EDGE_KINDS[i % len(FC_EDGE_KINDS)]
+    batch, nin, nout = 1, int(rng.integers(8, 41)), int(rng.integers(1, 7))
+    if kind == "single_lane":
+        nin, nout = int(rng.integers(8, 300)), 1
+    elif kind == "single_lane_batched":
+        batch, nout = int(rng.integers(2, 4)), 1
+    elif kind == "large_k":
+        # K x N past the kernel's 64 KiB product tensor: several chunks
+        nin, nout = int(rng.integers(256, 321)), int(rng.integers(56, 65))
+    x = rng.uniform(-1, 1, (batch, nin)).astype(np.float32)
+    wt = rng.uniform(-1, 1, (nout, nin)).astype(np.float32)
+    bias = (rng.uniform(-0.5, 0.5, nout).astype(np.float32)
+            if rng.random() < 0.5 else None)
+    clamp = _clamp_for(("NONE", "RELU", "RELU6")[int(rng.integers(0, 3))])
+    if kind == "all_negative_zero":
+        # every product is -0.0; only a sum started from +0.0 ends at +0.0
+        x, bias, clamp = _with_negative_zeros(rng, x, 1.0), None, (None, None)
+        wt = np.abs(wt)
+    elif kind == "some_negative_zero":
+        x = _with_negative_zeros(rng, x, 0.5)
+        wt = _with_negative_zeros(rng, wt, 0.3)
+    return _run_fully_connected(x, wt, bias, clamp,
+                                lhs_cacheable=bool(rng.random() < 0.5))
+
+
+CONV_EDGE_KINDS = ("single_output", "single_output_batched",
+                   "all_negative_zero", "some_negative_zero", "chunked_taps",
+                   "row_blocks", "wide_cout")
+
+
+@lru_cache(maxsize=None)
+def case_conv2d_edge(i):
+    rng = np.random.default_rng((115, i))
+    kind = CONV_EDGE_KINDS[i % len(CONV_EDGE_KINDS)]
+    n, cout = 1, int(rng.integers(1, 5))
+    f = int(rng.integers(2, 4))
+    h = w = f + int(rng.integers(0, 4))
+    cin = int(rng.integers(1, 4))
+    if kind in ("single_output", "single_output_batched"):
+        # the filter covers the whole image: one output element, 8+ taps
+        h = w = f = int(rng.integers(3, 5))
+        cout = 1
+        n = 2 if kind == "single_output_batched" else 1
+    elif kind == "chunked_taps":
+        # one output row's products exceed 64 KiB: the taps go in chunks
+        f, cin, cout = 5, 8, 16
+        h, w = int(rng.integers(5, 7)), 10
+    elif kind == "row_blocks":
+        # a product tensor of 20 or 25 output rows fills 64 KiB: several
+        # blocks, the last one short
+        f, cin, cout = 3, 1, int(rng.integers(4, 6))
+        h, w = int(rng.integers(28, 34)), 18
+    elif kind == "wide_cout":
+        # cout far above the taps: one row's products exceed 64 KiB, and
+        # two-row chunks of them cap the block at 2 of 3 rows
+        f, cin, cout = 1, 4, 64
+        h, w = 3, 64
+    x = rng.uniform(-1, 1, (n, h, w, cin)).astype(np.float32)
+    wt = rng.uniform(-1, 1, (cout, f, f, cin)).astype(np.float32)
+    bias = (rng.uniform(-0.5, 0.5, cout).astype(np.float32)
+            if rng.random() < 0.5 else None)
+    clamp = _clamp_for(("NONE", "RELU", "RELU6")[int(rng.integers(0, 3))])
+    if kind == "all_negative_zero":
+        # every product is -0.0; only a sum started from +0.0 ends at +0.0
+        x, bias, clamp = _with_negative_zeros(rng, x, 1.0), None, (None, None)
+        wt = np.abs(wt)
+    elif kind == "some_negative_zero":
+        x = _with_negative_zeros(rng, x, 0.5)
+        wt = _with_negative_zeros(rng, wt, 0.3)
+    return _run_conv2d(x, wt, bias, (1, 1), (1, 1), (0, 0, 0, 0), clamp)
 
 
 @lru_cache(maxsize=None)
@@ -310,6 +436,8 @@ REFERENCE_CASES = {
     "average_pool_2d": case_avg_pool,
     "max_pool_2d": case_max_pool,
     "fully_connected": lambda i: case_fully_connected(i),
+    "fully_connected_edge": case_fully_connected_edge,
+    "conv2d_edge": case_conv2d_edge,
     "softmax": case_softmax,
     "relu": case_relu,
     "add_f32": case_add_f32,

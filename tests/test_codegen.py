@@ -106,6 +106,17 @@ def test_accepted_assignment_matches_runtime_layouts():
             assert st["weights_layout"] == "transposed"
 
 
+@pytest.mark.parametrize("seed", [14, 20, 21, 24])
+def test_search_sees_layouts_a_saturated_softmax_hides(tmp_path, seed):
+    # on these lenet weights a wrong FC layout changes fc3 but not the
+    # saturated softmax after it; comparing every tensor still rejects it
+    bundle = fixtures.build_fixture("lenet", seed)
+    artifact = codegen.pipeline(bundle, tmp_path)
+    assert artifact.manifest["candidates_evaluated"] == \
+        EXPECTED_CANDIDATES["lenet"]
+    assert harness.verify(bundle, artifact).max_error == 0.0
+
+
 def test_search_counts_are_stable(built):
     for name, (_, artifact) in built.items():
         assert artifact.manifest["candidates_evaluated"] == \
@@ -200,6 +211,45 @@ def test_executable_runs_standalone(built):
         subprocess.run([artifact.executable, str(ip), str(op)], check=True)
         got = np.frombuffer(op.read_bytes(), dtype="<f4")
     assert np.array_equal(got, x)
+
+
+@pytest.mark.parametrize("args", [
+    ["in.raw", "out.raw", "--reps"],
+    ["in.raw", "out.raw", "--reps", "x"],
+    ["in.raw", "out.raw", "--reps", "0"],
+    ["in.raw", "out.raw", "--stats"],
+    ["in.raw"],
+    ["missing.raw", "out.raw"],
+    ["in.raw", "no-such-dir/out.raw"],
+    ["in.raw", "out.raw", "--stats", "no-such-dir/stats.json"],
+], ids=["reps-without-value", "reps-not-a-number", "reps-zero",
+        "stats-without-value", "one-path", "missing-input",
+        "unwritable-output", "unwritable-stats"])
+def test_program_rejects_bad_arguments_with_exit_2(built, tmp_path, args):
+    import subprocess
+    _, artifact = built["identity"]
+    (tmp_path / "in.raw").write_bytes(np.zeros(4, dtype="<f4").tobytes())
+    proc = subprocess.run([artifact.executable, *args], cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip()
+
+
+def test_weights_ship_as_read_only_views_of_one_blob(built):
+    bundle, artifact = built["lenet"]
+    src = Path(artifact.out_dir) / "src" / "net_weights.py"
+    text = src.read_text(encoding="utf-8")
+    assert text.count("np.frombuffer(") == 1
+    ns = {}
+    exec(compile(text, str(src), "exec"), ns)
+    views = {k: v for k, v in ns.items() if k.startswith("W")}
+    assert len(views) == len(bundle.weights.entries)
+    blob = ns["_B"]
+    assert sum(v.nbytes for v in views.values()) == len(blob)
+    for name, v in views.items():
+        assert v.dtype == np.float32 and not v.flags.writeable, name
+        assert np.shares_memory(v, np.frombuffer(blob, np.uint8)), name
 
 
 # -- determinism --------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from mlfuse.kernels import (
     class_signature,
     default_registry,
     layout_weight_arrays,
+    ops,
     validate_status,
 )
 
@@ -28,6 +31,77 @@ def test_reference_kernel_matches_oracle_bitwise(name):
     for i in range(N_CASES):
         got, want = fn(i)
         assert oracles.bitwise_equal(got, want), f"{name} case {i}"
+
+
+@pytest.mark.parametrize("name", ["conv2d_edge", "fully_connected_edge"])
+def test_edge_cases_match_oracle_sign_of_zero_included(name):
+    # stricter than bitwise_equal, which lets -0.0 pass for +0.0: every sum
+    # starts from +0.0 on both sides, so even zero signs must agree
+    fn = REFERENCE_CASES[name]
+    for i in range(N_CASES):
+        got, want = fn(i)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), \
+            f"{name} case {i}"
+
+
+def test_sum_products_is_the_scalar_loop_order():
+    # terms whose sum depends on the order: 1e8 + 1 - 1e8 is 0 in float32
+    # when added left to right, 1 when pairwise. 10000 terms overrun a
+    # 64 KiB product tensor for 1 to 3 lanes, so the taps go in chunks.
+    rng = np.random.default_rng(5)
+    k = 10000
+    for lanes in (1, 2, 3):
+        lhs = rng.choice(np.float32([1e8, -1e8, 1, 3e-8]), (k, lanes))
+        rhs = rng.uniform(0.5, 2, (k, 1)).astype(np.float32)
+        acc = np.empty(lanes, dtype=np.float32)
+        ops._sum_products(lhs, rhs, acc)
+        want = np.zeros(lanes, dtype=np.float32)
+        for t in range(k):
+            # float32 lanes added one term at a time, each lane on its own
+            want = want + lhs[t] * rhs[t]
+        assert np.array_equal(acc.view(np.uint32), want.view(np.uint32)), \
+            lanes
+
+
+@pytest.mark.parametrize("shape", [
+    # (h, w, cin, f, cout): lenet conv1 and conv2, one row's products over
+    # 64 KiB, and a 1x1 conv with cout far above its taps
+    (28, 28, 1, 5, 6), (12, 12, 6, 5, 16), (6, 10, 8, 5, 16),
+    (32, 32, 16, 1, 64)])
+def test_conv_scratch_stays_within_the_bound(shape):
+    # gathered patches and products take at most 64 KiB each. numpy's ufunc
+    # iterator buffers up to np.getbufsize() elements per operand on its
+    # own account; shrinking them leaves the kernel's scratch in the peak.
+    h, w, cin, f, cout = shape
+    oh, ow = h - f + 1, w - f + 1
+    rng = np.random.default_rng(9)
+    x = rng.uniform(-1, 1, h * w * cin).astype(np.float32)
+    wt = rng.uniform(-1, 1, f * f * cin * cout).astype(np.float32)
+    out = np.empty(oh * ow * cout, dtype=np.float32)
+    kwargs = dict(in_shape=(1, h, w, cin), out_shape=(1, oh, ow, cout),
+                  filter_h=f, filter_w=f, stride_h=1, stride_w=1,
+                  dilation_h=1, dilation_w=1, pad_before_h=0, pad_after_h=0,
+                  pad_before_w=0, pad_after_w=0, activation_min=None,
+                  activation_max=None)
+    bufsize = np.setbufsize(16)
+    tracemalloc.start()
+    try:
+        ops.conv2d_f32([x], [wt], [out], **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+    assert peak <= 2 * 65536 + 4096, peak
+
+
+def test_helper_deps_follow_the_template_bodies():
+    assert set(ops.HELPER_DEPS) == set(ops.KERNELS)
+    assert ops.HELPER_DEPS["conv2d_f32"] == (
+        "_apply_clamp", "_pad_nhwc", "_sum_products")
+    assert ops.HELPER_DEPS["fully_connected_f32"] == (
+        "_apply_clamp", "_sum_products")
+    assert ops.HELPER_DEPS["conv2d_f32_tiled"] == ("_apply_clamp", "_pad_nhwc")
+    assert ops.HELPER_DEPS["softmax_f32"] == ()
 
 
 @pytest.mark.parametrize("name", sorted(TILED_CASES))
