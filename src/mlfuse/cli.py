@@ -223,7 +223,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--toolchain", default=None,
-                   help="JSON file: {command, flags[], strip_flags[]}")
+                   help="JSON {command, flags[], strip_flags[], strip}: flags"
+                        " lead the one compile step, strip_flags follow them")
     p.add_argument("--strip", action=argparse.BooleanOptionalAction,
                    default=None)
     p.add_argument("--json", action="store_true")

@@ -683,20 +683,22 @@ def compile_program(out_dir, sources, toolchain: ToolchainConfig | None = None) 
     python = _resolve_toolchain(toolchain)
     out_dir = Path(out_dir)
     abs_sources = [out_dir / s for s in sources]
-    _run_tool([python, *toolchain.flags, "-m", "py_compile",
-               *[str(p) for p in abs_sources]])
-    shutil.rmtree(out_dir / "src" / "__pycache__", ignore_errors=True)
+    # One toolchain process per build. -S: it needs only the stdlib, and no
+    # .pth or sitecustomize code of the build host may run inside it.
+    tool = [python, "-S", *toolchain.flags]
 
     members = []
     if toolchain.strip:
         with tempfile.TemporaryDirectory(prefix="mlfuse-build-") as td:
             for p in abs_sources:
                 shutil.copy(p, Path(td) / p.name)
+            # compileall is the check as well: it exits non-zero when any
+            # source fails to compile under the user's flags.
             # -s keeps the throwaway build dir out of co_filename so the
             # bytecode is identical no matter where the build ran.
             # no_debug_ranges drops the per-instruction column tables, which
             # only serve traceback carets (interpreters before 3.11 ignore it).
-            _run_tool([python, *toolchain.strip_flags, "-X", "no_debug_ranges",
+            _run_tool([*tool, *toolchain.strip_flags, "-X", "no_debug_ranges",
                        "-m", "compileall",
                        "-b", "--invalidation-mode", "unchecked-hash", "-q",
                        "-s", td, td])
@@ -706,6 +708,8 @@ def compile_program(out_dir, sources, toolchain: ToolchainConfig | None = None) 
                     raise CompileError(f"no bytecode produced for {p.name}")
                 members.append((p.stem + ".pyc", pyc.read_bytes()))
     else:
+        _run_tool([*tool, "-m", "py_compile", *[str(p) for p in abs_sources]])
+        shutil.rmtree(out_dir / "src" / "__pycache__", ignore_errors=True)
         members = [(p.name, p.read_bytes()) for p in abs_sources]
     members.sort()
 

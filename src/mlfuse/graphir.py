@@ -290,6 +290,9 @@ def graph_from_obj(obj) -> ComputationalGraph:
     version = _int_field(obj, "version", "graph")
     if version != 1:
         raise GraphError(f"version mismatch: expected 1, got {version}")
+    for key in ("tensors", "operators"):
+        if not isinstance(obj[key], list):
+            raise GraphError(f"graph: field '{key}' must be a list")
 
     tensors = []
     for i, td in enumerate(obj["tensors"]):
@@ -298,7 +301,7 @@ def graph_from_obj(obj) -> ComputationalGraph:
             raise GraphError(f"{what}: must be an object")
         _require_keys(td, {"id", "name", "dtype", "shape"}, {"weight_ref"}, what)
         dtype_name = td["dtype"]
-        if dtype_name not in _DTYPE_BY_NAME:
+        if not isinstance(dtype_name, str) or dtype_name not in _DTYPE_BY_NAME:
             raise GraphError(f"{what}: unknown dtype {dtype_name!r}")
         if not isinstance(td["name"], str):
             raise GraphError(f"{what}: name must be a string")

@@ -15,7 +15,6 @@ from .registry import (
     build_default_registry,
     check_unit_params,
     class_signature,
-    eval_unit,
     layout_weight_arrays,
     validate_status,
 )

@@ -448,14 +448,6 @@ def validate_status(unit: ComputingUnit, params: ParamRecord,
     return arg_kwargs
 
 
-def eval_unit(unit: ComputingUnit, params: ParamRecord, status: dict,
-              inputs, weights, outputs) -> None:
-    """Run one unit: validate status, then execute the kernel template."""
-    arg_kwargs = validate_status(unit, params, status)
-    unit.fn(list(inputs), list(weights), list(outputs),
-            **params.values, **arg_kwargs)
-
-
 def layout_weight_arrays(params: ParamRecord, status: dict,
                          arrays: list) -> tuple[list, int]:
     """Flatten canonical weight arrays into the status-selected layout.

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +42,32 @@ def test_missing_container_maps_to_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.mlg")
     assert cli.main(["inspect", missing, missing]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tensors", 5),
+    ("operators", 7),
+    ("dtype", ["F32"]),
+], ids=["tensors-not-a-list", "operators-not-a-list", "dtype-list"])
+def test_malformed_graph_document_exits_2_without_traceback(workdir, tmp_path,
+                                                            field, value):
+    gp, wp = _paths(workdir, "identity")
+    obj = json.loads(Path(gp).read_text(encoding="utf-8"))
+    if field == "dtype":
+        obj["tensors"][0]["dtype"] = value
+    else:
+        obj[field] = value
+    bad = tmp_path / "bad.mlg"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mlfuse.cli", "codegen", str(bad), wp,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
 
 
 def test_build_fixture_json_names_both_files(tmp_path, capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import stat
 from pathlib import Path
 
@@ -321,6 +322,73 @@ def test_unstripped_build_ships_plain_sources(tmp_path):
         names = zipfile.ZipFile(f).namelist()
     assert any(n.endswith(".py") for n in names)
     assert not any(n.endswith(".pyc") for n in names)
+
+
+@pytest.fixture
+def tool_calls(monkeypatch):
+    """Record every toolchain command a build runs, then run it."""
+    calls = []
+    run = codegen._run_tool
+
+    def record(cmd):
+        calls.append(list(cmd))
+        run(cmd)
+
+    monkeypatch.setattr(codegen, "_run_tool", record)
+    return calls
+
+
+def test_stripped_build_runs_one_compileall_step(tmp_path, tool_calls):
+    bundle = fixtures.build_fixture("identity")
+    tc = codegen.ToolchainConfig(flags=("-W", "error"))
+    codegen.pipeline(bundle, tmp_path / "x", toolchain=tc)
+    assert len(tool_calls) == 1
+    (cmd,) = tool_calls
+    assert cmd[1] == "-S"
+    assert cmd[cmd.index("-m") + 1] == "compileall"
+    # the user's flags gate the check, then the strip flags apply
+    assert cmd[2:6] == ["-W", "error", "-OO", "-X"]
+
+
+def test_unstripped_build_runs_one_py_compile_step(tmp_path, tool_calls):
+    bundle = fixtures.build_fixture("identity")
+    codegen.pipeline(bundle, tmp_path / "x",
+                     toolchain=codegen.ToolchainConfig(strip=False))
+    assert len(tool_calls) == 1
+    (cmd,) = tool_calls
+    assert cmd[1:4] == ["-S", "-m", "py_compile"]
+
+
+@pytest.mark.parametrize("strip", [True, False], ids=["stripped", "plain"])
+def test_failing_toolchain_step_raises_compile_error(tmp_path, strip):
+    bundle = fixtures.build_fixture("identity")
+    tc = codegen.ToolchainConfig(command=shutil.which("false"), strip=strip)
+    with pytest.raises(codegen.CompileError, match="rc=1"):
+        codegen.pipeline(bundle, tmp_path / "x", toolchain=tc)
+
+
+@pytest.mark.parametrize("strip", [True, False], ids=["stripped", "plain"])
+def test_toolchain_flags_gate_the_compile_step(tmp_path, strip):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "m.py").write_text("x = 1\ny = x is 1\n")
+    tc = codegen.ToolchainConfig(strip=strip)
+    codegen.compile_program(tmp_path, ["src/m.py"], tc)  # a warning only
+    strict = dataclasses.replace(tc, flags=("-W", "error"))
+    with pytest.raises(codegen.CompileError, match="SyntaxError"):
+        codegen.compile_program(tmp_path, ["src/m.py"], strict)
+
+
+@pytest.mark.parametrize("strip", [True, False], ids=["stripped", "plain"])
+def test_build_host_site_code_stays_out_of_the_toolchain(tmp_path, monkeypatch,
+                                                         strip):
+    site_dir = tmp_path / "site"
+    site_dir.mkdir()
+    (site_dir / "sitecustomize.py").write_text("import os\nos._exit(3)\n")
+    monkeypatch.setenv("PYTHONPATH", str(site_dir))
+    bundle = fixtures.build_fixture("identity")
+    art = codegen.pipeline(bundle, tmp_path / "x",
+                           toolchain=codegen.ToolchainConfig(strip=strip))
+    assert Path(art.executable).is_file()
 
 
 # -- input contract -----------------------------------------------------------

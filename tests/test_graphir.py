@@ -80,6 +80,12 @@ def _mlp_obj():
     return json.loads(graph_to_json(fixtures.build_fixture("mlp").graph))
 
 
+def _replace(obj, path, value):
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
 def test_version_mismatch():
     obj = _mlp_obj()
     obj["version"] = 2
@@ -105,6 +111,20 @@ def test_operator_needs_exactly_one_of_opcode_custom():
     obj = _mlp_obj()
     obj["operators"][0]["custom_name"] = "X"
     with pytest.raises(GraphError, match="exactly one of"):
+        graph_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("path, value", [
+    (("tensors",), 5),
+    (("operators",), 7),
+    (("tensors", 0, "dtype"), ["F32"]),
+    (("tensors", 0, "dtype"), {"F32": 1}),
+], ids=["tensors-not-a-list", "operators-not-a-list", "dtype-list",
+        "dtype-object"])
+def test_wrongly_typed_fields_raise_graph_error(path, value):
+    obj = _mlp_obj()
+    _replace(obj, path, value)
+    with pytest.raises(GraphError):
         graph_from_json(json.dumps(obj))
 
 
@@ -294,3 +314,33 @@ def test_same_padding_property(in_dim, k, stride, dilation):
     assert after - before in (0, 1)  # extra pad goes after
     # the padded input must reproduce the declared output size
     assert (in_dim + before + after - eff) // stride + 1 == out
+
+
+def _field_paths(node, prefix=()):
+    """Every key path into a JSON document, containers and leaves alike."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+_LENET = fixtures.build_fixture("lenet")
+_LENET_OBJ = json.loads(graph_to_json(_LENET.graph))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(_field_paths(_LENET_OBJ))), _JSON_VALUES)
+def test_any_field_replaced_raises_only_graph_error(path, value):
+    obj = json.loads(json.dumps(_LENET_OBJ))
+    _replace(obj, path, value)
+    try:
+        graph = graph_from_json(json.dumps(obj))
+        validate(ModelBundle(graph, _LENET.weights))
+    except GraphError:
+        pass
