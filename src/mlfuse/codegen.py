@@ -267,17 +267,18 @@ def _statuses_for(joint, classes, n_ops) -> list[dict]:
     return per_op
 
 
-def _worst_error(calls, xs, refs, input_bufs, buffers, delta) -> float:
+def _worst_error(steps, xs, refs, input_bufs, buffers, delta) -> float:
     """Largest per-tensor l2 distance from the runtime over all inputs.
 
-    Stops at the first tensor beyond delta and returns its distance.
+    steps are (unit, prepared state, output ids) in graph order. Stops at
+    the first tensor beyond delta and returns its distance.
     """
     worst = 0.0
     for x, ref in zip(xs, refs):
         for buf, arr in zip(input_bufs, x):
             np.copyto(buf, arr.reshape(-1))
-        for fn, ins, ws, outs, kw, out_ids in calls:
-            fn(ins, ws, outs, **kw)
+        for unit, state, out_ids in steps:
+            unit.fn(*state)
             for tid in out_ids:
                 err = float(np.linalg.norm(
                     np.subtract(buffers[tid], ref[tid], dtype=np.float64)))
@@ -297,7 +298,8 @@ def search_status(bundle: ModelBundle, extraction: ExtractionResult, configs,
     compared with the runtime's copy of it, right after that operator runs:
     a candidate is rejected at the first tensor whose l2 distance exceeds
     delta, so a wrong layout cannot hide behind a saturating later operator.
-    The accepted candidate is evaluated on every input.
+    The accepted candidate is evaluated on every input. Each candidate's
+    kernels are prepared once and then run on all inputs.
     """
     cfg = cfg or harness.VerifyConfig()
     registry = registry or default_registry()
@@ -339,18 +341,18 @@ def search_status(bundle: ModelBundle, extraction: ExtractionResult, configs,
         evaluated += 1
         per_op = _statuses_for(joint, classes, len(configs))
         try:
-            calls = []
+            steps = []
             for c in configs:
                 st = per_op[c.op_index]
                 arg_kwargs = validate_status(c.unit, c.params, st)
                 flats, _ = layout_weight_arrays(
                     c.params, st, [canonical[k] for k in c.weight_keys])
-                calls.append((c.unit.fn, exec_ins[c.op_index], flats,
-                              exec_outs[c.op_index],
-                              {**c.params.values, **arg_kwargs}, c.output_ids))
+                steps.append((c.unit, c.unit.prep(
+                    exec_ins[c.op_index], flats, exec_outs[c.op_index],
+                    **{**c.params.values, **arg_kwargs}), c.output_ids))
         except StatusError:
             continue  # the unit itself rejects this combination
-        worst = _worst_error(calls, xs, refs, input_bufs, buffers, cfg.delta)
+        worst = _worst_error(steps, xs, refs, input_bufs, buffers, cfg.delta)
         if worst <= cfg.delta:
             assignment = StatusAssignment(
                 class_choices={
@@ -486,7 +488,42 @@ def _emit_weights(plan: EmissionPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _scratch_bytes(plan: EmissionPlan) -> int:
+    """Bytes of scratch the emitted driver's prepare steps allocate at import.
+
+    The prepare steps run here on buffers of the same sizes. Scratch is
+    every array a state holds whose memory belongs to no buffer or weight.
+    """
+    def root(a):
+        while getattr(a, "base", None) is not None:
+            a = a.base
+        return a
+
+    bufs = {tid: np.empty(count, DataType[name].np_dtype)
+            for tid, (count, name) in plan.buffers.items()}
+    known = {id(root(a)) for a in (*bufs.values(), *plan.weights.values())}
+    scratch = {}
+    for step in plan.steps:
+        stack = [kernel_ops.PREPS[step.template_id](
+            [bufs[t] for t in step.act_ids],
+            [plan.weights[n] for n in step.weight_names],
+            [bufs[t] for t in step.output_ids], **step.kwargs)]
+        while stack:
+            obj = stack.pop()
+            if isinstance(obj, (tuple, list)):
+                stack.extend(obj)
+            elif isinstance(obj, np.ndarray):
+                r = root(obj)
+                if isinstance(r, np.ndarray) and id(r) not in known:
+                    scratch[id(r)] = r
+    return sum(a.nbytes for a in scratch.values())
+
+
 def _emit_driver(plan: EmissionPlan) -> str:
+    # The buffers and every kernel's prepared state live at module level,
+    # made once at import; run() only copies the inputs in, calls each run
+    # step through its module-global name (so it can be wrapped after
+    # import) and hands back fresh copies of the outputs.
     used_templates = []
     for step in plan.steps:
         if step.template_id not in used_templates:
@@ -506,12 +543,11 @@ def _emit_driver(plan: EmissionPlan) -> str:
         out.append(")")
         out.append("")
     out.append("")
-    for h in helpers:
-        out.append(inspect.getsource(kernel_ops.HELPERS[h]).rstrip("\n"))
-        out.append("")
-        out.append("")
+    sources = [kernel_ops.HELPERS[h] for h in helpers]
     for tid in used_templates:
-        out.append(inspect.getsource(kernel_ops.KERNELS[tid]).rstrip("\n"))
+        sources += [kernel_ops.PREPS[tid], kernel_ops.KERNELS[tid]]
+    for fn in sources:
+        out.append(inspect.getsource(fn).rstrip("\n"))
         out.append("")
         out.append("")
 
@@ -521,25 +557,29 @@ def _emit_driver(plan: EmissionPlan) -> str:
     out.append(f"OUTPUT_SHAPES = {_lit(plan.output_shapes)}")
     total = sum(count * 4 for count, _ in plan.buffers.values())
     out.append(f"BUFFER_BYTES = {total}")
+    out.append(f"SCRATCH_BYTES = {_scratch_bytes(plan)}")
     out.append("")
-    out.append("")
-    out.append("def run(inputs):")
     for tid in sorted(plan.buffers):
         count, dtype_name = plan.buffers[tid]
-        out.append(f"    t{tid} = np.empty({count}, "
+        out.append(f"t{tid} = np.empty({count}, "
                    f"{_NP_DTYPE_TOKEN[dtype_name]})")
-    for slot, tid in enumerate(plan.input_ids):
-        out.append(f"    np.copyto(t{tid}, inputs[{slot}].reshape(-1))")
     for step in plan.steps:
         ins = ", ".join(f"t{t}" for t in step.act_ids)
         ws = ", ".join(step.weight_names)
         outs = ", ".join(f"t{t}" for t in step.output_ids)
-        out.append(f"    {step.template_id}(")
-        out.append(f"        [{ins}], [{ws}], [{outs}],")
+        out.append(f"S{step.op_index} = {step.template_id}_prep(")
+        out.append(f"    [{ins}], [{ws}], [{outs}],")
         kw_parts = [f"{k}={_lit(v)}" for k, v in step.kwargs.items()]
-        out.extend(_wrap_args(kw_parts))
-        out.append("    )")
-    rets = ", ".join(f"t{t}" for t in plan.output_ids)
+        out.extend(_wrap_args(kw_parts, indent="    "))
+        out.append(")")
+    out.append("")
+    out.append("")
+    out.append("def run(inputs):")
+    for slot, tid in enumerate(plan.input_ids):
+        out.append(f"    np.copyto(t{tid}, inputs[{slot}].reshape(-1))")
+    for step in plan.steps:
+        out.append(f"    {step.template_id}(*S{step.op_index})")
+    rets = ", ".join(f"t{t}.copy()" for t in plan.output_ids)
     if len(plan.output_ids) == 1:
         rets += ","
     out.append(f"    return ({rets})")
@@ -608,14 +648,19 @@ def main(argv):
     merged = np.concatenate([o.reshape(-1) for out in outs for o in out])
     merged.astype("<f4").tofile(paths[1])
     if stats_path is not None:
+        # run() allocates only the copies of the outputs it hands back.
+        # Kernel scratch, prepared at import, is reported on its own: the
+        # interpreter's peak leaves out the same scratch.
+        invoke_bytes = merged.nbytes // len(samples)
         stats = {
             "reps": reps,
             "samples": len(samples),
             "invoke_ns": times,
             "load_bytes": 0,
             "configure_bytes": 0,
-            "invoke_bytes": net_driver.BUFFER_BYTES,
-            "peak_bytes": net_driver.BUFFER_BYTES,
+            "scratch_bytes": net_driver.SCRATCH_BYTES,
+            "invoke_bytes": invoke_bytes,
+            "peak_bytes": net_driver.BUFFER_BYTES + invoke_bytes,
         }
         with open(stats_path, "w") as f:
             json.dump(stats, f, sort_keys=True)
@@ -781,8 +826,7 @@ def pipeline(bundle: ModelBundle, out_dir, device: DeviceInfo | None = None,
         "max_diff": result.max_error,
         "sources": sources,
         "executable": exe_rel,
-        "device": {"threads": device.threads,
-                   "vector_hint": device.vector_hint},
+        "device": {"threads": device.threads},
         "strip": toolchain.strip,
     }
     manifest_text = json.dumps(manifest, sort_keys=True, separators=(",", ":"))

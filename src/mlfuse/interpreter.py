@@ -5,11 +5,16 @@ representation in memory, resolves each operator to a computing unit, reads
 unknown unit settings from the table shipped with the kernels, and executes
 the plan in topological order.
 
+Configure also runs every kernel's prepare step once, binding its views of
+the plan's buffers and allocating its scratch; invoke then only calls each
+kernel's run step on that state.
+
 Memory accounting covers plan-managed allocations only: the serialized graph
 text and weight arrays at load, tensor buffers and weight reorder copies at
-configure. Kernel-internal temporaries and the output copies handed back by
-invoke are not tracked. A plan owns its buffers, so concurrent invoke calls
-on one plan are not supported.
+configure. Kernel scratch, whether prepared at configure or temporary in a
+run, and the output copies handed back by invoke are not tracked. A plan
+owns its buffers and scratch, so concurrent invoke calls on one plan are not
+supported.
 """
 
 from __future__ import annotations
@@ -83,10 +88,7 @@ class PlanStep:
     unit: object
     params: object
     status: dict
-    kwargs: dict
-    ins: list
-    weights: list
-    outs: list
+    state: tuple  # the unit's prepared state: invoke calls unit.fn(*state)
 
 
 @dataclass
@@ -164,11 +166,12 @@ def load(bundle: ModelBundle, device: DeviceInfo | None = None,
             if not act_ids:
                 raise ParamError("every operator needs at least one "
                                  "non-constant input")
+            state = unit.prep([buffers[t] for t in act_ids], flats,
+                              [buffers[t] for t in node.outputs],
+                              **{**params.values, **arg_kwargs})
             steps.append(PlanStep(
                 op_index=i, kind=params.op_kind, unit=unit, params=params,
-                status=status, kwargs={**params.values, **arg_kwargs},
-                ins=[buffers[t] for t in act_ids], weights=flats,
-                outs=[buffers[t] for t in node.outputs]))
+                status=status, state=state))
         except (RegistryError, ParamError, PrepareError, StatusError,
                 GraphError) as e:
             raise type(e)(f"operator {i}: {e}") from None
@@ -197,7 +200,7 @@ def invoke(plan: ExecutablePlan, inputs) -> list[np.ndarray]:
         np.copyto(buf, np.ascontiguousarray(arr).reshape(-1))
     for step in plan.steps:
         try:
-            step.unit.fn(step.ins, step.weights, step.outs, **step.kwargs)
+            step.unit.fn(*step.state)
         except Exception as e:
             raise InterpreterError(
                 f"operator {step.op_index} ({step.kind}) failed: {e}") from e

@@ -1,5 +1,16 @@
 """Kernel template bodies shared by the runtime and generated programs.
 
+Every kernel comes in two steps. The prepare step,
+<template>_prep(inputs, weights, outputs, **params), runs once per operator:
+it reshapes the flat buffers into views, builds strided windows, plans the
+reduction chunks and allocates scratch, and returns the kernel's state as a
+tuple. The run step, <template>(*state), only issues the ufunc calls. A
+state binds views of the activation buffers, never copies of them, so one
+prepared state computes on whatever those buffers hold when it runs. Where
+a kernel needs its input in another layout (a padded border), the state
+holds a prepared buffer whose border is filled once, and the run step
+copies in the interior.
+
 Every function here is a self-contained template: it may use numpy and the
 helpers below, nothing else. The emitter copies function source verbatim
 into generated programs, so the same bytes execute on both paths.
@@ -16,7 +27,7 @@ depend on whether numpy starts a reduction from its identity or from the
 first row), and one np.add.reduce over that axis adds whole rows in index
 order. This holds only while the reduced axis is outermost and at least two
 output lanes run beside it: numpy sums a lone lane pairwise, so a
-single-lane reduction is padded to two lanes first. matmul, dot, einsum and
+single-lane reduction runs beside a twin lane. matmul, dot, einsum and
 np.sum reorder the sum and are not used for reductions. Depthwise conv,
 pooling, softmax and the tiled variants still loop over their reduction
 axes, with vectorization over independent output lanes only.
@@ -36,43 +47,73 @@ def _apply_clamp(buf, lo, hi):
         np.minimum(buf, np.float32(hi), out=buf)
 
 
-def _pad_nhwc(x, ph0, ph1, pw0, pw1, value):
+def _pad_nhwc_prep(x, ph0, ph1, pw0, pw1, value):
+    # (x, None) when nothing is padded; else a buffer whose border holds
+    # value for good, and the (interior, x) pair each run copies
     if ph0 == 0 and ph1 == 0 and pw0 == 0 and pw1 == 0:
-        return x
-    return np.pad(x, ((0, 0), (ph0, ph1), (pw0, pw1), (0, 0)),
-                  constant_values=value)
+        return x, None
+    n, h, w, c = x.shape
+    xp = np.full((n, h + ph0 + ph1, w + pw0 + pw1, c), value, np.float32)
+    return xp, (xp[:, ph0:ph0 + h, pw0:pw0 + w], x)
 
 
-def _sum_products(lhs, rhs, acc):
+def _sum_products_prep(lhs, rhs, acc):
     # acc = (((0 + lhs[0]*rhs[0]) + lhs[1]*rhs[1]) + ...), where lhs[k] *
     # rhs[k] broadcasts to acc's shape. Taps go through a product tensor of
-    # at most 64 KiB (or two of acc's rows, if more) in chunks, each
-    # starting from the running sum as its row 0.
+    # at most 64 KiB (or two of acc's rows, if more) in chunks, each a view
+    # of the tensor's leading rows; each chunk after the first starts from
+    # the running sum as its row 0, and a run leaves row 0 at +0.0. The
+    # state leaves acc out: the run step takes it after the state, so
+    # reductions of one shape into other accumulators can share the state.
+    lanes = twin = acc
     if acc.size == 1:
-        # numpy would sum a lone lane pairwise: reduce a twin pair instead
-        twin = np.empty(2, np.float32)
-        _sum_products(lhs.reshape(-1, 1).repeat(2, 1), rhs.reshape(-1, 1),
-                      twin)
+        # numpy would sum a lone lane pairwise: reduce a twin pair instead,
+        # both lanes computed from the same terms
+        lanes = twin = np.empty(2, np.float32)
+        lhs = lhs.reshape(-1, 1)
+        rhs = rhs.reshape(-1, 1)
+    k = len(lhs)
+    step = max(1, 65536 // (4 * lanes.size) - 1)
+    terms = np.zeros((min(step, k) + 1,) + lanes.shape, np.float32)
+    chunks = []
+    for k0 in range(0, k, step):
+        part = terms[:min(step, k - k0) + 1]
+        chunks.append((lhs[k0:k0 + step], rhs[k0:k0 + step], part[1:], part))
+    return chunks, None if twin is acc else twin
+
+
+def _sum_products(chunks, twin, acc):
+    lanes = acc if twin is None else twin
+    for k, (lhs, rhs, prod, part) in enumerate(chunks):
+        if k:
+            part[0] = lanes
+        np.multiply(lhs, rhs, out=prod)
+        np.add.reduce(part, axis=0, out=lanes)
+    if k:  # more than one chunk: row 0 holds a sum, not +0.0
+        part[0] = 0.0
+    if twin is not None:
         acc[...] = twin[0]
-        return
-    step = max(1, 65536 // (4 * acc.size) - 1)
-    terms = np.zeros((min(step, len(lhs)) + 1,) + acc.shape, np.float32)
-    for k0 in range(0, len(lhs), step):
-        part = terms[:min(step, len(lhs) - k0) + 1]
-        np.multiply(lhs[k0:k0 + step], rhs[k0:k0 + step], out=part[1:])
-        np.add.reduce(part, axis=0, out=acc)
-        terms[0] = acc
 
 
-def conv2d_f32(inputs, weights, outputs, *, in_shape, out_shape, filter_h,
-               filter_w, stride_h, stride_w, dilation_h, dilation_w,
-               pad_before_h, pad_after_h, pad_before_w, pad_after_w,
-               activation_min, activation_max):
+def _pool_windows_prep(x, out, filter_h, filter_w, stride_h, stride_w):
+    # per batch, the output plane and every tap's input window
+    oh, ow = out.shape[1], out.shape[2]
+    return tuple(
+        (out[b], tuple(x[b, kh:kh + (oh - 1) * stride_h + 1:stride_h,
+                         kw:kw + (ow - 1) * stride_w + 1:stride_w]
+                       for kh in range(filter_h) for kw in range(filter_w)))
+        for b in range(len(out)))
+
+
+def conv2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
+                    filter_h, filter_w, stride_h, stride_w, dilation_h,
+                    dilation_w, pad_before_h, pad_after_h, pad_before_w,
+                    pad_after_w, activation_min, activation_max):
     # filter buffer is read in height/width/in/out order
     n, h, w, cin = in_shape
     oh, ow, cout = out_shape[1], out_shape[2], out_shape[3]
-    x = _pad_nhwc(inputs[0].reshape(in_shape), pad_before_h, pad_after_h,
-                  pad_before_w, pad_after_w, 0.0)
+    x, pad = _pad_nhwc_prep(inputs[0].reshape(in_shape), pad_before_h,
+                            pad_after_h, pad_before_w, pad_after_w, 0.0)
     taps = filter_h * filter_w * cin
     wk = weights[0].reshape(taps, cout, 1)
     out = outputs[0].reshape(n, oh, ow, cout)
@@ -89,62 +130,82 @@ def conv2d_f32(inputs, weights, outputs, *, in_shape, out_shape, filter_h,
         x, (n, filter_h, filter_w, cin, oh, ow),
         (sn, dilation_h * sy, dilation_w * sx, sc, stride_h * sy,
          stride_w * sx))
-    for b in range(n):
-        for r0 in range(0, oh, rows):
-            r1 = min(r0 + rows, oh)
-            blk = cols[:, :, :, :r1 - r0]
-            np.copyto(blk, win[b, :, :, :, r0:r1])
-            _sum_products(wk, blk.reshape(taps, 1, (r1 - r0) * ow),
-                          out[b, r0:r1].reshape((r1 - r0) * ow, cout).T)
-    if len(weights) > 1:
-        out += weights[1]
-    _apply_clamp(out, activation_min, activation_max)
+    # Every block gathers into cols and reduces with one shared state. The
+    # last block ends at the last row, so it overlaps the one before it
+    # when rows does not divide oh; the overlapped rows come out the same.
+    sums = _sum_products_prep(wk, cols.reshape(taps, 1, rows * ow),
+                              out[0, :rows].reshape(-1, cout).T)
+    blocks = tuple(
+        (cols, win[b, :, :, :, r0:r0 + rows],
+         sums + (out[b, r0:r0 + rows].reshape(-1, cout).T,))
+        for b in range(n)
+        for r0 in [*range(0, oh - rows, rows), oh - rows])
+    return (pad, blocks, out, weights[1] if len(weights) > 1 else None,
+            (out, activation_min, activation_max))
 
 
-def conv2d_f32_tiled(inputs, weights, outputs, *, in_shape, out_shape,
-                     filter_h, filter_w, stride_h, stride_w, dilation_h,
-                     dilation_w, pad_before_h, pad_after_h, pad_before_w,
-                     pad_after_w, activation_min, activation_max, threads,
-                     im2col, row_tile=8):
+def conv2d_f32(pad, blocks, out, bias, clamp):
+    if pad:
+        np.copyto(*pad)
+    for blk, src, sums in blocks:
+        np.copyto(blk, src)
+        _sum_products(*sums)
+    if bias is not None:
+        out += bias
+    _apply_clamp(*clamp)
+
+
+def conv2d_f32_tiled_prep(inputs, weights, outputs, *, in_shape, out_shape,
+                          filter_h, filter_w, stride_h, stride_w, dilation_h,
+                          dilation_w, pad_before_h, pad_after_h,
+                          pad_before_w, pad_after_w, activation_min,
+                          activation_max, threads, im2col, row_tile=8):
     # filter buffer is read in out/height/width/in order
     n, h, w, cin = in_shape
     oh, ow, cout = out_shape[1], out_shape[2], out_shape[3]
-    x = _pad_nhwc(inputs[0].reshape(in_shape), pad_before_h, pad_after_h,
-                  pad_before_w, pad_after_w, 0.0)
+    x, pad = _pad_nhwc_prep(inputs[0].reshape(in_shape), pad_before_h,
+                            pad_after_h, pad_before_w, pad_after_w, 0.0)
     wk = weights[0].reshape(cout, filter_h, filter_w, cin)
     out = outputs[0].reshape(n, oh, ow, cout)
+    # per tile: its output rows, every (kh, kw) input window, and with
+    # im2col the tile's own patch buffer, since tiles may run in parallel
+    tiles = []
+    for b in range(n):
+        for r0 in range(0, oh, row_tile):
+            r1 = min(r0 + row_tile, oh)
+            wins = tuple(
+                x[b, kh * dilation_h + r0 * stride_h:
+                  kh * dilation_h + (r1 - 1) * stride_h + 1:stride_h,
+                  kw * dilation_w:kw * dilation_w + (ow - 1) * stride_w + 1:
+                  stride_w, :]
+                for kh in range(filter_h) for kw in range(filter_w))
+            patches = (np.empty((r1 - r0, ow, filter_h * filter_w, cin),
+                                dtype=np.float32) if im2col else None)
+            tiles.append((out[b, r0:r1], wins, patches))
+    taps = tuple(wk[:, kh, kw, ci] for kh in range(filter_h)
+                 for kw in range(filter_w) for ci in range(cin))
+    return (pad, tiles, taps, cin, weights[1] if len(weights) > 1 else None,
+            threads, (out, activation_min, activation_max))
 
-    def one_tile(b, r0, r1):
-        ob = out[b, r0:r1]
+
+def conv2d_f32_tiled(pad, tiles, taps, cin, bias, threads, clamp):
+    if pad:
+        np.copyto(*pad)
+
+    def one_tile(ob, wins, patches):
         ob.fill(0.0)
-        if im2col:
-            patches = np.empty((r1 - r0, ow, filter_h, filter_w, cin),
-                               dtype=np.float32)
-            for kh in range(filter_h):
-                ih = kh * dilation_h + r0 * stride_h
-                for kw in range(filter_w):
-                    iw = kw * dilation_w
-                    patches[:, :, kh, kw, :] = x[
-                        b, ih:ih + (r1 - r0 - 1) * stride_h + 1:stride_h,
-                        iw:iw + (ow - 1) * stride_w + 1:stride_w, :]
-            for kh in range(filter_h):
-                for kw in range(filter_w):
-                    for ci in range(cin):
-                        ob += patches[:, :, kh, kw, ci, None] * wk[:, kh, kw, ci]
-        else:
-            for kh in range(filter_h):
-                ih = kh * dilation_h + r0 * stride_h
-                for kw in range(filter_w):
-                    iw = kw * dilation_w
-                    patch = x[b, ih:ih + (r1 - r0 - 1) * stride_h + 1:stride_h,
-                              iw:iw + (ow - 1) * stride_w + 1:stride_w, :]
-                    for ci in range(cin):
-                        ob += patch[:, :, ci, None] * wk[:, kh, kw, ci]
-        if len(weights) > 1:
-            ob += weights[1]
+        if patches is not None:
+            for k, win in enumerate(wins):
+                patches[:, :, k, :] = win
+            wins = patches.transpose(2, 0, 1, 3)
+        t = 0
+        for patch in wins:
+            for ci in range(cin):
+                ob += patch[:, :, ci, None] * taps[t]
+                t += 1
+        if bias is not None:
+            ob += bias
 
-    tiles = [(b, r0, min(r0 + row_tile, oh))
-             for b in range(n) for r0 in range(0, oh, row_tile)]
     if threads > 1 and len(tiles) > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -152,45 +213,60 @@ def conv2d_f32_tiled(inputs, weights, outputs, *, in_shape, out_shape,
     else:
         for t in tiles:
             one_tile(*t)
-    _apply_clamp(out, activation_min, activation_max)
+    _apply_clamp(*clamp)
 
 
-def depthwise_conv2d_f32(inputs, weights, outputs, *, in_shape, out_shape,
-                         filter_h, filter_w, stride_h, stride_w, dilation_h,
-                         dilation_w, pad_before_h, pad_after_h, pad_before_w,
-                         pad_after_w, depth_multiplier, activation_min,
-                         activation_max):
+def depthwise_conv2d_f32_prep(inputs, weights, outputs, *, in_shape,
+                              out_shape, filter_h, filter_w, stride_h,
+                              stride_w, dilation_h, dilation_w, pad_before_h,
+                              pad_after_h, pad_before_w, pad_after_w,
+                              depth_multiplier, activation_min,
+                              activation_max):
+    # output channel c * depth_multiplier + m reads input channel c: the
+    # output and filter are viewed as (..., cin, depth_multiplier) and each
+    # input window broadcasts over the last axis, so no input is repeated
     n, h, w, cin = in_shape
-    oh, ow, cout = out_shape[1], out_shape[2], out_shape[3]
-    x = _pad_nhwc(inputs[0].reshape(in_shape), pad_before_h, pad_after_h,
-                  pad_before_w, pad_after_w, 0.0)
-    wk = weights[0].reshape(filter_h, filter_w, cout)
-    out = outputs[0].reshape(n, oh, ow, cout)
-    for b in range(n):
-        ob = out[b]
+    oh, ow = out_shape[1], out_shape[2]
+    x, pad = _pad_nhwc_prep(inputs[0].reshape(in_shape), pad_before_h,
+                            pad_after_h, pad_before_w, pad_after_w, 0.0)
+    wk = weights[0].reshape(filter_h, filter_w, cin, depth_multiplier)
+    out = outputs[0].reshape(n, oh, ow, cin, depth_multiplier)
+    batches = tuple(
+        (out[b], tuple(
+            (x[b, kh * dilation_h:
+               kh * dilation_h + (oh - 1) * stride_h + 1:stride_h,
+               kw * dilation_w:
+               kw * dilation_w + (ow - 1) * stride_w + 1:stride_w, :, None],
+             wk[kh, kw])
+            for kh in range(filter_h) for kw in range(filter_w)))
+        for b in range(n))
+    bias = (weights[1].reshape(cin, depth_multiplier) if len(weights) > 1
+            else None)
+    return (pad, batches, np.empty(out.shape[1:], np.float32), bias,
+            (out, activation_min, activation_max))
+
+
+def depthwise_conv2d_f32(pad, batches, prod, bias, clamp):
+    if pad:
+        np.copyto(*pad)
+    for ob, taps in batches:
         ob.fill(0.0)
-        for kh in range(filter_h):
-            ih = kh * dilation_h
-            for kw in range(filter_w):
-                iw = kw * dilation_w
-                patch = x[b, ih:ih + (oh - 1) * stride_h + 1:stride_h,
-                          iw:iw + (ow - 1) * stride_w + 1:stride_w, :]
-                if depth_multiplier == 1:
-                    ob += patch * wk[kh, kw]
-                else:
-                    ob += np.repeat(patch, depth_multiplier, axis=2) * wk[kh, kw]
-        if len(weights) > 1:
-            ob += weights[1]
-    _apply_clamp(out, activation_min, activation_max)
+        for patch, wk in taps:
+            np.multiply(patch, wk, out=prod)
+            ob += prod
+        if bias is not None:
+            ob += bias
+    _apply_clamp(*clamp)
 
 
-def avg_pool2d_f32(inputs, weights, outputs, *, in_shape, out_shape, filter_h,
-                   filter_w, stride_h, stride_w, pad_before_h, pad_after_h,
-                   pad_before_w, pad_after_w, activation_min, activation_max):
+def avg_pool2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
+                        filter_h, filter_w, stride_h, stride_w, pad_before_h,
+                        pad_after_h, pad_before_w, pad_after_w,
+                        activation_min, activation_max):
     n, h, w, c = in_shape
     oh, ow = out_shape[1], out_shape[2]
-    x = _pad_nhwc(inputs[0].reshape(in_shape), pad_before_h, pad_after_h,
-                  pad_before_w, pad_after_w, 0.0)
+    x, pad = _pad_nhwc_prep(inputs[0].reshape(in_shape), pad_before_h,
+                            pad_after_h, pad_before_w, pad_after_w, 0.0)
     # padded cells contribute zero to the sum and are excluded from the count
     mask = np.pad(np.ones((h, w), dtype=np.float32),
                   ((pad_before_h, pad_after_h), (pad_before_w, pad_after_w)))
@@ -200,75 +276,95 @@ def avg_pool2d_f32(inputs, weights, outputs, *, in_shape, out_shape, filter_h,
             cnt += mask[kh:kh + (oh - 1) * stride_h + 1:stride_h,
                         kw:kw + (ow - 1) * stride_w + 1:stride_w]
     out = outputs[0].reshape(n, oh, ow, c)
-    for b in range(n):
-        ob = out[b]
+    return (pad, _pool_windows_prep(x, out, filter_h, filter_w, stride_h,
+                                    stride_w),
+            cnt[:, :, None],
+            (out, activation_min, activation_max))
+
+
+def avg_pool2d_f32(pad, batches, cnt, clamp):
+    if pad:
+        np.copyto(*pad)
+    for ob, wins in batches:
         ob.fill(0.0)
-        for kh in range(filter_h):
-            for kw in range(filter_w):
-                ob += x[b, kh:kh + (oh - 1) * stride_h + 1:stride_h,
-                        kw:kw + (ow - 1) * stride_w + 1:stride_w, :]
-        np.divide(ob, cnt[:, :, None], out=ob)
-    _apply_clamp(out, activation_min, activation_max)
+        for win in wins:
+            ob += win
+        np.divide(ob, cnt, out=ob)
+    _apply_clamp(*clamp)
 
 
-def max_pool2d_f32(inputs, weights, outputs, *, in_shape, out_shape, filter_h,
-                   filter_w, stride_h, stride_w, pad_before_h, pad_after_h,
-                   pad_before_w, pad_after_w, activation_min, activation_max):
+def max_pool2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
+                        filter_h, filter_w, stride_h, stride_w, pad_before_h,
+                        pad_after_h, pad_before_w, pad_after_w,
+                        activation_min, activation_max):
     n, h, w, c = in_shape
     oh, ow = out_shape[1], out_shape[2]
-    x = _pad_nhwc(inputs[0].reshape(in_shape), pad_before_h, pad_after_h,
-                  pad_before_w, pad_after_w, float("-inf"))
+    x, pad = _pad_nhwc_prep(inputs[0].reshape(in_shape), pad_before_h,
+                            pad_after_h, pad_before_w, pad_after_w,
+                            float("-inf"))
     out = outputs[0].reshape(n, oh, ow, c)
-    for b in range(n):
-        ob = out[b]
+    return (pad, _pool_windows_prep(x, out, filter_h, filter_w, stride_h,
+                                    stride_w),
+            (out, activation_min, activation_max))
+
+
+def max_pool2d_f32(pad, batches, clamp):
+    if pad:
+        np.copyto(*pad)
+    for ob, wins in batches:
         ob.fill(float("-inf"))
-        for kh in range(filter_h):
-            for kw in range(filter_w):
-                np.maximum(ob, x[b, kh:kh + (oh - 1) * stride_h + 1:stride_h,
-                                 kw:kw + (ow - 1) * stride_w + 1:stride_w, :],
-                           out=ob)
-    _apply_clamp(out, activation_min, activation_max)
+        for win in wins:
+            np.maximum(ob, win, out=ob)
+    _apply_clamp(*clamp)
 
 
-def fully_connected_f32(inputs, weights, outputs, *, batch, in_features,
-                        out_features, activation_min, activation_max,
-                        lhs_cacheable):
+def fully_connected_f32_prep(inputs, weights, outputs, *, batch, in_features,
+                             out_features, activation_min, activation_max,
+                             lhs_cacheable):
     # weight buffer is read with input features as the major axis
+    # lhs_cacheable selects nothing here: the flat activation buffer is
+    # C-contiguous already, and its rows are read in place
+    x = inputs[0].reshape(batch, in_features)
+    out = outputs[0].reshape(batch, out_features)
+    sums = _sum_products_prep(
+        x.T[:, :, None], weights[0].reshape(in_features, 1, out_features), out)
+    return (sums + (out,), out, weights[1:],
+            (out, activation_min, activation_max))
+
+
+def fully_connected_f32(sums, out, biases, clamp):
+    _sum_products(*sums)
+    for bias in biases:  # none or one
+        out += bias
+    _apply_clamp(*clamp)
+
+
+def fully_connected_f32_tiled_prep(inputs, weights, outputs, *, batch,
+                                   in_features, out_features, activation_min,
+                                   activation_max, lhs_cacheable, threads,
+                                   col_tile=64):
+    # weight buffer is read with input features as the major axis
+    # lhs_cacheable selects nothing here: the flat activation buffer is
+    # C-contiguous already, and its rows are read in place
     x = inputs[0].reshape(batch, in_features)
     wt = weights[0].reshape(in_features, out_features)
     out = outputs[0].reshape(batch, out_features)
-    if lhs_cacheable:
-        x = np.ascontiguousarray(x)
-    _sum_products(x.T[:, :, None], wt[:, None, :], out)
-    if len(weights) > 1:
-        out += weights[1]
-    _apply_clamp(out, activation_min, activation_max)
-
-
-def fully_connected_f32_tiled(inputs, weights, outputs, *, batch, in_features,
-                              out_features, activation_min, activation_max,
-                              lhs_cacheable, threads, col_tile=64):
-    # weight buffer is read with input features as the major axis
-    x = inputs[0].reshape(batch, in_features)
-    wt = weights[0].reshape(in_features, out_features)
-    out = outputs[0].reshape(batch, out_features)
-    if lhs_cacheable:
-        x = np.ascontiguousarray(x)
-
-    def one_tile(c0, c1):
-        blk = out[:, c0:c1]
-        blk.fill(0.0)
-        wb = wt[:, c0:c1]
-        for b in range(batch):
-            row = blk[b]
-            xr = x[b]
-            for i in range(in_features):
-                row += xr[i] * wb[i]
-            if len(weights) > 1:
-                row += weights[1][c0:c1]
-
-    tiles = [(c0, min(c0 + col_tile, out_features))
+    tiles = [(out[:, c0:c0 + col_tile], wt[:, c0:c0 + col_tile],
+              weights[1][c0:c0 + col_tile] if len(weights) > 1 else None)
              for c0 in range(0, out_features, col_tile)]
+    return (x, tiles, threads,
+            (out, activation_min, activation_max))
+
+
+def fully_connected_f32_tiled(x, tiles, threads, clamp):
+    def one_tile(blk, wb, bias):
+        blk.fill(0.0)
+        for xr, row in zip(x, blk):
+            for xi, wi in zip(xr, wb):
+                row += xi * wi
+            if bias is not None:
+                row += bias
+
     if threads > 1 and len(tiles) > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -276,86 +372,114 @@ def fully_connected_f32_tiled(inputs, weights, outputs, *, batch, in_features,
     else:
         for t in tiles:
             one_tile(*t)
-    _apply_clamp(out, activation_min, activation_max)
+    _apply_clamp(*clamp)
 
 
-def softmax_f32(inputs, weights, outputs, *, in_shape, beta):
-    classes = in_shape[-1]
-    rows = 1
-    for d in in_shape[:-1]:
-        rows *= d
-    x = inputs[0].reshape(rows, classes)
-    out = outputs[0].reshape(rows, classes)
-    bf = np.float32(beta)
-    for r in range(rows):
-        xr = x[r]
-        e = np.exp((xr - np.max(xr)) * bf)
+def softmax_f32_prep(inputs, weights, outputs, *, in_shape, beta):
+    # one (input row, output row) pair per row, and the row of exponentials
+    c = in_shape[-1]
+    return (tuple(zip(inputs[0].reshape(-1, c), outputs[0].reshape(-1, c))),
+            np.empty(c, np.float32), np.float32(beta))
+
+
+def softmax_f32(rows, e, beta):
+    for xr, outr in rows:
+        np.subtract(xr, np.maximum.reduce(xr), out=e)
+        np.multiply(e, beta, out=e)
+        np.exp(e, out=e)
         s = np.float32(0.0)
-        for c in range(classes):
-            s += e[c]
-        np.divide(e, s, out=out[r])
+        for v in e:
+            s += v
+        np.divide(e, s, out=outr)
 
 
-def relu_f32(inputs, weights, outputs, *, count):
-    np.maximum(inputs[0].reshape(-1), np.float32(0.0),
-               out=outputs[0].reshape(-1))
+def relu_f32_prep(inputs, weights, outputs, *, count):
+    return inputs[0].reshape(-1), np.float32(0.0), outputs[0].reshape(-1)
 
 
-def reshape_copy(inputs, weights, outputs, *, count, out_shape):
-    np.copyto(outputs[0].reshape(-1), inputs[0].reshape(-1))
+def relu_f32(x, zero, out):
+    np.maximum(x, zero, out=out)
 
 
-def add_f32(inputs, weights, outputs, *, count, activation_min,
-            activation_max):
+def reshape_copy_prep(inputs, weights, outputs, *, count, out_shape):
+    return outputs[0].reshape(-1), inputs[0].reshape(-1)
+
+
+def reshape_copy(dst, src):
+    np.copyto(dst, src)
+
+
+def add_f32_prep(inputs, weights, outputs, *, count, activation_min,
+                 activation_max):
     a, b = list(inputs) + list(weights)
-    np.add(a.reshape(-1), b.reshape(-1), out=outputs[0].reshape(-1))
-    _apply_clamp(outputs[0], activation_min, activation_max)
+    return (a.reshape(-1), b.reshape(-1), outputs[0].reshape(-1),
+            (outputs[0], activation_min, activation_max))
 
 
-def add_i32(inputs, weights, outputs, *, count, activation_min,
-            activation_max):
+def add_f32(a, b, out, clamp):
+    np.add(a, b, out=out)
+    _apply_clamp(*clamp)
+
+
+def add_i32_prep(inputs, weights, outputs, *, count, activation_min,
+                 activation_max):
     a, b = list(inputs) + list(weights)
-    np.add(a.reshape(-1), b.reshape(-1), out=outputs[0].reshape(-1))
+    return a.reshape(-1), b.reshape(-1), outputs[0].reshape(-1)
 
 
-def concat_f32(inputs, weights, outputs, *, axis, in_shapes, out_shape,
-               weight_slots):
-    parts = []
+def add_i32(a, b, out):
+    np.add(a, b, out=out)
+
+
+def concat_f32_prep(inputs, weights, outputs, *, axis, in_shapes, out_shape,
+                    weight_slots):
+    # one (slice of the output, source) pair per part, in part order
+    out = outputs[0].reshape(out_shape)
     ai = iter(inputs)
     wi = iter(weights)
-    for k in range(len(in_shapes)):
-        src = next(wi) if k in weight_slots else next(ai)
-        parts.append(src.reshape(in_shapes[k]))
-    out = outputs[0].reshape(out_shape)
+    copies = []
     pos = 0
-    for part in parts:
-        span = part.shape[axis]
+    for k, shape in enumerate(in_shapes):
+        src = next(wi) if k in weight_slots else next(ai)
         sl = [slice(None)] * len(out_shape)
-        sl[axis] = slice(pos, pos + span)
-        np.copyto(out[tuple(sl)], part)
-        pos += span
+        sl[axis] = slice(pos, pos + shape[axis])
+        copies.append((out[tuple(sl)], src.reshape(shape)))
+        pos += shape[axis]
+    return (tuple(copies),)
 
 
-def pad_f32(inputs, weights, outputs, *, in_shape, out_shape, paddings):
+def concat_f32(copies):
+    for dst, src in copies:
+        np.copyto(dst, src)
+
+
+def pad_f32_prep(inputs, weights, outputs, *, in_shape, out_shape, paddings):
     out = outputs[0].reshape(out_shape)
-    out.fill(0.0)
-    x = inputs[0].reshape(in_shape)
     region = tuple(slice(b, b + d) for (b, _), d in zip(paddings, in_shape))
-    out[region] = x
+    return out, out[region], inputs[0].reshape(in_shape)
 
 
-def scale_shift_f32(inputs, weights, outputs, *, count, scale, shift):
-    out = outputs[0].reshape(-1)
-    np.multiply(inputs[0].reshape(-1), np.float32(scale), out=out)
-    np.add(out, np.float32(shift), out=out)
+def pad_f32(out, interior, x):
+    out.fill(0.0)
+    np.copyto(interior, x)
 
 
-HELPERS = {
-    "_apply_clamp": _apply_clamp,
-    "_pad_nhwc": _pad_nhwc,
-    "_sum_products": _sum_products,
-}
+def scale_shift_f32_prep(inputs, weights, outputs, *, count, scale, shift):
+    return (inputs[0].reshape(-1), np.float32(scale), np.float32(shift),
+            outputs[0].reshape(-1))
 
+
+def scale_shift_f32(x, scale, shift, out):
+    np.multiply(x, scale, out=out)
+    np.add(out, shift, out=out)
+
+
+HELPERS = {fn.__name__: fn for fn in (
+    _apply_clamp, _pad_nhwc_prep, _sum_products_prep,
+    _sum_products, _pool_windows_prep,
+)}
+
+# run steps, by template id
 KERNELS = {
     fn.__name__: fn for fn in (
         conv2d_f32, conv2d_f32_tiled, depthwise_conv2d_f32, avg_pool2d_f32,
@@ -365,12 +489,15 @@ KERNELS = {
     )
 }
 
+# prepare steps, by template id
+PREPS = {name: globals()[name + "_prep"] for name in KERNELS}
 
-def _helper_deps(fn) -> tuple:
-    # every helper the body names, nested functions and helpers' own calls
+
+def _helper_deps(*fns) -> tuple:
+    # every helper the bodies name, nested functions and helpers' own calls
     # included, for the emitter's dependency closure
     deps = set()
-    codes = [fn.__code__]
+    codes = [fn.__code__ for fn in fns]
     while codes:
         code = codes.pop()
         for name in (set(code.co_names) & HELPERS.keys()) - deps:
@@ -380,4 +507,5 @@ def _helper_deps(fn) -> tuple:
     return tuple(sorted(deps))
 
 
-HELPER_DEPS = {name: _helper_deps(fn) for name, fn in KERNELS.items()}
+HELPER_DEPS = {name: _helper_deps(PREPS[name], fn)
+               for name, fn in KERNELS.items()}

@@ -1,15 +1,16 @@
 """Computing-unit registry: per-operator kernels plus their configuration.
 
 A computing unit binds one operator kind, one data type, and one variant
-(reference or tiled) to a kernel template. Known configuration is resolved
-from node options into a ParamRecord; settings the container does not carry
-are declared as StatusField entries and must be supplied by the caller,
-either from the table shipped with the runtime or by search.
+(reference or tiled) to a kernel template, as its prepare and run steps.
+Known configuration is resolved from node options into a ParamRecord;
+settings the container does not carry are declared as StatusField entries
+and must be supplied by the caller, either from the table shipped with the
+runtime or by search.
 
 Status fields come in two modes. A "data" field tells the caller how to lay
 out weight payload bytes before handing them to the kernel; it is consumed
 by layout_weight_arrays and never passed into the kernel. An "arg" field is
-forwarded to the kernel as a keyword argument.
+forwarded to the kernel's prepare step as a keyword argument.
 """
 
 from __future__ import annotations
@@ -46,13 +47,10 @@ class PrepareError(Exception):
 @dataclass(frozen=True)
 class DeviceInfo:
     threads: int = 1
-    vector_hint: str = "none"
 
     def __post_init__(self):
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if self.vector_hint not in ("none", "wide"):
-            raise ValueError(f"unknown vector_hint {self.vector_hint!r}")
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,8 @@ def _always(values, status) -> bool:
 class ComputingUnit:
     key: UnitKey
     template_id: str
-    fn: object
+    fn: object  # run step: fn(*state)
+    prep: object  # prepare step: prep(inputs, weights, outputs, **kwargs)
     status_schema: tuple[StatusField, ...] = ()
     supported: object = _always
     param_check: object = None  # optional: values -> error string or None
@@ -527,7 +526,8 @@ def build_default_registry() -> KernelRegistry:
 
     def unit(op, dtype, variant, template, **kw):
         reg.register_builtin(ComputingUnit(
-            UnitKey(op, dtype, variant), template, ops.KERNELS[template], **kw))
+            UnitKey(op, dtype, variant), template, ops.KERNELS[template],
+            ops.PREPS[template], **kw))
 
     unit(CONV_2D, f32, "reference", "conv2d_f32",
          status_schema=(_WEIGHTS_LAYOUT_CONV,))
@@ -553,7 +553,8 @@ def build_default_registry() -> KernelRegistry:
     reg.register_custom(
         "SCALE_SHIFT",
         ComputingUnit(UnitKey("SCALE_SHIFT", f32, "reference"),
-                      "scale_shift_f32", ops.KERNELS["scale_shift_f32"]),
+                      "scale_shift_f32", ops.KERNELS["scale_shift_f32"],
+                      ops.PREPS["scale_shift_f32"]),
         param_mapper=_scale_shift_mapper,
         shape_rule=_scale_shift_shape,
     )

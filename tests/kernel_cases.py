@@ -23,6 +23,11 @@ import oracles
 N_CASES = 30
 
 
+def run_kernel(name, inputs, weights, outputs, **params):
+    """Prepare kernel `name` on the given flat buffers, then run it once."""
+    ops.KERNELS[name](*ops.PREPS[name](inputs, weights, outputs, **params))
+
+
 def _same_pads(in_dim, eff_k, stride):
     out_dim = math.ceil(in_dim / stride)
     total = max(0, (out_dim - 1) * stride + eff_k - in_dim)
@@ -85,9 +90,9 @@ def _run_conv2d(x, wt, bias, stride, dilation, pads, clamp):
                           fh, fw, sh, sw, dh, dw, pads, clamp)
     out = np.empty(n * oh * ow * cout, dtype=np.float32)
     flat_w = np.ascontiguousarray(wt.transpose(1, 2, 3, 0)).ravel()
-    ops.conv2d_f32([x.ravel().copy()],
-                   [flat_w] + ([bias] if bias is not None else []), [out],
-                   **kwargs)
+    run_kernel("conv2d_f32", [x.ravel().copy()],
+               [flat_w] + ([bias] if bias is not None else []), [out],
+               **kwargs)
     want = oracles.conv2d(x, wt, bias, stride, dilation, pads, clamp)
     return out.reshape(n, oh, ow, cout), want
 
@@ -109,8 +114,8 @@ def case_conv2d(i, tiled=False, threads=1):
                           fh, fw, sh, sw, dh, dw, pads, clamp)
     out = np.empty(n * oh * ow * cout, dtype=np.float32)
     flat_w = np.ascontiguousarray(wt).ravel().copy()
-    ops.conv2d_f32_tiled(
-        [x.ravel().copy()],
+    run_kernel(
+        "conv2d_f32_tiled", [x.ravel().copy()],
         [flat_w] + ([bias] if bias is not None else []), [out],
         threads=threads, im2col=bool(rng.random() < 0.5),
         row_tile=int(rng.integers(1, 5)), **kwargs)
@@ -133,8 +138,8 @@ def case_depthwise(i):
     kwargs = _conv_kwargs((n, h, w, cin), (n, oh, ow, cout),
                           fh, fw, sh, sw, dh, dw, pads, clamp)
     out = np.empty(n * oh * ow * cout, dtype=np.float32)
-    ops.depthwise_conv2d_f32(
-        [x.ravel().copy()],
+    run_kernel(
+        "depthwise_conv2d_f32", [x.ravel().copy()],
         [wt.ravel().copy()] + ([bias] if bias is not None else []), [out],
         depth_multiplier=mult, **kwargs)
     want = oracles.depthwise_conv2d(x, wt, bias, (sh, sw), (dh, dw), pads,
@@ -142,7 +147,7 @@ def case_depthwise(i):
     return out.reshape(n, oh, ow, cout), want
 
 
-def _pool_case(i, tag, kernel_fn, oracle_fn):
+def _pool_case(i, tag, kernel, oracle_fn):
     rng = np.random.default_rng((tag, i))
     n, h, w, fh, fw, sh, sw, _, _, pads, oh, ow, act = _conv_geometry(
         rng, with_dilation=False)
@@ -151,24 +156,24 @@ def _pool_case(i, tag, kernel_fn, oracle_fn):
     clamp = _clamp_for(act)
     pt, pb, pl, pr = pads
     out = np.empty(n * oh * ow * c, dtype=np.float32)
-    kernel_fn([x.ravel().copy()], [], [out],
-              in_shape=(n, h, w, c), out_shape=(n, oh, ow, c),
-              filter_h=fh, filter_w=fw, stride_h=sh, stride_w=sw,
-              pad_before_h=pt, pad_after_h=pb, pad_before_w=pl,
-              pad_after_w=pr, activation_min=clamp[0],
-              activation_max=clamp[1])
+    run_kernel(kernel, [x.ravel().copy()], [], [out],
+               in_shape=(n, h, w, c), out_shape=(n, oh, ow, c),
+               filter_h=fh, filter_w=fw, stride_h=sh, stride_w=sw,
+               pad_before_h=pt, pad_after_h=pb, pad_before_w=pl,
+               pad_after_w=pr, activation_min=clamp[0],
+               activation_max=clamp[1])
     want = oracle_fn(x, (fh, fw), (sh, sw), pads, clamp)
     return out.reshape(n, oh, ow, c), want
 
 
 @lru_cache(maxsize=None)
 def case_avg_pool(i):
-    return _pool_case(i, 103, ops.avg_pool2d_f32, oracles.avg_pool2d)
+    return _pool_case(i, 103, "avg_pool2d_f32", oracles.avg_pool2d)
 
 
 @lru_cache(maxsize=None)
 def case_max_pool(i):
-    return _pool_case(i, 104, ops.max_pool2d_f32, oracles.max_pool2d)
+    return _pool_case(i, 104, "max_pool2d_f32", oracles.max_pool2d)
 
 
 def _run_fully_connected(x, wt, bias, clamp, lhs_cacheable=False):
@@ -179,8 +184,8 @@ def _run_fully_connected(x, wt, bias, clamp, lhs_cacheable=False):
     batch, nin = x.shape
     nout = wt.shape[0]
     out = np.empty(batch * nout, dtype=np.float32)
-    ops.fully_connected_f32(
-        [x.ravel().copy()],
+    run_kernel(
+        "fully_connected_f32", [x.ravel().copy()],
         [np.ascontiguousarray(wt.T).ravel()]
         + ([bias] if bias is not None else []), [out],
         batch=batch, in_features=nin, out_features=nout,
@@ -205,8 +210,8 @@ def case_fully_connected(i, tiled=False, threads=1):
     if not tiled:
         return _run_fully_connected(x, wt, bias, clamp, lhs_cacheable)
     out = np.empty(batch * nout, dtype=np.float32)
-    ops.fully_connected_f32_tiled(
-        [x.ravel().copy()],
+    run_kernel(
+        "fully_connected_f32_tiled", [x.ravel().copy()],
         [np.ascontiguousarray(wt.T).ravel()]
         + ([bias] if bias is not None else []), [out],
         batch=batch, in_features=nin, out_features=nout,
@@ -284,7 +289,7 @@ def case_conv2d_edge(i):
         h, w = int(rng.integers(5, 7)), 10
     elif kind == "row_blocks":
         # a product tensor of 20 or 25 output rows fills 64 KiB: several
-        # blocks, the last one short
+        # blocks, the last one overlapping the one before
         f, cin, cout = 3, 1, int(rng.integers(4, 6))
         h, w = int(rng.integers(28, 34)), 18
     elif kind == "wide_cout":
@@ -315,8 +320,8 @@ def case_softmax(i):
     beta = (1.0, 0.5, 2.0)[int(rng.integers(0, 3))]
     x = rng.uniform(-4, 4, (rows, classes)).astype(np.float32)
     out = np.empty(rows * classes, dtype=np.float32)
-    ops.softmax_f32([x.ravel().copy()], [], [out],
-                    in_shape=(rows, classes), beta=beta)
+    run_kernel("softmax_f32", [x.ravel().copy()], [], [out],
+               in_shape=(rows, classes), beta=beta)
     return out.reshape(rows, classes), oracles.softmax(x, beta)
 
 
@@ -326,7 +331,7 @@ def case_relu(i):
     count = int(rng.integers(1, 64))
     x = rng.uniform(-1, 1, count).astype(np.float32)
     out = np.empty(count, dtype=np.float32)
-    ops.relu_f32([x.copy()], [], [out], count=count)
+    run_kernel("relu_f32", [x.copy()], [], [out], count=count)
     return out, oracles.relu(x)
 
 
@@ -339,8 +344,8 @@ def case_add_f32(i):
     a = rng.uniform(-4, 4, count).astype(np.float32)
     b = rng.uniform(-4, 4, count).astype(np.float32)
     out = np.empty(count, dtype=np.float32)
-    ops.add_f32([a.copy(), b.copy()], [], [out], count=count,
-                activation_min=clamp[0], activation_max=clamp[1])
+    run_kernel("add_f32", [a.copy(), b.copy()], [], [out], count=count,
+               activation_min=clamp[0], activation_max=clamp[1])
     return out, oracles.add(a, b, clamp)
 
 
@@ -351,8 +356,8 @@ def case_add_i32(i):
     a = rng.integers(-1000, 1000, count, dtype=np.int32)
     b = rng.integers(-1000, 1000, count, dtype=np.int32)
     out = np.empty(count, dtype=np.int32)
-    ops.add_i32([a.copy(), b.copy()], [], [out], count=count,
-                activation_min=None, activation_max=None)
+    run_kernel("add_i32", [a.copy(), b.copy()], [], [out], count=count,
+               activation_min=None, activation_max=None)
     return out, a + b
 
 
@@ -366,7 +371,8 @@ def case_reshape(i):
     else:
         x = rng.integers(-50, 50, count, dtype=np.int32)
         out = np.empty(count, dtype=np.int32)
-    ops.reshape_copy([x.copy()], [], [out], count=count, out_shape=(count,))
+    run_kernel("reshape_copy", [x.copy()], [], [out], count=count,
+               out_shape=(count,))
     return out, x.copy()
 
 
@@ -394,8 +400,9 @@ def case_concat(i):
     for d in out_shape:
         total *= d
     out = np.empty(total, dtype=np.float32)
-    ops.concat_f32(ins, ws, [out], axis=axis, in_shapes=tuple(shapes),
-                   out_shape=out_shape, weight_slots=weight_slots)
+    run_kernel("concat_f32", ins, ws, [out], axis=axis,
+               in_shapes=tuple(shapes), out_shape=out_shape,
+               weight_slots=weight_slots)
     return out.reshape(out_shape), oracles.concat(parts, axis)
 
 
@@ -412,8 +419,8 @@ def case_pad(i):
     for d in out_shape:
         total *= d
     out = np.empty(total, dtype=np.float32)
-    ops.pad_f32([x.ravel().copy()], [], [out], in_shape=in_shape,
-                out_shape=out_shape, paddings=paddings)
+    run_kernel("pad_f32", [x.ravel().copy()], [], [out], in_shape=in_shape,
+               out_shape=out_shape, paddings=paddings)
     return out.reshape(out_shape), oracles.pad(x, paddings)
 
 
@@ -425,17 +432,18 @@ def case_scale_shift(i):
     shift = float(rng.uniform(-1, 1))
     x = rng.uniform(-1, 1, count).astype(np.float32)
     out = np.empty(count, dtype=np.float32)
-    ops.scale_shift_f32([x.copy()], [], [out], count=count, scale=scale,
-                        shift=shift)
+    run_kernel("scale_shift_f32", [x.copy()], [], [out], count=count,
+               scale=scale, shift=shift)
     return out, oracles.scale_shift(x, scale, shift)
 
 
+# each entry is a cached case function; __wrapped__ reruns a case uncached
 REFERENCE_CASES = {
-    "conv2d": lambda i: case_conv2d(i),
+    "conv2d": case_conv2d,
     "depthwise_conv2d": case_depthwise,
     "average_pool_2d": case_avg_pool,
     "max_pool_2d": case_max_pool,
-    "fully_connected": lambda i: case_fully_connected(i),
+    "fully_connected": case_fully_connected,
     "fully_connected_edge": case_fully_connected_edge,
     "conv2d_edge": case_conv2d_edge,
     "softmax": case_softmax,

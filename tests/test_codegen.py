@@ -1,15 +1,18 @@
 import dataclasses
+import importlib
 import json
 import math
 import os
 import shutil
 import stat
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mlfuse import codegen, fixtures, graphir, harness
+from mlfuse import codegen, fixtures, graphir, harness, interpreter
 from mlfuse.graphir import (
     FULLY_CONNECTED,
     RESHAPE,
@@ -20,7 +23,7 @@ from mlfuse.graphir import (
     TensorSpec,
     WeightStore,
 )
-from mlfuse.kernels import DeviceInfo, UnitKey, default_registry
+from mlfuse.kernels import DeviceInfo, UnitKey, default_registry, ops
 from mlfuse.kernels.registry import build_default_registry
 
 # joint search spaces are tiny and enumeration order is fixed, so the
@@ -176,7 +179,7 @@ def test_emitted_sources_and_manifest(built):
     assert m["delta"] == 1e-6
     assert m["n_inputs"] == 100
     assert m["max_diff"] == 0.0
-    assert m["device"] == {"threads": 1, "vector_hint": "none"}
+    assert m["device"] == {"threads": 1}
 
 
 def test_emitted_sources_carry_no_container_traces(built):
@@ -251,6 +254,97 @@ def test_weights_ship_as_read_only_views_of_one_blob(built):
     for name, v in views.items():
         assert v.dtype == np.float32 and not v.flags.writeable, name
         assert np.shares_memory(v, np.frombuffer(blob, np.uint8)), name
+
+
+def _import_driver(artifact):
+    """The built program's net_driver module, imported from its zip."""
+    names = ("net_driver", "net_weights")
+    for m in names:
+        sys.modules.pop(m, None)
+    sys.path.insert(0, artifact.executable)
+    try:
+        return importlib.import_module("net_driver")
+    finally:
+        sys.path.remove(artifact.executable)
+        for m in names:
+            sys.modules.pop(m, None)
+
+
+def _sample(bundle, seed):
+    cfg = harness.VerifyConfig(seed=seed, n_inputs=1)
+    return harness.make_inputs(bundle.graph, cfg)[0]
+
+
+def test_warm_program_run_allocates_only_its_outputs(built):
+    # Buffers and kernel scratch are made at import; a warm run() makes
+    # only the output copies it hands back, which later calls leave alone.
+    # numpy's ufunc iterator buffers up to np.getbufsize() elements per
+    # operand of a reduction on its own account; shrinking them leaves the
+    # program's allocations in the peak.
+    bundle, artifact = built["lenet"]
+    driver = _import_driver(artifact)
+    x, y = _sample(bundle, 1), _sample(bundle, 2)
+    first = driver.run(x)
+    kept = [o.copy() for o in first]
+    bufsize = np.setbufsize(16)
+    tracemalloc.start()
+    try:
+        second = driver.run(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+    assert peak <= 16384, peak
+    assert all(np.array_equal(a, b) for a, b in zip(first, kept))
+    assert not any(np.array_equal(a, b) for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize("name, calls", [("mlp", 3), ("lenet", 9)])
+def test_kernel_calls_are_looked_up_at_call_time(built, monkeypatch, name,
+                                                 calls):
+    # a wrapper set on a kernel after import (program) or after load
+    # (interpreter) sees every kernel call, as a tracer needs
+    bundle, artifact = built[name]
+    x = _sample(bundle, 1)
+    seen = []
+
+    def counting(fn):
+        def wrapper(*state):
+            seen.append(fn)
+            return fn(*state)
+        return wrapper
+
+    driver = _import_driver(artifact)
+    for tid in ops.KERNELS:
+        if hasattr(driver, tid):
+            monkeypatch.setattr(driver, tid, counting(getattr(driver, tid)))
+    want = driver.run(x)
+    assert len(seen) == calls
+
+    seen.clear()
+    plan = interpreter.load(bundle)
+    for unit in {id(s.unit): s.unit for s in plan.steps}.values():
+        monkeypatch.setattr(unit, "fn", counting(unit.fn))
+    got = interpreter.invoke(plan, x)
+    assert len(seen) == calls
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_program_stats_report_buffers_scratch_and_output_copies(built,
+                                                                 tmp_path):
+    import subprocess
+    bundle, artifact = built["lenet"]
+    driver = _import_driver(artifact)
+    x = _sample(bundle, 1)[0]
+    (tmp_path / "in.raw").write_bytes(x.astype("<f4").tobytes())
+    subprocess.run([artifact.executable, "in.raw", "out.raw", "--stats",
+                    "stats.json"], cwd=tmp_path, check=True)
+    stats = json.loads((tmp_path / "stats.json").read_text())
+    assert stats["invoke_bytes"] == 4 * 10  # lenet's 10 class scores
+    assert stats["peak_bytes"] == driver.BUFFER_BYTES + 4 * 10
+    # the two conv product tensors and gathered patches, at most 64 KiB
+    # each, and the fc product tensors
+    assert 2 * 65536 < stats["scratch_bytes"] <= 5 * 65536
 
 
 # -- determinism --------------------------------------------------------------

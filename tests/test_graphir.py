@@ -344,3 +344,27 @@ def test_any_field_replaced_raises_only_graph_error(path, value):
         validate(ModelBundle(graph, _LENET.weights))
     except GraphError:
         pass
+
+
+_MLP = fixtures.build_fixture("mlp")
+_MLP_BLOB = weights_to_bytes(_MLP.weights)
+
+
+def _splice(at, cut, insert):
+    """The mlp weight blob with `cut` bytes from `at` on replaced."""
+    return _MLP_BLOB[:at] + insert + _MLP_BLOB[at + cut:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=64),
+    st.binary(max_size=64).map(lambda tail: _MLP_BLOB[:4] + tail),
+    st.builds(_splice, st.integers(0, len(_MLP_BLOB)), st.integers(0, 8),
+              st.binary(max_size=8))))
+def test_any_weight_blob_raises_only_graph_error(blob):
+    # arbitrary bytes, bytes behind a valid magic, and valid blobs with a
+    # stretch replaced, through the parser and the bundle check behind it
+    try:
+        validate(ModelBundle(_MLP.graph, weights_from_bytes(blob)))
+    except GraphError:
+        pass

@@ -33,6 +33,57 @@ def test_reference_kernel_matches_oracle_bitwise(name):
         assert oracles.bitwise_equal(got, want), f"{name} case {i}"
 
 
+_PADS = ("pad_before_h", "pad_after_h", "pad_before_w", "pad_after_w")
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+def test_prepared_state_follows_its_buffers(name, monkeypatch):
+    # A state prepared once and run on input A, then on input B written
+    # into the same input buffers, must give exactly what a fresh prepare
+    # and run on B gives: the state binds views of the activations, never
+    # copies. Running A again restores the case's own oracle check.
+    rng = np.random.default_rng(7)
+    seen = []
+
+    def run_stale(kernel, inputs, weights, outputs, **params):
+        prep, run = ops.PREPS[kernel], ops.KERNELS[kernel]
+        state = prep(inputs, weights, outputs, **params)
+        first = [x.copy() for x in inputs]
+        run(*state)
+        second = [rng.uniform(-1, 1, x.shape).astype(x.dtype)
+                  if x.dtype == np.float32
+                  else rng.integers(-1000, 1000, x.shape, dtype=x.dtype)
+                  for x in inputs]
+        for buf, x in zip(inputs, second):
+            np.copyto(buf, x)
+        run(*state)
+        got = [o.tobytes() for o in outputs]
+        fresh = [np.empty_like(o) for o in outputs]
+        run(*prep([x.copy() for x in second], weights, fresh, **params))
+        assert got == [o.tobytes() for o in fresh], (kernel, params)
+        for buf, x in zip(inputs, first):
+            np.copyto(buf, x)
+        run(*state)
+        seen.append(params)
+
+    monkeypatch.setattr(kernel_cases, "run_kernel", run_stale)
+    case = REFERENCE_CASES[name].__wrapped__
+    for i in range(N_CASES):
+        got, want = case(i)
+        assert oracles.bitwise_equal(got, want), f"{name} case {i}"
+    # the cases a prepared state could get wrong: a padded border, the
+    # lhs_cacheable option and a single lane with its twin
+    if name in ("conv2d", "depthwise_conv2d", "average_pool_2d",
+                "max_pool_2d"):
+        assert any(sum(p[k] for k in _PADS) for p in seen)  # SAME padding
+    if name.startswith("fully_connected"):
+        assert any(p["lhs_cacheable"] for p in seen)
+    if name == "fully_connected_edge":  # a single lane, with its twin
+        assert any(p["out_features"] == 1 for p in seen)
+    if name == "conv2d_edge":
+        assert any(p["out_shape"][1:] == (1, 1, 1) for p in seen)
+
+
 @pytest.mark.parametrize("name", ["conv2d_edge", "fully_connected_edge"])
 def test_edge_cases_match_oracle_sign_of_zero_included(name):
     # stricter than bitwise_equal, which lets -0.0 pass for +0.0: every sum
@@ -54,7 +105,7 @@ def test_sum_products_is_the_scalar_loop_order():
         lhs = rng.choice(np.float32([1e8, -1e8, 1, 3e-8]), (k, lanes))
         rhs = rng.uniform(0.5, 2, (k, 1)).astype(np.float32)
         acc = np.empty(lanes, dtype=np.float32)
-        ops._sum_products(lhs, rhs, acc)
+        ops._sum_products(*ops._sum_products_prep(lhs, rhs, acc), acc)
         want = np.zeros(lanes, dtype=np.float32)
         for t in range(k):
             # float32 lanes added one term at a time, each lane on its own
@@ -69,9 +120,10 @@ def test_sum_products_is_the_scalar_loop_order():
     (28, 28, 1, 5, 6), (12, 12, 6, 5, 16), (6, 10, 8, 5, 16),
     (32, 32, 16, 1, 64)])
 def test_conv_scratch_stays_within_the_bound(shape):
-    # gathered patches and products take at most 64 KiB each. numpy's ufunc
-    # iterator buffers up to np.getbufsize() elements per operand on its
-    # own account; shrinking them leaves the kernel's scratch in the peak.
+    # gathered patches and products take at most 64 KiB each, prepared
+    # scratch and run temporaries together. numpy's ufunc iterator buffers
+    # up to np.getbufsize() elements per operand on its own account;
+    # shrinking them leaves the kernel's scratch in the peak.
     h, w, cin, f, cout = shape
     oh, ow = h - f + 1, w - f + 1
     rng = np.random.default_rng(9)
@@ -86,7 +138,7 @@ def test_conv_scratch_stays_within_the_bound(shape):
     bufsize = np.setbufsize(16)
     tracemalloc.start()
     try:
-        ops.conv2d_f32([x], [wt], [out], **kwargs)
+        ops.conv2d_f32(*ops.conv2d_f32_prep([x], [wt], [out], **kwargs))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -95,12 +147,18 @@ def test_conv_scratch_stays_within_the_bound(shape):
 
 
 def test_helper_deps_follow_the_template_bodies():
-    assert set(ops.HELPER_DEPS) == set(ops.KERNELS)
+    # helpers named by either step of a template, each step of a split
+    # helper by its own name
+    assert set(ops.HELPER_DEPS) == set(ops.KERNELS) == set(ops.PREPS)
     assert ops.HELPER_DEPS["conv2d_f32"] == (
-        "_apply_clamp", "_pad_nhwc", "_sum_products")
+        "_apply_clamp", "_pad_nhwc_prep", "_sum_products",
+        "_sum_products_prep")
     assert ops.HELPER_DEPS["fully_connected_f32"] == (
-        "_apply_clamp", "_sum_products")
-    assert ops.HELPER_DEPS["conv2d_f32_tiled"] == ("_apply_clamp", "_pad_nhwc")
+        "_apply_clamp", "_sum_products", "_sum_products_prep")
+    assert ops.HELPER_DEPS["conv2d_f32_tiled"] == (
+        "_apply_clamp", "_pad_nhwc_prep")
+    assert ops.HELPER_DEPS["max_pool2d_f32"] == (
+        "_apply_clamp", "_pad_nhwc_prep", "_pool_windows_prep")
     assert ops.HELPER_DEPS["softmax_f32"] == ()
 
 
