@@ -17,7 +17,6 @@ import numpy as np
 
 from . import codegen, fixtures, graphir, harness, interpreter, sniffer
 from .kernels import (
-    DeviceInfo,
     ParamError,
     PrepareError,
     RegistryError,
@@ -63,24 +62,18 @@ def cmd_inspect(args) -> int:
 
 def cmd_run(args) -> int:
     bundle = _load(args.graph, args.weights)
-    plan = interpreter.load(bundle, device=DeviceInfo(threads=args.threads))
-    graph = bundle.graph
-    shapes = plan.shapes
-    counts = []
-    for tid in graph.inputs:
-        n = 1
-        for d in shapes[tid]:
-            n *= d
-        counts.append(n)
+    plan = interpreter.load(bundle)
+    specs = [plan.lowered.tensors[t] for t in plan.lowered.input_ids]
+    total = sum(b.count for b in specs)
     flat = np.fromfile(args.input, dtype="<f4").astype(np.float32)
-    if flat.size != sum(counts):
+    if flat.size != total:
         raise ValueError(f"input file holds {flat.size} values, the model "
-                         f"takes {sum(counts)}")
+                         f"takes {total}")
     xs = []
     at = 0
-    for n, tid in zip(counts, graph.inputs):
-        xs.append(flat[at:at + n].reshape(shapes[tid]))
-        at += n
+    for b in specs:
+        xs.append(flat[at:at + b.count].reshape(b.shape))
+        at += b.count
     outs = interpreter.invoke(plan, xs)
     merged = np.concatenate([o.reshape(-1) for o in outs]).astype("<f4")
     merged.tofile(args.output)
@@ -115,8 +108,8 @@ def cmd_codegen(args) -> int:
     if args.seed is not None:
         kw["seed"] = args.seed
     artifact = codegen.pipeline(
-        bundle, args.out, device=DeviceInfo(threads=args.threads),
-        cfg=harness.VerifyConfig(**kw), toolchain=_toolchain_from_args(args))
+        bundle, args.out, cfg=harness.VerifyConfig(**kw),
+        toolchain=_toolchain_from_args(args))
     if args.json:
         print(json.dumps(artifact.manifest, sort_keys=True))
     else:
@@ -210,7 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("weights")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_run)
 
@@ -219,7 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("weights")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--toolchain", default=None,

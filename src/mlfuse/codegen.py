@@ -1,9 +1,10 @@
 """Compile a model bundle into a self-contained executable program.
 
-The pipeline extracts one computing unit per operator, resolves known
-configuration from the container, searches the unknown settings by comparing
-candidate behavior against the runtime, and then emits a program that embeds
-the weight payloads and only the kernel templates the model needs. The
+The pipeline lowers the bundle once (lowering.py): one computing unit per
+operator with its known configuration resolved from the container, and one
+buffer per tensor. It searches the unknown settings by comparing candidate
+behavior against the runtime, and then emits a program that embeds the
+weight payloads and only the kernel templates the model needs. The
 emitted program carries no model container, no parser, and no registry; its
 only file access at inference time is the input tensor argument.
 
@@ -34,18 +35,12 @@ from . import graphir, harness, interpreter
 from .graphir import GraphError, DataType, ModelBundle
 from .kernels import (
     DeviceInfo,
-    ParamError,
-    PrepareError,
-    RegistryError,
     StatusAssignment,
-    StatusError,
-    check_unit_params,
     class_signature,
     default_registry,
-    layout_weight_arrays,
-    validate_status,
 )
 from .kernels import ops as kernel_ops
+from .lowering import BufferSpec, LoweredOp, Lowering, bind, lower
 
 
 class CodegenError(Exception):
@@ -87,23 +82,6 @@ class ToolchainConfig:
         return cls(**kw)
 
 
-@dataclass
-class ExtractionResult:
-    device: DeviceInfo
-    units: list  # one ComputingUnit per operator, in graph order
-
-
-@dataclass
-class OpConfig:
-    op_index: int
-    kind: str
-    unit: object
-    params: object
-    act_ids: tuple[int, ...]
-    weight_keys: tuple[int, ...]
-    output_ids: tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class ConfigurationClass:
     """Operators sharing a unit, option signature, and data kind.
@@ -126,6 +104,7 @@ class SearchResult:
     # largest l2 error of any tensor an operator writes, on any sample
     # input; written to the manifest as max_diff
     max_error: float
+    scratch_bytes: int  # kernel scratch of the accepted candidate's states
 
 
 @dataclass
@@ -143,12 +122,10 @@ class EmissionPlan:
     """Everything the emitter needs, already cut loose from the container."""
     steps: list[EmissionStep]
     weights: dict  # name -> flat array, laid out per the accepted status
-    buffers: dict  # tensor id -> (element count, dtype name)
+    tensors: dict[int, BufferSpec]  # one buffer per non-weight tensor
     input_ids: tuple[int, ...]
-    input_shapes: tuple
     output_ids: tuple[int, ...]
-    output_shapes: tuple
-    threads: int
+    scratch_bytes: int
 
 
 @dataclass
@@ -179,55 +156,20 @@ def load_artifact(out_dir) -> GeneratedArtifact:
 # Extraction and analysis
 
 
-def extract_units(graph, device: DeviceInfo | None = None,
-                  registry=None) -> ExtractionResult:
-    """Pick one computing unit per operator for the target device."""
-    device = device or DeviceInfo()
-    registry = registry or default_registry()
-    units = []
-    for i, node in enumerate(graph.operators):
-        try:
-            dtype = graph.tensors[node.inputs[0]].dtype
-            units.append(registry.lookup(node.op_id, dtype, device))
-        except RegistryError as e:
-            raise RegistryError(f"operator {i}: {e}") from None
-    return ExtractionResult(device=device, units=units)
+def extract_units(bundle: ModelBundle, device: DeviceInfo | None = None,
+                  registry=None) -> Lowering:
+    """Lower the bundle: one computing unit per operator for the target
+    device, with its resolved knowns, tensor ids and buffers."""
+    return lower(bundle, device, registry)
 
 
-def analyze_config(graph, extraction: ExtractionResult,
-                   registry=None) -> list[OpConfig]:
-    """Resolve knowns for every operator and cross-check unit shape math."""
-    registry = registry or default_registry()
-    shapes = graphir.infer_shapes(graph, custom_rules=registry.custom_shape_rules())
-    weight_ids = {t.id: t.weight_ref for t in graph.tensors
-                  if t.weight_ref is not None}
-    configs = []
-    for i, (node, unit) in enumerate(zip(graph.operators, extraction.units)):
-        try:
-            params = registry.map_options_to_params(node, shapes,
-                                                    weight_ids=weight_ids)
-            if unit.key.variant == "tiled":
-                params.values["threads"] = extraction.device.threads
-            check_unit_params(unit, params)
-            computed = registry.prepare(unit, params,
-                                        [shapes[t] for t in node.inputs])
-            declared = [tuple(shapes[t]) for t in node.outputs]
-            if [tuple(s) for s in computed] != declared:
-                raise PrepareError(f"unit shapes {computed} contradict graph "
-                                   f"shapes {declared}")
-            act_ids = tuple(t for t in node.inputs if t not in weight_ids)
-            if not act_ids:
-                raise ParamError("every operator needs at least one "
-                                 "non-constant input")
-            configs.append(OpConfig(
-                op_index=i, kind=params.op_kind, unit=unit, params=params,
-                act_ids=act_ids,
-                weight_keys=tuple(weight_ids[t] for t in node.inputs
-                                  if t in weight_ids),
-                output_ids=tuple(node.outputs)))
-        except (ParamError, PrepareError, StatusError, GraphError) as e:
-            raise type(e)(f"operator {i}: {e}") from None
-    return configs
+def analyze_config(lowered: Lowering) -> list[LoweredOp]:
+    """Per-operator configuration, in graph order: unit, knowns and ids.
+
+    The lowering has already resolved every known and cross-checked the
+    unit's shape math against the graph.
+    """
+    return lowered.ops
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +230,32 @@ def _worst_error(steps, xs, refs, input_bufs, buffers, delta) -> float:
     return worst
 
 
-def search_status(bundle: ModelBundle, extraction: ExtractionResult, configs,
+def _scratch_bytes(states, known) -> int:
+    """Bytes of every array the states hold whose memory is not known.
+
+    known holds the tensor buffers and weights the states were prepared
+    on, so what is left is the scratch the prepare steps allocated.
+    """
+    def root(a):
+        while getattr(a, "base", None) is not None:
+            a = a.base
+        return a
+
+    known = {id(root(a)) for a in known}
+    scratch = {}
+    stack = list(states)
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, np.ndarray):
+            r = root(obj)
+            if isinstance(r, np.ndarray) and id(r) not in known:
+                scratch[id(r)] = r
+    return sum(a.nbytes for a in scratch.values())
+
+
+def search_status(bundle: ModelBundle, lowered: Lowering, configs,
                   cfg: harness.VerifyConfig | None = None,
                   registry=None) -> SearchResult:
     """Find status values whose behavior matches the runtime within delta.
@@ -299,59 +266,35 @@ def search_status(bundle: ModelBundle, extraction: ExtractionResult, configs,
     a candidate is rejected at the first tensor whose l2 distance exceeds
     delta, so a wrong layout cannot hide behind a saturating later operator.
     The accepted candidate is evaluated on every input. Each candidate's
-    kernels are prepared once and then run on all inputs.
+    kernels are prepared once and then run on all inputs. The runtime's
+    plan is loaded with the given registry, not from the lowering.
     """
     cfg = cfg or harness.VerifyConfig()
-    registry = registry or default_registry()
-    graph = bundle.graph
     classes = build_classes(configs)
 
-    plan = interpreter.load(bundle, device=extraction.device, registry=registry)
-    xs = harness.make_inputs(graph, cfg)
+    plan = interpreter.load(bundle, device=lowered.device, registry=registry)
+    xs = harness.make_inputs(bundle.graph, cfg)
     produced = [t for c in configs for t in c.output_ids]
     refs = []
     for x in xs:
         interpreter.invoke(plan, x)
         refs.append({t: plan.buffers[t].copy() for t in produced})
 
-    shapes = plan.shapes
-    weight_ids = {t.id for t in graph.tensors if t.weight_ref is not None}
-    canonical = {key: bundle.weights.as_array(key)
-                 for key in bundle.weights.entries}
-    buffers = {}
-    for t in graph.tensors:
-        if t.id in weight_ids:
-            continue
-        count = 1
-        for d in shapes[t.id]:
-            count *= d
-        buffers[t.id] = np.empty(count, dtype=t.dtype.np_dtype)
-    input_bufs = [buffers[t] for t in graph.inputs]
-    exec_ins = {c.op_index: [buffers[t] for t in c.act_ids] for c in configs}
-    exec_outs = {c.op_index: [buffers[t] for t in c.output_ids] for c in configs}
-
-    if classes:
-        space = itertools.product(*(list(cls.candidates()) for cls in classes))
-    else:
-        space = iter([()])
-
+    buffers = lowered.allocate()
+    input_bufs = [buffers[t] for t in lowered.input_ids]
     evaluated = 0
     best = math.inf
-    for joint in space:
+    for joint in itertools.product(*(list(cls.candidates())
+                                     for cls in classes)):
         evaluated += 1
         per_op = _statuses_for(joint, classes, len(configs))
-        try:
-            steps = []
-            for c in configs:
-                st = per_op[c.op_index]
-                arg_kwargs = validate_status(c.unit, c.params, st)
-                flats, _ = layout_weight_arrays(
-                    c.params, st, [canonical[k] for k in c.weight_keys])
-                steps.append((c.unit, c.unit.prep(
-                    exec_ins[c.op_index], flats, exec_outs[c.op_index],
-                    **{**c.params.values, **arg_kwargs}), c.output_ids))
-        except StatusError:
-            continue  # the unit itself rejects this combination
+        steps = []
+        known = list(buffers.values())
+        for c in configs:
+            flats, kwargs, _ = bind(c, per_op[c.op_index], lowered.weights)
+            known += flats
+            steps.append((c.unit, c.prepare(buffers, flats, kwargs),
+                          c.output_ids))
         worst = _worst_error(steps, xs, refs, input_bufs, buffers, cfg.delta)
         if worst <= cfg.delta:
             assignment = StatusAssignment(
@@ -359,9 +302,10 @@ def search_status(bundle: ModelBundle, extraction: ExtractionResult, configs,
                     cls.key: dict(zip((f.name for f in cls.fields), values))
                     for cls, values in zip(classes, joint)},
                 per_op=per_op)
-            return SearchResult(assignment=assignment,
-                                candidates_evaluated=evaluated,
-                                max_error=worst)
+            return SearchResult(
+                assignment=assignment, candidates_evaluated=evaluated,
+                max_error=worst,
+                scratch_bytes=_scratch_bytes([s[1] for s in steps], known))
         if worst < best:
             best = worst
     raise SearchError(
@@ -374,23 +318,13 @@ def search_status(bundle: ModelBundle, extraction: ExtractionResult, configs,
 # Emission
 
 
-def build_emission_plan(bundle: ModelBundle, configs,
-                        assignment: StatusAssignment,
-                        device: DeviceInfo | None = None,
-                        registry=None) -> EmissionPlan:
-    device = device or DeviceInfo()
-    registry = registry or default_registry()
-    graph = bundle.graph
-    shapes = graphir.infer_shapes(graph, custom_rules=registry.custom_shape_rules())
-    canonical = {key: bundle.weights.as_array(key)
-                 for key in bundle.weights.entries}
+def build_emission_plan(lowered: Lowering, configs,
+                        result: SearchResult) -> EmissionPlan:
     steps = []
     weights_out: dict = {}
     for c in configs:
-        st = assignment.per_op[c.op_index]
-        arg_kwargs = validate_status(c.unit, c.params, st)
-        flats, _ = layout_weight_arrays(
-            c.params, st, [canonical[k] for k in c.weight_keys])
+        flats, kwargs, _ = bind(c, result.assignment.per_op[c.op_index],
+                                lowered.weights)
         names = []
         for slot, arr in enumerate(flats):
             name = f"W{c.op_index}_{slot}"
@@ -398,23 +332,12 @@ def build_emission_plan(bundle: ModelBundle, configs,
             names.append(name)
         steps.append(EmissionStep(
             op_index=c.op_index, template_id=c.unit.template_id,
-            kwargs={**c.params.values, **arg_kwargs},
-            act_ids=c.act_ids, output_ids=c.output_ids,
+            kwargs=kwargs, act_ids=c.act_ids, output_ids=c.output_ids,
             weight_names=tuple(names)))
-    buffers = {}
-    for t in graph.tensors:
-        if t.weight_ref is None:
-            count = 1
-            for d in shapes[t.id]:
-                count *= d
-            buffers[t.id] = (count, t.dtype.name)
     return EmissionPlan(
-        steps=steps, weights=weights_out, buffers=buffers,
-        input_ids=tuple(graph.inputs),
-        input_shapes=tuple(tuple(shapes[t]) for t in graph.inputs),
-        output_ids=tuple(graph.outputs),
-        output_shapes=tuple(tuple(shapes[t]) for t in graph.outputs),
-        threads=device.threads)
+        steps=steps, weights=weights_out, tensors=lowered.tensors,
+        input_ids=lowered.input_ids, output_ids=lowered.output_ids,
+        scratch_bytes=result.scratch_bytes)
 
 
 _FORBIDDEN_TOKENS = ("tflite", ".lite", "graph.json", ".params", "MLW0",
@@ -488,37 +411,6 @@ def _emit_weights(plan: EmissionPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scratch_bytes(plan: EmissionPlan) -> int:
-    """Bytes of scratch the emitted driver's prepare steps allocate at import.
-
-    The prepare steps run here on buffers of the same sizes. Scratch is
-    every array a state holds whose memory belongs to no buffer or weight.
-    """
-    def root(a):
-        while getattr(a, "base", None) is not None:
-            a = a.base
-        return a
-
-    bufs = {tid: np.empty(count, DataType[name].np_dtype)
-            for tid, (count, name) in plan.buffers.items()}
-    known = {id(root(a)) for a in (*bufs.values(), *plan.weights.values())}
-    scratch = {}
-    for step in plan.steps:
-        stack = [kernel_ops.PREPS[step.template_id](
-            [bufs[t] for t in step.act_ids],
-            [plan.weights[n] for n in step.weight_names],
-            [bufs[t] for t in step.output_ids], **step.kwargs)]
-        while stack:
-            obj = stack.pop()
-            if isinstance(obj, (tuple, list)):
-                stack.extend(obj)
-            elif isinstance(obj, np.ndarray):
-                r = root(obj)
-                if isinstance(r, np.ndarray) and id(r) not in known:
-                    scratch[id(r)] = r
-    return sum(a.nbytes for a in scratch.values())
-
-
 def _emit_driver(plan: EmissionPlan) -> str:
     # The buffers and every kernel's prepared state live at module level,
     # made once at import; run() only copies the inputs in, calls each run
@@ -551,18 +443,19 @@ def _emit_driver(plan: EmissionPlan) -> str:
         out.append("")
         out.append("")
 
-    out.append(f"INPUT_SHAPES = {_lit(plan.input_shapes)}")
-    sizes = tuple(plan.buffers[t][0] for t in plan.input_ids)
-    out.append(f"INPUT_SIZES = {_lit(sizes)}")
-    out.append(f"OUTPUT_SHAPES = {_lit(plan.output_shapes)}")
-    total = sum(count * 4 for count, _ in plan.buffers.values())
+    in_specs = [plan.tensors[t] for t in plan.input_ids]
+    out_shapes = tuple(plan.tensors[t].shape for t in plan.output_ids)
+    out.append(f"INPUT_SHAPES = {_lit(tuple(b.shape for b in in_specs))}")
+    out.append(f"INPUT_SIZES = {_lit(tuple(b.count for b in in_specs))}")
+    out.append(f"OUTPUT_SHAPES = {_lit(out_shapes)}")
+    total = sum(b.count * 4 for b in plan.tensors.values())
     out.append(f"BUFFER_BYTES = {total}")
-    out.append(f"SCRATCH_BYTES = {_scratch_bytes(plan)}")
+    out.append(f"SCRATCH_BYTES = {plan.scratch_bytes}")
     out.append("")
-    for tid in sorted(plan.buffers):
-        count, dtype_name = plan.buffers[tid]
-        out.append(f"t{tid} = np.empty({count}, "
-                   f"{_NP_DTYPE_TOKEN[dtype_name]})")
+    for tid in sorted(plan.tensors):
+        b = plan.tensors[tid]
+        out.append(f"t{tid} = np.empty({b.count}, "
+                   f"{_NP_DTYPE_TOKEN[b.dtype.name]})")
     for step in plan.steps:
         ins = ", ".join(f"t{t}" for t in step.act_ids)
         ws = ", ".join(step.weight_names)
@@ -802,11 +695,10 @@ def pipeline(bundle: ModelBundle, out_dir, device: DeviceInfo | None = None,
             raise CodegenError("program IO is little-endian F32; graph "
                                f"tensor {tid} is {graph.tensors[tid].dtype.name}")
 
-    extraction = extract_units(graph, device, registry)
-    configs = analyze_config(graph, extraction, registry)
-    result = search_status(bundle, extraction, configs, cfg, registry)
-    plan = build_emission_plan(bundle, configs, result.assignment, device,
-                               registry)
+    lowered = extract_units(bundle, device, registry)
+    configs = analyze_config(lowered)
+    result = search_status(bundle, lowered, configs, cfg, registry)
+    plan = build_emission_plan(lowered, configs, result)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

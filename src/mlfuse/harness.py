@@ -20,7 +20,6 @@ import numpy as np
 
 from . import interpreter
 from .graphir import DataType, ModelBundle
-from .kernels import DeviceInfo
 
 
 class HarnessError(Exception):
@@ -112,26 +111,16 @@ def _write_samples(path, samples) -> None:
     flat.astype("<f4").tofile(path)
 
 
-def _device_for(artifact) -> DeviceInfo:
-    threads = artifact.manifest.get("device", {}).get("threads", 1)
-    return DeviceInfo(threads=threads)
-
-
 def verify(bundle: ModelBundle, artifact, cfg: VerifyConfig | None = None,
            registry=None) -> DiffReport:
     """Compare the generated program against the runtime on random inputs."""
     cfg = cfg or VerifyConfig()
-    device = _device_for(artifact)
-    plan = interpreter.load(bundle, device=device, registry=registry)
+    plan = interpreter.load(bundle, registry=registry)
     xs = make_inputs(bundle.graph, cfg)
     oracle = [interpreter.invoke(plan, x) for x in xs]
 
-    out_counts = []
-    for tid in bundle.graph.outputs:
-        n = 1
-        for d in plan.shapes[tid]:
-            n *= d
-        out_counts.append(n)
+    out_counts = [plan.lowered.tensors[t].count
+                  for t in plan.lowered.output_ids]
     per_sample = sum(out_counts)
 
     with tempfile.TemporaryDirectory(prefix="mlfuse-verify-") as td:
@@ -210,11 +199,10 @@ def bench(bundle: ModelBundle, artifact, repetitions: int = 1000,
     if repetitions < 1:
         raise HarnessError("repetitions must be >= 1")
     cfg = cfg or VerifyConfig()
-    device = _device_for(artifact)
     sample = make_inputs(bundle.graph,
                          VerifyConfig(seed=cfg.seed, n_inputs=1))[0]
 
-    plan = interpreter.load(bundle, device=device, registry=registry)
+    plan = interpreter.load(bundle, registry=registry)
     interpreter.invoke(plan, sample)  # warmup
     interp_ns = []
     # same collector discipline as the generated program's timing loop

@@ -29,8 +29,8 @@ order. This holds only while the reduced axis is outermost and at least two
 output lanes run beside it: numpy sums a lone lane pairwise, so a
 single-lane reduction runs beside a twin lane. matmul, dot, einsum and
 np.sum reorder the sum and are not used for reductions. Depthwise conv,
-pooling, softmax and the tiled variants still loop over their reduction
-axes, with vectorization over independent output lanes only.
+pooling and softmax still loop over their reduction axes, with
+vectorization over independent output lanes only.
 
 Weight buffers arrive flat, and may be read-only. Each kernel reshapes them
 according to the data layout its body was written against; callers are
@@ -152,67 +152,6 @@ def conv2d_f32(pad, blocks, out, bias, clamp):
         _sum_products(*sums)
     if bias is not None:
         out += bias
-    _apply_clamp(*clamp)
-
-
-def conv2d_f32_tiled_prep(inputs, weights, outputs, *, in_shape, out_shape,
-                          filter_h, filter_w, stride_h, stride_w, dilation_h,
-                          dilation_w, pad_before_h, pad_after_h,
-                          pad_before_w, pad_after_w, activation_min,
-                          activation_max, threads, im2col, row_tile=8):
-    # filter buffer is read in out/height/width/in order
-    n, h, w, cin = in_shape
-    oh, ow, cout = out_shape[1], out_shape[2], out_shape[3]
-    x, pad = _pad_nhwc_prep(inputs[0].reshape(in_shape), pad_before_h,
-                            pad_after_h, pad_before_w, pad_after_w, 0.0)
-    wk = weights[0].reshape(cout, filter_h, filter_w, cin)
-    out = outputs[0].reshape(n, oh, ow, cout)
-    # per tile: its output rows, every (kh, kw) input window, and with
-    # im2col the tile's own patch buffer, since tiles may run in parallel
-    tiles = []
-    for b in range(n):
-        for r0 in range(0, oh, row_tile):
-            r1 = min(r0 + row_tile, oh)
-            wins = tuple(
-                x[b, kh * dilation_h + r0 * stride_h:
-                  kh * dilation_h + (r1 - 1) * stride_h + 1:stride_h,
-                  kw * dilation_w:kw * dilation_w + (ow - 1) * stride_w + 1:
-                  stride_w, :]
-                for kh in range(filter_h) for kw in range(filter_w))
-            patches = (np.empty((r1 - r0, ow, filter_h * filter_w, cin),
-                                dtype=np.float32) if im2col else None)
-            tiles.append((out[b, r0:r1], wins, patches))
-    taps = tuple(wk[:, kh, kw, ci] for kh in range(filter_h)
-                 for kw in range(filter_w) for ci in range(cin))
-    return (pad, tiles, taps, cin, weights[1] if len(weights) > 1 else None,
-            threads, (out, activation_min, activation_max))
-
-
-def conv2d_f32_tiled(pad, tiles, taps, cin, bias, threads, clamp):
-    if pad:
-        np.copyto(*pad)
-
-    def one_tile(ob, wins, patches):
-        ob.fill(0.0)
-        if patches is not None:
-            for k, win in enumerate(wins):
-                patches[:, :, k, :] = win
-            wins = patches.transpose(2, 0, 1, 3)
-        t = 0
-        for patch in wins:
-            for ci in range(cin):
-                ob += patch[:, :, ci, None] * taps[t]
-                t += 1
-        if bias is not None:
-            ob += bias
-
-    if threads > 1 and len(tiles) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda t: one_tile(*t), tiles))
-    else:
-        for t in tiles:
-            one_tile(*t)
     _apply_clamp(*clamp)
 
 
@@ -339,42 +278,6 @@ def fully_connected_f32(sums, out, biases, clamp):
     _apply_clamp(*clamp)
 
 
-def fully_connected_f32_tiled_prep(inputs, weights, outputs, *, batch,
-                                   in_features, out_features, activation_min,
-                                   activation_max, lhs_cacheable, threads,
-                                   col_tile=64):
-    # weight buffer is read with input features as the major axis
-    # lhs_cacheable selects nothing here: the flat activation buffer is
-    # C-contiguous already, and its rows are read in place
-    x = inputs[0].reshape(batch, in_features)
-    wt = weights[0].reshape(in_features, out_features)
-    out = outputs[0].reshape(batch, out_features)
-    tiles = [(out[:, c0:c0 + col_tile], wt[:, c0:c0 + col_tile],
-              weights[1][c0:c0 + col_tile] if len(weights) > 1 else None)
-             for c0 in range(0, out_features, col_tile)]
-    return (x, tiles, threads,
-            (out, activation_min, activation_max))
-
-
-def fully_connected_f32_tiled(x, tiles, threads, clamp):
-    def one_tile(blk, wb, bias):
-        blk.fill(0.0)
-        for xr, row in zip(x, blk):
-            for xi, wi in zip(xr, wb):
-                row += xi * wi
-            if bias is not None:
-                row += bias
-
-    if threads > 1 and len(tiles) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda t: one_tile(*t), tiles))
-    else:
-        for t in tiles:
-            one_tile(*t)
-    _apply_clamp(*clamp)
-
-
 def softmax_f32_prep(inputs, weights, outputs, *, in_shape, beta):
     # one (input row, output row) pair per row, and the row of exponentials
     c = in_shape[-1]
@@ -482,10 +385,9 @@ HELPERS = {fn.__name__: fn for fn in (
 # run steps, by template id
 KERNELS = {
     fn.__name__: fn for fn in (
-        conv2d_f32, conv2d_f32_tiled, depthwise_conv2d_f32, avg_pool2d_f32,
-        max_pool2d_f32, fully_connected_f32, fully_connected_f32_tiled,
-        softmax_f32, relu_f32, reshape_copy, add_f32, add_i32, concat_f32,
-        pad_f32, scale_shift_f32,
+        conv2d_f32, depthwise_conv2d_f32, avg_pool2d_f32, max_pool2d_f32,
+        fully_connected_f32, softmax_f32, relu_f32, reshape_copy, add_f32,
+        add_i32, concat_f32, pad_f32, scale_shift_f32,
     )
 }
 

@@ -1,7 +1,7 @@
 """Computing-unit registry: per-operator kernels plus their configuration.
 
-A computing unit binds one operator kind, one data type, and one variant
-(reference or tiled) to a kernel template, as its prepare and run steps.
+A computing unit binds one operator kind and one data type to a kernel
+template, as its prepare and run steps; one unit serves every device.
 Known configuration is resolved from node options into a ParamRecord;
 settings the container does not carry are declared as StatusField entries
 and must be supplied by the caller, either from the table shipped with the
@@ -46,6 +46,8 @@ class PrepareError(Exception):
 
 @dataclass(frozen=True)
 class DeviceInfo:
+    """The build target. No unit depends on it; builds record threads in
+    their manifest and plan digest."""
     threads: int = 1
 
     def __post_init__(self):
@@ -57,7 +59,7 @@ class DeviceInfo:
 class UnitKey:
     op_id: int | str
     dtype: DataType
-    variant: str  # "reference" or "tiled"
+    variant: str  # "reference": the only variant registered
 
 
 @dataclass(frozen=True)
@@ -69,10 +71,6 @@ class StatusField:
     value_changing: bool
 
 
-def _always(values, status) -> bool:
-    return True
-
-
 @dataclass
 class ComputingUnit:
     key: UnitKey
@@ -80,7 +78,6 @@ class ComputingUnit:
     fn: object  # run step: fn(*state)
     prep: object  # prepare step: prep(inputs, weights, outputs, **kwargs)
     status_schema: tuple[StatusField, ...] = ()
-    supported: object = _always
     param_check: object = None  # optional: values -> error string or None
 
 
@@ -100,11 +97,11 @@ class ParamRecord:
             raise ParamError(f"{self.op_kind}: activation range inverted")
 
 
-# keys that depend on tensor shapes or the device, not on operator options;
-# they are left out of the configuration-class signature
+# keys that depend on tensor shapes, not on operator options; they are left
+# out of the configuration-class signature
 _SIG_EXCLUDE_DEFAULT = frozenset({
     "in_shape", "out_shape", "in_shapes", "count", "batch",
-    "in_features", "out_features", "threads", "weight_slots",
+    "in_features", "out_features", "weight_slots",
 })
 _SIG_EXCLUDE = {
     "CONV_2D": _SIG_EXCLUDE_DEFAULT | {"filter_h", "filter_w"},
@@ -253,13 +250,13 @@ class KernelRegistry:
         return unit
 
     def lookup(self, op_id, dtype: DataType, device: DeviceInfo) -> ComputingUnit:
-        order = ("tiled", "reference") if device.threads > 1 else ("reference", "tiled")
-        for variant in order:
-            unit = self._units.get(UnitKey(op_id, dtype, variant))
-            if unit is not None:
-                return unit
-        name = graphir.OPCODE_NAMES.get(op_id, op_id)
-        raise RegistryError(f"unsupported operation: no unit for {name} {dtype.name}")
+        """The unit for an operator kind and dtype; it serves any device."""
+        unit = self._units.get(UnitKey(op_id, dtype, "reference"))
+        if unit is None:
+            name = graphir.OPCODE_NAMES.get(op_id, op_id)
+            raise RegistryError(f"unsupported operation: no unit for {name} "
+                                f"{dtype.name}")
+        return unit
 
     def units(self):
         return list(self._units.values())
@@ -441,9 +438,6 @@ def validate_status(unit: ComputingUnit, params: ParamRecord,
                               f"{f.name}={value!r}, domain {f.domain}")
         if f.mode == "arg":
             arg_kwargs[f.name] = value
-    if not unit.supported(params.values, status):
-        raise StatusError(f"{params.op_kind}: unsupported status combination "
-                          f"{status}")
     return arg_kwargs
 
 
@@ -481,13 +475,6 @@ def layout_weight_arrays(params: ParamRecord, status: dict,
 # Default registry contents
 
 
-def _fc_tiled_supported(values, status) -> bool:
-    # cached row reuse needs the feature-major weight walk
-    if status.get("lhs_cacheable") and status.get("weights_layout") == "row_major":
-        return False
-    return True
-
-
 def _add_i32_check(values):
     if values["activation_min"] is not None or values["activation_max"] is not None:
         return "I32 ADD supports only NONE activation"
@@ -517,38 +504,31 @@ _WEIGHTS_LAYOUT_FC = StatusField(
     "weights_layout", ("row_major", "transposed"), "weights", "data", True)
 _LHS_CACHEABLE = StatusField(
     "lhs_cacheable", (False, True), "input", "arg", False)
-_IM2COL = StatusField("im2col", (False, True), "input", "arg", False)
 
 
 def build_default_registry() -> KernelRegistry:
     reg = KernelRegistry()
     f32, i32 = DataType.F32, DataType.I32
 
-    def unit(op, dtype, variant, template, **kw):
+    def unit(op, dtype, template, **kw):
         reg.register_builtin(ComputingUnit(
-            UnitKey(op, dtype, variant), template, ops.KERNELS[template],
+            UnitKey(op, dtype, "reference"), template, ops.KERNELS[template],
             ops.PREPS[template], **kw))
 
-    unit(CONV_2D, f32, "reference", "conv2d_f32",
-         status_schema=(_WEIGHTS_LAYOUT_CONV,))
-    unit(CONV_2D, f32, "tiled", "conv2d_f32_tiled",
-         status_schema=(_IM2COL,))
-    unit(DEPTHWISE_CONV_2D, f32, "reference", "depthwise_conv2d_f32")
-    unit(AVERAGE_POOL_2D, f32, "reference", "avg_pool2d_f32")
-    unit(MAX_POOL_2D, f32, "reference", "max_pool2d_f32")
-    unit(FULLY_CONNECTED, f32, "reference", "fully_connected_f32",
+    unit(CONV_2D, f32, "conv2d_f32", status_schema=(_WEIGHTS_LAYOUT_CONV,))
+    unit(DEPTHWISE_CONV_2D, f32, "depthwise_conv2d_f32")
+    unit(AVERAGE_POOL_2D, f32, "avg_pool2d_f32")
+    unit(MAX_POOL_2D, f32, "max_pool2d_f32")
+    unit(FULLY_CONNECTED, f32, "fully_connected_f32",
          status_schema=(_WEIGHTS_LAYOUT_FC, _LHS_CACHEABLE))
-    unit(FULLY_CONNECTED, f32, "tiled", "fully_connected_f32_tiled",
-         status_schema=(_WEIGHTS_LAYOUT_FC, _LHS_CACHEABLE),
-         supported=_fc_tiled_supported)
-    unit(SOFTMAX, f32, "reference", "softmax_f32")
-    unit(RELU, f32, "reference", "relu_f32")
-    unit(RESHAPE, f32, "reference", "reshape_copy")
-    unit(RESHAPE, i32, "reference", "reshape_copy")
-    unit(ADD, f32, "reference", "add_f32")
-    unit(ADD, i32, "reference", "add_i32", param_check=_add_i32_check)
-    unit(CONCATENATION, f32, "reference", "concat_f32")
-    unit(PAD, f32, "reference", "pad_f32")
+    unit(SOFTMAX, f32, "softmax_f32")
+    unit(RELU, f32, "relu_f32")
+    unit(RESHAPE, f32, "reshape_copy")
+    unit(RESHAPE, i32, "reshape_copy")
+    unit(ADD, f32, "add_f32")
+    unit(ADD, i32, "add_i32", param_check=_add_i32_check)
+    unit(CONCATENATION, f32, "concat_f32")
+    unit(PAD, f32, "pad_f32")
 
     reg.register_custom(
         "SCALE_SHIFT",

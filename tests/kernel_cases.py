@@ -98,8 +98,9 @@ def _run_conv2d(x, wt, bias, stride, dilation, pads, clamp):
 
 
 @lru_cache(maxsize=None)
-def case_conv2d(i, tiled=False, threads=1):
-    rng = np.random.default_rng((101, int(tiled), threads, i))
+def case_conv2d(i):
+    # (101, 0, 1, i) draws the same cases criterion 2 has always checked
+    rng = np.random.default_rng((101, 0, 1, i))
     n, h, w, fh, fw, sh, sw, dh, dw, pads, oh, ow, act = _conv_geometry(rng)
     cin = int(rng.integers(1, 5))
     cout = int(rng.integers(1, 6))
@@ -108,19 +109,7 @@ def case_conv2d(i, tiled=False, threads=1):
     bias = (rng.uniform(-0.5, 0.5, cout).astype(np.float32)
             if rng.random() < 0.5 else None)
     clamp = _clamp_for(act)
-    if not tiled:
-        return _run_conv2d(x, wt, bias, (sh, sw), (dh, dw), pads, clamp)
-    kwargs = _conv_kwargs((n, h, w, cin), (n, oh, ow, cout),
-                          fh, fw, sh, sw, dh, dw, pads, clamp)
-    out = np.empty(n * oh * ow * cout, dtype=np.float32)
-    flat_w = np.ascontiguousarray(wt).ravel().copy()
-    run_kernel(
-        "conv2d_f32_tiled", [x.ravel().copy()],
-        [flat_w] + ([bias] if bias is not None else []), [out],
-        threads=threads, im2col=bool(rng.random() < 0.5),
-        row_tile=int(rng.integers(1, 5)), **kwargs)
-    want = oracles.conv2d(x, wt, bias, (sh, sw), (dh, dw), pads, clamp)
-    return out.reshape(n, oh, ow, cout), want
+    return _run_conv2d(x, wt, bias, (sh, sw), (dh, dw), pads, clamp)
 
 
 @lru_cache(maxsize=None)
@@ -195,8 +184,9 @@ def _run_fully_connected(x, wt, bias, clamp, lhs_cacheable=False):
 
 
 @lru_cache(maxsize=None)
-def case_fully_connected(i, tiled=False, threads=1):
-    rng = np.random.default_rng((105, int(tiled), threads, i))
+def case_fully_connected(i):
+    # (105, 0, 1, i) draws the same cases criterion 2 has always checked
+    rng = np.random.default_rng((105, 0, 1, i))
     batch = int(rng.integers(1, 4))
     nin = int(rng.integers(1, 9))
     nout = int(rng.integers(1, 7))
@@ -207,19 +197,7 @@ def case_fully_connected(i, tiled=False, threads=1):
     bias = (rng.uniform(-0.5, 0.5, nout).astype(np.float32)
             if rng.random() < 0.5 else None)
     lhs_cacheable = bool(rng.random() < 0.5)
-    if not tiled:
-        return _run_fully_connected(x, wt, bias, clamp, lhs_cacheable)
-    out = np.empty(batch * nout, dtype=np.float32)
-    run_kernel(
-        "fully_connected_f32_tiled", [x.ravel().copy()],
-        [np.ascontiguousarray(wt.T).ravel()]
-        + ([bias] if bias is not None else []), [out],
-        batch=batch, in_features=nin, out_features=nout,
-        activation_min=clamp[0], activation_max=clamp[1],
-        lhs_cacheable=lhs_cacheable, threads=threads,
-        col_tile=int(rng.integers(1, 5)))
-    want = oracles.fully_connected(x, wt, bias, clamp)
-    return out.reshape(batch, nout), want
+    return _run_fully_connected(x, wt, bias, clamp, lhs_cacheable)
 
 
 def _with_negative_zeros(rng, a, share):
@@ -454,13 +432,4 @@ REFERENCE_CASES = {
     "concatenation": case_concat,
     "pad": case_pad,
     "scale_shift": case_scale_shift,
-}
-
-TILED_CASES = {
-    "conv2d_tiled_1t": lambda i: case_conv2d(i, tiled=True, threads=1),
-    "conv2d_tiled_2t": lambda i: case_conv2d(i, tiled=True, threads=2),
-    "fully_connected_tiled_1t":
-        lambda i: case_fully_connected(i, tiled=True, threads=1),
-    "fully_connected_tiled_2t":
-        lambda i: case_fully_connected(i, tiled=True, threads=2),
 }

@@ -7,10 +7,13 @@ import shutil
 import stat
 import sys
 import tracemalloc
+import zipimport
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlfuse import codegen, fixtures, graphir, harness, interpreter
 from mlfuse.graphir import (
@@ -23,7 +26,7 @@ from mlfuse.graphir import (
     TensorSpec,
     WeightStore,
 )
-from mlfuse.kernels import DeviceInfo, UnitKey, default_registry, ops
+from mlfuse.kernels import UnitKey, default_registry, ops
 from mlfuse.kernels.registry import build_default_registry
 
 # joint search spaces are tiny and enumeration order is fixed, so the
@@ -38,8 +41,8 @@ EXPECTED_CANDIDATES = {
 
 
 def _analysis(bundle, device=None, registry=None):
-    ex = codegen.extract_units(bundle.graph, device, registry)
-    return ex, codegen.analyze_config(bundle.graph, ex, registry)
+    ex = codegen.extract_units(bundle, device, registry)
+    return ex, codegen.analyze_config(ex)
 
 
 # -- configuration classes ----------------------------------------------------
@@ -146,19 +149,30 @@ def test_search_exhaustion_reports_candidates_and_best_error():
     assert "exhausted" in str(err)
 
 
-def test_search_skips_combinations_a_unit_rejects():
-    # fc tiled refuses row_major with the lhs cache on; with two threads the
-    # tiled variant is selected and that combination must not be accepted
-    bundle = fixtures.build_fixture("mlp")
-    device = DeviceInfo(threads=2)
-    ex, configs = _analysis(bundle, device=device)
-    assert any(c.unit.key.variant == "tiled" for c in configs)
-    result = codegen.search_status(bundle, ex, configs)
-    for c in configs:
-        if c.kind != "FULLY_CONNECTED":
-            continue
-        st = result.assignment.per_op[c.op_index]
-        assert not (st["weights_layout"] == "row_major" and st["lhs_cacheable"])
+# -- lowering -----------------------------------------------------------------
+
+def test_one_lowering_per_build(tmp_path, monkeypatch):
+    # shapes are inferred only inside the two validate calls (the build's
+    # and the runtime plan's); everything else reads the one lowering
+    calls = []
+    infer = graphir.infer_shapes
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return infer(*args, **kwargs)
+
+    monkeypatch.setattr(graphir, "infer_shapes", counting)
+    codegen.pipeline(fixtures.build_fixture("lenet"), tmp_path)
+    assert len(calls) <= 2
+
+
+def test_lowering_reads_no_status_table(monkeypatch):
+    def forbidden(key):
+        raise AssertionError(f"status table read for {key}")
+
+    monkeypatch.setattr(interpreter, "hidden_status_for", forbidden)
+    _, configs = _analysis(fixtures.build_fixture("lenet"))
+    assert len(codegen.build_classes(configs)) == 5
 
 
 # -- emission -----------------------------------------------------------------
@@ -238,6 +252,65 @@ def test_program_rejects_bad_arguments_with_exit_2(built, tmp_path, args):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip()
+
+
+def _program_main(artifact):
+    """The built program's __main__.main, loaded from its zip."""
+    code = zipimport.zipimporter(artifact.executable).get_code("__main__")
+    ns = {"__name__": "program_main"}  # not "__main__": main must not run
+    sys.path.insert(0, artifact.executable)
+    try:
+        exec(code, ns)
+    finally:
+        sys.path.remove(artifact.executable)
+        for m in ("net_driver", "net_weights"):
+            sys.modules.pop(m, None)
+    return ns["main"]
+
+
+def test_program_argv_fuzz_exits_0_or_2(built, tmp_path, monkeypatch):
+    # Any argv ends in exit 0 or 2, with an OSError mapped to 2 as the
+    # program's entry point does; anything else would be a traceback.
+    # Junk holds no NUL, which no OS argv carries, no "/", so a junk path
+    # stays in the working directory, and no digit, so --reps stays small.
+    _, artifact = built["mlp"]
+    main = _program_main(artifact)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    names = ["in.raw", "short.raw", "empty.raw", "missing.raw", "out.raw",
+             "stats.json", "sub/out.raw", "."]
+    part = st.one_of(
+        st.sampled_from(["--reps", "--stats"]),
+        st.integers(-3, 4).map(str),
+        st.text(st.characters(exclude_categories=("Cs", "Nd"),
+                              exclude_characters="\x00/"), max_size=8),
+        st.sampled_from(names),
+        st.sampled_from(names).map(lambda n: str(work / n)))
+    outside = sorted(os.listdir(tmp_path.parent))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(part, max_size=6),
+        st.builds(lambda i, o, opts: [i, o, *(a for opt in opts for a in opt)],
+                  st.sampled_from(["in.raw", str(work / "in.raw"),
+                                   "short.raw"]),
+                  st.sampled_from(names),
+                  st.lists(st.tuples(st.sampled_from(["--reps", "--stats"]),
+                                     part), max_size=2))))
+    def check(argv):
+        (work / "in.raw").write_bytes(np.arange(8, dtype="<f4").tobytes())
+        (work / "short.raw").write_bytes(np.ones(3, dtype="<f4").tobytes())
+        (work / "empty.raw").write_bytes(b"")
+        try:
+            code = main(argv)
+        except OSError:
+            code = 2
+        assert code in (0, 2), argv
+
+    check()
+    assert sorted(os.listdir(tmp_path.parent)) == outside
+    assert sorted(os.listdir(tmp_path)) == ["work"]
 
 
 def test_weights_ship_as_read_only_views_of_one_blob(built):

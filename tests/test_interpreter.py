@@ -18,7 +18,7 @@ from mlfuse.graphir import (
     weights_to_bytes,
 )
 from mlfuse.interpreter import InterpreterError
-from mlfuse.kernels import DeviceInfo, ParamError, PrepareError
+from mlfuse.kernels import ParamError, PrepareError
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
@@ -132,21 +132,6 @@ def test_invoke_wrong_size():
     plan = interpreter.load(fixtures.build_fixture("mlp"))
     with pytest.raises(InterpreterError, match="input tensor 0"):
         interpreter.invoke(plan, np.zeros((1, 5), dtype=np.float32))
-
-
-# -- device variants ----------------------------------------------------------
-
-def test_threads_pick_tiled_variants_and_match_reference():
-    bundle = fixtures.build_fixture("lenet")
-    ref = interpreter.load(bundle, device=DeviceInfo(threads=1))
-    par = interpreter.load(bundle, device=DeviceInfo(threads=2))
-    variants = {s.unit.key.variant for s in par.steps}
-    assert "tiled" in variants
-    x = np.random.default_rng(21).uniform(-1, 1, (1, 28, 28, 1)).astype(
-        np.float32)
-    a = interpreter.invoke(ref, x)[0]
-    b = interpreter.invoke(par, x)[0]
-    assert oracles.bitwise_equal(a, b)
 
 
 # -- operators without fixture coverage ---------------------------------------

@@ -5,9 +5,9 @@ import pytest
 
 import kernel_cases
 import oracles
-from kernel_cases import N_CASES, REFERENCE_CASES, TILED_CASES
+from kernel_cases import N_CASES, REFERENCE_CASES
 
-from mlfuse.graphir import CONV_2D, FULLY_CONNECTED, DataType
+from mlfuse.graphir import CONV_2D, DataType
 from mlfuse.kernels import (
     DeviceInfo,
     ParamError,
@@ -155,42 +155,12 @@ def test_helper_deps_follow_the_template_bodies():
         "_sum_products_prep")
     assert ops.HELPER_DEPS["fully_connected_f32"] == (
         "_apply_clamp", "_sum_products", "_sum_products_prep")
-    assert ops.HELPER_DEPS["conv2d_f32_tiled"] == (
-        "_apply_clamp", "_pad_nhwc_prep")
     assert ops.HELPER_DEPS["max_pool2d_f32"] == (
         "_apply_clamp", "_pad_nhwc_prep", "_pool_windows_prep")
     assert ops.HELPER_DEPS["softmax_f32"] == ()
 
 
-@pytest.mark.parametrize("name", sorted(TILED_CASES))
-def test_tiled_kernel_within_tolerance(name):
-    fn = TILED_CASES[name]
-    for i in range(N_CASES):
-        got, want = fn(i)
-        err = float(np.max(np.abs(got.astype(np.float64)
-                                  - want.astype(np.float64))))
-        assert err <= 1e-5, f"{name} case {i}: {err}"
-
-
-@pytest.mark.parametrize("name", sorted(TILED_CASES))
-def test_tiled_kernel_matches_oracle_bitwise(name):
-    # stronger than the tolerance contract: tiling and threading repartition
-    # independent output lanes only, so results stay bit-identical
-    fn = TILED_CASES[name]
-    for i in range(N_CASES):
-        got, want = fn(i)
-        assert oracles.bitwise_equal(got, want), f"{name} case {i}"
-
-
 # -- registry lookup and variants ---------------------------------------------
-
-def test_lookup_prefers_tiled_on_multithreaded_device():
-    reg = default_registry()
-    one = reg.lookup(CONV_2D, DataType.F32, DeviceInfo(threads=1))
-    two = reg.lookup(CONV_2D, DataType.F32, DeviceInfo(threads=4))
-    assert one.key.variant == "reference"
-    assert two.key.variant == "tiled"
-
 
 def test_lookup_falls_back_to_reference():
     from mlfuse.graphir import SOFTMAX
@@ -287,20 +257,6 @@ def test_validate_status_out_of_domain():
     unit, params = _conv_unit_and_params()
     with pytest.raises(StatusError, match="invalid status value"):
         validate_status(unit, params, {"weights_layout": "NCHW"})
-
-
-def test_fc_tiled_rejects_row_major_cached_combination():
-    reg = default_registry()
-    unit = reg.get(UnitKey(FULLY_CONNECTED, DataType.F32, "tiled"))
-    params = ParamRecord("FULLY_CONNECTED", {
-        "batch": 1, "in_features": 4, "out_features": 3,
-        "activation_min": None, "activation_max": None, "threads": 2})
-    ok = validate_status(unit, params, {"weights_layout": "transposed",
-                                        "lhs_cacheable": True})
-    assert ok == {"lhs_cacheable": True}
-    with pytest.raises(StatusError, match="unsupported status combination"):
-        validate_status(unit, params, {"weights_layout": "row_major",
-                                       "lhs_cacheable": True})
 
 
 # -- weight payload layouts ---------------------------------------------------
