@@ -70,15 +70,29 @@ class ToolchainConfig:
     strip: bool = True
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "ToolchainConfig":
-        known = {"command", "flags", "strip_flags", "strip"}
-        extra = set(obj) - known
+    def from_obj(cls, obj) -> "ToolchainConfig":
+        """Config from a parsed JSON object; CodegenError when malformed."""
+        if not isinstance(obj, dict):
+            raise CodegenError("toolchain config must be a JSON object")
+        extra = set(obj) - {"command", "flags", "strip_flags", "strip"}
         if extra:
             raise CodegenError(f"unknown toolchain field(s) {sorted(extra)}")
         kw = dict(obj)
+
+        def arg(v):  # no OS argv can carry a NUL
+            return isinstance(v, str) and "\0" not in v
+
+        if "command" in kw and not arg(kw["command"]):
+            raise CodegenError("toolchain command must be a string")
         for key in ("flags", "strip_flags"):
             if key in kw:
+                if not (isinstance(kw[key], list)
+                        and all(arg(v) for v in kw[key])):
+                    raise CodegenError(
+                        f"toolchain {key} must be a list of strings")
                 kw[key] = tuple(kw[key])
+        if "strip" in kw and not isinstance(kw["strip"], bool):
+            raise CodegenError("toolchain strip must be true or false")
         return cls(**kw)
 
 
@@ -569,6 +583,36 @@ if __name__ == "__main__":
 '''
 
 
+# The one toolchain step: argv is the pyc directory ("" to compile as a
+# check only), then the source paths. It imports only builtin and frozen
+# modules, which a file in the working directory cannot shadow, and no more
+# than bare interpreter start-up does. Each source compiles under its bare
+# file name, so co_filename does not depend on where the build ran, and a
+# stripped build writes the PEP 552 unchecked-hash pyc py_compile would.
+_COMPILE_SRC = '''\
+import _imp
+import sys
+from _frozen_importlib_external import (
+    _RAW_MAGIC_NUMBER, _code_to_hash_pyc, _path_join, _path_split)
+
+out = sys.argv[1]
+for path in sys.argv[2:]:
+    name = _path_split(path)[1]
+    with open(path, "rb") as f:
+        src = f.read()
+    try:
+        code = compile(src, name, "exec", dont_inherit=True)
+    except SyntaxError as e:
+        sys.exit(f"SyntaxError: {e}")
+    if out:
+        data = _code_to_hash_pyc(
+            code, _imp.source_hash(_RAW_MAGIC_NUMBER, src), False)
+        with open(_path_join(out, name.rpartition(".")[0] + ".pyc"),
+                  "wb") as f:
+            f.write(data)
+'''
+
+
 def emit_source(plan: EmissionPlan, out_dir) -> list[str]:
     """Write the program sources under out_dir/src; returns relative paths."""
     src = Path(out_dir) / "src"
@@ -616,38 +660,37 @@ def _run_tool(cmd) -> None:
 
 
 def compile_program(out_dir, sources, toolchain: ToolchainConfig | None = None) -> str:
-    """Check and package the emitted sources into one executable file."""
+    """Check and package the emitted sources into one executable file.
+
+    One toolchain process runs _COMPILE_SRC on every source: `python -S
+    <flags> <strip_flags> -X no_debug_ranges -c _COMPILE_SRC TMPDIR SRC...`
+    for a stripped build, which ships the pycs it writes, and `python -S
+    <flags> -c _COMPILE_SRC "" SRC...` for an unstripped one, which only
+    checks that each source compiles and ships the sources.
+    """
     toolchain = toolchain or ToolchainConfig()
     python = _resolve_toolchain(toolchain)
     out_dir = Path(out_dir)
     abs_sources = [out_dir / s for s in sources]
-    # One toolchain process per build. -S: it needs only the stdlib, and no
-    # .pth or sitecustomize code of the build host may run inside it.
+    # -S: the step needs no site packages, and no .pth or sitecustomize
+    # code of the build host may run inside it. The user's flags gate the
+    # compile (-W error turns a SyntaxWarning into a failed step).
     tool = [python, "-S", *toolchain.flags]
 
     members = []
     if toolchain.strip:
         with tempfile.TemporaryDirectory(prefix="mlfuse-build-") as td:
-            for p in abs_sources:
-                shutil.copy(p, Path(td) / p.name)
-            # compileall is the check as well: it exits non-zero when any
-            # source fails to compile under the user's flags.
-            # -s keeps the throwaway build dir out of co_filename so the
-            # bytecode is identical no matter where the build ran.
             # no_debug_ranges drops the per-instruction column tables, which
             # only serve traceback carets (interpreters before 3.11 ignore it).
             _run_tool([*tool, *toolchain.strip_flags, "-X", "no_debug_ranges",
-                       "-m", "compileall",
-                       "-b", "--invalidation-mode", "unchecked-hash", "-q",
-                       "-s", td, td])
+                       "-c", _COMPILE_SRC, td, *map(str, abs_sources)])
             for p in abs_sources:
                 pyc = Path(td) / (p.stem + ".pyc")
                 if not pyc.is_file():
                     raise CompileError(f"no bytecode produced for {p.name}")
                 members.append((p.stem + ".pyc", pyc.read_bytes()))
     else:
-        _run_tool([*tool, "-m", "py_compile", *[str(p) for p in abs_sources]])
-        shutil.rmtree(out_dir / "src" / "__pycache__", ignore_errors=True)
+        _run_tool([*tool, "-c", _COMPILE_SRC, "", *map(str, abs_sources)])
         members = [(p.name, p.read_bytes()) for p in abs_sources]
     members.sort()
 

@@ -14,8 +14,7 @@ from ..graphir import CONV_2D, FULLY_CONNECTED
 
 _TRUE_STATUS = {
     (CONV_2D, "F32", "reference"): {"weights_layout": "HWIO"},
-    (FULLY_CONNECTED, "F32", "reference"): {
-        "weights_layout": "transposed", "lhs_cacheable": True},
+    (FULLY_CONNECTED, "F32", "reference"): {"weights_layout": "transposed"},
 }
 
 

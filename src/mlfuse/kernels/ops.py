@@ -258,11 +258,8 @@ def max_pool2d_f32(pad, batches, clamp):
 
 
 def fully_connected_f32_prep(inputs, weights, outputs, *, batch, in_features,
-                             out_features, activation_min, activation_max,
-                             lhs_cacheable):
+                             out_features, activation_min, activation_max):
     # weight buffer is read with input features as the major axis
-    # lhs_cacheable selects nothing here: the flat activation buffer is
-    # C-contiguous already, and its rows are read in place
     x = inputs[0].reshape(batch, in_features)
     out = outputs[0].reshape(batch, out_features)
     sums = _sum_products_prep(

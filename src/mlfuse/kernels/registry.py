@@ -502,8 +502,6 @@ _WEIGHTS_LAYOUT_CONV = StatusField(
     "weights_layout", ("OHWI", "HWIO"), "weights", "data", True)
 _WEIGHTS_LAYOUT_FC = StatusField(
     "weights_layout", ("row_major", "transposed"), "weights", "data", True)
-_LHS_CACHEABLE = StatusField(
-    "lhs_cacheable", (False, True), "input", "arg", False)
 
 
 def build_default_registry() -> KernelRegistry:
@@ -520,7 +518,7 @@ def build_default_registry() -> KernelRegistry:
     unit(AVERAGE_POOL_2D, f32, "avg_pool2d_f32")
     unit(MAX_POOL_2D, f32, "max_pool2d_f32")
     unit(FULLY_CONNECTED, f32, "fully_connected_f32",
-         status_schema=(_WEIGHTS_LAYOUT_FC, _LHS_CACHEABLE))
+         status_schema=(_WEIGHTS_LAYOUT_FC,))
     unit(SOFTMAX, f32, "softmax_f32")
     unit(RELU, f32, "relu_f32")
     unit(RESHAPE, f32, "reshape_copy")

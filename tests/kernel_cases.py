@@ -165,7 +165,7 @@ def case_max_pool(i):
     return _pool_case(i, 104, "max_pool2d_f32", oracles.max_pool2d)
 
 
-def _run_fully_connected(x, wt, bias, clamp, lhs_cacheable=False):
+def _run_fully_connected(x, wt, bias, clamp):
     """Reference FC kernel on flat buffers against the oracle.
 
     x: (batch, in); wt: (out, in), delivered transposed.
@@ -178,8 +178,7 @@ def _run_fully_connected(x, wt, bias, clamp, lhs_cacheable=False):
         [np.ascontiguousarray(wt.T).ravel()]
         + ([bias] if bias is not None else []), [out],
         batch=batch, in_features=nin, out_features=nout,
-        activation_min=clamp[0], activation_max=clamp[1],
-        lhs_cacheable=lhs_cacheable)
+        activation_min=clamp[0], activation_max=clamp[1])
     return out.reshape(batch, nout), oracles.fully_connected(x, wt, bias, clamp)
 
 
@@ -196,8 +195,7 @@ def case_fully_connected(i):
     wt = rng.uniform(-1, 1, (nout, nin)).astype(np.float32)
     bias = (rng.uniform(-0.5, 0.5, nout).astype(np.float32)
             if rng.random() < 0.5 else None)
-    lhs_cacheable = bool(rng.random() < 0.5)
-    return _run_fully_connected(x, wt, bias, clamp, lhs_cacheable)
+    return _run_fully_connected(x, wt, bias, clamp)
 
 
 def _with_negative_zeros(rng, a, share):
@@ -239,8 +237,7 @@ def case_fully_connected_edge(i):
     elif kind == "some_negative_zero":
         x = _with_negative_zeros(rng, x, 0.5)
         wt = _with_negative_zeros(rng, wt, 0.3)
-    return _run_fully_connected(x, wt, bias, clamp,
-                                lhs_cacheable=bool(rng.random() < 0.5))
+    return _run_fully_connected(x, wt, bias, clamp)
 
 
 CONV_EDGE_KINDS = ("single_output", "single_output_batched",

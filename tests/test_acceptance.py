@@ -115,7 +115,7 @@ def test_criterion_3_dynamic_configuration(capsys):
         with pytest.raises(codegen.SearchError, match="exhausted") as ei:
             codegen.search_status(bundle, dex, dcf,
                                   registry=default_registry())
-        assert ei.value.candidates_evaluated == 16
+        assert ei.value.candidates_evaluated == 4
         assert ei.value.best_error > DELTA
         info["detail"] = (f"{result.candidates_evaluated} candidates <= "
                           f"{joint} joint < {unpruned} unpruned")

@@ -139,6 +139,32 @@ def test_codegen_strip_toggle_changes_shipped_sources(workdir, tmp_path,
     assert manifest["strip"] is False
 
 
+@pytest.mark.parametrize("doc", [
+    {"flags": 3},
+    {"command": 5},
+    {"flags": [1]},
+    {"strip": "no"},
+    {"strip_flags": "-OO"},
+    3,
+], ids=["flags-int", "command-int", "flags-int-item", "strip-string",
+        "strip_flags-string", "not-an-object"])
+def test_malformed_toolchain_file_exits_2_without_traceback(workdir, tmp_path,
+                                                            doc):
+    g, w = _paths(workdir, "identity")
+    bad = tmp_path / "toolchain.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mlfuse.cli", "codegen", g, w,
+         "--out", str(tmp_path / "out"), "--toolchain", str(bad)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: toolchain")
+    assert not (tmp_path / "out").exists()
+
+
 # -- verify and bench ---------------------------------------------------------
 
 def test_verify_passes_fresh_build(workdir, capsys):

@@ -1,12 +1,15 @@
 import dataclasses
-import importlib
+import importlib.util
 import json
+import marshal
 import math
 import os
 import shutil
 import stat
+import subprocess
 import sys
 import tracemalloc
+import zipfile
 import zipimport
 from pathlib import Path
 
@@ -26,7 +29,7 @@ from mlfuse.graphir import (
     TensorSpec,
     WeightStore,
 )
-from mlfuse.kernels import UnitKey, default_registry, ops
+from mlfuse.kernels import StatusField, UnitKey, default_registry, ops
 from mlfuse.kernels.registry import build_default_registry
 
 # joint search spaces are tiny and enumeration order is fixed, so the
@@ -36,7 +39,7 @@ EXPECTED_CANDIDATES = {
     "mlp": 2,
     "custom": 2,
     "dwblock": 2,
-    "lenet": 22,
+    "lenet": 8,
 }
 
 
@@ -60,14 +63,18 @@ def test_classes_group_same_signature_operators():
     # fc1 and fc2 share fused RELU; fc3 has none, so it classifies alone
     assert ("FULLY_CONNECTED", (5, 6)) in by_members
     assert ("FULLY_CONNECTED", (7,)) in by_members
-    assert len(classes) == 5
+    assert len(classes) == 3
 
 
 def test_class_split_by_status_data_kind():
     # one class per data kind even over the same member set, so a weight
-    # layout choice never drags a cache hint along with it
+    # layout choice never drags a setting of another kind along with it
+    reg = build_default_registry()
+    unit = reg.get(UnitKey(FULLY_CONNECTED, DataType.F32, "reference"))
+    unit.status_schema += (
+        StatusField("input_hint", (False, True), "input", "data", False),)
     bundle = fixtures.build_fixture("mlp")
-    _, configs = _analysis(bundle)
+    _, configs = _analysis(bundle, registry=reg)
     classes = codegen.build_classes(configs)
     assert [c.key[-1] for c in classes] == ["input", "weights"]
     assert all(c.members == (0, 1) for c in classes)
@@ -94,7 +101,7 @@ def test_search_prunes_joint_space():
         for f in c.unit.status_schema:
             unpruned *= len(f.domain)
     result = codegen.search_status(bundle, ex, configs)
-    assert joint == 32 and unpruned == 256
+    assert joint == 8 and unpruned == 32
     assert result.candidates_evaluated <= joint < unpruned
     assert result.max_error <= 1e-6
 
@@ -144,7 +151,7 @@ def test_search_exhaustion_reports_candidates_and_best_error():
     with pytest.raises(codegen.SearchError) as ei:
         codegen.search_status(bundle, ex, configs, registry=default_registry())
     err = ei.value
-    assert err.candidates_evaluated == 2
+    assert err.candidates_evaluated == 1
     assert math.isfinite(err.best_error) and err.best_error > 1e-6
     assert "exhausted" in str(err)
 
@@ -172,7 +179,7 @@ def test_lowering_reads_no_status_table(monkeypatch):
 
     monkeypatch.setattr(interpreter, "hidden_status_for", forbidden)
     _, configs = _analysis(fixtures.build_fixture("lenet"))
-    assert len(codegen.build_classes(configs)) == 5
+    assert len(codegen.build_classes(configs)) == 3
 
 
 # -- emission -----------------------------------------------------------------
@@ -220,7 +227,6 @@ def test_executable_runs_standalone(built):
     mode = os.stat(artifact.executable).st_mode
     assert mode & stat.S_IXUSR
     # the program reads raw tensors and writes raw tensors, nothing else
-    import subprocess
     import tempfile
     x = np.arange(4, dtype="<f4")
     with tempfile.TemporaryDirectory() as td:
@@ -244,7 +250,6 @@ def test_executable_runs_standalone(built):
         "stats-without-value", "one-path", "missing-input",
         "unwritable-output", "unwritable-stats"])
 def test_program_rejects_bad_arguments_with_exit_2(built, tmp_path, args):
-    import subprocess
     _, artifact = built["identity"]
     (tmp_path / "in.raw").write_bytes(np.zeros(4, dtype="<f4").tobytes())
     proc = subprocess.run([artifact.executable, *args], cwd=tmp_path,
@@ -405,7 +410,6 @@ def test_kernel_calls_are_looked_up_at_call_time(built, monkeypatch, name,
 
 def test_program_stats_report_buffers_scratch_and_output_copies(built,
                                                                  tmp_path):
-    import subprocess
     bundle, artifact = built["lenet"]
     driver = _import_driver(artifact)
     x = _sample(bundle, 1)[0]
@@ -479,11 +483,31 @@ def test_toolchain_config_from_obj_normalizes_sequences():
     assert not tc.strip
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(["command", "flags", "strip_flags", "strip"]),
+       value=_JSON)
+def test_toolchain_config_takes_any_json_field_or_raises_codegen_error(
+        field, value):
+    obj = {"command": "python3", "flags": ["-B"], "strip_flags": ["-OO"],
+           "strip": True, field: value}
+    try:
+        tc = codegen.ToolchainConfig.from_obj(obj)
+    except codegen.CodegenError:
+        return
+    assert isinstance(tc.command, str) and isinstance(tc.strip, bool)
+    assert all(isinstance(a, str) for a in (*tc.flags, *tc.strip_flags))
+
+
 def test_unstripped_build_ships_plain_sources(tmp_path):
     bundle = fixtures.build_fixture("identity")
     art = codegen.pipeline(bundle, tmp_path / "x",
                            toolchain=codegen.ToolchainConfig(strip=False))
-    import zipfile
     with open(art.executable, "rb") as f:
         f.readline()  # interpreter line
         names = zipfile.ZipFile(f).namelist()
@@ -505,25 +529,101 @@ def tool_calls(monkeypatch):
     return calls
 
 
-def test_stripped_build_runs_one_compileall_step(tmp_path, tool_calls):
+def test_stripped_build_runs_one_compile_step(tmp_path, tool_calls):
     bundle = fixtures.build_fixture("identity")
     tc = codegen.ToolchainConfig(flags=("-W", "error"))
     codegen.pipeline(bundle, tmp_path / "x", toolchain=tc)
     assert len(tool_calls) == 1
     (cmd,) = tool_calls
     assert cmd[1] == "-S"
-    assert cmd[cmd.index("-m") + 1] == "compileall"
     # the user's flags gate the check, then the strip flags apply
-    assert cmd[2:6] == ["-W", "error", "-OO", "-X"]
+    assert cmd[2:8] == ["-W", "error", "-OO", "-X", "no_debug_ranges", "-c"]
+    assert cmd[8] == codegen._COMPILE_SRC
 
 
-def test_unstripped_build_runs_one_py_compile_step(tmp_path, tool_calls):
+def test_unstripped_build_runs_one_check_step(tmp_path, tool_calls):
     bundle = fixtures.build_fixture("identity")
-    codegen.pipeline(bundle, tmp_path / "x",
-                     toolchain=codegen.ToolchainConfig(strip=False))
+    codegen.pipeline(bundle, tmp_path / "x", toolchain=codegen.ToolchainConfig(
+        flags=("-W", "error"), strip=False))
     assert len(tool_calls) == 1
     (cmd,) = tool_calls
-    assert cmd[1:4] == ["-S", "-m", "py_compile"]
+    # no strip flags, and no pyc directory: the sources compile as a check
+    assert cmd[1:7] == ["-S", "-W", "error", "-c", codegen._COMPILE_SRC, ""]
+    assert all(a.endswith(".py") for a in cmd[7:])
+    assert not (tmp_path / "x" / "src" / "__pycache__").exists()
+
+
+def _imported_modules(cmd) -> set:
+    proc = subprocess.run([cmd[0], "-X", "importtime", *cmd[1:]],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rpartition("|")[2].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")} - {"imported package"}
+
+
+@pytest.mark.parametrize("strip", [True, False], ids=["stripped", "plain"])
+def test_toolchain_step_imports_only_what_bare_startup_does(
+        tmp_path, monkeypatch, strip):
+    # the step is the build's exact command; its start-up baseline is the
+    # same interpreter and flags running `-c pass`
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "m.py").write_text("def f():\n    return 1\n")
+    seen = []
+
+    def run(cmd):
+        at = next(i for i, a in enumerate(cmd) if a in ("-c", "-m"))
+        seen.append((_imported_modules(cmd),
+                     _imported_modules([*cmd[:at], "-c", "pass"])))
+
+    monkeypatch.setattr(codegen, "_run_tool", run)
+    tc = codegen.ToolchainConfig(flags=("-W", "error"), strip=strip)
+    codegen.compile_program(tmp_path, ["src/m.py"], tc)
+    ((step, bare),) = seen
+    assert step == bare
+
+
+_PY_COMPILE_SRC = """\
+import sys
+import py_compile
+from pathlib import Path
+
+for src in sys.argv[2:]:
+    py_compile.compile(
+        src, cfile=str(Path(sys.argv[1]) / (Path(src).stem + ".pyc")),
+        dfile=Path(src).name, doraise=True,
+        invalidation_mode=py_compile.PycInvalidationMode.UNCHECKED_HASH)
+"""
+
+
+def test_shipped_bytecode_is_what_py_compile_writes(built, tmp_path):
+    # checked against the stdlib: the header fields importlib defines and
+    # the code py_compile compiles under the build's flags
+    tc = codegen.ToolchainConfig()
+    for name, (_, art) in sorted(built.items()):
+        out = Path(art.out_dir)
+        with open(art.executable, "rb") as f:
+            f.readline()  # interpreter line
+            with zipfile.ZipFile(f) as z:
+                members = {n: z.read(n) for n in z.namelist()}
+        ref = tmp_path / name
+        ref.mkdir()
+        subprocess.run([tc.command, "-S", *tc.flags, *tc.strip_flags,
+                        "-X", "no_debug_ranges", "-c", _PY_COMPILE_SRC,
+                        str(ref), *(str(out / s) for s in art.sources)],
+                       check=True)
+        stems = [Path(s).stem for s in art.sources]
+        assert sorted(members) == sorted(f"{m}.pyc" for m in stems), name
+        for s, stem in zip(art.sources, stems):
+            pyc = members[f"{stem}.pyc"]
+            assert pyc[:4] == importlib.util.MAGIC_NUMBER
+            assert int.from_bytes(pyc[4:8], "little") == 1  # unchecked hash
+            assert pyc[8:16] == \
+                importlib.util.source_hash((out / s).read_bytes())
+            got = marshal.loads(pyc[16:])
+            want = marshal.loads((ref / f"{stem}.pyc").read_bytes()[16:])
+            assert got == want, (name, s)
+            assert got.co_filename == want.co_filename == Path(s).name
 
 
 @pytest.mark.parametrize("strip", [True, False], ids=["stripped", "plain"])

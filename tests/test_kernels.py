@@ -71,13 +71,11 @@ def test_prepared_state_follows_its_buffers(name, monkeypatch):
     for i in range(N_CASES):
         got, want = case(i)
         assert oracles.bitwise_equal(got, want), f"{name} case {i}"
-    # the cases a prepared state could get wrong: a padded border, the
-    # lhs_cacheable option and a single lane with its twin
+    # the cases a prepared state could get wrong: a padded border and a
+    # single lane with its twin
     if name in ("conv2d", "depthwise_conv2d", "average_pool_2d",
                 "max_pool_2d"):
         assert any(sum(p[k] for k in _PADS) for p in seen)  # SAME padding
-    if name.startswith("fully_connected"):
-        assert any(p["lhs_cacheable"] for p in seen)
     if name == "fully_connected_edge":  # a single lane, with its twin
         assert any(p["out_features"] == 1 for p in seen)
     if name == "conv2d_edge":
