@@ -14,6 +14,7 @@ recovers workable settings purely from observed behavior.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import itertools
@@ -425,6 +426,13 @@ def _emit_weights(plan: EmissionPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
+def _template_source(fn) -> str:
+    # inspect.getsource tokenizes the source anew on every call (about
+    # 0.3 ms), and a template's text is fixed for the life of the process
+    return inspect.getsource(fn).rstrip("\n")
+
+
 def _emit_driver(plan: EmissionPlan) -> str:
     # The buffers and every kernel's prepared state live at module level,
     # made once at import; run() only copies the inputs in, calls each run
@@ -453,7 +461,7 @@ def _emit_driver(plan: EmissionPlan) -> str:
     for tid in used_templates:
         sources += [kernel_ops.PREPS[tid], kernel_ops.KERNELS[tid]]
     for fn in sources:
-        out.append(inspect.getsource(fn).rstrip("\n"))
+        out.append(_template_source(fn))
         out.append("")
         out.append("")
 

@@ -18,19 +18,23 @@ into generated programs, so the same bytes execute on both paths.
 Float32 discipline: every reduction is summed in one fixed order, term by
 term onto +0.0, so results are bit-identical to a naive scalar loop nest.
 Filter taps go in (kh, kw, ci) order, input features in index order, softmax
-classes in class order.
+classes in class order, and a bias is the last term of its sum.
 
 Conv and FC reductions are vectorized without giving that order up
 (_sum_products). The terms land in a product tensor whose reduced axis is
 the outermost one, behind a leading row of +0.0 (so the result does not
 depend on whether numpy starts a reduction from its identity or from the
-first row), and one np.add.reduce over that axis adds whole rows in index
-order. This holds only while the reduced axis is outermost and at least two
+first row) and ahead of a trailing row that holds the bias, or +0.0 when
+there is none (a sum begun at +0.0 is never -0.0, so adding +0.0 changes
+no bit). One np.add.reduce over that axis adds whole rows in index order.
+This holds only while the reduced axis is outermost and at least two
 output lanes run beside it: numpy sums a lone lane pairwise, so a
 single-lane reduction runs beside a twin lane. matmul, dot, einsum and
-np.sum reorder the sum and are not used for reductions. Depthwise conv,
-pooling and softmax still loop over their reduction axes, with
-vectorization over independent output lanes only.
+np.sum reorder the sum and are not used for reductions. Softmax sums its
+classes with np.add.accumulate, which is sequential by definition; its
+first element is e[0] itself, as +0.0 + e[0] would be, since exp never
+returns -0.0. Depthwise conv and pooling still loop over their reduction
+axes, with vectorization over independent output lanes only.
 
 Weight buffers arrive flat, and may be read-only. Each kernel reshapes them
 according to the data layout its body was written against; callers are
@@ -57,14 +61,17 @@ def _pad_nhwc_prep(x, ph0, ph1, pw0, pw1, value):
     return xp, (xp[:, ph0:ph0 + h, pw0:pw0 + w], x)
 
 
-def _sum_products_prep(lhs, rhs, acc):
-    # acc = (((0 + lhs[0]*rhs[0]) + lhs[1]*rhs[1]) + ...), where lhs[k] *
-    # rhs[k] broadcasts to acc's shape. Taps go through a product tensor of
-    # at most 64 KiB (or two of acc's rows, if more) in chunks, each a view
-    # of the tensor's leading rows; each chunk after the first starts from
-    # the running sum as its row 0, and a run leaves row 0 at +0.0. The
-    # state leaves acc out: the run step takes it after the state, so
-    # reductions of one shape into other accumulators can share the state.
+def _sum_products_prep(lhs, rhs, acc, tail):
+    # acc = ((((0 + lhs[0]*rhs[0]) + lhs[1]*rhs[1]) + ...) + tail), where
+    # lhs[k] * rhs[k] and tail broadcast to acc's shape. Taps go through a
+    # product tensor of at most 64 KiB (or two of acc's rows, if more) plus
+    # its tail row, in chunks, each a view of the tensor's leading rows;
+    # each chunk after the first starts from the running sum as its row 0,
+    # and a run leaves row 0 at +0.0. The short remainder chunk goes first,
+    # so only the last chunk, always a full one, reaches the tail row, and
+    # no multiply writes over it. The state leaves acc out: the run step
+    # takes it after the state, so reductions of one shape into other
+    # accumulators can share the state.
     lanes = twin = acc
     if acc.size == 1:
         # numpy would sum a lone lane pairwise: reduce a twin pair instead,
@@ -74,11 +81,14 @@ def _sum_products_prep(lhs, rhs, acc):
         rhs = rhs.reshape(-1, 1)
     k = len(lhs)
     step = max(1, 65536 // (4 * lanes.size) - 1)
-    terms = np.zeros((min(step, k) + 1,) + lanes.shape, np.float32)
+    terms = np.zeros((min(step, k) + 2,) + lanes.shape, np.float32)
+    terms[-1] = tail
     chunks = []
-    for k0 in range(0, k, step):
-        part = terms[:min(step, k - k0) + 1]
-        chunks.append((lhs[k0:k0 + step], rhs[k0:k0 + step], part[1:], part))
+    k0 = 0
+    for k1 in range((k - 1) % step + 1, k + 1, step):
+        part = terms[:k1 - k0 + 1 + (k1 == k)]
+        chunks.append((lhs[k0:k1], rhs[k0:k1], terms[1:k1 - k0 + 1], part))
+        k0 = k1
     return chunks, None if twin is acc else twin
 
 
@@ -117,9 +127,10 @@ def conv2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
     taps = filter_h * filter_w * cin
     wk = weights[0].reshape(taps, cout, 1)
     out = outputs[0].reshape(n, oh, ow, cout)
-    # blocks of whole output rows whose product tensor fits in 64 KiB; when
-    # one row's does not, as many rows as keep both the gathered patches and
-    # a two-row chunk of products within it, with the taps chunked
+    # blocks of whole output rows whose product tensor, its bias row aside,
+    # fits in 64 KiB; when one row's does not, as many rows as keep both
+    # the gathered patches and a two-row chunk of products within it, with
+    # the taps chunked
     rows = (min(oh, 65536 // (4 * (taps + 1) * cout * ow))
             or max(1, min(oh, 65536 // (4 * taps * ow),
                           65536 // (8 * cout * ow))))
@@ -134,24 +145,23 @@ def conv2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
     # last block ends at the last row, so it overlaps the one before it
     # when rows does not divide oh; the overlapped rows come out the same.
     sums = _sum_products_prep(wk, cols.reshape(taps, 1, rows * ow),
-                              out[0, :rows].reshape(-1, cout).T)
+                              out[0, :rows].reshape(-1, cout).T,
+                              weights[1][:, None] if len(weights) > 1
+                              else 0.0)
     blocks = tuple(
         (cols, win[b, :, :, :, r0:r0 + rows],
          sums + (out[b, r0:r0 + rows].reshape(-1, cout).T,))
         for b in range(n)
         for r0 in [*range(0, oh - rows, rows), oh - rows])
-    return (pad, blocks, out, weights[1] if len(weights) > 1 else None,
-            (out, activation_min, activation_max))
+    return pad, blocks, (out, activation_min, activation_max)
 
 
-def conv2d_f32(pad, blocks, out, bias, clamp):
+def conv2d_f32(pad, blocks, clamp):
     if pad:
         np.copyto(*pad)
     for blk, src, sums in blocks:
         np.copyto(blk, src)
         _sum_products(*sums)
-    if bias is not None:
-        out += bias
     _apply_clamp(*clamp)
 
 
@@ -263,34 +273,33 @@ def fully_connected_f32_prep(inputs, weights, outputs, *, batch, in_features,
     x = inputs[0].reshape(batch, in_features)
     out = outputs[0].reshape(batch, out_features)
     sums = _sum_products_prep(
-        x.T[:, :, None], weights[0].reshape(in_features, 1, out_features), out)
-    return (sums + (out,), out, weights[1:],
-            (out, activation_min, activation_max))
+        x.T[:, :, None], weights[0].reshape(in_features, 1, out_features), out,
+        weights[1] if len(weights) > 1 else 0.0)
+    return sums + (out,), (out, activation_min, activation_max)
 
 
-def fully_connected_f32(sums, out, biases, clamp):
+def fully_connected_f32(sums, clamp):
     _sum_products(*sums)
-    for bias in biases:  # none or one
-        out += bias
     _apply_clamp(*clamp)
 
 
 def softmax_f32_prep(inputs, weights, outputs, *, in_shape, beta):
-    # one (input row, output row) pair per row, and the row of exponentials
+    # one (input row, output row) pair per row, the row of exponentials and
+    # the row of their running sums; beta 1.0 scales by nothing, bit for bit
     c = in_shape[-1]
     return (tuple(zip(inputs[0].reshape(-1, c), outputs[0].reshape(-1, c))),
-            np.empty(c, np.float32), np.float32(beta))
+            np.empty(c, np.float32), np.empty(c, np.float32),
+            None if beta == 1.0 else np.float32(beta))
 
 
-def softmax_f32(rows, e, beta):
+def softmax_f32(rows, e, sums, beta):
     for xr, outr in rows:
         np.subtract(xr, np.maximum.reduce(xr), out=e)
-        np.multiply(e, beta, out=e)
+        if beta is not None:
+            np.multiply(e, beta, out=e)
         np.exp(e, out=e)
-        s = np.float32(0.0)
-        for v in e:
-            s += v
-        np.divide(e, s, out=outr)
+        np.add.accumulate(e, out=sums)
+        np.divide(e, sums[-1], out=outr)
 
 
 def relu_f32_prep(inputs, weights, outputs, *, count):

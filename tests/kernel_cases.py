@@ -287,6 +287,66 @@ def case_conv2d_edge(i):
     return _run_conv2d(x, wt, bias, (1, 1), (1, 1), (0, 0, 0, 0), clamp)
 
 
+# Fixed shapes for the bias, which ends each conv and FC sum as the tail row
+# of the product tensor: one chunk of taps, several chunks with the short
+# remainder first, an exact multiple of the chunk size, a single output lane
+# (alone and batched), and biases of -0.0 (on an all -0.0 product sum),
+# +-inf and +-NaN over several chunks.
+TAIL_KINDS = ("one_chunk", "remainder_first", "exact_multiple", "single_lane",
+              "single_lane_batched", "negative_zero_bias", "inf_bias",
+              "nan_bias")
+# (batch, in, out) by kind, the special biases on the remainder_first shape:
+# 64 output lanes take the taps 255 at a time, so 610 go as 100, 255, 255
+FC_TAIL_SHAPES = {"one_chunk": (2, 40, 5), "remainder_first": (1, 610, 64),
+                  "exact_multiple": (1, 510, 64), "single_lane": (1, 300, 1),
+                  "single_lane_batched": (3, 40, 1)}
+# (n, h, w, cin, f, cout) by kind, likewise: 200 taps go as 32, 84, 84, and
+# the exact multiple's 90 as 45, 45
+CONV_TAIL_SHAPES = {"one_chunk": (2, 6, 6, 2, 3, 4),
+                    "remainder_first": (1, 6, 10, 8, 5, 16),
+                    "exact_multiple": (1, 3, 13, 10, 3, 32),
+                    "single_lane": (1, 4, 4, 2, 4, 1),
+                    "single_lane_batched": (2, 4, 4, 2, 4, 1)}
+
+
+def _tail_case(rng, kind, x, wt, nout):
+    """The inputs, bias and clamp of one tail-row case of kind `kind`."""
+    bias = rng.uniform(-0.5, 0.5, nout).astype(np.float32)
+    clamp = _clamp_for(("NONE", "RELU", "RELU6")[int(rng.integers(0, 3))])
+    if kind == "negative_zero_bias":
+        # every product is -0.0: their sum is +0.0, and +0.0 + -0.0 is +0.0
+        x, wt = _with_negative_zeros(rng, x, 1.0), np.abs(wt)
+        bias[:], clamp = np.float32(-0.0), (None, None)
+    elif kind == "inf_bias":
+        bias[0::3], bias[1::3] = np.inf, -np.inf
+    elif kind == "nan_bias":
+        bias[0::3], bias[1::3] = np.nan, -np.float32(np.nan)
+    return x, wt, bias, clamp
+
+
+@lru_cache(maxsize=None)
+def case_fully_connected_tail(i):
+    rng = np.random.default_rng((116, i))
+    kind = TAIL_KINDS[i % len(TAIL_KINDS)]
+    batch, nin, nout = FC_TAIL_SHAPES.get(kind,
+                                          FC_TAIL_SHAPES["remainder_first"])
+    x = rng.uniform(-1, 1, (batch, nin)).astype(np.float32)
+    wt = rng.uniform(-1, 1, (nout, nin)).astype(np.float32)
+    return _run_fully_connected(*_tail_case(rng, kind, x, wt, nout))
+
+
+@lru_cache(maxsize=None)
+def case_conv2d_tail(i):
+    rng = np.random.default_rng((117, i))
+    kind = TAIL_KINDS[i % len(TAIL_KINDS)]
+    n, h, w, cin, f, cout = CONV_TAIL_SHAPES.get(
+        kind, CONV_TAIL_SHAPES["remainder_first"])
+    x = rng.uniform(-1, 1, (n, h, w, cin)).astype(np.float32)
+    wt = rng.uniform(-1, 1, (cout, f, f, cin)).astype(np.float32)
+    x, wt, bias, clamp = _tail_case(rng, kind, x, wt, cout)
+    return _run_conv2d(x, wt, bias, (1, 1), (1, 1), (0, 0, 0, 0), clamp)
+
+
 @lru_cache(maxsize=None)
 def case_softmax(i):
     rng = np.random.default_rng((106, i))
@@ -421,6 +481,8 @@ REFERENCE_CASES = {
     "fully_connected": case_fully_connected,
     "fully_connected_edge": case_fully_connected_edge,
     "conv2d_edge": case_conv2d_edge,
+    "fully_connected_tail": case_fully_connected_tail,
+    "conv2d_tail": case_conv2d_tail,
     "softmax": case_softmax,
     "relu": case_relu,
     "add_f32": case_add_f32,

@@ -36,6 +36,15 @@ def test_reference_kernel_matches_oracle_bitwise(name):
 _PADS = ("pad_before_h", "pad_after_h", "pad_before_w", "pad_after_w")
 
 
+def _chunk_lengths(kernel, state):
+    """Taps per chunk of the reduction a conv or FC state holds."""
+    if kernel == "fully_connected_f32":
+        chunks = state[0][0]
+    else:  # the state every block of the conv shares
+        chunks = state[1][0][2][0]
+    return [len(lhs) for lhs, *_ in chunks]
+
+
 @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
 def test_prepared_state_follows_its_buffers(name, monkeypatch):
     # A state prepared once and run on input A, then on input B written
@@ -44,6 +53,7 @@ def test_prepared_state_follows_its_buffers(name, monkeypatch):
     # copies. Running A again restores the case's own oracle check.
     rng = np.random.default_rng(7)
     seen = []
+    biased_chunks = []
 
     def run_stale(kernel, inputs, weights, outputs, **params):
         prep, run = ops.PREPS[kernel], ops.KERNELS[kernel]
@@ -65,6 +75,9 @@ def test_prepared_state_follows_its_buffers(name, monkeypatch):
             np.copyto(buf, x)
         run(*state)
         seen.append(params)
+        if kernel in ("conv2d_f32", "fully_connected_f32") \
+                and len(weights) > 1:
+            biased_chunks.append(_chunk_lengths(kernel, state))
 
     monkeypatch.setattr(kernel_cases, "run_kernel", run_stale)
     case = REFERENCE_CASES[name].__wrapped__
@@ -80,9 +93,12 @@ def test_prepared_state_follows_its_buffers(name, monkeypatch):
         assert any(p["out_features"] == 1 for p in seen)
     if name == "conv2d_edge":
         assert any(p["out_shape"][1:] == (1, 1, 1) for p in seen)
+    if name.endswith(("_edge", "_tail")):  # the bias as a last chunk's tail
+        assert any(len(c) > 1 for c in biased_chunks)
 
 
-@pytest.mark.parametrize("name", ["conv2d_edge", "fully_connected_edge"])
+@pytest.mark.parametrize("name", ["conv2d_edge", "fully_connected_edge",
+                                  "conv2d_tail", "fully_connected_tail"])
 def test_edge_cases_match_oracle_sign_of_zero_included(name):
     # stricter than bitwise_equal, which lets -0.0 pass for +0.0: every sum
     # starts from +0.0 on both sides, so even zero signs must agree
@@ -96,20 +112,77 @@ def test_edge_cases_match_oracle_sign_of_zero_included(name):
 def test_sum_products_is_the_scalar_loop_order():
     # terms whose sum depends on the order: 1e8 + 1 - 1e8 is 0 in float32
     # when added left to right, 1 when pairwise. 10000 terms overrun a
-    # 64 KiB product tensor for 1 to 3 lanes, so the taps go in chunks.
+    # 64 KiB product tensor for 1 to 3 lanes, so the taps go in chunks, the
+    # short one first; the tail is the last term of every lane.
     rng = np.random.default_rng(5)
     k = 10000
+    values = np.float32([1e8, -1e8, 1, 3e-8])
     for lanes in (1, 2, 3):
-        lhs = rng.choice(np.float32([1e8, -1e8, 1, 3e-8]), (k, lanes))
+        lhs = rng.choice(values, (k, lanes))
         rhs = rng.uniform(0.5, 2, (k, 1)).astype(np.float32)
+        tail = rng.choice(values, lanes)
         acc = np.empty(lanes, dtype=np.float32)
-        ops._sum_products(*ops._sum_products_prep(lhs, rhs, acc), acc)
+        state = ops._sum_products_prep(lhs, rhs, acc, tail)
+        sizes = [len(c[0]) for c in state[0]]
+        assert len(sizes) > 1 and sizes[0] < sizes[-1], (lanes, sizes)
+        ops._sum_products(*state, acc)
         want = np.zeros(lanes, dtype=np.float32)
         for t in range(k):
             # float32 lanes added one term at a time, each lane on its own
             want = want + lhs[t] * rhs[t]
+        want = want + tail
         assert np.array_equal(acc.view(np.uint32), want.view(np.uint32)), \
             lanes
+
+
+@pytest.mark.parametrize("kind", kernel_cases.TAIL_KINDS)
+def test_tail_cases_take_the_shapes_their_kind_names(kind, monkeypatch):
+    # the bias-tail cases of each kind, FC and conv, reduce in the chunks
+    # or over the lanes that the kind names
+    seen = []
+
+    def keep(kernel, inputs, weights, outputs, **params):
+        state = ops.PREPS[kernel](inputs, weights, outputs, **params)
+        ops.KERNELS[kernel](*state)
+        batch = params.get("batch") or params["out_shape"][0]
+        seen.append((_chunk_lengths(kernel, state), batch,
+                     outputs[0].size // batch))
+
+    monkeypatch.setattr(kernel_cases, "run_kernel", keep)
+    i = kernel_cases.TAIL_KINDS.index(kind)
+    kernel_cases.case_fully_connected_tail.__wrapped__(i)
+    kernel_cases.case_conv2d_tail.__wrapped__(i)
+    assert len(seen) == 2
+    for sizes, batch, lanes in seen:
+        if kind == "one_chunk":
+            assert len(sizes) == 1
+        elif kind == "exact_multiple":
+            assert len(sizes) > 1 and len(set(sizes)) == 1
+        elif kind.startswith("single_lane"):
+            assert lanes == 1 and (batch > 1) == kind.endswith("batched")
+        else:  # the short remainder first, then full chunks
+            assert len(sizes) > 2 and sizes[0] < sizes[1] == sizes[-1]
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+def test_softmax_sums_the_classes_left_to_right(beta):
+    # exponentials from 1 down to 1e-8: added left to right, each small one
+    # is lost against the running sum, while a pairwise sum gathers them
+    # first, so the two orders give different sums and different outputs
+    classes = 1000
+    x = np.float32(np.log(np.float32(1e-8)) / beta) * np.linspace(
+        0, 1, classes, dtype=np.float32)
+    x = np.stack([x, x[::-1], np.roll(x, 300)])
+    out = np.empty(x.size, dtype=np.float32)
+    kernel_cases.run_kernel("softmax_f32", [x.ravel().copy()], [], [out],
+                            in_shape=x.shape, beta=beta)
+    want = oracles.softmax(x, beta)
+    assert np.array_equal(out.view(np.uint32),
+                          want.reshape(-1).view(np.uint32))
+    for row in x:
+        e = np.exp((row - row.max()) * np.float32(beta))
+        assert e.max() == 1 and e.min() < 2e-8
+        assert np.add.reduce(e) != np.add.accumulate(e)[-1]
 
 
 @pytest.mark.parametrize("shape", [
