@@ -16,13 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codegen, fixtures, graphir, harness, interpreter, sniffer
-from .kernels import (
-    ParamError,
-    PrepareError,
-    RegistryError,
-    StatusError,
-    default_registry,
-)
+from .kernels import ParamError, RegistryError, StatusError, default_registry
 
 
 def _load(graph_path, weights_path) -> graphir.ModelBundle:
@@ -266,8 +260,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (graphir.GraphError, RegistryError, StatusError, ParamError,
-            PrepareError, codegen.CodegenError, sniffer.SnifferError,
-            OSError, ValueError) as e:
+            codegen.CodegenError, sniffer.SnifferError, OSError,
+            ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

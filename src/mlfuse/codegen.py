@@ -2,14 +2,15 @@
 
 The pipeline lowers the bundle once (lowering.py): one computing unit per
 operator with its known configuration resolved from the container, and one
-buffer per tensor. It searches the unknown settings by comparing candidate
-behavior against the runtime, and then emits a program that embeds the
-weight payloads and only the kernel templates the model needs. The
-emitted program carries no model container, no parser, and no registry; its
-only file access at inference time is the input tensor argument.
+buffer per tensor. It searches the one unknown, the weight layout of each
+conv and FC, by comparing candidate behavior against the runtime, and then
+emits a program that embeds the weight payloads and only the kernel
+templates the model needs. The emitted program carries no model container,
+no parser, and no registry; its only file access at inference time is the
+input tensor argument.
 
-Search never reads the configuration table shipped with the runtime; it
-recovers workable settings purely from observed behavior.
+Search never reads the layout table shipped with the runtime; it recovers
+workable layouts purely from observed behavior.
 """
 
 from __future__ import annotations
@@ -34,12 +35,7 @@ import numpy as np
 
 from . import graphir, harness, interpreter
 from .graphir import GraphError, DataType, ModelBundle
-from .kernels import (
-    DeviceInfo,
-    StatusAssignment,
-    class_signature,
-    default_registry,
-)
+from .kernels import DeviceInfo, class_signature, default_registry
 from .kernels import ops as kernel_ops
 from .lowering import BufferSpec, LoweredOp, Lowering, bind, lower
 
@@ -99,22 +95,19 @@ class ToolchainConfig:
 
 @dataclass(frozen=True)
 class ConfigurationClass:
-    """Operators sharing a unit, option signature, and data kind.
+    """Operators sharing a unit and an option signature.
 
-    All members carry the same unknown settings, so one choice covers the
-    whole class and the joint search space shrinks accordingly.
+    All members take their weight in the same unknown layout, so one choice
+    covers the whole class and the joint search space shrinks accordingly.
     """
-    key: tuple
-    fields: tuple
+    key: tuple  # (kind, dtype name, signature)
+    layouts: tuple[str, ...]  # the unit's layouts, in search order
     members: tuple[int, ...]
-
-    def candidates(self):
-        return itertools.product(*(f.domain for f in self.fields))
 
 
 @dataclass
 class SearchResult:
-    assignment: StatusAssignment
+    layouts: list  # per operator index: the accepted layout name, or None
     candidates_evaluated: int
     # largest l2 error of any tensor an operator writes, on any sample
     # input; written to the manifest as max_diff
@@ -136,7 +129,7 @@ class EmissionStep:
 class EmissionPlan:
     """Everything the emitter needs, already cut loose from the container."""
     steps: list[EmissionStep]
-    weights: dict  # name -> flat array, laid out per the accepted status
+    weights: dict  # name -> flat array, laid out per the accepted layouts
     tensors: dict[int, BufferSpec]  # one buffer per non-weight tensor
     input_ids: tuple[int, ...]
     output_ids: tuple[int, ...]
@@ -156,11 +149,36 @@ class GeneratedArtifact:
         return str(Path(self.out_dir) / "build_manifest.json")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# what verify and bench read from a manifest: key -> (check, expectation)
+_MANIFEST_FIELDS = {
+    "sources": (lambda v: isinstance(v, list)
+                and all(isinstance(x, str) for x in v), "a list of strings"),
+    "executable": (lambda v: isinstance(v, str), "a string"),
+    "plan_digest": (lambda v: isinstance(v, str), "a string"),
+    "delta": (lambda v: (_is_int(v) or isinstance(v, float))
+              and math.isfinite(v) and v >= 0, "a finite number >= 0"),
+    "n_inputs": (_is_int, "an integer"),
+    "seed": (_is_int, "an integer"),
+}
+
+
 def load_artifact(out_dir) -> GeneratedArtifact:
     path = Path(out_dir) / "build_manifest.json"
     if not path.is_file():
         raise CodegenError(f"no build manifest under {out_dir}")
     manifest = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise CodegenError(f"{path}: build manifest must be a JSON object")
+    for key, (ok, want) in _MANIFEST_FIELDS.items():
+        if key not in manifest:
+            raise CodegenError(f"{path}: build manifest lacks '{key}'")
+        if not ok(manifest[key]):
+            raise CodegenError(f"{path}: build manifest '{key}' must be "
+                               f"{want}")
     return GeneratedArtifact(
         out_dir=str(out_dir), sources=list(manifest["sources"]),
         executable=str(Path(out_dir) / manifest["executable"]),
@@ -181,8 +199,8 @@ def extract_units(bundle: ModelBundle, device: DeviceInfo | None = None,
 def analyze_config(lowered: Lowering) -> list[LoweredOp]:
     """Per-operator configuration, in graph order: unit, knowns and ids.
 
-    The lowering has already resolved every known and cross-checked the
-    unit's shape math against the graph.
+    The lowering has already resolved every known from the validated
+    graph's shapes and options.
     """
     return lowered.ops
 
@@ -194,34 +212,13 @@ def analyze_config(lowered: Lowering) -> list[LoweredOp]:
 def build_classes(configs) -> list[ConfigurationClass]:
     groups: dict = {}
     for c in configs:
-        schema = c.unit.status_schema
-        if not schema:
-            continue
-        sig = class_signature(c.params)
-        seen_kinds = []
-        for f in schema:
-            if f.data_kind not in seen_kinds:
-                seen_kinds.append(f.data_kind)
-        for dk in seen_kinds:
-            fields = tuple(f for f in schema if f.data_kind == dk)
-            key = (c.kind, c.unit.key.dtype.name, c.unit.key.variant, sig, dk)
-            entry = groups.setdefault(key, (fields, []))
-            entry[1].append(c.op_index)
-    return [ConfigurationClass(key=key, fields=fields,
+        if c.unit.layouts:
+            key = (c.kind, c.unit.key.dtype.name, class_signature(c.params))
+            groups.setdefault(key, (tuple(c.unit.layouts), []))[1].append(
+                c.op_index)
+    return [ConfigurationClass(key=key, layouts=layouts,
                                members=tuple(sorted(members)))
-            for key, (fields, members) in sorted(groups.items())]
-
-
-def _statuses_for(joint, classes, n_ops) -> list[dict]:
-    per_op: list[dict] = [{} for _ in range(n_ops)]
-    for cls, values in zip(classes, joint):
-        for f, v in zip(cls.fields, values):
-            for op_i in cls.members:
-                if f.name in per_op[op_i]:
-                    raise CodegenError(
-                        f"status '{f.name}' assigned twice for operator {op_i}")
-                per_op[op_i][f.name] = v
-    return per_op
+            for key, (layouts, members) in sorted(groups.items())]
 
 
 def _worst_error(steps, xs, refs, input_bufs, buffers, delta) -> float:
@@ -273,10 +270,10 @@ def _scratch_bytes(states, known) -> int:
 def search_status(bundle: ModelBundle, lowered: Lowering, configs,
                   cfg: harness.VerifyConfig | None = None,
                   registry=None) -> SearchResult:
-    """Find status values whose behavior matches the runtime within delta.
+    """Find weight layouts whose behavior matches the runtime within delta.
 
-    Candidates are joint assignments over the configuration classes,
-    enumerated in declared domain order. Every tensor an operator writes is
+    Candidates are joint assignments of one layout per configuration class,
+    enumerated in each unit's layout order. Every tensor an operator writes is
     compared with the runtime's copy of it, right after that operator runs:
     a candidate is rejected at the first tensor whose l2 distance exceeds
     delta, so a wrong layout cannot hide behind a saturating later operator.
@@ -299,26 +296,22 @@ def search_status(bundle: ModelBundle, lowered: Lowering, configs,
     input_bufs = [buffers[t] for t in lowered.input_ids]
     evaluated = 0
     best = math.inf
-    for joint in itertools.product(*(list(cls.candidates())
-                                     for cls in classes)):
+    for joint in itertools.product(*(cls.layouts for cls in classes)):
         evaluated += 1
-        per_op = _statuses_for(joint, classes, len(configs))
+        layouts = [None] * len(configs)
+        for cls, layout in zip(classes, joint):
+            for i in cls.members:
+                layouts[i] = layout
         steps = []
         known = list(buffers.values())
         for c in configs:
-            flats, kwargs, _ = bind(c, per_op[c.op_index], lowered.weights)
+            flats, _ = bind(c, layouts[c.op_index], lowered.weights)
             known += flats
-            steps.append((c.unit, c.prepare(buffers, flats, kwargs),
-                          c.output_ids))
+            steps.append((c.unit, c.prepare(buffers, flats), c.output_ids))
         worst = _worst_error(steps, xs, refs, input_bufs, buffers, cfg.delta)
         if worst <= cfg.delta:
-            assignment = StatusAssignment(
-                class_choices={
-                    cls.key: dict(zip((f.name for f in cls.fields), values))
-                    for cls, values in zip(classes, joint)},
-                per_op=per_op)
             return SearchResult(
-                assignment=assignment, candidates_evaluated=evaluated,
+                layouts=layouts, candidates_evaluated=evaluated,
                 max_error=worst,
                 scratch_bytes=_scratch_bytes([s[1] for s in steps], known))
         if worst < best:
@@ -338,8 +331,7 @@ def build_emission_plan(lowered: Lowering, configs,
     steps = []
     weights_out: dict = {}
     for c in configs:
-        flats, kwargs, _ = bind(c, result.assignment.per_op[c.op_index],
-                                lowered.weights)
+        flats, _ = bind(c, result.layouts[c.op_index], lowered.weights)
         names = []
         for slot, arr in enumerate(flats):
             name = f"W{c.op_index}_{slot}"
@@ -347,7 +339,7 @@ def build_emission_plan(lowered: Lowering, configs,
             names.append(name)
         steps.append(EmissionStep(
             op_index=c.op_index, template_id=c.unit.template_id,
-            kwargs=kwargs, act_ids=c.act_ids, output_ids=c.output_ids,
+            kwargs=c.params.values, act_ids=c.act_ids, output_ids=c.output_ids,
             weight_names=tuple(names)))
     return EmissionPlan(
         steps=steps, weights=weights_out, tensors=lowered.tensors,

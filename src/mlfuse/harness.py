@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import statistics
 import subprocess
 import tempfile
@@ -35,8 +36,9 @@ class VerifyConfig:
     input_high: float = 1.0
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ValueError(f"delta must be finite and non-negative, "
+                             f"got {self.delta!r}")
         if self.n_inputs < 1:
             raise ValueError("n_inputs must be >= 1")
         if not self.input_low < self.input_high:

@@ -3,10 +3,10 @@
 The interpreter is the reference deployment. Load validates the bundle and
 lowers it (lowering.py): one computing unit per operator with its resolved
 parameters, and one buffer per tensor. Configure allocates the buffers,
-binds every operator to the unknown settings in the table shipped with the
-kernels, and runs each kernel's prepare step once, binding its views of the
-buffers and allocating its scratch. Invoke then only calls each kernel's
-run step on that state, in topological order.
+lays every operator's weight out in the layout the table shipped with the
+kernels names, and runs each kernel's prepare step once, binding its views
+of the buffers and allocating its scratch. Invoke then only calls each
+kernel's run step on that state, in topological order.
 
 Memory accounting covers plan-managed allocations only: the serialized graph
 text and weight arrays at load, tensor buffers and weight reorder copies at
@@ -109,12 +109,11 @@ def load(bundle: ModelBundle, device: DeviceInfo | None = None,
         tracker.alloc(buf.nbytes)
     steps: list[PlanStep] = []
     for op in lowered.ops:
-        flats, kwargs, copied = bind(op, hidden_status_for(op.unit.key),
-                                     lowered.weights)
+        flats, copied = bind(op, hidden_status_for(op.unit.key),
+                             lowered.weights)
         tracker.alloc(copied)
         steps.append(PlanStep(op_index=op.op_index, kind=op.kind,
-                              unit=op.unit,
-                              state=op.prepare(buffers, flats, kwargs)))
+                              unit=op.unit, state=op.prepare(buffers, flats)))
     return ExecutablePlan(lowered=lowered, steps=steps, buffers=buffers,
                           tracker=tracker)
 

@@ -6,17 +6,13 @@ from .registry import (
     KernelRegistry,
     ParamError,
     ParamRecord,
-    PrepareError,
     RegistryError,
-    StatusAssignment,
     StatusError,
-    StatusField,
     UnitKey,
     build_default_registry,
     check_unit_params,
     class_signature,
     layout_weight_arrays,
-    validate_status,
 )
 
 _default = None

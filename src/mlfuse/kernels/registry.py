@@ -2,15 +2,11 @@
 
 A computing unit binds one operator kind and one data type to a kernel
 template, as its prepare and run steps; one unit serves every device.
-Known configuration is resolved from node options into a ParamRecord;
-settings the container does not carry are declared as StatusField entries
-and must be supplied by the caller, either from the table shipped with the
-runtime or by search.
-
-Status fields come in two modes. A "data" field tells the caller how to lay
-out weight payload bytes before handing them to the kernel; it is consumed
-by layout_weight_arrays and never passed into the kernel. An "arg" field is
-forwarded to the kernel's prepare step as a keyword argument.
+Known configuration is resolved from node options into a ParamRecord. The
+one setting the container does not carry is the memory layout a conv or FC
+kernel expects its weight in: a unit lists the layouts it may take, and the
+caller names one, either from the table shipped with the runtime or by
+search. layout_weight_arrays lays the stored weight out in it.
 """
 
 from __future__ import annotations
@@ -40,10 +36,6 @@ class ParamError(Exception):
     pass
 
 
-class PrepareError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class DeviceInfo:
     """The build target. No unit depends on it; builds record threads in
@@ -59,16 +51,6 @@ class DeviceInfo:
 class UnitKey:
     op_id: int | str
     dtype: DataType
-    variant: str  # "reference": the only variant registered
-
-
-@dataclass(frozen=True)
-class StatusField:
-    name: str
-    domain: tuple
-    data_kind: str  # "input", "weights", or "param"
-    mode: str  # "data" or "arg"
-    value_changing: bool
 
 
 @dataclass
@@ -76,8 +58,11 @@ class ComputingUnit:
     key: UnitKey
     template_id: str
     fn: object  # run step: fn(*state)
-    prep: object  # prepare step: prep(inputs, weights, outputs, **kwargs)
-    status_schema: tuple[StatusField, ...] = ()
+    prep: object  # prepare step: prep(inputs, weights, outputs, **params)
+    # layout name -> the transpose that takes weight 0 into it (None: as
+    # stored). Insertion order is the search order; empty means the unit
+    # has nothing unknown.
+    layouts: dict = field(default_factory=dict)
     param_check: object = None  # optional: values -> error string or None
 
 
@@ -119,16 +104,6 @@ def class_signature(record: ParamRecord) -> str:
     items = sorted((k, repr(v)) for k, v in record.values.items()
                    if k not in exclude)
     return repr(items)
-
-
-@dataclass
-class StatusAssignment:
-    """Chosen status values, grouped by configuration class.
-
-    per_op mirrors the choices onto operator indices for execution.
-    """
-    class_choices: dict
-    per_op: list[dict] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +201,6 @@ class KernelRegistry:
         self._units: dict[UnitKey, ComputingUnit] = {}
         self._custom_mappers: dict[str, object] = {}
         self._custom_shapes: dict[str, object] = {}
-        self._custom_prepares: dict[str, object] = {}
 
     def register_builtin(self, unit: ComputingUnit) -> None:
         if unit.key in self._units:
@@ -234,24 +208,16 @@ class KernelRegistry:
         self._units[unit.key] = unit
 
     def register_custom(self, name: str, unit: ComputingUnit, *,
-                        param_mapper, shape_rule, prepare_fn=None) -> None:
+                        param_mapper, shape_rule) -> None:
         if unit.key.op_id != name:
             raise RegistryError(f"unit key {unit.key} does not carry name {name!r}")
         self.register_builtin(unit)
         self._custom_mappers[name] = param_mapper
         self._custom_shapes[name] = shape_rule
-        if prepare_fn is not None:
-            self._custom_prepares[name] = prepare_fn
-
-    def get(self, key: UnitKey) -> ComputingUnit:
-        unit = self._units.get(key)
-        if unit is None:
-            raise RegistryError(f"unknown unit {key}")
-        return unit
 
     def lookup(self, op_id, dtype: DataType, device: DeviceInfo) -> ComputingUnit:
         """The unit for an operator kind and dtype; it serves any device."""
-        unit = self._units.get(UnitKey(op_id, dtype, "reference"))
+        unit = self._units.get(UnitKey(op_id, dtype))
         if unit is None:
             name = graphir.OPCODE_NAMES.get(op_id, op_id)
             raise RegistryError(f"unsupported operation: no unit for {name} "
@@ -326,89 +292,6 @@ class KernelRegistry:
             raise ParamError(f"no parameter mapping for opcode {op}")
         return ParamRecord(kind, values)
 
-    # -- shape cross-check
-
-    def prepare(self, unit: ComputingUnit, params: ParamRecord,
-                input_shapes: list) -> list:
-        """Recompute output shapes from knowns; raises on any contradiction."""
-        kind = params.op_kind
-        v = params.values
-        input_shapes = [tuple(s) for s in input_shapes]
-
-        if kind in ("CONV_2D", "DEPTHWISE_CONV_2D"):
-            x = input_shapes[0]
-            if x != v["in_shape"]:
-                raise PrepareError(f"{kind}: input shape {x} does not match "
-                                   f"resolved {v['in_shape']}")
-            eff_h = (v["filter_h"] - 1) * v["dilation_h"] + 1
-            eff_w = (v["filter_w"] - 1) * v["dilation_w"] + 1
-            oh = (x[1] + v["pad_before_h"] + v["pad_after_h"] - eff_h) \
-                // v["stride_h"] + 1
-            ow = (x[2] + v["pad_before_w"] + v["pad_after_w"] - eff_w) \
-                // v["stride_w"] + 1
-            f = input_shapes[1]
-            if kind == "CONV_2D":
-                want_f = (v["out_shape"][3], v["filter_h"], v["filter_w"], x[3])
-                cout = f[0]
-            else:
-                cout = x[3] * v["depth_multiplier"]
-                want_f = (1, v["filter_h"], v["filter_w"], cout)
-            if f != want_f:
-                raise PrepareError(f"{kind}: filter shape {f}, expected {want_f}")
-            out = (x[0], oh, ow, cout)
-        elif kind in ("AVERAGE_POOL_2D", "MAX_POOL_2D"):
-            x = input_shapes[0]
-            if x != v["in_shape"]:
-                raise PrepareError(f"{kind}: input shape mismatch")
-            oh = (x[1] + v["pad_before_h"] + v["pad_after_h"] - v["filter_h"]) \
-                // v["stride_h"] + 1
-            ow = (x[2] + v["pad_before_w"] + v["pad_after_w"] - v["filter_w"]) \
-                // v["stride_w"] + 1
-            out = (x[0], oh, ow, x[3])
-        elif kind == "FULLY_CONNECTED":
-            x, wt = input_shapes[0], input_shapes[1]
-            if x != (v["batch"], v["in_features"]):
-                raise PrepareError("FULLY_CONNECTED: input shape mismatch")
-            if wt != (v["out_features"], v["in_features"]):
-                raise PrepareError(f"FULLY_CONNECTED: weight shape {wt} does "
-                                   f"not match resolved features")
-            out = (v["batch"], v["out_features"])
-        elif kind == "SOFTMAX":
-            if input_shapes[0] != v["in_shape"]:
-                raise PrepareError("SOFTMAX: input shape mismatch")
-            out = input_shapes[0]
-        elif kind in ("RELU", "ADD"):
-            if _count(input_shapes[0]) != v["count"]:
-                raise PrepareError(f"{kind}: element count mismatch")
-            out = input_shapes[0]
-        elif kind == "RESHAPE":
-            if _count(input_shapes[0]) != v["count"] \
-                    or _count(v["out_shape"]) != v["count"]:
-                raise PrepareError("RESHAPE: element count mismatch")
-            out = v["out_shape"]
-        elif kind == "CONCATENATION":
-            if tuple(input_shapes) != v["in_shapes"]:
-                raise PrepareError("CONCATENATION: input shapes mismatch")
-            out = v["out_shape"]
-        elif kind == "PAD":
-            x = input_shapes[0]
-            if x != v["in_shape"]:
-                raise PrepareError("PAD: input shape mismatch")
-            out = tuple(d + b + a for d, (b, a) in zip(x, v["paddings"]))
-        else:
-            fn = self._custom_prepares.get(kind)
-            if fn is not None:
-                return fn(params, input_shapes)
-            if "count" in v and _count(input_shapes[0]) != v["count"]:
-                raise PrepareError(f"{kind}: element count mismatch")
-            out = input_shapes[0]
-
-        declared = v.get("out_shape")
-        if declared is not None and tuple(declared) != out:
-            raise PrepareError(f"{kind}: computed output {out} contradicts "
-                               f"resolved {tuple(declared)}")
-        return [out]
-
 
 def check_unit_params(unit: ComputingUnit, params: ParamRecord) -> None:
     if unit.param_check is not None:
@@ -418,55 +301,27 @@ def check_unit_params(unit: ComputingUnit, params: ParamRecord) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Status handling and execution
+# Weight layouts
 
 
-def validate_status(unit: ComputingUnit, params: ParamRecord,
-                    status: dict) -> dict:
-    """Check a status dict against the unit schema; return the arg subset."""
-    names = {f.name for f in unit.status_schema}
-    for key in status:
-        if key not in names:
-            raise StatusError(f"{params.op_kind}: unexpected status '{key}'")
-    arg_kwargs = {}
-    for f in unit.status_schema:
-        if f.name not in status:
-            raise StatusError(f"{params.op_kind}: missing status '{f.name}'")
-        value = status[f.name]
-        if not any(value == d for d in f.domain):
-            raise StatusError(f"{params.op_kind}: invalid status value "
-                              f"{f.name}={value!r}, domain {f.domain}")
-        if f.mode == "arg":
-            arg_kwargs[f.name] = value
-    return arg_kwargs
-
-
-def layout_weight_arrays(params: ParamRecord, status: dict,
+def layout_weight_arrays(unit: ComputingUnit, layout,
                          arrays: list) -> tuple[list, int]:
-    """Flatten canonical weight arrays into the status-selected layout.
+    """Flatten canonical weight arrays, weight 0 laid out as layout says.
 
+    layout is a name from unit.layouts, or None for a unit that lists none.
     Returns the flat arrays plus the byte count of reorder copies (zero when
     every payload is already in canonical order).
     """
-    layout = status.get("weights_layout")
-    kind = params.op_kind
+    table = unit.layouts or {None: None}
+    if layout not in table:
+        raise StatusError(f"{unit.template_id}: no weight layout {layout!r}, "
+                          f"expected one of {list(table)}")
     flats = []
     copied = 0
     for slot, arr in enumerate(arrays):
-        if slot == 0 and layout is not None:
-            if kind == "CONV_2D" and layout == "HWIO":
-                re = np.ascontiguousarray(arr.transpose(1, 2, 3, 0))
-                copied += re.nbytes
-                flats.append(re.reshape(-1))
-                continue
-            if kind == "FULLY_CONNECTED" and layout == "transposed":
-                re = np.ascontiguousarray(arr.transpose())
-                copied += re.nbytes
-                flats.append(re.reshape(-1))
-                continue
-            if layout not in ("OHWI", "row_major"):
-                raise StatusError(f"{kind}: no layout transform for "
-                                  f"weights_layout={layout!r}")
+        if slot == 0 and table[layout] is not None:
+            arr = np.ascontiguousarray(arr.transpose(table[layout]))
+            copied += arr.nbytes
         flats.append(np.ascontiguousarray(arr).reshape(-1))
     return flats, copied
 
@@ -498,27 +353,22 @@ def _scale_shift_shape(node, in_shapes):
     return [tuple(in_shapes[0])]
 
 
-_WEIGHTS_LAYOUT_CONV = StatusField(
-    "weights_layout", ("OHWI", "HWIO"), "weights", "data", True)
-_WEIGHTS_LAYOUT_FC = StatusField(
-    "weights_layout", ("row_major", "transposed"), "weights", "data", True)
-
-
 def build_default_registry() -> KernelRegistry:
     reg = KernelRegistry()
     f32, i32 = DataType.F32, DataType.I32
 
     def unit(op, dtype, template, **kw):
         reg.register_builtin(ComputingUnit(
-            UnitKey(op, dtype, "reference"), template, ops.KERNELS[template],
+            UnitKey(op, dtype), template, ops.KERNELS[template],
             ops.PREPS[template], **kw))
 
-    unit(CONV_2D, f32, "conv2d_f32", status_schema=(_WEIGHTS_LAYOUT_CONV,))
+    unit(CONV_2D, f32, "conv2d_f32",
+         layouts={"OHWI": None, "HWIO": (1, 2, 3, 0)})
     unit(DEPTHWISE_CONV_2D, f32, "depthwise_conv2d_f32")
     unit(AVERAGE_POOL_2D, f32, "avg_pool2d_f32")
     unit(MAX_POOL_2D, f32, "max_pool2d_f32")
     unit(FULLY_CONNECTED, f32, "fully_connected_f32",
-         status_schema=(_WEIGHTS_LAYOUT_FC,))
+         layouts={"row_major": None, "transposed": (1, 0)})
     unit(SOFTMAX, f32, "softmax_f32")
     unit(RELU, f32, "relu_f32")
     unit(RESHAPE, f32, "reshape_copy")
@@ -530,7 +380,7 @@ def build_default_registry() -> KernelRegistry:
 
     reg.register_custom(
         "SCALE_SHIFT",
-        ComputingUnit(UnitKey("SCALE_SHIFT", f32, "reference"),
+        ComputingUnit(UnitKey("SCALE_SHIFT", f32),
                       "scale_shift_f32", ops.KERNELS["scale_shift_f32"],
                       ops.PREPS["scale_shift_f32"]),
         param_mapper=_scale_shift_mapper,

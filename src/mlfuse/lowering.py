@@ -3,14 +3,14 @@
 The interpreter, the status search and the emitter all consume it, and
 nothing else derives shapes, weight ids, buffer sizes or kernel parameters.
 For each operator, in graph order, it resolves the computing unit, the
-known parameters (checked against the unit and cross-checked by the
-registry's shape math) and the activation, weight and output ids. For the
-model it lists every non-weight tensor's buffer and the canonical weights.
+known parameters (checked against the unit) and the activation, weight and
+output ids. For the model it lists every non-weight tensor's buffer and the
+canonical weights.
 
 It reads the declared tensor shapes: every entry point validates the bundle
-first, and validation rejects any declared shape that contradicts shape
-inference. It reads no status table, so the search may use it; statuses
-come in only through bind.
+first, and validation rejects any declared shape that contradicts
+graphir.infer_shapes, the only shape math. It reads no layout table, so the
+search may use it; weight layouts come in only through bind.
 """
 
 from __future__ import annotations
@@ -26,13 +26,11 @@ from .kernels import (
     DeviceInfo,
     ParamError,
     ParamRecord,
-    PrepareError,
     RegistryError,
     StatusError,
     check_unit_params,
     default_registry,
     layout_weight_arrays,
-    validate_status,
 )
 
 
@@ -53,10 +51,11 @@ class LoweredOp:
     weight_keys: tuple[int, ...]
     output_ids: tuple[int, ...]
 
-    def prepare(self, buffers, weights, kwargs) -> tuple:
+    def prepare(self, buffers, weights) -> tuple:
         """The unit's state over buffers; unit.fn(*state) runs the operator."""
         return self.unit.prep([buffers[t] for t in self.act_ids], weights,
-                              [buffers[t] for t in self.output_ids], **kwargs)
+                              [buffers[t] for t in self.output_ids],
+                              **self.params.values)
 
 
 @dataclass
@@ -91,17 +90,11 @@ def lower(bundle: ModelBundle, device: DeviceInfo | None = None,
             params = registry.map_options_to_params(node, shapes,
                                                     weight_ids=weight_ids)
             check_unit_params(unit, params)
-            computed = registry.prepare(unit, params,
-                                        [shapes[t] for t in node.inputs])
-            declared = [shapes[t] for t in node.outputs]
-            if [tuple(s) for s in computed] != declared:
-                raise PrepareError(f"unit shapes {computed} contradict graph "
-                                   f"shapes {declared}")
             act_ids = tuple(t for t in node.inputs if t not in weight_ids)
             if not act_ids:
                 raise ParamError("every operator needs at least one "
                                  "non-constant input")
-        except (RegistryError, ParamError, PrepareError, GraphError) as e:
+        except (RegistryError, ParamError, GraphError) as e:
             raise type(e)(f"operator {i}: {e}") from None
         ops.append(LoweredOp(
             op_index=i, kind=params.op_kind, unit=unit, params=params,
@@ -118,18 +111,14 @@ def lower(bundle: ModelBundle, device: DeviceInfo | None = None,
         input_ids=tuple(graph.inputs), output_ids=tuple(graph.outputs))
 
 
-def bind(op: LoweredOp, status: dict, weights) -> tuple[list, dict, int]:
-    """Bind one operator to a status.
+def bind(op: LoweredOp, layout, weights) -> tuple[list, int]:
+    """Lay one operator's canonical weights out in a layout of its unit.
 
-    Checks the status against the unit, lays the operator's canonical
-    weights out as the status says, and merges the keywords of the unit's
-    prepare step. Returns the flat weights, those keywords, and the bytes
-    the layout copied.
+    layout is None for a unit that lists no layouts. Returns the flat
+    weights and the bytes the layout copied.
     """
     try:
-        arg_kwargs = validate_status(op.unit, op.params, status)
-        flats, copied = layout_weight_arrays(
-            op.params, status, [weights[k] for k in op.weight_keys])
+        return layout_weight_arrays(op.unit, layout,
+                                    [weights[k] for k in op.weight_keys])
     except StatusError as e:
         raise StatusError(f"operator {op.op_index}: {e}") from None
-    return flats, {**op.params.values, **arg_kwargs}, copied

@@ -2,8 +2,8 @@
 terminal PASS or FAIL line with the measured figure next to it."""
 
 import contextlib
-import dataclasses
 import json
+import math
 import time
 from pathlib import Path
 
@@ -15,7 +15,7 @@ import oracles
 
 from mlfuse import codegen, fixtures, graphir, harness, sniffer
 from mlfuse.graphir import CONV_2D, DataType
-from mlfuse.kernels import UnitKey, default_registry
+from mlfuse.kernels import DeviceInfo, default_registry
 from mlfuse.kernels.live_status import hidden_status_for
 from mlfuse.kernels.registry import build_default_registry
 
@@ -83,33 +83,21 @@ def test_criterion_3_dynamic_configuration(capsys):
         classes = codegen.build_classes(configs)
         assert any(len(c.members) >= 2 and c.key[0] == "FULLY_CONNECTED"
                    for c in classes)
-        joint = 1
-        for c in classes:
-            for f in c.fields:
-                joint *= len(f.domain)
-        unpruned = 1
-        for c in configs:
-            for f in c.unit.status_schema:
-                unpruned *= len(f.domain)
+        joint = math.prod(len(c.layouts) for c in classes)
+        unpruned = math.prod(len(c.unit.layouts) for c in configs
+                             if c.unit.layouts)
         result = codegen.search_status(bundle, ex, configs)
         assert result.candidates_evaluated <= joint < unpruned
 
         for c in configs:
-            truth = hidden_status_for(c.unit.key)
-            chosen = result.assignment.per_op[c.op_index]
-            for f in c.unit.status_schema:
-                if f.value_changing:
-                    assert chosen[f.name] == truth[f.name], \
-                        (c.op_index, f.name)
+            assert result.layouts[c.op_index] == \
+                hidden_status_for(c.unit.key), c.op_index
 
-        # a registry whose conv domain excludes the layout in actual use
+        # a registry whose conv layouts exclude the layout in actual use
         # leaves no workable assignment at all
         doctored = build_default_registry()
-        unit = doctored.get(UnitKey(CONV_2D, DataType.F32, "reference"))
-        unit.status_schema = tuple(
-            dataclasses.replace(f, domain=("OHWI",))
-            if f.name == "weights_layout" else f
-            for f in unit.status_schema)
+        unit = doctored.lookup(CONV_2D, DataType.F32, DeviceInfo())
+        unit.layouts = {"OHWI": None}
         dex = codegen.extract_units(bundle, registry=doctored)
         dcf = codegen.analyze_config(dex)
         with pytest.raises(codegen.SearchError, match="exhausted") as ei:

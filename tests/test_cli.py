@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -198,6 +199,53 @@ def test_bench_reports_both_deployments(workdir, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["repetitions"] == 3
     assert obj["generated_counters"]["load_bytes"] == 0
+
+
+_MANIFEST_KEYS = ("sources", "executable", "plan_digest", "delta",
+                  "n_inputs", "seed")
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+@pytest.mark.parametrize("edit", [
+    *[{key: None} for key in _MANIFEST_KEYS],
+    {"sources": "src/net_driver.py"},
+    {"executable": 3},
+    {"plan_digest": ["x"]},
+    {"delta": "x"},
+    {"delta": float("inf")},
+    {"n_inputs": "x"},
+    {"seed": 1.5},
+    [],
+], ids=[*(f"no-{key}" for key in _MANIFEST_KEYS), "sources-str",
+        "executable-int", "plan_digest-list", "delta-str", "delta-inf",
+        "n_inputs-str", "seed-float", "not-an-object"])
+def test_malformed_manifest_exits_2(workdir, tmp_path, capsys, command,
+                                     edit):
+    art = tmp_path / "build"
+    shutil.copytree(workdir / "mlp_build", art)
+    path = art / "build_manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    if isinstance(edit, dict):
+        for key, value in edit.items():
+            if value is None:
+                del manifest[key]
+            else:
+                manifest[key] = value
+    else:
+        manifest = edit
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    g, w = _paths(workdir, "mlp")
+    assert cli.main([command, g, w, str(art)]) == 2
+    assert "build manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_codegen_rejects_non_finite_delta(workdir, tmp_path, capsys, delta):
+    g, w = _paths(workdir, "mlp")
+    assert cli.main(["codegen", g, w, "--out", str(tmp_path / "out"),
+                     "--delta", delta]) == 2
+    assert "delta must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # -- sniff --------------------------------------------------------------------

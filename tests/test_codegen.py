@@ -29,7 +29,7 @@ from mlfuse.graphir import (
     TensorSpec,
     WeightStore,
 )
-from mlfuse.kernels import StatusField, UnitKey, default_registry, ops
+from mlfuse.kernels import DeviceInfo, default_registry, ops
 from mlfuse.kernels.registry import build_default_registry
 
 # joint search spaces are tiny and enumeration order is fixed, so the
@@ -55,29 +55,12 @@ def test_classes_group_same_signature_operators():
     bundle = fixtures.build_fixture("lenet")
     _, configs = _analysis(bundle)
     classes = codegen.build_classes(configs)
-    by_members = {}
-    for c in classes:
-        by_members.setdefault((c.key[0], c.members), []).append(
-            tuple(f.name for f in c.fields))
-    assert ("CONV_2D", (0, 2)) in by_members
+    by_members = {(c.key[0], c.members): c.layouts for c in classes}
+    assert by_members[("CONV_2D", (0, 2))] == ("OHWI", "HWIO")
     # fc1 and fc2 share fused RELU; fc3 has none, so it classifies alone
     assert ("FULLY_CONNECTED", (5, 6)) in by_members
     assert ("FULLY_CONNECTED", (7,)) in by_members
     assert len(classes) == 3
-
-
-def test_class_split_by_status_data_kind():
-    # one class per data kind even over the same member set, so a weight
-    # layout choice never drags a setting of another kind along with it
-    reg = build_default_registry()
-    unit = reg.get(UnitKey(FULLY_CONNECTED, DataType.F32, "reference"))
-    unit.status_schema += (
-        StatusField("input_hint", (False, True), "input", "data", False),)
-    bundle = fixtures.build_fixture("mlp")
-    _, configs = _analysis(bundle, registry=reg)
-    classes = codegen.build_classes(configs)
-    assert [c.key[-1] for c in classes] == ["input", "weights"]
-    assert all(c.members == (0, 1) for c in classes)
 
 
 def test_parameter_free_operators_make_no_classes():
@@ -92,14 +75,9 @@ def test_search_prunes_joint_space():
     bundle = fixtures.build_fixture("lenet")
     ex, configs = _analysis(bundle)
     classes = codegen.build_classes(configs)
-    joint = 1
-    for c in classes:
-        for f in c.fields:
-            joint *= len(f.domain)
-    unpruned = 1
-    for c in configs:
-        for f in c.unit.status_schema:
-            unpruned *= len(f.domain)
+    joint = math.prod(len(c.layouts) for c in classes)
+    unpruned = math.prod(len(c.unit.layouts) for c in configs
+                         if c.unit.layouts)
     result = codegen.search_status(bundle, ex, configs)
     assert joint == 8 and unpruned == 32
     assert result.candidates_evaluated <= joint < unpruned
@@ -107,17 +85,12 @@ def test_search_prunes_joint_space():
 
 
 def test_accepted_assignment_matches_runtime_layouts():
-    """Value-changing settings must come out exactly as the runtime uses them."""
+    """Weight layouts must come out exactly as the runtime uses them."""
     bundle = fixtures.build_fixture("lenet")
     ex, configs = _analysis(bundle)
     result = codegen.search_status(bundle, ex, configs)
-    per_op = result.assignment.per_op
-    for c in configs:
-        st = per_op[c.op_index]
-        if c.kind == "CONV_2D":
-            assert st["weights_layout"] == "HWIO"
-        elif c.kind == "FULLY_CONNECTED":
-            assert st["weights_layout"] == "transposed"
+    want = {"CONV_2D": "HWIO", "FULLY_CONNECTED": "transposed"}
+    assert result.layouts == [want.get(c.kind) for c in configs]
 
 
 @pytest.mark.parametrize("seed", [14, 20, 21, 24])
@@ -142,11 +115,8 @@ def test_search_exhaustion_reports_candidates_and_best_error():
     # uses is outside every candidate domain; the oracle keeps the stock one
     bundle = fixtures.build_fixture("mlp")
     doctored = build_default_registry()
-    unit = doctored.get(UnitKey(FULLY_CONNECTED, DataType.F32, "reference"))
-    unit.status_schema = tuple(
-        dataclasses.replace(f, domain=("row_major",))
-        if f.name == "weights_layout" else f
-        for f in unit.status_schema)
+    unit = doctored.lookup(FULLY_CONNECTED, DataType.F32, DeviceInfo())
+    unit.layouts = {"row_major": None}
     ex, configs = _analysis(bundle, registry=doctored)
     with pytest.raises(codegen.SearchError) as ei:
         codegen.search_status(bundle, ex, configs, registry=default_registry())

@@ -21,6 +21,8 @@ def test_verify_config_defaults():
 
 @pytest.mark.parametrize("kw", [
     {"delta": -1e-9},
+    {"delta": float("nan")},
+    {"delta": float("inf")},
     {"n_inputs": 0},
     {"input_low": 1.0, "input_high": 1.0},
     {"input_low": 2.0, "input_high": -2.0},

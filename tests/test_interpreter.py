@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 
 from mlfuse import fixtures, graphir, interpreter
 from mlfuse.graphir import (
     ADD,
+    AVERAGE_POOL_2D,
     CONCATENATION,
+    CONV_2D,
+    DEPTHWISE_CONV_2D,
+    MAX_POOL_2D,
     PAD,
     ComputationalGraph,
     DataType,
@@ -18,7 +24,7 @@ from mlfuse.graphir import (
     weights_to_bytes,
 )
 from mlfuse.interpreter import InterpreterError
-from mlfuse.kernels import ParamError, PrepareError
+from mlfuse.kernels import ParamError
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
@@ -185,7 +191,7 @@ def test_operator_errors_carry_index():
     store.put_array(0, np.arange(4, dtype=np.int32))
     bad = ModelBundle(g, store)
     assert graphir.validate(bad) == []
-    with pytest.raises((ParamError, PrepareError), match="operator 0"):
+    with pytest.raises(ParamError, match="operator 0"):
         interpreter.load(bad)
 
 
@@ -195,3 +201,94 @@ def test_invocation_counter():
     interpreter.invoke(plan, x)
     interpreter.invoke(plan, x)
     assert plan.invocations == 2
+
+
+# -- windowed operators: what validate accepts, the kernels run exactly -------
+
+_CLAMPS = {"NONE": (None, None), "RELU": (0.0, None), "RELU6": (0.0, 6.0)}
+
+
+def _window_out(size, eff, stride, padding):
+    """Output size and (before, after) pads, from the operator definitions."""
+    if padding == "SAME":
+        out = -(-size // stride)
+        total = max(0, (out - 1) * stride + eff - size)
+        return out, (total // 2, total - total // 2)
+    return max(1, -(-(size - eff + 1) // stride)), (0, 0)
+
+
+@st.composite
+def _windowed_cases(draw):
+    op = draw(st.sampled_from(
+        [CONV_2D, DEPTHWISE_CONV_2D, MAX_POOL_2D, AVERAGE_POOL_2D]))
+    h, w, cin = draw(st.integers(1, 7)), draw(st.integers(1, 7)), \
+        draw(st.integers(1, 3))
+    fh, fw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    opts = {"stride_h": draw(st.integers(1, 3)),
+            "stride_w": draw(st.integers(1, 3)),
+            "padding": draw(st.sampled_from(["SAME", "VALID"])),
+            "activation": draw(st.sampled_from(sorted(_CLAMPS)))}
+    if op in (MAX_POOL_2D, AVERAGE_POOL_2D):
+        opts.update(filter_h=fh, filter_w=fw)
+        return op, (h, w, cin), None, False, opts
+    opts.update(dilation_h=draw(st.integers(1, 3)),
+                dilation_w=draw(st.integers(1, 3)))
+    if op == CONV_2D:
+        wshape = (draw(st.integers(1, 3)), fh, fw, cin)
+    else:
+        opts["depth_multiplier"] = draw(st.integers(1, 2))
+        wshape = (1, fh, fw, cin * opts["depth_multiplier"])
+    return op, (h, w, cin), wshape, draw(st.booleans()), opts
+
+
+@settings(max_examples=60, deadline=None)
+@given(_windowed_cases(), st.integers(0, 2 ** 32 - 1))
+def test_validated_windowed_operators_match_oracles(case, seed):
+    op, (h, w, cin), wshape, has_bias, opts = case
+    pool = wshape is None
+    cout = cin if pool else wshape[3] if op == DEPTHWISE_CONV_2D else wshape[0]
+    dh, dw = (1, 1) if pool else (opts["dilation_h"], opts["dilation_w"])
+    fh, fw = (opts["filter_h"], opts["filter_w"]) if pool else wshape[1:3]
+    oh, (pt, pb) = _window_out(h, (fh - 1) * dh + 1, opts["stride_h"],
+                               opts["padding"])
+    ow, (pl, pr) = _window_out(w, (fw - 1) * dw + 1, opts["stride_w"],
+                               opts["padding"])
+
+    rng = np.random.default_rng(seed)
+    tensors = [TensorSpec(0, "x", DataType.F32, (1, h, w, cin))]
+    store = WeightStore()
+    weights = []
+    for shape in ([] if pool else [wshape]) + ([(cout,)] if has_bias else []):
+        arr = rng.uniform(-1, 1, shape).astype(np.float32)
+        store.put_array(len(weights), arr)
+        tensors.append(TensorSpec(len(tensors), f"w{len(weights)}",
+                                  DataType.F32, shape,
+                                  weight_ref=len(weights)))
+        weights.append(arr)
+    out_id = len(tensors)
+    tensors.append(TensorSpec(out_id, "y", DataType.F32, (1, oh, ow, cout)))
+    g = ComputationalGraph(
+        tensors=tensors,
+        operators=[OperatorNode(op, tuple(range(out_id)), (out_id,), opts)],
+        inputs=(0,), outputs=(out_id,))
+    bundle = ModelBundle(g, store)
+    assume(graphir.validate(bundle) == [])
+
+    x = rng.uniform(-1, 1, (1, h, w, cin)).astype(np.float32)
+    got = interpreter.invoke(interpreter.load(bundle), x)[0]
+    pads = (pt, pb, pl, pr)
+    strides = (opts["stride_h"], opts["stride_w"])
+    clamp = _CLAMPS[opts["activation"]]
+    bias = weights[1] if has_bias else None
+    if op == CONV_2D:
+        want = oracles.conv2d(x, weights[0], bias, strides, (dh, dw), pads,
+                              clamp)
+    elif op == DEPTHWISE_CONV_2D:
+        want = oracles.depthwise_conv2d(x, weights[0], bias, strides,
+                                        (dh, dw), pads,
+                                        opts["depth_multiplier"], clamp)
+    elif op == MAX_POOL_2D:
+        want = oracles.max_pool2d(x, (fh, fw), strides, pads, clamp)
+    else:
+        want = oracles.avg_pool2d(x, (fh, fw), strides, pads, clamp)
+    assert oracles.bitwise_equal(got, want)

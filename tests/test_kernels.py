@@ -14,12 +14,10 @@ from mlfuse.kernels import (
     ParamRecord,
     RegistryError,
     StatusError,
-    UnitKey,
     class_signature,
     default_registry,
     layout_weight_arrays,
     ops,
-    validate_status,
 )
 
 
@@ -231,13 +229,14 @@ def test_helper_deps_follow_the_template_bodies():
     assert ops.HELPER_DEPS["softmax_f32"] == ()
 
 
-# -- registry lookup and variants ---------------------------------------------
+# -- registry lookup ----------------------------------------------------------
 
 def test_lookup_falls_back_to_reference():
+    # one unit per operator kind and dtype serves every device
     from mlfuse.graphir import SOFTMAX
     reg = default_registry()
     unit = reg.lookup(SOFTMAX, DataType.F32, DeviceInfo(threads=4))
-    assert unit.key.variant == "reference"
+    assert unit is reg.lookup(SOFTMAX, DataType.F32, DeviceInfo())
 
 
 def test_lookup_unsupported_op():
@@ -254,7 +253,7 @@ def test_lookup_unsupported_dtype():
 
 def test_duplicate_registration_rejected():
     reg = default_registry()
-    unit = reg.get(UnitKey(CONV_2D, DataType.F32, "reference"))
+    unit = reg.lookup(CONV_2D, DataType.F32, DeviceInfo())
     with pytest.raises(RegistryError, match="duplicate registration"):
         reg.register_builtin(unit)
 
@@ -292,85 +291,71 @@ def test_class_signature_ignores_conv_filter_dims():
     assert class_signature(a) == class_signature(b)
 
 
-# -- status validation --------------------------------------------------------
-
-def _conv_unit_and_params():
-    reg = default_registry()
-    unit = reg.get(UnitKey(CONV_2D, DataType.F32, "reference"))
-    params = ParamRecord("CONV_2D", {
-        "in_shape": (1, 4, 4, 2), "out_shape": (1, 4, 4, 3),
-        "filter_h": 1, "filter_w": 1, "stride_h": 1, "stride_w": 1,
-        "dilation_h": 1, "dilation_w": 1, "pad_before_h": 0,
-        "pad_after_h": 0, "pad_before_w": 0, "pad_after_w": 0,
-        "activation_min": None, "activation_max": None})
-    return unit, params
-
-
-def test_validate_status_complete():
-    unit, params = _conv_unit_and_params()
-    kwargs = validate_status(unit, params, {"weights_layout": "OHWI"})
-    assert kwargs == {}  # layout is a data-mode status, not a kernel arg
-
-
-def test_validate_status_missing_field():
-    unit, params = _conv_unit_and_params()
-    with pytest.raises(StatusError, match="missing status"):
-        validate_status(unit, params, {})
-
-
-def test_validate_status_unknown_field():
-    unit, params = _conv_unit_and_params()
-    with pytest.raises(StatusError, match="unexpected status"):
-        validate_status(unit, params, {"weights_layout": "OHWI", "bogus": 1})
-
-
-def test_validate_status_out_of_domain():
-    unit, params = _conv_unit_and_params()
-    with pytest.raises(StatusError, match="invalid status value"):
-        validate_status(unit, params, {"weights_layout": "NCHW"})
-
-
 # -- weight payload layouts ---------------------------------------------------
 
+def _unit(op):
+    return default_registry().lookup(op, DataType.F32, DeviceInfo())
+
+
 def test_layout_conv_weights_hwio():
-    _, params = _conv_unit_and_params()
+    unit = _unit(CONV_2D)
     rng = np.random.default_rng(3)
     w = rng.uniform(-1, 1, (3, 1, 1, 2)).astype(np.float32)  # OHWI
-    flats, copied = layout_weight_arrays(params,
-                                         {"weights_layout": "HWIO"}, [w])
+    flats, copied = layout_weight_arrays(unit, "HWIO", [w])
     assert copied == w.nbytes
     assert np.array_equal(flats[0],
                           np.ascontiguousarray(w.transpose(1, 2, 3, 0)).ravel())
-    flats2, copied2 = layout_weight_arrays(params,
-                                           {"weights_layout": "OHWI"}, [w])
+    flats2, copied2 = layout_weight_arrays(unit, "OHWI", [w])
     assert copied2 == 0
     assert np.array_equal(flats2[0], w.ravel())
 
 
 def test_layout_fc_weights_transposed():
-    params = ParamRecord("FULLY_CONNECTED", {
-        "batch": 1, "in_features": 2, "out_features": 3,
-        "activation_min": None, "activation_max": None})
+    from mlfuse.graphir import FULLY_CONNECTED
     w = np.arange(6, dtype=np.float32).reshape(3, 2)
-    flats, copied = layout_weight_arrays(
-        params, {"weights_layout": "transposed"}, [w])
+    flats, copied = layout_weight_arrays(_unit(FULLY_CONNECTED),
+                                         "transposed", [w])
     assert copied == w.nbytes
     assert np.array_equal(flats[0], np.ascontiguousarray(w.T).ravel())
 
 
 def test_layout_unknown_layout_rejected():
-    _, params = _conv_unit_and_params()
     w = np.zeros((3, 1, 1, 2), dtype=np.float32)
-    with pytest.raises(StatusError):
-        layout_weight_arrays(params, {"weights_layout": "NCHW"}, [w])
+    with pytest.raises(StatusError, match="no weight layout 'NCHW'"):
+        layout_weight_arrays(_unit(CONV_2D), "NCHW", [w])
+
+
+def test_validate_status_out_of_domain():
+    # a layout another unit lists is still outside this unit's domain
+    from mlfuse.graphir import FULLY_CONNECTED
+    unit = _unit(FULLY_CONNECTED)
+    assert "HWIO" in _unit(CONV_2D).layouts
+    w = np.zeros((3, 2), dtype=np.float32)
+    with pytest.raises(StatusError, match="no weight layout 'HWIO'"):
+        layout_weight_arrays(unit, "HWIO", [w])
+
+
+def test_layout_none_rejected_on_unit_with_layouts():
+    w = np.zeros((3, 1, 1, 2), dtype=np.float32)
+    with pytest.raises(StatusError, match="no weight layout None"):
+        layout_weight_arrays(_unit(CONV_2D), None, [w])
+
+
+def test_layout_rejected_on_unit_without_layouts():
+    from mlfuse.graphir import DEPTHWISE_CONV_2D
+    unit = _unit(DEPTHWISE_CONV_2D)
+    assert unit.layouts == {}
+    w = np.zeros((1, 3, 3, 2), dtype=np.float32)
+    with pytest.raises(StatusError, match="no weight layout 'HWIO'"):
+        layout_weight_arrays(unit, "HWIO", [w])
+    flats, copied = layout_weight_arrays(unit, None, [w])
+    assert copied == 0 and np.array_equal(flats[0], w.ravel())
 
 
 def test_layout_bias_slots_pass_through_flat():
-    _, params = _conv_unit_and_params()
     w = np.zeros((3, 1, 1, 2), dtype=np.float32)
     bias = np.arange(3, dtype=np.float32)
-    flats, _ = layout_weight_arrays(params, {"weights_layout": "OHWI"},
-                                    [w, bias])
+    flats, _ = layout_weight_arrays(_unit(CONV_2D), "HWIO", [w, bias])
     assert np.array_equal(flats[1], bias)
 
 
@@ -384,7 +369,7 @@ def test_param_record_rejects_negative_pads():
 def test_add_i32_rejects_fused_activation():
     from mlfuse.graphir import ADD
     reg = default_registry()
-    unit = reg.get(UnitKey(ADD, DataType.I32, "reference"))
+    unit = reg.lookup(ADD, DataType.I32, DeviceInfo())
     params = ParamRecord("ADD", {"count": 4, "activation_min": 0.0,
                                  "activation_max": None})
     from mlfuse.kernels import check_unit_params
