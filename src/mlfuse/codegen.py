@@ -179,6 +179,17 @@ def load_artifact(out_dir) -> GeneratedArtifact:
         if not ok(manifest[key]):
             raise CodegenError(f"{path}: build manifest '{key}' must be "
                                f"{want}")
+    # the program a verify or bench run executes, and the sources beside
+    # it, must be files of this build, not paths out of it
+    root = Path(out_dir).resolve()
+    for name in [manifest["executable"], *manifest["sources"]]:
+        try:
+            inside = root in (root / name).resolve().parents
+        except ValueError:  # a NUL byte in the name
+            inside = False
+        if not inside:
+            raise CodegenError(f"{path}: build manifest path {name!r} is "
+                               f"not inside the build directory")
     return GeneratedArtifact(
         out_dir=str(out_dir), sources=list(manifest["sources"]),
         executable=str(Path(out_dir) / manifest["executable"]),

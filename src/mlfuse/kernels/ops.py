@@ -29,12 +29,20 @@ there is none (a sum begun at +0.0 is never -0.0, so adding +0.0 changes
 no bit). One np.add.reduce over that axis adds whole rows in index order.
 This holds only while the reduced axis is outermost and at least two
 output lanes run beside it: numpy sums a lone lane pairwise, so a
-single-lane reduction runs beside a twin lane. matmul, dot, einsum and
-np.sum reorder the sum and are not used for reductions. Softmax sums its
-classes with np.add.accumulate, which is sequential by definition; its
-first element is e[0] itself, as +0.0 + e[0] would be, since exp never
-returns -0.0. Depthwise conv and pooling still loop over their reduction
-axes, with vectorization over independent output lanes only.
+single-lane reduction runs beside a twin lane. Softmax sums its classes
+with np.add.accumulate, which is sequential by definition; its first
+element is e[0] itself, as +0.0 + e[0] would be, since exp never returns
+-0.0. Depthwise conv and pooling still loop over their reduction axes,
+with vectorization over independent output lanes only.
+
+matmul, dot and np.sum reorder a sum and are not used. einsum forms
+one-term products only, never sums: a conv chunk of 8192 products or more
+gets them from np.einsum("kc,kl->kcl") (_outer_products), which writes
+each as +0.0 + w * x. That has np.multiply's bits, NaN and inf included,
+except for a -0.0 product, which lands as +0.0. No output can see the
+difference: every sum starts at +0.0, and under round-to-nearest a sum
+begun at +0.0 is never -0.0, so adding a -0.0 term to it gives exactly
+what adding +0.0 gives.
 
 Weight buffers arrive flat, and may be read-only. Each kernel reshapes them
 according to the data layout its body was written against; callers are
@@ -69,9 +77,12 @@ def _sum_products_prep(lhs, rhs, acc, tail):
     # each chunk after the first starts from the running sum as its row 0,
     # and a run leaves row 0 at +0.0. The short remainder chunk goes first,
     # so only the last chunk, always a full one, reaches the tail row, and
-    # no multiply writes over it. The state leaves acc out: the run step
-    # takes it after the state, so reductions of one shape into other
-    # accumulators can share the state.
+    # no multiply writes over it. A chunk is (product, lhs, rhs, prod,
+    # part), and product(lhs, rhs, out=prod) forms its terms: np.multiply
+    # here, which a caller may swap for another call that forms the same
+    # one-term products. The state leaves acc out: the run step takes it
+    # after the state, so reductions of one shape into other accumulators
+    # can share the state.
     lanes = twin = acc
     if acc.size == 1:
         # numpy would sum a lone lane pairwise: reduce a twin pair instead,
@@ -87,22 +98,30 @@ def _sum_products_prep(lhs, rhs, acc, tail):
     k0 = 0
     for k1 in range((k - 1) % step + 1, k + 1, step):
         part = terms[:k1 - k0 + 1 + (k1 == k)]
-        chunks.append((lhs[k0:k1], rhs[k0:k1], terms[1:k1 - k0 + 1], part))
+        chunks.append((np.multiply, lhs[k0:k1], rhs[k0:k1],
+                       terms[1:k1 - k0 + 1], part))
         k0 = k1
     return chunks, None if twin is acc else twin
 
 
 def _sum_products(chunks, twin, acc):
     lanes = acc if twin is None else twin
-    for k, (lhs, rhs, prod, part) in enumerate(chunks):
+    for k, (product, lhs, rhs, prod, part) in enumerate(chunks):
         if k:
             part[0] = lanes
-        np.multiply(lhs, rhs, out=prod)
+        product(lhs, rhs, out=prod)
         np.add.reduce(part, axis=0, out=lanes)
     if k:  # more than one chunk: row 0 holds a sum, not +0.0
         part[0] = 0.0
     if twin is not None:
         acc[...] = twin[0]
+
+
+def _outer_products(lhs, rhs, out):
+    # out[k, c, l] = +0.0 + lhs[k, c] * rhs[k, l] in one loop, where
+    # np.multiply's broadcast of (k, c, 1) by (k, 1, l) runs a row of l at
+    # a time; exact but for the sign of a zero product (see above)
+    np.einsum("kc,kl->kcl", lhs, rhs, out=out)
 
 
 def _pool_windows_prep(x, out, filter_h, filter_w, stride_h, stride_w):
@@ -125,15 +144,14 @@ def conv2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
     x, pad = _pad_nhwc_prep(inputs[0].reshape(in_shape), pad_before_h,
                             pad_after_h, pad_before_w, pad_after_w, 0.0)
     taps = filter_h * filter_w * cin
-    wk = weights[0].reshape(taps, cout, 1)
     out = outputs[0].reshape(n, oh, ow, cout)
     # blocks of whole output rows whose product tensor, its bias row aside,
     # fits in 64 KiB; when one row's does not, as many rows as keep both
-    # the gathered patches and a two-row chunk of products within it, with
-    # the taps chunked
+    # the gathered patches and a two-row chunk of products with the
+    # accumulator within it, with the taps chunked
     rows = (min(oh, 65536 // (4 * (taps + 1) * cout * ow))
             or max(1, min(oh, 65536 // (4 * taps * ow),
-                          65536 // (8 * cout * ow))))
+                          65536 // (12 * cout * ow))))
     cols = np.empty((filter_h, filter_w, cin, rows, ow), dtype=np.float32)
     # every (kh, kw, ci) tap's strided input plane, as one view
     sn, sy, sx, sc = x.strides
@@ -141,27 +159,40 @@ def conv2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
         x, (n, filter_h, filter_w, cin, oh, ow),
         (sn, dilation_h * sy, dilation_w * sx, sc, stride_h * sy,
          stride_w * sx))
+    chunks, twin = _sum_products_prep(
+        weights[0].reshape(taps, cout, 1), cols.reshape(taps, 1, rows * ow),
+        out[0, :rows].reshape(-1, cout).T,
+        weights[1][:, None] if len(weights) > 1 else 0.0)
+    # a chunk's products as one (taps, cout) x (taps, lanes) outer product;
+    # below 8192 of them einsum's larger cost per call loses, and a lone
+    # lane keeps np.multiply, which broadcasts its terms onto the twin
+    for i, (_, lhs, rhs, prod, part) in enumerate(chunks):
+        if twin is None and prod.size >= 8192:
+            chunks[i] = _outer_products, lhs[:, :, 0], rhs[:, 0], prod, part
+    # A block's output rows are a transposed view, strides (4, 4 * cout).
+    # One chunk's reduction writes them once, so it goes straight there;
+    # with more, every chunk reads and writes the running sum, so it stays
+    # in a contiguous accumulator and one copy per block writes it out.
+    acc = np.empty((cout, rows * ow), np.float32) if len(chunks) > 1 else None
     # Every block gathers into cols and reduces with one shared state. The
     # last block ends at the last row, so it overlaps the one before it
     # when rows does not divide oh; the overlapped rows come out the same.
-    sums = _sum_products_prep(wk, cols.reshape(taps, 1, rows * ow),
-                              out[0, :rows].reshape(-1, cout).T,
-                              weights[1][:, None] if len(weights) > 1
-                              else 0.0)
-    blocks = tuple(
-        (cols, win[b, :, :, :, r0:r0 + rows],
-         sums + (out[b, r0:r0 + rows].reshape(-1, cout).T,))
-        for b in range(n)
-        for r0 in [*range(0, oh - rows, rows), oh - rows])
-    return pad, blocks, (out, activation_min, activation_max)
+    blocks = []
+    for b in range(n):
+        for r0 in [*range(0, oh - rows, rows), oh - rows]:
+            blocks.append((cols, win[b, :, :, :, r0:r0 + rows],
+                           out[b, r0:r0 + rows].reshape(-1, cout).T, acc))
+    return pad, blocks, (chunks, twin), (out, activation_min, activation_max)
 
 
-def conv2d_f32(pad, blocks, clamp):
+def conv2d_f32(pad, blocks, sums, clamp):
     if pad:
         np.copyto(*pad)
-    for blk, src, sums in blocks:
+    for blk, src, dst, acc in blocks:
         np.copyto(blk, src)
-        _sum_products(*sums)
+        _sum_products(*sums, dst if acc is None else acc)
+        if acc is not None:
+            np.copyto(dst, acc)
     _apply_clamp(*clamp)
 
 
@@ -385,7 +416,7 @@ def scale_shift_f32(x, scale, shift, out):
 
 HELPERS = {fn.__name__: fn for fn in (
     _apply_clamp, _pad_nhwc_prep, _sum_products_prep,
-    _sum_products, _pool_windows_prep,
+    _sum_products, _outer_products, _pool_windows_prep,
 )}
 
 # run steps, by template id

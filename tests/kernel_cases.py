@@ -269,7 +269,8 @@ def case_conv2d_edge(i):
         h, w = int(rng.integers(28, 34)), 18
     elif kind == "wide_cout":
         # cout far above the taps: one row's products exceed 64 KiB, and
-        # two-row chunks of them cap the block at 2 of 3 rows
+        # a two-row chunk of them beside the accumulator caps the block at
+        # 1 of 3 rows
         f, cin, cout = 1, 4, 64
         h, w = 3, 64
     x = rng.uniform(-1, 1, (n, h, w, cin)).astype(np.float32)

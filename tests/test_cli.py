@@ -216,9 +216,14 @@ _MANIFEST_KEYS = ("sources", "executable", "plan_digest", "delta",
     {"n_inputs": "x"},
     {"seed": 1.5},
     [],
+    {"executable": "/bin/cp"},
+    {"executable": "../program"},
+    {"sources": ["src/net_driver.py", "/etc/hostname"]},
+    {"executable": "prog\0ram"},
 ], ids=[*(f"no-{key}" for key in _MANIFEST_KEYS), "sources-str",
         "executable-int", "plan_digest-list", "delta-str", "delta-inf",
-        "n_inputs-str", "seed-float", "not-an-object"])
+        "n_inputs-str", "seed-float", "not-an-object", "executable-absolute",
+        "executable-outside", "sources-absolute", "executable-nul"])
 def test_malformed_manifest_exits_2(workdir, tmp_path, capsys, command,
                                      edit):
     art = tmp_path / "build"

@@ -7,6 +7,7 @@ import kernel_cases
 import oracles
 from kernel_cases import N_CASES, REFERENCE_CASES
 
+from mlfuse import fixtures, interpreter
 from mlfuse.graphir import CONV_2D, DataType
 from mlfuse.kernels import (
     DeviceInfo,
@@ -39,8 +40,8 @@ def _chunk_lengths(kernel, state):
     if kernel == "fully_connected_f32":
         chunks = state[0][0]
     else:  # the state every block of the conv shares
-        chunks = state[1][0][2][0]
-    return [len(lhs) for lhs, *_ in chunks]
+        chunks = state[2][0]
+    return [len(lhs) for _, lhs, *_ in chunks]
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
@@ -121,7 +122,7 @@ def test_sum_products_is_the_scalar_loop_order():
         tail = rng.choice(values, lanes)
         acc = np.empty(lanes, dtype=np.float32)
         state = ops._sum_products_prep(lhs, rhs, acc, tail)
-        sizes = [len(c[0]) for c in state[0]]
+        sizes = [len(c[1]) for c in state[0]]
         assert len(sizes) > 1 and sizes[0] < sizes[-1], (lanes, sizes)
         ops._sum_products(*state, acc)
         want = np.zeros(lanes, dtype=np.float32)
@@ -131,6 +132,86 @@ def test_sum_products_is_the_scalar_loop_order():
         want = want + tail
         assert np.array_equal(acc.view(np.uint32), want.view(np.uint32)), \
             lanes
+
+
+def _special_terms(rng, k, lhs_rows, rhs_lanes, special):
+    """(k, rows, 1) and (k, 1, lanes) factors of order-sensitive terms.
+
+    Output lane (0, 0) gets the special terms: all -0.0 products, one
+    0 * inf, or one -NaN factor. Only lane 0 of rhs holds them, so every
+    other lane stays finite.
+    """
+    values = np.float32([1e8, -1e8, 1, 3e-8])
+    lhs = rng.choice(values, (k, lhs_rows, 1))
+    rhs = rng.uniform(0.5, 2, (k, 1, rhs_lanes)).astype(np.float32)
+    if special == "negative_zero":
+        lhs[:, 0, 0] = np.abs(lhs[:, 0, 0])
+        rhs[:, 0, 0] = np.float32(-0.0)
+    elif special == "inf_times_zero":
+        lhs[k // 2, 0, 0], rhs[k // 2, 0, 0] = 0.0, np.inf
+    else:
+        rhs[k // 3, 0, 0] = -np.float32(np.nan)
+    return lhs, rhs
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("special", ["negative_zero", "inf_times_zero",
+                                     "nan"])
+@pytest.mark.parametrize("path", ["outer", "fc_batch_1", "twin"])
+def test_both_product_paths_are_the_scalar_loop_order(path, special):
+    # conv's einsum outer products into a transposed (cout, lanes) view,
+    # and np.multiply for FC at batch 1 and for a single lane beside its
+    # twin, against the scalar loop bit for bit, zero signs included. Each
+    # reduction runs in several chunks; lane (0, 0) gets the special terms
+    # and a -0.0 tail, which only a sum begun at +0.0 turns into +0.0.
+    rng = np.random.default_rng(11)
+    rows, lanes = {"outer": (3, 5), "fc_batch_1": (1, 7),
+                   "twin": (1, 1)}[path]
+    lhs, rhs = _special_terms(rng, 10000, rows, lanes, special)
+    if path == "outer":
+        acc = np.empty((lanes, rows), np.float32).T
+    elif path == "fc_batch_1":  # the input row, viewed as FC's prep does
+        lhs = lhs.reshape(1, -1).T[:, :, None]
+        acc = np.empty((1, lanes), np.float32)
+    else:
+        acc = np.empty((1, 1), np.float32)
+    tail = rng.choice(np.float32([1e8, -1e8, 1, 3e-8]), (rows, lanes))
+    tail[0, 0] = np.float32(-0.0)
+    chunks, twin = ops._sum_products_prep(lhs, rhs, acc, tail)
+    assert len(chunks) > 1 and (twin is not None) == (path == "twin")
+    assert all(c[0] is np.multiply for c in chunks)
+    if path == "outer":  # as conv2d_f32_prep swaps them in
+        chunks = [(ops._outer_products, a[:, :, 0], b[:, 0], prod, part)
+                  for _, a, b, prod, part in chunks]
+    ops._sum_products(chunks, twin, acc)
+    want = np.zeros((rows, lanes), np.float32)
+    for t in range(len(lhs)):
+        want = want + lhs[t] * rhs[t]
+    want = want + tail
+    if special == "negative_zero":
+        assert want[0, 0].tobytes() == np.float32(0.0).tobytes()
+    else:
+        assert np.isnan(want[0, 0])
+    assert np.isfinite(want[:, 1:]).all()
+    assert np.array_equal(acc.view(np.uint32), want.view(np.uint32))
+
+
+def test_lenet_states_take_the_product_call_their_kernel_names():
+    # lenet's conv chunks all hold 8192 products or more, so every one goes
+    # through einsum's outer products; FC chunks stay with np.multiply.
+    # A silent fallback to the broadcast multiply fails here.
+    plan = interpreter.load(fixtures.build_fixture("lenet"))
+    products = {}
+    for step in plan.steps:
+        tid = step.unit.template_id
+        chunks = (step.state[2][0] if tid == "conv2d_f32"
+                  else step.state[0][0] if tid == "fully_connected_f32"
+                  else ())
+        products.setdefault(tid, []).extend(c[0] for c in chunks)
+    assert len(products["conv2d_f32"]) == 1 + 10  # conv1 1, conv2 10
+    assert set(products["conv2d_f32"]) == {ops._outer_products}
+    assert len(products["fully_connected_f32"]) >= 3
+    assert set(products["fully_connected_f32"]) == {np.multiply}
 
 
 @pytest.mark.parametrize("kind", kernel_cases.TAIL_KINDS)
@@ -220,7 +301,7 @@ def test_helper_deps_follow_the_template_bodies():
     # helper by its own name
     assert set(ops.HELPER_DEPS) == set(ops.KERNELS) == set(ops.PREPS)
     assert ops.HELPER_DEPS["conv2d_f32"] == (
-        "_apply_clamp", "_pad_nhwc_prep", "_sum_products",
+        "_apply_clamp", "_outer_products", "_pad_nhwc_prep", "_sum_products",
         "_sum_products_prep")
     assert ops.HELPER_DEPS["fully_connected_f32"] == (
         "_apply_clamp", "_sum_products", "_sum_products_prep")
