@@ -469,10 +469,8 @@ def _emit_driver(plan: EmissionPlan) -> str:
         out.append("")
 
     in_specs = [plan.tensors[t] for t in plan.input_ids]
-    out_shapes = tuple(plan.tensors[t].shape for t in plan.output_ids)
     out.append(f"INPUT_SHAPES = {_lit(tuple(b.shape for b in in_specs))}")
     out.append(f"INPUT_SIZES = {_lit(tuple(b.count for b in in_specs))}")
-    out.append(f"OUTPUT_SHAPES = {_lit(out_shapes)}")
     total = sum(b.count * 4 for b in plan.tensors.values())
     out.append(f"BUFFER_BYTES = {total}")
     out.append(f"SCRATCH_BYTES = {plan.scratch_bytes}")
@@ -505,19 +503,33 @@ def _emit_driver(plan: EmissionPlan) -> str:
 
 
 _MAIN_SRC = '''\
-import gc
-import json
+import os
+import site
 import sys
+
+# The interpreter line runs this under -S: no .pth file or sitecustomize of
+# the host runs, and importing site runs none either. The package dirs site
+# would add go on sys.path; the user site dir stays out. Under -S a venv's
+# python keeps the base install as sys.prefix, and Debian's
+# site.getsitepackages only names a venv's site-packages when sys.prefix
+# differs from sys.base_prefix, so a venv (the dir above bin/ holds a
+# pyvenv.cfg) becomes sys.prefix, as site itself would make it, and its
+# dirs go before the base install's. No kernel calls BLAS, so OpenBLAS gets
+# one thread, not a pool of idle workers; that must be set before numpy is
+# imported.
+v = sys.executable.rsplit("/", 2)[0]
+if os.path.isfile(v + "/pyvenv.cfg"):
+    sys.prefix = v
+sys.path += site.getsitepackages([sys.prefix, sys.base_prefix])
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import gc
+import itertools
 import time
 
 import numpy as np
 
 import net_driver
-
-
-def _fail(msg):
-    sys.stderr.write(msg + "\\n")
-    return 2
 
 
 def main(argv):
@@ -536,12 +548,15 @@ def main(argv):
     except (StopIteration, ValueError):
         paths = ()
     if len(paths) != 2 or reps < 1:
-        return _fail("usage: program IN.raw OUT.raw [--reps N] [--stats FILE]")
+        print("usage: program IN.raw OUT.raw [--reps N] [--stats FILE]",
+              file=sys.stderr)
+        return 2
     per_sample = sum(net_driver.INPUT_SIZES)
     flat = np.fromfile(paths[0], dtype="<f4").astype(np.float32)
     if flat.size == 0 or flat.size % per_sample != 0:
-        return _fail(f"input holds {flat.size} values, "
-                     f"need a multiple of {per_sample}")
+        print(f"input holds {flat.size} values, need a multiple of "
+              f"{per_sample}", file=sys.stderr)
+        return 2
     samples = []
     for row in flat.reshape(-1, per_sample):
         fields = []
@@ -552,23 +567,25 @@ def main(argv):
         samples.append(fields)
     net_driver.run(samples[0])
     times = []
-    outs = None
     # collector pauses would land in individual repetitions; keep it off
     # while the clock runs
     gc.disable()
     try:
         for _ in range(reps):
             t0 = time.perf_counter_ns()
-            outs = [net_driver.run(s) for s in samples]
+            outs = list(map(net_driver.run, samples))
             times.append(time.perf_counter_ns() - t0)
     finally:
         gc.enable()
-    merged = np.concatenate([o.reshape(-1) for out in outs for o in out])
+    merged = np.concatenate([*itertools.chain(*outs)])  # flat buffers' copies
     merged.astype("<f4").tofile(paths[1])
     if stats_path is not None:
         # run() allocates only the copies of the outputs it hands back.
         # Kernel scratch, prepared at import, is reported on its own: the
-        # interpreter's peak leaves out the same scratch.
+        # interpreter's peak leaves out the same scratch. json is imported
+        # only here: a run without --stats does not pay for it.
+        import json
+
         invoke_bytes = merged.nbytes // len(samples)
         stats = {
             "reps": reps,
@@ -590,7 +607,8 @@ if __name__ == "__main__":
     try:
         sys.exit(main(sys.argv[1:]))
     except OSError as e:
-        sys.exit(_fail(f"{e.filename}: {e.strerror}"))
+        print(f"{e.filename}: {e.strerror}", file=sys.stderr)
+        sys.exit(2)
 '''
 
 
@@ -677,7 +695,9 @@ def compile_program(out_dir, sources, toolchain: ToolchainConfig | None = None) 
     <flags> <strip_flags> -X no_debug_ranges -c _COMPILE_SRC TMPDIR SRC...`
     for a stripped build, which ships the pycs it writes, and `python -S
     <flags> -c _COMPILE_SRC "" SRC...` for an unstripped one, which only
-    checks that each source compiles and ships the sources.
+    checks that each source compiles and ships the sources. The program's
+    interpreter line is `#!<python> -S`, so no site hooks of the host run
+    in it (see _MAIN_SRC).
     """
     toolchain = toolchain or ToolchainConfig()
     python = _resolve_toolchain(toolchain)
@@ -707,7 +727,7 @@ def compile_program(out_dir, sources, toolchain: ToolchainConfig | None = None) 
 
     exe = out_dir / "program"
     with open(exe, "wb") as f:
-        f.write(b"#!" + python.encode() + b"\n")
+        f.write(b"#!" + python.encode() + b" -S\n")
         with zipfile.ZipFile(f, "w", zipfile.ZIP_STORED) as z:
             for name, data in members:
                 info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from mlfuse import codegen, fixtures, graphir, harness, interpreter
 from mlfuse.graphir import (
+    ADD,
     FULLY_CONNECTED,
     RESHAPE,
     ComputationalGraph,
@@ -161,7 +162,8 @@ def test_emitted_sources_and_manifest(built):
              for s in artifact.sources}
     driver = texts["src/net_driver.py"]
     assert "def run(" in driver
-    assert "INPUT_SHAPES" in driver and "OUTPUT_SHAPES" in driver
+    assert "INPUT_SHAPES" in driver
+    assert "OUTPUT_SHAPES" not in driver  # nothing reads the output shapes
     weights = texts["src/net_weights.py"]
     assert "W0_0" in weights and "W0_0" in driver
     assert "--reps" in texts["src/__main__.py"]
@@ -230,14 +232,22 @@ def test_program_rejects_bad_arguments_with_exit_2(built, tmp_path, args):
 
 
 def _program_main(artifact):
-    """The built program's __main__.main, loaded from its zip."""
+    """The built program's __main__.main, loaded from its zip.
+
+    Its module code extends sys.path, sets an environment variable and,
+    under a venv's python, sys.prefix; all are put back as they were.
+    """
     code = zipimport.zipimporter(artifact.executable).get_code("__main__")
     ns = {"__name__": "program_main"}  # not "__main__": main must not run
+    path, environ, prefix = sys.path[:], dict(os.environ), sys.prefix
     sys.path.insert(0, artifact.executable)
     try:
         exec(code, ns)
     finally:
-        sys.path.remove(artifact.executable)
+        sys.path[:] = path
+        sys.prefix = prefix
+        os.environ.clear()
+        os.environ.update(environ)
         for m in ("net_driver", "net_weights"):
             sys.modules.pop(m, None)
     return ns["main"]
@@ -249,7 +259,9 @@ def test_program_argv_fuzz_exits_0_or_2(built, tmp_path, monkeypatch):
     # Junk holds no NUL, which no OS argv carries, no "/", so a junk path
     # stays in the working directory, and no digit, so --reps stays small.
     _, artifact = built["mlp"]
+    path, environ, prefix = sys.path[:], dict(os.environ), sys.prefix
     main = _program_main(artifact)
+    assert (sys.path, dict(os.environ), sys.prefix) == (path, environ, prefix)
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
@@ -286,6 +298,148 @@ def test_program_argv_fuzz_exits_0_or_2(built, tmp_path, monkeypatch):
     check()
     assert sorted(os.listdir(tmp_path.parent)) == outside
     assert sorted(os.listdir(tmp_path)) == ["work"]
+
+
+def _program_output(artifact, xs, work, env=None) -> bytes:
+    """What the program writes for the samples xs, run as an executable."""
+    ip, op = work / "in.raw", work / "out.raw"
+    np.concatenate([a.reshape(-1) for x in xs for a in x]).astype(
+        "<f4").tofile(ip)
+    proc = subprocess.run([artifact.executable, str(ip), str(op)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return op.read_bytes()
+
+
+def _interpreter_output(bundle, xs) -> bytes:
+    plan = interpreter.load(bundle)
+    return b"".join(o.astype("<f4").tobytes()
+                    for x in xs for o in interpreter.invoke(plan, x))
+
+
+# Run in a `python -S` child with argv PROGRAM IN OUT: runs the program's
+# zip in that process, as its interpreter line would, then reports the
+# threads the process holds and where its numpy came from.
+_IN_PROCESS_SRC = """\
+import json, os, runpy, sys
+del sys.argv[0]
+try:
+    runpy.run_path(sys.argv[0], run_name="__main__")
+except SystemExit as e:
+    if e.code:
+        raise
+tasks = "/proc/self/task"
+print(json.dumps({
+    "tasks": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+    "numpy": sys.modules["numpy"].__file__}))
+"""
+
+
+def _run_in_process(python, artifact, work, env=None) -> dict:
+    proc = subprocess.run(
+        [str(python), "-S", "-c", _IN_PROCESS_SRC, artifact.executable,
+         str(work / "in.raw"), str(work / "out.raw")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_program_runs_no_host_site_code(built, tmp_path):
+    # the interpreter line starts the program under -S: a sitecustomize on
+    # the host's path (or a .pth file in its site-packages) never runs, and
+    # numpy is still found
+    site_dir = tmp_path / "site"
+    site_dir.mkdir()
+    (site_dir / "sitecustomize.py").write_text("import os\nos._exit(3)\n")
+    env = dict(os.environ, PYTHONPATH=str(site_dir))
+    assert subprocess.run([sys.executable, "-c", "pass"],
+                          env=env).returncode == 3  # the hook is live
+    bundle, artifact = built["mlp"]
+    xs = [_sample(bundle, s) for s in range(4)]
+    assert _program_output(artifact, xs, tmp_path, env) == \
+        _interpreter_output(bundle, xs)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads in /proc/self/task")
+def test_program_starts_no_blas_thread_pool(built, tmp_path):
+    # no kernel calls BLAS, so the program holds only its main thread;
+    # without the cap OpenBLAS starts a worker per extra CPU at import
+    bundle, artifact = built["lenet"]
+    xs = [_sample(bundle, s) for s in range(2)]
+    want = _program_output(artifact, xs, tmp_path)
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    got = _run_in_process(sys.executable, artifact, tmp_path, env)
+    assert got["tasks"] == 1
+    assert (tmp_path / "out.raw").read_bytes() == want
+    assert want == _interpreter_output(bundle, xs)
+
+
+# venvs of the running interpreter and of the distribution's python of the
+# same version, whose site.getsitepackages Debian and Ubuntu patch: it names
+# a venv's site-packages only when sys.prefix is not the base install
+@pytest.mark.parametrize("base", [
+    sys.executable, "/usr/bin/python%d.%d" % sys.version_info[:2]],
+    ids=["running", "distribution"])
+def test_program_built_with_a_venv_python_finds_the_venvs_numpy(base,
+                                                                tmp_path):
+    # under -S a venv's python has the base install as sys.prefix; the
+    # program still puts the venv's site-packages first on its path
+    if not os.path.isfile(base):
+        pytest.skip(f"no {base}")
+    venv = tmp_path / "venv"
+    made = subprocess.run([base, "-m", "venv", "--without-pip", str(venv)],
+                          capture_output=True)
+    python = venv / "bin" / "python"
+    if made.returncode != 0 or not python.is_file():
+        pytest.skip("cannot make a venv with this interpreter")
+    purelib = Path(subprocess.run(
+        [python, "-c", "import sysconfig; print(sysconfig.get_path('purelib'))"],
+        capture_output=True, text=True, check=True).stdout.strip())
+    numpy_dir = Path(np.__file__).parent
+    for d in (numpy_dir, numpy_dir.with_name("numpy.libs")):
+        if d.exists():
+            (purelib / d.name).symlink_to(d)
+    if subprocess.run([python, "-c", "import numpy"],
+                      capture_output=True).returncode != 0:
+        pytest.skip("this numpy does not load in that interpreter")
+    bundle = fixtures.build_fixture("identity")
+    art = codegen.pipeline(bundle, tmp_path / "x",
+                           toolchain=codegen.ToolchainConfig(str(python)))
+    with open(art.executable, "rb") as f:
+        assert f.readline() == b"#!" + bytes(python) + b" -S\n"
+    xs = [_sample(bundle, s) for s in range(3)]
+    assert _program_output(art, xs, tmp_path) == \
+        _interpreter_output(bundle, xs)
+    got = _run_in_process(python, art, tmp_path)
+    assert os.path.samefile(Path(got["numpy"]).parent.parent, purelib)
+
+
+def test_program_writes_every_output_of_every_sample(tmp_path):
+    # two inputs and two outputs of different sizes: each input row splits
+    # into its fields, and each sample's outputs follow in graph order
+    g = ComputationalGraph(
+        tensors=[
+            TensorSpec(0, "x", DataType.F32, (1, 4)),
+            TensorSpec(1, "y", DataType.F32, (1, 6)),
+            TensorSpec(2, "c", DataType.F32, (1, 4), weight_ref=0),
+            TensorSpec(3, "sum", DataType.F32, (1, 4)),
+            TensorSpec(4, "grid", DataType.F32, (2, 3)),
+        ],
+        operators=[
+            OperatorNode(ADD, (0, 2), (3,), {"activation": "RELU"}),
+            OperatorNode(RESHAPE, (1,), (4,), {"new_shape": [2, 3]}),
+        ],
+        inputs=(0, 1), outputs=(4, 3))
+    store = WeightStore()
+    store.put_array(0, np.array([[0.5, -2.0, 1.0, 0.25]], dtype=np.float32))
+    bundle = ModelBundle(g, store)
+    art = codegen.pipeline(bundle, tmp_path / "x")
+    xs = [_sample(bundle, s) for s in range(3)]
+    want = _interpreter_output(bundle, xs)
+    assert len(want) == 3 * (6 + 4) * 4
+    assert _program_output(art, xs, tmp_path) == want
 
 
 def test_weights_ship_as_read_only_views_of_one_blob(built):
