@@ -172,6 +172,13 @@ def cmd_sniff(args) -> int:
     return 1 if report.findings else 0
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mlfuse",
@@ -229,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("weights")
     p.add_argument("artifact", help="codegen output directory")
-    p.add_argument("--reps", type=int, default=1000)
+    p.add_argument("--reps", type=_positive_int, default=1000)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_bench)
 

@@ -3,9 +3,11 @@
 The pipeline lowers the bundle once (lowering.py): one computing unit per
 operator with its known configuration resolved from the container, and one
 buffer per tensor. It searches the one unknown, the weight layout of each
-conv and FC, by comparing candidate behavior against the runtime, and then
-emits a program that embeds the weight payloads and only the kernel
-templates the model needs. The emitted program carries no model container,
+conv and FC, by comparing candidate behavior against the runtime; each
+candidate goes through lowering.configure, the step the interpreter uses
+too. It then emits, straight from the lowering and the accepted
+candidate's weights, a program that embeds the weight payloads and only the
+kernel templates the model needs. The emitted program carries no model container,
 no parser, and no registry; its only file access at inference time is the
 input tensor argument.
 
@@ -37,7 +39,7 @@ from . import graphir, harness, interpreter
 from .graphir import GraphError, DataType, ModelBundle
 from .kernels import DeviceInfo, class_signature, default_registry
 from .kernels import ops as kernel_ops
-from .lowering import BufferSpec, LoweredOp, Lowering, bind, lower
+from .lowering import LoweredOp, Lowering, configure, lower
 
 
 class CodegenError(Exception):
@@ -113,26 +115,15 @@ class SearchResult:
     # input; written to the manifest as max_diff
     max_error: float
     scratch_bytes: int  # kernel scratch of the accepted candidate's states
-
-
-@dataclass
-class EmissionStep:
-    op_index: int
-    template_id: str
-    kwargs: dict
-    act_ids: tuple[int, ...]
-    output_ids: tuple[int, ...]
-    weight_names: tuple[str, ...]
+    weights: list  # per operator: its flat weights in the accepted layouts
 
 
 @dataclass
 class EmissionPlan:
     """Everything the emitter needs, already cut loose from the container."""
-    steps: list[EmissionStep]
-    weights: dict  # name -> flat array, laid out per the accepted layouts
-    tensors: dict[int, BufferSpec]  # one buffer per non-weight tensor
-    input_ids: tuple[int, ...]
-    output_ids: tuple[int, ...]
+    lowered: Lowering
+    # name -> flat array in the accepted layout, in operator then slot order
+    weights: dict
     scratch_bytes: int
 
 
@@ -288,9 +279,11 @@ def search_status(bundle: ModelBundle, lowered: Lowering, configs,
     compared with the runtime's copy of it, right after that operator runs:
     a candidate is rejected at the first tensor whose l2 distance exceeds
     delta, so a wrong layout cannot hide behind a saturating later operator.
-    The accepted candidate is evaluated on every input. Each candidate's
-    kernels are prepared once and then run on all inputs. The runtime's
-    plan is loaded with the given registry, not from the lowering.
+    The accepted candidate is evaluated on every input. lowering.configure
+    lays each candidate's weights out and prepares its kernels once, and
+    they then run on all inputs; the accepted candidate's flat weights go
+    to the emitter as they are. The runtime's plan is loaded with the given
+    registry, not from the lowering.
     """
     cfg = cfg or harness.VerifyConfig()
     classes = build_classes(configs)
@@ -313,18 +306,16 @@ def search_status(bundle: ModelBundle, lowered: Lowering, configs,
         for cls, layout in zip(classes, joint):
             for i in cls.members:
                 layouts[i] = layout
-        steps = []
-        known = list(buffers.values())
-        for c in configs:
-            flats, _ = bind(c, layouts[c.op_index], lowered.weights)
-            known += flats
-            steps.append((c.unit, c.prepare(buffers, flats), c.output_ids))
-        worst = _worst_error(steps, xs, refs, input_bufs, buffers, cfg.delta)
+        flats, states, _ = configure(lowered, layouts, buffers)
+        worst = _worst_error(
+            [(c.unit, s, c.output_ids) for c, s in zip(configs, states)],
+            xs, refs, input_bufs, buffers, cfg.delta)
         if worst <= cfg.delta:
+            known = [*buffers.values(), *itertools.chain(*flats)]
             return SearchResult(
                 layouts=layouts, candidates_evaluated=evaluated,
-                max_error=worst,
-                scratch_bytes=_scratch_bytes([s[1] for s in steps], known))
+                max_error=worst, scratch_bytes=_scratch_bytes(states, known),
+                weights=flats)
         if worst < best:
             best = worst
     raise SearchError(
@@ -337,25 +328,17 @@ def search_status(bundle: ModelBundle, lowered: Lowering, configs,
 # Emission
 
 
+def _weight_names(op: LoweredOp) -> list[str]:
+    return [f"W{op.op_index}_{slot}" for slot in range(len(op.weight_keys))]
+
+
 def build_emission_plan(lowered: Lowering, configs,
                         result: SearchResult) -> EmissionPlan:
-    steps = []
-    weights_out: dict = {}
-    for c in configs:
-        flats, _ = bind(c, result.layouts[c.op_index], lowered.weights)
-        names = []
-        for slot, arr in enumerate(flats):
-            name = f"W{c.op_index}_{slot}"
-            weights_out[name] = arr
-            names.append(name)
-        steps.append(EmissionStep(
-            op_index=c.op_index, template_id=c.unit.template_id,
-            kwargs=c.params.values, act_ids=c.act_ids, output_ids=c.output_ids,
-            weight_names=tuple(names)))
-    return EmissionPlan(
-        steps=steps, weights=weights_out, tensors=lowered.tensors,
-        input_ids=lowered.input_ids, output_ids=lowered.output_ids,
-        scratch_bytes=result.scratch_bytes)
+    """Name the accepted candidate's weights; nothing is laid out again."""
+    weights = {name: arr for c, flats in zip(configs, result.weights)
+               for name, arr in zip(_weight_names(c), flats)}
+    return EmissionPlan(lowered=lowered, weights=weights,
+                        scratch_bytes=result.scratch_bytes)
 
 
 _FORBIDDEN_TOKENS = ("tflite", ".lite", "graph.json", ".params", "MLW0",
@@ -397,16 +380,11 @@ def _wrap_args(parts, indent="        ", width=80) -> list[str]:
     return lines
 
 
-def _weight_order(name: str) -> tuple[int, int]:
-    op, slot = name[1:].split("_")
-    return int(op), int(slot)
-
-
 def _emit_weights(plan: EmissionPlan) -> str:
     # one bytes literal holds every payload and each weight is a read-only
     # view into it. Every byte is written as an escape, so no stretch of the
     # blob can read as text in the source.
-    names = sorted(plan.weights, key=_weight_order)
+    names = list(plan.weights)
     for name in names:
         if plan.weights[name].dtype not in (np.float32, np.int32):
             raise CodegenError(f"cannot embed weight dtype "
@@ -441,10 +419,9 @@ def _emit_driver(plan: EmissionPlan) -> str:
     # made once at import; run() only copies the inputs in, calls each run
     # step through its module-global name (so it can be wrapped after
     # import) and hands back fresh copies of the outputs.
-    used_templates = []
-    for step in plan.steps:
-        if step.template_id not in used_templates:
-            used_templates.append(step.template_id)
+    lowered = plan.lowered
+    used_templates = list(dict.fromkeys(op.unit.template_id
+                                        for op in lowered.ops))
     helpers = []
     for tid in used_templates:
         for h in kernel_ops.HELPER_DEPS[tid]:
@@ -454,9 +431,8 @@ def _emit_driver(plan: EmissionPlan) -> str:
 
     out = ["import numpy as np", ""]
     if plan.weights:
-        names = sorted(plan.weights, key=_weight_order)
         out.append("from net_weights import (")
-        out.extend(_wrap_args(names, indent="    "))
+        out.extend(_wrap_args(plan.weights, indent="    "))
         out.append(")")
         out.append("")
     out.append("")
@@ -468,35 +444,35 @@ def _emit_driver(plan: EmissionPlan) -> str:
         out.append("")
         out.append("")
 
-    in_specs = [plan.tensors[t] for t in plan.input_ids]
+    in_specs = [lowered.tensors[t] for t in lowered.input_ids]
     out.append(f"INPUT_SHAPES = {_lit(tuple(b.shape for b in in_specs))}")
     out.append(f"INPUT_SIZES = {_lit(tuple(b.count for b in in_specs))}")
-    total = sum(b.count * 4 for b in plan.tensors.values())
+    total = sum(b.count * 4 for b in lowered.tensors.values())
     out.append(f"BUFFER_BYTES = {total}")
     out.append(f"SCRATCH_BYTES = {plan.scratch_bytes}")
     out.append("")
-    for tid in sorted(plan.tensors):
-        b = plan.tensors[tid]
+    for tid in sorted(lowered.tensors):
+        b = lowered.tensors[tid]
         out.append(f"t{tid} = np.empty({b.count}, "
                    f"{_NP_DTYPE_TOKEN[b.dtype.name]})")
-    for step in plan.steps:
-        ins = ", ".join(f"t{t}" for t in step.act_ids)
-        ws = ", ".join(step.weight_names)
-        outs = ", ".join(f"t{t}" for t in step.output_ids)
-        out.append(f"S{step.op_index} = {step.template_id}_prep(")
+    for op in lowered.ops:
+        ins = ", ".join(f"t{t}" for t in op.act_ids)
+        ws = ", ".join(_weight_names(op))
+        outs = ", ".join(f"t{t}" for t in op.output_ids)
+        out.append(f"S{op.op_index} = {op.unit.template_id}_prep(")
         out.append(f"    [{ins}], [{ws}], [{outs}],")
-        kw_parts = [f"{k}={_lit(v)}" for k, v in step.kwargs.items()]
+        kw_parts = [f"{k}={_lit(v)}" for k, v in op.params.values.items()]
         out.extend(_wrap_args(kw_parts, indent="    "))
         out.append(")")
     out.append("")
     out.append("")
     out.append("def run(inputs):")
-    for slot, tid in enumerate(plan.input_ids):
+    for slot, tid in enumerate(lowered.input_ids):
         out.append(f"    np.copyto(t{tid}, inputs[{slot}].reshape(-1))")
-    for step in plan.steps:
-        out.append(f"    {step.template_id}(*S{step.op_index})")
-    rets = ", ".join(f"t{t}.copy()" for t in plan.output_ids)
-    if len(plan.output_ids) == 1:
+    for op in lowered.ops:
+        out.append(f"    {op.unit.template_id}(*S{op.op_index})")
+    rets = ", ".join(f"t{t}.copy()" for t in lowered.output_ids)
+    if len(lowered.output_ids) == 1:
         rets += ","
     out.append(f"    return ({rets})")
     return "\n".join(out) + "\n"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -451,10 +452,7 @@ def validate(bundle: ModelBundle, custom_rules=None) -> list[str]:
         if len(t.shape) == 0 or any(d < 1 for d in t.shape):
             out.append(f"tensor {i}: shape {t.shape} must be positive")
             continue
-        count = 1
-        for d in t.shape:
-            count *= d
-        if count >= 2 ** 63:
+        if math.prod(t.shape) >= 2 ** 63:
             out.append(f"tensor {i}: element count does not fit in int64")
         if t.weight_ref is not None:
             entry = store.entries.get(t.weight_ref)
@@ -478,8 +476,10 @@ def validate(bundle: ModelBundle, custom_rules=None) -> list[str]:
                 out.append(f"graph {name}: tensor id {tid} out of range")
         if len(set(ids)) != len(ids):
             out.append(f"graph {name}: duplicate ids")
-    if any(tid in weight_ids for tid in graph.inputs if 0 <= tid < n_tensors):
-        out.append("graph inputs: weight-backed tensor cannot be a graph input")
+    for name, ids in (("input", graph.inputs), ("output", graph.outputs)):
+        if any(tid in weight_ids for tid in ids if 0 <= tid < n_tensors):
+            out.append(f"graph {name}s: weight-backed tensor cannot be a "
+                       f"graph {name}")
     if out:
         return out
 

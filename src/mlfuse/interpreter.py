@@ -2,11 +2,12 @@
 
 The interpreter is the reference deployment. Load validates the bundle and
 lowers it (lowering.py): one computing unit per operator with its resolved
-parameters, and one buffer per tensor. Configure allocates the buffers,
-lays every operator's weight out in the layout the table shipped with the
-kernels names, and runs each kernel's prepare step once, binding its views
-of the buffers and allocating its scratch. Invoke then only calls each
-kernel's run step on that state, in topological order.
+parameters, and one buffer per tensor. Configure allocates the buffers and
+calls lowering.configure with the layouts the table shipped with the
+kernels names: that lays every operator's weight out and runs each
+kernel's prepare step once, binding its views of the buffers and allocating
+its scratch. Invoke then only calls each kernel's run step on that state,
+in topological order.
 
 Memory accounting covers plan-managed allocations only: the serialized graph
 text and weight arrays at load, tensor buffers and weight reorder copies at
@@ -27,7 +28,7 @@ from . import graphir
 from .graphir import GraphError, ModelBundle
 from .kernels import DeviceInfo, default_registry
 from .kernels.live_status import hidden_status_for
-from .lowering import Lowering, bind, lower
+from .lowering import Lowering, configure, lower
 
 
 class InterpreterError(Exception):
@@ -90,7 +91,7 @@ class ExecutablePlan:
 
 def load(bundle: ModelBundle, device: DeviceInfo | None = None,
          registry=None) -> ExecutablePlan:
-    """Build an executable plan: validate, lower, allocate, bind, prepare."""
+    """Build an executable plan: validate, lower, allocate, configure."""
     registry = registry or default_registry()
     tracker = PhaseTracker()
 
@@ -107,13 +108,13 @@ def load(bundle: ModelBundle, device: DeviceInfo | None = None,
     buffers = lowered.allocate()
     for buf in buffers.values():
         tracker.alloc(buf.nbytes)
-    steps: list[PlanStep] = []
-    for op in lowered.ops:
-        flats, copied = bind(op, hidden_status_for(op.unit.key),
-                             lowered.weights)
-        tracker.alloc(copied)
-        steps.append(PlanStep(op_index=op.op_index, kind=op.kind,
-                              unit=op.unit, state=op.prepare(buffers, flats)))
+    _, states, copied = configure(
+        lowered, [hidden_status_for(op.unit.key) for op in lowered.ops],
+        buffers)
+    tracker.alloc(copied)
+    steps = [PlanStep(op_index=op.op_index, kind=op.kind, unit=op.unit,
+                      state=state)
+             for op, state in zip(lowered.ops, states)]
     return ExecutablePlan(lowered=lowered, steps=steps, buffers=buffers,
                           tracker=tracker)
 

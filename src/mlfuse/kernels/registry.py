@@ -2,15 +2,19 @@
 
 A computing unit binds one operator kind and one data type to a kernel
 template, as its prepare and run steps; one unit serves every device.
-Known configuration is resolved from node options into a ParamRecord. The
-one setting the container does not carry is the memory layout a conv or FC
-kernel expects its weight in: a unit lists the layouts it may take, and the
-caller names one, either from the table shipped with the runtime or by
-search. layout_weight_arrays lays the stored weight out in it.
+Known configuration is resolved from node options into a ParamRecord.
+graphir.validate owns the rules of builtin options, so the registry reads
+them as given; it checks only what validation cannot see, the options of
+custom operators and each unit's own limits (param_check). The one setting
+the container does not carry is the memory layout a conv or FC kernel
+expects its weight in: a unit lists the layouts it may take, and the caller
+names one, either from the table shipped with the runtime or by search.
+layout_weight_arrays lays the stored weight out in it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,15 +76,6 @@ class ParamRecord:
     op_kind: str
     values: dict
 
-    def __post_init__(self):
-        v = self.values
-        for key in ("pad_before_h", "pad_after_h", "pad_before_w", "pad_after_w"):
-            if key in v and v[key] < 0:
-                raise ParamError(f"{self.op_kind}: {key} is negative")
-        lo, hi = v.get("activation_min"), v.get("activation_max")
-        if lo is not None and hi is not None and lo > hi:
-            raise ParamError(f"{self.op_kind}: activation range inverted")
-
 
 # keys that depend on tensor shapes, not on operator options; they are left
 # out of the configuration-class signature
@@ -107,7 +102,7 @@ def class_signature(record: ParamRecord) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Option resolution
+# Option resolution, from options graphir.validate has checked
 
 _ACT_CLAMPS = {
     "NONE": (None, None),
@@ -116,76 +111,43 @@ _ACT_CLAMPS = {
 }
 
 
-def _opt(node: OperatorNode, key: str):
-    if key not in node.options:
-        raise ParamError(f"{op_kind(node)}: missing required option '{key}'")
-    return node.options[key]
-
-
-def _clamps(node: OperatorNode) -> tuple:
-    act = _opt(node, "activation")
-    if act not in _ACT_CLAMPS:
-        raise ParamError(f"invalid option value: activation={act!r}")
-    return _ACT_CLAMPS[act]
-
-
-def _stride(node: OperatorNode, key: str) -> int:
-    v = _opt(node, key)
-    if type(v) is not int or v < 1:
-        raise ParamError(f"invalid option value: {key}={v!r}")
-    return v
-
-
-def _count(shape) -> int:
-    n = 1
-    for d in shape:
-        n *= d
-    return n
-
-
-def _spatial_pads(node, in_hw, out_hw, eff_hw, strides):
-    mode = _opt(node, "padding")
-    if mode == "VALID":
+def _spatial_pads(o, in_hw, out_hw, eff_hw) -> tuple:
+    if o["padding"] == "VALID":
         return 0, 0, 0, 0
-    if mode != "SAME":
-        raise ParamError(f"invalid option value: padding={mode!r}")
-    pbh, pah = same_padding(in_hw[0], out_hw[0], eff_hw[0], strides[0])
-    pbw, paw = same_padding(in_hw[1], out_hw[1], eff_hw[1], strides[1])
-    return pbh, pah, pbw, paw
+    return (*same_padding(in_hw[0], out_hw[0], eff_hw[0], o["stride_h"]),
+            *same_padding(in_hw[1], out_hw[1], eff_hw[1], o["stride_w"]))
 
 
-def _map_conv(node, in_shapes, out_shape, depthwise: bool) -> dict:
+def _map_conv(o, in_shapes, out_shape, depthwise: bool) -> dict:
     x, f = in_shapes[0], in_shapes[1]
-    sh, sw = _stride(node, "stride_h"), _stride(node, "stride_w")
-    dh, dw = _stride(node, "dilation_h"), _stride(node, "dilation_w")
+    dh, dw = o["dilation_h"], o["dilation_w"]
     fh, fw = f[1], f[2]
-    eff = ((fh - 1) * dh + 1, (fw - 1) * dw + 1)
     pbh, pah, pbw, paw = _spatial_pads(
-        node, (x[1], x[2]), (out_shape[1], out_shape[2]), eff, (sh, sw))
-    lo, hi = _clamps(node)
+        o, x[1:3], out_shape[1:3], ((fh - 1) * dh + 1, (fw - 1) * dw + 1))
+    lo, hi = _ACT_CLAMPS[o["activation"]]
     values = {
-        "in_shape": tuple(x), "out_shape": tuple(out_shape),
+        "in_shape": x, "out_shape": out_shape,
         "filter_h": fh, "filter_w": fw,
-        "stride_h": sh, "stride_w": sw, "dilation_h": dh, "dilation_w": dw,
+        "stride_h": o["stride_h"], "stride_w": o["stride_w"],
+        "dilation_h": dh, "dilation_w": dw,
         "pad_before_h": pbh, "pad_after_h": pah,
         "pad_before_w": pbw, "pad_after_w": paw,
         "activation_min": lo, "activation_max": hi,
     }
     if depthwise:
-        values["depth_multiplier"] = _stride(node, "depth_multiplier")
+        values["depth_multiplier"] = o["depth_multiplier"]
     return values
 
 
-def _map_pool(node, in_shapes, out_shape) -> dict:
+def _map_pool(o, in_shapes, out_shape) -> dict:
     x = in_shapes[0]
-    fh, fw = _stride(node, "filter_h"), _stride(node, "filter_w")
-    sh, sw = _stride(node, "stride_h"), _stride(node, "stride_w")
-    pbh, pah, pbw, paw = _spatial_pads(
-        node, (x[1], x[2]), (out_shape[1], out_shape[2]), (fh, fw), (sh, sw))
-    lo, hi = _clamps(node)
+    fh, fw = o["filter_h"], o["filter_w"]
+    pbh, pah, pbw, paw = _spatial_pads(o, x[1:3], out_shape[1:3], (fh, fw))
+    lo, hi = _ACT_CLAMPS[o["activation"]]
     return {
-        "in_shape": tuple(x), "out_shape": tuple(out_shape),
-        "filter_h": fh, "filter_w": fw, "stride_h": sh, "stride_w": sw,
+        "in_shape": x, "out_shape": out_shape,
+        "filter_h": fh, "filter_w": fw,
+        "stride_h": o["stride_h"], "stride_w": o["stride_w"],
         "pad_before_h": pbh, "pad_after_h": pah,
         "pad_before_w": pbw, "pad_after_w": paw,
         "activation_min": lo, "activation_max": hi,
@@ -245,44 +207,39 @@ class KernelRegistry:
                 raise ParamError(f"no parameter mapper for custom operator {kind!r}")
             return ParamRecord(kind, mapper(node, in_shapes, out_shape))
 
-        op = node.op_id
+        op, o = node.op_id, node.options
         if op in (CONV_2D, DEPTHWISE_CONV_2D):
-            values = _map_conv(node, in_shapes, out_shape,
+            values = _map_conv(o, in_shapes, out_shape,
                                depthwise=op == DEPTHWISE_CONV_2D)
         elif op in (AVERAGE_POOL_2D, MAX_POOL_2D):
-            values = _map_pool(node, in_shapes, out_shape)
+            values = _map_pool(o, in_shapes, out_shape)
         elif op == FULLY_CONNECTED:
-            lo, hi = _clamps(node)
+            lo, hi = _ACT_CLAMPS[o["activation"]]
             values = {
                 "batch": in_shapes[0][0], "in_features": in_shapes[0][1],
                 "out_features": in_shapes[1][0],
                 "activation_min": lo, "activation_max": hi,
             }
         elif op == SOFTMAX:
-            beta = _opt(node, "beta")
-            if type(beta) not in (int, float):
-                raise ParamError(f"invalid option value: beta={beta!r}")
-            values = {"in_shape": in_shapes[0], "beta": float(beta)}
+            values = {"in_shape": in_shapes[0], "beta": float(o["beta"])}
         elif op == RESHAPE:
-            values = {"count": _count(in_shapes[0]), "out_shape": out_shape}
+            values = {"count": math.prod(in_shapes[0]),
+                      "out_shape": out_shape}
         elif op == RELU:
-            values = {"count": _count(in_shapes[0])}
+            values = {"count": math.prod(in_shapes[0])}
         elif op == ADD:
-            lo, hi = _clamps(node)
-            values = {"count": _count(in_shapes[0]),
+            lo, hi = _ACT_CLAMPS[o["activation"]]
+            values = {"count": math.prod(in_shapes[0]),
                       "activation_min": lo, "activation_max": hi}
         elif op == CONCATENATION:
-            axis = _opt(node, "axis")
-            if type(axis) is not int:
-                raise ParamError(f"invalid option value: axis={axis!r}")
             values = {
-                "axis": axis, "in_shapes": tuple(in_shapes),
+                "axis": o["axis"], "in_shapes": tuple(in_shapes),
                 "out_shape": out_shape,
                 "weight_slots": tuple(k for k, t in enumerate(node.inputs)
                                       if t in weight_ids),
             }
         elif op == PAD:
-            flat = _opt(node, "paddings")
+            flat = o["paddings"]
             values = {
                 "in_shape": in_shapes[0], "out_shape": out_shape,
                 "paddings": tuple((flat[2 * i], flat[2 * i + 1])
@@ -343,7 +300,7 @@ def _scale_shift_mapper(node, in_shapes, out_shape) -> dict:
         if type(node.options[key]) not in (int, float):
             raise ParamError(f"invalid option value: {key}")
     return {
-        "count": _count(in_shapes[0]),
+        "count": math.prod(in_shapes[0]),
         "scale": float(node.options["scale"]),
         "shift": float(node.options["shift"]),
     }

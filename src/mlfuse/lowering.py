@@ -7,10 +7,13 @@ known parameters (checked against the unit) and the activation, weight and
 output ids. For the model it lists every non-weight tensor's buffer and the
 canonical weights.
 
-It reads the declared tensor shapes: every entry point validates the bundle
-first, and validation rejects any declared shape that contradicts
-graphir.infer_shapes, the only shape math. It reads no layout table, so the
-search may use it; weight layouts come in only through bind.
+It reads the declared tensor shapes and the node options as given: every
+entry point validates the bundle first, and validation rejects any declared
+shape that contradicts graphir.infer_shapes, the only shape math, and any
+builtin option graphir.OPTION_SCHEMAS does not allow. It reads no layout
+table, so the search may use it. Weight layouts come in only through
+configure, which lays the weights out and prepares each kernel: the
+interpreter passes the runtime's table, the search each candidate.
 """
 
 from __future__ import annotations
@@ -50,12 +53,6 @@ class LoweredOp:
     act_ids: tuple[int, ...]
     weight_keys: tuple[int, ...]
     output_ids: tuple[int, ...]
-
-    def prepare(self, buffers, weights) -> tuple:
-        """The unit's state over buffers; unit.fn(*state) runs the operator."""
-        return self.unit.prep([buffers[t] for t in self.act_ids], weights,
-                              [buffers[t] for t in self.output_ids],
-                              **self.params.values)
 
 
 @dataclass
@@ -111,14 +108,24 @@ def lower(bundle: ModelBundle, device: DeviceInfo | None = None,
         input_ids=tuple(graph.inputs), output_ids=tuple(graph.outputs))
 
 
-def bind(op: LoweredOp, layout, weights) -> tuple[list, int]:
-    """Lay one operator's canonical weights out in a layout of its unit.
+def configure(lowered: Lowering, layouts, buffers) -> tuple[list, list, int]:
+    """Lay every operator's weights out and prepare its kernel over buffers.
 
-    layout is None for a unit that lists no layouts. Returns the flat
-    weights and the bytes the layout copied.
+    layouts holds one layout name per operator, None for a unit that lists
+    no layouts. Returns, per operator, the flat weights and the unit's
+    state (unit.fn(*state) runs the operator), and the bytes the layouts
+    copied.
     """
-    try:
-        return layout_weight_arrays(op.unit, layout,
-                                    [weights[k] for k in op.weight_keys])
-    except StatusError as e:
-        raise StatusError(f"operator {op.op_index}: {e}") from None
+    flats, states, copied = [], [], 0
+    for op, layout in zip(lowered.ops, layouts):
+        try:
+            ws, n = layout_weight_arrays(
+                op.unit, layout, [lowered.weights[k] for k in op.weight_keys])
+        except StatusError as e:
+            raise StatusError(f"operator {op.op_index}: {e}") from None
+        flats.append(ws)
+        states.append(op.unit.prep([buffers[t] for t in op.act_ids], ws,
+                                   [buffers[t] for t in op.output_ids],
+                                   **op.params.values))
+        copied += n
+    return flats, states, copied

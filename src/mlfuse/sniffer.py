@@ -41,17 +41,28 @@ class SignatureSet:
         }
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "SignatureSet":
-        known = {"extensions", "filenames", "magics", "keywords"}
-        extra = set(obj) - known
+    def from_obj(cls, obj) -> "SignatureSet":
+        """Set from a parsed JSON object; SnifferError when malformed."""
+        if not isinstance(obj, dict):
+            raise SnifferError("signature set must be a JSON object")
+        extra = set(obj) - {"extensions", "filenames", "magics", "keywords"}
         if extra:
             raise SnifferError(f"unknown signature field(s) {sorted(extra)}")
-        return cls(
-            extensions=tuple(obj.get("extensions", ())),
-            filenames=tuple(obj.get("filenames", ())),
-            magics=tuple(m.encode("latin-1") for m in obj.get("magics", ())),
-            keywords=tuple(k.encode("latin-1")
-                           for k in obj.get("keywords", ())))
+        fields = {}
+        for key in ("extensions", "filenames", "magics", "keywords"):
+            v = obj.get(key, [])
+            if not (isinstance(v, list) and all(isinstance(x, str)
+                                                for x in v)):
+                raise SnifferError(f"signature {key} must be a list of "
+                                   f"strings")
+            if key in ("magics", "keywords"):
+                try:
+                    v = [x.encode("latin-1") for x in v]
+                except UnicodeEncodeError:
+                    raise SnifferError(f"signature {key} must be latin-1 "
+                                       f"text") from None
+            fields[key] = tuple(v)
+        return cls(**fields)
 
     @classmethod
     def from_json(cls, text: str) -> "SignatureSet":

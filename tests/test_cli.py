@@ -71,6 +71,34 @@ def test_malformed_graph_document_exits_2_without_traceback(workdir, tmp_path,
     assert proc.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["run", "codegen"])
+def test_weight_backed_graph_output_exits_2(tmp_path, capsys, command):
+    # RELU x -> y, with outputs (y, w) where w is a weight
+    g = graphir.ComputationalGraph(
+        tensors=[
+            graphir.TensorSpec(0, "x", graphir.DataType.F32, (1, 4)),
+            graphir.TensorSpec(1, "w", graphir.DataType.F32, (1, 4),
+                               weight_ref=0),
+            graphir.TensorSpec(2, "y", graphir.DataType.F32, (1, 4)),
+        ],
+        operators=[graphir.OperatorNode(graphir.RELU, (0,), (2,), {})],
+        inputs=(0,), outputs=(2, 1))
+    store = graphir.WeightStore()
+    store.put_array(0, np.ones((1, 4), dtype=np.float32))
+    gp, wp = tmp_path / "m.mlg", tmp_path / "m.mlw"
+    graphir.save_bundle(graphir.ModelBundle(g, store), gp, wp)
+    (tmp_path / "in.raw").write_bytes(np.zeros(4, "<f4").tobytes())
+    argv = {"run": ["run", str(gp), str(wp), str(tmp_path / "in.raw"),
+                    str(tmp_path / "out.raw")],
+            "codegen": ["codegen", str(gp), str(wp),
+                        "--out", str(tmp_path / "out")]}[command]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "weight-backed tensor cannot be a graph output" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_build_fixture_json_names_both_files(tmp_path, capsys):
     assert cli.main(["build-fixture", "identity", "--out", str(tmp_path),
                      "--json"]) == 0
@@ -201,6 +229,16 @@ def test_bench_reports_both_deployments(workdir, capsys):
     assert obj["generated_counters"]["load_bytes"] == 0
 
 
+@pytest.mark.parametrize("reps", ["0", "-3", "x"])
+def test_bench_rejects_non_positive_reps_before_loading(tmp_path, capsys,
+                                                       reps):
+    # the files do not exist: the usage error comes before anything loads
+    missing = str(tmp_path / "nope")
+    assert cli.main(["bench", missing, missing, missing,
+                     "--reps", reps]) == 2
+    assert "--reps: must be a positive integer" in capsys.readouterr().err
+
+
 _MANIFEST_KEYS = ("sources", "executable", "plan_digest", "delta",
                   "n_inputs", "seed")
 
@@ -296,3 +334,20 @@ def test_sniff_custom_signatures(tmp_path, capsys):
     obj = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
     # the custom set fully replaces the default one
     assert [f["token"] for f in obj["findings"]] == [".qqq"]
+
+
+@pytest.mark.parametrize("doc", [
+    5,
+    [],
+    {"extensions": 5},
+    {"magics": [1]},
+    {"keywords": ["\u0100"]},
+], ids=["int", "list", "extensions-int", "magics-int-item",
+        "keywords-not-latin-1"])
+def test_malformed_signature_file_exits_2(tmp_path, capsys, doc):
+    sigs = tmp_path / "sigs.json"
+    sigs.write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "notes.txt").write_text("hi", encoding="utf-8")
+    assert cli.main(["sniff", str(tmp_path), "--sigs", str(sigs)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: signature") and err.count("\n") == 1

@@ -200,6 +200,16 @@ def test_validate_orphan_tensor():
     assert any("nor produced by any operator" in p for p in validate(bad))
 
 
+def test_validate_rejects_weight_backed_graph_output():
+    b = _tiny_bundle()
+    bad = ModelBundle(ComputationalGraph(list(b.graph.tensors),
+                                         b.graph.operators, b.graph.inputs,
+                                         (2, 1)),
+                      b.weights)
+    assert validate(bad) == ["graph outputs: weight-backed tensor cannot be "
+                             "a graph output"]
+
+
 def test_validate_use_before_def():
     g = ComputationalGraph(
         tensors=[

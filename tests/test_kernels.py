@@ -7,8 +7,8 @@ import kernel_cases
 import oracles
 from kernel_cases import N_CASES, REFERENCE_CASES
 
-from mlfuse import fixtures, interpreter
-from mlfuse.graphir import CONV_2D, DataType
+from mlfuse import fixtures, graphir, interpreter
+from mlfuse.graphir import CONV_2D, DataType, OperatorNode
 from mlfuse.kernels import (
     DeviceInfo,
     ParamError,
@@ -442,9 +442,63 @@ def test_layout_bias_slots_pass_through_flat():
 
 # -- parameter checking -------------------------------------------------------
 
-def test_param_record_rejects_negative_pads():
-    with pytest.raises(ParamError):
-        ParamRecord("CONV_2D", {"pad_before_h": -1})
+class _ReadKeys(dict):
+    """Node options that record every key looked up in them."""
+
+    def __init__(self, options, seen: set):
+        super().__init__(options)
+        self.seen = seen
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.seen.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.seen.add(key)
+        return super().__contains__(key)
+
+
+# builtin operators no fixture uses, with the shapes of their tensors
+_UNCOVERED = [
+    (OperatorNode(graphir.AVERAGE_POOL_2D, (0,), (1,), {
+        "filter_h": 2, "filter_w": 2, "stride_h": 2, "stride_w": 2,
+        "padding": "SAME", "activation": "RELU6"}),
+     {0: (1, 3, 3, 1), 1: (1, 2, 2, 1)}),
+    (OperatorNode(graphir.ADD, (0, 0), (1,), {"activation": "RELU"}),
+     {0: (1, 4), 1: (1, 4)}),
+    (OperatorNode(graphir.CONCATENATION, (0, 0), (1,), {"axis": 1}),
+     {0: (1, 4), 1: (1, 8)}),
+    (OperatorNode(graphir.PAD, (0,), (1,), {"paddings": [0, 0, 1, 1]}),
+     {0: (1, 4), 1: (1, 6)}),
+]
+
+
+def test_registry_reads_only_options_validation_checks():
+    # graphir.validate owns the builtin option rules and the registry reads
+    # node.options unchecked, so a key outside OPTION_SCHEMAS would reach
+    # a kernel without any check
+    reg = default_registry()
+    cases = list(_UNCOVERED)
+    for name in sorted(fixtures.FIXTURES):
+        graph = fixtures.build_fixture(name).graph
+        shapes = {t.id: t.shape for t in graph.tensors}
+        cases += [(node, shapes) for node in graph.operators]
+    read: dict = {}
+    for node, shapes in cases:
+        if node.is_custom:
+            continue
+        seen = read.setdefault(node.op_id, set())
+        node = OperatorNode(node.op_id, node.inputs, node.outputs,
+                            _ReadKeys(node.options, seen))
+        reg.map_options_to_params(node, shapes)
+    assert set(read) == set(graphir.OPTION_SCHEMAS)
+    for op, keys in read.items():
+        assert keys <= set(graphir.OPTION_SCHEMAS[op]), \
+            (graphir.OPCODE_NAMES[op], keys)
 
 
 def test_add_i32_rejects_fused_activation():

@@ -2,6 +2,8 @@ import json
 import zipfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlfuse import sniffer
 from mlfuse.sniffer import Finding, SignatureSet, SnifferError
@@ -146,6 +148,32 @@ def test_signature_set_rejects_empty():
 def test_signature_set_rejects_unknown_fields():
     with pytest.raises(SnifferError, match="unknown signature field"):
         SignatureSet.from_obj({"extensions": [".x"], "globs": ["*"]})
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(["extensions", "filenames", "magics",
+                              "keywords", None]),
+       value=_JSON)
+def test_signature_set_takes_any_json_field_or_raises_sniffer_error(field,
+                                                                    value):
+    # field None replaces the whole document
+    obj = value if field is None else {
+        "extensions": [".x"], "filenames": [], "magics": ["QQ"],
+        "keywords": [], field: value}
+    try:
+        sigs = SignatureSet.from_obj(obj)
+    except SnifferError:
+        return
+    assert all(isinstance(x, str) for x in (*sigs.extensions,
+                                            *sigs.filenames))
+    assert all(isinstance(x, bytes) for x in (*sigs.magics, *sigs.keywords))
+    assert SignatureSet.from_json(sigs.to_json()) == sigs
 
 
 def test_custom_signatures_drive_the_scan(tmp_path):
