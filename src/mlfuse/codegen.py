@@ -344,7 +344,11 @@ def build_emission_plan(lowered: Lowering, configs,
 _FORBIDDEN_TOKENS = ("tflite", ".lite", "graph.json", ".params", "MLW0",
                      "org.tensorflow", "libtvm")
 
-_NP_DTYPE_TOKEN = {"F32": "np.float32", "I32": "np.int32"}
+# the binding kernels/ops.py makes at its top: the emitted templates name
+# np and float32, and the program loads no more of numpy than this module
+_NP_CORE = "from numpy._core import _multiarray_umath as np"
+_NP_HEAD = _NP_CORE + '\n\nfloat32 = np.dtype("<f4").type'
+_NP_DTYPE_TOKEN = {"F32": "float32", "I32": '"<i4"'}
 
 
 def _lit(v) -> str:
@@ -390,20 +394,17 @@ def _emit_weights(plan: EmissionPlan) -> str:
             raise CodegenError(f"cannot embed weight dtype "
                                f"{plan.weights[name].dtype}")
     blob = b"".join(plan.weights[n].tobytes() for n in names)
-    lines = ["import numpy as np", "", "_B = ("]
+    lines = [_NP_CORE, "", "_B = ("]
     for i in range(0, len(blob), 64):
         lines.append('    b"\\x' + blob[i:i + 64].hex(" ").replace(" ", "\\x")
                      + '"')
-    lines += [")", "_F = np.frombuffer(_B, np.float32)"]
-    ends = [0]
+    lines += [")", '_F = np.frombuffer(_B, "<f4")']
+    at = 0
     for n in names:
-        ends.append(ends[-1] + plan.weights[n].size)
-    lines.append("(")
-    lines.extend(_wrap_args(names, indent="    "))
-    lines.append(f") = np.split(_F, {_lit(tuple(ends[1:-1]))})")
-    for n in names:
-        if plan.weights[n].dtype == np.int32:
-            lines.append(f"{n} = {n}.view(np.int32)")
+        w = plan.weights[n]
+        view = '.view("<i4")' if w.dtype == np.int32 else ""
+        lines.append(f"{n} = _F[{at}:{at + w.size}]{view}")
+        at += w.size
     return "\n".join(lines) + "\n"
 
 
@@ -429,7 +430,7 @@ def _emit_driver(plan: EmissionPlan) -> str:
                 helpers.append(h)
     helpers.sort()
 
-    out = ["import numpy as np", ""]
+    out = [_NP_HEAD, ""]
     if plan.weights:
         out.append("from net_weights import (")
         out.extend(_wrap_args(plan.weights, indent="    "))
@@ -483,27 +484,40 @@ import os
 import site
 import sys
 
-# The interpreter line runs this under -S: no .pth file or sitecustomize of
-# the host runs, and importing site runs none either. The package dirs site
-# would add go on sys.path; the user site dir stays out. Under -S a venv's
-# python keeps the base install as sys.prefix, and Debian's
+# The interpreter line runs this under -IS: no .pth file or sitecustomize of
+# the host runs, importing site runs none either, and neither PYTHONPATH
+# nor the user site dir is searched, so no file there runs inside the
+# program. numpy comes from the package dirs site would add. Under -S a
+# venv's python keeps the base install as sys.prefix, and Debian's
 # site.getsitepackages only names a venv's site-packages when sys.prefix
 # differs from sys.base_prefix, so a venv (the dir above bin/ holds a
 # pyvenv.cfg) becomes sys.prefix, as site itself would make it, and its
-# dirs go before the base install's. No kernel calls BLAS, so OpenBLAS gets
-# one thread, not a pool of idle workers; that must be set before numpy is
-# imported.
+# dirs come before the base install's. No kernel calls BLAS, so OpenBLAS
+# gets one thread, not a pool of idle workers; that must be set before
+# numpy's core is loaded.
 v = sys.executable.rsplit("/", 2)[0]
 if os.path.isfile(v + "/pyvenv.cfg"):
     sys.prefix = v
-sys.path += site.getsitepackages([sys.prefix, sys.base_prefix])
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
+if "numpy" not in sys.modules:
+    # numpy's __init__ loads its whole Python layer, and every name the
+    # program calls is on the C core: bare package modules stand in for
+    # numpy and numpy._core, so loading the core runs neither __init__
+    for d in site.getsitepackages([sys.prefix, sys.base_prefix]):
+        if os.path.isfile(d + "/numpy/__init__.py"):
+            sys.modules["numpy"] = m = type(sys)("numpy")
+            sys.modules["numpy._core"] = c = type(sys)("numpy._core")
+            m.__path__ = [d + "/numpy"]
+            c.__path__ = [d + "/numpy/_core"]
+            break
+try:
+    from numpy._core import _multiarray_umath as np
+except ImportError as e:
+    sys.exit(f"{sys.executable} cannot load numpy's C core: {e}")
 
 import gc
 import itertools
 import time
-
-import numpy as np
 
 import net_driver
 
@@ -528,7 +542,7 @@ def main(argv):
               file=sys.stderr)
         return 2
     per_sample = sum(net_driver.INPUT_SIZES)
-    flat = np.fromfile(paths[0], dtype="<f4").astype(np.float32)
+    flat = np.fromfile(paths[0], "<f4").astype("=f4")
     if flat.size == 0 or flat.size % per_sample != 0:
         print(f"input holds {flat.size} values, need a multiple of "
               f"{per_sample}", file=sys.stderr)
@@ -672,8 +686,10 @@ def compile_program(out_dir, sources, toolchain: ToolchainConfig | None = None) 
     for a stripped build, which ships the pycs it writes, and `python -S
     <flags> -c _COMPILE_SRC "" SRC...` for an unstripped one, which only
     checks that each source compiles and ships the sources. The program's
-    interpreter line is `#!<python> -S`, so no site hooks of the host run
-    in it (see _MAIN_SRC).
+    interpreter line is `#!<python> -IS`, so no site hooks of the host run
+    in it, and nothing on PYTHONPATH (see _MAIN_SRC). Code members are
+    deflated; the weights member is stored, since its float32 noise barely
+    deflates and costs the most time to try.
     """
     toolchain = toolchain or ToolchainConfig()
     python = _resolve_toolchain(toolchain)
@@ -703,10 +719,12 @@ def compile_program(out_dir, sources, toolchain: ToolchainConfig | None = None) 
 
     exe = out_dir / "program"
     with open(exe, "wb") as f:
-        f.write(b"#!" + python.encode() + b" -S\n")
-        with zipfile.ZipFile(f, "w", zipfile.ZIP_STORED) as z:
+        f.write(b"#!" + python.encode() + b" -IS\n")
+        with zipfile.ZipFile(f, "w") as z:
             for name, data in members:
                 info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+                if not name.startswith("net_weights."):
+                    info.compress_type = zipfile.ZIP_DEFLATED
                 z.writestr(info, data)
     exe.chmod(exe.stat().st_mode | stat.S_IXUSR | stat.S_IXGRP | stat.S_IXOTH)
     return "program"

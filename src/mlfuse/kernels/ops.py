@@ -11,9 +11,12 @@ a kernel needs its input in another layout (a padded border), the state
 holds a prepared buffer whose border is filled once, and the run step
 copies in the interior.
 
-Every function here is a self-contained template: it may use numpy and the
-helpers below, nothing else. The emitter copies function source verbatim
-into generated programs, so the same bytes execute on both paths.
+Every function here is a self-contained template: it may use np, which is
+numpy's C core (numpy._core._multiarray_umath), float32 and the helpers
+below, nothing else. The emitter copies function source verbatim into
+generated programs, which bind np and float32 as the top of this module
+does and load no more of numpy, so the same bytes call the same functions
+on both paths.
 
 Float32 discipline: every reduction is summed in one fixed order, term by
 term onto +0.0, so results are bit-identical to a naive scalar loop nest.
@@ -37,7 +40,7 @@ with vectorization over independent output lanes only.
 
 matmul, dot and np.sum reorder a sum and are not used. einsum forms
 one-term products only, never sums: a conv chunk of 8192 products or more
-gets them from np.einsum("kc,kl->kcl") (_outer_products), which writes
+gets them from np.c_einsum("kc,kl->kcl") (_outer_products), which writes
 each as +0.0 + w * x. That has np.multiply's bits, NaN and inf included,
 except for a -0.0 product, which lands as +0.0. No output can see the
 difference: every sum starts at +0.0, and under round-to-nearest a sum
@@ -49,14 +52,16 @@ according to the data layout its body was written against; callers are
 responsible for delivering payload bytes in that layout.
 """
 
-import numpy as np
+from numpy._core import _multiarray_umath as np
+
+float32 = np.dtype("<f4").type
 
 
 def _apply_clamp(buf, lo, hi):
     if lo is not None:
-        np.maximum(buf, np.float32(lo), out=buf)
+        np.maximum(buf, float32(lo), out=buf)
     if hi is not None:
-        np.minimum(buf, np.float32(hi), out=buf)
+        np.minimum(buf, float32(hi), out=buf)
 
 
 def _pad_nhwc_prep(x, ph0, ph1, pw0, pw1, value):
@@ -65,7 +70,8 @@ def _pad_nhwc_prep(x, ph0, ph1, pw0, pw1, value):
     if ph0 == 0 and ph1 == 0 and pw0 == 0 and pw1 == 0:
         return x, None
     n, h, w, c = x.shape
-    xp = np.full((n, h + ph0 + ph1, w + pw0 + pw1, c), value, np.float32)
+    xp = np.empty((n, h + ph0 + ph1, w + pw0 + pw1, c), float32)
+    xp.fill(value)
     return xp, (xp[:, ph0:ph0 + h, pw0:pw0 + w], x)
 
 
@@ -87,12 +93,12 @@ def _sum_products_prep(lhs, rhs, acc, tail):
     if acc.size == 1:
         # numpy would sum a lone lane pairwise: reduce a twin pair instead,
         # both lanes computed from the same terms
-        lanes = twin = np.empty(2, np.float32)
+        lanes = twin = np.empty(2, float32)
         lhs = lhs.reshape(-1, 1)
         rhs = rhs.reshape(-1, 1)
     k = len(lhs)
     step = max(1, 65536 // (4 * lanes.size) - 1)
-    terms = np.zeros((min(step, k) + 2,) + lanes.shape, np.float32)
+    terms = np.zeros((min(step, k) + 2,) + lanes.shape, float32)
     terms[-1] = tail
     chunks = []
     k0 = 0
@@ -120,8 +126,10 @@ def _sum_products(chunks, twin, acc):
 def _outer_products(lhs, rhs, out):
     # out[k, c, l] = +0.0 + lhs[k, c] * rhs[k, l] in one loop, where
     # np.multiply's broadcast of (k, c, 1) by (k, 1, l) runs a row of l at
-    # a time; exact but for the sign of a zero product (see above)
-    np.einsum("kc,kl->kcl", lhs, rhs, out=out)
+    # a time; exact but for the sign of a zero product (see above).
+    # c_einsum is the C loop np.einsum calls when optimize is off, its
+    # default, minus about 2 us of Python wrapper a call
+    np.c_einsum("kc,kl->kcl", lhs, rhs, out=out)
 
 
 def _pool_windows_prep(x, out, filter_h, filter_w, stride_h, stride_w):
@@ -152,11 +160,11 @@ def conv2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
     rows = (min(oh, 65536 // (4 * (taps + 1) * cout * ow))
             or max(1, min(oh, 65536 // (4 * taps * ow),
                           65536 // (12 * cout * ow))))
-    cols = np.empty((filter_h, filter_w, cin, rows, ow), dtype=np.float32)
+    cols = np.empty((filter_h, filter_w, cin, rows, ow), float32)
     # every (kh, kw, ci) tap's strided input plane, as one view
     sn, sy, sx, sc = x.strides
-    win = np.lib.stride_tricks.as_strided(
-        x, (n, filter_h, filter_w, cin, oh, ow),
+    win = np.ndarray(
+        (n, filter_h, filter_w, cin, oh, ow), x.dtype, x, 0,
         (sn, dilation_h * sy, dilation_w * sx, sc, stride_h * sy,
          stride_w * sx))
     chunks, twin = _sum_products_prep(
@@ -173,7 +181,7 @@ def conv2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
     # One chunk's reduction writes them once, so it goes straight there;
     # with more, every chunk reads and writes the running sum, so it stays
     # in a contiguous accumulator and one copy per block writes it out.
-    acc = np.empty((cout, rows * ow), np.float32) if len(chunks) > 1 else None
+    acc = np.empty((cout, rows * ow), float32) if len(chunks) > 1 else None
     # Every block gathers into cols and reduces with one shared state. The
     # last block ends at the last row, so it overlaps the one before it
     # when rows does not divide oh; the overlapped rows come out the same.
@@ -222,7 +230,7 @@ def depthwise_conv2d_f32_prep(inputs, weights, outputs, *, in_shape,
         for b in range(n))
     bias = (weights[1].reshape(cin, depth_multiplier) if len(weights) > 1
             else None)
-    return (pad, batches, np.empty(out.shape[1:], np.float32), bias,
+    return (pad, batches, np.empty(out.shape[1:], float32), bias,
             (out, activation_min, activation_max))
 
 
@@ -248,9 +256,10 @@ def avg_pool2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
     x, pad = _pad_nhwc_prep(inputs[0].reshape(in_shape), pad_before_h,
                             pad_after_h, pad_before_w, pad_after_w, 0.0)
     # padded cells contribute zero to the sum and are excluded from the count
-    mask = np.pad(np.ones((h, w), dtype=np.float32),
-                  ((pad_before_h, pad_after_h), (pad_before_w, pad_after_w)))
-    cnt = np.zeros((oh, ow), dtype=np.float32)
+    mask = np.zeros((h + pad_before_h + pad_after_h,
+                     w + pad_before_w + pad_after_w), float32)
+    mask[pad_before_h:pad_before_h + h, pad_before_w:pad_before_w + w] = 1.0
+    cnt = np.zeros((oh, ow), float32)
     for kh in range(filter_h):
         for kw in range(filter_w):
             cnt += mask[kh:kh + (oh - 1) * stride_h + 1:stride_h,
@@ -319,8 +328,8 @@ def softmax_f32_prep(inputs, weights, outputs, *, in_shape, beta):
     # the row of their running sums; beta 1.0 scales by nothing, bit for bit
     c = in_shape[-1]
     return (tuple(zip(inputs[0].reshape(-1, c), outputs[0].reshape(-1, c))),
-            np.empty(c, np.float32), np.empty(c, np.float32),
-            None if beta == 1.0 else np.float32(beta))
+            np.empty(c, float32), np.empty(c, float32),
+            None if beta == 1.0 else float32(beta))
 
 
 def softmax_f32(rows, e, sums, beta):
@@ -334,7 +343,7 @@ def softmax_f32(rows, e, sums, beta):
 
 
 def relu_f32_prep(inputs, weights, outputs, *, count):
-    return inputs[0].reshape(-1), np.float32(0.0), outputs[0].reshape(-1)
+    return inputs[0].reshape(-1), float32(0.0), outputs[0].reshape(-1)
 
 
 def relu_f32(x, zero, out):
@@ -405,7 +414,7 @@ def pad_f32(out, interior, x):
 
 
 def scale_shift_f32_prep(inputs, weights, outputs, *, count, scale, shift):
-    return (inputs[0].reshape(-1), np.float32(scale), np.float32(shift),
+    return (inputs[0].reshape(-1), float32(scale), float32(shift),
             outputs[0].reshape(-1))
 
 

@@ -31,6 +31,10 @@ class SignatureSet:
         if not (self.extensions or self.filenames or self.magics
                 or self.keywords):
             raise SnifferError("signature set is empty")
+        for key in ("extensions", "filenames", "magics", "keywords"):
+            if not all(getattr(self, key)):
+                raise SnifferError(f"signature {key}: an empty token would "
+                                   f"match every file")
 
     def to_obj(self) -> dict:
         return {

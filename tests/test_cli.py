@@ -342,8 +342,9 @@ def test_sniff_custom_signatures(tmp_path, capsys):
     {"extensions": 5},
     {"magics": [1]},
     {"keywords": ["\u0100"]},
+    {"extensions": [""], "magics": [""]},
 ], ids=["int", "list", "extensions-int", "magics-int-item",
-        "keywords-not-latin-1"])
+        "keywords-not-latin-1", "empty-tokens"])
 def test_malformed_signature_file_exits_2(tmp_path, capsys, doc):
     sigs = tmp_path / "sigs.json"
     sigs.write_text(json.dumps(doc), encoding="utf-8")

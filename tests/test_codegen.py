@@ -1,5 +1,8 @@
+import ast
 import dataclasses
+import importlib
 import importlib.util
+import inspect
 import json
 import marshal
 import math
@@ -319,7 +322,8 @@ def _interpreter_output(bundle, xs) -> bytes:
 
 # Run in a `python -S` child with argv PROGRAM IN OUT: runs the program's
 # zip in that process, as its interpreter line would, then reports the
-# threads the process holds and where its numpy came from.
+# threads the process holds and where numpy's C core came from (the
+# program's numpy package is a bare stand-in, with no file).
 _IN_PROCESS_SRC = """\
 import json, os, runpy, sys
 del sys.argv[0]
@@ -331,7 +335,7 @@ except SystemExit as e:
 tasks = "/proc/self/task"
 print(json.dumps({
     "tasks": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
-    "numpy": sys.modules["numpy"].__file__}))
+    "core": sys.modules["numpy._core._multiarray_umath"].__file__}))
 """
 
 
@@ -345,19 +349,105 @@ def _run_in_process(python, artifact, work, env=None) -> dict:
 
 
 def test_program_runs_no_host_site_code(built, tmp_path):
-    # the interpreter line starts the program under -S: a sitecustomize on
+    # the interpreter line starts the program under -IS: a sitecustomize on
     # the host's path (or a .pth file in its site-packages) never runs, and
-    # numpy is still found
+    # PYTHONPATH is not searched, so neither a numpy.py there nor a
+    # types.py that numpy's core would reach through enum can run inside
+    # the program and read its weights; numpy is still found
     site_dir = tmp_path / "site"
     site_dir.mkdir()
     (site_dir / "sitecustomize.py").write_text("import os\nos._exit(3)\n")
     env = dict(os.environ, PYTHONPATH=str(site_dir))
     assert subprocess.run([sys.executable, "-c", "pass"],
                           env=env).returncode == 3  # the hook is live
+    for mod in ("numpy", "types"):
+        (site_dir / f"{mod}.py").write_text("import os\nos._exit(4)\n")
+        assert subprocess.run([sys.executable, "-S", "-c", f"import {mod}"],
+                              env=env).returncode == 4
     bundle, artifact = built["mlp"]
     xs = [_sample(bundle, s) for s in range(4)]
     assert _program_output(artifact, xs, tmp_path, env) == \
         _interpreter_output(bundle, xs)
+
+
+def _np_chains(text):
+    """Every np.<attr>... chain the code in text names, comments aside."""
+    for node in ast.walk(ast.parse(text)):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id == "np":
+            yield tuple(reversed(chain))
+
+
+def test_every_numpy_name_the_program_calls_is_on_the_c_core(built):
+    # the program loads numpy's C core alone, so each name it and the
+    # kernel templates call must resolve there
+    core = importlib.import_module("numpy._core._multiarray_umath")
+    assert ops.np is core
+    assert codegen._NP_HEAD in inspect.getsource(ops)
+    texts = {f"ops.{fn.__name__}": inspect.getsource(fn) for fn in (
+        *ops.HELPERS.values(), *ops.PREPS.values(), *ops.KERNELS.values())}
+    for name, (_, art) in built.items():
+        for rel in art.sources:
+            texts[f"{name}/{rel}"] = (Path(art.out_dir) / rel).read_text(
+                encoding="utf-8")
+    seen = set()
+    for where, text in texts.items():
+        for chain in _np_chains(text):
+            obj = core
+            for attr in chain:
+                assert hasattr(obj, attr), (where, "np." + ".".join(chain))
+                obj = getattr(obj, attr)
+            seen.add(chain)
+    assert {("c_einsum",), ("frombuffer",), ("fromfile",)} <= seen
+
+
+# the modules the C core's own init imports, besides the core itself and
+# the two bare package modules that stand in for numpy and numpy._core
+_CORE_INIT_MODULES = {
+    "numpy", "numpy._core", "numpy._core._multiarray_umath",
+    "numpy.exceptions", "numpy._globals", "numpy._core._exceptions",
+    "numpy._core.printoptions", "numpy.dtypes"}
+
+
+def test_program_loads_no_numpy_python_layer(built, tmp_path):
+    bundle, artifact = built["lenet"]
+    ip, op = tmp_path / "in.raw", tmp_path / "out.raw"
+    np.concatenate([a.reshape(-1) for a in _sample(bundle, 0)]).astype(
+        "<f4").tofile(ip)
+    with open(artifact.executable, "rb") as f:
+        interpreter_line = f.readline()[2:].decode().split()
+    mods = _imported_modules([*interpreter_line, artifact.executable,
+                              str(ip), str(op)])
+    loaded = {m for m in mods if m.partition(".")[0] == "numpy"}
+    assert "numpy._core._multiarray_umath" in loaded
+    assert {m for m in loaded if m not in _CORE_INIT_MODULES
+            and not m.startswith("numpy._utils")} == set()
+    assert not {"numpy.linalg", "numpy.lib",
+                "numpy._core._add_newdocs"} & loaded
+
+
+def test_program_without_numpy_says_so_in_one_line(tmp_path):
+    # the distribution's python has no numpy here: the build needs none,
+    # and the program names the python and what it lacks
+    python = "/usr/bin/python%d.%d" % sys.version_info[:2]
+    if not os.path.isfile(python):
+        pytest.skip(f"no {python}")
+    if subprocess.run([python, "-I", "-c", "import numpy"],
+                      capture_output=True).returncode == 0:
+        pytest.skip(f"{python} has numpy")
+    bundle = fixtures.build_fixture("mlp")
+    art = codegen.pipeline(bundle, tmp_path / "x",
+                           toolchain=codegen.ToolchainConfig(python))
+    ip = tmp_path / "in.raw"
+    np.zeros(sum(a.size for a in _sample(bundle, 0)), "<f4").tofile(ip)
+    proc = subprocess.run([art.executable, str(ip), str(tmp_path / "o")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == (f"{python} cannot load numpy's C core: "
+                           f"No module named 'numpy'\n")
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
@@ -408,12 +498,13 @@ def test_program_built_with_a_venv_python_finds_the_venvs_numpy(base,
     art = codegen.pipeline(bundle, tmp_path / "x",
                            toolchain=codegen.ToolchainConfig(str(python)))
     with open(art.executable, "rb") as f:
-        assert f.readline() == b"#!" + bytes(python) + b" -S\n"
+        assert f.readline() == b"#!" + bytes(python) + b" -IS\n"
     xs = [_sample(bundle, s) for s in range(3)]
     assert _program_output(art, xs, tmp_path) == \
         _interpreter_output(bundle, xs)
     got = _run_in_process(python, art, tmp_path)
-    assert os.path.samefile(Path(got["numpy"]).parent.parent, purelib)
+    # purelib/numpy/_core/_multiarray_umath.*.so
+    assert os.path.samefile(Path(got["core"]).parents[2], purelib)
 
 
 def test_program_writes_every_output_of_every_sample(tmp_path):
@@ -730,6 +821,10 @@ def test_shipped_bytecode_is_what_py_compile_writes(built, tmp_path):
             f.readline()  # interpreter line
             with zipfile.ZipFile(f) as z:
                 members = {n: z.read(n) for n in z.namelist()}
+                packed = {i.filename: i.compress_type for i in z.infolist()}
+        # code deflates to well under half; float32 weights barely do
+        assert packed == {n: zipfile.ZIP_STORED if n == "net_weights.pyc"
+                          else zipfile.ZIP_DEFLATED for n in members}, name
         ref = tmp_path / name
         ref.mkdir()
         subprocess.run([tc.command, "-S", *tc.flags, *tc.strip_flags,

@@ -145,6 +145,16 @@ def test_signature_set_rejects_empty():
         SignatureSet((), (), (), ())
 
 
+@pytest.mark.parametrize("field", ["extensions", "filenames", "magics",
+                                   "keywords"])
+def test_signature_set_rejects_an_empty_token(tmp_path, field):
+    # an empty token is a suffix, a name part, a prefix and a substring of
+    # every file, so a set holding one would find something anywhere
+    obj = {"extensions": [".x"], field: ["QQ", ""]}
+    with pytest.raises(SnifferError, match=f"signature {field}: an empty token"):
+        SignatureSet.from_obj(obj)
+
+
 def test_signature_set_rejects_unknown_fields():
     with pytest.raises(SnifferError, match="unknown signature field"):
         SignatureSet.from_obj({"extensions": [".x"], "globs": ["*"]})
