@@ -7,8 +7,9 @@ Exports the committed files of --rev into a temporary directory (git
 archive, as bench_pairs.py does). There and in the working tree it builds
 every fixture at its default seed and at seeds 1 and 2, stripped and
 unstripped: 30 builds a side for the five fixtures. It compares the sha256
-of every source, the program and build_manifest.json of each build, and
-prints each difference.
+of every source and the program of each build and the text of its
+build_manifest.json, and prints each difference; for a manifest, each
+field that differs, with both values.
 
 Exit status 0 when every file is byte-identical, 1 on a difference or a
 failed build, 2 on a revision git cannot export.
@@ -28,9 +29,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import ROOT, _export, _git  # noqa: E402
 
 SEEDS = (None, 1, 2)  # None: the fixture's own seed
+MANIFEST = "build_manifest.json"
 
 # Runs in a checkout with its src/ on PYTHONPATH; argv[1] is the build root.
-# Prints {build: {file: sha256}} as JSON.
+# Prints {build: {file: sha256, "build_manifest.json": its text}} as JSON.
 _BUILD_SRC = '''\
 import hashlib
 import json
@@ -51,16 +53,17 @@ for name in sorted(fixtures.FIXTURES):
             art = codegen.pipeline(
                 fixtures.build_fixture(name, seed), out,
                 toolchain=codegen.ToolchainConfig(strip=strip))
-            files = [*art.sources, art.manifest["executable"],
-                     "build_manifest.json"]
+            files = [*art.sources, art.manifest["executable"]]
             digests[build] = {f: hashlib.sha256((out / f).read_bytes())
                               .hexdigest() for f in files}
+            digests[build]["build_manifest.json"] = (
+                out / "build_manifest.json").read_text()
 print(json.dumps(digests))
 '''
 
 
 def build_all(checkout: Path, out: Path) -> dict:
-    """{build: {file: sha256}} for every build made in checkout."""
+    """{build: {file: sha256 or manifest text}} for every build in checkout."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", _BUILD_SRC, str(out), json.dumps(SEEDS)],
@@ -85,8 +88,23 @@ def differences(base: dict, change: dict) -> list[str]:
                 side = "base" if name in b else "change"
                 out.append(f"{build}: {name} only in the {side}")
             elif b[name] != c[name]:
-                out.append(f"{build}: {name} differs")
+                fields = (_field_changes(b[name], c[name])
+                          if name == MANIFEST else [])
+                out.extend(f"{build}: {name} {f}"
+                           for f in fields or ["differs"])
     return out
+
+
+def _field_changes(base_text: str, change_text: str) -> list[str]:
+    """'key old -> new' for each top-level field two manifests differ in."""
+    base, change = json.loads(base_text), json.loads(change_text)
+
+    def show(m, key):
+        return json.dumps(m[key]) if key in m else "(absent)"
+
+    return [f"{key} {show(base, key)} -> {show(change, key)}"
+            for key in sorted(base.keys() | change.keys())
+            if show(base, key) != show(change, key)]
 
 
 def main(argv=None) -> int:

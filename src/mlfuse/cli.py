@@ -59,10 +59,11 @@ def cmd_run(args) -> int:
     plan = interpreter.load(bundle)
     specs = [plan.lowered.tensors[t] for t in plan.lowered.input_ids]
     total = sum(b.count for b in specs)
-    flat = np.fromfile(args.input, dtype="<f4").astype(np.float32)
-    if flat.size != total:
-        raise ValueError(f"input file holds {flat.size} values, the model "
-                         f"takes {total}")
+    raw = Path(args.input).read_bytes()
+    if len(raw) != 4 * total:
+        raise ValueError(f"input file holds {len(raw)} bytes, the model "
+                         f"takes {total} float32 values ({4 * total} bytes)")
+    flat = np.frombuffer(raw, dtype="<f4").astype(np.float32)
     xs = []
     at = 0
     for b in specs:

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import graphir, harness, interpreter
 from .graphir import GraphError, DataType, ModelBundle
-from .kernels import DeviceInfo, class_signature, default_registry
+from .kernels import DeviceInfo, default_registry
 from .kernels import ops as kernel_ops
 from .lowering import LoweredOp, Lowering, configure, lower
 
@@ -93,18 +93,6 @@ class ToolchainConfig:
         if "strip" in kw and not isinstance(kw["strip"], bool):
             raise CodegenError("toolchain strip must be true or false")
         return cls(**kw)
-
-
-@dataclass(frozen=True)
-class ConfigurationClass:
-    """Operators sharing a unit and an option signature.
-
-    All members take their weight in the same unknown layout, so one choice
-    covers the whole class and the joint search space shrinks accordingly.
-    """
-    key: tuple  # (kind, dtype name, signature)
-    layouts: tuple[str, ...]  # the unit's layouts, in search order
-    members: tuple[int, ...]
 
 
 @dataclass
@@ -211,37 +199,27 @@ def analyze_config(lowered: Lowering) -> list[LoweredOp]:
 # Status search
 
 
-def build_classes(configs) -> list[ConfigurationClass]:
-    groups: dict = {}
-    for c in configs:
-        if c.unit.layouts:
-            key = (c.kind, c.unit.key.dtype.name, class_signature(c.params))
-            groups.setdefault(key, (tuple(c.unit.layouts), []))[1].append(
-                c.op_index)
-    return [ConfigurationClass(key=key, layouts=layouts,
-                               members=tuple(sorted(members)))
-            for key, (layouts, members) in sorted(groups.items())]
-
-
-def _worst_error(steps, xs, refs, input_bufs, buffers, delta) -> float:
+def _worst_error(steps, xs, refs, input_bufs, buffers,
+                 delta) -> tuple[float, int | None]:
     """Largest per-tensor l2 distance from the runtime over all inputs.
 
-    steps are (unit, prepared state, output ids) in graph order. Stops at
-    the first tensor beyond delta and returns its distance.
+    steps are (op index, unit, prepared state, output ids) in graph order.
+    Stops at the first tensor beyond delta and returns its distance and the
+    index of the operator that wrote it; the index is None within delta.
     """
     worst = 0.0
     for x, ref in zip(xs, refs):
         for buf, arr in zip(input_bufs, x):
             np.copyto(buf, arr.reshape(-1))
-        for unit, state, out_ids in steps:
+        for at, unit, state, out_ids in steps:
             unit.fn(*state)
             for tid in out_ids:
                 err = float(np.linalg.norm(
                     np.subtract(buffers[tid], ref[tid], dtype=np.float64)))
                 if not err <= delta:
-                    return err if math.isfinite(err) else math.inf
+                    return (err if math.isfinite(err) else math.inf), at
                 worst = max(worst, err)
-    return worst
+    return worst, None
 
 
 def _scratch_bytes(states, known) -> int:
@@ -274,19 +252,22 @@ def search_status(bundle: ModelBundle, lowered: Lowering, configs,
                   registry=None) -> SearchResult:
     """Find weight layouts whose behavior matches the runtime within delta.
 
-    Candidates are joint assignments of one layout per configuration class,
-    enumerated in each unit's layout order. Every tensor an operator writes is
-    compared with the runtime's copy of it, right after that operator runs:
-    a candidate is rejected at the first tensor whose l2 distance exceeds
-    delta, so a wrong layout cannot hide behind a saturating later operator.
-    The accepted candidate is evaluated on every input. lowering.configure
-    lays each candidate's weights out and prepares its kernels once, and
-    they then run on all inputs; the accepted candidate's flat weights go
-    to the emitter as they are. The runtime's plan is loaded with the given
-    registry, not from the lowering.
+    The unknowns are the operators whose unit lists layouts; candidates are
+    walked in lexicographic order over them in graph order, each in its
+    unit's layout order. Every tensor an operator writes is compared with
+    the runtime's copy right after that operator runs, and a candidate is
+    rejected at the first tensor beyond delta, so a wrong layout cannot
+    hide behind a saturating later operator. Every candidate that agrees
+    with a rejected one on the unknowns up to its breach computes the same
+    tensors up to there and fails too, so the walk skips them all. The
+    first candidate within delta on every input is accepted. Each
+    candidate is configured once (lowering.configure) for all inputs; the
+    accepted one's flat weights go to the emitter as they are. The
+    runtime's plan is loaded with the given registry, not the lowering.
     """
     cfg = cfg or harness.VerifyConfig()
-    classes = build_classes(configs)
+    unknowns = [c.op_index for c in configs if c.unit.layouts]
+    domains = [list(configs[i].unit.layouts) for i in unknowns]
 
     plan = interpreter.load(bundle, device=lowered.device, registry=registry)
     xs = harness.make_inputs(bundle.graph, cfg)
@@ -298,29 +279,40 @@ def search_status(bundle: ModelBundle, lowered: Lowering, configs,
 
     buffers = lowered.allocate()
     input_bufs = [buffers[t] for t in lowered.input_ids]
+    picks = [0] * len(unknowns)
     evaluated = 0
-    best = math.inf
-    for joint in itertools.product(*(cls.layouts for cls in classes)):
+    best, best_at = math.inf, None
+    while True:
         evaluated += 1
         layouts = [None] * len(configs)
-        for cls, layout in zip(classes, joint):
-            for i in cls.members:
-                layouts[i] = layout
+        for i, domain, pick in zip(unknowns, domains, picks):
+            layouts[i] = domain[pick]
         flats, states, _ = configure(lowered, layouts, buffers)
-        worst = _worst_error(
-            [(c.unit, s, c.output_ids) for c, s in zip(configs, states)],
+        worst, at = _worst_error(
+            [(c.op_index, c.unit, s, c.output_ids)
+             for c, s in zip(configs, states)],
             xs, refs, input_bufs, buffers, cfg.delta)
-        if worst <= cfg.delta:
+        if at is None:
             known = [*buffers.values(), *itertools.chain(*flats)]
             return SearchResult(
                 layouts=layouts, candidates_evaluated=evaluated,
                 max_error=worst, scratch_bytes=_scratch_bytes(states, known),
                 weights=flats)
-        if worst < best:
-            best = worst
+        if best_at is None or worst < best:
+            best, best_at = worst, at
+        # advance the last unknown at or before the breach, carrying like an
+        # odometer, and reset the ones after it
+        k = sum(i <= at for i in unknowns) - 1
+        while k >= 0 and picks[k] == len(domains[k]) - 1:
+            k -= 1
+        if k < 0:
+            break
+        picks[k] += 1
+        picks[k + 1:] = [0] * (len(picks) - k - 1)
     raise SearchError(
         f"status search exhausted {evaluated} candidate(s) without meeting "
-        f"delta={cfg.delta}; best observed max error {best}",
+        f"delta={cfg.delta}; the best breached it at operator {best_at} "
+        f"({configs[best_at].kind}) with l2 distance {best}",
         candidates_evaluated=evaluated, best_error=best)
 
 
@@ -542,11 +534,12 @@ def main(argv):
               file=sys.stderr)
         return 2
     per_sample = sum(net_driver.INPUT_SIZES)
-    flat = np.fromfile(paths[0], "<f4").astype("=f4")
-    if flat.size == 0 or flat.size % per_sample != 0:
-        print(f"input holds {flat.size} values, need a multiple of "
-              f"{per_sample}", file=sys.stderr)
+    flat = np.fromfile(paths[0], "u1")
+    if flat.size == 0 or flat.size % (4 * per_sample):
+        print(f"input holds {flat.size} bytes, need a multiple of "
+              f"{4 * per_sample}", file=sys.stderr)
         return 2
+    flat = flat.view("<f4").astype("=f4")
     samples = []
     for row in flat.reshape(-1, per_sample):
         fields = []

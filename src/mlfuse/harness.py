@@ -2,7 +2,7 @@
 
 Verification drives both deployments with the same seeded random inputs and
 reports the worst l2 distance over all of them. Benchmarking times repeated
-invokes on both sides and collects the phase-tagged allocation counters.
+invokes on both sides and collects the per-phase byte counters.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import statistics
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -180,7 +180,6 @@ class BenchReport:
     generated_counters: dict
     latency_change_pct: float
     peak_change_pct: float
-    per_rep_ns: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -195,8 +194,7 @@ class BenchReport:
 
 
 def bench(bundle: ModelBundle, artifact, repetitions: int = 1000,
-          cfg: VerifyConfig | None = None, registry=None,
-          keep_per_rep: bool = False) -> BenchReport:
+          cfg: VerifyConfig | None = None, registry=None) -> BenchReport:
     """Time repeated single-sample invokes on both deployments."""
     if repetitions < 1:
         raise HarnessError("repetitions must be >= 1")
@@ -242,7 +240,7 @@ def bench(bundle: ModelBundle, artifact, repetitions: int = 1000,
     check_latency_stats(interp_stats)
     check_latency_stats(gen_stats)
 
-    report = BenchReport(
+    return BenchReport(
         repetitions=repetitions,
         interpreter_latency=interp_stats,
         generated_latency=gen_stats,
@@ -254,6 +252,3 @@ def bench(bundle: ModelBundle, artifact, repetitions: int = 1000,
                                  - gen_counters["peak_bytes"])
         / max(1, interp_counters["peak_bytes"]),
     )
-    if keep_per_rep:
-        report.per_rep_ns = {"interpreter": interp_ns, "generated": gen_ns}
-    return report

@@ -19,7 +19,6 @@ supported.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,35 +32,6 @@ from .lowering import Lowering, configure, lower
 
 class InterpreterError(Exception):
     pass
-
-
-_PHASES = ("load", "configure", "invoke")
-
-
-class PhaseTracker:
-    """Thread-safe allocation counter tagged by deployment phase."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._phase = "load"
-        self.totals = {p: 0 for p in _PHASES}
-        self.live = 0
-        self.peak = 0
-
-    def set_phase(self, phase: str) -> None:
-        if phase not in _PHASES:
-            raise ValueError(f"unknown phase {phase!r}")
-        with self._lock:
-            self._phase = phase
-
-    def alloc(self, nbytes: int) -> None:
-        if nbytes < 0:
-            raise ValueError("negative allocation")
-        with self._lock:
-            self.totals[self._phase] += nbytes
-            self.live += nbytes
-            if self.live > self.peak:
-                self.peak = self.live
 
 
 @dataclass(frozen=True)
@@ -85,7 +55,8 @@ class ExecutablePlan:
     lowered: Lowering
     steps: list[PlanStep]
     buffers: dict[int, np.ndarray]  # one flat buffer per lowered tensor
-    tracker: PhaseTracker
+    load_bytes: int  # graph text and canonical weights
+    configure_bytes: int  # tensor buffers and weight reorder copies
     invocations: int = 0
 
 
@@ -93,30 +64,22 @@ def load(bundle: ModelBundle, device: DeviceInfo | None = None,
          registry=None) -> ExecutablePlan:
     """Build an executable plan: validate, lower, allocate, configure."""
     registry = registry or default_registry()
-    tracker = PhaseTracker()
-
-    tracker.set_phase("load")
     problems = graphir.validate(bundle, custom_rules=registry.custom_shape_rules())
     if problems:
         raise GraphError("invalid bundle: " + "; ".join(problems))
-    tracker.alloc(len(graphir.graph_to_json(bundle.graph).encode("utf-8")))
     lowered = lower(bundle, device, registry)
-    for arr in lowered.weights.values():
-        tracker.alloc(arr.nbytes)
-
-    tracker.set_phase("configure")
+    load_bytes = len(graphir.graph_to_json(bundle.graph).encode("utf-8")) \
+        + sum(arr.nbytes for arr in lowered.weights.values())
     buffers = lowered.allocate()
-    for buf in buffers.values():
-        tracker.alloc(buf.nbytes)
     _, states, copied = configure(
         lowered, [hidden_status_for(op.unit.key) for op in lowered.ops],
         buffers)
-    tracker.alloc(copied)
     steps = [PlanStep(op_index=op.op_index, kind=op.kind, unit=op.unit,
                       state=state)
              for op, state in zip(lowered.ops, states)]
-    return ExecutablePlan(lowered=lowered, steps=steps, buffers=buffers,
-                          tracker=tracker)
+    return ExecutablePlan(
+        lowered=lowered, steps=steps, buffers=buffers, load_bytes=load_bytes,
+        configure_bytes=sum(b.nbytes for b in buffers.values()) + copied)
 
 
 def invoke(plan: ExecutablePlan, inputs) -> list[np.ndarray]:
@@ -127,7 +90,6 @@ def invoke(plan: ExecutablePlan, inputs) -> list[np.ndarray]:
     if len(inputs) != len(lowered.input_ids):
         raise InterpreterError(f"expected {len(lowered.input_ids)} input(s), "
                                f"got {len(inputs)}")
-    plan.tracker.set_phase("invoke")
     for tid, arr in zip(lowered.input_ids, inputs):
         buf = plan.buffers[tid]
         arr = np.asarray(arr)
@@ -150,13 +112,12 @@ def invoke(plan: ExecutablePlan, inputs) -> list[np.ndarray]:
 
 
 def counters(plan: ExecutablePlan) -> PhaseCounters:
-    """Phase-tagged allocation totals; only defined once invoke has run."""
+    """Plan-managed bytes per phase; only defined once invoke has run.
+
+    Invoke allocates nothing the plan manages, and nothing is freed, so the
+    peak is the load and configure bytes together.
+    """
     if plan.invocations == 0:
         raise InterpreterError("counters requested before the first invoke")
-    t = plan.tracker
-    return PhaseCounters(
-        load_bytes=t.totals["load"],
-        configure_bytes=t.totals["configure"],
-        invoke_bytes=t.totals["invoke"],
-        peak_bytes=t.peak,
-    )
+    return PhaseCounters(plan.load_bytes, plan.configure_bytes, 0,
+                         plan.load_bytes + plan.configure_bytes)

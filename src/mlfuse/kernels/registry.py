@@ -77,30 +77,6 @@ class ParamRecord:
     values: dict
 
 
-# keys that depend on tensor shapes, not on operator options; they are left
-# out of the configuration-class signature
-_SIG_EXCLUDE_DEFAULT = frozenset({
-    "in_shape", "out_shape", "in_shapes", "count", "batch",
-    "in_features", "out_features", "weight_slots",
-})
-_SIG_EXCLUDE = {
-    "CONV_2D": _SIG_EXCLUDE_DEFAULT | {"filter_h", "filter_w"},
-    "DEPTHWISE_CONV_2D": _SIG_EXCLUDE_DEFAULT | {"filter_h", "filter_w"},
-}
-
-
-def class_signature(record: ParamRecord) -> str:
-    """Canonical string over the option-derived knowns of a record.
-
-    Two operators whose units and signatures agree carry the same unknown
-    settings, so the searcher may bind them to one configuration class.
-    """
-    exclude = _SIG_EXCLUDE.get(record.op_kind, _SIG_EXCLUDE_DEFAULT)
-    items = sorted((k, repr(v)) for k, v in record.values.items()
-                   if k not in exclude)
-    return repr(items)
-
-
 # ---------------------------------------------------------------------------
 # Option resolution, from options graphir.validate has checked
 

@@ -75,26 +75,23 @@ def test_criterion_2_kernel_oracle_equivalence(capsys):
 
 def test_criterion_3_dynamic_configuration(capsys):
     with _criterion(capsys, 3,
-                    "joint search prunes via classes, recovers the runtime "
-                    "layouts, and reports exhaustion cleanly") as info:
+                    "the search walks operator layouts in graph order and "
+                    "prunes at the first breach") as info:
         bundle = fixtures.build_fixture("lenet")
         ex = codegen.extract_units(bundle)
         configs = codegen.analyze_config(ex)
-        classes = codegen.build_classes(configs)
-        assert any(len(c.members) >= 2 and c.key[0] == "FULLY_CONNECTED"
-                   for c in classes)
-        joint = math.prod(len(c.layouts) for c in classes)
-        unpruned = math.prod(len(c.unit.layouts) for c in configs
-                             if c.unit.layouts)
+        domains = [len(c.unit.layouts) for c in configs if c.unit.layouts]
+        pruned = 1 + sum(n - 1 for n in domains)
+        unpruned = math.prod(domains)
         result = codegen.search_status(bundle, ex, configs)
-        assert result.candidates_evaluated <= joint < unpruned
+        assert result.candidates_evaluated <= pruned < unpruned
 
         for c in configs:
             assert result.layouts[c.op_index] == \
                 hidden_status_for(c.unit.key), c.op_index
 
         # a registry whose conv layouts exclude the layout in actual use
-        # leaves no workable assignment at all
+        # leaves no workable assignment at all, and the first conv proves it
         doctored = build_default_registry()
         unit = doctored.lookup(CONV_2D, DataType.F32, DeviceInfo())
         unit.layouts = {"OHWI": None}
@@ -103,10 +100,12 @@ def test_criterion_3_dynamic_configuration(capsys):
         with pytest.raises(codegen.SearchError, match="exhausted") as ei:
             codegen.search_status(bundle, dex, dcf,
                                   registry=default_registry())
-        assert ei.value.candidates_evaluated == 4
+        assert ei.value.candidates_evaluated == 1
+        assert math.isfinite(ei.value.best_error)
         assert ei.value.best_error > DELTA
+        assert "at operator 0 (CONV_2D)" in str(ei.value)
         info["detail"] = (f"{result.candidates_evaluated} candidates <= "
-                          f"{joint} joint < {unpruned} unpruned")
+                          f"{pruned} pruned < {unpruned} joint")
 
 
 def test_criterion_4_memory_pattern(built, bench_reports, capsys):

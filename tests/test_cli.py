@@ -146,6 +146,19 @@ def test_run_rejects_wrong_input_size(workdir, tmp_path, capsys):
     assert "input file holds" in capsys.readouterr().err
 
 
+def test_run_rejects_input_that_is_not_whole_float32_values(
+        workdir, tmp_path, capsys):
+    # four values and one stray byte: reading whole values alone would
+    # drop the tail and run
+    g, w = _paths(workdir, "identity")
+    ip, op = tmp_path / "in.raw", tmp_path / "out.raw"
+    ip.write_bytes(np.zeros(4, dtype="<f4").tobytes() + b"x")
+    assert cli.main(["run", g, w, str(ip), str(op)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "holds 17 bytes" in err
+    assert not op.exists()
+
+
 # -- codegen ------------------------------------------------------------------
 
 def test_codegen_emits_manifest_and_program(workdir, tmp_path, capsys):

@@ -11,6 +11,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 import zipfile
 import zipimport
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 from mlfuse import codegen, fixtures, graphir, harness, interpreter
 from mlfuse.graphir import (
     ADD,
+    CONV_2D,
     FULLY_CONNECTED,
     RESHAPE,
     ComputationalGraph,
@@ -34,16 +36,18 @@ from mlfuse.graphir import (
     WeightStore,
 )
 from mlfuse.kernels import DeviceInfo, default_registry, ops
+from mlfuse.kernels.live_status import hidden_status_for
 from mlfuse.kernels.registry import build_default_registry
 
-# joint search spaces are tiny and enumeration order is fixed, so the
-# candidate count at acceptance is a stable property of each fixture
+# the walk order is fixed, so the candidate count at acceptance is a stable
+# property of each fixture: one failed candidate per unknown whose first
+# layout is not the runtime's, plus the accepted one
 EXPECTED_CANDIDATES = {
     "identity": 1,
-    "mlp": 2,
-    "custom": 2,
-    "dwblock": 2,
-    "lenet": 8,
+    "mlp": 3,
+    "custom": 3,
+    "dwblock": 3,
+    "lenet": 6,
 }
 
 
@@ -52,39 +56,17 @@ def _analysis(bundle, device=None, registry=None):
     return ex, codegen.analyze_config(ex)
 
 
-# -- configuration classes ----------------------------------------------------
-
-def test_classes_group_same_signature_operators():
-    """Both lenet convs land in one class despite different filter sizes."""
-    bundle = fixtures.build_fixture("lenet")
-    _, configs = _analysis(bundle)
-    classes = codegen.build_classes(configs)
-    by_members = {(c.key[0], c.members): c.layouts for c in classes}
-    assert by_members[("CONV_2D", (0, 2))] == ("OHWI", "HWIO")
-    # fc1 and fc2 share fused RELU; fc3 has none, so it classifies alone
-    assert ("FULLY_CONNECTED", (5, 6)) in by_members
-    assert ("FULLY_CONNECTED", (7,)) in by_members
-    assert len(classes) == 3
-
-
-def test_parameter_free_operators_make_no_classes():
-    bundle = fixtures.build_fixture("identity")
-    _, configs = _analysis(bundle)
-    assert codegen.build_classes(configs) == []
-
-
 # -- status search ------------------------------------------------------------
 
 def test_search_prunes_joint_space():
+    """Each failed candidate rules out its whole subtree of later unknowns."""
     bundle = fixtures.build_fixture("lenet")
     ex, configs = _analysis(bundle)
-    classes = codegen.build_classes(configs)
-    joint = math.prod(len(c.layouts) for c in classes)
-    unpruned = math.prod(len(c.unit.layouts) for c in configs
-                         if c.unit.layouts)
+    domains = [len(c.unit.layouts) for c in configs if c.unit.layouts]
+    pruned = 1 + sum(n - 1 for n in domains)
     result = codegen.search_status(bundle, ex, configs)
-    assert joint == 8 and unpruned == 32
-    assert result.candidates_evaluated <= joint < unpruned
+    assert pruned == 6 and math.prod(domains) == 32
+    assert result.candidates_evaluated <= pruned
     assert result.max_error <= 1e-6
 
 
@@ -128,6 +110,71 @@ def test_search_exhaustion_reports_candidates_and_best_error():
     assert err.candidates_evaluated == 1
     assert math.isfinite(err.best_error) and err.best_error > 1e-6
     assert "exhausted" in str(err)
+    assert "at operator 0 (FULLY_CONNECTED)" in str(err)
+
+
+def test_walk_carries_past_a_layout_that_passes_its_own_operator():
+    # fc1's weights are nearly constant, so its wrong layout stays within
+    # delta at fc1; fc2's large weights carry that error past delta. Both of
+    # fc2's layouts then fail at fc2, and the walk must carry into fc1
+    # rather than give up: all four candidates, the last one accepted.
+    b = fixtures._Builder(5)
+    x = b.tensor("x", (1, 4))
+    w1 = b.weight_array("w1", (0.25 + 1e-4 * b.rng.uniform(-1, 1, (8, 4)))
+                        .astype(np.float32))
+    h = b.tensor("h", (1, 8))
+    b.op(FULLY_CONNECTED, [x, w1, b.bias("b1", 8)], [h],
+         {"activation": "NONE"})
+    w2 = b.weight("w2", (3, 8), lo=-1000.0, hi=1000.0)
+    y = b.tensor("y", (1, 3))
+    b.op(FULLY_CONNECTED, [h, w2, b.bias("b2", 3)], [y],
+         {"activation": "NONE"})
+    bundle = b.bundle([x], [y])
+    ex, configs = _analysis(bundle)
+    result = codegen.search_status(bundle, ex, configs,
+                                   harness.VerifyConfig(delta=1e-2))
+    assert result.candidates_evaluated == 4
+    assert result.layouts == ["transposed", "transposed"]
+
+
+def _deep_chain(seed=7):
+    """12 3x3 convs, each with its own (activation, padding, dilation),
+    then a reshape and an FC: 13 unknowns, a joint space of 2**13."""
+    b = fixtures._Builder(seed)
+    x = t_in = b.tensor("x", (1, 12, 12, 4))
+    hw = 12
+    combos = [(act, "SAME", dil) for dil in (1, 2, 3)
+              for act in ("NONE", "RELU", "RELU6")]
+    combos += [(act, "VALID", 1) for act in ("NONE", "RELU", "RELU6")]
+    for k, (act, padding, dil) in enumerate(combos):
+        hw -= 2 if padding == "VALID" else 0
+        w, bias = b.weight(f"w{k}", (4, 3, 3, 4)), b.bias(f"b{k}", 4)
+        y = b.tensor(f"c{k}", (1, hw, hw, 4))
+        b.op(CONV_2D, [x, w, bias], [y],
+             {"stride_h": 1, "stride_w": 1, "dilation_h": dil,
+              "dilation_w": dil, "padding": padding, "activation": act})
+        x = y
+    flat = b.tensor("flat", (1, hw * hw * 4))
+    b.op(RESHAPE, [x], [flat], {"new_shape": [1, hw * hw * 4]})
+    w, bias = b.weight("fc_w", (10, hw * hw * 4)), b.bias("fc_b", 10)
+    out = b.tensor("y", (1, 10))
+    b.op(FULLY_CONNECTED, [flat, w, bias], [out], {"activation": "NONE"})
+    return b.bundle([t_in], [out])
+
+
+def test_deep_chain_search_stays_linear_in_its_unknowns(tmp_path):
+    bundle = _deep_chain()
+    ex, configs = _analysis(bundle)
+    unknowns = sum(1 for c in configs if c.unit.layouts)
+    t0 = time.perf_counter()
+    result = codegen.search_status(bundle, ex, configs)
+    elapsed = time.perf_counter() - t0
+    assert unknowns == 13
+    assert result.candidates_evaluated <= 1 + unknowns
+    assert result.layouts == [hidden_status_for(c.unit.key) for c in configs]
+    assert elapsed < 10.0
+    artifact = codegen.pipeline(bundle, tmp_path)
+    assert harness.verify(bundle, artifact).max_error == 0.0
 
 
 # -- lowering -----------------------------------------------------------------
@@ -153,7 +200,11 @@ def test_lowering_reads_no_status_table(monkeypatch):
 
     monkeypatch.setattr(interpreter, "hidden_status_for", forbidden)
     _, configs = _analysis(fixtures.build_fixture("lenet"))
-    assert len(codegen.build_classes(configs)) == 3
+    assert [(c.op_index, list(c.unit.layouts)) for c in configs
+            if c.unit.layouts] == [
+        (0, ["OHWI", "HWIO"]), (2, ["OHWI", "HWIO"]),
+        (5, ["row_major", "transposed"]), (6, ["row_major", "transposed"]),
+        (7, ["row_major", "transposed"])]
 
 
 # -- emission -----------------------------------------------------------------
@@ -232,6 +283,21 @@ def test_program_rejects_bad_arguments_with_exit_2(built, tmp_path, args):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip()
+
+
+@pytest.mark.parametrize("size", [3, 17, 4 * 4 * 3 + 2])
+def test_program_rejects_input_that_is_not_whole_samples(built, tmp_path,
+                                                        size):
+    # a stray byte or a cut value is no sample: reading whole values alone
+    # would drop the tail and run
+    _, artifact = built["identity"]
+    (tmp_path / "in.raw").write_bytes(b"\x01" * size)
+    proc = subprocess.run([artifact.executable, "in.raw", "out.raw"],
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"input holds {size} bytes, need a multiple "
+                           f"of 16\n")
+    assert not (tmp_path / "out.raw").exists()
 
 
 def _program_main(artifact):

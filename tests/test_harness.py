@@ -148,10 +148,8 @@ def test_bench_rejects_zero_reps(built):
 
 def test_bench_report_structure(built):
     bundle, artifact = built["identity"]
-    rep = harness.bench(bundle, artifact, repetitions=5, keep_per_rep=True)
+    rep = harness.bench(bundle, artifact, repetitions=5)
     assert rep.repetitions == 5
-    assert len(rep.per_rep_ns["interpreter"]) == 5
-    assert len(rep.per_rep_ns["generated"]) == 5
     for stats in (rep.interpreter_latency, rep.generated_latency):
         harness.check_latency_stats(stats)
     assert rep.generated_counters["load_bytes"] == 0
@@ -159,5 +157,4 @@ def test_bench_report_structure(built):
     assert rep.generated_counters["peak_bytes"] <= \
         rep.interpreter_counters["peak_bytes"]
     obj = json.loads(rep.to_json())
-    assert "per_rep_ns" not in obj
     assert obj["repetitions"] == 5

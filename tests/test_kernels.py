@@ -15,7 +15,6 @@ from mlfuse.kernels import (
     ParamRecord,
     RegistryError,
     StatusError,
-    class_signature,
     default_registry,
     layout_weight_arrays,
     ops,
@@ -337,39 +336,6 @@ def test_duplicate_registration_rejected():
     unit = reg.lookup(CONV_2D, DataType.F32, DeviceInfo())
     with pytest.raises(RegistryError, match="duplicate registration"):
         reg.register_builtin(unit)
-
-
-# -- class signatures ---------------------------------------------------------
-
-def test_class_signature_ignores_shape_keys():
-    a = ParamRecord("FULLY_CONNECTED", {
-        "batch": 1, "in_features": 4, "out_features": 8,
-        "activation_min": None, "activation_max": None})
-    b = ParamRecord("FULLY_CONNECTED", {
-        "batch": 1, "in_features": 8, "out_features": 3,
-        "activation_min": None, "activation_max": None})
-    assert class_signature(a) == class_signature(b)
-
-
-def test_class_signature_separates_activations():
-    a = ParamRecord("FULLY_CONNECTED", {
-        "batch": 1, "in_features": 4, "out_features": 8,
-        "activation_min": 0.0, "activation_max": None})
-    b = ParamRecord("FULLY_CONNECTED", {
-        "batch": 1, "in_features": 4, "out_features": 8,
-        "activation_min": None, "activation_max": None})
-    assert class_signature(a) != class_signature(b)
-
-
-def test_class_signature_ignores_conv_filter_dims():
-    base = {"in_shape": (1, 8, 8, 3), "out_shape": (1, 8, 8, 4),
-            "stride_h": 1, "stride_w": 1, "dilation_h": 1, "dilation_w": 1,
-            "pad_before_h": 0, "pad_after_h": 0, "pad_before_w": 0,
-            "pad_after_w": 0, "activation_min": None, "activation_max": None}
-    a = ParamRecord("CONV_2D", {**base, "filter_h": 3, "filter_w": 3})
-    b = ParamRecord("CONV_2D", {**base, "filter_h": 5, "filter_w": 5,
-                               "in_shape": (1, 9, 9, 3)})
-    assert class_signature(a) == class_signature(b)
 
 
 # -- weight payload layouts ---------------------------------------------------

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "scripts" / "same_programs.py"
@@ -31,3 +32,25 @@ def test_every_differing_file_and_build_is_named_once():
         "c: built only in the change",
     ]
 
+
+
+def test_differing_manifest_fields_are_named_with_both_values():
+    def manifest(**fields):
+        return json.dumps({"plan_digest": "d", "seed": 1, **fields},
+                          sort_keys=True)
+
+    base = {"lenet": {"program": "1", same_programs.MANIFEST: manifest(
+        candidates_evaluated=8, strip=True)}}
+    change = {"lenet": {"program": "1", same_programs.MANIFEST: manifest(
+        candidates_evaluated=6, max_diff=0.0)}}
+    assert same_programs.differences(base, change) == [
+        "lenet: build_manifest.json candidates_evaluated 8 -> 6",
+        "lenet: build_manifest.json max_diff (absent) -> 0.0",
+        "lenet: build_manifest.json strip true -> (absent)",
+    ]
+    # the same fields written another way still differ as files
+    spaced = json.dumps(json.loads(base["lenet"][same_programs.MANIFEST]),
+                        indent=1)
+    assert same_programs.differences(
+        base, {"lenet": {"program": "1", same_programs.MANIFEST: spaced}}) \
+        == ["lenet: build_manifest.json differs"]
