@@ -9,7 +9,9 @@ every fixture at its default seed and at seeds 1 and 2, stripped and
 unstripped: 30 builds a side for the five fixtures. It compares the sha256
 of every source and the program of each build and the text of its
 build_manifest.json, and prints each difference; for a manifest, each
-field that differs, with both values.
+field that differs, with both values. Where a build's program differs, it
+runs both programs on one seeded file of 37 samples and prints whether
+their outputs are byte-identical.
 
 Exit status 0 when every file is byte-identical, 1 on a difference or a
 failed build, 2 on a revision git cannot export.
@@ -25,17 +27,22 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import ROOT, _export, _git  # noqa: E402
 
 SEEDS = (None, 1, 2)  # None: the fixture's own seed
 MANIFEST = "build_manifest.json"
+SAMPLES = 37  # samples in the file both sides' programs run on
 
 # Runs in a checkout with its src/ on PYTHONPATH; argv[1] is the build root.
-# Prints {build: {file: sha256, "build_manifest.json": its text}} as JSON.
+# Prints, as JSON, {build: {file: sha256, "build_manifest.json": its text}}
+# and {build: [program path, input float32 values a sample]}.
 _BUILD_SRC = '''\
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -44,26 +51,31 @@ from mlfuse import codegen, fixtures
 root = Path(sys.argv[1])
 seeds = json.loads(sys.argv[2])
 digests = {}
+programs = {}
 for name in sorted(fixtures.FIXTURES):
     for seed in seeds:
         for strip in (True, False):
             build = (f"{name} seed={'default' if seed is None else seed} "
                      f"{'strip' if strip else 'no-strip'}")
             out = root / build.replace(" ", "_").replace("=", "")
+            bundle = fixtures.build_fixture(name, seed)
             art = codegen.pipeline(
-                fixtures.build_fixture(name, seed), out,
-                toolchain=codegen.ToolchainConfig(strip=strip))
+                bundle, out, toolchain=codegen.ToolchainConfig(strip=strip))
+            graph = bundle.graph
+            programs[build] = [art.executable, sum(
+                math.prod(graph.tensors[t].shape) for t in graph.inputs)]
             files = [*art.sources, art.manifest["executable"]]
             digests[build] = {f: hashlib.sha256((out / f).read_bytes())
                               .hexdigest() for f in files}
             digests[build]["build_manifest.json"] = (
                 out / "build_manifest.json").read_text()
-print(json.dumps(digests))
+print(json.dumps([digests, programs]))
 '''
 
 
-def build_all(checkout: Path, out: Path) -> dict:
-    """{build: {file: sha256 or manifest text}} for every build in checkout."""
+def build_all(checkout: Path, out: Path) -> tuple[dict, dict]:
+    """Every build in checkout: {build: {file: sha256 or manifest text}}
+    and {build: [program path, input float32 values a sample]}."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", _BUILD_SRC, str(out), json.dumps(SEEDS)],
@@ -71,7 +83,23 @@ def build_all(checkout: Path, out: Path) -> dict:
     if proc.returncode != 0:
         raise RuntimeError(f"builds in {checkout} exited {proc.returncode}:"
                            f"\n{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout)
+    return tuple(json.loads(proc.stdout))
+
+
+def same_outputs(base_program, change_program, values: int,
+                 work: Path) -> bool:
+    """Whether two programs write the same bytes on one seeded file of
+    SAMPLES samples of `values` float32 values each. A program that fails
+    writes nothing the other can match."""
+    samples = work / "samples.raw"
+    np.random.default_rng(SAMPLES).uniform(
+        -1, 1, SAMPLES * values).astype("<f4").tofile(samples)
+    outs = []
+    for k, program in enumerate((base_program, change_program)):
+        out = work / f"out{k}.raw"
+        proc = subprocess.run([program, samples, out], capture_output=True)
+        outs.append(out.read_bytes() if proc.returncode == 0 else None)
+    return outs[0] is not None and outs[0] == outs[1]
 
 
 def differences(base: dict, change: dict) -> list[str]:
@@ -122,17 +150,29 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         _export(sha, tmp / "base")
         try:
-            base = build_all(tmp / "base", tmp / "base-builds")
-            change = build_all(ROOT, tmp / "change-builds")
+            base, base_programs = build_all(tmp / "base", tmp / "base-builds")
+            change, programs = build_all(ROOT, tmp / "change-builds")
         except RuntimeError as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
-    diffs = differences(base, change)
-    for line in diffs:
-        print(line)
+        diffs = differences(base, change)
+        for line in diffs:
+            print(line)
+        # a program that differs may still compute the same bytes
+        ran = same = 0
+        for build in sorted(base.keys() & change.keys()):
+            if base[build].get("program") == change[build].get("program"):
+                continue
+            program, values = programs[build]
+            ok = same_outputs(base_programs[build][0], program, values, tmp)
+            ran += 1
+            same += ok
+            print(f"{build}: outputs on {SAMPLES} samples "
+                  f"{'byte-identical' if ok else 'differ'}")
     files = sum(len(v) for v in change.values())
     print(f"{len(change)} builds, {files} files: "
-          f"{len(diffs)} difference(s) against {args.rev} ({sha[:12]})")
+          f"{len(diffs)} difference(s) against {args.rev} ({sha[:12]}); "
+          f"{same} of {ran} differing programs write byte-identical outputs")
     return 1 if diffs else 0
 
 

@@ -60,17 +60,22 @@ def cmd_run(args) -> int:
     specs = [plan.lowered.tensors[t] for t in plan.lowered.input_ids]
     total = sum(b.count for b in specs)
     raw = Path(args.input).read_bytes()
-    if len(raw) != 4 * total:
-        raise ValueError(f"input file holds {len(raw)} bytes, the model "
-                         f"takes {total} float32 values ({4 * total} bytes)")
-    flat = np.frombuffer(raw, dtype="<f4").astype(np.float32)
-    xs = []
-    at = 0
-    for b in specs:
-        xs.append(flat[at:at + b.count].reshape(b.shape))
-        at += b.count
-    outs = interpreter.invoke(plan, xs)
-    merged = np.concatenate([o.reshape(-1) for o in outs]).astype("<f4")
+    # the program's file format: whole samples, each its inputs in order
+    if not raw or len(raw) % (4 * total):
+        raise ValueError(f"input file holds {len(raw)} bytes, need a "
+                         f"multiple of {4 * total} (the model takes {total} "
+                         f"float32 values a sample)")
+    rows = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(
+        -1, total)
+    outs = []
+    for row in rows:
+        xs = []
+        at = 0
+        for b in specs:
+            xs.append(row[at:at + b.count].reshape(b.shape))
+            at += b.count
+        outs += [o.reshape(-1) for o in interpreter.invoke(plan, xs)]
+    merged = np.concatenate(outs).astype("<f4")
     merged.tofile(args.output)
     c = interpreter.counters(plan)
     if args.json:
@@ -200,7 +205,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_inspect)
 
-    p = sub.add_parser("run", help="run one input through the interpreter")
+    p = sub.add_parser("run", help="run an input file of samples through the "
+                                   "interpreter")
     p.add_argument("graph")
     p.add_argument("weights")
     p.add_argument("input")

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import graphir, harness, interpreter
 from .graphir import GraphError, DataType, ModelBundle
-from .kernels import DeviceInfo, default_registry
+from .kernels import DeviceInfo, default_registry, splits_along_axis_0
 from .kernels import ops as kernel_ops
 from .lowering import LoweredOp, Lowering, configure, lower
 
@@ -113,6 +113,9 @@ class EmissionPlan:
     # name -> flat array in the accepted layout, in operator then slot order
     weights: dict
     scratch_bytes: int
+    # the lowering at two samples a call, or None when the graph cannot
+    # stack samples along axis 0 (batch_lowering)
+    twice: Lowering | None
 
 
 @dataclass
@@ -324,13 +327,24 @@ def _weight_names(op: LoweredOp) -> list[str]:
     return [f"W{op.op_index}_{slot}" for slot in range(len(op.weight_keys))]
 
 
-def build_emission_plan(lowered: Lowering, configs,
-                        result: SearchResult) -> EmissionPlan:
+def batch_lowering(bundle: ModelBundle, lowered: Lowering,
+                   registry=None) -> Lowering | None:
+    """The lowering at two samples a call, or None when the graph cannot
+    run samples stacked along axis 0 of its tensors: some operator does
+    not compute each slice along it on its own."""
+    if not all(splits_along_axis_0(op.params, len(op.weight_keys))
+               for op in lowered.ops):
+        return None
+    return lower(bundle, lowered.device, registry, batch=2)
+
+
+def build_emission_plan(lowered: Lowering, configs, result: SearchResult,
+                        twice: Lowering | None) -> EmissionPlan:
     """Name the accepted candidate's weights; nothing is laid out again."""
     weights = {name: arr for c, flats in zip(configs, result.weights)
                for name, arr in zip(_weight_names(c), flats)}
     return EmissionPlan(lowered=lowered, weights=weights,
-                        scratch_bytes=result.scratch_bytes)
+                        scratch_bytes=result.scratch_bytes, twice=twice)
 
 
 _FORBIDDEN_TOKENS = ("tflite", ".lite", "graph.json", ".params", "MLW0",
@@ -358,6 +372,24 @@ def _lit(v) -> str:
         inner = ", ".join(_lit(x) for x in v)
         return f"({inner},)" if len(v) == 1 else f"({inner})"
     raise CodegenError(f"cannot render literal for {type(v).__name__}")
+
+
+def _per_call(v, v2) -> str:
+    """The literal of v, a value at one sample a call, as an expression in
+    n samples a call: v * n wherever the value at two samples, v2, doubled.
+    """
+    if isinstance(v, tuple) and v:
+        parts = [_per_call(a, b) for a, b in zip(v, v2)]
+        return f"({parts[0]},)" if len(v) == 1 else f"({', '.join(parts)})"
+    if _lit(v) == _lit(v2):
+        return _lit(v)
+    if _is_int(v) and v2 == 2 * v:
+        return "n" if v == 1 else f"{v} * n"
+    raise CodegenError(f"value {v!r} at one sample a call is {v2!r} at two")
+
+
+# the tensor buffers of one batched plan fit in this many bytes
+_BATCH_BUFFER_BYTES = 262144
 
 
 def _wrap_args(parts, indent="        ", width=80) -> list[str]:
@@ -408,11 +440,15 @@ def _template_source(fn) -> str:
 
 
 def _emit_driver(plan: EmissionPlan) -> str:
-    # The buffers and every kernel's prepared state live at module level,
-    # made once at import; run() only copies the inputs in, calls each run
-    # step through its module-global name (so it can be wrapped after
-    # import) and hands back fresh copies of the outputs.
+    # The buffers and every kernel's prepared state live at module level.
+    # plan(n) makes them for n samples a call, stacked along axis 0 of
+    # every tensor, and import runs plan(1); run() only copies the inputs
+    # in, calls each run step through its module-global name (so it can be
+    # wrapped after import) and hands back fresh copies of the outputs.
+    # BATCH is the largest n whose buffers fit in _BATCH_BUFFER_BYTES, or
+    # 1 when the graph cannot batch, and then nothing depends on n.
     lowered = plan.lowered
+    twice = plan.twice or lowered
     used_templates = list(dict.fromkeys(op.unit.template_id
                                         for op in lowered.ops))
     helpers = []
@@ -443,20 +479,32 @@ def _emit_driver(plan: EmissionPlan) -> str:
     total = sum(b.count * 4 for b in lowered.tensors.values())
     out.append(f"BUFFER_BYTES = {total}")
     out.append(f"SCRATCH_BYTES = {plan.scratch_bytes}")
+    batch = max(1, _BATCH_BUFFER_BYTES // total) if plan.twice else 1
+    out.append(f"BATCH = {batch}")
     out.append("")
+    out.append("")
+    out.append("def plan(n):")
+    names = [f"t{tid}" for tid in sorted(lowered.tensors)]
+    names += [f"S{op.op_index}" for op in lowered.ops]
+    out.append(f"    global {', '.join(names)}")
     for tid in sorted(lowered.tensors):
         b = lowered.tensors[tid]
-        out.append(f"t{tid} = np.empty({b.count}, "
+        out.append(f"    t{tid} = np.empty("
+                   f"{_per_call(b.count, twice.tensors[tid].count)}, "
                    f"{_NP_DTYPE_TOKEN[b.dtype.name]})")
-    for op in lowered.ops:
+    for op, op2 in zip(lowered.ops, twice.ops):
         ins = ", ".join(f"t{t}" for t in op.act_ids)
         ws = ", ".join(_weight_names(op))
         outs = ", ".join(f"t{t}" for t in op.output_ids)
-        out.append(f"S{op.op_index} = {op.unit.template_id}_prep(")
-        out.append(f"    [{ins}], [{ws}], [{outs}],")
-        kw_parts = [f"{k}={_lit(v)}" for k, v in op.params.values.items()]
-        out.extend(_wrap_args(kw_parts, indent="    "))
-        out.append(")")
+        out.append(f"    S{op.op_index} = {op.unit.template_id}_prep(")
+        out.append(f"        [{ins}], [{ws}], [{outs}],")
+        kw_parts = [f"{k}={_per_call(v, op2.params.values[k])}"
+                    for k, v in op.params.values.items()]
+        out.extend(_wrap_args(kw_parts))
+        out.append("    )")
+    out.append("")
+    out.append("")
+    out.append("plan(1)")
     out.append("")
     out.append("")
     out.append("def run(inputs):")
@@ -508,7 +556,6 @@ except ImportError as e:
     sys.exit(f"{sys.executable} cannot load numpy's C core: {e}")
 
 import gc
-import itertools
 import time
 
 import net_driver
@@ -539,16 +586,23 @@ def main(argv):
         print(f"input holds {flat.size} bytes, need a multiple of "
               f"{4 * per_sample}", file=sys.stderr)
         return 2
-    flat = flat.view("<f4").astype("=f4")
-    samples = []
-    for row in flat.reshape(-1, per_sample):
+    rows = flat.view("<f4").astype("=f4").reshape(-1, per_sample)
+    count = len(rows)
+    # b samples a call; the last call ends at the last sample, so it may
+    # overlap the one before it and write the same values there again
+    b = min(count, net_driver.BATCH)
+    if b > 1:
+        net_driver.plan(b)
+    starts = [*range(0, count - b, b), count - b]
+    calls = []
+    for k in starts:
         fields = []
         at = 0
-        for n, shape in zip(net_driver.INPUT_SIZES, net_driver.INPUT_SHAPES):
-            fields.append(row[at:at + n].reshape(shape))
+        for n in net_driver.INPUT_SIZES:
+            fields.append(rows[k:k + b, at:at + n])
             at += n
-        samples.append(fields)
-    net_driver.run(samples[0])
+        calls.append(fields)
+    net_driver.run(calls[0])
     times = []
     # collector pauses would land in individual repetitions; keep it off
     # while the clock runs
@@ -556,29 +610,40 @@ def main(argv):
     try:
         for _ in range(reps):
             t0 = time.perf_counter_ns()
-            outs = list(map(net_driver.run, samples))
+            outs = list(map(net_driver.run, calls))
             times.append(time.perf_counter_ns() - t0)
     finally:
         gc.enable()
-    merged = np.concatenate([*itertools.chain(*outs)])  # flat buffers' copies
-    merged.astype("<f4").tofile(paths[1])
+    width = 0
+    for o in outs[0]:
+        width += o.size // b
+    merged = np.empty((count, width), "<f4")
+    for k, call in zip(starts, outs):
+        at = 0
+        for o in call:
+            n = o.size // b
+            merged[k:k + b, at:at + n] = o.reshape(b, n)
+            at += n
+    merged.tofile(paths[1])
     if stats_path is not None:
-        # run() allocates only the copies of the outputs it hands back.
-        # Kernel scratch, prepared at import, is reported on its own: the
-        # interpreter's peak leaves out the same scratch. json is imported
-        # only here: a run without --stats does not pay for it.
+        # A call allocates only the copies of the outputs it hands back, so
+        # the peak is the buffers of the plan that ran plus one call's
+        # copies. Kernel scratch, prepared at import, is reported on its
+        # own: the interpreter's peak leaves out the same scratch. json is
+        # imported only here: a run without --stats does not pay for it.
         import json
 
-        invoke_bytes = merged.nbytes // len(samples)
+        invoke_bytes = 4 * b * width
         stats = {
             "reps": reps,
-            "samples": len(samples),
+            "samples": count,
+            "batch": b,
             "invoke_ns": times,
             "load_bytes": 0,
             "configure_bytes": 0,
             "scratch_bytes": net_driver.SCRATCH_BYTES,
             "invoke_bytes": invoke_bytes,
-            "peak_bytes": net_driver.BUFFER_BYTES + invoke_bytes,
+            "peak_bytes": net_driver.BUFFER_BYTES * b + invoke_bytes,
         }
         with open(stats_path, "w") as f:
             json.dump(stats, f, sort_keys=True)
@@ -759,7 +824,8 @@ def pipeline(bundle: ModelBundle, out_dir, device: DeviceInfo | None = None,
     lowered = extract_units(bundle, device, registry)
     configs = analyze_config(lowered)
     result = search_status(bundle, lowered, configs, cfg, registry)
-    plan = build_emission_plan(lowered, configs, result)
+    plan = build_emission_plan(lowered, configs, result,
+                               batch_lowering(bundle, lowered, registry))
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

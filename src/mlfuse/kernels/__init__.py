@@ -12,6 +12,7 @@ from .registry import (
     build_default_registry,
     check_unit_params,
     layout_weight_arrays,
+    splits_along_axis_0,
 )
 
 _default = None

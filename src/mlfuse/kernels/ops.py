@@ -133,13 +133,11 @@ def _outer_products(lhs, rhs, out):
 
 
 def _pool_windows_prep(x, out, filter_h, filter_w, stride_h, stride_w):
-    # per batch, the output plane and every tap's input window
+    # every tap's input window over the whole batch
     oh, ow = out.shape[1], out.shape[2]
-    return tuple(
-        (out[b], tuple(x[b, kh:kh + (oh - 1) * stride_h + 1:stride_h,
-                         kw:kw + (ow - 1) * stride_w + 1:stride_w]
-                       for kh in range(filter_h) for kw in range(filter_w)))
-        for b in range(len(out)))
+    return tuple(x[:, kh:kh + (oh - 1) * stride_h + 1:stride_h,
+                   kw:kw + (ow - 1) * stride_w + 1:stride_w]
+                 for kh in range(filter_h) for kw in range(filter_w))
 
 
 def conv2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
@@ -219,31 +217,29 @@ def depthwise_conv2d_f32_prep(inputs, weights, outputs, *, in_shape,
                             pad_after_h, pad_before_w, pad_after_w, 0.0)
     wk = weights[0].reshape(filter_h, filter_w, cin, depth_multiplier)
     out = outputs[0].reshape(n, oh, ow, cin, depth_multiplier)
-    batches = tuple(
-        (out[b], tuple(
-            (x[b, kh * dilation_h:
-               kh * dilation_h + (oh - 1) * stride_h + 1:stride_h,
-               kw * dilation_w:
-               kw * dilation_w + (ow - 1) * stride_w + 1:stride_w, :, None],
-             wk[kh, kw])
-            for kh in range(filter_h) for kw in range(filter_w)))
-        for b in range(n))
+    # every tap's input window over the whole batch, with its weights
+    taps = tuple(
+        (x[:, kh * dilation_h:
+           kh * dilation_h + (oh - 1) * stride_h + 1:stride_h,
+           kw * dilation_w:
+           kw * dilation_w + (ow - 1) * stride_w + 1:stride_w, :, None],
+         wk[kh, kw])
+        for kh in range(filter_h) for kw in range(filter_w))
     bias = (weights[1].reshape(cin, depth_multiplier) if len(weights) > 1
             else None)
-    return (pad, batches, np.empty(out.shape[1:], float32), bias,
+    return (pad, out, taps, np.empty(out.shape, float32), bias,
             (out, activation_min, activation_max))
 
 
-def depthwise_conv2d_f32(pad, batches, prod, bias, clamp):
+def depthwise_conv2d_f32(pad, out, taps, prod, bias, clamp):
     if pad:
         np.copyto(*pad)
-    for ob, taps in batches:
-        ob.fill(0.0)
-        for patch, wk in taps:
-            np.multiply(patch, wk, out=prod)
-            ob += prod
-        if bias is not None:
-            ob += bias
+    out.fill(0.0)
+    for patch, wk in taps:
+        np.multiply(patch, wk, out=prod)
+        out += prod
+    if bias is not None:
+        out += bias
     _apply_clamp(*clamp)
 
 
@@ -265,20 +261,19 @@ def avg_pool2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
             cnt += mask[kh:kh + (oh - 1) * stride_h + 1:stride_h,
                         kw:kw + (ow - 1) * stride_w + 1:stride_w]
     out = outputs[0].reshape(n, oh, ow, c)
-    return (pad, _pool_windows_prep(x, out, filter_h, filter_w, stride_h,
-                                    stride_w),
+    return (pad, out, _pool_windows_prep(x, out, filter_h, filter_w,
+                                         stride_h, stride_w),
             cnt[:, :, None],
             (out, activation_min, activation_max))
 
 
-def avg_pool2d_f32(pad, batches, cnt, clamp):
+def avg_pool2d_f32(pad, out, wins, cnt, clamp):
     if pad:
         np.copyto(*pad)
-    for ob, wins in batches:
-        ob.fill(0.0)
-        for win in wins:
-            ob += win
-        np.divide(ob, cnt, out=ob)
+    out.fill(0.0)
+    for win in wins:
+        out += win
+    np.divide(out, cnt, out=out)
     _apply_clamp(*clamp)
 
 
@@ -292,18 +287,17 @@ def max_pool2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
                             pad_after_h, pad_before_w, pad_after_w,
                             float("-inf"))
     out = outputs[0].reshape(n, oh, ow, c)
-    return (pad, _pool_windows_prep(x, out, filter_h, filter_w, stride_h,
-                                    stride_w),
+    return (pad, out, _pool_windows_prep(x, out, filter_h, filter_w,
+                                         stride_h, stride_w),
             (out, activation_min, activation_max))
 
 
-def max_pool2d_f32(pad, batches, clamp):
+def max_pool2d_f32(pad, out, wins, clamp):
     if pad:
         np.copyto(*pad)
-    for ob, wins in batches:
-        ob.fill(float("-inf"))
-        for win in wins:
-            np.maximum(ob, win, out=ob)
+    out.fill(float("-inf"))
+    for win in wins:
+        np.maximum(out, win, out=out)
     _apply_clamp(*clamp)
 
 
@@ -324,11 +318,17 @@ def fully_connected_f32(sums, clamp):
 
 
 def softmax_f32_prep(inputs, weights, outputs, *, in_shape, beta):
-    # one (input row, output row) pair per row, the row of exponentials and
-    # the row of their running sums; beta 1.0 scales by nothing, bit for bit
+    # one (input, output) pair, the exponentials and their running sums.
+    # A single row is a pair of 1-D rows; more rows are (class, row)
+    # transposed views, so each reduction over axis 0 serves every row at
+    # once and sums[-1] holds every row's total. beta 1.0 scales by
+    # nothing, bit for bit.
     c = in_shape[-1]
-    return (tuple(zip(inputs[0].reshape(-1, c), outputs[0].reshape(-1, c))),
-            np.empty(c, float32), np.empty(c, float32),
+    x = inputs[0].reshape(-1, c)
+    out = outputs[0].reshape(-1, c)
+    x, out = (x[0], out[0]) if len(x) == 1 else (x.T, out.T)
+    return (((x, out),), np.empty(x.shape, float32),
+            np.empty(x.shape, float32),
             None if beta == 1.0 else float32(beta))
 
 

@@ -130,6 +130,36 @@ def _map_pool(o, in_shapes, out_shape) -> dict:
     }
 
 
+# kinds whose kernel computes each slice along axis 0 of its activations on
+# its own, whatever the options
+_SPLIT_ALONG_AXIS_0 = {
+    "CONV_2D", "DEPTHWISE_CONV_2D", "AVERAGE_POOL_2D", "MAX_POOL_2D",
+    "FULLY_CONNECTED", "RELU", "RESHAPE", "SCALE_SHIFT",
+}
+
+
+def splits_along_axis_0(params: ParamRecord, weights: int) -> bool:
+    """Whether an operator computes each slice along axis 0 on its own.
+
+    Then samples stacked along axis 0 of every activation run through one
+    kernel call as they would one at a time. weights counts the operator's
+    inputs that are weights. SOFTMAX needs a class axis beside axis 0, ADD
+    and CONCATENATION no weight operand sized for one sample, CONCATENATION
+    an axis other than 0 and PAD nothing added along it. Any other kind,
+    custom ones included, is taken as mixing its slices.
+    """
+    kind, v = params.op_kind, params.values
+    if kind == "SOFTMAX":
+        return len(v["in_shape"]) >= 2
+    if kind == "ADD":
+        return weights == 0
+    if kind == "CONCATENATION":
+        return v["axis"] != 0 and weights == 0
+    if kind == "PAD":
+        return v["paddings"][0] == (0, 0)
+    return kind in _SPLIT_ALONG_AXIS_0
+
+
 # ---------------------------------------------------------------------------
 # Registry
 

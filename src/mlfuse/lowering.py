@@ -71,12 +71,18 @@ class Lowering:
 
 
 def lower(bundle: ModelBundle, device: DeviceInfo | None = None,
-          registry=None) -> Lowering:
-    """Resolve every operator of a validated bundle, and its buffers."""
+          registry=None, batch: int = 1) -> Lowering:
+    """Resolve every operator of a validated bundle, and its buffers.
+
+    batch > 1 scales the leading dim of every non-weight tensor: samples
+    stacked along axis 0, for a graph whose every operator splits along it
+    (registry.splits_along_axis_0).
+    """
     device = device or DeviceInfo()
     registry = registry or default_registry()
     graph = bundle.graph
-    shapes = {t.id: t.shape for t in graph.tensors}
+    shapes = {t.id: t.shape if t.weight_ref is not None
+              else (t.shape[0] * batch, *t.shape[1:]) for t in graph.tensors}
     weight_ids = {t.id: t.weight_ref for t in graph.tensors
                   if t.weight_ref is not None}
     ops = []
@@ -101,7 +107,8 @@ def lower(bundle: ModelBundle, device: DeviceInfo | None = None,
             output_ids=tuple(node.outputs)))
     return Lowering(
         device=device, ops=ops,
-        tensors={t.id: BufferSpec(t.shape, math.prod(t.shape), t.dtype)
+        tensors={t.id: BufferSpec(shapes[t.id], math.prod(shapes[t.id]),
+                                  t.dtype)
                  for t in graph.tensors if t.weight_ref is None},
         weights={key: bundle.weights.as_array(key)
                  for key in sorted(bundle.weights.entries)},

@@ -159,6 +159,33 @@ def test_run_rejects_input_that_is_not_whole_float32_values(
     assert not op.exists()
 
 
+def test_run_rejects_an_empty_file(workdir, tmp_path, capsys):
+    g, w = _paths(workdir, "identity")
+    ip, op = tmp_path / "in.raw", tmp_path / "out.raw"
+    ip.write_bytes(b"")
+    assert cli.main(["run", g, w, str(ip), str(op)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "holds 0 bytes" in err
+    assert not op.exists()
+
+
+def test_run_takes_the_programs_file_format(built, tmp_path, capsys):
+    # a file of whole samples, each sample's outputs written in turn: the
+    # interpreter's file is the program's, byte for byte
+    bundle, artifact = built["lenet"]
+    g, w = tmp_path / "lenet.mlg", tmp_path / "lenet.mlw"
+    graphir.save_bundle(bundle, g, w)
+    np.random.default_rng(6).uniform(-1, 1, (37, 784)).astype("<f4").tofile(
+        tmp_path / "in.raw")
+    assert cli.main(["run", str(g), str(w), str(tmp_path / "in.raw"),
+                     str(tmp_path / "interp.raw"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["values"] == 37 * 10
+    subprocess.run([artifact.executable, "in.raw", "program.raw"],
+                   cwd=tmp_path, check=True)
+    assert (tmp_path / "interp.raw").read_bytes() == \
+        (tmp_path / "program.raw").read_bytes()
+
+
 # -- codegen ------------------------------------------------------------------
 
 def test_codegen_emits_manifest_and_program(workdir, tmp_path, capsys):

@@ -25,9 +25,13 @@ from hypothesis import strategies as st
 from mlfuse import codegen, fixtures, graphir, harness, interpreter
 from mlfuse.graphir import (
     ADD,
+    CONCATENATION,
     CONV_2D,
     FULLY_CONNECTED,
+    PAD,
+    RELU,
     RESHAPE,
+    SOFTMAX,
     ComputationalGraph,
     DataType,
     ModelBundle,
@@ -37,7 +41,11 @@ from mlfuse.graphir import (
 )
 from mlfuse.kernels import DeviceInfo, default_registry, ops
 from mlfuse.kernels.live_status import hidden_status_for
-from mlfuse.kernels.registry import build_default_registry
+from mlfuse.kernels.registry import (
+    ComputingUnit,
+    UnitKey,
+    build_default_registry,
+)
 
 # the walk order is fixed, so the candidate count at acceptance is a stable
 # property of each fixture: one failed candidate per unknown whose first
@@ -703,6 +711,179 @@ def test_program_stats_report_buffers_scratch_and_output_copies(built,
     # the two conv product tensors and gathered patches, at most 64 KiB
     # each, and the fc product tensors
     assert 2 * 65536 < stats["scratch_bytes"] <= 5 * 65536
+
+
+# -- batched serving ----------------------------------------------------------
+
+def _batch_counts(batch):
+    """Sample counts about the program's batch, and 100."""
+    return sorted({1, 2, max(1, batch - 1), batch, batch + 1, 2 * batch + 3,
+                   100})
+
+
+def _served_in_batches(bundle, artifact, counts, work, registry=None):
+    """Files of each count of seeded samples through the program, each
+    against the per-sample interpreter, bit for bit."""
+    plan = interpreter.load(bundle, registry=registry)
+    specs = [plan.lowered.tensors[t] for t in plan.lowered.input_ids]
+    rows = np.random.default_rng(8).uniform(
+        -1, 1, (max(counts), sum(b.count for b in specs))).astype(np.float32)
+    want = []
+    for row in rows:
+        xs, at = [], 0
+        for b in specs:
+            xs.append(row[at:at + b.count].reshape(b.shape))
+            at += b.count
+        want.append(b"".join(o.astype("<f4").tobytes()
+                             for o in interpreter.invoke(plan, xs)))
+    for count in counts:
+        rows[:count].astype("<f4").tofile(work / "in.raw")
+        proc = subprocess.run([artifact.executable, "in.raw", "out.raw"],
+                              cwd=work, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (work / "out.raw").read_bytes() == b"".join(want[:count]), \
+            count
+
+
+@pytest.mark.parametrize("name, batch", [
+    ("custom", 2520), ("dwblock", 36), ("identity", 8192), ("lenet", 9),
+    ("mlp", 3640)])
+def test_program_serves_a_file_in_batches_bit_for_bit(built, tmp_path, name,
+                                                      batch):
+    # BATCH samples' tensor buffers fit in 256 KiB; the last call of a file
+    # overlaps the one before it whenever BATCH does not divide the count
+    bundle, artifact = built[name]
+    driver = _import_driver(artifact)
+    assert driver.BATCH == batch == 262144 // driver.BUFFER_BYTES
+    _served_in_batches(bundle, artifact, _batch_counts(batch), tmp_path)
+
+
+def test_batches_split_two_inputs_and_join_two_outputs(tmp_path):
+    # every operator kind that batches only under a condition, met: ADD of
+    # two activations, CONCATENATION on axis 1 with no weight part, PAD
+    # with nothing added on axis 0 and a two-row SOFTMAX a sample; the
+    # outputs, of different sizes, come in another order than the inputs
+    g = ComputationalGraph(
+        tensors=[
+            TensorSpec(0, "x", DataType.F32, (1, 4)),
+            TensorSpec(1, "y", DataType.F32, (1, 6)),
+            TensorSpec(2, "ry", DataType.F32, (1, 6)),
+            TensorSpec(3, "xy", DataType.F32, (1, 10)),
+            TensorSpec(4, "w", DataType.F32, (3, 10), weight_ref=0),
+            TensorSpec(5, "b", DataType.F32, (3,), weight_ref=1),
+            TensorSpec(6, "fc", DataType.F32, (1, 3)),
+            TensorSpec(7, "grid", DataType.F32, (2, 3)),
+            TensorSpec(8, "probs", DataType.F32, (2, 3)),
+            TensorSpec(9, "flat", DataType.F32, (1, 6)),
+            TensorSpec(10, "sum", DataType.F32, (1, 6)),
+            TensorSpec(11, "padded", DataType.F32, (1, 5)),
+        ],
+        operators=[
+            OperatorNode(RELU, (1,), (2,), {}),
+            OperatorNode(CONCATENATION, (0, 2), (3,), {"axis": 1}),
+            OperatorNode(FULLY_CONNECTED, (3, 4, 5), (6,),
+                         {"activation": "NONE"}),
+            OperatorNode(RESHAPE, (1,), (7,), {"new_shape": [2, 3]}),
+            OperatorNode(SOFTMAX, (7,), (8,), {"beta": 1.0}),
+            OperatorNode(RESHAPE, (8,), (9,), {"new_shape": [1, 6]}),
+            OperatorNode(ADD, (9, 2), (10,), {"activation": "NONE"}),
+            OperatorNode(PAD, (6,), (11,), {"paddings": [0, 0, 1, 1]}),
+        ],
+        inputs=(0, 1), outputs=(10, 11))
+    store = WeightStore()
+    rng = np.random.default_rng(4)
+    store.put_array(0, rng.uniform(-1, 1, (3, 10)).astype(np.float32))
+    store.put_array(1, rng.uniform(-1, 1, 3).astype(np.float32))
+    bundle = ModelBundle(g, store)
+    art = codegen.pipeline(bundle, tmp_path / "x")
+    driver = _import_driver(art)
+    assert driver.BATCH == 262144 // driver.BUFFER_BYTES > 1
+    _served_in_batches(bundle, art, _batch_counts(driver.BATCH), tmp_path)
+
+
+def _one_op_graph(op, in_shapes, out_shape, options, weight=None):
+    """Graph inputs for in_shapes, an optional weight input after them, one
+    operator and its output."""
+    tensors = [TensorSpec(i, f"x{i}", DataType.F32, s)
+               for i, s in enumerate(in_shapes)]
+    store = WeightStore()
+    if weight is not None:
+        store.put_array(0, weight)
+        tensors.append(TensorSpec(len(tensors), "c", DataType.F32,
+                                  weight.shape, weight_ref=0))
+    tensors.append(TensorSpec(len(tensors), "y", DataType.F32, out_shape))
+    ids = tuple(range(len(tensors) - 1))
+    g = ComputationalGraph(
+        tensors=tensors,
+        operators=[OperatorNode(op, ids, (len(tensors) - 1,), options)],
+        inputs=tuple(range(len(in_shapes))), outputs=(len(tensors) - 1,))
+    return ModelBundle(g, store)
+
+
+def _negate_registry():
+    """The default units plus a custom NEGATE: SCALE_SHIFT's kernel at
+    scale -1, which the batching rule does not know."""
+    reg = build_default_registry()
+    reg.register_custom(
+        "NEGATE",
+        ComputingUnit(UnitKey("NEGATE", DataType.F32), "scale_shift_f32",
+                      ops.KERNELS["scale_shift_f32"],
+                      ops.PREPS["scale_shift_f32"]),
+        param_mapper=lambda node, ins, out: {
+            "count": math.prod(ins[0]), "scale": -1.0, "shift": 0.0},
+        shape_rule=lambda node, ins: [tuple(ins[0])])
+    return reg
+
+
+_C4 = np.float32([[0.5, -2.0, 1.0, 0.25]])
+
+_UNBATCHED = {
+    "softmax-rank-1": lambda: _one_op_graph(SOFTMAX, [(4,)], (4,),
+                                            {"beta": 1.0}),
+    "add-with-weight": lambda: _one_op_graph(
+        ADD, [(1, 4)], (1, 4), {"activation": "NONE"}, _C4),
+    "concat-axis-0": lambda: _one_op_graph(
+        CONCATENATION, [(1, 4), (1, 4)], (2, 4), {"axis": 0}),
+    "concat-weight-part": lambda: _one_op_graph(
+        CONCATENATION, [(1, 2)], (1, 6), {"axis": 1}, _C4),
+    "pad-axis-0": lambda: _one_op_graph(PAD, [(1, 4)], (2, 5),
+                                        {"paddings": [1, 0, 0, 1]}),
+    "other-custom": lambda: _one_op_graph("NEGATE", [(1, 4)], (1, 4), {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNBATCHED))
+def test_a_graph_the_batching_rule_excludes_runs_one_sample_a_call(
+        tmp_path, name):
+    reg = _negate_registry()
+    bundle = _UNBATCHED[name]()
+    art = codegen.pipeline(bundle, tmp_path / "x", registry=reg)
+    driver = _import_driver(art)
+    assert driver.BATCH == 1
+    assert harness.verify(bundle, art, registry=reg).max_error == 0.0
+    _served_in_batches(bundle, art, [1, 3], tmp_path, registry=reg)
+
+
+def test_program_stats_count_the_batched_plan_that_ran(built, tmp_path):
+    # lenet's BATCH is 9: 20 samples run as 3 calls of 9, 5 as one call of 5
+    bundle, artifact = built["lenet"]
+    driver = _import_driver(artifact)
+    for count, batch in ((20, 9), (5, 5)):
+        xs = [_sample(bundle, s) for s in range(count)]
+        np.concatenate([a.reshape(-1) for x in xs for a in x]).astype(
+            "<f4").tofile(tmp_path / "in.raw")
+        subprocess.run([artifact.executable, "in.raw", "out.raw", "--stats",
+                        "stats.json", "--reps", "2"], cwd=tmp_path,
+                       check=True)
+        stats = json.loads((tmp_path / "stats.json").read_text())
+        assert (stats["samples"], stats["batch"]) == (count, batch)
+        assert len(stats["invoke_ns"]) == 2
+        assert stats["invoke_bytes"] == 4 * 10 * batch
+        assert stats["peak_bytes"] == \
+            driver.BUFFER_BYTES * batch + 4 * 10 * batch
+        assert stats["scratch_bytes"] == driver.SCRATCH_BYTES
+        assert (tmp_path / "out.raw").read_bytes() == \
+            _interpreter_output(bundle, xs)
 
 
 # -- determinism --------------------------------------------------------------

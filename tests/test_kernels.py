@@ -18,6 +18,7 @@ from mlfuse.kernels import (
     default_registry,
     layout_weight_arrays,
     ops,
+    splits_along_axis_0,
 )
 
 
@@ -263,6 +264,90 @@ def test_softmax_sums_the_classes_left_to_right(beta):
         assert np.add.reduce(e) != np.add.accumulate(e)[-1]
 
 
+# -- samples stacked along axis 0 ---------------------------------------------
+
+def _stacked(params, n):
+    """A kernel's params for n samples stacked along axis 0: every
+    activation shape's leading dim and every count taken n times."""
+    out = dict(params)
+    for key in ("in_shape", "out_shape"):
+        if key in out:
+            out[key] = (out[key][0] * n, *out[key][1:])
+    if "in_shapes" in out:
+        out["in_shapes"] = tuple((s[0] * n, *s[1:]) for s in out["in_shapes"])
+    for key in ("count", "batch"):
+        if key in out:
+            out[key] *= n
+    return out
+
+
+def _run_singles_and_stacked(kernel, samples, weights, outputs, params):
+    """Each sample through its own prepared state, then all of them through
+    one state prepared for the stack; the output bytes of both ways."""
+    prep, run = ops.PREPS[kernel], ops.KERNELS[kernel]
+    singles = []
+    for xs in samples:
+        outs = [np.empty_like(o) for o in outputs]
+        run(*prep([x.copy() for x in xs], weights, outs, **params))
+        singles.append(outs)
+    stacked = [np.empty(len(samples) * o.size, o.dtype) for o in outputs]
+    run(*prep([np.concatenate(xs) for xs in zip(*samples)], weights, stacked,
+              **_stacked(params, len(samples))))
+    want = [b"".join(outs[j].tobytes() for outs in singles)
+            for j in range(len(outputs))]
+    return [o.tobytes() for o in stacked], want
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+def test_a_state_prepared_for_three_samples_runs_three_single_ones(
+        name, monkeypatch):
+    # Wherever the batching rule lets an operator batch, its kernel
+    # prepared for three stacked samples writes the bytes of three
+    # single-sample runs, the sign of every zero included. The case's own
+    # input is the middle sample, beside a fresh one and its negation, so
+    # the -0.0 of the sign-of-zero cases turn up as +0.0 and back.
+    kinds = {u.template_id: graphir.OPCODE_NAMES.get(u.key.op_id, u.key.op_id)
+             for u in default_registry().units()}
+    rng = np.random.default_rng(3)
+    batched = []
+
+    def run_stacked(kernel, inputs, weights, outputs, **params):
+        ops.KERNELS[kernel](*ops.PREPS[kernel](inputs, weights, outputs,
+                                               **params))
+        if not splits_along_axis_0(ParamRecord(kinds[kernel], params),
+                                   len(weights)):
+            return
+        fresh = [rng.uniform(-1, 1, x.shape).astype(x.dtype)
+                 if x.dtype == np.float32
+                 else rng.integers(-1000, 1000, x.shape, dtype=x.dtype)
+                 for x in inputs]
+        got, want = _run_singles_and_stacked(
+            kernel, [fresh, inputs, [-x for x in inputs]], weights, outputs,
+            params)
+        assert got == want, (kernel, params)
+        batched.append(params)
+
+    monkeypatch.setattr(kernel_cases, "run_kernel", run_stacked)
+    case = REFERENCE_CASES[name].__wrapped__
+    for i in range(N_CASES):
+        got, want = case(i)
+        assert oracles.bitwise_equal(got, want), f"{name} case {i}"
+    assert batched
+
+
+def test_softmax_prepared_for_three_rows_runs_three_single_ones_inf_included():
+    inf = np.inf
+    rows = np.float32([[1.0, inf, 2.0, -0.0], [-inf, 0.0, 1.0, 2.0],
+                       [0.5, -0.0, 0.0, -inf]])
+    for beta in (1.0, 0.5):
+        with np.errstate(invalid="ignore"):  # inf - inf is the NaN we want
+            got, want = _run_singles_and_stacked(
+                "softmax_f32", [[r.copy()] for r in rows], [],
+                [np.empty(4, np.float32)], {"in_shape": (1, 4), "beta": beta})
+        assert got == want, beta
+    assert np.isnan(np.frombuffer(want[0], np.float32)[:4]).any()
+
+
 @pytest.mark.parametrize("shape", [
     # (h, w, cin, f, cout): lenet conv1 and conv2, one row's products over
     # 64 KiB, and a 1x1 conv with cout far above its taps
@@ -476,3 +561,64 @@ def test_add_i32_rejects_fused_activation():
     from mlfuse.kernels import check_unit_params
     with pytest.raises(ParamError, match="only NONE activation"):
         check_unit_params(unit, params)
+
+
+# -- the batching rule ----------------------------------------------------------
+
+def _params(op, inputs, out_shape, options, weight_ids=frozenset()):
+    node = OperatorNode(op, tuple(range(len(inputs))), (len(inputs),),
+                        options)
+    shapes = dict(enumerate([*inputs, out_shape]))
+    return default_registry().map_options_to_params(node, shapes, weight_ids)
+
+
+# each exclusion of the rule, beside the twin that differs from it only there
+_EXCLUSIONS = {
+    "softmax-rank-1": (
+        (_params(graphir.SOFTMAX, [(4,)], (4,), {"beta": 1.0}), 0),
+        (_params(graphir.SOFTMAX, [(1, 4)], (1, 4), {"beta": 1.0}), 0)),
+    "add-with-weight": (
+        (_params(graphir.ADD, [(1, 4), (1, 4)], (1, 4),
+                 {"activation": "NONE"}, {1}), 1),
+        (_params(graphir.ADD, [(1, 4), (1, 4)], (1, 4),
+                 {"activation": "NONE"}), 0)),
+    "concat-axis-0": (
+        (_params(graphir.CONCATENATION, [(1, 4), (1, 4)], (2, 4),
+                 {"axis": 0}), 0),
+        (_params(graphir.CONCATENATION, [(1, 4), (1, 4)], (1, 8),
+                 {"axis": 1}), 0)),
+    "concat-weight-part": (
+        (_params(graphir.CONCATENATION, [(1, 4), (1, 2)], (1, 6),
+                 {"axis": 1}, {1}), 1),
+        (_params(graphir.CONCATENATION, [(1, 4), (1, 2)], (1, 6),
+                 {"axis": 1}), 0)),
+    "pad-axis-0": (
+        (_params(graphir.PAD, [(1, 4)], (2, 5),
+                 {"paddings": [1, 0, 0, 1]}), 0),
+        (_params(graphir.PAD, [(1, 4)], (1, 5),
+                 {"paddings": [0, 0, 0, 1]}), 0)),
+    "other-custom": (
+        (ParamRecord("NEGATE", {"count": 4}), 0),
+        (ParamRecord("SCALE_SHIFT", {"count": 4, "scale": 2.0,
+                                     "shift": 0.0}), 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXCLUSIONS))
+def test_batching_rule_excludes_what_mixes_or_sizes_along_axis_0(name):
+    (excluded, weights), (twin, twin_weights) = _EXCLUSIONS[name]
+    assert not splits_along_axis_0(excluded, weights)
+    assert splits_along_axis_0(twin, twin_weights)
+
+
+def test_batching_rule_takes_every_fixture_operator():
+    reg = default_registry()
+    for name in sorted(fixtures.FIXTURES):
+        graph = fixtures.build_fixture(name).graph
+        shapes = {t.id: t.shape for t in graph.tensors}
+        weight_ids = {t.id for t in graph.tensors if t.weight_ref is not None}
+        for node in graph.operators:
+            params = reg.map_options_to_params(node, shapes, weight_ids)
+            weights = sum(t in weight_ids for t in node.inputs)
+            # conv, depthwise and FC carry weights and batch all the same
+            assert splits_along_axis_0(params, weights), (name, node)

@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from mlfuse import codegen, fixtures
+
 _PATH = Path(__file__).resolve().parent.parent / "scripts" / "same_programs.py"
 _spec = importlib.util.spec_from_file_location("same_programs", _PATH)
 same_programs = importlib.util.module_from_spec(_spec)
@@ -54,3 +56,19 @@ def test_differing_manifest_fields_are_named_with_both_values():
     assert same_programs.differences(
         base, {"lenet": {"program": "1", same_programs.MANIFEST: spaced}}) \
         == ["lenet: build_manifest.json differs"]
+
+
+def test_differing_programs_are_run_on_one_file_and_their_outputs_compared(
+        tmp_path):
+    def build(seed, strip):
+        art = codegen.pipeline(
+            fixtures.build_fixture("mlp", seed), tmp_path / f"{seed}{strip}",
+            toolchain=codegen.ToolchainConfig(strip=strip))
+        return art.executable
+
+    stripped, plain, other = build(1, True), build(1, False), build(2, True)
+    # mlp takes four values a sample; bytecode and source compute the same
+    assert same_programs.same_outputs(stripped, plain, 4, tmp_path)
+    assert not same_programs.same_outputs(stripped, other, 4, tmp_path)
+    # a program that fails matches nothing, not even another failure
+    assert not same_programs.same_outputs(stripped, plain, 3, tmp_path)
