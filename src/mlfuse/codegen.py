@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import inspect
-import itertools
 import json
 import math
 import os
@@ -102,7 +101,6 @@ class SearchResult:
     # largest l2 error of any tensor an operator writes, on any sample
     # input; written to the manifest as max_diff
     max_error: float
-    scratch_bytes: int  # kernel scratch of the accepted candidate's states
     weights: list  # per operator: its flat weights in the accepted layouts
 
 
@@ -112,7 +110,6 @@ class EmissionPlan:
     lowered: Lowering
     # name -> flat array in the accepted layout, in operator then slot order
     weights: dict
-    scratch_bytes: int
     # the lowering at two samples a call, or None when the graph cannot
     # stack samples along axis 0 (batch_lowering)
     twice: Lowering | None
@@ -225,31 +222,6 @@ def _worst_error(steps, xs, refs, input_bufs, buffers,
     return worst, None
 
 
-def _scratch_bytes(states, known) -> int:
-    """Bytes of every array the states hold whose memory is not known.
-
-    known holds the tensor buffers and weights the states were prepared
-    on, so what is left is the scratch the prepare steps allocated.
-    """
-    def root(a):
-        while getattr(a, "base", None) is not None:
-            a = a.base
-        return a
-
-    known = {id(root(a)) for a in known}
-    scratch = {}
-    stack = list(states)
-    while stack:
-        obj = stack.pop()
-        if isinstance(obj, (tuple, list)):
-            stack.extend(obj)
-        elif isinstance(obj, np.ndarray):
-            r = root(obj)
-            if isinstance(r, np.ndarray) and id(r) not in known:
-                scratch[id(r)] = r
-    return sum(a.nbytes for a in scratch.values())
-
-
 def search_status(bundle: ModelBundle, lowered: Lowering, configs,
                   cfg: harness.VerifyConfig | None = None,
                   registry=None) -> SearchResult:
@@ -296,11 +268,9 @@ def search_status(bundle: ModelBundle, lowered: Lowering, configs,
              for c, s in zip(configs, states)],
             xs, refs, input_bufs, buffers, cfg.delta)
         if at is None:
-            known = [*buffers.values(), *itertools.chain(*flats)]
             return SearchResult(
                 layouts=layouts, candidates_evaluated=evaluated,
-                max_error=worst, scratch_bytes=_scratch_bytes(states, known),
-                weights=flats)
+                max_error=worst, weights=flats)
         if best_at is None or worst < best:
             best, best_at = worst, at
         # advance the last unknown at or before the breach, carrying like an
@@ -343,17 +313,18 @@ def build_emission_plan(lowered: Lowering, configs, result: SearchResult,
     """Name the accepted candidate's weights; nothing is laid out again."""
     weights = {name: arr for c, flats in zip(configs, result.weights)
                for name, arr in zip(_weight_names(c), flats)}
-    return EmissionPlan(lowered=lowered, weights=weights,
-                        scratch_bytes=result.scratch_bytes, twice=twice)
+    return EmissionPlan(lowered=lowered, weights=weights, twice=twice)
 
 
 _FORBIDDEN_TOKENS = ("tflite", ".lite", "graph.json", ".params", "MLW0",
                      "org.tensorflow", "libtvm")
 
 # the binding kernels/ops.py makes at its top: the emitted templates name
-# np and float32, and the program loads no more of numpy than this module
+# np and float32, and the program loads no more of numpy than this module;
+# the templates also name the budget of a reduction's product tensor
 _NP_CORE = "from numpy._core import _multiarray_umath as np"
 _NP_HEAD = _NP_CORE + '\n\nfloat32 = np.dtype("<f4").type'
+_BUDGET_LINE = f"_PRODUCT_BYTES = {kernel_ops._PRODUCT_BYTES}"
 _NP_DTYPE_TOKEN = {"F32": "float32", "I32": '"<i4"'}
 
 
@@ -458,7 +429,7 @@ def _emit_driver(plan: EmissionPlan) -> str:
                 helpers.append(h)
     helpers.sort()
 
-    out = [_NP_HEAD, ""]
+    out = [_NP_HEAD, _BUDGET_LINE, ""]
     if plan.weights:
         out.append("from net_weights import (")
         out.extend(_wrap_args(plan.weights, indent="    "))
@@ -478,7 +449,6 @@ def _emit_driver(plan: EmissionPlan) -> str:
     out.append(f"INPUT_SIZES = {_lit(tuple(b.count for b in in_specs))}")
     total = sum(b.count * 4 for b in lowered.tensors.values())
     out.append(f"BUFFER_BYTES = {total}")
-    out.append(f"SCRATCH_BYTES = {plan.scratch_bytes}")
     batch = max(1, _BATCH_BUFFER_BYTES // total) if plan.twice else 1
     out.append(f"BATCH = {batch}")
     out.append("")
@@ -628,12 +598,26 @@ def main(argv):
     if stats_path is not None:
         # A call allocates only the copies of the outputs it hands back, so
         # the peak is the buffers of the plan that ran plus one call's
-        # copies. Kernel scratch, prepared at import, is reported on its
-        # own: the interpreter's peak leaves out the same scratch. json is
+        # copies. Kernel scratch is reported on its own: the interpreter's
+        # peak leaves out the same scratch. It is the plan's that ran: the
+        # memory of every array the driver's globals reach, through its
+        # states and views' bases, that owns it, less the tensor buffers
+        # (a weight's memory is the blob's bytes, no array's). json is
         # imported only here: a run without --stats does not pay for it.
         import json
 
+        todo = [*vars(net_driver).values()]
+        owned = {}
+        for a in todo:
+            if type(a) in (tuple, list):
+                todo += a
+            elif type(a) is np.ndarray:
+                if a.base is None:
+                    owned[id(a)] = a.nbytes
+                else:
+                    todo.append(a.base)
         invoke_bytes = 4 * b * width
+        buffers = net_driver.BUFFER_BYTES * b
         stats = {
             "reps": reps,
             "samples": count,
@@ -641,9 +625,9 @@ def main(argv):
             "invoke_ns": times,
             "load_bytes": 0,
             "configure_bytes": 0,
-            "scratch_bytes": net_driver.SCRATCH_BYTES,
+            "scratch_bytes": sum(owned.values()) - buffers,
             "invoke_bytes": invoke_bytes,
-            "peak_bytes": net_driver.BUFFER_BYTES * b + invoke_bytes,
+            "peak_bytes": buffers + invoke_bytes,
         }
         with open(stats_path, "w") as f:
             json.dump(stats, f, sort_keys=True)

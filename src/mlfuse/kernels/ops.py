@@ -47,6 +47,16 @@ difference: every sum starts at +0.0, and under round-to-nearest a sum
 begun at +0.0 is never -0.0, so adding a -0.0 term to it gives exactly
 what adding +0.0 gives.
 
+Conv and FC plan that work for long lanes and few chunks: numpy pays a
+fixed cost per call, per chunk and per inner row, so overhead, not
+arithmetic, sets their time. One budget, _PRODUCT_BYTES (256 KiB, sized for
+a level-2 cache rather than L1), bounds a reduction's product tensor, its
+zero and tail rows included. A conv block covers as many whole output rows
+as leave room for a one-tap chunk with those two rows, and whose gathered
+patches fit the budget too; blocks are split evenly, rows = ceil(oh /
+ceil(oh / rows_max)). Then the taps go in the fewest chunks that fit, split
+evenly, step = ceil(k / ceil(k / step_max)), the smaller chunk first.
+
 Weight buffers arrive flat, and may be read-only. Each kernel reshapes them
 according to the data layout its body was written against; callers are
 responsible for delivering payload bytes in that layout.
@@ -55,6 +65,10 @@ responsible for delivering payload bytes in that layout.
 from numpy._core import _multiarray_umath as np
 
 float32 = np.dtype("<f4").type
+
+# the budget of one conv or FC reduction's product tensor, its zero and
+# tail rows included (see above)
+_PRODUCT_BYTES = 262144
 
 
 def _apply_clamp(buf, lo, hi):
@@ -78,17 +92,18 @@ def _pad_nhwc_prep(x, ph0, ph1, pw0, pw1, value):
 def _sum_products_prep(lhs, rhs, acc, tail):
     # acc = ((((0 + lhs[0]*rhs[0]) + lhs[1]*rhs[1]) + ...) + tail), where
     # lhs[k] * rhs[k] and tail broadcast to acc's shape. Taps go through a
-    # product tensor of at most 64 KiB (or two of acc's rows, if more) plus
-    # its tail row, in chunks, each a view of the tensor's leading rows;
-    # each chunk after the first starts from the running sum as its row 0,
-    # and a run leaves row 0 at +0.0. The short remainder chunk goes first,
-    # so only the last chunk, always a full one, reaches the tail row, and
-    # no multiply writes over it. A chunk is (product, lhs, rhs, prod,
-    # part), and product(lhs, rhs, out=prod) forms its terms: np.multiply
-    # here, which a caller may swap for another call that forms the same
-    # one-term products. The state leaves acc out: the run step takes it
-    # after the state, so reductions of one shape into other accumulators
-    # can share the state.
+    # product tensor in chunks, each a view of the tensor's leading rows:
+    # the fewest chunks whose terms, with the tensor's zero and tail rows,
+    # fit _PRODUCT_BYTES (or one tap, if more), split evenly. Each chunk
+    # after the first starts from the running sum as its row 0, and a run
+    # leaves row 0 at +0.0. The smaller chunk goes first, so only the last
+    # chunk, always a full one, reaches the tail row, and no multiply
+    # writes over it. A chunk is (product, lhs, rhs, prod, part), and
+    # product(lhs, rhs, out=prod) forms its terms: np.multiply here, which
+    # a caller may swap for another call that forms the same one-term
+    # products. The state leaves acc out: the run step takes it after the
+    # state, so reductions of one shape into other accumulators can share
+    # the state.
     lanes = twin = acc
     if acc.size == 1:
         # numpy would sum a lone lane pairwise: reduce a twin pair instead,
@@ -97,8 +112,9 @@ def _sum_products_prep(lhs, rhs, acc, tail):
         lhs = lhs.reshape(-1, 1)
         rhs = rhs.reshape(-1, 1)
     k = len(lhs)
-    step = max(1, 65536 // (4 * lanes.size) - 1)
-    terms = np.zeros((min(step, k) + 2,) + lanes.shape, float32)
+    step = max(1, _PRODUCT_BYTES // (4 * lanes.size) - 2)
+    step = -(-k // -(-k // step))
+    terms = np.zeros((step + 2,) + lanes.shape, float32)
     terms[-1] = tail
     chunks = []
     k0 = 0
@@ -151,13 +167,13 @@ def conv2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
                             pad_after_h, pad_before_w, pad_after_w, 0.0)
     taps = filter_h * filter_w * cin
     out = outputs[0].reshape(n, oh, ow, cout)
-    # blocks of whole output rows whose product tensor, its bias row aside,
-    # fits in 64 KiB; when one row's does not, as many rows as keep both
-    # the gathered patches and a two-row chunk of products with the
-    # accumulator within it, with the taps chunked
-    rows = (min(oh, 65536 // (4 * (taps + 1) * cout * ow))
-            or max(1, min(oh, 65536 // (4 * taps * ow),
-                          65536 // (12 * cout * ow))))
+    # blocks of whole output rows, as many as leave room in _PRODUCT_BYTES
+    # for a one-tap chunk of products with its zero and bias rows and
+    # whose gathered patches fit it too (or one row, if more), split
+    # evenly; then the taps go in as few chunks as fit
+    rows = max(1, min(oh, _PRODUCT_BYTES // (12 * cout * ow),
+                      _PRODUCT_BYTES // (4 * taps * ow)))
+    rows = -(-oh // -(-oh // rows))
     cols = np.empty((filter_h, filter_w, cin, rows, ow), float32)
     # every (kh, kw, ci) tap's strided input plane, as one view
     sn, sy, sx, sc = x.strides

@@ -12,7 +12,7 @@ before = total // 2) rather than imported from the package.
 """
 
 import math
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -21,6 +21,24 @@ from mlfuse.kernels import ops
 import oracles
 
 N_CASES = 30
+
+# The product budget the edge and tail cases are sized for, a quarter of the
+# kernels' own: chunked taps and several row blocks then come from shapes
+# small enough for the scalar oracles. Only the constant differs; the same
+# code plans the chunks and the blocks.
+CASE_PRODUCT_BYTES = 65536
+
+
+def _at_case_budget(case):
+    """case, run with the kernels' product budget at CASE_PRODUCT_BYTES."""
+    @wraps(case)
+    def run(i):
+        saved, ops._PRODUCT_BYTES = ops._PRODUCT_BYTES, CASE_PRODUCT_BYTES
+        try:
+            return case(i)
+        finally:
+            ops._PRODUCT_BYTES = saved
+    return run
 
 
 def run_kernel(name, inputs, weights, outputs, **params):
@@ -214,6 +232,7 @@ FC_EDGE_KINDS = ("single_lane", "single_lane_batched", "all_negative_zero",
 
 
 @lru_cache(maxsize=None)
+@_at_case_budget
 def case_fully_connected_edge(i):
     rng = np.random.default_rng((114, i))
     kind = FC_EDGE_KINDS[i % len(FC_EDGE_KINDS)]
@@ -223,7 +242,7 @@ def case_fully_connected_edge(i):
     elif kind == "single_lane_batched":
         batch, nout = int(rng.integers(2, 4)), 1
     elif kind == "large_k":
-        # K x N past the kernel's 64 KiB product tensor: several chunks
+        # K x N past the case budget's product tensor: several chunks
         nin, nout = int(rng.integers(256, 321)), int(rng.integers(56, 65))
     x = rng.uniform(-1, 1, (batch, nin)).astype(np.float32)
     wt = rng.uniform(-1, 1, (nout, nin)).astype(np.float32)
@@ -246,6 +265,7 @@ CONV_EDGE_KINDS = ("single_output", "single_output_batched",
 
 
 @lru_cache(maxsize=None)
+@_at_case_budget
 def case_conv2d_edge(i):
     rng = np.random.default_rng((115, i))
     kind = CONV_EDGE_KINDS[i % len(CONV_EDGE_KINDS)]
@@ -259,18 +279,20 @@ def case_conv2d_edge(i):
         cout = 1
         n = 2 if kind == "single_output_batched" else 1
     elif kind == "chunked_taps":
-        # one output row's products exceed 64 KiB: the taps go in chunks
+        # 200 taps over 6 or 12 lanes of 16 channels overrun the case
+        # budget: the taps go in chunks
         f, cin, cout = 5, 8, 16
         h, w = int(rng.integers(5, 7)), 10
     elif kind == "row_blocks":
-        # a product tensor of 20 or 25 output rows fills 64 KiB: several
-        # blocks, the last one overlapping the one before
-        f, cin, cout = 3, 1, int(rng.integers(4, 6))
-        h, w = int(rng.integers(28, 34)), 18
+        # a one-tap chunk of 42 output rows fills the case budget, so 43,
+        # 45 or 47 rows go in two blocks, the last one overlapping the one
+        # before by a row; 4 taps go 2 at a time
+        f, cin, cout = 2, 1, 8
+        h, w = 2 * int(rng.integers(22, 25)), 17
     elif kind == "wide_cout":
-        # cout far above the taps: one row's products exceed 64 KiB, and
-        # a two-row chunk of them beside the accumulator caps the block at
-        # 1 of 3 rows
+        # cout far above the taps: a one-tap chunk of one row's products,
+        # with its zero and bias rows, nearly fills the case budget, so
+        # each of the 3 rows is a block, and 4 taps go 2 at a time
         f, cin, cout = 1, 4, 64
         h, w = 3, 64
     x = rng.uniform(-1, 1, (n, h, w, cin)).astype(np.float32)
@@ -289,20 +311,22 @@ def case_conv2d_edge(i):
 
 
 # Fixed shapes for the bias, which ends each conv and FC sum as the tail row
-# of the product tensor: one chunk of taps, several chunks with the short
-# remainder first, an exact multiple of the chunk size, a single output lane
+# of the product tensor: one chunk of taps, taps split evenly into several
+# chunks with the smaller remainder first, an exact multiple of the chunk
+# size, a single output lane
 # (alone and batched), and biases of -0.0 (on an all -0.0 product sum),
 # +-inf and +-NaN over several chunks.
 TAIL_KINDS = ("one_chunk", "remainder_first", "exact_multiple", "single_lane",
               "single_lane_batched", "negative_zero_bias", "inf_bias",
               "nan_bias")
 # (batch, in, out) by kind, the special biases on the remainder_first shape:
-# 64 output lanes take the taps 255 at a time, so 610 go as 100, 255, 255
+# 64 output lanes leave room for 254 taps a chunk at the case budget, so
+# 610 go in three chunks, as 202, 204, 204, and 510 as 170, 170, 170
 FC_TAIL_SHAPES = {"one_chunk": (2, 40, 5), "remainder_first": (1, 610, 64),
                   "exact_multiple": (1, 510, 64), "single_lane": (1, 300, 1),
                   "single_lane_batched": (3, 40, 1)}
-# (n, h, w, cin, f, cout) by kind, likewise: 200 taps go as 32, 84, 84, and
-# the exact multiple's 90 as 45, 45
+# (n, h, w, cin, f, cout) by kind, likewise: 200 taps over 192 lanes go as
+# 66, 67, 67, and the exact multiple's 90 over 352 lanes as 30, 30, 30
 CONV_TAIL_SHAPES = {"one_chunk": (2, 6, 6, 2, 3, 4),
                     "remainder_first": (1, 6, 10, 8, 5, 16),
                     "exact_multiple": (1, 3, 13, 10, 3, 32),
@@ -326,6 +350,7 @@ def _tail_case(rng, kind, x, wt, nout):
 
 
 @lru_cache(maxsize=None)
+@_at_case_budget
 def case_fully_connected_tail(i):
     rng = np.random.default_rng((116, i))
     kind = TAIL_KINDS[i % len(TAIL_KINDS)]
@@ -337,6 +362,7 @@ def case_fully_connected_tail(i):
 
 
 @lru_cache(maxsize=None)
+@_at_case_budget
 def case_conv2d_tail(i):
     rng = np.random.default_rng((117, i))
     kind = TAIL_KINDS[i % len(TAIL_KINDS)]

@@ -697,6 +697,31 @@ def test_kernel_calls_are_looked_up_at_call_time(built, monkeypatch, name,
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
+def _plan_scratch(driver, n) -> int:
+    """Kernel scratch of the driver's plan for n samples a call: the bytes
+    of every array its states S<i> reach, at the end of the chain of bases,
+    that is not a tensor buffer t<i>. The driver is left at plan(1)."""
+    driver.plan(n)
+    try:
+        named = [(k[0], v) for k, v in vars(driver).items()
+                 if k[0] in "St" and k[1:].isdigit()]
+        buffers = {id(v) for k, v in named if k == "t"}
+        stack = [v for k, v in named if k == "S"]
+        scratch = {}
+        while stack:
+            obj = stack.pop()
+            if isinstance(obj, (tuple, list)):
+                stack.extend(obj)
+            elif isinstance(obj, np.ndarray):
+                while isinstance(obj.base, np.ndarray):
+                    obj = obj.base
+                if obj.base is None and id(obj) not in buffers:
+                    scratch[id(obj)] = obj.nbytes
+        return sum(scratch.values())
+    finally:
+        driver.plan(1)
+
+
 def test_program_stats_report_buffers_scratch_and_output_copies(built,
                                                                  tmp_path):
     bundle, artifact = built["lenet"]
@@ -708,9 +733,12 @@ def test_program_stats_report_buffers_scratch_and_output_copies(built,
     stats = json.loads((tmp_path / "stats.json").read_text())
     assert stats["invoke_bytes"] == 4 * 10  # lenet's 10 class scores
     assert stats["peak_bytes"] == driver.BUFFER_BYTES + 4 * 10
-    # the two conv product tensors and gathered patches, at most 64 KiB
-    # each, and the fc product tensors
-    assert 2 * 65536 < stats["scratch_bytes"] <= 5 * 65536
+    # the two conv product tensors, at most the product budget each, their
+    # gathered patches and accumulators, and the fc product tensors: the
+    # one-sample plan's scratch, the figure the build counted
+    budget = ops._PRODUCT_BYTES
+    assert 2 * budget < stats["scratch_bytes"] <= 3 * budget
+    assert stats["scratch_bytes"] == _plan_scratch(driver, 1)
 
 
 # -- batched serving ----------------------------------------------------------
@@ -881,9 +909,26 @@ def test_program_stats_count_the_batched_plan_that_ran(built, tmp_path):
         assert stats["invoke_bytes"] == 4 * 10 * batch
         assert stats["peak_bytes"] == \
             driver.BUFFER_BYTES * batch + 4 * 10 * batch
-        assert stats["scratch_bytes"] == driver.SCRATCH_BYTES
+        assert stats["scratch_bytes"] == _plan_scratch(driver, batch)
         assert (tmp_path / "out.raw").read_bytes() == \
             _interpreter_output(bundle, xs)
+
+
+def test_program_stats_report_the_scratch_of_the_batched_plan(built,
+                                                              tmp_path):
+    # mlp serves a file of BATCH samples in one call, whose FC product
+    # tensors and softmax rows hold far more scratch than one sample's
+    bundle, artifact = built["mlp"]
+    driver = _import_driver(artifact)
+    rows = np.random.default_rng(3).uniform(
+        -1, 1, (driver.BATCH, sum(driver.INPUT_SIZES)))
+    rows.astype("<f4").tofile(tmp_path / "in.raw")
+    subprocess.run([artifact.executable, "in.raw", "out.raw", "--stats",
+                    "stats.json"], cwd=tmp_path, check=True)
+    stats = json.loads((tmp_path / "stats.json").read_text())
+    assert stats["batch"] == driver.BATCH
+    assert stats["scratch_bytes"] == _plan_scratch(driver, driver.BATCH)
+    assert stats["scratch_bytes"] > 100 * _plan_scratch(driver, 1)
 
 
 # -- determinism --------------------------------------------------------------

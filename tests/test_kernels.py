@@ -108,13 +108,22 @@ def test_edge_cases_match_oracle_sign_of_zero_included(name):
             f"{name} case {i}"
 
 
-def test_sum_products_is_the_scalar_loop_order():
+@pytest.fixture
+def case_budget(monkeypatch):
+    """The kernels' product budget at the one the kernel cases are sized
+    for, so a few thousand taps go in several chunks."""
+    monkeypatch.setattr(ops, "_PRODUCT_BYTES",
+                        kernel_cases.CASE_PRODUCT_BYTES)
+
+
+def test_sum_products_is_the_scalar_loop_order(case_budget):
     # terms whose sum depends on the order: 1e8 + 1 - 1e8 is 0 in float32
-    # when added left to right, 1 when pairwise. 10000 terms overrun a
-    # 64 KiB product tensor for 1 to 3 lanes, so the taps go in chunks, the
-    # short one first; the tail is the last term of every lane.
+    # when added left to right, 1 when pairwise. 10001 terms overrun the
+    # case budget's product tensor for 1 to 3 lanes, so the taps are split
+    # evenly into chunks, the smaller one first; the tail is the last term
+    # of every lane.
     rng = np.random.default_rng(5)
-    k = 10000
+    k = 10001
     values = np.float32([1e8, -1e8, 1, 3e-8])
     for lanes in (1, 2, 3):
         lhs = rng.choice(values, (k, lanes))
@@ -158,7 +167,8 @@ def _special_terms(rng, k, lhs_rows, rhs_lanes, special):
 @pytest.mark.parametrize("special", ["negative_zero", "inf_times_zero",
                                      "nan"])
 @pytest.mark.parametrize("path", ["outer", "fc_batch_1", "twin"])
-def test_both_product_paths_are_the_scalar_loop_order(path, special):
+def test_both_product_paths_are_the_scalar_loop_order(path, special,
+                                                     case_budget):
     # conv's einsum outer products into a transposed (cout, lanes) view,
     # and np.multiply for FC at batch 1 and for a single lane beside its
     # twin, against the scalar loop bit for bit, zero signs included. Each
@@ -208,10 +218,51 @@ def test_lenet_states_take_the_product_call_their_kernel_names():
                   else step.state[0][0] if tid == "fully_connected_f32"
                   else ())
         products.setdefault(tid, []).extend(c[0] for c in chunks)
-    assert len(products["conv2d_f32"]) == 1 + 10  # conv1 1, conv2 10
+    assert len(products["conv2d_f32"]) == 2 + 3  # conv1 2, conv2 3
     assert set(products["conv2d_f32"]) == {ops._outer_products}
     assert len(products["fully_connected_f32"]) >= 3
     assert set(products["fully_connected_f32"]) == {np.multiply}
+
+
+def test_lenet_blocking():
+    # lenet's plan at the kernels' own product budget: each conv is one
+    # block of all its output rows, so no row is computed twice, with its
+    # taps split evenly, conv1's 25 as 12 + 13 and conv2's 150 as 3 x 50;
+    # each FC reduces in one chunk. A change to the blocking rule shows
+    # here first.
+    plan = interpreter.load(fixtures.build_fixture("lenet"))
+    convs, fcs = [], []
+    for step in plan.steps:
+        tid = step.unit.template_id
+        if tid == "conv2d_f32":
+            _, blocks, (chunks, _), (out, *_) = step.state
+            convs.append((len(blocks), blocks[0][1].shape[-2], out.shape[1],
+                          [len(c[1]) for c in chunks]))
+        elif tid == "fully_connected_f32":
+            fcs.append([len(c[1]) for c in step.state[0][0]])
+    assert convs == [(1, 24, 24, [12, 13]), (1, 8, 8, [50, 50, 50])]
+    assert fcs == [[256], [120], [84]]
+
+
+def test_lenet_shapes_match_oracle_at_the_kernels_budget():
+    # the kernel cases chunk at a smaller budget; lenet's conv and first FC
+    # shapes take the kernels' own plan (two and three chunks, the smaller
+    # first and an exact multiple, and one 256-tap chunk) bit for bit,
+    # zero signs included
+    rng = np.random.default_rng(13)
+    got_want = []
+    for h, cin, cout in ((28, 1, 6), (12, 6, 16)):
+        x = rng.uniform(-1, 1, (1, h, h, cin)).astype(np.float32)
+        wt = rng.uniform(-1, 1, (cout, 5, 5, cin)).astype(np.float32)
+        bias = rng.uniform(-0.5, 0.5, cout).astype(np.float32)
+        got_want.append(kernel_cases._run_conv2d(
+            x, wt, bias, (1, 1), (1, 1), (0, 0, 0, 0), (0.0, None)))
+    x = rng.uniform(-1, 1, (1, 256)).astype(np.float32)
+    wt = rng.uniform(-1, 1, (120, 256)).astype(np.float32)
+    got_want.append(kernel_cases._run_fully_connected(
+        x, wt, rng.uniform(-0.5, 0.5, 120).astype(np.float32), (0.0, None)))
+    for got, want in got_want:
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 @pytest.mark.parametrize("kind", kernel_cases.TAIL_KINDS)
@@ -239,7 +290,7 @@ def test_tail_cases_take_the_shapes_their_kind_names(kind, monkeypatch):
             assert len(sizes) > 1 and len(set(sizes)) == 1
         elif kind.startswith("single_lane"):
             assert lanes == 1 and (batch > 1) == kind.endswith("batched")
-        else:  # the short remainder first, then full chunks
+        else:  # an even split, the smaller chunk first
             assert len(sizes) > 2 and sizes[0] < sizes[1] == sizes[-1]
 
 
@@ -349,15 +400,17 @@ def test_softmax_prepared_for_three_rows_runs_three_single_ones_inf_included():
 
 
 @pytest.mark.parametrize("shape", [
-    # (h, w, cin, f, cout): lenet conv1 and conv2, one row's products over
-    # 64 KiB, and a 1x1 conv with cout far above its taps
+    # (h, w, cin, f, cout): lenet conv1 and conv2 (two and three chunks of
+    # taps), a short image of 200 taps, a 1x1 conv with cout far above its
+    # taps (four row blocks, taps 2 at a time), and 800 taps in 3 chunks
     (28, 28, 1, 5, 6), (12, 12, 6, 5, 16), (6, 10, 8, 5, 16),
-    (32, 32, 16, 1, 64)])
+    (32, 32, 16, 1, 64), (6, 10, 32, 5, 16)])
 def test_conv_scratch_stays_within_the_bound(shape):
-    # gathered patches and products take at most 64 KiB each, prepared
-    # scratch and run temporaries together. numpy's ufunc iterator buffers
-    # up to np.getbufsize() elements per operand on its own account;
-    # shrinking them leaves the kernel's scratch in the peak.
+    # the product tensor and the gathered patches take at most the product
+    # budget each, prepared scratch and run temporaries together. numpy's
+    # ufunc iterator buffers up to np.getbufsize() elements per operand on
+    # its own account; shrinking them leaves the kernel's scratch in the
+    # peak.
     h, w, cin, f, cout = shape
     oh, ow = h - f + 1, w - f + 1
     rng = np.random.default_rng(9)
@@ -377,7 +430,7 @@ def test_conv_scratch_stays_within_the_bound(shape):
     finally:
         tracemalloc.stop()
         np.setbufsize(bufsize)
-    assert peak <= 2 * 65536 + 4096, peak
+    assert peak <= 2 * ops._PRODUCT_BYTES + 4096, peak
 
 
 def test_helper_deps_follow_the_template_bodies():
