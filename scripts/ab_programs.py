@@ -9,15 +9,17 @@ archive, as bench_pairs.py does), builds the fixture's program there and in
 the working tree, and imports both programs' drivers into this process. At
 one sample a call and at the program's BATCH, it checks that both drivers'
 run() write byte-identical outputs on the same seeded inputs, then times
-them in interleaved rounds: even rounds run the base first, odd rounds the
-change first. It prints each side's median time of one run() call, the
-median change and the rounds the change won, then each step's median time
-per side, from a second interleaved pass with every run step wrapped in a
-timer.
+them in interleaved rounds of _CALLS calls a side: even rounds run the
+base first, odd rounds the change first. It prints each side's median time
+of one run() call, the median change and the rounds the change won, then
+each step's median time per side, from a second interleaved pass with every
+run step wrapped in a timer. When the two sides run different steps, it
+says so and lists each side's steps on their own.
 
 Exit status 0 when both sides' outputs are byte-identical, 1 when they
-differ or a build fails, 2 on bad arguments or a revision git cannot
-export.
+differ or a build fails, 2 on bad arguments, a revision git cannot export,
+or a base whose program has no plan() and BATCH (one older than batched
+serving).
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ print(codegen.pipeline(bundle, out).executable)
 '''
 
 _MODULES = ("net_driver", "net_weights")
+
+_CALLS = 20  # run() calls a side times in one round
 
 
 def build(checkout: Path, fixture: str, seed, out: Path) -> str:
@@ -160,8 +164,7 @@ def compare(base, change, n: int, rounds: int, calls: int) -> dict:
         result["won"] = sum(c < b for b, c in zip(times["base"],
                                                   times["change"]))
         result["rounds"] = rounds
-        result["steps"] = list(zip(*step_times((base, change), inputs,
-                                               rounds)))
+        result["steps"] = step_times((base, change), inputs, rounds)
     for d in (base, change):
         d.plan(1)
     return result
@@ -175,8 +178,16 @@ def report(fixture: str, r: dict) -> list[str]:
     lines = [f"{head} run() {r['base_us']:.1f} -> {r['change_us']:.1f} us "
              f"({pct:+.1f}%), change won {r['won']}/{r['rounds']}; "
              f"outputs byte-identical"]
-    for k, ((name, b), (_, c)) in enumerate(r["steps"]):
-        lines.append(f"  step {k:<2} {name:<22} {b:9.1f} -> {c:9.1f} us")
+    base_steps, change_steps = r["steps"]
+    if [s[0] for s in base_steps] == [s[0] for s in change_steps]:
+        for k, ((name, b), (_, c)) in enumerate(zip(base_steps,
+                                                    change_steps)):
+            lines.append(f"  step {k:<2} {name:<22} {b:9.1f} -> {c:9.1f} us")
+        return lines
+    lines.append("  the two sides run different steps")
+    for side, steps in (("base", base_steps), ("change", change_steps)):
+        for k, (name, us) in enumerate(steps):
+            lines.append(f"  {side:<6} step {k:<2} {name:<22} {us:9.1f} us")
     return lines
 
 
@@ -185,14 +196,10 @@ def main(argv=None) -> int:
     ap.add_argument("--rev", default="HEAD",
                     help="base revision (default HEAD)")
     ap.add_argument("--fixture", required=True)
-    ap.add_argument("--seed", type=int, default=None,
-                    help="fixture seed (default: the fixture's own)")
     ap.add_argument("--rounds", type=int, default=40)
-    ap.add_argument("--calls", type=int, default=20,
-                    help="run() calls a side times in one round")
     args = ap.parse_args(argv)
-    if args.rounds < 1 or args.calls < 1:
-        ap.error("--rounds and --calls must be positive")
+    if args.rounds < 1:
+        ap.error("--rounds must be positive")
     try:
         sha = _git("rev-parse", "--verify",
                    args.rev + "^{commit}").decode().strip()
@@ -203,16 +210,20 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         _export(sha, tmp / "base")
         try:
-            base = load_driver(build(tmp / "base", args.fixture, args.seed,
+            base = load_driver(build(tmp / "base", args.fixture, None,
                                      tmp / "base-build"))
-            change = load_driver(build(ROOT, args.fixture, args.seed,
+            change = load_driver(build(ROOT, args.fixture, None,
                                        tmp / "change-build"))
         except RuntimeError as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
+        if not (hasattr(base, "plan") and hasattr(base, "BATCH")):
+            print(f"error: the program of {args.rev} has no plan() and "
+                  f"BATCH; it predates batched serving", file=sys.stderr)
+            return 2
         ok = True
         for n in sorted({1, min(base.BATCH, change.BATCH)}):
-            r = compare(base, change, n, args.rounds, args.calls)
+            r = compare(base, change, n, args.rounds, _CALLS)
             ok &= r["identical"]
             print("\n".join(report(args.fixture, r)), flush=True)
     print(f"base {args.rev} ({sha[:12]}), change: the working tree")

@@ -321,7 +321,8 @@ _FORBIDDEN_TOKENS = ("tflite", ".lite", "graph.json", ".params", "MLW0",
 
 # the binding kernels/ops.py makes at its top: the emitted templates name
 # np and float32, and the program loads no more of numpy than this module;
-# the templates also name the budget of a reduction's product tensor
+# _sum_products_prep, and so every template that uses it, also names the
+# budget of a reduction's product tensor
 _NP_CORE = "from numpy._core import _multiarray_umath as np"
 _NP_HEAD = _NP_CORE + '\n\nfloat32 = np.dtype("<f4").type'
 _BUDGET_LINE = f"_PRODUCT_BYTES = {kernel_ops._PRODUCT_BYTES}"
@@ -429,7 +430,10 @@ def _emit_driver(plan: EmissionPlan) -> str:
                 helpers.append(h)
     helpers.sort()
 
-    out = [_NP_HEAD, _BUDGET_LINE, ""]
+    out = [_NP_HEAD]
+    if "_sum_products_prep" in helpers:
+        out.append(_BUDGET_LINE)
+    out.append("")
     if plan.weights:
         out.append("from net_weights import (")
         out.extend(_wrap_args(plan.weights, indent="    "))
@@ -609,15 +613,12 @@ def main(argv):
         todo = [*vars(net_driver).values()]
         owned = {}
         for a in todo:
+            if type(a) is np.ndarray:
+                owned[id(a)] = a.nbytes * (a.base is None)
+                a = a.base,  # walked next, as a one-item tuple
             if type(a) in (tuple, list):
                 todo += a
-            elif type(a) is np.ndarray:
-                if a.base is None:
-                    owned[id(a)] = a.nbytes
-                else:
-                    todo.append(a.base)
         invoke_bytes = 4 * b * width
-        buffers = net_driver.BUFFER_BYTES * b
         stats = {
             "reps": reps,
             "samples": count,
@@ -625,9 +626,10 @@ def main(argv):
             "invoke_ns": times,
             "load_bytes": 0,
             "configure_bytes": 0,
-            "scratch_bytes": sum(owned.values()) - buffers,
+            "scratch_bytes": sum(owned.values())
+            - net_driver.BUFFER_BYTES * b,
             "invoke_bytes": invoke_bytes,
-            "peak_bytes": buffers + invoke_bytes,
+            "peak_bytes": net_driver.BUFFER_BYTES * b + invoke_bytes,
         }
         with open(stats_path, "w") as f:
             json.dump(stats, f, sort_keys=True)
@@ -730,8 +732,8 @@ def compile_program(out_dir, sources, toolchain: ToolchainConfig | None = None) 
     checks that each source compiles and ships the sources. The program's
     interpreter line is `#!<python> -IS`, so no site hooks of the host run
     in it, and nothing on PYTHONPATH (see _MAIN_SRC). Code members are
-    deflated; the weights member is stored, since its float32 noise barely
-    deflates and costs the most time to try.
+    deflated at level 9, the smallest; the weights member is stored, since
+    its float32 noise barely deflates and costs the most time to try.
     """
     toolchain = toolchain or ToolchainConfig()
     python = _resolve_toolchain(toolchain)
@@ -767,7 +769,7 @@ def compile_program(out_dir, sources, toolchain: ToolchainConfig | None = None) 
                 info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
                 if not name.startswith("net_weights."):
                     info.compress_type = zipfile.ZIP_DEFLATED
-                z.writestr(info, data)
+                z.writestr(info, data, compresslevel=9)
     exe.chmod(exe.stat().st_mode | stat.S_IXUSR | stat.S_IXGRP | stat.S_IXOTH)
     return "program"
 

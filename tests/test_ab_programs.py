@@ -1,4 +1,5 @@
 import importlib.util
+import types
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "scripts" / "ab_programs.py"
@@ -22,10 +23,8 @@ def test_same_programs_are_timed_step_by_step_at_one_sample_and_batch(
         assert r["identical"] and r["n"] == n
         assert r["rounds"] == 3 and 0 <= r["won"] <= 3
         # mlp runs fc, fc, softmax, in that order on both sides
-        assert [(b[0], c[0]) for b, c in r["steps"]] == [
-            ("fully_connected_f32", "fully_connected_f32"),
-            ("fully_connected_f32", "fully_connected_f32"),
-            ("softmax_f32", "softmax_f32")]
+        assert [[s[0] for s in side] for side in r["steps"]] == [
+            ["fully_connected_f32", "fully_connected_f32", "softmax_f32"]] * 2
         lines = ab_programs.report("mlp", r)
         assert lines[0].startswith(f"mlp n={n}: run() ")
         assert lines[0].endswith("outputs byte-identical")
@@ -41,3 +40,27 @@ def test_differing_outputs_are_reported_and_not_timed(tmp_path):
     r = ab_programs.compare(base, change, 1, rounds=3, calls=2)
     assert r == {"n": 1, "identical": False}
     assert ab_programs.report("mlp", r) == ["mlp n=1: outputs differ"]
+
+
+def test_different_step_lists_are_listed_side_by_side_not_paired():
+    r = {"n": 1, "identical": True, "base_us": 10.0, "change_us": 8.0,
+         "won": 3, "rounds": 3,
+         "steps": [[("fully_connected_f32", 4.0), ("softmax_f32", 2.0)],
+                   [("conv2d_f32", 5.0)]]}
+    lines = ab_programs.report("mlp", r)
+    assert lines[1:] == [
+        "  the two sides run different steps",
+        "  base   step 0  fully_connected_f32          4.0 us",
+        "  base   step 1  softmax_f32                  2.0 us",
+        "  change step 0  conv2d_f32                   5.0 us"]
+
+
+def test_a_base_without_batched_plans_exits_2(monkeypatch, capsys):
+    # a program from before batched serving: no plan() and no BATCH
+    old = types.SimpleNamespace(INPUT_SIZES=(4,), run=lambda inputs: ())
+    monkeypatch.setattr(ab_programs, "_git", lambda *a: b"0" * 40)
+    monkeypatch.setattr(ab_programs, "_export", lambda sha, dest: None)
+    monkeypatch.setattr(ab_programs, "build", lambda *a: "program")
+    monkeypatch.setattr(ab_programs, "load_driver", lambda program: old)
+    assert ab_programs.main(["--rev", "HEAD", "--fixture", "mlp"]) == 2
+    assert "no plan() and BATCH" in capsys.readouterr().err

@@ -237,6 +237,22 @@ def test_emitted_sources_and_manifest(built):
     assert m["device"] == {"threads": 1}
 
 
+def test_the_budget_is_bound_only_where_a_template_reads_it(built):
+    # the emitter binds _PRODUCT_BYTES with _sum_products_prep, so every
+    # template that reads the budget must depend on that helper
+    for tid in ops.KERNELS:
+        names = ops.PREPS[tid].__code__.co_names + \
+            ops.KERNELS[tid].__code__.co_names
+        if "_PRODUCT_BYTES" in names:
+            assert "_sum_products_prep" in ops.HELPER_DEPS[tid], tid
+    for name, (_, art) in built.items():
+        driver = (Path(art.out_dir) / "src/net_driver.py").read_text(
+            encoding="utf-8")
+        assert ("_PRODUCT_BYTES = 262144" in driver) == \
+            ("def _sum_products_prep(" in driver), name
+    assert set(built) >= {"identity", "mlp"}
+
+
 def test_emitted_sources_carry_no_container_traces(built):
     tokens = ("tflite", ".lite", "graph.json", ".params", "MLW0",
               "org.tensorflow", "libtvm")
