@@ -122,9 +122,9 @@ def step_times(drivers, inputs, rounds: int) -> list[list]:
     seen = []
 
     def timed(name, fn):
-        def wrapper(*state):
+        def wrapper(*args):
             t0 = time.perf_counter_ns()
-            fn(*state)
+            fn(*args)
             seen.append((name, time.perf_counter_ns() - t0))
         return wrapper
 

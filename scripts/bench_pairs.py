@@ -4,14 +4,19 @@
     python3 scripts/bench_pairs.py --rev HEAD --workload mlp-stream \
         --pairs 10 --seed 500 --seconds 20 --label mlp-stream-invoke
 
-Exports the committed files of --rev into a temporary directory (git
-archive) and runs perfbench/run.py there and in the working tree, in N
-pairs. Pair i uses seed --seed + i on both sides; even pairs run the base
-first, odd pairs the change first, so a drift in host speed falls on both
-sides alike. Writes BENCH_<label>.json at the top of the working tree:
-every run's metrics, and per metric each side's median and IQR, the median
-change and the number of pairs the change won (ties win nothing). The
-direction of "better" comes from the working tree's BENCHMARK.json.
+Exports both sides into temporary directories with git archive: the
+committed files of --rev, and the working tree as it is, its tracked files
+with their edits and its untracked files that are not ignored (staged
+through a temporary index, so the repository's own index is left alone).
+A spawn from the working tree itself reads faster and smaller than one
+from an export of the same code, so both sides run from exports. It runs
+perfbench/run.py in each, in N pairs. Pair i uses seed --seed + i on both
+sides; even pairs run the base first, odd pairs the change first, so a
+drift in host speed falls on both sides alike. Writes BENCH_<label>.json
+at the top of the working tree: every run's metrics, and per metric each
+side's median and IQR, the median change and the number of pairs the
+change won (ties win nothing). The direction of "better" comes from the
+working tree's BENCHMARK.json.
 
 Exit status 0 when every run completed, 1 when a run failed, 2 on bad
 arguments or a revision git cannot export.
@@ -22,6 +27,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -32,13 +38,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _git(*args) -> bytes:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True,
-                          capture_output=True).stdout
+def _git(*args, root=ROOT, env=None) -> bytes:
+    return subprocess.run(["git", *args], cwd=root, check=True,
+                          capture_output=True, env=env).stdout
 
 
-def _export(rev: str, dest: Path) -> None:
-    with tarfile.open(fileobj=io.BytesIO(_git("archive", rev))) as tar:
+def working_tree(root=ROOT) -> str:
+    """The id of a git tree that holds root's working tree as it is: its
+    tracked files with their edits, less the ones deleted, and its
+    untracked files that are not ignored. They are staged through a
+    temporary index, so root's own index is left alone."""
+    with tempfile.TemporaryDirectory(prefix="bench-index-") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        _git("read-tree", "HEAD", root=root, env=env)
+        _git("add", "-A", root=root, env=env)
+        return _git("write-tree", root=root, env=env).decode().strip()
+
+
+def _export(treeish: str, dest: Path, root=ROOT) -> None:
+    archive = _git("archive", treeish, root=root)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
 
 
@@ -108,6 +127,7 @@ def main(argv=None) -> int:
                    args.rev + "^{commit}").decode().strip()
         head = _git("rev-parse", "HEAD").decode().strip()
         dirty = bool(_git("status", "--porcelain", "--untracked-files=no"))
+        tree = working_tree()
     except subprocess.CalledProcessError as e:
         print(f"error: {e.stderr.decode().strip()}", file=sys.stderr)
         return 2
@@ -116,9 +136,10 @@ def main(argv=None) -> int:
               for d in spec["end_to_end"] + spec["per_layer"]}
 
     pairs = []
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base = Path(tmp)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        base, change = Path(tmp) / "base", Path(tmp) / "change"
         _export(sha, base)
+        _export(tree, change)
         try:
             for i in range(args.pairs):
                 seed = args.seed + i
@@ -126,7 +147,7 @@ def main(argv=None) -> int:
                     else ("change", "base")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = _run(base if side == "base" else ROOT,
+                    pair[side] = _run(base if side == "base" else change,
                                       args.workload, seed, args.seconds,
                                       args.trace)
                 pairs.append(pair)
@@ -141,7 +162,10 @@ def main(argv=None) -> int:
         "workload": args.workload,
         "base": {"rev": args.rev, "commit": sha},
         "change": {"tree": "working tree", "head": head,
-                   "uncommitted_changes": dirty},
+                   "uncommitted_changes": dirty,
+                   "export": {"tree_id": tree,
+                              "files": "tracked, edits included, and "
+                                       "untracked, not ignored"}},
         "protocol": {
             "command": "python3 perfbench/run.py --workload "
                        f"{args.workload} --seed SEED --seconds "

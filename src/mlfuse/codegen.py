@@ -203,7 +203,7 @@ def _worst_error(steps, xs, refs, input_bufs, buffers,
                  delta) -> tuple[float, int | None]:
     """Largest per-tensor l2 distance from the runtime over all inputs.
 
-    steps are (op index, unit, prepared state, output ids) in graph order.
+    steps are (op index, unit, prepared calls, output ids) in graph order.
     Stops at the first tensor beyond delta and returns its distance and the
     index of the operator that wrote it; the index is None within delta.
     """
@@ -211,8 +211,8 @@ def _worst_error(steps, xs, refs, input_bufs, buffers,
     for x, ref in zip(xs, refs):
         for buf, arr in zip(input_bufs, x):
             np.copyto(buf, arr.reshape(-1))
-        for at, unit, state, out_ids in steps:
-            unit.fn(*state)
+        for at, unit, calls, out_ids in steps:
+            unit.fn(calls)
             for tid in out_ids:
                 err = float(np.linalg.norm(
                     np.subtract(buffers[tid], ref[tid], dtype=np.float64)))
@@ -262,10 +262,10 @@ def search_status(bundle: ModelBundle, lowered: Lowering, configs,
         layouts = [None] * len(configs)
         for i, domain, pick in zip(unknowns, domains, picks):
             layouts[i] = domain[pick]
-        flats, states, _ = configure(lowered, layouts, buffers)
+        flats, calls, _ = configure(lowered, layouts, buffers)
         worst, at = _worst_error(
-            [(c.op_index, c.unit, s, c.output_ids)
-             for c, s in zip(configs, states)],
+            [(c.op_index, c.unit, k, c.output_ids)
+             for c, k in zip(configs, calls)],
             xs, refs, input_bufs, buffers, cfg.delta)
         if at is None:
             return SearchResult(
@@ -412,13 +412,15 @@ def _template_source(fn) -> str:
 
 
 def _emit_driver(plan: EmissionPlan) -> str:
-    # The buffers and every kernel's prepared state live at module level.
+    # The buffers and every kernel's prepared calls live at module level.
     # plan(n) makes them for n samples a call, stacked along axis 0 of
     # every tensor, and import runs plan(1); run() only copies the inputs
-    # in, calls each run step through its module-global name (so it can be
-    # wrapped after import) and hands back fresh copies of the outputs.
-    # BATCH is the largest n whose buffers fit in _BATCH_BUFFER_BYTES, or
-    # 1 when the graph cannot batch, and then nothing depends on n.
+    # in, runs each step's calls and hands back fresh copies of the
+    # outputs. Every template id the model uses names the one run step,
+    # run_calls, and run() calls a step through that module-global name,
+    # so a wrapper set after import sees one call per step. BATCH is the
+    # largest n whose buffers fit in _BATCH_BUFFER_BYTES, or 1 when the
+    # graph cannot batch, and then nothing depends on n.
     lowered = plan.lowered
     twice = plan.twice or lowered
     used_templates = list(dict.fromkeys(op.unit.template_id
@@ -441,12 +443,14 @@ def _emit_driver(plan: EmissionPlan) -> str:
         out.append("")
     out.append("")
     sources = [kernel_ops.HELPERS[h] for h in helpers]
-    for tid in used_templates:
-        sources += [kernel_ops.PREPS[tid], kernel_ops.KERNELS[tid]]
-    for fn in sources:
+    sources += [kernel_ops.PREPS[tid] for tid in used_templates]
+    for fn in sources + [kernel_ops.run_calls]:
         out.append(_template_source(fn))
         out.append("")
         out.append("")
+    out.append(" = ".join(used_templates + ["run_calls"]))
+    out.append("")
+    out.append("")
 
     in_specs = [lowered.tensors[t] for t in lowered.input_ids]
     out.append(f"INPUT_SHAPES = {_lit(tuple(b.shape for b in in_specs))}")
@@ -485,7 +489,7 @@ def _emit_driver(plan: EmissionPlan) -> str:
     for slot, tid in enumerate(lowered.input_ids):
         out.append(f"    np.copyto(t{tid}, inputs[{slot}].reshape(-1))")
     for op in lowered.ops:
-        out.append(f"    {op.unit.template_id}(*S{op.op_index})")
+        out.append(f"    {op.unit.template_id}(S{op.op_index})")
     rets = ", ".join(f"t{t}.copy()" for t in lowered.output_ids)
     if len(lowered.output_ids) == 1:
         rets += ","
@@ -605,12 +609,13 @@ def main(argv):
         # copies. Kernel scratch is reported on its own: the interpreter's
         # peak leaves out the same scratch. It is the plan's that ran: the
         # memory of every array the driver's globals reach, through its
-        # states and views' bases, that owns it, less the tensor buffers
-        # (a weight's memory is the blob's bytes, no array's). json is
-        # imported only here: a run without --stats does not pay for it.
+        # call lists, their keywords and views' bases, that owns it, less
+        # the tensor buffers (a weight's memory is the blob's bytes, no
+        # array's). json is imported only here: a run without --stats does
+        # not pay for it.
         import json
 
-        todo = [*vars(net_driver).values()]
+        todo = [vars(net_driver)]
         owned = {}
         for a in todo:
             if type(a) is np.ndarray:
@@ -618,6 +623,8 @@ def main(argv):
                 a = a.base,  # walked next, as a one-item tuple
             if type(a) in (tuple, list):
                 todo += a
+            elif type(a) is dict:  # a namespace, or a call's keywords
+                todo += a.values()
         invoke_bytes = 4 * b * width
         stats = {
             "reps": reps,

@@ -5,9 +5,10 @@ lowers it (lowering.py): one computing unit per operator with its resolved
 parameters, and one buffer per tensor. Configure allocates the buffers and
 calls lowering.configure with the layouts the table shipped with the
 kernels names: that lays every operator's weight out and runs each
-kernel's prepare step once, binding its views of the buffers and allocating
-its scratch. Invoke then only calls each kernel's run step on that state,
-in topological order.
+kernel's prepare step once, which binds its views of the buffers, allocates
+its scratch and returns the operator's numpy calls. Invoke then only runs
+each operator's calls through its unit's run step, ops.run_calls, in
+topological order.
 
 Memory accounting covers plan-managed allocations only: the serialized graph
 text and weight arrays at load, tensor buffers and weight reorder copies at
@@ -47,7 +48,7 @@ class PlanStep:
     op_index: int
     kind: str
     unit: object
-    state: tuple  # the unit's prepared state: invoke calls unit.fn(*state)
+    calls: list  # the unit's prepared calls: invoke runs unit.fn(calls)
 
 
 @dataclass
@@ -71,12 +72,12 @@ def load(bundle: ModelBundle, device: DeviceInfo | None = None,
     load_bytes = len(graphir.graph_to_json(bundle.graph).encode("utf-8")) \
         + sum(arr.nbytes for arr in lowered.weights.values())
     buffers = lowered.allocate()
-    _, states, copied = configure(
+    _, calls, copied = configure(
         lowered, [hidden_status_for(op.unit.key) for op in lowered.ops],
         buffers)
     steps = [PlanStep(op_index=op.op_index, kind=op.kind, unit=op.unit,
-                      state=state)
-             for op, state in zip(lowered.ops, states)]
+                      calls=c)
+             for op, c in zip(lowered.ops, calls)]
     return ExecutablePlan(
         lowered=lowered, steps=steps, buffers=buffers, load_bytes=load_bytes,
         configure_bytes=sum(b.nbytes for b in buffers.values()) + copied)
@@ -100,7 +101,7 @@ def invoke(plan: ExecutablePlan, inputs) -> list[np.ndarray]:
         np.copyto(buf, np.ascontiguousarray(arr).reshape(-1))
     for step in plan.steps:
         try:
-            step.unit.fn(*step.state)
+            step.unit.fn(step.calls)
         except Exception as e:
             raise InterpreterError(
                 f"operator {step.op_index} ({step.kind}) failed: {e}") from e

@@ -1,7 +1,8 @@
 """Computing-unit registry: per-operator kernels plus their configuration.
 
 A computing unit binds one operator kind and one data type to a kernel
-template, as its prepare and run steps; one unit serves every device.
+template: its prepare step, which returns the operator's numpy calls, and
+the run step that makes them; one unit serves every device.
 Known configuration is resolved from node options into a ParamRecord.
 graphir.validate owns the rules of builtin options, so the registry reads
 them as given; it checks only what validation cannot see, the options of
@@ -61,7 +62,7 @@ class UnitKey:
 class ComputingUnit:
     key: UnitKey
     template_id: str
-    fn: object  # run step: fn(*state)
+    fn: object  # run step: fn(calls), ops.run_calls for every unit
     prep: object  # prepare step: prep(inputs, weights, outputs, **params)
     # layout name -> the transpose that takes weight 0 into it (None: as
     # stored). Insertion order is the search order; empty means the unit

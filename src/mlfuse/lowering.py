@@ -119,11 +119,11 @@ def configure(lowered: Lowering, layouts, buffers) -> tuple[list, list, int]:
     """Lay every operator's weights out and prepare its kernel over buffers.
 
     layouts holds one layout name per operator, None for a unit that lists
-    no layouts. Returns, per operator, the flat weights and the unit's
-    state (unit.fn(*state) runs the operator), and the bytes the layouts
-    copied.
+    no layouts. Returns, per operator, the flat weights and the numpy
+    calls its unit's prepare step bound (unit.fn(calls) runs the operator),
+    and the bytes the layouts copied.
     """
-    flats, states, copied = [], [], 0
+    flats, calls, copied = [], [], 0
     for op, layout in zip(lowered.ops, layouts):
         try:
             ws, n = layout_weight_arrays(
@@ -131,8 +131,8 @@ def configure(lowered: Lowering, layouts, buffers) -> tuple[list, list, int]:
         except StatusError as e:
             raise StatusError(f"operator {op.op_index}: {e}") from None
         flats.append(ws)
-        states.append(op.unit.prep([buffers[t] for t in op.act_ids], ws,
+        calls.append(op.unit.prep([buffers[t] for t in op.act_ids], ws,
                                    [buffers[t] for t in op.output_ids],
                                    **op.params.values))
         copied += n
-    return flats, states, copied
+    return flats, calls, copied

@@ -43,7 +43,7 @@ def _at_case_budget(case):
 
 def run_kernel(name, inputs, weights, outputs, **params):
     """Prepare kernel `name` on the given flat buffers, then run it once."""
-    ops.KERNELS[name](*ops.PREPS[name](inputs, weights, outputs, **params))
+    ops.KERNELS[name](ops.PREPS[name](inputs, weights, outputs, **params))
 
 
 def _same_pads(in_dim, eff_k, stride):

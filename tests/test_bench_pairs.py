@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -69,3 +70,38 @@ def test_one_pair_has_no_spread():
     m = _summary([3.0], [2.0], "lower")
     assert m["base"]["iqr"] == 0 and m["change"]["iqr"] == 0
     assert m["pairs_won"] == 1 and m["better_by_more_than_base_iqr"]
+
+
+def _git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=bench", "-c",
+                    "user.email=bench@example.com", "-c",
+                    "commit.gpgsign=false", *args],
+                   cwd=repo, check=True, capture_output=True)
+
+
+def test_the_change_is_exported_as_the_working_tree_holds_it(tmp_path):
+    # an edit not yet committed and a new untracked file reach the export;
+    # a deleted file and an ignored one do not, and the repository's own
+    # index is left as it was
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    for name in ("kept.txt", "edited.txt", "deleted.txt"):
+        (repo / name).write_text("committed\n")
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "base")
+    (repo / "edited.txt").write_text("edited\n")
+    (repo / "deleted.txt").unlink()
+    (repo / "new.txt").write_text("untracked\n")
+    (repo / "ignored.txt").write_text("ignored\n")
+    index = (repo / ".git" / "index").read_bytes()
+
+    out = tmp_path / "out"
+    bench_pairs._export(bench_pairs.working_tree(repo), out, root=repo)
+    assert sorted(p.name for p in out.iterdir()) == [
+        ".gitignore", "edited.txt", "kept.txt", "new.txt"]
+    assert (out / "edited.txt").read_text() == "edited\n"
+    assert (out / "new.txt").read_text() == "untracked\n"
+    assert (out / "kept.txt").read_text() == "committed\n"
+    assert (repo / ".git" / "index").read_bytes() == index

@@ -22,6 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kernel_cases
+
 from mlfuse import codegen, fixtures, graphir, harness, interpreter
 from mlfuse.graphir import (
     ADD,
@@ -658,15 +660,21 @@ def _sample(bundle, seed):
     return harness.make_inputs(bundle.graph, cfg)[0]
 
 
-def test_warm_program_run_allocates_only_its_outputs(built):
-    # Buffers and kernel scratch are made at import; a warm run() makes
+@pytest.mark.parametrize("at", ["1", "BATCH"])
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_warm_program_run_allocates_only_its_outputs(built, name, at):
+    # Buffers and kernel scratch are made by plan(n); a warm run() makes
     # only the output copies it hands back, which later calls leave alone.
     # numpy's ufunc iterator buffers up to np.getbufsize() elements per
     # operand of a reduction on its own account; shrinking them leaves the
     # program's allocations in the peak.
-    bundle, artifact = built["lenet"]
+    _, artifact = built[name]
     driver = _import_driver(artifact)
-    x, y = _sample(bundle, 1), _sample(bundle, 2)
+    n = 1 if at == "1" else driver.BATCH
+    driver.plan(n)
+    rng = np.random.default_rng(1)
+    x, y = ([rng.uniform(-1, 1, (n, size)).astype(np.float32)
+             for size in driver.INPUT_SIZES] for _ in range(2))
     first = driver.run(x)
     kept = [o.copy() for o in first]
     bufsize = np.setbufsize(16)
@@ -677,9 +685,45 @@ def test_warm_program_run_allocates_only_its_outputs(built):
     finally:
         tracemalloc.stop()
         np.setbufsize(bufsize)
-    assert peak <= 16384, peak
+    assert peak <= sum(o.nbytes for o in second) + 16384, peak
     assert all(np.array_equal(a, b) for a, b in zip(first, kept))
     assert not any(np.array_equal(a, b) for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_no_kernel_code_runs_between_numpy_calls(built, name, monkeypatch):
+    # Every step is a list of (f, args, kw) calls that the one run step,
+    # run_calls, makes in turn, and every f is a ufunc or a C function or
+    # method: in the program's plans at one sample and at BATCH, in the
+    # interpreter's plan, and in every reference kernel's case.
+    c_callables = (np.ufunc, type(np.add.reduce))
+    bundle, artifact = built[name]
+    driver = _import_driver(artifact)
+    lists = [step.calls for step in interpreter.load(bundle).steps]
+    for n in (1, driver.BATCH):
+        driver.plan(n)
+        lists += [v for k, v in vars(driver).items()
+                  if k[0] == "S" and k[1:].isdigit()]
+    for tid in ops.KERNELS:
+        if hasattr(driver, tid):
+            assert getattr(driver, tid) is driver.run_calls, tid
+    assert {u.fn for u in default_registry().units()} == {ops.run_calls}
+    if name == "lenet":  # once, beside the largest plan
+        def collect(kernel, inputs, weights, outputs, **params):
+            calls = ops.PREPS[kernel](inputs, weights, outputs, **params)
+            lists.append(calls)
+            ops.run_calls(calls)
+
+        monkeypatch.setattr(kernel_cases, "run_kernel", collect)
+        for case in kernel_cases.REFERENCE_CASES.values():
+            for i in range(kernel_cases.N_CASES):
+                case.__wrapped__(i)
+    assert lists
+    for calls in lists:
+        assert calls and type(calls) is list
+        for f, args, kw in calls:
+            assert isinstance(f, c_callables), f
+            assert type(args) is tuple and type(kw) is dict, f
 
 
 @pytest.mark.parametrize("name, calls", [("mlp", 3), ("lenet", 9)])
@@ -692,9 +736,9 @@ def test_kernel_calls_are_looked_up_at_call_time(built, monkeypatch, name,
     seen = []
 
     def counting(fn):
-        def wrapper(*state):
+        def wrapper(*args):
             seen.append(fn)
-            return fn(*state)
+            return fn(*args)
         return wrapper
 
     driver = _import_driver(artifact)
@@ -715,8 +759,9 @@ def test_kernel_calls_are_looked_up_at_call_time(built, monkeypatch, name,
 
 def _plan_scratch(driver, n) -> int:
     """Kernel scratch of the driver's plan for n samples a call: the bytes
-    of every array its states S<i> reach, at the end of the chain of bases,
-    that is not a tensor buffer t<i>. The driver is left at plan(1)."""
+    of every array its call lists S<i> reach, keywords included, at the end
+    of the chain of bases, that is not a tensor buffer t<i>. The driver is
+    left at plan(1)."""
     driver.plan(n)
     try:
         named = [(k[0], v) for k, v in vars(driver).items()
@@ -728,6 +773,8 @@ def _plan_scratch(driver, n) -> int:
             obj = stack.pop()
             if isinstance(obj, (tuple, list)):
                 stack.extend(obj)
+            elif isinstance(obj, dict):
+                stack.extend(obj.values())
             elif isinstance(obj, np.ndarray):
                 while isinstance(obj.base, np.ndarray):
                     obj = obj.base

@@ -35,55 +35,63 @@ def test_reference_kernel_matches_oracle_bitwise(name):
 _PADS = ("pad_before_h", "pad_after_h", "pad_before_w", "pad_after_w")
 
 
-def _chunk_lengths(kernel, state):
-    """Taps per chunk of the reduction a conv or FC state holds."""
-    if kernel == "fully_connected_f32":
-        chunks = state[0][0]
-    else:  # the state every block of the conv shares
-        chunks = state[2][0]
-    return [len(lhs) for _, lhs, *_ in chunks]
+def _product_calls(calls):
+    """The call that forms each chunk's terms, in a conv or FC call list:
+    np.multiply or np.c_einsum into a product tensor's rows, once a chunk,
+    though every block of a conv runs the same chunks."""
+    seen = {}
+    for f, args, kw in calls:
+        if f is np.multiply or f is ops.np.c_einsum:
+            seen.setdefault(id(kw.get("out", args[-1])), (f, args, kw))
+    return list(seen.values())
+
+
+def _chunk_lengths(calls):
+    """Taps per chunk of the reduction a conv or FC call list makes."""
+    return [len(kw.get("out", args[-1])) for _, args, kw
+            in _product_calls(calls)]
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
 def test_prepared_state_follows_its_buffers(name, monkeypatch):
-    # A state prepared once and run on input A, then on input B written
-    # into the same input buffers, must give exactly what a fresh prepare
-    # and run on B gives: the state binds views of the activations, never
-    # copies. Running A again restores the case's own oracle check.
+    # A call list prepared once and run on input A, then on input B
+    # written into the same input buffers, must give exactly what a fresh
+    # prepare and run on B gives: the calls bind views of the activations,
+    # never copies. Running A again restores the case's own oracle check.
     rng = np.random.default_rng(7)
     seen = []
     biased_chunks = []
 
     def run_stale(kernel, inputs, weights, outputs, **params):
         prep, run = ops.PREPS[kernel], ops.KERNELS[kernel]
-        state = prep(inputs, weights, outputs, **params)
+        calls = prep(inputs, weights, outputs, **params)
         first = [x.copy() for x in inputs]
-        run(*state)
+        run(calls)
         second = [rng.uniform(-1, 1, x.shape).astype(x.dtype)
                   if x.dtype == np.float32
                   else rng.integers(-1000, 1000, x.shape, dtype=x.dtype)
                   for x in inputs]
         for buf, x in zip(inputs, second):
             np.copyto(buf, x)
-        run(*state)
+        run(calls)
         got = [o.tobytes() for o in outputs]
         fresh = [np.empty_like(o) for o in outputs]
-        run(*prep([x.copy() for x in second], weights, fresh, **params))
+        run(prep([x.copy() for x in second], weights, fresh, **params))
         assert got == [o.tobytes() for o in fresh], (kernel, params)
         for buf, x in zip(inputs, first):
             np.copyto(buf, x)
-        run(*state)
+        run(calls)
         seen.append(params)
         if kernel in ("conv2d_f32", "fully_connected_f32") \
                 and len(weights) > 1:
-            biased_chunks.append(_chunk_lengths(kernel, state))
+            biased_chunks.append(_chunk_lengths(calls))
 
     monkeypatch.setattr(kernel_cases, "run_kernel", run_stale)
     case = REFERENCE_CASES[name].__wrapped__
     for i in range(N_CASES):
         got, want = case(i)
         assert oracles.bitwise_equal(got, want), f"{name} case {i}"
-    # the cases a prepared state could get wrong: a padded border and a
+    # the cases a prepared call list could get wrong: a padded border and a
     # single lane with its twin
     if name in ("conv2d", "depthwise_conv2d", "average_pool_2d",
                 "max_pool_2d"):
@@ -130,10 +138,11 @@ def test_sum_products_is_the_scalar_loop_order(case_budget):
         rhs = rng.uniform(0.5, 2, (k, 1)).astype(np.float32)
         tail = rng.choice(values, lanes)
         acc = np.empty(lanes, dtype=np.float32)
-        state = ops._sum_products_prep(lhs, rhs, acc, tail)
-        sizes = [len(c[1]) for c in state[0]]
+        calls = ops._sum_products_calls(
+            *ops._sum_products_prep(lhs, rhs, acc, tail), acc)
+        sizes = _chunk_lengths(calls)
         assert len(sizes) > 1 and sizes[0] < sizes[-1], (lanes, sizes)
-        ops._sum_products(*state, acc)
+        ops.run_calls(calls)
         want = np.zeros(lanes, dtype=np.float32)
         for t in range(k):
             # float32 lanes added one term at a time, each lane on its own
@@ -189,11 +198,12 @@ def test_both_product_paths_are_the_scalar_loop_order(path, special,
     tail[0, 0] = np.float32(-0.0)
     chunks, twin = ops._sum_products_prep(lhs, rhs, acc, tail)
     assert len(chunks) > 1 and (twin is not None) == (path == "twin")
-    assert all(c[0] is np.multiply for c in chunks)
+    assert all(f is np.multiply for (f, _, _), _ in chunks)
     if path == "outer":  # as conv2d_f32_prep swaps them in
-        chunks = [(ops._outer_products, a[:, :, 0], b[:, 0], prod, part)
-                  for _, a, b, prod, part in chunks]
-    ops._sum_products(chunks, twin, acc)
+        chunks = [((ops.np.c_einsum, ("kc,kl->kcl", a[:, :, 0], b[:, 0]),
+                    {"out": prod}), part)
+                  for (_, (a, b, prod), _), part in chunks]
+    ops.run_calls(ops._sum_products_calls(chunks, twin, acc))
     want = np.zeros((rows, lanes), np.float32)
     for t in range(len(lhs)):
         want = want + lhs[t] * rhs[t]
@@ -214,12 +224,10 @@ def test_lenet_states_take_the_product_call_their_kernel_names():
     products = {}
     for step in plan.steps:
         tid = step.unit.template_id
-        chunks = (step.state[2][0] if tid == "conv2d_f32"
-                  else step.state[0][0] if tid == "fully_connected_f32"
-                  else ())
-        products.setdefault(tid, []).extend(c[0] for c in chunks)
+        products.setdefault(tid, []).extend(
+            f for f, _, _ in _product_calls(step.calls))
     assert len(products["conv2d_f32"]) == 2 + 3  # conv1 2, conv2 3
-    assert set(products["conv2d_f32"]) == {ops._outer_products}
+    assert set(products["conv2d_f32"]) == {ops.np.c_einsum}
     assert len(products["fully_connected_f32"]) >= 3
     assert set(products["fully_connected_f32"]) == {np.multiply}
 
@@ -232,14 +240,18 @@ def test_lenet_blocking():
     # here first.
     plan = interpreter.load(fixtures.build_fixture("lenet"))
     convs, fcs = [], []
-    for step in plan.steps:
+    for step, op in zip(plan.steps, plan.lowered.ops):
         tid = step.unit.template_id
         if tid == "conv2d_f32":
-            _, blocks, (chunks, _), (out, *_) = step.state
-            convs.append((len(blocks), blocks[0][1].shape[-2], out.shape[1],
-                          [len(c[1]) for c in chunks]))
+            # a block starts with the copy that gathers its patches, the
+            # (kh, kw, ci, rows, ow) windows of its output rows
+            blocks = [args[1] for f, args, _ in step.calls
+                      if f is ops.np.copyto and args[0].ndim == 5]
+            convs.append((len(blocks), blocks[0].shape[-2],
+                          op.params.values["out_shape"][1],
+                          _chunk_lengths(step.calls)))
         elif tid == "fully_connected_f32":
-            fcs.append([len(c[1]) for c in step.state[0][0]])
+            fcs.append(_chunk_lengths(step.calls))
     assert convs == [(1, 24, 24, [12, 13]), (1, 8, 8, [50, 50, 50])]
     assert fcs == [[256], [120], [84]]
 
@@ -272,10 +284,10 @@ def test_tail_cases_take_the_shapes_their_kind_names(kind, monkeypatch):
     seen = []
 
     def keep(kernel, inputs, weights, outputs, **params):
-        state = ops.PREPS[kernel](inputs, weights, outputs, **params)
-        ops.KERNELS[kernel](*state)
+        calls = ops.PREPS[kernel](inputs, weights, outputs, **params)
+        ops.KERNELS[kernel](calls)
         batch = params.get("batch") or params["out_shape"][0]
-        seen.append((_chunk_lengths(kernel, state), batch,
+        seen.append((_chunk_lengths(calls), batch,
                      outputs[0].size // batch))
 
     monkeypatch.setattr(kernel_cases, "run_kernel", keep)
@@ -333,17 +345,17 @@ def _stacked(params, n):
 
 
 def _run_singles_and_stacked(kernel, samples, weights, outputs, params):
-    """Each sample through its own prepared state, then all of them through
-    one state prepared for the stack; the output bytes of both ways."""
+    """Each sample through its own prepared calls, then all of them through
+    one call list prepared for the stack; the output bytes of both ways."""
     prep, run = ops.PREPS[kernel], ops.KERNELS[kernel]
     singles = []
     for xs in samples:
         outs = [np.empty_like(o) for o in outputs]
-        run(*prep([x.copy() for x in xs], weights, outs, **params))
+        run(prep([x.copy() for x in xs], weights, outs, **params))
         singles.append(outs)
     stacked = [np.empty(len(samples) * o.size, o.dtype) for o in outputs]
-    run(*prep([np.concatenate(xs) for xs in zip(*samples)], weights, stacked,
-              **_stacked(params, len(samples))))
+    run(prep([np.concatenate(xs) for xs in zip(*samples)], weights, stacked,
+             **_stacked(params, len(samples))))
     want = [b"".join(outs[j].tobytes() for outs in singles)
             for j in range(len(outputs))]
     return [o.tobytes() for o in stacked], want
@@ -363,8 +375,8 @@ def test_a_state_prepared_for_three_samples_runs_three_single_ones(
     batched = []
 
     def run_stacked(kernel, inputs, weights, outputs, **params):
-        ops.KERNELS[kernel](*ops.PREPS[kernel](inputs, weights, outputs,
-                                               **params))
+        ops.KERNELS[kernel](ops.PREPS[kernel](inputs, weights, outputs,
+                                              **params))
         if not splits_along_axis_0(ParamRecord(kinds[kernel], params),
                                    len(weights)):
             return
@@ -425,7 +437,7 @@ def test_conv_scratch_stays_within_the_bound(shape):
     bufsize = np.setbufsize(16)
     tracemalloc.start()
     try:
-        ops.conv2d_f32(*ops.conv2d_f32_prep([x], [wt], [out], **kwargs))
+        ops.run_calls(ops.conv2d_f32_prep([x], [wt], [out], **kwargs))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -434,16 +446,16 @@ def test_conv_scratch_stays_within_the_bound(shape):
 
 
 def test_helper_deps_follow_the_template_bodies():
-    # helpers named by either step of a template, each step of a split
-    # helper by its own name
+    # helpers named by a template's prepare step and by the helpers it
+    # names, each step of a split helper by its own name
     assert set(ops.HELPER_DEPS) == set(ops.KERNELS) == set(ops.PREPS)
     assert ops.HELPER_DEPS["conv2d_f32"] == (
-        "_apply_clamp", "_outer_products", "_pad_nhwc_prep", "_sum_products",
+        "_clamp_calls", "_pad_nhwc_prep", "_sum_products_calls",
         "_sum_products_prep")
     assert ops.HELPER_DEPS["fully_connected_f32"] == (
-        "_apply_clamp", "_sum_products", "_sum_products_prep")
+        "_clamp_calls", "_sum_products_calls", "_sum_products_prep")
     assert ops.HELPER_DEPS["max_pool2d_f32"] == (
-        "_apply_clamp", "_pad_nhwc_prep", "_pool_windows_prep")
+        "_clamp_calls", "_pad_nhwc_prep", "_pool_windows_prep")
     assert ops.HELPER_DEPS["softmax_f32"] == ()
 
 
