@@ -137,7 +137,11 @@ def main(argv=None) -> int:
 
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        base, change = Path(tmp) / "base", Path(tmp) / "change"
+        # names of one length: a spawn's peak RSS moves with the length of
+        # the path it imports from (lenet's interpreter spawn, same code:
+        # about +100 KiB from .../base/src to .../change/src, none to
+        # .../work/src)
+        base, change = Path(tmp) / "base", Path(tmp) / "work"
         _export(sha, base)
         _export(tree, change)
         try:

@@ -11,7 +11,8 @@ of every source and the program of each build and the text of its
 build_manifest.json, and prints each difference; for a manifest, each
 field that differs, with both values. Where a build's program differs, it
 runs both programs on one seeded file of 37 samples and prints whether
-their outputs are byte-identical.
+their outputs are byte-identical. The summary line ends with the line
+count of the Python sources under src/ on both sides.
 
 Exit status 0 when every file is byte-identical, 1 on a difference or a
 failed build, 2 on a revision git cannot export.
@@ -84,6 +85,13 @@ def build_all(checkout: Path, out: Path) -> tuple[dict, dict]:
         raise RuntimeError(f"builds in {checkout} exited {proc.returncode}:"
                            f"\n{proc.stderr[-2000:]}")
     return tuple(json.loads(proc.stdout))
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the Python sources under checkout's src/, as wc -l counts
+    them."""
+    return sum(p.read_bytes().count(b"\n")
+               for p in (checkout / "src").rglob("*.py"))
 
 
 def same_outputs(base_program, change_program, values: int,
@@ -169,10 +177,12 @@ def main(argv=None) -> int:
             same += ok
             print(f"{build}: outputs on {SAMPLES} samples "
                   f"{'byte-identical' if ok else 'differ'}")
+        lines = src_lines(tmp / "base"), src_lines(ROOT)
     files = sum(len(v) for v in change.values())
     print(f"{len(change)} builds, {files} files: "
           f"{len(diffs)} difference(s) against {args.rev} ({sha[:12]}); "
-          f"{same} of {ran} differing programs write byte-identical outputs")
+          f"{same} of {ran} differing programs write byte-identical outputs; "
+          f"src/ {lines[0]} -> {lines[1]} lines ({lines[1] - lines[0]:+d})")
     return 1 if diffs else 0
 
 

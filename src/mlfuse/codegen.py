@@ -110,9 +110,6 @@ class EmissionPlan:
     lowered: Lowering
     # name -> flat array in the accepted layout, in operator then slot order
     weights: dict
-    # the lowering at two samples a call, or None when the graph cannot
-    # stack samples along axis 0 (batch_lowering)
-    twice: Lowering | None
 
 
 @dataclass
@@ -297,23 +294,12 @@ def _weight_names(op: LoweredOp) -> list[str]:
     return [f"W{op.op_index}_{slot}" for slot in range(len(op.weight_keys))]
 
 
-def batch_lowering(bundle: ModelBundle, lowered: Lowering,
-                   registry=None) -> Lowering | None:
-    """The lowering at two samples a call, or None when the graph cannot
-    run samples stacked along axis 0 of its tensors: some operator does
-    not compute each slice along it on its own."""
-    if not all(splits_along_axis_0(op.params, len(op.weight_keys))
-               for op in lowered.ops):
-        return None
-    return lower(bundle, lowered.device, registry, batch=2)
-
-
-def build_emission_plan(lowered: Lowering, configs, result: SearchResult,
-                        twice: Lowering | None) -> EmissionPlan:
+def build_emission_plan(lowered: Lowering, configs,
+                        result: SearchResult) -> EmissionPlan:
     """Name the accepted candidate's weights; nothing is laid out again."""
     weights = {name: arr for c, flats in zip(configs, result.weights)
                for name, arr in zip(_weight_names(c), flats)}
-    return EmissionPlan(lowered=lowered, weights=weights, twice=twice)
+    return EmissionPlan(lowered=lowered, weights=weights)
 
 
 _FORBIDDEN_TOKENS = ("tflite", ".lite", "graph.json", ".params", "MLW0",
@@ -344,20 +330,6 @@ def _lit(v) -> str:
         inner = ", ".join(_lit(x) for x in v)
         return f"({inner},)" if len(v) == 1 else f"({inner})"
     raise CodegenError(f"cannot render literal for {type(v).__name__}")
-
-
-def _per_call(v, v2) -> str:
-    """The literal of v, a value at one sample a call, as an expression in
-    n samples a call: v * n wherever the value at two samples, v2, doubled.
-    """
-    if isinstance(v, tuple) and v:
-        parts = [_per_call(a, b) for a, b in zip(v, v2)]
-        return f"({parts[0]},)" if len(v) == 1 else f"({', '.join(parts)})"
-    if _lit(v) == _lit(v2):
-        return _lit(v)
-    if _is_int(v) and v2 == 2 * v:
-        return "n" if v == 1 else f"{v} * n"
-    raise CodegenError(f"value {v!r} at one sample a call is {v2!r} at two")
 
 
 # the tensor buffers of one batched plan fit in this many bytes
@@ -416,13 +388,14 @@ def _emit_driver(plan: EmissionPlan) -> str:
     # plan(n) makes them for n samples a call, stacked along axis 0 of
     # every tensor, and import runs plan(1); run() only copies the inputs
     # in, runs each step's calls and hands back fresh copies of the
-    # outputs. Every template id the model uses names the one run step,
+    # outputs. Only the buffer sizes depend on n: every prepare step takes
+    # its params at one sample and reads the sample count from its
+    # buffers. Every template id the model uses names the one run step,
     # run_calls, and run() calls a step through that module-global name,
     # so a wrapper set after import sees one call per step. BATCH is the
-    # largest n whose buffers fit in _BATCH_BUFFER_BYTES, or 1 when the
-    # graph cannot batch, and then nothing depends on n.
+    # largest n whose buffers fit in _BATCH_BUFFER_BYTES, or 1 when some
+    # operator does not compute each slice along axis 0 on its own.
     lowered = plan.lowered
-    twice = plan.twice or lowered
     used_templates = list(dict.fromkeys(op.unit.template_id
                                         for op in lowered.ops))
     helpers = []
@@ -457,7 +430,9 @@ def _emit_driver(plan: EmissionPlan) -> str:
     out.append(f"INPUT_SIZES = {_lit(tuple(b.count for b in in_specs))}")
     total = sum(b.count * 4 for b in lowered.tensors.values())
     out.append(f"BUFFER_BYTES = {total}")
-    batch = max(1, _BATCH_BUFFER_BYTES // total) if plan.twice else 1
+    batch = max(1, _BATCH_BUFFER_BYTES // total) if all(
+        splits_along_axis_0(op.params, len(op.weight_keys))
+        for op in lowered.ops) else 1
     out.append(f"BATCH = {batch}")
     out.append("")
     out.append("")
@@ -467,17 +442,15 @@ def _emit_driver(plan: EmissionPlan) -> str:
     out.append(f"    global {', '.join(names)}")
     for tid in sorted(lowered.tensors):
         b = lowered.tensors[tid]
-        out.append(f"    t{tid} = np.empty("
-                   f"{_per_call(b.count, twice.tensors[tid].count)}, "
+        out.append(f"    t{tid} = np.empty({b.count} * n, "
                    f"{_NP_DTYPE_TOKEN[b.dtype.name]})")
-    for op, op2 in zip(lowered.ops, twice.ops):
+    for op in lowered.ops:
         ins = ", ".join(f"t{t}" for t in op.act_ids)
         ws = ", ".join(_weight_names(op))
         outs = ", ".join(f"t{t}" for t in op.output_ids)
         out.append(f"    S{op.op_index} = {op.unit.template_id}_prep(")
         out.append(f"        [{ins}], [{ws}], [{outs}],")
-        kw_parts = [f"{k}={_per_call(v, op2.params.values[k])}"
-                    for k, v in op.params.values.items()]
+        kw_parts = [f"{k}={_lit(v)}" for k, v in op.params.values.items()]
         out.extend(_wrap_args(kw_parts))
         out.append("    )")
     out.append("")
@@ -817,8 +790,7 @@ def pipeline(bundle: ModelBundle, out_dir, device: DeviceInfo | None = None,
     lowered = extract_units(bundle, device, registry)
     configs = analyze_config(lowered)
     result = search_status(bundle, lowered, configs, cfg, registry)
-    plan = build_emission_plan(lowered, configs, result,
-                               batch_lowering(bundle, lowered, registry))
+    plan = build_emission_plan(lowered, configs, result)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

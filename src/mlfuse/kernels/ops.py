@@ -15,6 +15,11 @@ Where a kernel needs its input in another layout (a padded border), the
 list holds a prepared buffer whose border is filled once and starts by
 copying in the interior.
 
+The params give every shape at one sample a call; only the buffers say how
+many samples a call stacks along axis 0 of every activation. A step views
+its input as inputs[0].reshape(-1, *in_shape[1:]) (FC as reshape(-1,
+in_features)) and its output the same way, or reads a buffer flat.
+
 Every function here is a self-contained template: it may use np, which is
 numpy's C core (numpy._core._multiarray_umath), float32 and the helpers
 below, nothing else. The emitter copies function source verbatim into
@@ -166,12 +171,13 @@ def conv2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
                     dilation_w, pad_before_h, pad_after_h, pad_before_w,
                     pad_after_w, activation_min, activation_max):
     # filter buffer is read in height/width/in/out order
-    n, h, w, cin = in_shape
-    oh, ow, cout = out_shape[1], out_shape[2], out_shape[3]
-    x, calls = _pad_nhwc_prep(inputs[0].reshape(in_shape), pad_before_h,
-                              pad_after_h, pad_before_w, pad_after_w, 0.0)
+    cin = in_shape[3]
+    oh, ow, cout = out_shape[1:]
+    x, calls = _pad_nhwc_prep(inputs[0].reshape(-1, *in_shape[1:]),
+                              pad_before_h, pad_after_h, pad_before_w,
+                              pad_after_w, 0.0)
     taps = filter_h * filter_w * cin
-    out = outputs[0].reshape(n, oh, ow, cout)
+    out = outputs[0].reshape(-1, *out_shape[1:])
     # blocks of whole output rows, as many as leave room in _PRODUCT_BYTES
     # for a one-tap chunk of products with its zero and bias rows and
     # whose gathered patches fit it too (or one row, if more), split
@@ -183,7 +189,7 @@ def conv2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
     # every (kh, kw, ci) tap's strided input plane, as one view
     sn, sy, sx, sc = x.strides
     win = np.ndarray(
-        (n, filter_h, filter_w, cin, oh, ow), x.dtype, x, 0,
+        (len(x), filter_h, filter_w, cin, oh, ow), x.dtype, x, 0,
         (sn, dilation_h * sy, dilation_w * sx, sc, stride_h * sy,
          stride_w * sx))
     chunks, twin = _sum_products_prep(
@@ -205,7 +211,7 @@ def conv2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
     # Every block gathers into cols and reduces with the same chunks. The
     # last block ends at the last row, so it overlaps the one before it
     # when rows does not divide oh; the overlapped rows come out the same.
-    for b in range(n):
+    for b in range(len(x)):
         for r0 in [*range(0, oh - rows, rows), oh - rows]:
             dst = out[b, r0:r0 + rows].reshape(-1, cout).T
             calls.append((np.copyto, (cols, win[b, :, :, :, r0:r0 + rows]),
@@ -227,12 +233,13 @@ def depthwise_conv2d_f32_prep(inputs, weights, outputs, *, in_shape,
     # output channel c * depth_multiplier + m reads input channel c: the
     # output and filter are viewed as (..., cin, depth_multiplier) and each
     # input window broadcasts over the last axis, so no input is repeated
-    n, h, w, cin = in_shape
+    cin = in_shape[3]
     oh, ow = out_shape[1], out_shape[2]
-    x, calls = _pad_nhwc_prep(inputs[0].reshape(in_shape), pad_before_h,
-                              pad_after_h, pad_before_w, pad_after_w, 0.0)
+    x, calls = _pad_nhwc_prep(inputs[0].reshape(-1, *in_shape[1:]),
+                              pad_before_h, pad_after_h, pad_before_w,
+                              pad_after_w, 0.0)
     wk = weights[0].reshape(filter_h, filter_w, cin, depth_multiplier)
-    out = outputs[0].reshape(n, oh, ow, cin, depth_multiplier)
+    out = outputs[0].reshape(-1, oh, ow, cin, depth_multiplier)
     prod = np.empty(out.shape, float32)
     calls.append((np.copyto, (out, float32(0.0)), {}))
     # every tap's input window over the whole batch, times its weights
@@ -255,10 +262,11 @@ def avg_pool2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
                         filter_h, filter_w, stride_h, stride_w, pad_before_h,
                         pad_after_h, pad_before_w, pad_after_w,
                         activation_min, activation_max):
-    n, h, w, c = in_shape
+    h, w = in_shape[1], in_shape[2]
     oh, ow = out_shape[1], out_shape[2]
-    x, calls = _pad_nhwc_prep(inputs[0].reshape(in_shape), pad_before_h,
-                              pad_after_h, pad_before_w, pad_after_w, 0.0)
+    x, calls = _pad_nhwc_prep(inputs[0].reshape(-1, *in_shape[1:]),
+                              pad_before_h, pad_after_h, pad_before_w,
+                              pad_after_w, 0.0)
     # padded cells contribute zero to the sum and are excluded from the count
     mask = np.zeros((h + pad_before_h + pad_after_h,
                      w + pad_before_w + pad_after_w), float32)
@@ -268,7 +276,7 @@ def avg_pool2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
         for kw in range(filter_w):
             cnt += mask[kh:kh + (oh - 1) * stride_h + 1:stride_h,
                         kw:kw + (ow - 1) * stride_w + 1:stride_w]
-    out = outputs[0].reshape(n, oh, ow, c)
+    out = outputs[0].reshape(-1, *out_shape[1:])
     calls.append((np.copyto, (out, float32(0.0)), {}))
     calls += [(np.add, (out, win, out), {}) for win in _pool_windows_prep(
         x, out, filter_h, filter_w, stride_h, stride_w)]
@@ -280,12 +288,10 @@ def max_pool2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
                         filter_h, filter_w, stride_h, stride_w, pad_before_h,
                         pad_after_h, pad_before_w, pad_after_w,
                         activation_min, activation_max):
-    n, h, w, c = in_shape
-    oh, ow = out_shape[1], out_shape[2]
-    x, calls = _pad_nhwc_prep(inputs[0].reshape(in_shape), pad_before_h,
-                              pad_after_h, pad_before_w, pad_after_w,
-                              float("-inf"))
-    out = outputs[0].reshape(n, oh, ow, c)
+    x, calls = _pad_nhwc_prep(inputs[0].reshape(-1, *in_shape[1:]),
+                              pad_before_h, pad_after_h, pad_before_w,
+                              pad_after_w, float("-inf"))
+    out = outputs[0].reshape(-1, *out_shape[1:])
     calls.append((np.copyto, (out, float32("-inf")), {}))
     calls += [(np.maximum, (out, win), {"out": out})
               for win in _pool_windows_prep(x, out, filter_h, filter_w,
@@ -293,11 +299,11 @@ def max_pool2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
     return calls + _clamp_calls(out, activation_min, activation_max)
 
 
-def fully_connected_f32_prep(inputs, weights, outputs, *, batch, in_features,
+def fully_connected_f32_prep(inputs, weights, outputs, *, in_features,
                              out_features, activation_min, activation_max):
     # weight buffer is read with input features as the major axis
-    x = inputs[0].reshape(batch, in_features)
-    out = outputs[0].reshape(batch, out_features)
+    x = inputs[0].reshape(-1, in_features)
+    out = outputs[0].reshape(-1, out_features)
     chunks, twin = _sum_products_prep(
         x.T[:, :, None], weights[0].reshape(in_features, 1, out_features), out,
         weights[1] if len(weights) > 1 else 0.0)
@@ -327,33 +333,26 @@ def softmax_f32_prep(inputs, weights, outputs, *, in_shape, beta):
                     (np.divide, (e, sums[-1:], out), {})]
 
 
-def relu_f32_prep(inputs, weights, outputs, *, count):
+def relu_f32_prep(inputs, weights, outputs):
     out = outputs[0].reshape(-1)
     return [(np.maximum, (inputs[0].reshape(-1), float32(0.0)), {"out": out})]
 
 
-def reshape_copy_prep(inputs, weights, outputs, *, count, out_shape):
+def reshape_copy_prep(inputs, weights, outputs):
     return [(np.copyto, (outputs[0].reshape(-1), inputs[0].reshape(-1)), {})]
 
 
-def add_f32_prep(inputs, weights, outputs, *, count, activation_min,
-                 activation_max):
+def add_prep(inputs, weights, outputs, *, activation_min, activation_max):
+    # F32 and I32 alike: an I32 unit takes no clamp (its param_check)
     a, b = list(inputs) + list(weights)
     return ([(np.add, (a.reshape(-1), b.reshape(-1), outputs[0].reshape(-1)),
               {})] + _clamp_calls(outputs[0], activation_min, activation_max))
 
 
-def add_i32_prep(inputs, weights, outputs, *, count, activation_min,
-                 activation_max):
-    a, b = list(inputs) + list(weights)
-    return [(np.add, (a.reshape(-1), b.reshape(-1), outputs[0].reshape(-1)),
-             {})]
-
-
 def concat_f32_prep(inputs, weights, outputs, *, axis, in_shapes, out_shape,
                     weight_slots):
     # one copy into a slice of the output per part, in part order
-    out = outputs[0].reshape(out_shape)
+    out = outputs[0].reshape(-1, *out_shape[1:])
     ai = iter(inputs)
     wi = iter(weights)
     calls = []
@@ -362,19 +361,21 @@ def concat_f32_prep(inputs, weights, outputs, *, axis, in_shapes, out_shape,
         src = next(wi) if k in weight_slots else next(ai)
         sl = [slice(None)] * len(out_shape)
         sl[axis] = slice(pos, pos + shape[axis])
-        calls.append((np.copyto, (out[tuple(sl)], src.reshape(shape)), {}))
+        calls.append((np.copyto, (out[tuple(sl)],
+                                  src.reshape(-1, *shape[1:])), {}))
         pos += shape[axis]
     return calls
 
 
 def pad_f32_prep(inputs, weights, outputs, *, in_shape, out_shape, paddings):
-    out = outputs[0].reshape(out_shape)
-    region = tuple(slice(b, b + d) for (b, _), d in zip(paddings, in_shape))
+    x = inputs[0].reshape(-1, *in_shape[1:])
+    out = outputs[0].reshape(-1, *out_shape[1:])
+    region = tuple(slice(b, b + d) for (b, _), d in zip(paddings, x.shape))
     return [(np.copyto, (out, float32(0.0)), {}),
-            (np.copyto, (out[region], inputs[0].reshape(in_shape)), {})]
+            (np.copyto, (out[region], x), {})]
 
 
-def scale_shift_f32_prep(inputs, weights, outputs, *, count, scale, shift):
+def scale_shift_f32_prep(inputs, weights, outputs, *, scale, shift):
     out = outputs[0].reshape(-1)
     return [(np.multiply, (inputs[0].reshape(-1), float32(scale), out), {}),
             (np.add, (out, float32(shift), out), {})]
@@ -389,8 +390,8 @@ HELPERS = {fn.__name__: fn for fn in (
 PREPS = {fn.__name__[:-len("_prep")]: fn for fn in (
     conv2d_f32_prep, depthwise_conv2d_f32_prep, avg_pool2d_f32_prep,
     max_pool2d_f32_prep, fully_connected_f32_prep, softmax_f32_prep,
-    relu_f32_prep, reshape_copy_prep, add_f32_prep, add_i32_prep,
-    concat_f32_prep, pad_f32_prep, scale_shift_f32_prep,
+    relu_f32_prep, reshape_copy_prep, add_prep, concat_f32_prep,
+    pad_f32_prep, scale_shift_f32_prep,
 )}
 
 # run steps, by template id: run_calls serves every template

@@ -15,7 +15,6 @@ layout_weight_arrays lays the stored weight out in it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,22 +221,16 @@ class KernelRegistry:
             values = _map_pool(o, in_shapes, out_shape)
         elif op == FULLY_CONNECTED:
             lo, hi = _ACT_CLAMPS[o["activation"]]
-            values = {
-                "batch": in_shapes[0][0], "in_features": in_shapes[0][1],
-                "out_features": in_shapes[1][0],
-                "activation_min": lo, "activation_max": hi,
-            }
+            values = {"in_features": in_shapes[0][1],
+                      "out_features": in_shapes[1][0],
+                      "activation_min": lo, "activation_max": hi}
         elif op == SOFTMAX:
             values = {"in_shape": in_shapes[0], "beta": float(o["beta"])}
-        elif op == RESHAPE:
-            values = {"count": math.prod(in_shapes[0]),
-                      "out_shape": out_shape}
-        elif op == RELU:
-            values = {"count": math.prod(in_shapes[0])}
+        elif op in (RESHAPE, RELU):
+            values = {}
         elif op == ADD:
             lo, hi = _ACT_CLAMPS[o["activation"]]
-            values = {"count": math.prod(in_shapes[0]),
-                      "activation_min": lo, "activation_max": hi}
+            values = {"activation_min": lo, "activation_max": hi}
         elif op == CONCATENATION:
             values = {
                 "axis": o["axis"], "in_shapes": tuple(in_shapes),
@@ -307,7 +300,6 @@ def _scale_shift_mapper(node, in_shapes, out_shape) -> dict:
         if type(node.options[key]) not in (int, float):
             raise ParamError(f"invalid option value: {key}")
     return {
-        "count": math.prod(in_shapes[0]),
         "scale": float(node.options["scale"]),
         "shift": float(node.options["shift"]),
     }
@@ -337,8 +329,8 @@ def build_default_registry() -> KernelRegistry:
     unit(RELU, f32, "relu_f32")
     unit(RESHAPE, f32, "reshape_copy")
     unit(RESHAPE, i32, "reshape_copy")
-    unit(ADD, f32, "add_f32")
-    unit(ADD, i32, "add_i32", param_check=_add_i32_check)
+    unit(ADD, f32, "add")
+    unit(ADD, i32, "add", param_check=_add_i32_check)
     unit(CONCATENATION, f32, "concat_f32")
     unit(PAD, f32, "pad_f32")
 

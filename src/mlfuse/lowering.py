@@ -14,6 +14,10 @@ builtin option graphir.OPTION_SCHEMAS does not allow. It reads no layout
 table, so the search may use it. Weight layouts come in only through
 configure, which lays the weights out and prepares each kernel: the
 interpreter passes the runtime's table, the search each candidate.
+
+Every shape and parameter it resolves is the graph's own, at one sample a
+call. A caller that stacks samples along axis 0 only sizes the buffers for
+them: each prepare step reads the sample count from its buffers (ops.py).
 """
 
 from __future__ import annotations
@@ -71,18 +75,12 @@ class Lowering:
 
 
 def lower(bundle: ModelBundle, device: DeviceInfo | None = None,
-          registry=None, batch: int = 1) -> Lowering:
-    """Resolve every operator of a validated bundle, and its buffers.
-
-    batch > 1 scales the leading dim of every non-weight tensor: samples
-    stacked along axis 0, for a graph whose every operator splits along it
-    (registry.splits_along_axis_0).
-    """
+          registry=None) -> Lowering:
+    """Resolve every operator of a validated bundle, and its buffers."""
     device = device or DeviceInfo()
     registry = registry or default_registry()
     graph = bundle.graph
-    shapes = {t.id: t.shape if t.weight_ref is not None
-              else (t.shape[0] * batch, *t.shape[1:]) for t in graph.tensors}
+    shapes = {t.id: t.shape for t in graph.tensors}
     weight_ids = {t.id: t.weight_ref for t in graph.tensors
                   if t.weight_ref is not None}
     ops = []

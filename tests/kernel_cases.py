@@ -195,7 +195,7 @@ def _run_fully_connected(x, wt, bias, clamp):
         "fully_connected_f32", [x.ravel().copy()],
         [np.ascontiguousarray(wt.T).ravel()]
         + ([bias] if bias is not None else []), [out],
-        batch=batch, in_features=nin, out_features=nout,
+        in_features=nin, out_features=nout,
         activation_min=clamp[0], activation_max=clamp[1])
     return out.reshape(batch, nout), oracles.fully_connected(x, wt, bias, clamp)
 
@@ -393,7 +393,7 @@ def case_relu(i):
     count = int(rng.integers(1, 64))
     x = rng.uniform(-1, 1, count).astype(np.float32)
     out = np.empty(count, dtype=np.float32)
-    run_kernel("relu_f32", [x.copy()], [], [out], count=count)
+    run_kernel("relu_f32", [x.copy()], [], [out])
     return out, oracles.relu(x)
 
 
@@ -406,7 +406,7 @@ def case_add_f32(i):
     a = rng.uniform(-4, 4, count).astype(np.float32)
     b = rng.uniform(-4, 4, count).astype(np.float32)
     out = np.empty(count, dtype=np.float32)
-    run_kernel("add_f32", [a.copy(), b.copy()], [], [out], count=count,
+    run_kernel("add", [a.copy(), b.copy()], [], [out],
                activation_min=clamp[0], activation_max=clamp[1])
     return out, oracles.add(a, b, clamp)
 
@@ -418,7 +418,7 @@ def case_add_i32(i):
     a = rng.integers(-1000, 1000, count, dtype=np.int32)
     b = rng.integers(-1000, 1000, count, dtype=np.int32)
     out = np.empty(count, dtype=np.int32)
-    run_kernel("add_i32", [a.copy(), b.copy()], [], [out], count=count,
+    run_kernel("add", [a.copy(), b.copy()], [], [out],
                activation_min=None, activation_max=None)
     return out, a + b
 
@@ -433,8 +433,7 @@ def case_reshape(i):
     else:
         x = rng.integers(-50, 50, count, dtype=np.int32)
         out = np.empty(count, dtype=np.int32)
-    run_kernel("reshape_copy", [x.copy()], [], [out], count=count,
-               out_shape=(count,))
+    run_kernel("reshape_copy", [x.copy()], [], [out])
     return out, x.copy()
 
 
@@ -494,8 +493,8 @@ def case_scale_shift(i):
     shift = float(rng.uniform(-1, 1))
     x = rng.uniform(-1, 1, count).astype(np.float32)
     out = np.empty(count, dtype=np.float32)
-    run_kernel("scale_shift_f32", [x.copy()], [], [out], count=count,
-               scale=scale, shift=shift)
+    run_kernel("scale_shift_f32", [x.copy()], [], [out], scale=scale,
+               shift=shift)
     return out, oracles.scale_shift(x, scale, shift)
 
 

@@ -27,9 +27,12 @@ import kernel_cases
 from mlfuse import codegen, fixtures, graphir, harness, interpreter
 from mlfuse.graphir import (
     ADD,
+    AVERAGE_POOL_2D,
     CONCATENATION,
     CONV_2D,
+    DEPTHWISE_CONV_2D,
     FULLY_CONNECTED,
+    MAX_POOL_2D,
     PAD,
     RELU,
     RESHAPE,
@@ -191,17 +194,25 @@ def test_deep_chain_search_stays_linear_in_its_unknowns(tmp_path):
 
 def test_one_lowering_per_build(tmp_path, monkeypatch):
     # shapes are inferred only inside the two validate calls (the build's
-    # and the runtime plan's); everything else reads the one lowering
+    # and the runtime plan's); everything else reads the one lowering,
+    # which the emitter takes as it is, at one sample a call
     calls = []
-    infer = graphir.infer_shapes
+    lowerings = []
+    infer, lower = graphir.infer_shapes, codegen.lower
 
     def counting(*args, **kwargs):
         calls.append(args)
         return infer(*args, **kwargs)
 
+    def lowering(*args, **kwargs):
+        lowerings.append(args)
+        return lower(*args, **kwargs)
+
     monkeypatch.setattr(graphir, "infer_shapes", counting)
+    monkeypatch.setattr(codegen, "lower", lowering)
     codegen.pipeline(fixtures.build_fixture("lenet"), tmp_path)
     assert len(calls) <= 2
+    assert len(lowerings) == 1
 
 
 def test_lowering_reads_no_status_table(monkeypatch):
@@ -237,6 +248,28 @@ def test_emitted_sources_and_manifest(built):
     assert m["n_inputs"] == 100
     assert m["max_diff"] == 0.0
     assert m["device"] == {"threads": 1}
+
+
+def test_plan_sizes_the_buffers_by_n_and_nothing_else(built):
+    # each prepare step reads the sample count from its buffers, so plan(n)
+    # scales only the buffer sizes and passes the lowering's one-sample
+    # params as plain literals
+    for name, (_, art) in built.items():
+        tree = ast.parse((Path(art.out_dir) / "src/net_driver.py").read_text(
+            encoding="utf-8"))
+        plan = next(f for f in tree.body
+                    if isinstance(f, ast.FunctionDef) and f.name == "plan")
+        buffers = 0
+        for stmt in plan.body:
+            if isinstance(stmt, ast.Assign) and stmt.targets[0].id[0] == "t":
+                size = stmt.value.args[0]
+                assert isinstance(size, ast.BinOp) and size.right.id == "n"
+                assert isinstance(size.left, ast.Constant), name
+                buffers += 1
+            else:
+                assert "n" not in {node.id for node in ast.walk(stmt)
+                                   if isinstance(node, ast.Name)}, name
+        assert buffers > 1, name
 
 
 def test_the_budget_is_bound_only_where_a_template_reads_it(built):
@@ -668,10 +701,13 @@ def test_warm_program_run_allocates_only_its_outputs(built, name, at):
     # numpy's ufunc iterator buffers up to np.getbufsize() elements per
     # operand of a reduction on its own account; shrinking them leaves the
     # program's allocations in the peak.
-    _, artifact = built[name]
+    bundle, artifact = built[name]
     driver = _import_driver(artifact)
     n = 1 if at == "1" else driver.BATCH
     driver.plan(n)
+    steps = [(getattr(driver, s.unit.template_id),
+              getattr(driver, f"S{s.op_index}"))
+             for s in interpreter.load(bundle).steps]
     rng = np.random.default_rng(1)
     x, y = ([rng.uniform(-1, 1, (n, size)).astype(np.float32)
              for size in driver.INPUT_SIZES] for _ in range(2))
@@ -688,6 +724,18 @@ def test_warm_program_run_allocates_only_its_outputs(built, name, at):
     assert peak <= sum(o.nbytes for o in second) + 16384, peak
     assert all(np.array_equal(a, b) for a, b in zip(first, kept))
     assert not any(np.array_equal(a, b) for a, b in zip(first, second))
+    # The steps alone, as run() calls them: a temporary a step frees
+    # before run() copies the outputs out would hide under those copies.
+    bufsize = np.setbufsize(16)
+    tracemalloc.start()
+    try:
+        for step, calls in steps:
+            step(calls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+    assert peak <= 4096, peak
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
@@ -892,6 +940,40 @@ def test_batches_split_two_inputs_and_join_two_outputs(tmp_path):
     _served_in_batches(bundle, art, _batch_counts(driver.BATCH), tmp_path)
 
 
+def test_a_graph_of_two_rows_a_sample_batches_with_one_sample_params(
+        tmp_path):
+    # every params shape is the graph's own, two rows a sample, and each
+    # kernel reads how many samples a call stacks from its buffers: conv
+    # with SAME padding and stride 2, depthwise, both pools, RESHAPE and FC
+    b = fixtures._Builder(6)
+    x = b.tensor("x", (2, 9, 9, 3))
+    conv = b.tensor("conv", (2, 5, 5, 4))
+    b.op(CONV_2D, [x, b.weight("cw", (4, 3, 3, 3)), b.bias("cb", 4)], [conv],
+         {"stride_h": 2, "stride_w": 2, "dilation_h": 1, "dilation_w": 1,
+          "padding": "SAME", "activation": "RELU"})
+    dw = b.tensor("dw", (2, 5, 5, 8))
+    b.op(DEPTHWISE_CONV_2D, [conv, b.weight("dww", (1, 3, 3, 8)),
+                             b.bias("db", 8)], [dw],
+         {"stride_h": 1, "stride_w": 1, "dilation_h": 1, "dilation_w": 1,
+          "padding": "SAME", "activation": "NONE", "depth_multiplier": 2})
+    pool = {"filter_h": 2, "filter_w": 2, "padding": "SAME",
+            "activation": "NONE"}
+    avg = b.tensor("avg", (2, 5, 5, 8))
+    b.op(AVERAGE_POOL_2D, [dw], [avg], dict(pool, stride_h=1, stride_w=1))
+    top = b.tensor("max", (2, 3, 3, 8))
+    b.op(MAX_POOL_2D, [avg], [top], dict(pool, stride_h=2, stride_w=2))
+    flat = b.tensor("flat", (2, 72))
+    b.op(RESHAPE, [top], [flat], {"new_shape": [2, 72]})
+    y = b.tensor("y", (2, 3))
+    b.op(FULLY_CONNECTED, [flat, b.weight("fw", (3, 72)), b.bias("fb", 3)],
+         [y], {"activation": "NONE"})
+    bundle = b.bundle([x], [y])
+    art = codegen.pipeline(bundle, tmp_path / "x")
+    driver = _import_driver(art)
+    assert driver.BATCH == 262144 // driver.BUFFER_BYTES > 1
+    _served_in_batches(bundle, art, _batch_counts(driver.BATCH), tmp_path)
+
+
 def _one_op_graph(op, in_shapes, out_shape, options, weight=None):
     """Graph inputs for in_shapes, an optional weight input after them, one
     operator and its output."""
@@ -920,8 +1002,7 @@ def _negate_registry():
         ComputingUnit(UnitKey("NEGATE", DataType.F32), "scale_shift_f32",
                       ops.KERNELS["scale_shift_f32"],
                       ops.PREPS["scale_shift_f32"]),
-        param_mapper=lambda node, ins, out: {
-            "count": math.prod(ins[0]), "scale": -1.0, "shift": 0.0},
+        param_mapper=lambda node, ins, out: {"scale": -1.0, "shift": 0.0},
         shape_rule=lambda node, ins: [tuple(ins[0])])
     return reg
 

@@ -1,3 +1,4 @@
+import dis
 import tracemalloc
 
 import numpy as np
@@ -286,7 +287,9 @@ def test_tail_cases_take_the_shapes_their_kind_names(kind, monkeypatch):
     def keep(kernel, inputs, weights, outputs, **params):
         calls = ops.PREPS[kernel](inputs, weights, outputs, **params)
         ops.KERNELS[kernel](calls)
-        batch = params.get("batch") or params["out_shape"][0]
+        # FC takes no batch: the rows stacked in its input buffer say it
+        batch = (params["out_shape"][0] if "out_shape" in params
+                 else inputs[0].size // params["in_features"])
         seen.append((_chunk_lengths(calls), batch,
                      outputs[0].size // batch))
 
@@ -329,24 +332,10 @@ def test_softmax_sums_the_classes_left_to_right(beta):
 
 # -- samples stacked along axis 0 ---------------------------------------------
 
-def _stacked(params, n):
-    """A kernel's params for n samples stacked along axis 0: every
-    activation shape's leading dim and every count taken n times."""
-    out = dict(params)
-    for key in ("in_shape", "out_shape"):
-        if key in out:
-            out[key] = (out[key][0] * n, *out[key][1:])
-    if "in_shapes" in out:
-        out["in_shapes"] = tuple((s[0] * n, *s[1:]) for s in out["in_shapes"])
-    for key in ("count", "batch"):
-        if key in out:
-            out[key] *= n
-    return out
-
-
 def _run_singles_and_stacked(kernel, samples, weights, outputs, params):
     """Each sample through its own prepared calls, then all of them through
-    one call list prepared for the stack; the output bytes of both ways."""
+    one call list prepared for the stack with the same params, which give
+    the shapes of one sample; the output bytes of both ways."""
     prep, run = ops.PREPS[kernel], ops.KERNELS[kernel]
     singles = []
     for xs in samples:
@@ -355,7 +344,7 @@ def _run_singles_and_stacked(kernel, samples, weights, outputs, params):
         singles.append(outs)
     stacked = [np.empty(len(samples) * o.size, o.dtype) for o in outputs]
     run(prep([np.concatenate(xs) for xs in zip(*samples)], weights, stacked,
-             **_stacked(params, len(samples))))
+             **params))
     want = [b"".join(outs[j].tobytes() for outs in singles)
             for j in range(len(outputs))]
     return [o.tobytes() for o in stacked], want
@@ -443,6 +432,31 @@ def test_conv_scratch_stays_within_the_bound(shape):
         tracemalloc.stop()
         np.setbufsize(bufsize)
     assert peak <= 2 * ops._PRODUCT_BYTES + 4096, peak
+
+
+def _names_read(code) -> set:
+    """Every local and cell name that code or code nested in it reads."""
+    read = set()
+    codes = [code]
+    while codes:
+        code = codes.pop()
+        for ins in dis.get_instructions(code):
+            if ins.opname.startswith("LOAD_FAST") \
+                    or ins.opname == "LOAD_DEREF":
+                read.update(ins.argval if isinstance(ins.argval, tuple)
+                            else (ins.argval,))
+        codes.extend(c for c in code.co_consts if isinstance(c, type(code)))
+    return read
+
+
+@pytest.mark.parametrize("tid", sorted(ops.PREPS))
+def test_every_prepare_step_reads_every_keyword_it_declares(tid):
+    # a keyword no step reads is a parameter the lowering resolves and the
+    # emitter writes into every program for nothing
+    code = ops.PREPS[tid].__code__
+    declared = code.co_varnames[
+        code.co_argcount:code.co_argcount + code.co_kwonlyargcount]
+    assert set(declared) - _names_read(code) == set()
 
 
 def test_helper_deps_follow_the_template_bodies():
@@ -621,7 +635,7 @@ def test_add_i32_rejects_fused_activation():
     from mlfuse.graphir import ADD
     reg = default_registry()
     unit = reg.lookup(ADD, DataType.I32, DeviceInfo())
-    params = ParamRecord("ADD", {"count": 4, "activation_min": 0.0,
+    params = ParamRecord("ADD", {"activation_min": 0.0,
                                  "activation_max": None})
     from mlfuse.kernels import check_unit_params
     with pytest.raises(ParamError, match="only NONE activation"):
@@ -663,9 +677,8 @@ _EXCLUSIONS = {
         (_params(graphir.PAD, [(1, 4)], (1, 5),
                  {"paddings": [0, 0, 0, 1]}), 0)),
     "other-custom": (
-        (ParamRecord("NEGATE", {"count": 4}), 0),
-        (ParamRecord("SCALE_SHIFT", {"count": 4, "scale": 2.0,
-                                     "shift": 0.0}), 0)),
+        (ParamRecord("NEGATE", {"scale": -1.0, "shift": 0.0}), 0),
+        (ParamRecord("SCALE_SHIFT", {"scale": 2.0, "shift": 0.0}), 0)),
 }
 
 

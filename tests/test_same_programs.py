@@ -35,6 +35,15 @@ def test_every_differing_file_and_build_is_named_once():
     ]
 
 
+def test_src_lines_count_the_python_sources_under_src(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "a.py").write_text("x = 1\n\ny = 2\n")
+    (tmp_path / "src" / "pkg" / "b.py").write_text("z = 3\nw = 4")
+    (tmp_path / "src" / "pkg" / "notes.txt").write_text("not\ncode\n")
+    (tmp_path / "tests.py").write_text("outside = 1\n")
+    # as wc -l counts: newlines, so b.py's unterminated last line is not one
+    assert same_programs.src_lines(tmp_path) == 4
+
 
 def test_differing_manifest_fields_are_named_with_both_values():
     def manifest(**fields):
