@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""In-process A/B of one fixture's program: a base revision against the
-working tree.
+"""A/B of one fixture's program, in process and spawned: a base revision
+against the working tree.
 
     python3 scripts/ab_programs.py --rev HEAD --fixture lenet --rounds 40
 
@@ -14,12 +14,16 @@ base first, odd rounds the change first. It prints each side's median time
 of one run() call, the median change and the rounds the change won, then
 each step's median time per side, from a second interleaved pass with every
 run step wrapped in a timer. When the two sides run different steps, it
-says so and lists each side's steps on their own.
+says so and lists each side's steps on their own. Last, it starts each
+side's program once a round on one seeded sample, interleaved the same way,
+with posix_spawn from a small `python -S` launcher, reaps it with wait4 and
+prints each side's median ms from spawn to exit, the rounds the change won
+and each side's median ru_maxrss.
 
 Exit status 0 when both sides' outputs are byte-identical, 1 when they
-differ or a build fails, 2 on bad arguments, a revision git cannot export,
-or a base whose program has no plan() and BATCH (one older than batched
-serving).
+differ, a build fails or a program exits non-zero, 2 on bad arguments, a
+revision git cannot export, or a base whose program has no plan() and
+BATCH (one older than batched serving).
 """
 
 from __future__ import annotations
@@ -170,6 +174,51 @@ def compare(base, change, n: int, rounds: int, calls: int) -> dict:
     return result
 
 
+# Runs under python -S: argv is the rounds, then each side's program, input
+# and output path. It starts each side's program once a round, interleaved
+# as interleave() does, with posix_spawn, reaps it with wait4 and prints a
+# line "<side's index> <ns> <exit status> <ru_maxrss KiB>" per spawn. Linux
+# counts the RSS of the process a child was spawned from into the child's
+# ru_maxrss; this one loads no numpy and stays far smaller than a program.
+_SPAWN_SRC = """\
+import os, sys, time
+rounds, *flat = sys.argv[1:]
+argvs = [flat[k:k + 3] for k in range(0, len(flat), 3)]
+for i in range(int(rounds)):
+    for k in range(len(argvs))[::1 if i % 2 == 0 else -1]:
+        t0 = time.perf_counter_ns()
+        pid = os.posix_spawn(argvs[k][0], argvs[k], os.environ)
+        _, status, usage = os.wait4(pid, 0)
+        ns = time.perf_counter_ns() - t0
+        print(k, ns, os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def spawn_times(programs: dict, inputs, work: Path, rounds: int) -> dict:
+    """Per side of programs (side -> path), the ms from spawn to exit and
+    the ru_maxrss (KiB) of one spawn a round on the same input file, and
+    whether both sides wrote the same bytes."""
+    src = work / "spawn-in.raw"
+    np.concatenate(inputs).astype("<f4").tofile(src)
+    sides = list(programs)
+    outs = [work / f"spawn-{side}.raw" for side in sides]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _SPAWN_SRC, str(rounds),
+         *(a for side, out in zip(sides, outs)
+           for a in (programs[side], str(src), str(out)))],
+        capture_output=True, text=True, check=True)
+    result = {side: {"ms": [], "rss_kb": []} for side in sides}
+    for line in proc.stdout.splitlines():
+        k, ns, status, rss = map(int, line.split())
+        if status != 0:
+            raise RuntimeError(f"{programs[sides[k]]} exited {status}")
+        result[sides[k]]["ms"].append(ns / 1e6)
+        result[sides[k]]["rss_kb"].append(rss)
+    result["rounds"] = rounds
+    result["identical"] = len({out.read_bytes() for out in outs}) == 1
+    return result
+
+
 def report(fixture: str, r: dict) -> list[str]:
     head = f"{fixture} n={r['n']}:"
     if not r["identical"]:
@@ -191,6 +240,20 @@ def report(fixture: str, r: dict) -> list[str]:
     return lines
 
 
+def spawn_report(fixture: str, r: dict) -> str:
+    head = f"{fixture} spawn, one sample:"
+    if not r["identical"]:
+        return f"{head} outputs differ"
+    base, change = (statistics.median(r[side]["ms"])
+                    for side in ("base", "change"))
+    won = sum(c < b for b, c in zip(r["base"]["ms"], r["change"]["ms"]))
+    rss = [statistics.median(r[side]["rss_kb"]) for side in ("base", "change")]
+    return (f"{head} {base:.1f} -> {change:.1f} ms "
+            f"({100 * (change / base - 1):+.1f}%), change won "
+            f"{won}/{r['rounds']}; ru_maxrss {rss[0]:.0f} -> {rss[1]:.0f} "
+            f"KiB; outputs byte-identical")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--rev", default="HEAD",
@@ -210,10 +273,12 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         _export(sha, tmp / "base")
         try:
-            base = load_driver(build(tmp / "base", args.fixture, None,
-                                     tmp / "base-build"))
-            change = load_driver(build(ROOT, args.fixture, None,
-                                       tmp / "change-build"))
+            programs = {
+                "base": build(tmp / "base", args.fixture, None,
+                              tmp / "base-build"),
+                "change": build(ROOT, args.fixture, None,
+                                tmp / "change-build")}
+            base, change = map(load_driver, programs.values())
         except RuntimeError as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
@@ -226,6 +291,13 @@ def main(argv=None) -> int:
             r = compare(base, change, n, args.rounds, _CALLS)
             ok &= r["identical"]
             print("\n".join(report(args.fixture, r)), flush=True)
+        try:
+            r = spawn_times(programs, inputs_for(change, 1), tmp, args.rounds)
+        except (RuntimeError, subprocess.CalledProcessError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
+        ok &= r["identical"]
+        print(spawn_report(args.fixture, r))
     print(f"base {args.rev} ({sha[:12]}), change: the working tree")
     return 0 if ok else 1
 

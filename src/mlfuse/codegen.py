@@ -475,7 +475,8 @@ import os
 import site
 import sys
 
-# The interpreter line runs this under -IS: no .pth file or sitecustomize of
+# The interpreter line runs this under -IS, through its -c code or, with no
+# room for that, as python runs a zip: no .pth file or sitecustomize of
 # the host runs, importing site runs none either, and neither PYTHONPATH
 # nor the user site dir is searched, so no file there runs inside the
 # program. numpy comes from the package dirs site would add. Under -S a
@@ -493,13 +494,23 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 if "numpy" not in sys.modules:
     # numpy's __init__ loads its whole Python layer, and every name the
     # program calls is on the C core: bare package modules stand in for
-    # numpy and numpy._core, so loading the core runs neither __init__
+    # numpy and numpy._core, so loading the core runs neither __init__.
+    # The core's init reads three names of numpy._globals, whose module
+    # would load enum and numpy._utils for them: a bare one holds just
+    # those (the program passes no copy= and reads no ufunc's signature,
+    # so a plain class and None do). It also imports datetime for the
+    # capsule that _datetime defines.
     for d in site.getsitepackages([sys.prefix, sys.base_prefix]):
         if os.path.isfile(d + "/numpy/__init__.py"):
             sys.modules["numpy"] = m = type(sys)("numpy")
             sys.modules["numpy._core"] = c = type(sys)("numpy._core")
+            sys.modules["numpy._globals"] = g = type(sys)("numpy._globals")
             m.__path__ = [d + "/numpy"]
             c.__path__ = [d + "/numpy/_core"]
+            g._NoValue = object()
+            g._CopyMode = type("_CopyMode", (), {})
+            g._signature_descriptor = None
+            sys.modules.setdefault("datetime", __import__("_datetime"))
             break
 try:
     from numpy._core import _multiarray_umath as np
@@ -531,89 +542,96 @@ def main(argv):
         print("usage: program IN.raw OUT.raw [--reps N] [--stats FILE]",
               file=sys.stderr)
         return 2
-    per_sample = sum(net_driver.INPUT_SIZES)
-    flat = np.fromfile(paths[0], "u1")
-    if flat.size == 0 or flat.size % (4 * per_sample):
-        print(f"input holds {flat.size} bytes, need a multiple of "
-              f"{4 * per_sample}", file=sys.stderr)
-        return 2
-    rows = flat.view("<f4").astype("=f4").reshape(-1, per_sample)
-    count = len(rows)
-    # b samples a call; the last call ends at the last sample, so it may
-    # overlap the one before it and write the same values there again
-    b = min(count, net_driver.BATCH)
-    if b > 1:
-        net_driver.plan(b)
-    starts = [*range(0, count - b, b), count - b]
-    calls = []
-    for k in starts:
-        fields = []
-        at = 0
-        for n in net_driver.INPUT_SIZES:
-            fields.append(rows[k:k + b, at:at + n])
-            at += n
-        calls.append(fields)
-    net_driver.run(calls[0])
-    times = []
-    # collector pauses would land in individual repetitions; keep it off
-    # while the clock runs
-    gc.disable()
     try:
-        for _ in range(reps):
-            t0 = time.perf_counter_ns()
-            outs = list(map(net_driver.run, calls))
-            times.append(time.perf_counter_ns() - t0)
-    finally:
-        gc.enable()
-    width = 0
-    for o in outs[0]:
-        width += o.size // b
-    merged = np.empty((count, width), "<f4")
-    for k, call in zip(starts, outs):
-        at = 0
-        for o in call:
-            n = o.size // b
-            merged[k:k + b, at:at + n] = o.reshape(b, n)
-            at += n
-    merged.tofile(paths[1])
-    if stats_path is not None:
-        # A call allocates only the copies of the outputs it hands back, so
-        # the peak is the buffers of the plan that ran plus one call's
-        # copies. Kernel scratch is reported on its own: the interpreter's
-        # peak leaves out the same scratch. It is the plan's that ran: the
-        # memory of every array the driver's globals reach, through its
-        # call lists, their keywords and views' bases, that owns it, less
-        # the tensor buffers (a weight's memory is the blob's bytes, no
-        # array's). json is imported only here: a run without --stats does
-        # not pay for it.
-        import json
+        per_sample = sum(net_driver.INPUT_SIZES)
+        flat = np.fromfile(paths[0], "u1")
+        if flat.size == 0 or flat.size % (4 * per_sample):
+            print(f"input holds {flat.size} bytes, need a multiple of "
+                  f"{4 * per_sample}", file=sys.stderr)
+            return 2
+        rows = flat.view("<f4").astype("=f4").reshape(-1, per_sample)
+        count = len(rows)
+        # b samples a call; the last call ends at the last sample, so it may
+        # overlap the one before it and write the same values there again
+        b = min(count, net_driver.BATCH)
+        if b > 1:
+            net_driver.plan(b)
+        starts = [*range(0, count - b, b), count - b]
+        calls = []
+        for k in starts:
+            fields = []
+            at = 0
+            for n in net_driver.INPUT_SIZES:
+                fields.append(rows[k:k + b, at:at + n])
+                at += n
+            calls.append(fields)
+        net_driver.run(calls[0])
+        times = []
+        # collector pauses would land in individual repetitions; keep it off
+        # while the clock runs
+        gc.disable()
+        try:
+            for _ in range(reps):
+                t0 = time.perf_counter_ns()
+                outs = list(map(net_driver.run, calls))
+                times.append(time.perf_counter_ns() - t0)
+        finally:
+            gc.enable()
+        width = 0
+        for o in outs[0]:
+            width += o.size // b
+        merged = np.empty((count, width), "<f4")
+        for k, call in zip(starts, outs):
+            at = 0
+            for o in call:
+                n = o.size // b
+                merged[k:k + b, at:at + n] = o.reshape(b, n)
+                at += n
+        merged.tofile(paths[1])
+        if stats_path is not None:
+            # A call allocates only the copies of the outputs it hands back, so
+            # the peak is the buffers of the plan that ran plus one call's
+            # copies. Kernel scratch is reported on its own: the interpreter's
+            # peak leaves out the same scratch. It is the plan's that ran: the
+            # memory of every array the driver's globals reach, through its
+            # call lists, their keywords and views' bases, that owns it, less
+            # the tensor buffers (a weight's memory is the blob's bytes, no
+            # array's). json is imported only here: a run without --stats does
+            # not pay for it.
+            import json
 
-        todo = [vars(net_driver)]
-        owned = {}
-        for a in todo:
-            if type(a) is np.ndarray:
-                owned[id(a)] = a.nbytes * (a.base is None)
-                a = a.base,  # walked next, as a one-item tuple
-            if type(a) in (tuple, list):
-                todo += a
-            elif type(a) is dict:  # a namespace, or a call's keywords
-                todo += a.values()
-        invoke_bytes = 4 * b * width
-        stats = {
-            "reps": reps,
-            "samples": count,
-            "batch": b,
-            "invoke_ns": times,
-            "load_bytes": 0,
-            "configure_bytes": 0,
-            "scratch_bytes": sum(owned.values())
-            - net_driver.BUFFER_BYTES * b,
-            "invoke_bytes": invoke_bytes,
-            "peak_bytes": net_driver.BUFFER_BYTES * b + invoke_bytes,
-        }
-        with open(stats_path, "w") as f:
-            json.dump(stats, f, sort_keys=True)
-    return 0
+            todo = [vars(net_driver)]
+            owned = {}
+            for a in todo:
+                if type(a) is np.ndarray:
+                    owned[id(a)] = a.nbytes * (a.base is None)
+                    a = a.base,  # walked next, as a one-item tuple
+                if type(a) in (tuple, list):
+                    todo += a
+                elif type(a) is dict:  # a namespace, or a call's keywords
+                    todo += a.values()
+            invoke_bytes = 4 * b * width
+            stats = {
+                "reps": reps,
+                "samples": count,
+                "batch": b,
+                "invoke_ns": times,
+                "load_bytes": 0,
+                "configure_bytes": 0,
+                "scratch_bytes": sum(owned.values())
+                - net_driver.BUFFER_BYTES * b,
+                "invoke_bytes": invoke_bytes,
+                "peak_bytes": net_driver.BUFFER_BYTES * b + invoke_bytes,
+            }
+            with open(stats_path, "w") as f:
+                json.dump(stats, f, sort_keys=True)
+        return 0
+    except MemoryError:
+        # the error's own text formats a dtype, which needs numpy's Python
+        # layer; the line names the input's size instead
+        print(f"input holds {os.path.getsize(paths[0])} bytes, more than "
+              f"this process can hold", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":
@@ -702,6 +720,24 @@ def _run_tool(cmd) -> None:
                            f"{proc.stderr.strip() or proc.stdout.strip()}")
 
 
+# The interpreter line's -c code: it runs the zip's __main__ as python would
+# run the zip, with sys.argv the program's path and arguments and that path
+# first on sys.path, but without runpy and the modules runpy loads. It holds
+# no whitespace, so the kernel passes "-ISc<code>" as one argument.
+_BOOTSTRAP = (b"s=__import__('sys');a=s.argv;del(a[0]);s.path[:0]=a[:1];"
+              b"exec(__import__('zipimport').zipimporter(a[0])"
+              b".get_code('__main__'))")
+
+# A weights member this large or larger is stored: lenet's 174 KiB deflate
+# by 9% only and take 1.7 ms to inflate at every start, while mlp's 711 B
+# deflate by a fifth and inflate in microseconds.
+_DEFLATE_WEIGHTS_BELOW = 16384
+
+# Linux reads this much of a #! line; a longer line would lose the end of
+# the bootstrap, so it falls back to running the zip through runpy.
+_LINE_BYTES = 256
+
+
 def compile_program(out_dir, sources, toolchain: ToolchainConfig | None = None) -> str:
     """Check and package the emitted sources into one executable file.
 
@@ -710,10 +746,14 @@ def compile_program(out_dir, sources, toolchain: ToolchainConfig | None = None) 
     for a stripped build, which ships the pycs it writes, and `python -S
     <flags> -c _COMPILE_SRC "" SRC...` for an unstripped one, which only
     checks that each source compiles and ships the sources. The program's
-    interpreter line is `#!<python> -IS`, so no site hooks of the host run
-    in it, and nothing on PYTHONPATH (see _MAIN_SRC). Code members are
-    deflated at level 9, the smallest; the weights member is stored, since
-    its float32 noise barely deflates and costs the most time to try.
+    interpreter line is `#!<python> -ISc<_BOOTSTRAP>`, so no site hooks of
+    the host run in it, nothing on PYTHONPATH (see _MAIN_SRC), and no
+    runpy: the bootstrap runs the zip's __main__ itself. When that line
+    would pass the 256 bytes Linux reads, it is `#!<python> -IS`, which
+    runs the same zip through runpy. Code members are
+    deflated at level 9, the smallest, and so is a weights member under
+    _DEFLATE_WEIGHTS_BELOW; a larger one is stored, since its float32
+    noise barely deflates and inflating it slows every start.
     """
     toolchain = toolchain or ToolchainConfig()
     python = _resolve_toolchain(toolchain)
@@ -743,11 +783,15 @@ def compile_program(out_dir, sources, toolchain: ToolchainConfig | None = None) 
 
     exe = out_dir / "program"
     with open(exe, "wb") as f:
-        f.write(b"#!" + python.encode() + b" -IS\n")
+        line = b"#!" + python.encode() + b" -ISc" + _BOOTSTRAP + b"\n"
+        if len(line) > _LINE_BYTES:
+            line = b"#!" + python.encode() + b" -IS\n"
+        f.write(line)
         with zipfile.ZipFile(f, "w") as z:
             for name, data in members:
                 info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
-                if not name.startswith("net_weights."):
+                if (not name.startswith("net_weights.")
+                        or len(data) < _DEFLATE_WEIGHTS_BELOW):
                     info.compress_type = zipfile.ZIP_DEFLATED
                 z.writestr(info, data, compresslevel=9)
     exe.chmod(exe.stat().st_mode | stat.S_IXUSR | stat.S_IXGRP | stat.S_IXOTH)

@@ -16,9 +16,11 @@ list holds a prepared buffer whose border is filled once and starts by
 copying in the interior.
 
 The params give every shape at one sample a call; only the buffers say how
-many samples a call stacks along axis 0 of every activation. A step views
-its input as inputs[0].reshape(-1, *in_shape[1:]) (FC as reshape(-1,
-in_features)) and its output the same way, or reads a buffer flat.
+many samples a call stacks along axis 0 of every activation. Conv, pool
+and pad shapes leave axis 0 out, and a step views its input as
+inputs[0].reshape(-1, *in_shape) (concat as reshape(-1, *shape[1:]), FC as
+reshape(-1, in_features)) and its output the same way, or reads a buffer
+flat.
 
 Every function here is a self-contained template: it may use np, which is
 numpy's C core (numpy._core._multiarray_umath), float32 and the helpers
@@ -171,13 +173,13 @@ def conv2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
                     dilation_w, pad_before_h, pad_after_h, pad_before_w,
                     pad_after_w, activation_min, activation_max):
     # filter buffer is read in height/width/in/out order
-    cin = in_shape[3]
-    oh, ow, cout = out_shape[1:]
-    x, calls = _pad_nhwc_prep(inputs[0].reshape(-1, *in_shape[1:]),
+    cin = in_shape[2]
+    oh, ow, cout = out_shape
+    x, calls = _pad_nhwc_prep(inputs[0].reshape(-1, *in_shape),
                               pad_before_h, pad_after_h, pad_before_w,
                               pad_after_w, 0.0)
     taps = filter_h * filter_w * cin
-    out = outputs[0].reshape(-1, *out_shape[1:])
+    out = outputs[0].reshape(-1, *out_shape)
     # blocks of whole output rows, as many as leave room in _PRODUCT_BYTES
     # for a one-tap chunk of products with its zero and bias rows and
     # whose gathered patches fit it too (or one row, if more), split
@@ -233,9 +235,9 @@ def depthwise_conv2d_f32_prep(inputs, weights, outputs, *, in_shape,
     # output channel c * depth_multiplier + m reads input channel c: the
     # output and filter are viewed as (..., cin, depth_multiplier) and each
     # input window broadcasts over the last axis, so no input is repeated
-    cin = in_shape[3]
-    oh, ow = out_shape[1], out_shape[2]
-    x, calls = _pad_nhwc_prep(inputs[0].reshape(-1, *in_shape[1:]),
+    cin = in_shape[2]
+    oh, ow = out_shape[0], out_shape[1]
+    x, calls = _pad_nhwc_prep(inputs[0].reshape(-1, *in_shape),
                               pad_before_h, pad_after_h, pad_before_w,
                               pad_after_w, 0.0)
     wk = weights[0].reshape(filter_h, filter_w, cin, depth_multiplier)
@@ -262,9 +264,9 @@ def avg_pool2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
                         filter_h, filter_w, stride_h, stride_w, pad_before_h,
                         pad_after_h, pad_before_w, pad_after_w,
                         activation_min, activation_max):
-    h, w = in_shape[1], in_shape[2]
-    oh, ow = out_shape[1], out_shape[2]
-    x, calls = _pad_nhwc_prep(inputs[0].reshape(-1, *in_shape[1:]),
+    h, w = in_shape[0], in_shape[1]
+    oh, ow = out_shape[0], out_shape[1]
+    x, calls = _pad_nhwc_prep(inputs[0].reshape(-1, *in_shape),
                               pad_before_h, pad_after_h, pad_before_w,
                               pad_after_w, 0.0)
     # padded cells contribute zero to the sum and are excluded from the count
@@ -276,7 +278,7 @@ def avg_pool2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
         for kw in range(filter_w):
             cnt += mask[kh:kh + (oh - 1) * stride_h + 1:stride_h,
                         kw:kw + (ow - 1) * stride_w + 1:stride_w]
-    out = outputs[0].reshape(-1, *out_shape[1:])
+    out = outputs[0].reshape(-1, *out_shape)
     calls.append((np.copyto, (out, float32(0.0)), {}))
     calls += [(np.add, (out, win, out), {}) for win in _pool_windows_prep(
         x, out, filter_h, filter_w, stride_h, stride_w)]
@@ -288,10 +290,10 @@ def max_pool2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
                         filter_h, filter_w, stride_h, stride_w, pad_before_h,
                         pad_after_h, pad_before_w, pad_after_w,
                         activation_min, activation_max):
-    x, calls = _pad_nhwc_prep(inputs[0].reshape(-1, *in_shape[1:]),
+    x, calls = _pad_nhwc_prep(inputs[0].reshape(-1, *in_shape),
                               pad_before_h, pad_after_h, pad_before_w,
                               pad_after_w, float("-inf"))
-    out = outputs[0].reshape(-1, *out_shape[1:])
+    out = outputs[0].reshape(-1, *out_shape)
     calls.append((np.copyto, (out, float32("-inf")), {}))
     calls += [(np.maximum, (out, win), {"out": out})
               for win in _pool_windows_prep(x, out, filter_h, filter_w,
@@ -368,8 +370,8 @@ def concat_f32_prep(inputs, weights, outputs, *, axis, in_shapes, out_shape,
 
 
 def pad_f32_prep(inputs, weights, outputs, *, in_shape, out_shape, paddings):
-    x = inputs[0].reshape(-1, *in_shape[1:])
-    out = outputs[0].reshape(-1, *out_shape[1:])
+    x = inputs[0].reshape(-1, *in_shape)
+    out = outputs[0].reshape(-1, *out_shape)
     region = tuple(slice(b, b + d) for (b, _), d in zip(paddings, x.shape))
     return [(np.copyto, (out, float32(0.0)), {}),
             (np.copyto, (out[region], x), {})]

@@ -102,7 +102,7 @@ def _map_conv(o, in_shapes, out_shape, depthwise: bool) -> dict:
         o, x[1:3], out_shape[1:3], ((fh - 1) * dh + 1, (fw - 1) * dw + 1))
     lo, hi = _ACT_CLAMPS[o["activation"]]
     values = {
-        "in_shape": x, "out_shape": out_shape,
+        "in_shape": x[1:], "out_shape": out_shape[1:],
         "filter_h": fh, "filter_w": fw,
         "stride_h": o["stride_h"], "stride_w": o["stride_w"],
         "dilation_h": dh, "dilation_w": dw,
@@ -121,7 +121,7 @@ def _map_pool(o, in_shapes, out_shape) -> dict:
     pbh, pah, pbw, paw = _spatial_pads(o, x[1:3], out_shape[1:3], (fh, fw))
     lo, hi = _ACT_CLAMPS[o["activation"]]
     return {
-        "in_shape": x, "out_shape": out_shape,
+        "in_shape": x[1:], "out_shape": out_shape[1:],
         "filter_h": fh, "filter_w": fw,
         "stride_h": o["stride_h"], "stride_w": o["stride_w"],
         "pad_before_h": pbh, "pad_after_h": pah,
@@ -241,7 +241,7 @@ class KernelRegistry:
         elif op == PAD:
             flat = o["paddings"]
             values = {
-                "in_shape": in_shapes[0], "out_shape": out_shape,
+                "in_shape": in_shapes[0][1:], "out_shape": out_shape[1:],
                 "paddings": tuple((flat[2 * i], flat[2 * i + 1])
                                   for i in range(len(flat) // 2)),
             }

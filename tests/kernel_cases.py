@@ -104,7 +104,7 @@ def _run_conv2d(x, wt, bias, stride, dilation, pads, clamp):
     pt, pb, pl, pr = pads
     oh = (h + pt + pb - (fh - 1) * dh - 1) // sh + 1
     ow = (w + pl + pr - (fw - 1) * dw - 1) // sw + 1
-    kwargs = _conv_kwargs((n, h, w, cin), (n, oh, ow, cout),
+    kwargs = _conv_kwargs((h, w, cin), (oh, ow, cout),
                           fh, fw, sh, sw, dh, dw, pads, clamp)
     out = np.empty(n * oh * ow * cout, dtype=np.float32)
     flat_w = np.ascontiguousarray(wt.transpose(1, 2, 3, 0)).ravel()
@@ -142,7 +142,7 @@ def case_depthwise(i):
     bias = (rng.uniform(-0.5, 0.5, cout).astype(np.float32)
             if rng.random() < 0.5 else None)
     clamp = _clamp_for(act)
-    kwargs = _conv_kwargs((n, h, w, cin), (n, oh, ow, cout),
+    kwargs = _conv_kwargs((h, w, cin), (oh, ow, cout),
                           fh, fw, sh, sw, dh, dw, pads, clamp)
     out = np.empty(n * oh * ow * cout, dtype=np.float32)
     run_kernel(
@@ -164,7 +164,7 @@ def _pool_case(i, tag, kernel, oracle_fn):
     pt, pb, pl, pr = pads
     out = np.empty(n * oh * ow * c, dtype=np.float32)
     run_kernel(kernel, [x.ravel().copy()], [], [out],
-               in_shape=(n, h, w, c), out_shape=(n, oh, ow, c),
+               in_shape=(h, w, c), out_shape=(oh, ow, c),
                filter_h=fh, filter_w=fw, stride_h=sh, stride_w=sw,
                pad_before_h=pt, pad_after_h=pb, pad_before_w=pl,
                pad_after_w=pr, activation_min=clamp[0],
@@ -480,8 +480,9 @@ def case_pad(i):
     for d in out_shape:
         total *= d
     out = np.empty(total, dtype=np.float32)
-    run_kernel("pad_f32", [x.ravel().copy()], [], [out], in_shape=in_shape,
-               out_shape=out_shape, paddings=paddings)
+    run_kernel("pad_f32", [x.ravel().copy()], [], [out],
+               in_shape=in_shape[1:], out_shape=out_shape[1:],
+               paddings=paddings)
     return out.reshape(out_shape), oracles.pad(x, paddings)
 
 

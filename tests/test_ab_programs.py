@@ -2,6 +2,9 @@ import importlib.util
 import types
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 _PATH = Path(__file__).resolve().parent.parent / "scripts" / "ab_programs.py"
 _spec = importlib.util.spec_from_file_location("ab_programs", _PATH)
 ab_programs = importlib.util.module_from_spec(_spec)
@@ -64,3 +67,45 @@ def test_a_base_without_batched_plans_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(ab_programs, "load_driver", lambda program: old)
     assert ab_programs.main(["--rev", "HEAD", "--fixture", "mlp"]) == 2
     assert "no plan() and BATCH" in capsys.readouterr().err
+
+
+def test_spawns_are_timed_in_interleaved_rounds(tmp_path):
+    # one program on both sides: each round starts each side once, and
+    # the two write the same bytes
+    program = ab_programs.build(ab_programs.ROOT, "mlp", 1, tmp_path / "a")
+    driver = ab_programs.load_driver(program)
+    r = ab_programs.spawn_times({"base": program, "change": program},
+                                ab_programs.inputs_for(driver, 1), tmp_path,
+                                rounds=3)
+    assert r["rounds"] == 3 and r["identical"]
+    for side in ("base", "change"):
+        assert len(r[side]["ms"]) == len(r[side]["rss_kb"]) == 3
+        assert all(ms > 0 for ms in r[side]["ms"])
+        # the launcher loads no numpy, so the peak is the program's own
+        # and not this process's
+        assert all(0 < kb < 100_000 for kb in r[side]["rss_kb"])
+    line = ab_programs.spawn_report("mlp", r)
+    assert line.startswith("mlp spawn, one sample: ")
+    assert " change won " in line and line.endswith(
+        " KiB; outputs byte-identical")
+
+
+def test_spawned_programs_that_differ_are_reported(tmp_path):
+    r = {"rounds": 1, "identical": False,
+         "base": {"ms": [40.0], "rss_kb": [17000]},
+         "change": {"ms": [30.0], "rss_kb": [16000]}}
+    assert ab_programs.spawn_report("mlp", r) == (
+        "mlp spawn, one sample: outputs differ")
+    r["identical"] = True
+    assert ab_programs.spawn_report("mlp", r) == (
+        "mlp spawn, one sample: 40.0 -> 30.0 ms (-25.0%), change won 1/1; "
+        "ru_maxrss 17000 -> 16000 KiB; outputs byte-identical")
+
+
+def test_a_program_that_fails_to_start_is_an_error(tmp_path):
+    bad = tmp_path / "bad"
+    bad.write_text("#!/bin/sh\nexit 3\n")
+    bad.chmod(0o755)
+    with pytest.raises(RuntimeError, match="exited 3"):
+        ab_programs.spawn_times({"base": str(bad), "change": str(bad)},
+                                [np.zeros(4, np.float32)], tmp_path, 1)

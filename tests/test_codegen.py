@@ -446,9 +446,10 @@ def _interpreter_output(bundle, xs) -> bytes:
 
 
 # Run in a `python -S` child with argv PROGRAM IN OUT: runs the program's
-# zip in that process, as its interpreter line would, then reports the
-# threads the process holds and where numpy's C core came from (the
-# program's numpy package is a bare stand-in, with no file).
+# zip in that process, as python runs a zip, then reports the threads the
+# process holds, where numpy's C core came from (the program's numpy
+# package is a bare stand-in, with no file) and the name of the module
+# that serves `import datetime`.
 _IN_PROCESS_SRC = """\
 import json, os, runpy, sys
 del sys.argv[0]
@@ -460,7 +461,8 @@ except SystemExit as e:
 tasks = "/proc/self/task"
 print(json.dumps({
     "tasks": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
-    "core": sys.modules["numpy._core._multiarray_umath"].__file__}))
+    "core": sys.modules["numpy._core._multiarray_umath"].__file__,
+    "datetime": sys.modules["datetime"].__name__}))
 """
 
 
@@ -530,11 +532,17 @@ def test_every_numpy_name_the_program_calls_is_on_the_c_core(built):
 
 
 # the modules the C core's own init imports, besides the core itself and
-# the two bare package modules that stand in for numpy and numpy._core
+# the three bare modules that stand in for numpy, numpy._core and
+# numpy._globals
 _CORE_INIT_MODULES = {
     "numpy", "numpy._core", "numpy._core._multiarray_umath",
     "numpy.exceptions", "numpy._globals", "numpy._core._exceptions",
     "numpy._core.printoptions", "numpy.dtypes"}
+
+# what a zip run through runpy, or the real numpy._globals and datetime,
+# would load and no kernel needs
+_START_UP_MODULES = {"runpy", "enum", "contextlib", "collections",
+                     "functools", "datetime"}
 
 
 def test_program_loads_no_numpy_python_layer(built, tmp_path):
@@ -548,10 +556,50 @@ def test_program_loads_no_numpy_python_layer(built, tmp_path):
                               str(ip), str(op)])
     loaded = {m for m in mods if m.partition(".")[0] == "numpy"}
     assert "numpy._core._multiarray_umath" in loaded
-    assert {m for m in loaded if m not in _CORE_INIT_MODULES
-            and not m.startswith("numpy._utils")} == set()
+    assert loaded - _CORE_INIT_MODULES == set()
     assert not {"numpy.linalg", "numpy.lib",
                 "numpy._core._add_newdocs"} & loaded
+    assert mods & _START_UP_MODULES == set()
+    assert "_datetime" in mods
+    assert _run_in_process(sys.executable, artifact,
+                           tmp_path)["datetime"] == "_datetime"
+
+
+# The program's set-up up to the core import, then a child that swaps the
+# stand-ins' class for one that logs every attribute read, loads the core
+# and prints the names read from each module, less the import machinery's
+# own dunder names.
+_STAND_IN_READS_SRC = """
+seen = {}
+class Logged(type(sys)):
+    def __getattribute__(self, name):
+        get = type(sys).__getattribute__
+        if not name.startswith("__"):
+            seen.setdefault(get(self, "__name__"), set()).add(name)
+        return get(self, name)
+for name in ("numpy", "numpy._core", "numpy._globals", "datetime"):
+    sys.modules[name].__class__ = Logged
+from numpy._core import _multiarray_umath
+print(sorted((k, sorted(v)) for k, v in seen.items()))
+"""
+
+
+def test_core_reads_only_the_names_its_stand_ins_hold():
+    # the bare numpy._globals holds the three names the core's init reads
+    # and no more; a numpy that reads another name from a stand-in fails
+    # here, before a program fails to start
+    setup, core_import, _ = codegen._MAIN_SRC.partition(
+        "try:\n    from numpy._core import _multiarray_umath as np\n")
+    assert core_import
+    proc = subprocess.run(
+        [sys.executable, "-IS", "-c", setup + _STAND_IN_READS_SRC],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout) == [
+        ("_datetime", ["datetime_CAPI"]),
+        ("numpy", ["dtypes"]),
+        ("numpy._core", ["_multiarray_umath"]),
+        ("numpy._globals", ["_CopyMode", "_NoValue", "_signature_descriptor"])]
 
 
 def test_program_without_numpy_says_so_in_one_line(tmp_path):
@@ -623,13 +671,53 @@ def test_program_built_with_a_venv_python_finds_the_venvs_numpy(base,
     art = codegen.pipeline(bundle, tmp_path / "x",
                            toolchain=codegen.ToolchainConfig(str(python)))
     with open(art.executable, "rb") as f:
-        assert f.readline() == b"#!" + bytes(python) + b" -IS\n"
+        assert f.readline() == (b"#!" + bytes(python) + b" -ISc"
+                                + codegen._BOOTSTRAP + b"\n")
     xs = [_sample(bundle, s) for s in range(3)]
     assert _program_output(art, xs, tmp_path) == \
         _interpreter_output(bundle, xs)
     got = _run_in_process(python, art, tmp_path)
     # purelib/numpy/_core/_multiarray_umath.*.so
     assert os.path.samefile(Path(got["core"]).parents[2], purelib)
+
+
+def test_a_python_path_too_long_for_the_bootstrap_runs_the_zip(tmp_path):
+    # Linux reads 256 bytes of a #! line: a python whose path leaves no
+    # room for the bootstrap gets the plain -IS line, which runs the same
+    # zip through runpy
+    long_dir = tmp_path / ("d" * 60) / ("e" * 60)
+    long_dir.mkdir(parents=True)
+    python = long_dir / "python"
+    python.symlink_to(sys.executable)
+    assert len(b"#!" + bytes(python) + b" -ISc" + codegen._BOOTSTRAP) > 256
+    bundle = fixtures.build_fixture("mlp")
+    art = codegen.pipeline(bundle, tmp_path / "x",
+                           toolchain=codegen.ToolchainConfig(str(python)))
+    with open(art.executable, "rb") as f:
+        assert f.readline() == b"#!" + bytes(python) + b" -IS\n"
+    xs = [_sample(bundle, s) for s in range(3)]
+    assert _program_output(art, xs, tmp_path) == \
+        _interpreter_output(bundle, xs)
+
+
+def test_an_input_the_program_cannot_hold_ends_in_one_line(built, tmp_path):
+    # a 2 GiB input under a 1 GiB address space: reading it fails, and the
+    # program says so from the file's size, not through a numpy object
+    resource = pytest.importorskip("resource")
+    ip = tmp_path / "in.raw"
+    with open(ip, "wb") as f:
+        f.truncate(2 << 30)  # sparse: takes no disk space
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    _, artifact = built["mlp"]
+    proc = subprocess.run([artifact.executable, str(ip), str(tmp_path / "o")],
+                          preexec_fn=limit, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"input holds {2 << 30} bytes, more than this "
+                           f"process can hold\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_program_writes_every_output_of_every_sample(tmp_path):
@@ -1251,6 +1339,7 @@ def test_shipped_bytecode_is_what_py_compile_writes(built, tmp_path):
     # checked against the stdlib: the header fields importlib defines and
     # the code py_compile compiles under the build's flags
     tc = codegen.ToolchainConfig()
+    stored = {}
     for name, (_, art) in sorted(built.items()):
         out = Path(art.out_dir)
         with open(art.executable, "rb") as f:
@@ -1258,9 +1347,13 @@ def test_shipped_bytecode_is_what_py_compile_writes(built, tmp_path):
             with zipfile.ZipFile(f) as z:
                 members = {n: z.read(n) for n in z.namelist()}
                 packed = {i.filename: i.compress_type for i in z.infolist()}
-        # code deflates to well under half; float32 weights barely do
-        assert packed == {n: zipfile.ZIP_STORED if n == "net_weights.pyc"
-                          else zipfile.ZIP_DEFLATED for n in members}, name
+        # code deflates to well under half; large float32 weights barely
+        # do, and small ones inflate in microseconds
+        assert packed == {
+            n: zipfile.ZIP_STORED if n == "net_weights.pyc" and len(
+                members[n]) >= codegen._DEFLATE_WEIGHTS_BELOW
+            else zipfile.ZIP_DEFLATED for n in members}, name
+        stored[name] = packed.get("net_weights.pyc") == zipfile.ZIP_STORED
         ref = tmp_path / name
         ref.mkdir()
         subprocess.run([tc.command, "-S", *tc.flags, *tc.strip_flags,
@@ -1279,6 +1372,8 @@ def test_shipped_bytecode_is_what_py_compile_writes(built, tmp_path):
             want = marshal.loads((ref / f"{stem}.pyc").read_bytes()[16:])
             assert got == want, (name, s)
             assert got.co_filename == want.co_filename == Path(s).name
+    # both kinds of weights member are built
+    assert stored["lenet"] and stored["mlp"] is False
 
 
 @pytest.mark.parametrize("strip", [True, False], ids=["stripped", "plain"])

@@ -1,4 +1,5 @@
 import dis
+import math
 import tracemalloc
 
 import numpy as np
@@ -100,7 +101,7 @@ def test_prepared_state_follows_its_buffers(name, monkeypatch):
     if name == "fully_connected_edge":  # a single lane, with its twin
         assert any(p["out_features"] == 1 for p in seen)
     if name == "conv2d_edge":
-        assert any(p["out_shape"][1:] == (1, 1, 1) for p in seen)
+        assert any(p["out_shape"] == (1, 1, 1) for p in seen)
     if name.endswith(("_edge", "_tail")):  # the bias as a last chunk's tail
         assert any(len(c) > 1 for c in biased_chunks)
 
@@ -249,12 +250,28 @@ def test_lenet_blocking():
             blocks = [args[1] for f, args, _ in step.calls
                       if f is ops.np.copyto and args[0].ndim == 5]
             convs.append((len(blocks), blocks[0].shape[-2],
-                          op.params.values["out_shape"][1],
+                          op.params.values["out_shape"][0],
                           _chunk_lengths(step.calls)))
         elif tid == "fully_connected_f32":
             fcs.append(_chunk_lengths(step.calls))
     assert convs == [(1, 24, 24, [12, 13]), (1, 8, 8, [50, 50, 50])]
     assert fcs == [[256], [120], [84]]
+
+
+def test_conv_and_pool_shapes_leave_the_sample_axis_out():
+    # the steps read the sample count from their buffers, so conv, pool
+    # and pad take one sample's shapes without axis 0; softmax keeps its
+    # rank, which says whether rows stack beside the class axis
+    plan = interpreter.load(fixtures.build_fixture("lenet"))
+    shapes = [(op.unit.template_id, op.params.values["in_shape"],
+               op.params.values.get("out_shape"))
+              for op in plan.lowered.ops if "in_shape" in op.params.values]
+    assert shapes == [
+        ("conv2d_f32", (28, 28, 1), (24, 24, 6)),
+        ("max_pool2d_f32", (24, 24, 6), (12, 12, 6)),
+        ("conv2d_f32", (12, 12, 6), (8, 8, 16)),
+        ("max_pool2d_f32", (8, 8, 16), (4, 4, 16)),
+        ("softmax_f32", (1, 10), None)]
 
 
 def test_lenet_shapes_match_oracle_at_the_kernels_budget():
@@ -287,9 +304,11 @@ def test_tail_cases_take_the_shapes_their_kind_names(kind, monkeypatch):
     def keep(kernel, inputs, weights, outputs, **params):
         calls = ops.PREPS[kernel](inputs, weights, outputs, **params)
         ops.KERNELS[kernel](calls)
-        # FC takes no batch: the rows stacked in its input buffer say it
-        batch = (params["out_shape"][0] if "out_shape" in params
-                 else inputs[0].size // params["in_features"])
+        # no kernel takes a batch: the rows stacked in its input buffer
+        # say it
+        batch = inputs[0].size // (math.prod(params["in_shape"])
+                                   if "in_shape" in params
+                                   else params["in_features"])
         seen.append((_chunk_lengths(calls), batch,
                      outputs[0].size // batch))
 
@@ -418,7 +437,7 @@ def test_conv_scratch_stays_within_the_bound(shape):
     x = rng.uniform(-1, 1, h * w * cin).astype(np.float32)
     wt = rng.uniform(-1, 1, f * f * cin * cout).astype(np.float32)
     out = np.empty(oh * ow * cout, dtype=np.float32)
-    kwargs = dict(in_shape=(1, h, w, cin), out_shape=(1, oh, ow, cout),
+    kwargs = dict(in_shape=(h, w, cin), out_shape=(oh, ow, cout),
                   filter_h=f, filter_w=f, stride_h=1, stride_w=1,
                   dilation_h=1, dilation_w=1, pad_before_h=0, pad_after_h=0,
                   pad_before_w=0, pad_after_w=0, activation_min=None,
