@@ -11,7 +11,8 @@ one sample a call and at the program's BATCH, it checks that both drivers'
 run() write byte-identical outputs on the same seeded inputs, then times
 them in interleaved rounds of _CALLS calls a side: even rounds run the
 base first, odd rounds the change first. It prints each side's median time
-of one run() call, the median change and the rounds the change won, then
+of one run() call, the median change and the rounds the change won, each
+side's kernel scratch (counted as the program's --stats counts it), then
 each step's median time per side, from a second interleaved pass with every
 run step wrapped in a timer. When the two sides run different steps, it
 says so and lists each side's steps on their own. Last, it starts each
@@ -155,6 +156,24 @@ def step_times(drivers, inputs, rounds: int) -> list[list]:
              for j in range(len(rs[0]))] for rs in per_round]
 
 
+def scratch_bytes(driver, n: int) -> int:
+    """Kernel scratch of the driver's plan, made for n samples a call, as
+    the program's --stats counts it: the memory of every array the
+    driver's globals reach, through its call lists, their keywords and
+    views' bases, that owns it, less the tensor buffers."""
+    todo = [vars(driver)]
+    owned = {}
+    for a in todo:
+        if type(a) is np.ndarray:
+            owned[id(a)] = a.nbytes * (a.base is None)
+            a = a.base,  # walked next, as a one-item tuple
+        if type(a) in (tuple, list):
+            todo += a
+        elif type(a) is dict:  # a namespace, or a call's keywords
+            todo += a.values()
+    return sum(owned.values()) - driver.BUFFER_BYTES * n
+
+
 def compare(base, change, n: int, rounds: int, calls: int) -> dict:
     """Check and time both drivers at n samples a call."""
     for d in (base, change):
@@ -169,6 +188,7 @@ def compare(base, change, n: int, rounds: int, calls: int) -> dict:
                                                   times["change"]))
         result["rounds"] = rounds
         result["steps"] = step_times((base, change), inputs, rounds)
+        result["scratch"] = [scratch_bytes(d, n) for d in (base, change)]
     for d in (base, change):
         d.plan(1)
     return result
@@ -227,6 +247,9 @@ def report(fixture: str, r: dict) -> list[str]:
     lines = [f"{head} run() {r['base_us']:.1f} -> {r['change_us']:.1f} us "
              f"({pct:+.1f}%), change won {r['won']}/{r['rounds']}; "
              f"outputs byte-identical"]
+    b, c = r["scratch"]
+    lines.append(f"  kernel scratch {b} -> {c} B ({100 * (c / b - 1):+.1f}%)"
+                 if b else f"  kernel scratch {b} -> {c} B")
     base_steps, change_steps = r["steps"]
     if [s[0] for s in base_steps] == [s[0] for s in change_steps]:
         for k, ((name, b), (_, c)) in enumerate(zip(base_steps,

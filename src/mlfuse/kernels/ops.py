@@ -43,11 +43,14 @@ when there is none (a sum begun at +0.0 is never -0.0, so adding +0.0
 changes no bit). One np.add.reduce over that axis adds whole rows in index
 order. This holds only while the reduced axis is outermost and at least two
 output lanes run beside it: numpy sums a lone lane pairwise, so a
-single-lane reduction runs beside a twin lane. Softmax sums its classes
-with np.add.accumulate, which is sequential by definition; its first
-element is e[0] itself, as +0.0 + e[0] would be, since exp never returns
--0.0. Depthwise conv and pooling make one call per tap of their reduction
-axes, with vectorization over independent output lanes only.
+single-lane reduction runs beside a twin lane. Softmax sums one row's
+classes with np.add.accumulate, which is sequential by definition. More
+rows go in a contiguous (class, row) buffer, and one np.add.reduce over its
+outer axis adds them class after class, the order the product sums rely
+on. Either sum's first term is e[0], and exp never returns -0.0, so
+starting from numpy's identity or from e[0] gives the same bits. Depthwise
+conv and pooling make one call per tap of their reduction axes, with
+vectorization over independent output lanes only.
 
 matmul, dot and np.sum reorder a sum and are not used. einsum forms
 one-term products only, never sums: a conv chunk of 8192 products or more
@@ -65,8 +68,18 @@ a level-2 cache rather than L1), bounds a reduction's product tensor, its
 zero and tail rows included. A conv block covers as many whole output rows
 as leave room for a one-tap chunk with those two rows, and whose gathered
 patches fit the budget too; blocks are split evenly, rows = ceil(oh /
-ceil(oh / rows_max)). Then the taps go in the fewest chunks that fit, split
-evenly, step = ceil(k / ceil(k / step_max)), the smaller chunk first.
+ceil(oh / rows_max)). FC's lanes are the output features while a call's
+samples do not outnumber them (every one-sample call), else the samples:
+products go in (tap, out, sample) order, through transposed views of the
+input and the output. _sum_products_prep plans the lanes of either the
+same way, in blocks of as many as leave room for a one-tap chunk, split
+evenly, and then the taps of a block in the fewest chunks that fit, split
+evenly, step = ceil(k / ceil(k / step_max)), the smaller chunk first. A
+last block of rows or lanes ends at the last one, so it overlaps the block
+before it when the blocks do not divide them; the overlap comes out the
+same twice. A reduction of more than one chunk into strided lanes (a
+transposed view) runs in a contiguous accumulator, copied out once a
+block.
 
 Weight buffers arrive flat, and may be read-only. Each kernel reshapes them
 according to the data layout its body was written against; callers are
@@ -109,54 +122,67 @@ def _pad_nhwc_prep(x, ph0, ph1, pw0, pw1, value):
 
 def _sum_products_prep(lhs, rhs, acc, tail):
     # acc = ((((0 + lhs[0]*rhs[0]) + lhs[1]*rhs[1]) + ...) + tail), where
-    # lhs[k] * rhs[k] and tail broadcast to acc's shape. Taps go through a
-    # product tensor in chunks, each a view of the tensor's leading rows:
-    # the fewest chunks whose terms, with the tensor's zero and tail rows,
-    # fit _PRODUCT_BYTES (or one tap, if more), split evenly. Each chunk
-    # after the first starts from the running sum as its row 0, and a run
-    # leaves row 0 at +0.0. The smaller chunk goes first, so only the last
-    # chunk, always a full one, reaches the tail row, and no multiply
-    # writes over it. A chunk is (product, part): the call that forms its
-    # terms, np.multiply(lhs, rhs, prod) here, which a caller may swap for
-    # another call that forms the same one-term products into prod, and
-    # the rows its reduction adds. Returns the chunks and the twin pair
-    # (None without one), which leave acc out: _sum_products_calls takes
-    # it, so reductions of one shape into other accumulators can share
-    # them.
-    lanes = twin = acc
-    if acc.size == 1:
-        # numpy would sum a lone lane pairwise: reduce a twin pair instead,
-        # both lanes computed from the same terms
-        lanes = twin = np.empty(2, float32)
-        lhs = lhs.reshape(-1, 1)
-        rhs = rhs.reshape(-1, 1)
+    # lhs[k] * rhs[k] and tail broadcast to acc's shape. acc's last axis
+    # holds its lanes, which go in blocks (see above); rhs is sliced along
+    # them, so lhs and tail must broadcast along them when there is more
+    # than one block. Every block's taps go through one product tensor in
+    # chunks, each a view of the tensor's leading rows: the fewest chunks
+    # whose terms, with the tensor's zero and tail rows, fit _PRODUCT_BYTES
+    # (or one tap, if more), split evenly. Each chunk after the first
+    # starts from the running sum as its row 0, and a block leaves row 0 at
+    # +0.0. The smaller chunk goes first, so only the last chunk, always a
+    # full one, reaches the tail row, and no multiply writes over it. A
+    # chunk is (product, part): the call that forms its terms,
+    # np.multiply(lhs, rhs, prod) here, which a caller may swap for another
+    # call that forms the same one-term products into prod, and the rows
+    # its reduction adds. Returns the blocks, each (first lane, chunks),
+    # and the lanes the reductions write when they are not acc's own (else
+    # None): a twin pair for a lone lane, or a contiguous accumulator for
+    # a strided block of more than one chunk. Neither holds acc, which
+    # _sum_products_calls takes, so reductions of one shape into other
+    # outputs can share them.
+    n = acc.shape[-1]
+    rows = acc.size // n
+    b = max(1, min(n, _PRODUCT_BYTES // (12 * rows)))
+    b = -(-n // -(-n // b))
+    # numpy would sum a lone lane pairwise: it goes beside a twin lane,
+    # computed from the same terms
+    shape = acc.shape[:-1] + (b + (acc.size == 1),)
     k = len(lhs)
-    step = max(1, _PRODUCT_BYTES // (4 * lanes.size) - 2)
+    step = max(1, _PRODUCT_BYTES // (4 * rows * shape[-1]) - 2)
     step = -(-k // -(-k // step))
-    terms = np.zeros((step + 2,) + lanes.shape, float32)
+    own = None
+    if acc.size == 1 or step < k and not acc[..., :b].flags.c_contiguous:
+        own = np.empty(shape, float32)
+    terms = np.zeros((step + 2,) + shape, float32)
     terms[-1] = tail
-    chunks = []
-    k0 = 0
-    for k1 in range((k - 1) % step + 1, k + 1, step):
-        chunks.append(((np.multiply, (lhs[k0:k1], rhs[k0:k1],
-                                      terms[1:k1 - k0 + 1]), {}),
-                       terms[:k1 - k0 + 1 + (k1 == k)]))
-        k0 = k1
-    return chunks, None if twin is acc else twin
+    blocks = []
+    for s in [*range(0, n - b, b), n - b]:
+        chunks = []
+        k0 = 0
+        for k1 in range((k - 1) % step + 1, k + 1, step):
+            chunks.append(((np.multiply, (lhs[k0:k1], rhs[k0:k1, ..., s:s + b],
+                                          terms[1:k1 - k0 + 1]), {}),
+                           terms[:k1 - k0 + 1 + (k1 == k)]))
+            k0 = k1
+        blocks.append((s, chunks))
+    return blocks, own
 
 
-def _sum_products_calls(chunks, twin, acc):
-    # one reduction into acc, from _sum_products_prep's chunks and twin
-    lanes = acc if twin is None else twin
+def _sum_products_calls(blocks, own, acc):
+    # one reduction into acc, from _sum_products_prep's blocks and own lanes
     calls = []
-    for k, (product, part) in enumerate(chunks):
-        if k:
-            calls.append((np.copyto, (part[0], lanes), {}))
-        calls += [product, (np.add.reduce, (part, 0, None, lanes), {})]
-    if k:  # more than one chunk: row 0 holds a sum, not +0.0
-        calls.append((np.copyto, (part[0], float32(0.0)), {}))
-    if twin is not None:  # twin[:1], a view: twin[0] is copied now
-        calls.append((np.copyto, (acc, twin[:1]), {}))
+    for s, chunks in blocks:
+        dst = acc[..., s:s + chunks[0][1].shape[-1]]
+        into = dst if own is None else own
+        for k, (product, part) in enumerate(chunks):
+            if k:
+                calls.append((np.copyto, (part[0], into), {}))
+            calls += [product, (np.add.reduce, (part, 0, None, into), {})]
+        if k:  # more than one chunk: row 0 holds a sum, not +0.0
+            calls.append((np.copyto, (part[0], float32(0.0)), {}))
+        if own is not None:  # a view: a twin pair's lane 0 is copied now
+            calls.append((np.copyto, (dst, own[..., :dst.shape[-1]]), {}))
     return calls
 
 
@@ -194,35 +220,29 @@ def conv2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
         (len(x), filter_h, filter_w, cin, oh, ow), x.dtype, x, 0,
         (sn, dilation_h * sy, dilation_w * sx, sc, stride_h * sy,
          stride_w * sx))
-    chunks, twin = _sum_products_prep(
+    # a block's output rows are a transposed view, strides (4, 4 * cout),
+    # which holds the lanes of its reduction
+    blocks, own = _sum_products_prep(
         weights[0].reshape(taps, cout, 1), cols.reshape(taps, 1, rows * ow),
         out[0, :rows].reshape(-1, cout).T,
         weights[1][:, None] if len(weights) > 1 else 0.0)
     # a chunk's products as one (taps, cout) x (taps, lanes) outer product;
     # below 8192 of them einsum's larger cost per call loses, and a lone
     # lane keeps np.multiply, which broadcasts its terms onto the twin
-    for i, ((_, (lhs, rhs, prod), _), part) in enumerate(chunks):
-        if twin is None and prod.size >= 8192:
-            chunks[i] = (np.c_einsum, ("kc,kl->kcl", lhs[:, :, 0], rhs[:, 0]),
-                         {"out": prod}), part
-    # A block's output rows are a transposed view, strides (4, 4 * cout).
-    # One chunk's reduction writes them once, so it goes straight there;
-    # with more, every chunk reads and writes the running sum, so it stays
-    # in a contiguous accumulator and one copy per block writes it out.
-    acc = np.empty((cout, rows * ow), float32) if len(chunks) > 1 else None
+    for _, chunks in blocks:
+        for i, ((_, (lhs, rhs, prod), _), part) in enumerate(chunks):
+            if prod.size >= 8192 and rhs.shape[-1] == prod.shape[-1]:
+                chunks[i] = (np.c_einsum, ("kc,kl->kcl", lhs[:, :, 0],
+                                           rhs[:, 0]), {"out": prod}), part
     # Every block gathers into cols and reduces with the same chunks. The
     # last block ends at the last row, so it overlaps the one before it
     # when rows does not divide oh; the overlapped rows come out the same.
     for b in range(len(x)):
         for r0 in [*range(0, oh - rows, rows), oh - rows]:
-            dst = out[b, r0:r0 + rows].reshape(-1, cout).T
             calls.append((np.copyto, (cols, win[b, :, :, :, r0:r0 + rows]),
                           {}))
-            if acc is None:
-                calls += _sum_products_calls(chunks, twin, dst)
-            else:
-                calls += _sum_products_calls(chunks, twin, acc)
-                calls.append((np.copyto, (dst, acc), {}))
+            calls += _sum_products_calls(
+                blocks, own, out[b, r0:r0 + rows].reshape(-1, cout).T)
     return calls + _clamp_calls(out, activation_min, activation_max)
 
 
@@ -303,35 +323,50 @@ def max_pool2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
 
 def fully_connected_f32_prep(inputs, weights, outputs, *, in_features,
                              out_features, activation_min, activation_max):
-    # weight buffer is read with input features as the major axis
-    x = inputs[0].reshape(-1, in_features)
+    # weight buffer is read with input features as the major axis. The
+    # output features are the lanes while the samples do not outnumber
+    # them, else the samples, through transposed views (see above).
+    x = inputs[0].reshape(-1, in_features).T
     out = outputs[0].reshape(-1, out_features)
-    chunks, twin = _sum_products_prep(
-        x.T[:, :, None], weights[0].reshape(in_features, 1, out_features), out,
-        weights[1] if len(weights) > 1 else 0.0)
-    return (_sum_products_calls(chunks, twin, out)
-            + _clamp_calls(out, activation_min, activation_max))
+    w = weights[0].reshape(in_features, out_features)
+    tail = weights[1] if len(weights) > 1 else np.zeros(out_features, float32)
+    lhs, rhs, acc = x, w, out
+    if len(out) > out_features:
+        lhs, rhs, acc, tail = w, x, out.T, tail[:, None]
+    return (_sum_products_calls(*_sum_products_prep(
+        lhs[:, :, None], rhs[:, None], acc, tail), acc)
+        + _clamp_calls(out, activation_min, activation_max))
 
 
 def softmax_f32_prep(inputs, weights, outputs, *, in_shape, beta):
-    # A single row is a 1-D row; more rows are (class, row) transposed
-    # views, so each reduction over axis 0 serves every row at once and
-    # sums[-1:] holds every row's total, a view (sums[-1] of a 1-D row
-    # would be a scalar copied now). beta 1.0 scales by nothing, bit for
-    # bit.
+    # A single row is a 1-D row, and sums[-1:] holds its total, a view
+    # (sums[-1] would be a scalar copied now). More rows are gathered from
+    # their (class, row) view into a contiguous buffer, which then holds
+    # the exponentials, so each reduction over axis 0 adds whole rows of
+    # samples, class after class, into a one-row buffer. beta 1.0 scales by
+    # nothing, bit for bit.
     c = in_shape[-1]
     x = inputs[0].reshape(-1, c)
     out = outputs[0].reshape(-1, c)
-    x, out = (x[0], out[0]) if len(x) == 1 else (x.T, out.T)
+    calls = []
+    if len(x) == 1:
+        x, out = x[0], out[0]
+        e = np.empty(c, float32)
+    else:
+        e = np.empty((c, len(x)), float32)
+        calls.append((np.copyto, (e, x.T), {}))
+        x, out = e, out.T
     top = np.empty(x.shape[1:], float32)
-    e = np.empty(x.shape, float32)
-    sums = np.empty(x.shape, float32)
-    calls = [(np.maximum.reduce, (x, 0, None, top), {}),
-             (np.subtract, (x, top, e), {})]
+    calls += [(np.maximum.reduce, (x, 0, None, top), {}),
+              (np.subtract, (x, top, e), {})]
     if beta != 1.0:
         calls.append((np.multiply, (e, float32(beta), e), {}))
-    return calls + [(np.exp, (e, e), {}),
-                    (np.add.accumulate, (e, 0, None, sums), {}),
+    calls.append((np.exp, (e, e), {}))
+    if e.ndim > 1:
+        return calls + [(np.add.reduce, (e, 0, None, top), {}),
+                        (np.divide, (e, top, out), {})]
+    sums = np.empty(c, float32)
+    return calls + [(np.add.accumulate, (e, 0, None, sums), {}),
                     (np.divide, (e, sums[-1:], out), {})]
 
 

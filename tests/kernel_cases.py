@@ -310,6 +310,45 @@ def case_conv2d_edge(i):
     return _run_conv2d(x, wt, bias, (1, 1), (1, 1), (0, 0, 0, 0), clamp)
 
 
+# FC calls whose samples outnumber their output features, so the samples
+# are the lanes, products in (tap, out, sample) order: inputs of -0.0, a
+# -0.0 bias on an all -0.0 product sum, +-inf biases, a lone output
+# feature, and a batch in lane blocks that do not divide it
+FC_LANE_KINDS = ("negative_zero", "negative_zero_bias", "inf_bias",
+                 "single_feature", "lane_blocks")
+
+
+@lru_cache(maxsize=None)
+@_at_case_budget
+def case_fully_connected_lanes(i):
+    rng = np.random.default_rng((118, i))
+    kind = FC_LANE_KINDS[i % len(FC_LANE_KINDS)]
+    # 280 to 320 taps over 60 to 240 lanes overrun the case budget: the
+    # taps go in chunks, summed in the contiguous accumulator
+    batch, nout = int(rng.integers(20, 41)), int(rng.integers(3, 7))
+    nin = int(rng.integers(280, 321))
+    if kind == "single_feature":  # one chunk, straight into out.T
+        nout = 1
+    elif kind == "lane_blocks":
+        # a one-tap chunk of 682 samples of 8 features fills the case
+        # budget, so an odd batch of 683 to 1361 goes in two blocks, the
+        # last one overlapping the one before it by a sample
+        batch = 2 * int(rng.integers(342, 682)) - 1
+        nin, nout = int(rng.integers(3, 5)), 8
+    x = rng.uniform(-1, 1, (batch, nin)).astype(np.float32)
+    wt = rng.uniform(-1, 1, (nout, nin)).astype(np.float32)
+    bias = (rng.uniform(-0.5, 0.5, nout).astype(np.float32)
+            if rng.random() < 0.5 else None)
+    clamp = _clamp_for(("NONE", "RELU", "RELU6")[int(rng.integers(0, 3))])
+    if kind == "negative_zero":
+        # every product is -0.0; only a sum started from +0.0 ends at +0.0
+        x, bias, clamp = _with_negative_zeros(rng, x, 1.0), None, (None, None)
+        wt = np.abs(wt)
+    elif kind.endswith("_bias"):
+        x, wt, bias, clamp = _tail_case(rng, kind, x, wt, nout)
+    return _run_fully_connected(x, wt, bias, clamp)
+
+
 # Fixed shapes for the bias, which ends each conv and FC sum as the tail row
 # of the product tensor: one chunk of taps, taps split evenly into several
 # chunks with the smaller remainder first, an exact multiple of the chunk
@@ -385,6 +424,27 @@ def case_softmax(i):
     run_kernel("softmax_f32", [x.ravel().copy()], [], [out],
                in_shape=(rows, classes), beta=beta)
     return out.reshape(rows, classes), oracles.softmax(x, beta)
+
+
+@lru_cache(maxsize=None)
+def case_softmax_rows(i):
+    # many rows, so the classes are summed over a contiguous (class, row)
+    # buffer; every other row holds one of +-inf, +-0.0 or +-NaN
+    rng = np.random.default_rng((119, i))
+    rows = int(rng.integers(5, 61))
+    classes = int(rng.integers(2, 11))
+    beta = (1.0, 0.5, 2.0)[int(rng.integers(0, 3))]
+    x = rng.uniform(-4, 4, (rows, classes)).astype(np.float32)
+    specials = np.float32([np.inf, -np.inf, 0.0, -0.0, np.nan,
+                           -np.float32(np.nan)])
+    for r in range(0, rows, 2):
+        x[r, rng.integers(0, classes)] = rng.choice(specials)
+    out = np.empty(rows * classes, dtype=np.float32)
+    with np.errstate(invalid="ignore"):  # inf - inf is the NaN we want
+        run_kernel("softmax_f32", [x.ravel().copy()], [], [out],
+                   in_shape=(1, classes), beta=beta)
+        want = oracles.softmax(x, beta)
+    return out.reshape(rows, classes), want
 
 
 @lru_cache(maxsize=None)
@@ -509,8 +569,10 @@ REFERENCE_CASES = {
     "fully_connected_edge": case_fully_connected_edge,
     "conv2d_edge": case_conv2d_edge,
     "fully_connected_tail": case_fully_connected_tail,
+    "fully_connected_lanes": case_fully_connected_lanes,
     "conv2d_tail": case_conv2d_tail,
     "softmax": case_softmax,
+    "softmax_rows": case_softmax_rows,
     "relu": case_relu,
     "add_f32": case_add_f32,
     "add_i32": case_add_i32,

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 import types
 from pathlib import Path
 
@@ -28,10 +30,14 @@ def test_same_programs_are_timed_step_by_step_at_one_sample_and_batch(
         # mlp runs fc, fc, softmax, in that order on both sides
         assert [[s[0] for s in side] for side in r["steps"]] == [
             ["fully_connected_f32", "fully_connected_f32", "softmax_f32"]] * 2
+        # the same plans hold the same scratch, as --stats counts it
+        assert r["scratch"][0] == r["scratch"][1] > 0
         lines = ab_programs.report("mlp", r)
         assert lines[0].startswith(f"mlp n={n}: run() ")
         assert lines[0].endswith("outputs byte-identical")
-        assert len(lines) == 4
+        assert lines[1] == (f"  kernel scratch {r['scratch'][0]} -> "
+                            f"{r['scratch'][1]} B (+0.0%)")
+        assert len(lines) == 5
         # each driver is left at one sample a call, where a larger plan
         # would refuse one sample's inputs
         for d in (base, change):
@@ -45,13 +51,33 @@ def test_differing_outputs_are_reported_and_not_timed(tmp_path):
     assert ab_programs.report("mlp", r) == ["mlp n=1: outputs differ"]
 
 
+def test_scratch_is_what_the_programs_stats_report(tmp_path):
+    # the walk is the one the program's --stats makes, at one sample and
+    # at BATCH, where mlp's FC products and softmax rows hold far more
+    program = ab_programs.build(ab_programs.ROOT, "mlp", 1, tmp_path / "a")
+    driver = ab_programs.load_driver(program)
+    for n in (1, driver.BATCH):
+        rows = np.random.default_rng(2).uniform(
+            -1, 1, (n, sum(driver.INPUT_SIZES))).astype("<f4")
+        rows.tofile(tmp_path / "in.raw")
+        subprocess.run([program, "in.raw", "out.raw", "--stats",
+                        "stats.json"], cwd=tmp_path, check=True)
+        stats = json.loads((tmp_path / "stats.json").read_text())
+        driver.plan(n)
+        assert ab_programs.scratch_bytes(driver, n) == \
+            stats["scratch_bytes"] > 0
+    driver.plan(1)
+    assert stats["scratch_bytes"] > 100 * ab_programs.scratch_bytes(driver, 1)
+
+
 def test_different_step_lists_are_listed_side_by_side_not_paired():
     r = {"n": 1, "identical": True, "base_us": 10.0, "change_us": 8.0,
-         "won": 3, "rounds": 3,
+         "won": 3, "rounds": 3, "scratch": [2048, 1024],
          "steps": [[("fully_connected_f32", 4.0), ("softmax_f32", 2.0)],
                    [("conv2d_f32", 5.0)]]}
     lines = ab_programs.report("mlp", r)
-    assert lines[1:] == [
+    assert lines[1] == "  kernel scratch 2048 -> 1024 B (-50.0%)"
+    assert lines[2:] == [
         "  the two sides run different steps",
         "  base   step 0  fully_connected_f32          4.0 us",
         "  base   step 1  softmax_f32                  2.0 us",

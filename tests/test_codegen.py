@@ -475,6 +475,58 @@ def _run_in_process(python, artifact, work, env=None) -> dict:
     return json.loads(proc.stdout)
 
 
+# Run in a `python -S` child with argv PROGRAM ARG...: runs the program's
+# zip as python runs it, up to main(), wraps net_driver.run to count its
+# calls, then runs main(ARG...) and prints its exit code and the count.
+_COUNT_RUNS_SRC = """\
+import json, runpy, sys
+g = runpy.run_path(sys.argv[1], run_name="program")
+driver = g["net_driver"]
+run = driver.run
+runs = []
+
+
+def counted(inputs):
+    runs.append(inputs)
+    return run(inputs)
+
+
+driver.run = counted
+code = g["main"](sys.argv[2:])
+print(json.dumps({"code": code, "runs": len(runs)}))
+"""
+
+
+def _count_runs(artifact, work, *args) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _COUNT_RUNS_SRC, artifact.executable,
+         *args], cwd=work, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("name, count, calls", [
+    ("mlp", 4096, 2), ("lenet", 20, 3), ("lenet", 1, 1)])
+def test_program_runs_each_call_once(built, tmp_path, name, count, calls):
+    # a file of `count` samples goes in `calls` calls of at most BATCH
+    # samples, and run() makes each once; only --stats, which reports the
+    # times of its reps, adds a warm-up call before them
+    bundle, artifact = built[name]
+    driver = _import_driver(artifact)
+    np.random.default_rng(5).uniform(
+        -1, 1, (count, sum(driver.INPUT_SIZES))).astype("<f4").tofile(
+            tmp_path / "in.raw")
+    assert _count_runs(artifact, tmp_path, "in.raw", "out.raw") == \
+        {"code": 0, "runs": calls}
+    want = (tmp_path / "out.raw").read_bytes()
+    assert _count_runs(artifact, tmp_path, "in.raw", "out.raw", "--stats",
+                       "stats.json", "--reps", "3") == \
+        {"code": 0, "runs": 1 + 3 * calls}
+    stats = json.loads((tmp_path / "stats.json").read_text())
+    assert len(stats["invoke_ns"]) == 3
+    assert (tmp_path / "out.raw").read_bytes() == want
+
+
 def test_program_runs_no_host_site_code(built, tmp_path):
     # the interpreter line starts the program under -IS: a sitecustomize on
     # the host's path (or a .pth file in its site-packages) never runs, and
@@ -1161,6 +1213,10 @@ def test_program_stats_report_the_scratch_of_the_batched_plan(built,
     assert stats["batch"] == driver.BATCH
     assert stats["scratch_bytes"] == _plan_scratch(driver, driver.BATCH)
     assert stats["scratch_bytes"] > 100 * _plan_scratch(driver, 1)
+    # and less than the 713,440 B of the layout that kept the short axis
+    # innermost: FC products with the output features as lanes, in one-tap
+    # chunks past the product budget, and softmax's (class, row) sums
+    assert stats["scratch_bytes"] < 713_440
 
 
 # -- determinism --------------------------------------------------------------

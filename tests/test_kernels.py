@@ -40,7 +40,7 @@ _PADS = ("pad_before_h", "pad_after_h", "pad_before_w", "pad_after_w")
 def _product_calls(calls):
     """The call that forms each chunk's terms, in a conv or FC call list:
     np.multiply or np.c_einsum into a product tensor's rows, once a chunk,
-    though every block of a conv runs the same chunks."""
+    though every block of rows or lanes runs the same chunks."""
     seen = {}
     for f, args, kw in calls:
         if f is np.multiply or f is ops.np.c_einsum:
@@ -107,7 +107,8 @@ def test_prepared_state_follows_its_buffers(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["conv2d_edge", "fully_connected_edge",
-                                  "conv2d_tail", "fully_connected_tail"])
+                                  "conv2d_tail", "fully_connected_tail",
+                                  "fully_connected_lanes"])
 def test_edge_cases_match_oracle_sign_of_zero_included(name):
     # stricter than bitwise_equal, which lets -0.0 pass for +0.0: every sum
     # starts from +0.0 on both sides, so even zero signs must agree
@@ -198,14 +199,16 @@ def test_both_product_paths_are_the_scalar_loop_order(path, special,
         acc = np.empty((1, 1), np.float32)
     tail = rng.choice(np.float32([1e8, -1e8, 1, 3e-8]), (rows, lanes))
     tail[0, 0] = np.float32(-0.0)
-    chunks, twin = ops._sum_products_prep(lhs, rhs, acc, tail)
-    assert len(chunks) > 1 and (twin is not None) == (path == "twin")
+    # one block of lanes in several chunks; the outer products reduce into
+    # a contiguous accumulator, the lone lane into its twin pair
+    [(lanes_in, chunks)], own = ops._sum_products_prep(lhs, rhs, acc, tail)
+    assert len(chunks) > 1 and (own is None) == (path == "fc_batch_1")
     assert all(f is np.multiply for (f, _, _), _ in chunks)
     if path == "outer":  # as conv2d_f32_prep swaps them in
         chunks = [((ops.np.c_einsum, ("kc,kl->kcl", a[:, :, 0], b[:, 0]),
                     {"out": prod}), part)
                   for (_, (a, b, prod), _), part in chunks]
-    ops.run_calls(ops._sum_products_calls(chunks, twin, acc))
+    ops.run_calls(ops._sum_products_calls([(lanes_in, chunks)], own, acc))
     want = np.zeros((rows, lanes), np.float32)
     for t in range(len(lhs)):
         want = want + lhs[t] * rhs[t]
@@ -328,6 +331,43 @@ def test_tail_cases_take_the_shapes_their_kind_names(kind, monkeypatch):
             assert len(sizes) > 2 and sizes[0] < sizes[1] == sizes[-1]
 
 
+@pytest.mark.parametrize("kind", kernel_cases.FC_LANE_KINDS)
+def test_fc_lane_cases_take_the_layout_their_kind_names(kind, monkeypatch):
+    # every case of each kind has more samples than output features, so
+    # the samples are the lanes of (tap, out, sample) products: one block
+    # of them all, in several chunks of taps but for a lone feature's, or
+    # two overlapping blocks
+    seen = []
+
+    def keep(kernel, inputs, weights, outputs, **params):
+        calls = ops.PREPS[kernel](inputs, weights, outputs, **params)
+        ops.KERNELS[kernel](calls)
+        # each block's multiplies read its samples through the input's
+        # transposed view, from its first sample on
+        at = inputs[0].__array_interface__["data"][0]
+        reads = [args[1] for f, args, _ in calls if f is np.multiply]
+        starts = {(r.__array_interface__["data"][0] - at)
+                  // (4 * params["in_features"]) for r in reads}
+        seen.append((inputs[0].size // params["in_features"],
+                     params["out_features"], reads, len(starts),
+                     len(reads) // len(starts)))
+
+    monkeypatch.setattr(kernel_cases, "run_kernel", keep)
+    k = kernel_cases.FC_LANE_KINDS.index(kind)
+    for i in range(k, kernel_cases.N_CASES, len(kernel_cases.FC_LANE_KINDS)):
+        kernel_cases.case_fully_connected_lanes.__wrapped__(i)
+    assert seen
+    for batch, nout, reads, blocks, chunks in seen:
+        lanes = reads[0].shape[-1]
+        assert batch > nout and all(r.shape[1:] == (1, lanes) for r in reads)
+        assert (nout == 1) == (kind == "single_feature")
+        if kind == "lane_blocks":
+            assert blocks == 2 and 2 * lanes == batch + 1
+        else:
+            assert blocks == 1 and lanes == batch
+            assert (chunks > 1) == (kind != "single_feature")
+
+
 @pytest.mark.parametrize("beta", [1.0, 2.0])
 def test_softmax_sums_the_classes_left_to_right(beta):
     # exponentials from 1 down to 1e-8: added left to right, each small one
@@ -417,6 +457,71 @@ def test_softmax_prepared_for_three_rows_runs_three_single_ones_inf_included():
                 [np.empty(4, np.float32)], {"in_shape": (1, 4), "beta": beta})
         assert got == want, beta
     assert np.isnan(np.frombuffer(want[0], np.float32)[:4]).any()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_fc_and_softmax_prepared_for_40_samples_run_40_single_ones():
+    # 40 samples outnumber the output features and classes, so the stacked
+    # call takes the sample-lane layouts (FC products in (tap, out, sample)
+    # order, softmax over a contiguous (class, row) buffer) and every
+    # single one keeps the feature-lane layouts; both write the same
+    # bytes, -0.0, +-inf and NaN included
+    rng = np.random.default_rng(17)
+    specials = np.float32([-0.0, np.inf, -np.inf, np.nan])
+    for nin, nout, bias in ((5, 3, True), (300, 4, True), (7, 1, False)):
+        xs = rng.uniform(-1, 1, (40, nin)).astype(np.float32)
+        xs[::3, 0] = np.float32(-0.0)
+        xs[1::7, -1] = rng.choice(specials, len(xs[1::7]))
+        weights = [rng.uniform(-1, 1, nin * nout).astype(np.float32)]
+        if bias:
+            weights.append(np.float32([-0.0, np.inf] * nout)[:nout])
+        got, want = _run_singles_and_stacked(
+            "fully_connected_f32", [[x] for x in xs], weights,
+            [np.empty(nout, np.float32)],
+            {"in_features": nin, "out_features": nout,
+             "activation_min": None, "activation_max": None})
+        assert got == want, (nin, nout)
+    for beta in (1.0, 0.5):
+        xs = rng.uniform(-4, 4, (40, 6)).astype(np.float32)
+        xs[::2, 1] = rng.choice(specials, 20)
+        got, want = _run_singles_and_stacked(
+            "softmax_f32", [[x] for x in xs], [], [np.empty(6, np.float32)],
+            {"in_shape": (1, 6), "beta": beta})
+        assert got == want, beta
+        assert np.isnan(np.frombuffer(want[0], np.float32)).any()
+
+
+@pytest.mark.parametrize("shape", [
+    # (in, out) at a batch: mlp's fc1 and fc2 at its BATCH of 3640, lenet's
+    # fc1 at its BATCH of 9, and a lone output feature at 40 samples
+    (3640, 4, 8), (3640, 8, 3), (9, 256, 120), (40, 3, 1)])
+def test_fc_scratch_stays_within_the_bound(shape):
+    # the product tensor takes at most the product budget, beside the
+    # accumulator of one block of sample lanes, prepared scratch and run
+    # temporaries together (see test_conv_scratch_stays_within_the_bound
+    # on numpy's own buffers)
+    n, nin, nout = shape
+    rng = np.random.default_rng(9)
+    x = rng.uniform(-1, 1, n * nin).astype(np.float32)
+    weights = [rng.uniform(-1, 1, nin * nout).astype(np.float32),
+               rng.uniform(-1, 1, nout).astype(np.float32)]
+    out = np.empty(n * nout, dtype=np.float32)
+    lanes = min(n, ops._PRODUCT_BYTES // (12 * nout))
+    bufsize = np.setbufsize(16)
+    tracemalloc.start()
+    try:
+        calls = ops.fully_connected_f32_prep(
+            [x], weights, [out], in_features=nin, out_features=nout,
+            activation_min=None, activation_max=None)
+        ops.run_calls(calls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+    assert peak <= ops._PRODUCT_BYTES + 4 * nout * lanes + 4096, peak
+    for f, args, _ in calls:
+        if f is np.add.reduce:  # the rows of a product tensor
+            assert args[0].base.nbytes <= ops._PRODUCT_BYTES
 
 
 @pytest.mark.parametrize("shape", [
