@@ -12,10 +12,11 @@ run() write byte-identical outputs on the same seeded inputs, then times
 them in interleaved rounds of _CALLS calls a side: even rounds run the
 base first, odd rounds the change first. It prints each side's median time
 of one run() call, the median change and the rounds the change won, each
-side's kernel scratch (counted as the program's --stats counts it), then
-each step's median time per side, from a second interleaved pass with every
-run step wrapped in a timer. When the two sides run different steps, it
-says so and lists each side's steps on their own. Last, it starts each
+side's kernel scratch (the scratch_bytes that side's program reports under
+--stats on a file of that many samples), then each step's median time per
+side, from a second interleaved pass with every run step wrapped in a
+timer. When the two sides run different steps, it says so and lists each
+side's steps on their own. Last, it starts each
 side's program once a round on one seeded sample, interleaved the same way,
 with posix_spawn from a small `python -S` launcher, reaps it with wait4 and
 prints each side's median ms from spawn to exit, the rounds the change won
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import json
 import os
 import statistics
 import subprocess
@@ -156,22 +158,17 @@ def step_times(drivers, inputs, rounds: int) -> list[list]:
              for j in range(len(rs[0]))] for rs in per_round]
 
 
-def scratch_bytes(driver, n: int) -> int:
-    """Kernel scratch of the driver's plan, made for n samples a call, as
-    the program's --stats counts it: the memory of every array the
-    driver's globals reach, through its call lists, their keywords and
-    views' bases, that owns it, less the tensor buffers."""
-    todo = [vars(driver)]
-    owned = {}
-    for a in todo:
-        if type(a) is np.ndarray:
-            owned[id(a)] = a.nbytes * (a.base is None)
-            a = a.base,  # walked next, as a one-item tuple
-        if type(a) in (tuple, list):
-            todo += a
-        elif type(a) is dict:  # a namespace, or a call's keywords
-            todo += a.values()
-    return sum(owned.values()) - driver.BUFFER_BYTES * n
+def stats_scratch(program: str, inputs, n: int, work: Path) -> int:
+    """The scratch_bytes the program's --stats reports on a file of the n
+    samples in inputs (each input's values, n samples of them), which it
+    serves in one call of n samples when n is at most its BATCH."""
+    src = work / "stats-in.raw"
+    np.concatenate([a.reshape(n, -1) for a in inputs], axis=1).astype(
+        "<f4").tofile(src)
+    subprocess.run([program, str(src), str(work / "stats-out.raw"),
+                    "--stats", str(work / "stats.json")],
+                   capture_output=True, check=True)
+    return json.loads((work / "stats.json").read_text())["scratch_bytes"]
 
 
 def compare(base, change, n: int, rounds: int, calls: int) -> dict:
@@ -188,7 +185,6 @@ def compare(base, change, n: int, rounds: int, calls: int) -> dict:
                                                   times["change"]))
         result["rounds"] = rounds
         result["steps"] = step_times((base, change), inputs, rounds)
-        result["scratch"] = [scratch_bytes(d, n) for d in (base, change)]
     for d in (base, change):
         d.plan(1)
     return result
@@ -310,11 +306,15 @@ def main(argv=None) -> int:
                   f"BATCH; it predates batched serving", file=sys.stderr)
             return 2
         ok = True
-        for n in sorted({1, min(base.BATCH, change.BATCH)}):
-            r = compare(base, change, n, args.rounds, _CALLS)
-            ok &= r["identical"]
-            print("\n".join(report(args.fixture, r)), flush=True)
         try:
+            for n in sorted({1, min(base.BATCH, change.BATCH)}):
+                r = compare(base, change, n, args.rounds, _CALLS)
+                ok &= r["identical"]
+                if r["identical"]:
+                    r["scratch"] = [
+                        stats_scratch(p, inputs_for(change, n), n, tmp)
+                        for p in programs.values()]
+                print("\n".join(report(args.fixture, r)), flush=True)
             r = spawn_times(programs, inputs_for(change, 1), tmp, args.rounds)
         except (RuntimeError, subprocess.CalledProcessError) as e:
             print(f"error: {e}", file=sys.stderr)

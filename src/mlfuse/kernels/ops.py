@@ -71,15 +71,17 @@ patches fit the budget too; blocks are split evenly, rows = ceil(oh /
 ceil(oh / rows_max)). FC's lanes are the output features while a call's
 samples do not outnumber them (every one-sample call), else the samples:
 products go in (tap, out, sample) order, through transposed views of the
-input and the output. _sum_products_prep plans the lanes of either the
+input and the output. _sum_products_prep plans a reduction's lanes the
 same way, in blocks of as many as leave room for a one-tap chunk, split
-evenly, and then the taps of a block in the fewest chunks that fit, split
-evenly, step = ceil(k / ceil(k / step_max)), the smaller chunk first. A
-last block of rows or lanes ends at the last one, so it overlaps the block
-before it when the blocks do not divide them; the overlap comes out the
-same twice. A reduction of more than one chunk into strided lanes (a
-transposed view) runs in a contiguous accumulator, copied out once a
-block.
+evenly, where the tail is the same along them: FC's bias differs along
+its output features, so those stay one block, over the budget when a
+one-tap chunk of them is. Then the taps of a block go in the fewest
+chunks that fit, split evenly, step = ceil(k / ceil(k / step_max)), the
+smaller chunk first. A last block of rows or lanes ends at the last one,
+so it overlaps the block before it when the blocks do not divide them;
+the overlap comes out the same twice. A reduction of more than one chunk
+into strided lanes (a transposed view) runs in a contiguous accumulator,
+copied out once a block.
 
 Weight buffers arrive flat, and may be read-only. Each kernel reshapes them
 according to the data layout its body was written against; callers are
@@ -123,28 +125,30 @@ def _pad_nhwc_prep(x, ph0, ph1, pw0, pw1, value):
 def _sum_products_prep(lhs, rhs, acc, tail):
     # acc = ((((0 + lhs[0]*rhs[0]) + lhs[1]*rhs[1]) + ...) + tail), where
     # lhs[k] * rhs[k] and tail broadcast to acc's shape. acc's last axis
-    # holds its lanes, which go in blocks (see above); rhs is sliced along
-    # them, so lhs and tail must broadcast along them when there is more
-    # than one block. Every block's taps go through one product tensor in
-    # chunks, each a view of the tensor's leading rows: the fewest chunks
-    # whose terms, with the tensor's zero and tail rows, fit _PRODUCT_BYTES
-    # (or one tap, if more), split evenly. Each chunk after the first
-    # starts from the running sum as its row 0, and a block leaves row 0 at
-    # +0.0. The smaller chunk goes first, so only the last chunk, always a
-    # full one, reaches the tail row, and no multiply writes over it. A
-    # chunk is (product, part): the call that forms its terms,
-    # np.multiply(lhs, rhs, prod) here, which a caller may swap for another
-    # call that forms the same one-term products into prod, and the rows
-    # its reduction adds. Returns the blocks, each (first lane, chunks),
-    # and the lanes the reductions write when they are not acc's own (else
-    # None): a twin pair for a lone lane, or a contiguous accumulator for
-    # a strided block of more than one chunk. Neither holds acc, which
-    # _sum_products_calls takes, so reductions of one shape into other
-    # outputs can share them.
+    # holds its lanes. Where tail is the same along them (lhs always is),
+    # they go in blocks (see above), and rhs is sliced along them; a tail
+    # that differs along them, as FC's bias over its output features does,
+    # keeps them in one block. Every block's taps go through one product
+    # tensor in chunks, each a view of the tensor's leading rows: the
+    # fewest chunks whose terms, with the tensor's zero and tail rows, fit
+    # _PRODUCT_BYTES (or one tap, if more), split evenly. Each chunk after
+    # the first starts from the running sum as its row 0, and a block
+    # leaves row 0 at +0.0. The smaller chunk goes first, so only the last
+    # chunk, always a full one, reaches the tail row, and no multiply
+    # writes over it. A chunk is (product, part): the call that forms its
+    # terms, np.multiply(lhs, rhs, prod) here, which a caller may swap for
+    # another call that forms the same one-term products into prod, and
+    # the rows its reduction adds. Returns the blocks, each (first lane,
+    # chunks), and the lanes the reductions write when they are not acc's
+    # own (else None): a twin pair for a lone lane, or a contiguous
+    # accumulator for strided lanes reduced in more than one chunk.
+    # Neither holds acc, which _sum_products_calls takes, so reductions of
+    # one shape into other outputs can share them.
     n = acc.shape[-1]
     rows = acc.size // n
-    b = max(1, min(n, _PRODUCT_BYTES // (12 * rows)))
-    b = -(-n // -(-n // b))
+    b = n
+    if getattr(tail, "shape", (1,))[-1] < 2:
+        b = -(-n // -(-n // (_PRODUCT_BYTES // (12 * rows) or 1)))
     # numpy would sum a lone lane pairwise: it goes beside a twin lane,
     # computed from the same terms
     shape = acc.shape[:-1] + (b + (acc.size == 1),)
@@ -152,7 +156,7 @@ def _sum_products_prep(lhs, rhs, acc, tail):
     step = max(1, _PRODUCT_BYTES // (4 * rows * shape[-1]) - 2)
     step = -(-k // -(-k // step))
     own = None
-    if acc.size == 1 or step < k and not acc[..., :b].flags.c_contiguous:
+    if acc.size == 1 or step < k and not acc.flags.c_contiguous:
         own = np.empty(shape, float32)
     terms = np.zeros((step + 2,) + shape, float32)
     terms[-1] = tail
@@ -323,18 +327,20 @@ def max_pool2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
 
 def fully_connected_f32_prep(inputs, weights, outputs, *, in_features,
                              out_features, activation_min, activation_max):
-    # weight buffer is read with input features as the major axis. The
-    # output features are the lanes while the samples do not outnumber
-    # them, else the samples, through transposed views (see above).
-    x = inputs[0].reshape(-1, in_features).T
-    out = outputs[0].reshape(-1, out_features)
+    # out = x @ w + bias, the weight buffer read with input features as the
+    # major axis: a sum over the input features of (rows, 1) x (1, lanes)
+    # products. The output features are the lanes while a call's samples
+    # do not outnumber them (every one-sample call); else the samples are,
+    # and the sum is taken transposed, out.T = w.T @ x.T, through
+    # transposed views (see above).
+    x = inputs[0].reshape(-1, in_features)
     w = weights[0].reshape(in_features, out_features)
+    out = outputs[0].reshape(-1, out_features)
     tail = weights[1] if len(weights) > 1 else np.zeros(out_features, float32)
-    lhs, rhs, acc = x, w, out
-    if len(out) > out_features:
-        lhs, rhs, acc, tail = w, x, out.T, tail[:, None]
+    if len(x) > out_features:
+        x, w, out, tail = w.T, x.T, out.T, tail[:, None]
     return (_sum_products_calls(*_sum_products_prep(
-        lhs[:, :, None], rhs[:, None], acc, tail), acc)
+        x.T[:, :, None], w[:, None], out, tail), out)
         + _clamp_calls(out, activation_min, activation_max))
 
 

@@ -1,6 +1,4 @@
 import importlib.util
-import json
-import subprocess
 import types
 from pathlib import Path
 
@@ -13,16 +11,20 @@ ab_programs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab_programs)
 
 
+def _program(tmp_path, seed, tag):
+    return ab_programs.build(ab_programs.ROOT, "mlp", seed, tmp_path / tag)
+
+
 def _driver(tmp_path, seed, tag):
-    out = tmp_path / tag
-    return ab_programs.load_driver(
-        ab_programs.build(ab_programs.ROOT, "mlp", seed, out))
+    return ab_programs.load_driver(_program(tmp_path, seed, tag))
 
 
 def test_same_programs_are_timed_step_by_step_at_one_sample_and_batch(
         tmp_path):
-    base, change = _driver(tmp_path, 1, "a"), _driver(tmp_path, 1, "b")
+    programs = [_program(tmp_path, 1, tag) for tag in ("a", "b")]
+    base, change = map(ab_programs.load_driver, programs)
     assert base is not change and base.BATCH == change.BATCH > 1
+    scratch = {}
     for n in (1, change.BATCH):
         r = ab_programs.compare(base, change, n, rounds=3, calls=2)
         assert r["identical"] and r["n"] == n
@@ -30,8 +32,13 @@ def test_same_programs_are_timed_step_by_step_at_one_sample_and_batch(
         # mlp runs fc, fc, softmax, in that order on both sides
         assert [[s[0] for s in side] for side in r["steps"]] == [
             ["fully_connected_f32", "fully_connected_f32", "softmax_f32"]] * 2
-        # the same plans hold the same scratch, as --stats counts it
+        # the same plans hold the same scratch, as each program's --stats
+        # reports it on a file of n samples
+        r["scratch"] = [
+            ab_programs.stats_scratch(p, ab_programs.inputs_for(change, n), n,
+                                      tmp_path) for p in programs]
         assert r["scratch"][0] == r["scratch"][1] > 0
+        scratch[n] = r["scratch"][0]
         lines = ab_programs.report("mlp", r)
         assert lines[0].startswith(f"mlp n={n}: run() ")
         assert lines[0].endswith("outputs byte-identical")
@@ -42,6 +49,8 @@ def test_same_programs_are_timed_step_by_step_at_one_sample_and_batch(
         # would refuse one sample's inputs
         for d in (base, change):
             d.run(ab_programs.inputs_for(d, 1))
+    # at BATCH, mlp's FC products and softmax rows hold far more
+    assert scratch[change.BATCH] > 100 * scratch[1]
 
 
 def test_differing_outputs_are_reported_and_not_timed(tmp_path):
@@ -49,25 +58,6 @@ def test_differing_outputs_are_reported_and_not_timed(tmp_path):
     r = ab_programs.compare(base, change, 1, rounds=3, calls=2)
     assert r == {"n": 1, "identical": False}
     assert ab_programs.report("mlp", r) == ["mlp n=1: outputs differ"]
-
-
-def test_scratch_is_what_the_programs_stats_report(tmp_path):
-    # the walk is the one the program's --stats makes, at one sample and
-    # at BATCH, where mlp's FC products and softmax rows hold far more
-    program = ab_programs.build(ab_programs.ROOT, "mlp", 1, tmp_path / "a")
-    driver = ab_programs.load_driver(program)
-    for n in (1, driver.BATCH):
-        rows = np.random.default_rng(2).uniform(
-            -1, 1, (n, sum(driver.INPUT_SIZES))).astype("<f4")
-        rows.tofile(tmp_path / "in.raw")
-        subprocess.run([program, "in.raw", "out.raw", "--stats",
-                        "stats.json"], cwd=tmp_path, check=True)
-        stats = json.loads((tmp_path / "stats.json").read_text())
-        driver.plan(n)
-        assert ab_programs.scratch_bytes(driver, n) == \
-            stats["scratch_bytes"] > 0
-    driver.plan(1)
-    assert stats["scratch_bytes"] > 100 * ab_programs.scratch_bytes(driver, 1)
 
 
 def test_different_step_lists_are_listed_side_by_side_not_paired():

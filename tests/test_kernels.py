@@ -491,6 +491,64 @@ def test_fc_and_softmax_prepared_for_40_samples_run_40_single_ones():
         assert np.isnan(np.frombuffer(want[0], np.float32)).any()
 
 
+def _product_lanes(calls):
+    """The lanes of each multiply's product tensor, in call order."""
+    return [args[2].shape[-1] for f, args, _ in calls if f is np.multiply]
+
+
+@pytest.mark.parametrize("bias", [True, False])
+def test_fc_feature_lanes_past_the_budget_stay_in_one_block(bias):
+    # 128 samples of a 256 -> 256 FC (a hidden layer that wide batches
+    # 125): the samples do not outnumber the output features, so those are
+    # the lanes, and a one-tap chunk of them overruns the product budget.
+    # The bias differs along them (an absent one is zeros), so they stay
+    # in one block of one-tap chunks, as at one sample, and the stacked
+    # call writes the bytes of 128 single ones
+    n, nin, nout = 128, 256, 256
+    assert 12 * n * nout > ops._PRODUCT_BYTES
+    rng = np.random.default_rng(23)
+    xs = rng.uniform(-1, 1, (n, nin)).astype(np.float32)
+    weights = [rng.uniform(-1, 1, nin * nout).astype(np.float32)]
+    if bias:
+        weights.append(rng.uniform(-1, 1, nout).astype(np.float32))
+    params = {"in_features": nin, "out_features": nout,
+              "activation_min": None, "activation_max": None}
+    calls = ops.fully_connected_f32_prep(
+        [xs.reshape(-1)], weights, [np.empty(n * nout, np.float32)],
+        **params)
+    assert _product_lanes(calls) == [nout] * nin
+    got, want = _run_singles_and_stacked(
+        "fully_connected_f32", [[x] for x in xs], weights,
+        [np.empty(nout, np.float32)], params)
+    assert got == want
+
+
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("budget", ["kernels", "case"])
+def test_one_sample_fc_wider_than_the_budget_matches_the_oracle(
+        budget, bias, monkeypatch):
+    # one sample of 21,846 output features: a one-tap chunk of them
+    # overruns the kernels' product budget and the case budget alike, and
+    # they stay in one block, against the scalar loop bit for bit
+    if budget == "case":
+        monkeypatch.setattr(ops, "_PRODUCT_BYTES",
+                            kernel_cases.CASE_PRODUCT_BYTES)
+    rng = np.random.default_rng(29)
+    nin, nout = 3, 21_846
+    assert 12 * nout > ops._PRODUCT_BYTES
+    x = rng.uniform(-1, 1, (1, nin)).astype(np.float32)
+    x[0, 0] = np.float32(-0.0)
+    wt = rng.uniform(-1, 1, (nout, nin)).astype(np.float32)
+    b = rng.uniform(-0.5, 0.5, nout).astype(np.float32) if bias else None
+    got, want = kernel_cases._run_fully_connected(x, wt, b, (None, None))
+    assert oracles.bitwise_equal(got, want)
+    calls = ops.fully_connected_f32_prep(
+        [x.reshape(-1)], [wt.T.copy().reshape(-1)],
+        [np.empty(nout, np.float32)], in_features=nin, out_features=nout,
+        activation_min=None, activation_max=None)
+    assert _product_lanes(calls) == [nout] * nin
+
+
 @pytest.mark.parametrize("shape", [
     # (in, out) at a batch: mlp's fc1 and fc2 at its BATCH of 3640, lenet's
     # fc1 at its BATCH of 9, and a lone output feature at 40 samples
