@@ -16,16 +16,19 @@ side's kernel scratch (the scratch_bytes that side's program reports under
 --stats on a file of that many samples), then each step's median time per
 side, from a second interleaved pass with every run step wrapped in a
 timer. When the two sides run different steps, it says so and lists each
-side's steps on their own. Last, it starts each
-side's program once a round on one seeded sample, interleaved the same way,
-with posix_spawn from a small `python -S` launcher, reaps it with wait4 and
-prints each side's median ms from spawn to exit, the rounds the change won
-and each side's median ru_maxrss.
+side's steps on their own. Then it starts each side's program once a round
+on one seeded sample, interleaved the same way, with posix_spawn from a
+small `python -S` launcher, reaps it with wait4 and prints each side's
+median ms from spawn to exit, the rounds the change won and each side's
+median ru_maxrss. Last, it does the same for each side's interpreter
+deployment, `python -m mlfuse.cli run` on the fixture's container, each
+side from its own export (the working tree exported as bench_pairs.py
+does), with that export's src/ as PYTHONPATH.
 
 Exit status 0 when both sides' outputs are byte-identical, 1 when they
-differ, a build fails or a program exits non-zero, 2 on bad arguments, a
-revision git cannot export, or a base whose program has no plan() and
-BATCH (one older than batched serving).
+differ, a build fails or a program or interpreter exits non-zero, 2 on bad
+arguments, a revision git cannot export, or a base whose program has no
+plan() and BATCH (one older than batched serving).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_pairs import ROOT, _export, _git  # noqa: E402
+from bench_pairs import ROOT, _export, _git, working_tree  # noqa: E402
 
 # Runs in a checkout with its src/ on PYTHONPATH: argv is the fixture, its
 # seed ("" for the fixture's own) and the build dir; prints the program.
@@ -74,6 +77,32 @@ def build(checkout: Path, fixture: str, seed, out: Path) -> str:
         raise RuntimeError(f"build in {checkout} exited {proc.returncode}:"
                            f"\n{proc.stderr[-2000:]}")
     return proc.stdout.strip().splitlines()[-1]
+
+
+def container(checkout: Path, fixture: str, out: Path) -> list[str]:
+    """The fixture's container, written at its own seed by checkout's
+    `mlfuse build-fixture`: the paths of its graph and weights."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "mlfuse.cli", "build-fixture", fixture,
+         "--out", str(out)], env=src_env(checkout), capture_output=True,
+        text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"build-fixture in {checkout} exited "
+                           f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+    return [str(out / f"{fixture}{ext}") for ext in (".mlg", ".mlw")]
+
+
+def src_env(checkout: Path) -> dict:
+    """This process's environment with checkout's src/ as the only
+    PYTHONPATH entry, as perfbench gives its interpreter spawns."""
+    return dict(os.environ, PYTHONPATH=str(checkout / "src"))
+
+
+def interpreter_command(checkout: Path, graph_and_weights) -> tuple:
+    """The spawn (argv before the input and output paths, environment) of
+    checkout's interpreter deployment on the container."""
+    return ([sys.executable, "-m", "mlfuse.cli", "run", *graph_and_weights],
+            src_env(checkout))
 
 
 def load_driver(program: str):
@@ -190,44 +219,49 @@ def compare(base, change, n: int, rounds: int, calls: int) -> dict:
     return result
 
 
-# Runs under python -S: argv is the rounds, then each side's program, input
-# and output path. It starts each side's program once a round, interleaved
-# as interleave() does, with posix_spawn, reaps it with wait4 and prints a
-# line "<side's index> <ns> <exit status> <ru_maxrss KiB>" per spawn. Linux
-# counts the RSS of the process a child was spawned from into the child's
-# ru_maxrss; this one loads no numpy and stays far smaller than a program.
+# Runs under python -S: argv is the rounds, stdin a JSON list of each
+# side's [argv, environment] (null: the launcher's own). It starts each
+# side once a round, interleaved as interleave() does, with posix_spawn and
+# its stdout on /dev/null, reaps it with wait4 and prints a line "<side's
+# index> <ns> <exit status> <ru_maxrss KiB>" per spawn. Linux counts the
+# RSS of the process a child was spawned from into the child's ru_maxrss;
+# this one loads no numpy and stays far smaller than a program.
 _SPAWN_SRC = """\
-import os, sys, time
-rounds, *flat = sys.argv[1:]
-argvs = [flat[k:k + 3] for k in range(0, len(flat), 3)]
-for i in range(int(rounds)):
-    for k in range(len(argvs))[::1 if i % 2 == 0 else -1]:
+import json, os, sys, time
+specs = json.load(sys.stdin)
+quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+for i in range(int(sys.argv[1])):
+    for k in range(len(specs))[::1 if i % 2 == 0 else -1]:
+        argv, env = specs[k]
         t0 = time.perf_counter_ns()
-        pid = os.posix_spawn(argvs[k][0], argvs[k], os.environ)
+        pid = os.posix_spawn(argv[0], argv, env or os.environ,
+                             file_actions=quiet)
         _, status, usage = os.wait4(pid, 0)
         ns = time.perf_counter_ns() - t0
         print(k, ns, os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def spawn_times(programs: dict, inputs, work: Path, rounds: int) -> dict:
-    """Per side of programs (side -> path), the ms from spawn to exit and
-    the ru_maxrss (KiB) of one spawn a round on the same input file, and
-    whether both sides wrote the same bytes."""
+def spawn_times(commands: dict, inputs, work: Path, rounds: int) -> dict:
+    """Per side of commands (side -> the argv before the input and output
+    paths, and the environment, None for this process's), the ms from spawn
+    to exit and the ru_maxrss (KiB) of one spawn a round on the same input
+    file, and whether both sides wrote the same bytes."""
     src = work / "spawn-in.raw"
     np.concatenate(inputs).astype("<f4").tofile(src)
-    sides = list(programs)
+    sides = list(commands)
     outs = [work / f"spawn-{side}.raw" for side in sides]
+    specs = [[[*commands[side][0], str(src), str(out)], commands[side][1]]
+             for side, out in zip(sides, outs)]
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", _SPAWN_SRC, str(rounds),
-         *(a for side, out in zip(sides, outs)
-           for a in (programs[side], str(src), str(out)))],
-        capture_output=True, text=True, check=True)
+        [sys.executable, "-S", "-c", _SPAWN_SRC, str(rounds)],
+        input=json.dumps(specs), capture_output=True, text=True, check=True)
     result = {side: {"ms": [], "rss_kb": []} for side in sides}
     for line in proc.stdout.splitlines():
         k, ns, status, rss = map(int, line.split())
         if status != 0:
-            raise RuntimeError(f"{programs[sides[k]]} exited {status}")
+            raise RuntimeError(f"{' '.join(specs[k][0][:-2])} exited "
+                               f"{status}")
         result[sides[k]]["ms"].append(ns / 1e6)
         result[sides[k]]["rss_kb"].append(rss)
     result["rounds"] = rounds
@@ -259,8 +293,8 @@ def report(fixture: str, r: dict) -> list[str]:
     return lines
 
 
-def spawn_report(fixture: str, r: dict) -> str:
-    head = f"{fixture} spawn, one sample:"
+def spawn_report(fixture: str, r: dict, what: str = "spawn") -> str:
+    head = f"{fixture} {what}, one sample:"
     if not r["identical"]:
         return f"{head} outputs differ"
     base, change = (statistics.median(r[side]["ms"])
@@ -315,12 +349,27 @@ def main(argv=None) -> int:
                         stats_scratch(p, inputs_for(change, n), n, tmp)
                         for p in programs.values()]
                 print("\n".join(report(args.fixture, r)), flush=True)
-            r = spawn_times(programs, inputs_for(change, 1), tmp, args.rounds)
+            sample = inputs_for(change, 1)
+            r = spawn_times({side: ([p], None)
+                             for side, p in programs.items()},
+                            sample, tmp, args.rounds)
+            ok &= r["identical"]
+            print(spawn_report(args.fixture, r), flush=True)
+            # the interpreter from two exports whose paths are as long:
+            # a spawn's peak RSS moves with the length of the path it
+            # imports from
+            _export(working_tree(), tmp / "work")
+            interp = {}
+            for side, name in (("base", "base"), ("change", "work")):
+                paths = container(tmp / name, args.fixture,
+                                  tmp / f"{name}-container")
+                interp[side] = interpreter_command(tmp / name, paths)
+            r = spawn_times(interp, sample, tmp, args.rounds)
+            ok &= r["identical"]
+            print(spawn_report(args.fixture, r, "interpreter spawn"))
         except (RuntimeError, subprocess.CalledProcessError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
-        ok &= r["identical"]
-        print(spawn_report(args.fixture, r))
     print(f"base {args.rev} ({sha[:12]}), change: the working tree")
     return 0 if ok else 1
 

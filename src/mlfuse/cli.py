@@ -1,5 +1,10 @@
 """Command line front end for the whole toolchain.
 
+`run` and `inspect` load only the runtime: numpy, graphir, lowering, the
+kernels and the interpreter. The toolchain loads with the command that
+uses it: codegen and harness inside `codegen`, `verify` and `bench`, the
+sniffer inside `sniff`.
+
 Exit code contract: 0 success (or clean scan), 1 domain failure (failed
 verification, scan findings, exhausted status search), 2 usage or
 environment error (bad files, unknown toolchain, malformed models).
@@ -15,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import codegen, fixtures, graphir, harness, interpreter, sniffer
+from . import fixtures, graphir, interpreter
 from .kernels import ParamError, RegistryError, StatusError, default_registry
 
 
@@ -89,7 +94,8 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _toolchain_from_args(args) -> codegen.ToolchainConfig:
+def _toolchain_from_args(args):
+    from . import codegen
     if args.toolchain:
         obj = json.loads(Path(args.toolchain).read_text(encoding="utf-8"))
         tc = codegen.ToolchainConfig.from_obj(obj)
@@ -101,6 +107,7 @@ def _toolchain_from_args(args) -> codegen.ToolchainConfig:
 
 
 def cmd_codegen(args) -> int:
+    from . import codegen, harness
     bundle = _load(args.graph, args.weights)
     kw = {}
     if args.delta is not None:
@@ -122,6 +129,7 @@ def cmd_codegen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import codegen, harness
     bundle = _load(args.graph, args.weights)
     artifact = codegen.load_artifact(args.artifact)
     m = artifact.manifest
@@ -138,6 +146,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import codegen, harness
     bundle = _load(args.graph, args.weights)
     artifact = codegen.load_artifact(args.artifact)
     report = harness.bench(bundle, artifact, repetitions=args.reps)
@@ -159,6 +168,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sniff(args) -> int:
+    from . import sniffer
     sigs = None
     if args.sigs:
         sigs = sniffer.SignatureSet.from_json(
@@ -259,6 +269,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _toolchain_errors(*names: str) -> tuple:
+    """The error classes `module.Class` of the toolchain modules loaded so
+    far. A command imports its toolchain module itself, so a module that is
+    not loaded raised nothing, and main() loads none to map an error."""
+    errors = []
+    for name in names:
+        module, _, cls = name.partition(".")
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None:
+            errors.append(getattr(loaded, cls))
+    return tuple(errors)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -267,15 +290,15 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except codegen.SearchError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (harness.HarnessError, interpreter.InterpreterError) as e:
+    # SearchError is a CodegenError, but an exhausted search is a domain
+    # failure
+    except (*_toolchain_errors("codegen.SearchError", "harness.HarnessError"),
+            interpreter.InterpreterError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (graphir.GraphError, RegistryError, StatusError, ParamError,
-            codegen.CodegenError, sniffer.SnifferError, OSError,
-            ValueError) as e:
+            *_toolchain_errors("codegen.CodegenError", "sniffer.SnifferError"),
+            OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -90,7 +90,8 @@ def test_spawns_are_timed_in_interleaved_rounds(tmp_path):
     # the two write the same bytes
     program = ab_programs.build(ab_programs.ROOT, "mlp", 1, tmp_path / "a")
     driver = ab_programs.load_driver(program)
-    r = ab_programs.spawn_times({"base": program, "change": program},
+    r = ab_programs.spawn_times({"base": ([program], None),
+                                 "change": ([program], None)},
                                 ab_programs.inputs_for(driver, 1), tmp_path,
                                 rounds=3)
     assert r["rounds"] == 3 and r["identical"]
@@ -123,5 +124,41 @@ def test_a_program_that_fails_to_start_is_an_error(tmp_path):
     bad.write_text("#!/bin/sh\nexit 3\n")
     bad.chmod(0o755)
     with pytest.raises(RuntimeError, match="exited 3"):
-        ab_programs.spawn_times({"base": str(bad), "change": str(bad)},
+        ab_programs.spawn_times({"base": ([str(bad)], None),
+                                 "change": ([str(bad)], None)},
+                                [np.zeros(4, np.float32)], tmp_path, 1)
+
+
+def test_interpreter_spawns_are_timed_like_programs(tmp_path):
+    # `mlfuse run` on the container that the checkout's build-fixture
+    # writes, with the checkout's src/ as PYTHONPATH
+    paths = ab_programs.container(ab_programs.ROOT, "identity",
+                                  tmp_path / "container")
+    assert [p.rpartition("/")[2] for p in paths] == ["identity.mlg",
+                                                     "identity.mlw"]
+    argv, env = ab_programs.interpreter_command(ab_programs.ROOT, paths)
+    assert argv[1:4] == ["-m", "mlfuse.cli", "run"] and argv[4:] == paths
+    assert env["PYTHONPATH"] == str(ab_programs.ROOT / "src")
+    r = ab_programs.spawn_times({"base": (argv, env), "change": (argv, env)},
+                                [np.arange(4, dtype=np.float32)], tmp_path,
+                                rounds=2)
+    assert r["rounds"] == 2 and r["identical"]
+    # identity's output is its input
+    assert (tmp_path / "spawn-change.raw").read_bytes() == np.arange(
+        4, dtype="<f4").tobytes()
+    for side in ("base", "change"):
+        assert len(r[side]["ms"]) == 2
+        assert all(0 < kb < 200_000 for kb in r[side]["rss_kb"])
+    line = ab_programs.spawn_report("identity", r, "interpreter spawn")
+    assert line.startswith("identity interpreter spawn, one sample: ")
+    assert line.endswith(" KiB; outputs byte-identical")
+
+
+def test_an_interpreter_that_fails_is_an_error(tmp_path):
+    with pytest.raises(RuntimeError, match="build-fixture .* exited 2"):
+        ab_programs.container(ab_programs.ROOT, "resnet", tmp_path)
+    argv, env = ab_programs.interpreter_command(
+        ab_programs.ROOT, [str(tmp_path / "no.mlg"), str(tmp_path / "no.mlw")])
+    with pytest.raises(RuntimeError, match="mlfuse.cli run .* exited 2"):
+        ab_programs.spawn_times({"base": (argv, env), "change": (argv, env)},
                                 [np.zeros(4, np.float32)], tmp_path, 1)

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shutil
@@ -125,6 +126,94 @@ def test_inspect_plain_output_lists_operators(workdir, capsys):
 
 
 # -- run ----------------------------------------------------------------------
+
+# The toolchain, and what only the toolchain loads: none of it may load
+# for the interpreter deployment.
+_TOOLCHAIN_MODULES = {"mlfuse.codegen", "mlfuse.harness", "mlfuse.sniffer",
+                      "hashlib", "_hashlib", "subprocess", "statistics"}
+
+_RUN_AND_INSPECT_SRC = """\
+import sys
+from mlfuse import cli
+g, w, ip, op = sys.argv[1:]
+assert cli.main(["run", g, w, ip, op]) == 0
+assert cli.main(["inspect", g, w]) == 0
+print(sorted(sys.modules))
+"""
+
+
+def test_run_and_inspect_load_only_the_runtime(workdir, tmp_path):
+    g, w = _paths(workdir, "identity")
+    ip, op = tmp_path / "in.raw", tmp_path / "out.raw"
+    ip.write_bytes(np.zeros(4, dtype="<f4").tobytes())
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_INSPECT_SRC, g, w, str(ip), str(op)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    mods = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+    assert {"mlfuse.interpreter", "mlfuse.lowering", "mlfuse.kernels.ops",
+            "numpy"} <= mods
+    assert mods & _TOOLCHAIN_MODULES == set()
+
+
+# A fresh child that runs one command with cli._load raising the error class
+# named on its command line, imported when the command calls it, and exits
+# with main()'s code. No toolchain module is loaded before the command runs.
+_RAISE_SRC = """\
+import importlib, json, sys
+from mlfuse import cli
+module, name, argv = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+assert not {"mlfuse.codegen", "mlfuse.harness", "mlfuse.sniffer"} & set(
+    sys.modules)
+def raise_it(*args):
+    raise getattr(importlib.import_module(module), name)("boom")
+cli._load = raise_it
+code = cli.main(argv)
+assert module in sys.modules
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("module, name, command, code", [
+    # SearchError is a CodegenError, but an exhausted search exits 1
+    ("mlfuse.codegen", "SearchError", "codegen", 1),
+    ("mlfuse.harness", "HarnessError", "verify", 1),
+    ("mlfuse.interpreter", "InterpreterError", "run", 1),
+    ("mlfuse.codegen", "CodegenError", "codegen", 2),
+    ("mlfuse.codegen", "CompileError", "bench", 2),
+    ("mlfuse.sniffer", "SnifferError", "sniff", 2),
+    ("mlfuse.graphir", "GraphError", "inspect", 2),
+    ("mlfuse.kernels", "RegistryError", "run", 2),
+    ("mlfuse.kernels", "StatusError", "codegen", 2),
+    ("mlfuse.kernels", "ParamError", "verify", 2),
+    ("builtins", "OSError", "run", 2),
+    ("builtins", "ValueError", "inspect", 2),
+])
+def test_every_mapped_error_keeps_its_exit_code(tmp_path, module, name,
+                                                command, code):
+    g, w = str(tmp_path / "m.mlg"), str(tmp_path / "m.mlw")
+    if command == "sniff":
+        # cmd_sniff loads no bundle: a malformed signature file raises
+        # SnifferError from the sniffer the command imports
+        sigs = tmp_path / "sigs.json"
+        sigs.write_text("[]", encoding="utf-8")
+        argv = ["sniff", str(tmp_path), "--sigs", str(sigs)]
+    else:
+        argv = {"inspect": ["inspect", g, w],
+                "run": ["run", g, w, "in.raw", "out.raw"],
+                "codegen": ["codegen", g, w, "--out", str(tmp_path / "b")],
+                "verify": ["verify", g, w, str(tmp_path / "b")],
+                "bench": ["bench", g, w, str(tmp_path / "b")]}[command]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RAISE_SRC, module, name, json.dumps(argv)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    if command != "sniff":
+        assert proc.stderr == "error: boom\n"
+
 
 def test_run_round_trips_identity(workdir, tmp_path, capsys):
     g, w = _paths(workdir, "identity")
