@@ -12,11 +12,11 @@ run() write byte-identical outputs on the same seeded inputs, then times
 them in interleaved rounds of _CALLS calls a side: even rounds run the
 base first, odd rounds the change first. It prints each side's median time
 of one run() call, the median change and the rounds the change won, each
-side's kernel scratch (the scratch_bytes that side's program reports under
---stats on a file of that many samples), then each step's median time per
-side, from a second interleaved pass with every run step wrapped in a
-timer. When the two sides run different steps, it says so and lists each
-side's steps on their own. Then it starts each side's program once a round
+side's kernel scratch (harness.plan_scratch on that side's driver at that
+many samples), then each step's median time per side, from a second
+interleaved pass with every run step wrapped in a timer. When the two
+sides run different steps, it says so and lists each side's steps on their
+own. Then it starts each side's program once a round
 on one seeded sample, interleaved the same way, with posix_spawn from a
 small `python -S` launcher, reaps it with wait4 and prints each side's
 median ms from spawn to exit, the rounds the change won and each side's
@@ -34,7 +34,6 @@ plan() and BATCH (one older than batched serving).
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import os
 import statistics
@@ -49,6 +48,10 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import ROOT, _export, _git, working_tree  # noqa: E402
 
+sys.path.insert(0, str(ROOT / "src"))
+from mlfuse.harness import (  # noqa: E402
+    HarnessError, load_driver, plan_scratch)
+
 # Runs in a checkout with its src/ on PYTHONPATH: argv is the fixture, its
 # seed ("" for the fixture's own) and the build dir; prints the program.
 _BUILD_SRC = '''\
@@ -60,8 +63,6 @@ name, seed, out = sys.argv[1:]
 bundle = fixtures.build_fixture(name, *([int(seed)] if seed else []))
 print(codegen.pipeline(bundle, out).executable)
 '''
-
-_MODULES = ("net_driver", "net_weights")
 
 _CALLS = 20  # run() calls a side times in one round
 
@@ -103,20 +104,6 @@ def interpreter_command(checkout: Path, graph_and_weights) -> tuple:
     checkout's interpreter deployment on the container."""
     return ([sys.executable, "-m", "mlfuse.cli", "run", *graph_and_weights],
             src_env(checkout))
-
-
-def load_driver(program: str):
-    """The program's net_driver module, imported from its zip. Both sides'
-    modules have the same names, so neither stays in sys.modules."""
-    for m in _MODULES:
-        sys.modules.pop(m, None)
-    sys.path.insert(0, program)
-    try:
-        return importlib.import_module("net_driver")
-    finally:
-        sys.path.remove(program)
-        for m in _MODULES:
-            sys.modules.pop(m, None)
 
 
 def inputs_for(driver, n: int) -> list:
@@ -185,19 +172,6 @@ def step_times(drivers, inputs, rounds: int) -> list[list]:
                 setattr(d, name, fn)
     return [[(rs[0][j][0], statistics.median(r[j][1] for r in rs) / 1e3)
              for j in range(len(rs[0]))] for rs in per_round]
-
-
-def stats_scratch(program: str, inputs, n: int, work: Path) -> int:
-    """The scratch_bytes the program's --stats reports on a file of the n
-    samples in inputs (each input's values, n samples of them), which it
-    serves in one call of n samples when n is at most its BATCH."""
-    src = work / "stats-in.raw"
-    np.concatenate([a.reshape(n, -1) for a in inputs], axis=1).astype(
-        "<f4").tofile(src)
-    subprocess.run([program, str(src), str(work / "stats-out.raw"),
-                    "--stats", str(work / "stats.json")],
-                   capture_output=True, check=True)
-    return json.loads((work / "stats.json").read_text())["scratch_bytes"]
 
 
 def compare(base, change, n: int, rounds: int, calls: int) -> dict:
@@ -332,7 +306,7 @@ def main(argv=None) -> int:
                 "change": build(ROOT, args.fixture, None,
                                 tmp / "change-build")}
             base, change = map(load_driver, programs.values())
-        except RuntimeError as e:
+        except (RuntimeError, HarnessError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
         if not (hasattr(base, "plan") and hasattr(base, "BATCH")):
@@ -345,9 +319,8 @@ def main(argv=None) -> int:
                 r = compare(base, change, n, args.rounds, _CALLS)
                 ok &= r["identical"]
                 if r["identical"]:
-                    r["scratch"] = [
-                        stats_scratch(p, inputs_for(change, n), n, tmp)
-                        for p in programs.values()]
+                    r["scratch"] = [plan_scratch(d, n)
+                                    for d in (base, change)]
                 print("\n".join(report(args.fixture, r)), flush=True)
             sample = inputs_for(change, 1)
             r = spawn_times({side: ([p], None)

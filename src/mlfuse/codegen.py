@@ -470,6 +470,10 @@ def _emit_driver(plan: EmissionPlan) -> str:
     return "\n".join(out) + "\n"
 
 
+# The program's entry point, `program IN.raw OUT.raw` and no other argv: it
+# serves the input file through net_driver in batches and writes the
+# outputs, and holds nothing else. Timing and memory accounting are the
+# harness's, which imports net_driver in process (harness.load_driver).
 _MAIN_SRC = '''\
 import os
 import site
@@ -517,34 +521,16 @@ try:
 except ImportError as e:
     sys.exit(f"{sys.executable} cannot load numpy's C core: {e}")
 
-import gc
-import time
-
 import net_driver
 
 
 def main(argv):
-    reps = 1
-    stats_path = None
-    paths = []
-    args = iter(argv)
-    try:
-        for a in args:
-            if a == "--reps":
-                reps = int(next(args))
-            elif a == "--stats":
-                stats_path = next(args)
-            else:
-                paths.append(a)
-    except (StopIteration, ValueError):
-        paths = ()
-    if len(paths) != 2 or reps < 1:
-        print("usage: program IN.raw OUT.raw [--reps N] [--stats FILE]",
-              file=sys.stderr)
+    if len(argv) != 2:
+        print("usage: program IN.raw OUT.raw", file=sys.stderr)
         return 2
     try:
         per_sample = sum(net_driver.INPUT_SIZES)
-        flat = np.fromfile(paths[0], "u1")
+        flat = np.fromfile(argv[0], "u1")
         if flat.size == 0 or flat.size % (4 * per_sample):
             print(f"input holds {flat.size} bytes, need a multiple of "
                   f"{4 * per_sample}", file=sys.stderr)
@@ -557,28 +543,14 @@ def main(argv):
         if b > 1:
             net_driver.plan(b)
         starts = [*range(0, count - b, b), count - b]
-        calls = []
+        outs = []
         for k in starts:
             fields = []
             at = 0
             for n in net_driver.INPUT_SIZES:
                 fields.append(rows[k:k + b, at:at + n])
                 at += n
-            calls.append(fields)
-        if stats_path is not None:
-            # only --stats reports the times a first call would skew
-            net_driver.run(calls[0])
-        times = []
-        # collector pauses would land in individual repetitions; keep it off
-        # while the clock runs
-        gc.disable()
-        try:
-            for _ in range(reps):
-                t0 = time.perf_counter_ns()
-                outs = list(map(net_driver.run, calls))
-                times.append(time.perf_counter_ns() - t0)
-        finally:
-            gc.enable()
+            outs.append(net_driver.run(fields))
         width = 0
         for o in outs[0]:
             width += o.size // b
@@ -589,49 +561,12 @@ def main(argv):
                 n = o.size // b
                 merged[k:k + b, at:at + n] = o.reshape(b, n)
                 at += n
-        merged.tofile(paths[1])
-        if stats_path is not None:
-            # A call allocates only the copies of the outputs it hands back, so
-            # the peak is the buffers of the plan that ran plus one call's
-            # copies. Kernel scratch is reported on its own: the interpreter's
-            # peak leaves out the same scratch. It is the plan's that ran: the
-            # memory of every array the driver's globals reach, through its
-            # call lists, their keywords and views' bases, that owns it, less
-            # the tensor buffers (a weight's memory is the blob's bytes, no
-            # array's). json is imported only here: a run without --stats does
-            # not pay for it.
-            import json
-
-            todo = [vars(net_driver)]
-            owned = {}
-            for a in todo:
-                if type(a) is np.ndarray:
-                    owned[id(a)] = a.nbytes * (a.base is None)
-                    a = a.base,  # walked next, as a one-item tuple
-                if type(a) in (tuple, list):
-                    todo += a
-                elif type(a) is dict:  # a namespace, or a call's keywords
-                    todo += a.values()
-            invoke_bytes = 4 * b * width
-            stats = {
-                "reps": reps,
-                "samples": count,
-                "batch": b,
-                "invoke_ns": times,
-                "load_bytes": 0,
-                "configure_bytes": 0,
-                "scratch_bytes": sum(owned.values())
-                - net_driver.BUFFER_BYTES * b,
-                "invoke_bytes": invoke_bytes,
-                "peak_bytes": net_driver.BUFFER_BYTES * b + invoke_bytes,
-            }
-            with open(stats_path, "w") as f:
-                json.dump(stats, f, sort_keys=True)
+        merged.tofile(argv[1])
         return 0
     except MemoryError:
         # the error's own text formats a dtype, which needs numpy's Python
         # layer; the line names the input's size instead
-        print(f"input holds {os.path.getsize(paths[0])} bytes, more than "
+        print(f"input holds {os.path.getsize(argv[0])} bytes, more than "
               f"this process can hold", file=sys.stderr)
         return 2
 

@@ -1,19 +1,25 @@
 """Verification and measurement of generated programs against the runtime.
 
-Verification drives both deployments with the same seeded random inputs and
-reports the worst l2 distance over all of them. Benchmarking times repeated
-invokes on both sides and collects the per-phase byte counters.
+Verification runs the program and the runtime on the same seeded random
+inputs and reports the worst l2 distance over all of them. Benchmarking
+imports the program's driver from its zip (load_driver) and times both
+deployments in this process, one pair of invokes at a time.
 """
 
 from __future__ import annotations
 
 import gc
+import importlib
 import json
 import math
+import os
 import statistics
 import subprocess
+import sys
 import tempfile
 import time
+import zipimport
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -100,8 +106,8 @@ class DiffReport:
         Path(path).write_text(self.to_json(), encoding="utf-8")
 
 
-def _run_program(executable, in_path, out_path, extra=(), timeout=600) -> None:
-    cmd = [str(executable), str(in_path), str(out_path), *extra]
+def _run_program(executable, in_path, out_path, timeout=600) -> None:
+    cmd = [str(executable), str(in_path), str(out_path)]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=timeout)
     if proc.returncode != 0:
         raise HarnessError(f"generated program failed (rc={proc.returncode}): "
@@ -193,9 +199,66 @@ class BenchReport:
         }, sort_keys=True, separators=(",", ":"))
 
 
+def load_driver(executable):
+    """The program's net_driver module, imported from its zip; neither it
+    nor net_weights stays in sys.modules. The zip's directory is read anew,
+    as zipimport caches it per path and a program may have been rebuilt
+    there."""
+    exe = str(executable)
+    os.stat(exe)  # a missing program is an OSError, as for verify's spawn
+    names = ("net_driver", "net_weights")
+    path = sys.path[:]
+    for m in names:
+        sys.modules.pop(m, None)
+    sys.path_importer_cache.pop(exe, None)
+    sys.path.insert(0, exe)
+    try:
+        zipimport.zipimporter(exe).invalidate_caches()
+        return importlib.import_module("net_driver")
+    # a cut zip, bytecode another Python wrote, or data that does not inflate
+    except (ImportError, EOFError, ValueError, zlib.error) as e:
+        raise HarnessError(f"cannot import the program {exe}: "
+                           f"{type(e).__name__}: {e}") from e
+    finally:
+        sys.path[:] = path
+        for m in names:
+            sys.modules.pop(m, None)
+
+
+def plan_scratch(driver, n) -> int:
+    """Kernel scratch of the driver's plan for n samples a call: the bytes
+    of every array its call lists S<i> reach, keywords included, at the end
+    of the chain of bases, that is not a tensor buffer t<i>. The driver is
+    left at plan(1)."""
+    driver.plan(n)
+    try:
+        named = [(k[0], v) for k, v in vars(driver).items()
+                 if k[0] in "St" and k[1:].isdigit()]
+        buffers = {id(v) for k, v in named if k == "t"}
+        stack = [v for k, v in named if k == "S"]
+        scratch = {}
+        while stack:
+            obj = stack.pop()
+            if isinstance(obj, (tuple, list)):
+                stack.extend(obj)
+            elif isinstance(obj, dict):
+                stack.extend(obj.values())
+            elif isinstance(obj, np.ndarray):
+                while isinstance(obj.base, np.ndarray):
+                    obj = obj.base
+                if obj.base is None and id(obj) not in buffers:
+                    scratch[id(obj)] = obj.nbytes
+        return sum(scratch.values())
+    finally:
+        driver.plan(1)
+
+
 def bench(bundle: ModelBundle, artifact, repetitions: int = 1000,
           cfg: VerifyConfig | None = None, registry=None) -> BenchReport:
-    """Time repeated single-sample invokes on both deployments."""
+    """Time repeated single-sample invokes on both deployments, one pair
+    a repetition, the interpreter first in even ones. The program parses
+    no container, and a call allocates only its output copies, so its peak
+    is BUFFER_BYTES plus those; both peaks leave kernel scratch out."""
     if repetitions < 1:
         raise HarnessError("repetitions must be >= 1")
     cfg = cfg or VerifyConfig()
@@ -203,15 +266,20 @@ def bench(bundle: ModelBundle, artifact, repetitions: int = 1000,
                          VerifyConfig(seed=cfg.seed, n_inputs=1))[0]
 
     plan = interpreter.load(bundle, registry=registry)
+    driver = load_driver(artifact.executable)
+    invoke_bytes = sum(o.nbytes for o in driver.run(sample))  # warmup
     interpreter.invoke(plan, sample)  # warmup
-    interp_ns = []
-    # same collector discipline as the generated program's timing loop
+    interp_ns, gen_ns = [], []
+    sides = ((lambda: interpreter.invoke(plan, sample), interp_ns),
+             (lambda: driver.run(sample), gen_ns))
+    # collector pauses would land in individual repetitions
     gc.disable()
     try:
-        for _ in range(repetitions):
-            t0 = time.perf_counter_ns()
-            interpreter.invoke(plan, sample)
-            interp_ns.append(time.perf_counter_ns() - t0)
+        for i in range(repetitions):
+            for call, times in sides if i % 2 == 0 else sides[::-1]:
+                t0 = time.perf_counter_ns()
+                call()
+                times.append(time.perf_counter_ns() - t0)
     finally:
         gc.enable()
     ic = interpreter.counters(plan)
@@ -219,21 +287,10 @@ def bench(bundle: ModelBundle, artifact, repetitions: int = 1000,
         "load_bytes": ic.load_bytes, "configure_bytes": ic.configure_bytes,
         "invoke_bytes": ic.invoke_bytes, "peak_bytes": ic.peak_bytes,
     }
-
-    with tempfile.TemporaryDirectory(prefix="mlfuse-bench-") as td:
-        in_path = Path(td) / "in.raw"
-        out_path = Path(td) / "out.raw"
-        stats_path = Path(td) / "stats.json"
-        _write_samples(in_path, [sample])
-        _run_program(artifact.executable, in_path, out_path,
-                     extra=("--reps", str(repetitions), "--stats", str(stats_path)))
-        stats = json.loads(stats_path.read_text(encoding="utf-8"))
-    gen_ns = stats["invoke_ns"]
-    if len(gen_ns) != repetitions:
-        raise HarnessError(f"program timed {len(gen_ns)} reps, expected "
-                           f"{repetitions}")
-    gen_counters = {k: stats[k] for k in
-                    ("load_bytes", "configure_bytes", "invoke_bytes", "peak_bytes")}
+    gen_counters = {
+        "load_bytes": 0, "configure_bytes": 0, "invoke_bytes": invoke_bytes,
+        "peak_bytes": driver.BUFFER_BYTES + invoke_bytes,
+    }
 
     interp_stats = _latency_stats(interp_ns)
     gen_stats = _latency_stats(gen_ns)

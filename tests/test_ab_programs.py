@@ -32,11 +32,9 @@ def test_same_programs_are_timed_step_by_step_at_one_sample_and_batch(
         # mlp runs fc, fc, softmax, in that order on both sides
         assert [[s[0] for s in side] for side in r["steps"]] == [
             ["fully_connected_f32", "fully_connected_f32", "softmax_f32"]] * 2
-        # the same plans hold the same scratch, as each program's --stats
-        # reports it on a file of n samples
-        r["scratch"] = [
-            ab_programs.stats_scratch(p, ab_programs.inputs_for(change, n), n,
-                                      tmp_path) for p in programs]
+        # the same plans hold the same scratch, walked on each driver at n
+        r["scratch"] = [ab_programs.plan_scratch(d, n)
+                        for d in (base, change)]
         assert r["scratch"][0] == r["scratch"][1] > 0
         scratch[n] = r["scratch"][0]
         lines = ab_programs.report("mlp", r)

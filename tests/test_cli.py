@@ -1,9 +1,11 @@
 import ast
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -356,6 +358,51 @@ def test_bench_reports_both_deployments(workdir, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["repetitions"] == 3
     assert obj["generated_counters"]["load_bytes"] == 0
+
+
+def _foreign_bytecode(data: bytes) -> bytes:
+    """The program data with its driver's bytecode marked as another
+    Python's: a magic number this one does not load."""
+    line, _, rest = data.partition(b"\n")
+    buf = io.BytesIO()
+    buf.write(line + b"\n")
+    with zipfile.ZipFile(io.BytesIO(rest)) as src, \
+            zipfile.ZipFile(buf, "w") as dst:
+        for info in src.infolist():
+            member = src.read(info)
+            if info.filename == "net_driver.pyc":
+                member = b"\x00\x00\r\n" + member[4:]
+            dst.writestr(info, member)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("damage", [
+    lambda data: data[:len(data) // 2], _foreign_bytecode],
+    ids=["truncated", "foreign-bytecode"])
+def test_bench_of_a_program_it_cannot_import_exits_1(workdir, tmp_path,
+                                                     capsys, damage):
+    # bench imports the program's driver; a program that cannot be
+    # imported ends as one whose run fails, in one line and exit 1
+    art = tmp_path / "build"
+    shutil.copytree(workdir / "mlp_build", art)
+    program = art / "program"
+    program.write_bytes(damage(program.read_bytes()))
+    g, w = _paths(workdir, "mlp")
+    assert cli.main(["bench", g, w, str(art), "--reps", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot import the program ")
+    assert err.count("\n") == 1
+
+
+def test_bench_of_a_missing_program_exits_2(workdir, tmp_path, capsys):
+    # as verify, whose spawn of it fails with the same OSError
+    art = tmp_path / "build"
+    shutil.copytree(workdir / "mlp_build", art)
+    (art / "program").unlink()
+    g, w = _paths(workdir, "mlp")
+    for command in ("verify", "bench"):
+        assert cli.main([command, g, w, str(art)]) == 2
+        assert "No such file or directory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("reps", ["0", "-3", "x"])

@@ -241,7 +241,8 @@ def test_emitted_sources_and_manifest(built):
     assert "OUTPUT_SHAPES" not in driver  # nothing reads the output shapes
     weights = texts["src/net_weights.py"]
     assert "W0_0" in weights and "W0_0" in driver
-    assert "--reps" in texts["src/__main__.py"]
+    # the program holds inference only: no timing loop, no --stats
+    assert "--reps" not in texts["src/__main__.py"]
     m = artifact.manifest
     assert m["seed"] == 4242424242424242
     assert m["delta"] == 1e-6
@@ -335,6 +336,8 @@ def test_executable_runs_standalone(built):
         "stats-without-value", "one-path", "missing-input",
         "unwritable-output", "unwritable-stats"])
 def test_program_rejects_bad_arguments_with_exit_2(built, tmp_path, args):
+    # the program takes two paths and no option: --reps and --stats are
+    # argv of the wrong length, like one path
     _, artifact = built["identity"]
     (tmp_path / "in.raw").write_bytes(np.zeros(4, dtype="<f4").tobytes())
     proc = subprocess.run([artifact.executable, *args], cwd=tmp_path,
@@ -342,6 +345,8 @@ def test_program_rejects_bad_arguments_with_exit_2(built, tmp_path, args):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip()
+    if len(args) != 2:
+        assert proc.stderr == "usage: program IN.raw OUT.raw\n"
 
 
 @pytest.mark.parametrize("size", [3, 17, 4 * 4 * 3 + 2])
@@ -381,11 +386,13 @@ def _program_main(artifact):
     return ns["main"]
 
 
-def test_program_argv_fuzz_exits_0_or_2(built, tmp_path, monkeypatch):
+def test_program_argv_fuzz_exits_0_or_2(built, tmp_path, monkeypatch,
+                                        capsys):
     # Any argv ends in exit 0 or 2, with an OSError mapped to 2 as the
-    # program's entry point does; anything else would be a traceback.
-    # Junk holds no NUL, which no OS argv carries, no "/", so a junk path
-    # stays in the working directory, and no digit, so --reps stays small.
+    # program's entry point does; anything else would be a traceback. Any
+    # argv but two paths, the former options --reps and --stats included,
+    # exits 2 with the usage line. Junk holds no NUL, which no OS argv
+    # carries, and no "/", so a junk path stays in the working directory.
     _, artifact = built["mlp"]
     path, environ, prefix = sys.path[:], dict(os.environ), sys.prefix
     main = _program_main(artifact)
@@ -398,7 +405,7 @@ def test_program_argv_fuzz_exits_0_or_2(built, tmp_path, monkeypatch):
     part = st.one_of(
         st.sampled_from(["--reps", "--stats"]),
         st.integers(-3, 4).map(str),
-        st.text(st.characters(exclude_categories=("Cs", "Nd"),
+        st.text(st.characters(exclude_categories=("Cs",),
                               exclude_characters="\x00/"), max_size=8),
         st.sampled_from(names),
         st.sampled_from(names).map(lambda n: str(work / n)))
@@ -417,11 +424,15 @@ def test_program_argv_fuzz_exits_0_or_2(built, tmp_path, monkeypatch):
         (work / "in.raw").write_bytes(np.arange(8, dtype="<f4").tobytes())
         (work / "short.raw").write_bytes(np.ones(3, dtype="<f4").tobytes())
         (work / "empty.raw").write_bytes(b"")
+        capsys.readouterr()
         try:
             code = main(argv)
         except OSError:
             code = 2
         assert code in (0, 2), argv
+        if len(argv) != 2:
+            assert (code, capsys.readouterr().err) == (
+                2, "usage: program IN.raw OUT.raw\n"), argv
 
     check()
     assert sorted(os.listdir(tmp_path.parent)) == outside
@@ -476,8 +487,9 @@ def _run_in_process(python, artifact, work, env=None) -> dict:
 
 
 # Run in a `python -S` child with argv PROGRAM ARG...: runs the program's
-# zip as python runs it, up to main(), wraps net_driver.run to count its
-# calls, then runs main(ARG...) and prints its exit code and the count.
+# zip as python runs it, up to main(), wraps net_driver.run to record the
+# sample count of each call, then runs main(ARG...) and prints its exit
+# code and the counts.
 _COUNT_RUNS_SRC = """\
 import json, runpy, sys
 g = runpy.run_path(sys.argv[1], run_name="program")
@@ -487,13 +499,13 @@ runs = []
 
 
 def counted(inputs):
-    runs.append(inputs)
+    runs.append(len(inputs[0]))
     return run(inputs)
 
 
 driver.run = counted
 code = g["main"](sys.argv[2:])
-print(json.dumps({"code": code, "runs": len(runs)}))
+print(json.dumps({"code": code, "runs": runs}))
 """
 
 
@@ -508,23 +520,15 @@ def _count_runs(artifact, work, *args) -> dict:
 @pytest.mark.parametrize("name, count, calls", [
     ("mlp", 4096, 2), ("lenet", 20, 3), ("lenet", 1, 1)])
 def test_program_runs_each_call_once(built, tmp_path, name, count, calls):
-    # a file of `count` samples goes in `calls` calls of at most BATCH
-    # samples, and run() makes each once; only --stats, which reports the
-    # times of its reps, adds a warm-up call before them
-    bundle, artifact = built[name]
-    driver = _import_driver(artifact)
+    # a file of `count` samples goes in `calls` calls of min(count, BATCH)
+    # samples each, and run() makes each once, with no warm-up call
+    _, artifact = built[name]
+    driver = harness.load_driver(artifact.executable)
     np.random.default_rng(5).uniform(
         -1, 1, (count, sum(driver.INPUT_SIZES))).astype("<f4").tofile(
             tmp_path / "in.raw")
     assert _count_runs(artifact, tmp_path, "in.raw", "out.raw") == \
-        {"code": 0, "runs": calls}
-    want = (tmp_path / "out.raw").read_bytes()
-    assert _count_runs(artifact, tmp_path, "in.raw", "out.raw", "--stats",
-                       "stats.json", "--reps", "3") == \
-        {"code": 0, "runs": 1 + 3 * calls}
-    stats = json.loads((tmp_path / "stats.json").read_text())
-    assert len(stats["invoke_ns"]) == 3
-    assert (tmp_path / "out.raw").read_bytes() == want
+        {"code": 0, "runs": [min(count, driver.BATCH)] * calls}
 
 
 def test_program_runs_no_host_site_code(built, tmp_path):
@@ -814,20 +818,6 @@ def test_weights_ship_as_read_only_views_of_one_blob(built):
         assert np.shares_memory(v, np.frombuffer(blob, np.uint8)), name
 
 
-def _import_driver(artifact):
-    """The built program's net_driver module, imported from its zip."""
-    names = ("net_driver", "net_weights")
-    for m in names:
-        sys.modules.pop(m, None)
-    sys.path.insert(0, artifact.executable)
-    try:
-        return importlib.import_module("net_driver")
-    finally:
-        sys.path.remove(artifact.executable)
-        for m in names:
-            sys.modules.pop(m, None)
-
-
 def _sample(bundle, seed):
     cfg = harness.VerifyConfig(seed=seed, n_inputs=1)
     return harness.make_inputs(bundle.graph, cfg)[0]
@@ -842,7 +832,7 @@ def test_warm_program_run_allocates_only_its_outputs(built, name, at):
     # operand of a reduction on its own account; shrinking them leaves the
     # program's allocations in the peak.
     bundle, artifact = built[name]
-    driver = _import_driver(artifact)
+    driver = harness.load_driver(artifact.executable)
     n = 1 if at == "1" else driver.BATCH
     driver.plan(n)
     steps = [(getattr(driver, s.unit.template_id),
@@ -886,7 +876,7 @@ def test_no_kernel_code_runs_between_numpy_calls(built, name, monkeypatch):
     # interpreter's plan, and in every reference kernel's case.
     c_callables = (np.ufunc, type(np.add.reduce))
     bundle, artifact = built[name]
-    driver = _import_driver(artifact)
+    driver = harness.load_driver(artifact.executable)
     lists = [step.calls for step in interpreter.load(bundle).steps]
     for n in (1, driver.BATCH):
         driver.plan(n)
@@ -929,7 +919,7 @@ def test_kernel_calls_are_looked_up_at_call_time(built, monkeypatch, name,
             return fn(*args)
         return wrapper
 
-    driver = _import_driver(artifact)
+    driver = harness.load_driver(artifact.executable)
     for tid in ops.KERNELS:
         if hasattr(driver, tid):
             monkeypatch.setattr(driver, tid, counting(getattr(driver, tid)))
@@ -945,51 +935,20 @@ def test_kernel_calls_are_looked_up_at_call_time(built, monkeypatch, name,
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
-def _plan_scratch(driver, n) -> int:
-    """Kernel scratch of the driver's plan for n samples a call: the bytes
-    of every array its call lists S<i> reach, keywords included, at the end
-    of the chain of bases, that is not a tensor buffer t<i>. The driver is
-    left at plan(1)."""
-    driver.plan(n)
-    try:
-        named = [(k[0], v) for k, v in vars(driver).items()
-                 if k[0] in "St" and k[1:].isdigit()]
-        buffers = {id(v) for k, v in named if k == "t"}
-        stack = [v for k, v in named if k == "S"]
-        scratch = {}
-        while stack:
-            obj = stack.pop()
-            if isinstance(obj, (tuple, list)):
-                stack.extend(obj)
-            elif isinstance(obj, dict):
-                stack.extend(obj.values())
-            elif isinstance(obj, np.ndarray):
-                while isinstance(obj.base, np.ndarray):
-                    obj = obj.base
-                if obj.base is None and id(obj) not in buffers:
-                    scratch[id(obj)] = obj.nbytes
-        return sum(scratch.values())
-    finally:
-        driver.plan(1)
-
-
-def test_program_stats_report_buffers_scratch_and_output_copies(built,
-                                                                 tmp_path):
+def test_bench_counts_buffers_and_output_copies_and_scratch_apart(built):
     bundle, artifact = built["lenet"]
-    driver = _import_driver(artifact)
-    x = _sample(bundle, 1)[0]
-    (tmp_path / "in.raw").write_bytes(x.astype("<f4").tobytes())
-    subprocess.run([artifact.executable, "in.raw", "out.raw", "--stats",
-                    "stats.json"], cwd=tmp_path, check=True)
-    stats = json.loads((tmp_path / "stats.json").read_text())
-    assert stats["invoke_bytes"] == 4 * 10  # lenet's 10 class scores
-    assert stats["peak_bytes"] == driver.BUFFER_BYTES + 4 * 10
+    driver = harness.load_driver(artifact.executable)
+    counters = harness.bench(bundle, artifact,
+                             repetitions=3).generated_counters
+    assert counters == {
+        "load_bytes": 0, "configure_bytes": 0,
+        "invoke_bytes": 4 * 10,  # lenet's 10 class scores
+        "peak_bytes": driver.BUFFER_BYTES + 4 * 10}
     # the two conv product tensors, at most the product budget each, their
     # gathered patches and accumulators, and the fc product tensors: the
     # one-sample plan's scratch, the figure the build counted
     budget = ops._PRODUCT_BYTES
-    assert 2 * budget < stats["scratch_bytes"] <= 3 * budget
-    assert stats["scratch_bytes"] == _plan_scratch(driver, 1)
+    assert 2 * budget < harness.plan_scratch(driver, 1) <= 3 * budget
 
 
 # -- batched serving ----------------------------------------------------------
@@ -1032,7 +991,7 @@ def test_program_serves_a_file_in_batches_bit_for_bit(built, tmp_path, name,
     # BATCH samples' tensor buffers fit in 256 KiB; the last call of a file
     # overlaps the one before it whenever BATCH does not divide the count
     bundle, artifact = built[name]
-    driver = _import_driver(artifact)
+    driver = harness.load_driver(artifact.executable)
     assert driver.BATCH == batch == 262144 // driver.BUFFER_BYTES
     _served_in_batches(bundle, artifact, _batch_counts(batch), tmp_path)
 
@@ -1075,7 +1034,7 @@ def test_batches_split_two_inputs_and_join_two_outputs(tmp_path):
     store.put_array(1, rng.uniform(-1, 1, 3).astype(np.float32))
     bundle = ModelBundle(g, store)
     art = codegen.pipeline(bundle, tmp_path / "x")
-    driver = _import_driver(art)
+    driver = harness.load_driver(art.executable)
     assert driver.BATCH == 262144 // driver.BUFFER_BYTES > 1
     _served_in_batches(bundle, art, _batch_counts(driver.BATCH), tmp_path)
 
@@ -1109,7 +1068,7 @@ def test_a_graph_of_two_rows_a_sample_batches_with_one_sample_params(
          [y], {"activation": "NONE"})
     bundle = b.bundle([x], [y])
     art = codegen.pipeline(bundle, tmp_path / "x")
-    driver = _import_driver(art)
+    driver = harness.load_driver(art.executable)
     assert driver.BATCH == 262144 // driver.BUFFER_BYTES > 1
     _served_in_batches(bundle, art, _batch_counts(driver.BATCH), tmp_path)
 
@@ -1170,53 +1129,36 @@ def test_a_graph_the_batching_rule_excludes_runs_one_sample_a_call(
     reg = _negate_registry()
     bundle = _UNBATCHED[name]()
     art = codegen.pipeline(bundle, tmp_path / "x", registry=reg)
-    driver = _import_driver(art)
+    driver = harness.load_driver(art.executable)
     assert driver.BATCH == 1
     assert harness.verify(bundle, art, registry=reg).max_error == 0.0
     _served_in_batches(bundle, art, [1, 3], tmp_path, registry=reg)
 
 
-def test_program_stats_count_the_batched_plan_that_ran(built, tmp_path):
+def test_program_runs_the_batched_plan_a_file_needs(built, tmp_path):
     # lenet's BATCH is 9: 20 samples run as 3 calls of 9, 5 as one call of 5
     bundle, artifact = built["lenet"]
-    driver = _import_driver(artifact)
-    for count, batch in ((20, 9), (5, 5)):
+    for count, runs in ((20, [9, 9, 9]), (5, [5])):
         xs = [_sample(bundle, s) for s in range(count)]
         np.concatenate([a.reshape(-1) for x in xs for a in x]).astype(
             "<f4").tofile(tmp_path / "in.raw")
-        subprocess.run([artifact.executable, "in.raw", "out.raw", "--stats",
-                        "stats.json", "--reps", "2"], cwd=tmp_path,
-                       check=True)
-        stats = json.loads((tmp_path / "stats.json").read_text())
-        assert (stats["samples"], stats["batch"]) == (count, batch)
-        assert len(stats["invoke_ns"]) == 2
-        assert stats["invoke_bytes"] == 4 * 10 * batch
-        assert stats["peak_bytes"] == \
-            driver.BUFFER_BYTES * batch + 4 * 10 * batch
-        assert stats["scratch_bytes"] == _plan_scratch(driver, batch)
+        assert _count_runs(artifact, tmp_path, "in.raw", "out.raw") == \
+            {"code": 0, "runs": runs}
         assert (tmp_path / "out.raw").read_bytes() == \
             _interpreter_output(bundle, xs)
 
 
-def test_program_stats_report_the_scratch_of_the_batched_plan(built,
-                                                              tmp_path):
+def test_scratch_of_the_batched_plan(built):
     # mlp serves a file of BATCH samples in one call, whose FC product
     # tensors and softmax rows hold far more scratch than one sample's
-    bundle, artifact = built["mlp"]
-    driver = _import_driver(artifact)
-    rows = np.random.default_rng(3).uniform(
-        -1, 1, (driver.BATCH, sum(driver.INPUT_SIZES)))
-    rows.astype("<f4").tofile(tmp_path / "in.raw")
-    subprocess.run([artifact.executable, "in.raw", "out.raw", "--stats",
-                    "stats.json"], cwd=tmp_path, check=True)
-    stats = json.loads((tmp_path / "stats.json").read_text())
-    assert stats["batch"] == driver.BATCH
-    assert stats["scratch_bytes"] == _plan_scratch(driver, driver.BATCH)
-    assert stats["scratch_bytes"] > 100 * _plan_scratch(driver, 1)
+    _, artifact = built["mlp"]
+    driver = harness.load_driver(artifact.executable)
+    scratch = harness.plan_scratch(driver, driver.BATCH)
+    assert scratch > 100 * harness.plan_scratch(driver, 1)
     # and less than the 713,440 B of the layout that kept the short axis
     # innermost: FC products with the output features as lanes, in one-tap
     # chunks past the product budget, and softmax's (class, row) sums
-    assert stats["scratch_bytes"] < 713_440
+    assert scratch < 713_440
 
 
 # -- determinism --------------------------------------------------------------

@@ -1,11 +1,13 @@
+import gc
 import json
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlfuse import fixtures, harness
+from mlfuse import codegen, fixtures, harness, interpreter
 from mlfuse.harness import HarnessError, VerifyConfig
 
 
@@ -158,3 +160,73 @@ def test_bench_report_structure(built):
         rep.interpreter_counters["peak_bytes"]
     obj = json.loads(rep.to_json())
     assert obj["repetitions"] == 5
+
+
+def test_bench_times_both_sides_in_process_one_pair_at_a_time(
+        built, monkeypatch):
+    # one warm-up call a side, then one interpreter invoke and one program
+    # run() a repetition, the interpreter first in even repetitions, each
+    # with the collector off
+    bundle, artifact = built["mlp"]
+    calls = []
+    invoke, load = interpreter.invoke, harness.load_driver
+
+    def logged(side, fn):
+        def wrapper(*args):
+            calls.append((side, gc.isenabled()))
+            return fn(*args)
+        return wrapper
+
+    def load_logged(executable):
+        driver = load(executable)
+        driver.run = logged("program", driver.run)
+        return driver
+
+    monkeypatch.setattr(interpreter, "invoke", logged("interp", invoke))
+    monkeypatch.setattr(harness, "load_driver", load_logged)
+    rep = harness.bench(bundle, artifact, repetitions=3)
+    assert [side for side, _ in calls] == [
+        "program", "interp",
+        "interp", "program", "program", "interp", "interp", "program"]
+    assert not any(enabled for _, enabled in calls[2:])
+    assert gc.isenabled()
+    # mlp hands back its 3 class scores
+    assert rep.generated_counters["invoke_bytes"] == 4 * 3
+
+
+def test_load_driver_leaves_the_import_state_as_it_was(built):
+    _, artifact = built["mlp"]
+    path = sys.path[:]
+    driver = harness.load_driver(artifact.executable)
+    assert sys.path == path
+    assert "net_driver" not in sys.modules
+    assert "net_weights" not in sys.modules
+    assert driver.run(harness.make_inputs(
+        built["mlp"][0].graph, VerifyConfig(n_inputs=1))[0])[0].shape == (3,)
+
+
+def test_a_program_rebuilt_at_a_loaded_path_loads_as_built(tmp_path):
+    # zipimport keeps a zip's directory per path for the life of the
+    # process: read through mlp's directory, lenet's program, built where
+    # mlp's was loaded from, fails to inflate
+    out = tmp_path / "build"
+    mlp = codegen.pipeline(fixtures.build_fixture("mlp"), out)
+    assert harness.load_driver(mlp.executable).BATCH == 3640
+    bundle = fixtures.build_fixture("lenet")
+    lenet = codegen.pipeline(bundle, out)
+    assert lenet.executable == mlp.executable
+    assert harness.load_driver(lenet.executable).BATCH == 9
+    rep = harness.bench(bundle, lenet, repetitions=3)
+    assert rep.generated_counters["invoke_bytes"] == 4 * 10
+
+
+def test_a_program_that_cannot_be_imported_is_a_harness_error(built,
+                                                              tmp_path):
+    _, artifact = built["mlp"]
+    cut = tmp_path / "program"
+    data = open(artifact.executable, "rb").read()
+    cut.write_bytes(data[:len(data) // 2])
+    path = sys.path[:]
+    with pytest.raises(HarnessError, match="cannot import the program"):
+        harness.load_driver(cut)
+    assert sys.path == path
