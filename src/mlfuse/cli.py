@@ -1,9 +1,15 @@
 """Command line front end for the whole toolchain.
 
-`run` and `inspect` load only the runtime: numpy, graphir, lowering, the
-kernels and the interpreter. The toolchain loads with the command that
-uses it: codegen and harness inside `codegen`, `verify` and `bench`, the
-sniffer inside `sniff`.
+`run` and `inspect` load only the runtime: numpy's C core, graphir,
+lowering, the kernels and the interpreter. Run as the `mlfuse` command
+(`python -m mlfuse.cli`, or the installed script, which python names in
+argv[0]), they start as the generated program does, before anything
+imports numpy: corestart caps OpenBLAS at one thread and loads the core
+under its stand-ins, so numpy's Python layer never loads. Imported as a
+library, this module changes nothing of the kind. The toolchain loads with
+the command that uses it: fixtures inside `build-fixture`, codegen and
+harness inside `codegen`, `verify` and `bench`, the sniffer inside
+`sniff`.
 
 Exit code contract: 0 success (or clean scan), 1 domain failure (failed
 verification, scan findings, exhausted status search), 2 usage or
@@ -18,9 +24,16 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
+# the command serving a model starts as the program does, before the
+# imports below load numpy (see above)
+if (__name__ == "__main__" or Path(sys.argv[0]).name == "mlfuse") \
+        and sys.argv[1:2] in (["run"], ["inspect"]):
+    from . import corestart
+    corestart.start()
 
-from . import fixtures, graphir, interpreter
+from numpy._core import _multiarray_umath as np
+
+from . import graphir, interpreter
 from .kernels import ParamError, RegistryError, StatusError, default_registry
 
 
@@ -30,6 +43,7 @@ def _load(graph_path, weights_path) -> graphir.ModelBundle:
 
 
 def cmd_build_fixture(args) -> int:
+    from . import fixtures
     bundle = fixtures.build_fixture(args.name, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -70,8 +84,7 @@ def cmd_run(args) -> int:
         raise ValueError(f"input file holds {len(raw)} bytes, need a "
                          f"multiple of {4 * total} (the model takes {total} "
                          f"float32 values a sample)")
-    rows = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(
-        -1, total)
+    rows = np.frombuffer(raw, dtype="<f4").astype("=f4").reshape(-1, total)
     outs = []
     for row in rows:
         xs = []
@@ -195,6 +208,11 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+# sorted(fixtures.FIXTURES), spelled out: reading it would load fixtures,
+# and numpy.random with it, for every command
+_FIXTURES = ["custom", "dwblock", "identity", "lenet", "mlp"]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mlfuse",
@@ -203,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-fixture", help="construct a seeded test model")
-    p.add_argument("name", choices=sorted(fixtures.FIXTURES))
+    p.add_argument("name", choices=_FIXTURES)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=".")
     p.add_argument("--json", action="store_true")

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import graphir, harness, interpreter
+from . import corestart, graphir, harness, interpreter
 from .graphir import GraphError, DataType, ModelBundle
 from .kernels import DeviceInfo, default_registry, splits_along_axis_0
 from .kernels import ops as kernel_ops
@@ -474,6 +474,8 @@ def _emit_driver(plan: EmissionPlan) -> str:
 # serves the input file through net_driver in batches and writes the
 # outputs, and holds nothing else. Timing and memory accounting are the
 # harness's, which imports net_driver in process (harness.load_driver).
+# The OpenBLAS cap and numpy's stand-ins are corestart.STANDINS, which
+# `mlfuse run` and `mlfuse inspect` start from too.
 _MAIN_SRC = '''\
 import os
 import site
@@ -494,28 +496,7 @@ import sys
 v = sys.executable.rsplit("/", 2)[0]
 if os.path.isfile(v + "/pyvenv.cfg"):
     sys.prefix = v
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
-if "numpy" not in sys.modules:
-    # numpy's __init__ loads its whole Python layer, and every name the
-    # program calls is on the C core: bare package modules stand in for
-    # numpy and numpy._core, so loading the core runs neither __init__.
-    # The core's init reads three names of numpy._globals, whose module
-    # would load enum and numpy._utils for them: a bare one holds just
-    # those (the program passes no copy= and reads no ufunc's signature,
-    # so a plain class and None do). It also imports datetime for the
-    # capsule that _datetime defines.
-    for d in site.getsitepackages([sys.prefix, sys.base_prefix]):
-        if os.path.isfile(d + "/numpy/__init__.py"):
-            sys.modules["numpy"] = m = type(sys)("numpy")
-            sys.modules["numpy._core"] = c = type(sys)("numpy._core")
-            sys.modules["numpy._globals"] = g = type(sys)("numpy._globals")
-            m.__path__ = [d + "/numpy"]
-            c.__path__ = [d + "/numpy/_core"]
-            g._NoValue = object()
-            g._CopyMode = type("_CopyMode", (), {})
-            g._signature_descriptor = None
-            sys.modules.setdefault("datetime", __import__("_datetime"))
-            break
+''' + corestart.STANDINS + '''\
 try:
     from numpy._core import _multiarray_umath as np
 except ImportError as e:

@@ -14,7 +14,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 
-import numpy as np
+from numpy._core import _multiarray_umath as np
 
 
 class GraphError(Exception):
@@ -63,7 +63,7 @@ class DataType(enum.Enum):
 
     @property
     def np_dtype(self) -> np.dtype:
-        return np.dtype(np.float32 if self is DataType.F32 else np.int32)
+        return np.dtype("=f4" if self is DataType.F32 else "=i4")
 
     @property
     def le_dtype(self) -> np.dtype:
@@ -129,12 +129,12 @@ class WeightStore:
     def put_array(self, key: int, arr: np.ndarray) -> None:
         if key in self.entries:
             raise GraphError(f"duplicate weight key {key}")
-        if arr.dtype == np.float32:
+        if arr.dtype == "=f4":
             dt = DataType.F32
-        elif arr.dtype == np.int32:
+        elif arr.dtype == "=i4":
             dt = DataType.I32
         else:
-            raise GraphError(f"unsupported weight dtype {arr.dtype}")
+            raise GraphError(f"unsupported weight dtype {arr.dtype.str}")
         data = np.ascontiguousarray(arr).astype(dt.le_dtype, copy=False).tobytes()
         self.entries[key] = WeightEntry(dt, tuple(int(d) for d in arr.shape), data)
 
@@ -743,13 +743,17 @@ def summarize(bundle: ModelBundle) -> dict:
     weights = []
     for key in sorted(store.entries):
         arr = store.as_array(key)
+        lo = hi = None
+        if arr.size:  # arr.min() and arr.max() are numpy's Python layer
+            lo = float(np.minimum.reduce(arr, axis=None))
+            hi = float(np.maximum.reduce(arr, axis=None))
         weights.append({
             "key": key,
             "dtype": store.entries[key].dtype.name,
             "shape": list(store.entries[key].shape),
             "count": int(arr.size),
-            "min": float(arr.min()) if arr.size else None,
-            "max": float(arr.max()) if arr.size else None,
+            "min": lo,
+            "max": hi,
         })
     return {
         "version": graph.version,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from numpy._core import _multiarray_umath as np
 
 from . import graphir
 from .graphir import GraphError, ModelBundle
@@ -96,8 +96,8 @@ def invoke(plan: ExecutablePlan, inputs) -> list[np.ndarray]:
         arr = np.asarray(arr)
         if arr.size != buf.size or arr.dtype != buf.dtype:
             raise InterpreterError(
-                f"input tensor {tid}: got {arr.dtype} x{arr.size}, "
-                f"expected {buf.dtype} x{buf.size}")
+                f"input tensor {tid}: got {arr.dtype.str} x{arr.size}, "
+                f"expected {buf.dtype.str} x{buf.size}")
         np.copyto(buf, np.ascontiguousarray(arr).reshape(-1))
     for step in plan.steps:
         try:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
+from numpy._core import _multiarray_umath as np
 
 from .. import graphir
 from ..graphir import (

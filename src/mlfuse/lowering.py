@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from numpy._core import _multiarray_umath as np
 
 from .graphir import DataType, GraphError, ModelBundle
 from .kernels import (

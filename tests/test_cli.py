@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlfuse import cli, graphir
+from mlfuse import cli, fixtures, graphir
 
 
 @pytest.fixture(scope="module")
@@ -134,29 +134,206 @@ def test_inspect_plain_output_lists_operators(workdir, capsys):
 _TOOLCHAIN_MODULES = {"mlfuse.codegen", "mlfuse.harness", "mlfuse.sniffer",
                       "hashlib", "_hashlib", "subprocess", "statistics"}
 
-_RUN_AND_INSPECT_SRC = """\
-import sys
-from mlfuse import cli
-g, w, ip, op = sys.argv[1:]
-assert cli.main(["run", g, w, ip, op]) == 0
-assert cli.main(["inspect", g, w]) == 0
-print(sorted(sys.modules))
+# What a child ends with: its exit code, the modules it loaded and the
+# threads it holds (None where there is no /proc/self/task).
+_REPORT_SRC = """\
+tasks = "/proc/self/task"
+tasks = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+print(json.dumps([code, sorted(sys.modules), tasks]))
 """
+
+# Children that run the CLI with their argv and then report. "-m" and
+# "script" are the command's two entries: as `python -m mlfuse.cli` runs
+# it, and as the installed `mlfuse` script, which imports main() and calls
+# it. "library" is neither: a caller that imports mlfuse.cli and calls
+# main(). The -c ones first run the code in argv[1].
+_ENTRY_SRC = {
+    "-m": """\
+import json, os, runpy, sys
+exec(sys.argv.pop(1))
+try:
+    runpy.run_module("mlfuse.cli", run_name="__main__", alter_sys=True)
+except SystemExit as e:
+    code = e.code
+""" + _REPORT_SRC,
+    "script": """\
+import json, os, sys
+from mlfuse.cli import main
+code = main()
+""" + _REPORT_SRC,
+    "library": """\
+import json, os, sys
+exec(sys.argv.pop(1))
+from mlfuse import cli
+code = cli.main(sys.argv[1:])
+""" + _REPORT_SRC,
+}
+
+
+def _command(tmp_path, argv, entry="-m", setup="", env=None):
+    """Run the mlfuse command in a fresh child; [code, modules, threads]."""
+    env = dict(os.environ if env is None else env,
+               PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    if entry == "script":
+        script = tmp_path / "bin" / "mlfuse"
+        script.parent.mkdir(exist_ok=True)
+        script.write_text(_ENTRY_SRC[entry], encoding="utf-8")
+        cmd = [sys.executable, str(script), *argv]
+    else:
+        cmd = [sys.executable, "-c", _ENTRY_SRC[entry], setup, *argv]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _run_and_inspect(workdir, tmp_path):
+    """argv of `run` on three seeded samples, and of `inspect`, for mlp."""
+    g, w = _paths(workdir, "mlp")
+    ip, op = tmp_path / "in.raw", tmp_path / "out.raw"
+    np.random.default_rng(3).uniform(-1, 1, (3, 4)).astype("<f4").tofile(ip)
+    return {"run": ["run", g, w, str(ip), str(op)], "inspect": ["inspect", g, w]}
+
+
+# numpy's Python layer, which the core alone never loads
+_PYTHON_LAYER = {"numpy.lib", "numpy.linalg", "numpy.random",
+                 "numpy._core._add_newdocs"}
 
 
 def test_run_and_inspect_load_only_the_runtime(workdir, tmp_path):
-    g, w = _paths(workdir, "identity")
-    ip, op = tmp_path / "in.raw", tmp_path / "out.raw"
-    ip.write_bytes(np.zeros(4, dtype="<f4").tobytes())
+    for command, argv in _run_and_inspect(workdir, tmp_path).items():
+        for entry in ("-m", "script"):
+            code, mods, _ = _command(tmp_path, argv, entry)
+            assert code == 0, (command, entry)
+            mods = set(mods)
+            assert {"mlfuse.interpreter", "mlfuse.lowering",
+                    "mlfuse.kernels.ops",
+                    "numpy._core._multiarray_umath"} <= mods
+            assert mods & _TOOLCHAIN_MODULES == set(), (command, entry)
+            assert mods & _PYTHON_LAYER == set(), (command, entry)
+            assert "mlfuse.fixtures" not in mods
+
+
+def test_inspect_json_is_the_same_on_the_core_alone(workdir, capsys):
+    # a weight's min and max come from the core's ufuncs, not from
+    # ndarray.min() and max(), which are numpy's Python layer
+    g, w = _paths(workdir, "mlp")
+    assert cli.main(["inspect", g, w, "--json"]) == 0
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", _RUN_AND_INSPECT_SRC, g, w, str(ip), str(op)],
+        [sys.executable, "-m", "mlfuse.cli", "inspect", g, w, "--json"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    mods = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
-    assert {"mlfuse.interpreter", "mlfuse.lowering", "mlfuse.kernels.ops",
-            "numpy"} <= mods
-    assert mods & _TOOLCHAIN_MODULES == set()
+    assert proc.stdout == capsys.readouterr().out
+
+
+def test_imported_as_a_library_the_cli_loads_numpy_whole(workdir, tmp_path):
+    # argv names `run`, but the process is not the mlfuse command: no
+    # stand-ins go in, and numpy loads as it is
+    argv = _run_and_inspect(workdir, tmp_path)["run"]
+    code, mods, _ = _command(tmp_path, argv, "library")
+    assert code == 0
+    assert {"numpy.lib", "numpy._core._add_newdocs"} <= set(mods)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads in /proc/self/task")
+def test_run_starts_no_blas_thread_pool(workdir, tmp_path):
+    # as in the program: no kernel calls BLAS, and OpenBLAS would start a
+    # worker per extra CPU when the core loads
+    argv = _run_and_inspect(workdir, tmp_path)["run"]
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    code, _, tasks = _command(tmp_path, argv, env=env)
+    assert (code, tasks) == (0, 1)
+
+
+def test_a_core_the_stand_ins_cannot_load_falls_back_to_numpy(workdir,
+                                                              tmp_path):
+    # site names a numpy without its C core where the stand-ins look: they
+    # come out again, and the whole numpy serves the same bytes
+    argv = _run_and_inspect(workdir, tmp_path)["run"]
+    out = Path(argv[-1])
+    assert _command(tmp_path, argv)[0] == 0
+    want = out.read_bytes()
+    out.unlink()
+    fake = tmp_path / "site"
+    (fake / "numpy").mkdir(parents=True)
+    (fake / "numpy" / "__init__.py").write_text("")
+    setup = ("import site\n"
+             f"site.getsitepackages = lambda prefixes=None: [{str(fake)!r}]\n")
+    code, mods, _ = _command(tmp_path, argv, setup=setup)
+    assert code == 0
+    assert "numpy.lib" in mods
+    assert out.read_bytes() == want
+
+
+@pytest.fixture(scope="module")
+def bad_files(workdir):
+    """The files each error case of run and inspect reads, by name."""
+    d = workdir / "bad"
+    d.mkdir()
+    (d / "not-json.mlg").write_text("not json", encoding="utf-8")
+    mlw = (workdir / "mlp.mlw").read_bytes()
+    (d / "truncated.mlw").write_bytes(mlw[:100])
+    # magic, entry count and the first key come before its dtype code
+    (d / "dtype-9.mlw").write_bytes(mlw[:12] + b"\x09" + mlw[13:])
+    graph = json.loads((workdir / "identity.mlg").read_text(encoding="utf-8"))
+    for t in graph["tensors"]:
+        t["dtype"] = "I32"
+    (d / "i32.mlg").write_text(json.dumps(graph), encoding="utf-8")
+    (d / "three-bytes.raw").write_bytes(b"abc")
+    np.zeros(4, "<f4").tofile(d / "in.raw")  # one sample of either model
+    return {"mlp.mlg": workdir / "mlp.mlg", "mlp.mlw": workdir / "mlp.mlw",
+            "identity.mlw": workdir / "identity.mlw",
+            "missing.raw": d / "missing.raw",
+            **{p.name: p for p in d.iterdir()}}
+
+
+# graph, weights, input, exit code, and what the error line says
+_ERROR_CASES = {
+    "graph-not-json": ("not-json.mlg", "mlp.mlw", "in.raw", 2,
+                       "graph is not valid JSON"),
+    "truncated-weights": ("mlp.mlg", "truncated.mlw", "in.raw", 2,
+                          "truncated weight store"),
+    "mismatched-weights": ("mlp.mlg", "identity.mlw", "in.raw", 2,
+                           "weight_ref 0 not in store"),
+    "weight-dtype": ("mlp.mlg", "dtype-9.mlw", "in.raw", 2,
+                     "unknown dtype code 9"),
+    "input-size": ("mlp.mlg", "mlp.mlw", "three-bytes.raw", 2,
+                   "input file holds 3 bytes"),
+    "missing-input": ("mlp.mlg", "mlp.mlw", "missing.raw", 2,
+                      "No such file or directory"),
+    "input-dtype": ("i32.mlg", "identity.mlw", "in.raw", 1,
+                    "input tensor 0: got <f4 x4, expected <i4 x4"),
+}
+
+
+@pytest.mark.parametrize("case, command", [
+    *[(case, "run") for case in _ERROR_CASES],
+    *[(case, "inspect") for case in ("graph-not-json", "truncated-weights",
+                                     "mismatched-weights", "weight-dtype")],
+])
+def test_run_and_inspect_errors_under_the_stand_ins(bad_files, tmp_path,
+                                                    case, command):
+    # a fresh `python -m mlfuse.cli` child, so numpy's Python layer is not
+    # there to format an error: each still ends in one line and its code
+    g, w, ip, code, text = _ERROR_CASES[case]
+    argv = [command, str(bad_files[g]), str(bad_files[w])]
+    if command == "run":
+        argv += [str(bad_files[ip]), str(tmp_path / "out.raw")]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "mlfuse.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert text in proc.stderr
+    assert not (tmp_path / "out.raw").exists()
+
+
+def test_build_fixture_offers_every_fixture():
+    # a literal list, so that the parser loads no fixtures (and no
+    # numpy.random) for the other commands
+    assert cli._FIXTURES == sorted(fixtures.FIXTURES)
 
 
 # A fresh child that runs one command with cli._load raising the error class

@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 
 import kernel_cases
 
-from mlfuse import codegen, fixtures, graphir, harness, interpreter
+from mlfuse import (cli, codegen, corestart, fixtures, graphir, harness,
+                    interpreter, lowering)
 from mlfuse.graphir import (
     ADD,
     AVERAGE_POOL_2D,
@@ -44,7 +45,7 @@ from mlfuse.graphir import (
     TensorSpec,
     WeightStore,
 )
-from mlfuse.kernels import DeviceInfo, default_registry, ops
+from mlfuse.kernels import DeviceInfo, default_registry, ops, registry
 from mlfuse.kernels.live_status import hidden_status_for
 from mlfuse.kernels.registry import (
     ComputingUnit,
@@ -566,12 +567,17 @@ def _np_chains(text):
 
 def test_every_numpy_name_the_program_calls_is_on_the_c_core(built):
     # the program loads numpy's C core alone, so each name it and the
-    # kernel templates call must resolve there
+    # kernel templates call must resolve there; so must each name of the
+    # runtime modules, which `mlfuse run` and `mlfuse inspect` load with
+    # the core alone
     core = importlib.import_module("numpy._core._multiarray_umath")
     assert ops.np is core
     assert codegen._NP_HEAD in inspect.getsource(ops)
     texts = {f"ops.{fn.__name__}": inspect.getsource(fn) for fn in (
         *ops.HELPERS.values(), *ops.PREPS.values(), *ops.KERNELS.values())}
+    for module in (graphir, lowering, registry, interpreter, cli):
+        assert module.np is core
+        texts[module.__name__] = inspect.getsource(module)
     for name, (_, art) in built.items():
         for rel in art.sources:
             texts[f"{name}/{rel}"] = (Path(art.out_dir) / rel).read_text(
@@ -584,7 +590,8 @@ def test_every_numpy_name_the_program_calls_is_on_the_c_core(built):
                 assert hasattr(obj, attr), (where, "np." + ".".join(chain))
                 obj = getattr(obj, attr)
             seen.add(chain)
-    assert {("c_einsum",), ("frombuffer",), ("fromfile",)} <= seen
+    assert {("c_einsum",), ("frombuffer",), ("fromfile",),
+            ("minimum", "reduce")} <= seen
 
 
 # the modules the C core's own init imports, besides the core itself and
@@ -643,12 +650,12 @@ print(sorted((k, sorted(v)) for k, v in seen.items()))
 def test_core_reads_only_the_names_its_stand_ins_hold():
     # the bare numpy._globals holds the three names the core's init reads
     # and no more; a numpy that reads another name from a stand-in fails
-    # here, before a program fails to start
-    setup, core_import, _ = codegen._MAIN_SRC.partition(
-        "try:\n    from numpy._core import _multiarray_umath as np\n")
-    assert core_import
+    # here, before a program or `mlfuse run` fails to start. Both start
+    # from corestart.STANDINS.
+    assert corestart.STANDINS in codegen._MAIN_SRC
     proc = subprocess.run(
-        [sys.executable, "-IS", "-c", setup + _STAND_IN_READS_SRC],
+        [sys.executable, "-I", "-c",
+         "import os, site, sys\n" + corestart.STANDINS + _STAND_IN_READS_SRC],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert ast.literal_eval(proc.stdout) == [
