@@ -75,6 +75,12 @@ def cmd_inspect(args) -> int:
 
 def cmd_run(args) -> int:
     bundle = _load(args.graph, args.weights)
+    # the program's file format holds float32 values only, as in codegen
+    tensors = bundle.graph.tensors
+    for tid in (*bundle.graph.inputs, *bundle.graph.outputs):
+        if tensors[tid].dtype is not graphir.DataType.F32:
+            raise ValueError("run reads and writes little-endian F32; graph "
+                             f"tensor {tid} is {tensors[tid].dtype.name}")
     plan = interpreter.load(bundle)
     specs = [plan.lowered.tensors[t] for t in plan.lowered.input_ids]
     total = sum(b.count for b in specs)

@@ -6,10 +6,12 @@ buffer per tensor. It searches the one unknown, the weight layout of each
 conv and FC, by comparing candidate behavior against the runtime; each
 candidate goes through lowering.configure, the step the interpreter uses
 too. It then emits, straight from the lowering and the accepted
-candidate's weights, a program that embeds the weight payloads and only the
-kernel templates the model needs. The emitted program carries no model container,
-no parser, and no registry; its only file access at inference time is the
-input tensor argument.
+candidate's weights, a program of two code modules and one data member: the
+driver, with only the kernel templates the model needs, the entry point, and
+the accepted layouts' flat weights as one little-endian blob, which the
+driver reads once at import through its own loader and binds as read-only
+views. The emitted program carries no model container, no parser, and no
+registry; past import, its only file access is the input tensor argument.
 
 Search never reads the layout table shipped with the runtime; it recovers
 workable layouts purely from observed behavior.
@@ -119,10 +121,6 @@ class GeneratedArtifact:
     executable: str  # absolute path
     manifest: dict
     plan_digest: str
-
-    @property
-    def manifest_path(self) -> str:
-        return str(Path(self.out_dir) / "build_manifest.json")
 
 
 def _is_int(v) -> bool:
@@ -309,8 +307,8 @@ _FORBIDDEN_TOKENS = ("tflite", ".lite", "graph.json", ".params", "MLW0",
 # np and float32, and the program loads no more of numpy than this module;
 # _sum_products_prep, and so every template that uses it, also names the
 # budget of a reduction's product tensor
-_NP_CORE = "from numpy._core import _multiarray_umath as np"
-_NP_HEAD = _NP_CORE + '\n\nfloat32 = np.dtype("<f4").type'
+_NP_HEAD = ('from numpy._core import _multiarray_umath as np\n\n'
+            'float32 = np.dtype("<f4").type')
 _BUDGET_LINE = f"_PRODUCT_BYTES = {kernel_ops._PRODUCT_BYTES}"
 _NP_DTYPE_TOKEN = {"F32": "float32", "I32": '"<i4"'}
 
@@ -336,7 +334,8 @@ def _lit(v) -> str:
 _BATCH_BUFFER_BYTES = 262144
 
 
-def _wrap_args(parts, indent="        ", width=80) -> list[str]:
+def _wrap_args(parts, width=80) -> list[str]:
+    indent = "        "
     lines = []
     cur = ""
     for part in parts:
@@ -352,28 +351,16 @@ def _wrap_args(parts, indent="        ", width=80) -> list[str]:
     return lines
 
 
-def _emit_weights(plan: EmissionPlan) -> str:
-    # one bytes literal holds every payload and each weight is a read-only
-    # view into it. Every byte is written as an escape, so no stretch of the
-    # blob can read as text in the source.
-    names = list(plan.weights)
-    for name in names:
-        if plan.weights[name].dtype not in (np.float32, np.int32):
-            raise CodegenError(f"cannot embed weight dtype "
-                               f"{plan.weights[name].dtype}")
-    blob = b"".join(plan.weights[n].tobytes() for n in names)
-    lines = [_NP_CORE, "", "_B = ("]
-    for i in range(0, len(blob), 64):
-        lines.append('    b"\\x' + blob[i:i + 64].hex(" ").replace(" ", "\\x")
-                     + '"')
-    lines += [")", '_F = np.frombuffer(_B, "<f4")']
-    at = 0
-    for n in names:
-        w = plan.weights[n]
-        view = '.view("<i4")' if w.dtype == np.int32 else ""
-        lines.append(f"{n} = _F[{at}:{at + w.size}]{view}")
-        at += w.size
-    return "\n".join(lines) + "\n"
+# the program's one data member, beside net_driver in the zip or in src/
+_WEIGHTS = "net_weights.bin"
+
+
+def _weights_blob(plan: EmissionPlan) -> bytes:
+    for w in plan.weights.values():
+        if w.dtype not in (np.float32, np.int32):
+            raise CodegenError(f"cannot embed weight dtype {w.dtype}")
+    return b"".join(w.astype(w.dtype.newbyteorder("<"), copy=False).tobytes()
+                    for w in plan.weights.values())
 
 
 @functools.cache
@@ -410,9 +397,16 @@ def _emit_driver(plan: EmissionPlan) -> str:
         out.append(_BUDGET_LINE)
     out.append("")
     if plan.weights:
-        out.append("from net_weights import (")
-        out.extend(_wrap_args(plan.weights, indent="    "))
-        out.append(")")
+        # the driver's own loader reads the blob from the zip, or from the
+        # directory of an unstripped build's sources, and every weight is a
+        # read-only view into it
+        out.append("_F = np.frombuffer(__loader__.get_data(")
+        out.append(f'    __file__.rpartition("/")[0] + "/{_WEIGHTS}"), "<f4")')
+        at = 0
+        for name, w in plan.weights.items():
+            view = '.view("<i4")' if w.dtype == np.int32 else ""
+            out.append(f"{name} = _F[{at}:{at + w.size}]{view}")
+            at += w.size
         out.append("")
     out.append("")
     sources = [kernel_ops.HELPERS[h] for h in helpers]
@@ -499,7 +493,8 @@ if os.path.isfile(v + "/pyvenv.cfg"):
 ''' + corestart.STANDINS + '''\
 try:
     from numpy._core import _multiarray_umath as np
-except ImportError as e:
+# a core whose init reads a name no stand-in holds fails part way through
+except (ImportError, AttributeError) as e:
     sys.exit(f"{sys.executable} cannot load numpy's C core: {e}")
 
 import net_driver
@@ -593,25 +588,23 @@ for path in sys.argv[2:]:
 
 
 def emit_source(plan: EmissionPlan, out_dir) -> list[str]:
-    """Write the program sources under out_dir/src; returns relative paths."""
+    """Write the program sources under out_dir/src: the weights blob, when
+    the model has weights, then the code; returns relative paths."""
+    code = {"net_driver.py": _emit_driver(plan), "__main__.py": _MAIN_SRC}
+    for name, text in code.items():
+        for token in _FORBIDDEN_TOKENS:
+            if token in text:
+                raise CodegenError(f"emitted source src/{name} contains "
+                                   f"forbidden token {token!r}")
     src = Path(out_dir) / "src"
     src.mkdir(parents=True, exist_ok=True)
     rel = []
     if plan.weights:
-        (src / "net_weights.py").write_text(_emit_weights(plan),
-                                            encoding="utf-8")
-        rel.append("src/net_weights.py")
-    (src / "net_driver.py").write_text(_emit_driver(plan), encoding="utf-8")
-    rel.append("src/net_driver.py")
-    (src / "__main__.py").write_text(_MAIN_SRC, encoding="utf-8")
-    rel.append("src/__main__.py")
-
-    for r in rel:
-        text = (Path(out_dir) / r).read_text(encoding="utf-8")
-        for token in _FORBIDDEN_TOKENS:
-            if token in text:
-                raise CodegenError(f"emitted source {r} contains forbidden "
-                                   f"token {token!r}")
+        (src / _WEIGHTS).write_bytes(_weights_blob(plan))
+        rel.append(f"src/{_WEIGHTS}")
+    for name, text in code.items():
+        (src / name).write_text(text, encoding="utf-8")
+        rel.append(f"src/{name}")
     return rel
 
 
@@ -646,9 +639,10 @@ _BOOTSTRAP = (b"s=__import__('sys');a=s.argv;del(a[0]);s.path[:0]=a[:1];"
               b"exec(__import__('zipimport').zipimporter(a[0])"
               b".get_code('__main__'))")
 
-# A weights member this large or larger is stored: lenet's 174 KiB deflate
-# by 9% only and take 1.7 ms to inflate at every start, while mlp's 711 B
-# deflate by a fifth and inflate in microseconds.
+# A weights blob this large or larger is stored: lenet's 174 KiB deflate
+# by 9% only and take 1.7 ms to inflate at every start. A smaller one
+# inflates in microseconds, and deflated its floats do not lie in the file
+# as they are, though mlp's 268 B do not shrink.
 _DEFLATE_WEIGHTS_BELOW = 16384
 
 # Linux reads this much of a #! line; a longer line would lose the end of
@@ -659,7 +653,7 @@ _LINE_BYTES = 256
 def compile_program(out_dir, sources, toolchain: ToolchainConfig | None = None) -> str:
     """Check and package the emitted sources into one executable file.
 
-    One toolchain process runs _COMPILE_SRC on every source: `python -S
+    One toolchain process runs _COMPILE_SRC on every .py source: `python -S
     <flags> <strip_flags> -X no_debug_ranges -c _COMPILE_SRC TMPDIR SRC...`
     for a stripped build, which ships the pycs it writes, and `python -S
     <flags> -c _COMPILE_SRC "" SRC...` for an unstripped one, which only
@@ -668,35 +662,37 @@ def compile_program(out_dir, sources, toolchain: ToolchainConfig | None = None) 
     the host run in it, nothing on PYTHONPATH (see _MAIN_SRC), and no
     runpy: the bootstrap runs the zip's __main__ itself. When that line
     would pass the 256 bytes Linux reads, it is `#!<python> -IS`, which
-    runs the same zip through runpy. Code members are
-    deflated at level 9, the smallest, and so is a weights member under
-    _DEFLATE_WEIGHTS_BELOW; a larger one is stored, since its float32
-    noise barely deflates and inflating it slows every start.
+    runs the same zip through runpy. Any other source, the weights blob,
+    goes in as it is. Code members are deflated at level 9, the smallest,
+    and so is a weights blob under _DEFLATE_WEIGHTS_BELOW; a larger one is
+    stored, since its float32 noise barely deflates and inflating it slows
+    every start.
     """
     toolchain = toolchain or ToolchainConfig()
     python = _resolve_toolchain(toolchain)
     out_dir = Path(out_dir)
-    abs_sources = [out_dir / s for s in sources]
+    code = [out_dir / s for s in sources if s.endswith(".py")]
+    members = [(Path(s).name, (out_dir / s).read_bytes())
+               for s in sources if not s.endswith(".py")]
     # -S: the step needs no site packages, and no .pth or sitecustomize
     # code of the build host may run inside it. The user's flags gate the
     # compile (-W error turns a SyntaxWarning into a failed step).
     tool = [python, "-S", *toolchain.flags]
 
-    members = []
     if toolchain.strip:
         with tempfile.TemporaryDirectory(prefix="mlfuse-build-") as td:
             # no_debug_ranges drops the per-instruction column tables, which
             # only serve traceback carets (interpreters before 3.11 ignore it).
             _run_tool([*tool, *toolchain.strip_flags, "-X", "no_debug_ranges",
-                       "-c", _COMPILE_SRC, td, *map(str, abs_sources)])
-            for p in abs_sources:
+                       "-c", _COMPILE_SRC, td, *map(str, code)])
+            for p in code:
                 pyc = Path(td) / (p.stem + ".pyc")
                 if not pyc.is_file():
                     raise CompileError(f"no bytecode produced for {p.name}")
                 members.append((p.stem + ".pyc", pyc.read_bytes()))
     else:
-        _run_tool([*tool, "-c", _COMPILE_SRC, "", *map(str, abs_sources)])
-        members = [(p.name, p.read_bytes()) for p in abs_sources]
+        _run_tool([*tool, "-c", _COMPILE_SRC, "", *map(str, code)])
+        members += [(p.name, p.read_bytes()) for p in code]
     members.sort()
 
     exe = out_dir / "program"
@@ -708,8 +704,7 @@ def compile_program(out_dir, sources, toolchain: ToolchainConfig | None = None) 
         with zipfile.ZipFile(f, "w") as z:
             for name, data in members:
                 info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
-                if (not name.startswith("net_weights.")
-                        or len(data) < _DEFLATE_WEIGHTS_BELOW):
+                if name != _WEIGHTS or len(data) < _DEFLATE_WEIGHTS_BELOW:
                     info.compress_type = zipfile.ZIP_DEFLATED
                 z.writestr(info, data, compresslevel=9)
     exe.chmod(exe.stat().st_mode | stat.S_IXUSR | stat.S_IXGRP | stat.S_IXOTH)

@@ -51,9 +51,9 @@ def start() -> None:
     module the attempt put in comes out again and numpy loads whole, as
     it would without the stand-ins. A core whose own init fails part way
     (one that reads a name no stand-in holds) cannot load a second time
-    in the process, so that error is not caught here: the tests' read of
-    the names the core takes from each stand-in fails on such a numpy
-    first.
+    in the process, so that ends the command: one error line, exit 2.
+    The tests' read of the names the core takes from each stand-in fails
+    on such a numpy first.
     """
     before = set(sys.modules)
     exec(STANDINS, {"os": os, "site": site, "sys": sys})
@@ -63,3 +63,7 @@ def start() -> None:
         for name in set(sys.modules) - before:
             del sys.modules[name]
         import numpy  # noqa: F401
+    except AttributeError as e:
+        print(f"error: {sys.executable} cannot load numpy's C core: {e}",
+              file=sys.stderr)
+        raise SystemExit(2)

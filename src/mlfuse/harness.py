@@ -1,8 +1,9 @@
 """Verification and measurement of generated programs against the runtime.
 
 Verification runs the program and the runtime on the same seeded random
-inputs and reports the worst l2 distance over all of them. Benchmarking
-imports the program's driver from its zip (load_driver) and times both
+inputs, uniform over [-1, 1), and reports the worst l2 distance over all of
+them. Benchmarking imports the program's driver from its zip (load_driver),
+which reads the weights blob beside it in the zip, and times both
 deployments in this process, one pair of invokes at a time.
 """
 
@@ -20,7 +21,7 @@ import tempfile
 import time
 import zipimport
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +39,6 @@ class VerifyConfig:
     delta: float = 1e-6
     n_inputs: int = 100
     seed: int = 4242424242424242
-    input_low: float = -1.0
-    input_high: float = 1.0
 
     def __post_init__(self):
         if not (math.isfinite(self.delta) and self.delta >= 0):
@@ -47,12 +46,11 @@ class VerifyConfig:
                              f"got {self.delta!r}")
         if self.n_inputs < 1:
             raise ValueError("n_inputs must be >= 1")
-        if not self.input_low < self.input_high:
-            raise ValueError("input range is empty")
 
 
 def make_inputs(graph, cfg: VerifyConfig) -> list[list[np.ndarray]]:
-    """Seeded uniform random inputs: n_inputs samples of all graph inputs."""
+    """Seeded random inputs, uniform over [-1, 1): n_inputs samples of all
+    graph inputs."""
     rng = np.random.default_rng(cfg.seed)
     specs = []
     for tid in graph.inputs:
@@ -63,8 +61,8 @@ def make_inputs(graph, cfg: VerifyConfig) -> list[list[np.ndarray]]:
         specs.append(t.shape)
     out = []
     for _ in range(cfg.n_inputs):
-        out.append([rng.uniform(cfg.input_low, cfg.input_high,
-                                size=s).astype(np.float32) for s in specs])
+        out.append([rng.uniform(-1.0, 1.0, size=s).astype(np.float32)
+                    for s in specs])
     return out
 
 
@@ -92,15 +90,8 @@ class DiffReport:
     passed: bool
 
     def to_json(self) -> str:
-        return json.dumps({
-            "delta": self.delta,
-            "n_inputs": self.n_inputs,
-            "seed": self.seed,
-            "max_error": self.max_error,
-            "max_abs_error": self.max_abs_error,
-            "per_input": self.per_input,
-            "passed": self.passed,
-        }, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True,
+                          separators=(",", ":"))
 
     def write(self, path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
@@ -188,28 +179,19 @@ class BenchReport:
     peak_change_pct: float
 
     def to_json(self) -> str:
-        return json.dumps({
-            "repetitions": self.repetitions,
-            "interpreter_latency": self.interpreter_latency,
-            "generated_latency": self.generated_latency,
-            "interpreter_counters": self.interpreter_counters,
-            "generated_counters": self.generated_counters,
-            "latency_change_pct": self.latency_change_pct,
-            "peak_change_pct": self.peak_change_pct,
-        }, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True,
+                          separators=(",", ":"))
 
 
 def load_driver(executable):
-    """The program's net_driver module, imported from its zip; neither it
-    nor net_weights stays in sys.modules. The zip's directory is read anew,
-    as zipimport caches it per path and a program may have been rebuilt
-    there."""
+    """The program's net_driver module, imported from its zip, where its
+    import reads the weights blob; it does not stay in sys.modules. The
+    zip's directory is read anew, as zipimport caches it per path and a
+    program may have been rebuilt there."""
     exe = str(executable)
     os.stat(exe)  # a missing program is an OSError, as for verify's spawn
-    names = ("net_driver", "net_weights")
     path = sys.path[:]
-    for m in names:
-        sys.modules.pop(m, None)
+    sys.modules.pop("net_driver", None)
     sys.path_importer_cache.pop(exe, None)
     sys.path.insert(0, exe)
     try:
@@ -221,8 +203,7 @@ def load_driver(executable):
                            f"{type(e).__name__}: {e}") from e
     finally:
         sys.path[:] = path
-        for m in names:
-            sys.modules.pop(m, None)
+        sys.modules.pop("net_driver", None)
 
 
 def plan_scratch(driver, n) -> int:

@@ -28,7 +28,7 @@ from . import graphir
 from .graphir import GraphError, ModelBundle
 from .kernels import DeviceInfo, default_registry
 from .kernels.live_status import hidden_status_for
-from .lowering import Lowering, configure, lower
+from .lowering import Lowering, LoweredOp, configure, lower
 
 
 class InterpreterError(Exception):
@@ -44,17 +44,11 @@ class PhaseCounters:
 
 
 @dataclass
-class PlanStep:
-    op_index: int
-    kind: str
-    unit: object
-    calls: list  # the unit's prepared calls: invoke runs unit.fn(calls)
-
-
-@dataclass
 class ExecutablePlan:
     lowered: Lowering
-    steps: list[PlanStep]
+    # (op, its unit's prepared calls) per lowered op, paired once here so
+    # that invoke, which runs op.unit.fn(calls), zips nothing per call
+    steps: list[tuple[LoweredOp, list]]
     buffers: dict[int, np.ndarray]  # one flat buffer per lowered tensor
     load_bytes: int  # graph text and canonical weights
     configure_bytes: int  # tensor buffers and weight reorder copies
@@ -75,11 +69,9 @@ def load(bundle: ModelBundle, device: DeviceInfo | None = None,
     _, calls, copied = configure(
         lowered, [hidden_status_for(op.unit.key) for op in lowered.ops],
         buffers)
-    steps = [PlanStep(op_index=op.op_index, kind=op.kind, unit=op.unit,
-                      calls=c)
-             for op, c in zip(lowered.ops, calls)]
     return ExecutablePlan(
-        lowered=lowered, steps=steps, buffers=buffers, load_bytes=load_bytes,
+        lowered=lowered, steps=list(zip(lowered.ops, calls)), buffers=buffers,
+        load_bytes=load_bytes,
         configure_bytes=sum(b.nbytes for b in buffers.values()) + copied)
 
 
@@ -99,12 +91,12 @@ def invoke(plan: ExecutablePlan, inputs) -> list[np.ndarray]:
                 f"input tensor {tid}: got {arr.dtype.str} x{arr.size}, "
                 f"expected {buf.dtype.str} x{buf.size}")
         np.copyto(buf, np.ascontiguousarray(arr).reshape(-1))
-    for step in plan.steps:
+    for op, calls in plan.steps:
         try:
-            step.unit.fn(step.calls)
+            op.unit.fn(calls)
         except Exception as e:
             raise InterpreterError(
-                f"operator {step.op_index} ({step.kind}) failed: {e}") from e
+                f"operator {op.op_index} ({op.kind}) failed: {e}") from e
     plan.invocations += 1
     out = []
     for tid in lowered.output_ids:

@@ -267,6 +267,32 @@ def test_a_core_the_stand_ins_cannot_load_falls_back_to_numpy(workdir,
     assert out.read_bytes() == want
 
 
+# run before the command: the stand-ins lose a name the core's init reads,
+# which fails that init part way through
+_LOSE_A_STAND_IN_NAME = """\
+from mlfuse import corestart
+corestart.STANDINS = corestart.STANDINS.replace("g._NoValue = object()",
+                                                "pass")
+"""
+
+
+def test_a_core_that_fails_part_way_ends_the_command_in_one_line(
+        workdir, tmp_path):
+    # such a core cannot load again in the process, so there is no numpy
+    # to fall back on: one error line naming the python, and exit 2
+    argv = _run_and_inspect(workdir, tmp_path)["run"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ENTRY_SRC["-m"], _LOSE_A_STAND_IN_NAME,
+         *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)[0] == 2
+    assert proc.stderr == (
+        f"error: {sys.executable} cannot load numpy's C core: module "
+        f"'numpy._globals' has no attribute '_NoValue'\n")
+    assert not Path(argv[-1]).exists()
+
+
 @pytest.fixture(scope="module")
 def bad_files(workdir):
     """The files each error case of run and inspect reads, by name."""
@@ -303,8 +329,8 @@ _ERROR_CASES = {
                    "input file holds 3 bytes"),
     "missing-input": ("mlp.mlg", "mlp.mlw", "missing.raw", 2,
                       "No such file or directory"),
-    "input-dtype": ("i32.mlg", "identity.mlw", "in.raw", 1,
-                    "input tensor 0: got <f4 x4, expected <i4 x4"),
+    "input-dtype": ("i32.mlg", "identity.mlw", "in.raw", 2,
+                    "graph tensor 0 is I32"),
 }
 
 

@@ -234,14 +234,15 @@ def test_lowering_reads_no_status_table(monkeypatch):
 def test_emitted_sources_and_manifest(built):
     _, artifact = built["mlp"]
     out = Path(artifact.out_dir)
+    assert artifact.sources == [
+        "src/net_weights.bin", "src/net_driver.py", "src/__main__.py"]
     texts = {s: (out / s).read_text(encoding="utf-8")
-             for s in artifact.sources}
+             for s in artifact.sources[1:]}
     driver = texts["src/net_driver.py"]
     assert "def run(" in driver
     assert "INPUT_SHAPES" in driver
     assert "OUTPUT_SHAPES" not in driver  # nothing reads the output shapes
-    weights = texts["src/net_weights.py"]
-    assert "W0_0" in weights and "W0_0" in driver
+    assert "W0_0 = " in driver
     # the program holds inference only: no timing loop, no --stats
     assert "--reps" not in texts["src/__main__.py"]
     m = artifact.manifest
@@ -382,8 +383,7 @@ def _program_main(artifact):
         sys.prefix = prefix
         os.environ.clear()
         os.environ.update(environ)
-        for m in ("net_driver", "net_weights"):
-            sys.modules.pop(m, None)
+        sys.modules.pop("net_driver", None)
     return ns["main"]
 
 
@@ -580,8 +580,9 @@ def test_every_numpy_name_the_program_calls_is_on_the_c_core(built):
         texts[module.__name__] = inspect.getsource(module)
     for name, (_, art) in built.items():
         for rel in art.sources:
-            texts[f"{name}/{rel}"] = (Path(art.out_dir) / rel).read_text(
-                encoding="utf-8")
+            if rel.endswith(".py"):
+                texts[f"{name}/{rel}"] = (Path(art.out_dir) / rel).read_text(
+                    encoding="utf-8")
     seen = set()
     for where, text in texts.items():
         for chain in _np_chains(text):
@@ -684,6 +685,26 @@ def test_program_without_numpy_says_so_in_one_line(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr == (f"{python} cannot load numpy's C core: "
                            f"No module named 'numpy'\n")
+
+
+def test_program_whose_core_fails_part_way_says_so_in_one_line(
+        tmp_path, monkeypatch):
+    # the stand-ins lose a name the core's init reads, so that init fails
+    # part way through: the program ends as it does without numpy
+    main = codegen._MAIN_SRC.replace("g._NoValue = object()", "pass")
+    assert main != codegen._MAIN_SRC
+    monkeypatch.setattr(codegen, "_MAIN_SRC", main)
+    bundle = fixtures.build_fixture("mlp")
+    art = codegen.pipeline(bundle, tmp_path / "x")
+    ip = tmp_path / "in.raw"
+    np.zeros(sum(a.size for a in _sample(bundle, 0)), "<f4").tofile(ip)
+    proc = subprocess.run([art.executable, str(ip), str(tmp_path / "o")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == (f"{sys.executable} cannot load numpy's C core: "
+                           f"module 'numpy._globals' has no attribute "
+                           f"'_NoValue'\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
@@ -810,19 +831,81 @@ def test_program_writes_every_output_of_every_sample(tmp_path):
 
 
 def test_weights_ship_as_read_only_views_of_one_blob(built):
+    # the driver reads the blob member once at import and binds every
+    # weight as a read-only view into it, in the accepted layout
     bundle, artifact = built["lenet"]
-    src = Path(artifact.out_dir) / "src" / "net_weights.py"
-    text = src.read_text(encoding="utf-8")
-    assert text.count("np.frombuffer(") == 1
-    ns = {}
-    exec(compile(text, str(src), "exec"), ns)
-    views = {k: v for k, v in ns.items() if k.startswith("W")}
+    lowered = codegen.extract_units(bundle)
+    configs = codegen.analyze_config(lowered)
+    want = codegen.build_emission_plan(lowered, configs, codegen.search_status(
+        bundle, lowered, configs)).weights
+    driver = harness.load_driver(artifact.executable)
+    blob = driver._F
+    assert type(blob.base) is bytes and not blob.flags.writeable
+    assert blob.base == (Path(artifact.out_dir) / "src/net_weights.bin"
+                         ).read_bytes()
+    views = {k: v for k, v in vars(driver).items() if k.startswith("W")}
+    assert list(views) == list(want)
     assert len(views) == len(bundle.weights.entries)
-    blob = ns["_B"]
-    assert sum(v.nbytes for v in views.values()) == len(blob)
+    assert sum(v.nbytes for v in views.values()) == blob.nbytes
     for name, v in views.items():
-        assert v.dtype == np.float32 and not v.flags.writeable, name
-        assert np.shares_memory(v, np.frombuffer(blob, np.uint8)), name
+        assert not v.flags.writeable, name
+        assert np.shares_memory(v, blob), name
+        assert v.dtype == want[name].dtype, name
+        assert np.array_equal(v, want[name]), name
+
+
+def _members(executable) -> dict:
+    """The program's zip members by name."""
+    with open(executable, "rb") as f:
+        f.readline()  # interpreter line
+        with zipfile.ZipFile(f) as z:
+            return {n: z.read(n) for n in z.namelist()}
+
+
+def test_every_program_with_weights_ships_them_as_one_raw_member(built,
+                                                                 tmp_path):
+    # its two code modules and the blob as emitted, stripped or not, and
+    # no weights module
+    seen = []
+    for name, (bundle, art) in sorted(built.items()):
+        if not bundle.weights.entries:
+            continue
+        plain = codegen.pipeline(
+            bundle, tmp_path / name,
+            toolchain=codegen.ToolchainConfig(strip=False))
+        for a, ext in ((art, ".pyc"), (plain, ".py")):
+            members = _members(a.executable)
+            assert sorted(members) == sorted([
+                f"__main__{ext}", f"net_driver{ext}", "net_weights.bin"]), name
+            assert members["net_weights.bin"] == (
+                Path(a.out_dir) / "src/net_weights.bin").read_bytes(), name
+        seen.append(name)
+    assert seen == ["custom", "dwblock", "lenet", "mlp"]
+
+
+def test_an_unstripped_build_reads_its_weights_from_its_sources(
+        built, tmp_path, monkeypatch):
+    # the driver's one read serves the zip and src/ alike: imported from an
+    # unstripped build's src/, it binds the weights the program does and
+    # imports no other module of the build
+    bundle, artifact = built["mlp"]
+    codegen.pipeline(bundle, tmp_path / "x",
+                     toolchain=codegen.ToolchainConfig(strip=False))
+    src = tmp_path / "x" / "src"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(src))
+    before = set(sys.modules)
+    try:
+        plain = importlib.import_module("net_driver")
+        assert set(sys.modules) - before == {"net_driver"}
+    finally:
+        sys.modules.pop("net_driver", None)
+    assert plain.__file__ == str(src / "net_driver.py")
+    shipped = harness.load_driver(artifact.executable)
+    names = [k for k in vars(shipped) if k.startswith("W")]
+    assert names and names == [k for k in vars(plain) if k.startswith("W")]
+    for k in names:
+        assert getattr(plain, k).tobytes() == getattr(shipped, k).tobytes(), k
 
 
 def _sample(bundle, seed):
@@ -842,9 +925,9 @@ def test_warm_program_run_allocates_only_its_outputs(built, name, at):
     driver = harness.load_driver(artifact.executable)
     n = 1 if at == "1" else driver.BATCH
     driver.plan(n)
-    steps = [(getattr(driver, s.unit.template_id),
-              getattr(driver, f"S{s.op_index}"))
-             for s in interpreter.load(bundle).steps]
+    steps = [(getattr(driver, op.unit.template_id),
+              getattr(driver, f"S{op.op_index}"))
+             for op in interpreter.load(bundle).lowered.ops]
     rng = np.random.default_rng(1)
     x, y = ([rng.uniform(-1, 1, (n, size)).astype(np.float32)
              for size in driver.INPUT_SIZES] for _ in range(2))
@@ -884,7 +967,7 @@ def test_no_kernel_code_runs_between_numpy_calls(built, name, monkeypatch):
     c_callables = (np.ufunc, type(np.add.reduce))
     bundle, artifact = built[name]
     driver = harness.load_driver(artifact.executable)
-    lists = [step.calls for step in interpreter.load(bundle).steps]
+    lists = [calls for _, calls in interpreter.load(bundle).steps]
     for n in (1, driver.BATCH):
         driver.plan(n)
         lists += [v for k, v in vars(driver).items()
@@ -935,7 +1018,7 @@ def test_kernel_calls_are_looked_up_at_call_time(built, monkeypatch, name,
 
     seen.clear()
     plan = interpreter.load(bundle)
-    for unit in {id(s.unit): s.unit for s in plan.steps}.values():
+    for unit in {id(op.unit): op.unit for op in plan.lowered.ops}.values():
         monkeypatch.setattr(unit, "fn", counting(unit.fn))
     got = interpreter.invoke(plan, x)
     assert len(seen) == calls
@@ -1285,6 +1368,16 @@ def test_stripped_build_runs_one_compile_step(tmp_path, tool_calls):
     assert cmd[8] == codegen._COMPILE_SRC
 
 
+@pytest.mark.parametrize("strip", [True, False], ids=["stripped", "plain"])
+def test_toolchain_step_gets_only_the_code(tmp_path, tool_calls, strip):
+    # the weights blob goes into the zip as it is
+    codegen.pipeline(fixtures.build_fixture("mlp"), tmp_path / "x",
+                     toolchain=codegen.ToolchainConfig(strip=strip))
+    (cmd,) = tool_calls
+    paths = cmd[cmd.index(codegen._COMPILE_SRC) + 2:]
+    assert [Path(p).name for p in paths] == ["net_driver.py", "__main__.py"]
+
+
 def test_unstripped_build_runs_one_check_step(tmp_path, tool_calls):
     bundle = fixtures.build_fixture("identity")
     codegen.pipeline(bundle, tmp_path / "x", toolchain=codegen.ToolchainConfig(
@@ -1347,27 +1440,29 @@ def test_shipped_bytecode_is_what_py_compile_writes(built, tmp_path):
     stored = {}
     for name, (_, art) in sorted(built.items()):
         out = Path(art.out_dir)
+        members = _members(art.executable)
         with open(art.executable, "rb") as f:
             f.readline()  # interpreter line
             with zipfile.ZipFile(f) as z:
-                members = {n: z.read(n) for n in z.namelist()}
                 packed = {i.filename: i.compress_type for i in z.infolist()}
-        # code deflates to well under half; large float32 weights barely
-        # do, and small ones inflate in microseconds
+        # code deflates to well under half; a large float32 weights blob
+        # barely does, and a small one inflates in microseconds
         assert packed == {
-            n: zipfile.ZIP_STORED if n == "net_weights.pyc" and len(
+            n: zipfile.ZIP_STORED if n == "net_weights.bin" and len(
                 members[n]) >= codegen._DEFLATE_WEIGHTS_BELOW
             else zipfile.ZIP_DEFLATED for n in members}, name
-        stored[name] = packed.get("net_weights.pyc") == zipfile.ZIP_STORED
+        stored[name] = packed.get("net_weights.bin") == zipfile.ZIP_STORED
         ref = tmp_path / name
         ref.mkdir()
+        code = [s for s in art.sources if s.endswith(".py")]
         subprocess.run([tc.command, "-S", *tc.flags, *tc.strip_flags,
                         "-X", "no_debug_ranges", "-c", _PY_COMPILE_SRC,
-                        str(ref), *(str(out / s) for s in art.sources)],
+                        str(ref), *(str(out / s) for s in code)],
                        check=True)
-        stems = [Path(s).stem for s in art.sources]
-        assert sorted(members) == sorted(f"{m}.pyc" for m in stems), name
-        for s, stem in zip(art.sources, stems):
+        stems = [Path(s).stem for s in code]
+        assert sorted(set(members) - {"net_weights.bin"}) == sorted(
+            f"{m}.pyc" for m in stems), name
+        for s, stem in zip(code, stems):
             pyc = members[f"{stem}.pyc"]
             assert pyc[:4] == importlib.util.MAGIC_NUMBER
             assert int.from_bytes(pyc[4:8], "little") == 1  # unchecked hash
@@ -1377,7 +1472,7 @@ def test_shipped_bytecode_is_what_py_compile_writes(built, tmp_path):
             want = marshal.loads((ref / f"{stem}.pyc").read_bytes()[16:])
             assert got == want, (name, s)
             assert got.co_filename == want.co_filename == Path(s).name
-    # both kinds of weights member are built
+    # both kinds of weights blob member are built
     assert stored["lenet"] and stored["mlp"] is False
 
 

@@ -227,10 +227,10 @@ def test_lenet_states_take_the_product_call_their_kernel_names():
     # A silent fallback to the broadcast multiply fails here.
     plan = interpreter.load(fixtures.build_fixture("lenet"))
     products = {}
-    for step in plan.steps:
-        tid = step.unit.template_id
+    for op, calls in plan.steps:
+        tid = op.unit.template_id
         products.setdefault(tid, []).extend(
-            f for f, _, _ in _product_calls(step.calls))
+            f for f, _, _ in _product_calls(calls))
     assert len(products["conv2d_f32"]) == 2 + 3  # conv1 2, conv2 3
     assert set(products["conv2d_f32"]) == {ops.np.c_einsum}
     assert len(products["fully_connected_f32"]) >= 3
@@ -245,18 +245,18 @@ def test_lenet_blocking():
     # here first.
     plan = interpreter.load(fixtures.build_fixture("lenet"))
     convs, fcs = [], []
-    for step, op in zip(plan.steps, plan.lowered.ops):
-        tid = step.unit.template_id
+    for op, calls in plan.steps:
+        tid = op.unit.template_id
         if tid == "conv2d_f32":
             # a block starts with the copy that gathers its patches, the
             # (kh, kw, ci, rows, ow) windows of its output rows
-            blocks = [args[1] for f, args, _ in step.calls
+            blocks = [args[1] for f, args, _ in calls
                       if f is ops.np.copyto and args[0].ndim == 5]
             convs.append((len(blocks), blocks[0].shape[-2],
                           op.params.values["out_shape"][0],
-                          _chunk_lengths(step.calls)))
+                          _chunk_lengths(calls)))
         elif tid == "fully_connected_f32":
-            fcs.append(_chunk_lengths(step.calls))
+            fcs.append(_chunk_lengths(calls))
     assert convs == [(1, 24, 24, [12, 13]), (1, 8, 8, [50, 50, 50])]
     assert fcs == [[256], [120], [84]]
 
