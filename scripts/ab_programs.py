@@ -20,7 +20,10 @@ own. Then it starts each side's program once a round
 on one seeded sample, interleaved the same way, with posix_spawn from a
 small `python -S` launcher, reaps it with wait4 and prints each side's
 median ms from spawn to exit, the rounds the change won and each side's
-median ru_maxrss. Last, it does the same for each side's interpreter
+median ru_maxrss; then the same on a seeded file of BATCH samples (the
+smaller side's), which each program serves in one run() call, so that
+its peak holds the batched plan's buffers and scratch. Last, it does the
+same as for one sample for each side's interpreter
 deployment, `python -m mlfuse.cli run` on the fixture's container, each
 side from its own export (the working tree exported as bench_pairs.py
 does), with that export's src/ as PYTHONPATH.
@@ -267,8 +270,10 @@ def report(fixture: str, r: dict) -> list[str]:
     return lines
 
 
-def spawn_report(fixture: str, r: dict, what: str = "spawn") -> str:
-    head = f"{fixture} {what}, one sample:"
+def spawn_report(fixture: str, r: dict, what: str = "spawn",
+                 samples: int = 1) -> str:
+    head = (f"{fixture} {what}, "
+            f"{'one sample' if samples == 1 else f'{samples} samples'}:")
     if not r["identical"]:
         return f"{head} outputs differ"
     base, change = (statistics.median(r[side]["ms"])
@@ -322,12 +327,16 @@ def main(argv=None) -> int:
                     r["scratch"] = [plan_scratch(d, n)
                                     for d in (base, change)]
                 print("\n".join(report(args.fixture, r)), flush=True)
+            for n in sorted({1, min(base.BATCH, change.BATCH)}):
+                # the file holds each sample's inputs in turn
+                rows = np.concatenate([x.reshape(n, -1) for x in
+                                       inputs_for(change, n)], axis=1)
+                r = spawn_times({side: ([p], None)
+                                 for side, p in programs.items()},
+                                [rows.reshape(-1)], tmp, args.rounds)
+                ok &= r["identical"]
+                print(spawn_report(args.fixture, r, samples=n), flush=True)
             sample = inputs_for(change, 1)
-            r = spawn_times({side: ([p], None)
-                             for side, p in programs.items()},
-                            sample, tmp, args.rounds)
-            ok &= r["identical"]
-            print(spawn_report(args.fixture, r), flush=True)
             # the interpreter from two exports whose paths are as long:
             # a spawn's peak RSS moves with the length of the path it
             # imports from

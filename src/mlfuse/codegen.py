@@ -334,8 +334,7 @@ def _lit(v) -> str:
 _BATCH_BUFFER_BYTES = 262144
 
 
-def _wrap_args(parts, width=80) -> list[str]:
-    indent = "        "
+def _wrap_args(parts, indent, width=80) -> list[str]:
     lines = []
     cur = ""
     for part in parts:
@@ -377,11 +376,14 @@ def _emit_driver(plan: EmissionPlan) -> str:
     # in, runs each step's calls and hands back fresh copies of the
     # outputs. Only the buffer sizes depend on n: every prepare step takes
     # its params at one sample and reads the sample count from its
-    # buffers. Every template id the model uses names the one run step,
-    # run_calls, and run() calls a step through that module-global name,
-    # so a wrapper set after import sees one call per step. BATCH is the
-    # largest n whose buffers fit in _BATCH_BUFFER_BYTES, or 1 when some
-    # operator does not compute each slice along axis 0 on its own.
+    # buffers. The steps that take scratch share one arena, prepared in
+    # the two passes lowering.configure makes; a model with none, such as
+    # identity, gets the plan it always had. Every template id the model
+    # uses names the one run step, run_calls, and run() calls a step
+    # through that module-global name, so a wrapper set after import sees
+    # one call per step. BATCH is the largest n whose buffers fit in
+    # _BATCH_BUFFER_BYTES, or 1 when some operator does not compute each
+    # slice along axis 0 on its own.
     lowered = plan.lowered
     used_templates = list(dict.fromkeys(op.unit.template_id
                                         for op in lowered.ops))
@@ -438,15 +440,27 @@ def _emit_driver(plan: EmissionPlan) -> str:
         b = lowered.tensors[tid]
         out.append(f"    t{tid} = np.empty({b.count} * n, "
                    f"{_NP_DTYPE_TOKEN[b.dtype.name]})")
-    for op in lowered.ops:
+    shares = [kernel_ops.takes_arena(kernel_ops.PREPS[op.unit.template_id])
+              for op in lowered.ops]
+    arena = any(shares)
+    ind = "    " * (1 + arena)
+    if arena:
+        out.append("    A = [np.empty(0, float32)]")
+        out.append("    for _ in 0, 1:")
+    for op, share in zip(lowered.ops, shares):
         ins = ", ".join(f"t{t}" for t in op.act_ids)
         ws = ", ".join(_weight_names(op))
         outs = ", ".join(f"t{t}" for t in op.output_ids)
-        out.append(f"    S{op.op_index} = {op.unit.template_id}_prep(")
-        out.append(f"        [{ins}], [{ws}], [{outs}],")
+        out.append(f"{ind}S{op.op_index} = {op.unit.template_id}_prep(")
+        out.append(f"{ind}    [{ins}], [{ws}], [{outs}],")
         kw_parts = [f"{k}={_lit(v)}" for k, v in op.params.values.items()]
-        out.extend(_wrap_args(kw_parts))
-        out.append("    )")
+        if share:
+            kw_parts.append("arena=A")
+        out.extend(_wrap_args(kw_parts, ind + "    "))
+        out.append(f"{ind})")
+    if arena:
+        out.append("        if not A[0].size:")
+        out.append("            break")
     out.append("")
     out.append("")
     out.append("plan(1)")

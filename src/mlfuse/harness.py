@@ -206,32 +206,53 @@ def load_driver(executable):
         sys.modules.pop("net_driver", None)
 
 
+def scratch_bytes(call_lists, owned) -> int:
+    """Kernel scratch of a plan: the bytes of every array its call lists
+    reach, keywords included, at the end of the chain of bases, that is not
+    the base of an array in owned (the tensor buffers and weights), each
+    base counted once. A base that views memory numpy does not own, such as
+    the program's weights blob, is not scratch either."""
+    def root(obj):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        return obj
+
+    skip = {id(root(a)) for a in owned}
+    stack = list(call_lists)
+    scratch = {}
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, np.ndarray):
+            obj = root(obj)
+            if obj.base is None and id(obj) not in skip:
+                scratch[id(obj)] = obj.nbytes
+    return sum(scratch.values())
+
+
 def plan_scratch(driver, n) -> int:
-    """Kernel scratch of the driver's plan for n samples a call: the bytes
-    of every array its call lists S<i> reach, keywords included, at the end
-    of the chain of bases, that is not a tensor buffer t<i>. The driver is
+    """Kernel scratch of the driver's plan for n samples a call, over its
+    call lists S<i> and apart from its tensor buffers t<i>. The driver is
     left at plan(1)."""
     driver.plan(n)
     try:
         named = [(k[0], v) for k, v in vars(driver).items()
                  if k[0] in "St" and k[1:].isdigit()]
-        buffers = {id(v) for k, v in named if k == "t"}
-        stack = [v for k, v in named if k == "S"]
-        scratch = {}
-        while stack:
-            obj = stack.pop()
-            if isinstance(obj, (tuple, list)):
-                stack.extend(obj)
-            elif isinstance(obj, dict):
-                stack.extend(obj.values())
-            elif isinstance(obj, np.ndarray):
-                while isinstance(obj.base, np.ndarray):
-                    obj = obj.base
-                if obj.base is None and id(obj) not in buffers:
-                    scratch[id(obj)] = obj.nbytes
-        return sum(scratch.values())
+        return scratch_bytes([v for k, v in named if k == "S"],
+                             [v for k, v in named if k == "t"])
     finally:
         driver.plan(1)
+
+
+def interpreter_scratch(plan: interpreter.ExecutablePlan) -> int:
+    """Kernel scratch of an interpreter plan, apart from its tensor buffers
+    and laid-out weights."""
+    return scratch_bytes([calls for _, calls in plan.steps],
+                         [*plan.buffers.values(),
+                          *(w for ws in plan.weights for w in ws)])
 
 
 def bench(bundle: ModelBundle, artifact, repetitions: int = 1000,
@@ -239,7 +260,8 @@ def bench(bundle: ModelBundle, artifact, repetitions: int = 1000,
     """Time repeated single-sample invokes on both deployments, one pair
     a repetition, the interpreter first in even ones. The program parses
     no container, and a call allocates only its output copies, so its peak
-    is BUFFER_BYTES plus those; both peaks leave kernel scratch out."""
+    is BUFFER_BYTES plus those. Both peaks leave kernel scratch out; each
+    side's scratch_bytes counts it, the program's at one sample."""
     if repetitions < 1:
         raise HarnessError("repetitions must be >= 1")
     cfg = cfg or VerifyConfig()
@@ -267,10 +289,12 @@ def bench(bundle: ModelBundle, artifact, repetitions: int = 1000,
     interp_counters = {
         "load_bytes": ic.load_bytes, "configure_bytes": ic.configure_bytes,
         "invoke_bytes": ic.invoke_bytes, "peak_bytes": ic.peak_bytes,
+        "scratch_bytes": interpreter_scratch(plan),
     }
     gen_counters = {
         "load_bytes": 0, "configure_bytes": 0, "invoke_bytes": invoke_bytes,
         "peak_bytes": driver.BUFFER_BYTES + invoke_bytes,
+        "scratch_bytes": plan_scratch(driver, 1),
     }
 
     interp_stats = _latency_stats(interp_ns)

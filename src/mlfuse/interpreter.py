@@ -5,16 +5,17 @@ lowers it (lowering.py): one computing unit per operator with its resolved
 parameters, and one buffer per tensor. Configure allocates the buffers and
 calls lowering.configure with the layouts the table shipped with the
 kernels names: that lays every operator's weight out and runs each
-kernel's prepare step once, which binds its views of the buffers, allocates
-its scratch and returns the operator's numpy calls. Invoke then only runs
-each operator's calls through its unit's run step, ops.run_calls, in
-topological order.
+kernel's prepare step, which binds its views of the buffers and of the
+plan's one scratch arena and returns the operator's numpy calls. Invoke
+then only runs each operator's calls through its unit's run step,
+ops.run_calls, in topological order.
 
 Memory accounting covers plan-managed allocations only: the serialized graph
 text and weight arrays at load, tensor buffers and weight reorder copies at
 configure. Kernel scratch, whether prepared at configure or temporary in a
-run, and the output copies handed back by invoke are not tracked. A plan
-owns its buffers and scratch, so concurrent invoke calls on one plan are not
+run, and the output copies handed back by invoke are not tracked here;
+harness.interpreter_scratch counts the prepared scratch. A plan owns its
+buffers and scratch, so concurrent invoke calls on one plan are not
 supported.
 """
 
@@ -50,6 +51,7 @@ class ExecutablePlan:
     # that invoke, which runs op.unit.fn(calls), zips nothing per call
     steps: list[tuple[LoweredOp, list]]
     buffers: dict[int, np.ndarray]  # one flat buffer per lowered tensor
+    weights: list  # per op: its flat weights in the runtime's layouts
     load_bytes: int  # graph text and canonical weights
     configure_bytes: int  # tensor buffers and weight reorder copies
     invocations: int = 0
@@ -66,12 +68,12 @@ def load(bundle: ModelBundle, device: DeviceInfo | None = None,
     load_bytes = len(graphir.graph_to_json(bundle.graph).encode("utf-8")) \
         + sum(arr.nbytes for arr in lowered.weights.values())
     buffers = lowered.allocate()
-    _, calls, copied = configure(
+    flats, calls, copied = configure(
         lowered, [hidden_status_for(op.unit.key) for op in lowered.ops],
         buffers)
     return ExecutablePlan(
         lowered=lowered, steps=list(zip(lowered.ops, calls)), buffers=buffers,
-        load_bytes=load_bytes,
+        weights=flats, load_bytes=load_bytes,
         configure_bytes=sum(b.nbytes for b in buffers.values()) + copied)
 
 

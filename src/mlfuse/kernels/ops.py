@@ -2,8 +2,9 @@
 
 Every kernel is one prepare step, <template>_prep(inputs, weights, outputs,
 **params), which runs once per operator: it reshapes the flat buffers into
-views, builds strided windows, plans the reduction chunks and allocates
-scratch, and returns the kernel's work as a list of calls (f, args, kw).
+views, builds strided windows, plans the reduction chunks and takes its
+scratch (see below), and returns the kernel's work as a list of calls
+(f, args, kw).
 Each f is a numpy C callable, a ufunc, a ufunc method, np.copyto or
 np.c_einsum, bound to the prepared views and scratch; kw is {} but for an
 out= that np.maximum and np.minimum take only by keyword and np.c_einsum
@@ -36,12 +37,12 @@ classes in class order, and a bias is the last term of its sum.
 
 Conv and FC reductions are vectorized without giving that order up
 (_sum_products_prep). The terms land in a product tensor whose reduced
-axis is the outermost one, behind a leading row of +0.0 (so the result does
-not depend on whether numpy starts a reduction from its identity or from
-the first row) and ahead of a trailing row that holds the bias, or +0.0
-when there is none (a sum begun at +0.0 is never -0.0, so adding +0.0
+axis is the outermost one, ahead of a trailing row that holds the bias, or
++0.0 when there is none (a sum begun at +0.0 is never -0.0, so adding +0.0
 changes no bit). One np.add.reduce over that axis adds whole rows in index
-order. This holds only while the reduced axis is outermost and at least two
+order onto an explicit initial +0.0, so the result does not depend on
+whether numpy would start a reduction from its identity or from the first
+row. This holds only while the reduced axis is outermost and at least two
 output lanes run beside it: numpy sums a lone lane pairwise, so a
 single-lane reduction runs beside a twin lane. Softmax sums one row's
 classes with np.add.accumulate, which is sequential by definition. More
@@ -65,13 +66,13 @@ Conv and FC plan that work for long lanes and few chunks: numpy pays a
 fixed cost per call, per chunk and per inner row, so overhead, not
 arithmetic, sets their time. One budget, _PRODUCT_BYTES (256 KiB, sized for
 a level-2 cache rather than L1), bounds a reduction's product tensor, its
-zero and tail rows included. A conv block covers as many whole output rows
-as leave room for a one-tap chunk with those two rows, and whose gathered
-patches fit the budget too; blocks are split evenly, rows = ceil(oh /
-ceil(oh / rows_max)). FC's lanes are the output features while a call's
-samples do not outnumber them (every one-sample call), else the samples:
-products go in (tap, out, sample) order, through transposed views of the
-input and the output. _sum_products_prep plans a reduction's lanes the
+leading row (for a running sum) and tail row included. A conv block
+covers as many whole output rows as leave room for a one-tap chunk with
+those two rows, and whose gathered patches fit the budget too; blocks
+are split evenly, rows = ceil(oh / ceil(oh / rows_max)). FC's lanes are
+the output features while a call's samples do not outnumber them (every
+one-sample call), else the samples: products go in (tap, out, sample)
+order, through transposed views of the input and the output. _sum_products_prep plans a reduction's lanes the
 same way, in blocks of as many as leave room for a one-tap chunk, split
 evenly, where the tail is the same along them: FC's bias differs along
 its output features, so those stay one block, over the budget when a
@@ -83,6 +84,25 @@ the overlap comes out the same twice. A reduction of more than one chunk
 into strided lanes (a transposed view) runs in a contiguous accumulator,
 copied out once a block.
 
+Steps run one at a time, so every step of a plan takes its scratch from
+one arena, sized to the largest step's need. A step that takes scratch
+takes the keyword arena, a list whose arena[0] is the plan's arena (None:
+all its scratch is its own), and asks _scratch for each part, the parts
+of one step end to end from element 0. A part of a page (4096 B) or more
+is a view of the arena, which grows to fit it; below a page, sharing
+saves no resident page, and a part is a buffer of its own. Since the
+arena grows as the steps ask, views taken before it last grew are of one
+given up, so a plan prepares its steps again over the one it grew to
+(lowering.configure, and the program's plan(n)). Patches, accumulators,
+product rows, softmax rows and depthwise products are transient: every
+run writes them before it reads them, and so is a product tensor's
+leading row, which holds a running sum only after a chunk writes it. Its
+tail row is not, and the steps that share the arena write over it, so a
+product tensor in the arena gets its tail row filled again, one
+np.copyto, at the start of every run of its step; a private one is filled
+once. A padded border and avg-pool's count grid, which hold for good, stay
+private.
+
 Weight buffers arrive flat, and may be read-only. Each kernel reshapes them
 according to the data layout its body was written against; callers are
 responsible for delivering payload bytes in that layout.
@@ -92,7 +112,7 @@ from numpy._core import _multiarray_umath as np
 
 float32 = np.dtype("<f4").type
 
-# the budget of one conv or FC reduction's product tensor, its zero and
+# the budget of one conv or FC reduction's product tensor, its leading and
 # tail rows included (see above)
 _PRODUCT_BYTES = 262144
 
@@ -122,7 +142,23 @@ def _pad_nhwc_prep(x, ph0, ph1, pw0, pw1, value):
     return xp, [(np.copyto, (xp[:, ph0:ph0 + h, pw0:pw0 + w], x), {})]
 
 
-def _sum_products_prep(lhs, rhs, acc, tail):
+def _scratch(arena, shape, at=0):
+    # float32 scratch of shape that every run writes before it reads it:
+    # from a page (4096 B) up, a view of the plan's arena, arena[0], from
+    # element at, which gives way to a larger arena when it does not fit
+    # there (see above); below a page, or with no arena, a buffer of its
+    # own
+    size = 1
+    for d in shape:
+        size *= d
+    if arena is None or size < 1024:
+        return np.empty(shape, float32)
+    if arena[0].size < at + size:
+        arena[0] = np.empty(at + size, float32)
+    return arena[0][at:at + size].reshape(shape)
+
+
+def _sum_products_prep(lhs, rhs, acc, tail, arena=None, at=0):
     # acc = ((((0 + lhs[0]*rhs[0]) + lhs[1]*rhs[1]) + ...) + tail), where
     # lhs[k] * rhs[k] and tail broadcast to acc's shape. acc's last axis
     # holds its lanes. Where tail is the same along them (lhs always is),
@@ -130,20 +166,24 @@ def _sum_products_prep(lhs, rhs, acc, tail):
     # that differs along them, as FC's bias over its output features does,
     # keeps them in one block. Every block's taps go through one product
     # tensor in chunks, each a view of the tensor's leading rows: the
-    # fewest chunks whose terms, with the tensor's zero and tail rows, fit
-    # _PRODUCT_BYTES (or one tap, if more), split evenly. Each chunk after
-    # the first starts from the running sum as its row 0, and a block
-    # leaves row 0 at +0.0. The smaller chunk goes first, so only the last
-    # chunk, always a full one, reaches the tail row, and no multiply
-    # writes over it. A chunk is (product, part): the call that forms its
-    # terms, np.multiply(lhs, rhs, prod) here, which a caller may swap for
-    # another call that forms the same one-term products into prod, and
-    # the rows its reduction adds. Returns the blocks, each (first lane,
-    # chunks), and the lanes the reductions write when they are not acc's
-    # own (else None): a twin pair for a lone lane, or a contiguous
-    # accumulator for strided lanes reduced in more than one chunk.
-    # Neither holds acc, which _sum_products_calls takes, so reductions of
-    # one shape into other outputs can share them.
+    # fewest chunks whose terms, with the tensor's leading and tail rows,
+    # fit _PRODUCT_BYTES (or one tap, if more), split evenly. Each chunk
+    # after the first starts from the running sum, copied into row 0; the
+    # first one's rows start at row 1. The smaller chunk goes first, so
+    # only the last chunk, always a full one, reaches the tail row, and no
+    # multiply writes over it. A chunk is (product, part): the call that
+    # forms its terms, np.multiply(lhs, rhs, prod) here, which a caller may
+    # swap for another call that forms the same one-term products into
+    # prod, and the rows its reduction adds. Returns the blocks, each
+    # (first lane, chunks), the lanes the reductions write when they are
+    # not acc's own (else None): a twin pair for a lone lane, or a
+    # contiguous accumulator for strided lanes reduced in more than one
+    # chunk, and the call that fills the tail row again, which a step
+    # makes once a run before its first reduction when the product tensor
+    # is a view of the arena (else []). Neither holds acc, which
+    # _sum_products_calls takes, so reductions of one shape into other
+    # outputs can share them. The product tensor and the accumulator are
+    # the _scratch at element at and after it.
     n = acc.shape[-1]
     rows = acc.size // n
     b = n
@@ -155,11 +195,14 @@ def _sum_products_prep(lhs, rhs, acc, tail):
     k = len(lhs)
     step = max(1, _PRODUCT_BYTES // (4 * rows * shape[-1]) - 2)
     step = -(-k // -(-k // step))
+    terms = _scratch(arena, (step + 2,) + shape, at)
     own = None
     if acc.size == 1 or step < k and not acc.flags.c_contiguous:
-        own = np.empty(shape, float32)
-    terms = np.zeros((step + 2,) + shape, float32)
-    terms[-1] = tail
+        own = _scratch(arena, shape, at + terms.size)
+    fill = [(np.copyto, (terms[-1], tail), {})]
+    run_calls(fill)
+    if terms.base is None:  # private: its tail row holds for good
+        fill = []
     blocks = []
     for s in [*range(0, n - b, b), n - b]:
         chunks = []
@@ -167,10 +210,10 @@ def _sum_products_prep(lhs, rhs, acc, tail):
         for k1 in range((k - 1) % step + 1, k + 1, step):
             chunks.append(((np.multiply, (lhs[k0:k1], rhs[k0:k1, ..., s:s + b],
                                           terms[1:k1 - k0 + 1]), {}),
-                           terms[:k1 - k0 + 1 + (k1 == k)]))
+                           terms[(k0 == 0):k1 - k0 + 1 + (k1 == k)]))
             k0 = k1
         blocks.append((s, chunks))
-    return blocks, own
+    return blocks, own, fill
 
 
 def _sum_products_calls(blocks, own, acc):
@@ -182,9 +225,8 @@ def _sum_products_calls(blocks, own, acc):
         for k, (product, part) in enumerate(chunks):
             if k:
                 calls.append((np.copyto, (part[0], into), {}))
-            calls += [product, (np.add.reduce, (part, 0, None, into), {})]
-        if k:  # more than one chunk: row 0 holds a sum, not +0.0
-            calls.append((np.copyto, (part[0], float32(0.0)), {}))
+            calls += [product, (np.add.reduce, (part, 0, None, into, False,
+                                                float32(0.0)), {})]
         if own is not None:  # a view: a twin pair's lane 0 is copied now
             calls.append((np.copyto, (dst, own[..., :dst.shape[-1]]), {}))
     return calls
@@ -201,7 +243,7 @@ def _pool_windows_prep(x, out, filter_h, filter_w, stride_h, stride_w):
 def conv2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
                     filter_h, filter_w, stride_h, stride_w, dilation_h,
                     dilation_w, pad_before_h, pad_after_h, pad_before_w,
-                    pad_after_w, activation_min, activation_max):
+                    pad_after_w, activation_min, activation_max, arena=None):
     # filter buffer is read in height/width/in/out order
     cin = in_shape[2]
     oh, ow, cout = out_shape
@@ -211,13 +253,13 @@ def conv2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
     taps = filter_h * filter_w * cin
     out = outputs[0].reshape(-1, *out_shape)
     # blocks of whole output rows, as many as leave room in _PRODUCT_BYTES
-    # for a one-tap chunk of products with its zero and bias rows and
+    # for a one-tap chunk of products with its leading and bias rows and
     # whose gathered patches fit it too (or one row, if more), split
     # evenly; then the taps go in as few chunks as fit
     rows = max(1, min(oh, _PRODUCT_BYTES // (12 * cout * ow),
                       _PRODUCT_BYTES // (4 * taps * ow)))
     rows = -(-oh // -(-oh // rows))
-    cols = np.empty((filter_h, filter_w, cin, rows, ow), float32)
+    cols = _scratch(arena, (filter_h, filter_w, cin, rows, ow))
     # every (kh, kw, ci) tap's strided input plane, as one view
     sn, sy, sx, sc = x.strides
     win = np.ndarray(
@@ -226,10 +268,11 @@ def conv2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
          stride_w * sx))
     # a block's output rows are a transposed view, strides (4, 4 * cout),
     # which holds the lanes of its reduction
-    blocks, own = _sum_products_prep(
+    blocks, own, fill = _sum_products_prep(
         weights[0].reshape(taps, cout, 1), cols.reshape(taps, 1, rows * ow),
         out[0, :rows].reshape(-1, cout).T,
-        weights[1][:, None] if len(weights) > 1 else 0.0)
+        weights[1][:, None] if len(weights) > 1 else 0.0, arena, cols.size)
+    calls += fill
     # a chunk's products as one (taps, cout) x (taps, lanes) outer product;
     # below 8192 of them einsum's larger cost per call loses, and a lone
     # lane keeps np.multiply, which broadcasts its terms onto the twin
@@ -255,7 +298,7 @@ def depthwise_conv2d_f32_prep(inputs, weights, outputs, *, in_shape,
                               stride_w, dilation_h, dilation_w, pad_before_h,
                               pad_after_h, pad_before_w, pad_after_w,
                               depth_multiplier, activation_min,
-                              activation_max):
+                              activation_max, arena=None):
     # output channel c * depth_multiplier + m reads input channel c: the
     # output and filter are viewed as (..., cin, depth_multiplier) and each
     # input window broadcasts over the last axis, so no input is repeated
@@ -266,7 +309,7 @@ def depthwise_conv2d_f32_prep(inputs, weights, outputs, *, in_shape,
                               pad_after_w, 0.0)
     wk = weights[0].reshape(filter_h, filter_w, cin, depth_multiplier)
     out = outputs[0].reshape(-1, oh, ow, cin, depth_multiplier)
-    prod = np.empty(out.shape, float32)
+    prod = _scratch(arena, out.shape)
     calls.append((np.copyto, (out, float32(0.0)), {}))
     # every tap's input window over the whole batch, times its weights
     for kh in range(filter_h):
@@ -326,7 +369,8 @@ def max_pool2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
 
 
 def fully_connected_f32_prep(inputs, weights, outputs, *, in_features,
-                             out_features, activation_min, activation_max):
+                             out_features, activation_min, activation_max,
+                             arena=None):
     # out = x @ w + bias, the weight buffer read with input features as the
     # major axis: a sum over the input features of (rows, 1) x (1, lanes)
     # products. The output features are the lanes while a call's samples
@@ -339,12 +383,14 @@ def fully_connected_f32_prep(inputs, weights, outputs, *, in_features,
     tail = weights[1] if len(weights) > 1 else np.zeros(out_features, float32)
     if len(x) > out_features:
         x, w, out, tail = w.T, x.T, out.T, tail[:, None]
-    return (_sum_products_calls(*_sum_products_prep(
-        x.T[:, :, None], w[:, None], out, tail), out)
-        + _clamp_calls(out, activation_min, activation_max))
+    blocks, own, calls = _sum_products_prep(x.T[:, :, None], w[:, None], out,
+                                            tail, arena)
+    return (calls + _sum_products_calls(blocks, own, out)
+            + _clamp_calls(out, activation_min, activation_max))
 
 
-def softmax_f32_prep(inputs, weights, outputs, *, in_shape, beta):
+def softmax_f32_prep(inputs, weights, outputs, *, in_shape, beta,
+                     arena=None):
     # A single row is a 1-D row, and sums[-1:] holds its total, a view
     # (sums[-1] would be a scalar copied now). More rows are gathered from
     # their (class, row) view into a contiguous buffer, which then holds
@@ -357,12 +403,12 @@ def softmax_f32_prep(inputs, weights, outputs, *, in_shape, beta):
     calls = []
     if len(x) == 1:
         x, out = x[0], out[0]
-        e = np.empty(c, float32)
+        e = _scratch(arena, (c,))
     else:
-        e = np.empty((c, len(x)), float32)
+        e = _scratch(arena, (c, len(x)))
         calls.append((np.copyto, (e, x.T), {}))
         x, out = e, out.T
-    top = np.empty(x.shape[1:], float32)
+    top = _scratch(arena, x.shape[1:], e.size)
     calls += [(np.maximum.reduce, (x, 0, None, top), {}),
               (np.subtract, (x, top, e), {})]
     if beta != 1.0:
@@ -371,7 +417,7 @@ def softmax_f32_prep(inputs, weights, outputs, *, in_shape, beta):
     if e.ndim > 1:
         return calls + [(np.add.reduce, (e, 0, None, top), {}),
                         (np.divide, (e, top, out), {})]
-    sums = np.empty(c, float32)
+    sums = _scratch(arena, (c,), e.size + top.size)
     return calls + [(np.add.accumulate, (e, 0, None, sums), {}),
                     (np.divide, (e, sums[-1:], out), {})]
 
@@ -425,8 +471,8 @@ def scale_shift_f32_prep(inputs, weights, outputs, *, scale, shift):
 
 
 HELPERS = {fn.__name__: fn for fn in (
-    _clamp_calls, _pad_nhwc_prep, _sum_products_prep, _sum_products_calls,
-    _pool_windows_prep,
+    _clamp_calls, _pad_nhwc_prep, _scratch, _sum_products_prep,
+    _sum_products_calls, _pool_windows_prep,
 )}
 
 # prepare steps, by template id
@@ -439,6 +485,11 @@ PREPS = {fn.__name__[:-len("_prep")]: fn for fn in (
 
 # run steps, by template id: run_calls serves every template
 KERNELS = dict.fromkeys(PREPS, run_calls)
+
+
+def takes_arena(prep) -> bool:
+    """Whether a prepare step takes its scratch from a plan's arena."""
+    return "arena" in (getattr(prep, "__kwdefaults__", None) or ())
 
 
 def _helper_deps(fn) -> tuple:

@@ -39,6 +39,7 @@ from .kernels import (
     default_registry,
     layout_weight_arrays,
 )
+from .kernels.ops import takes_arena
 
 
 @dataclass(frozen=True)
@@ -119,9 +120,12 @@ def configure(lowered: Lowering, layouts, buffers) -> tuple[list, list, int]:
     layouts holds one layout name per operator, None for a unit that lists
     no layouts. Returns, per operator, the flat weights and the numpy
     calls its unit's prepare step bound (unit.fn(calls) runs the operator),
-    and the bytes the layouts copied.
+    and the bytes the layouts copied. The steps that take an arena share
+    one, which the first pass grows to the largest step's need; when any
+    step took a view of it, a second pass binds every step to the arena as
+    it grew (ops.py), as the program's plan(n) does.
     """
-    flats, calls, copied = [], [], 0
+    flats, copied = [], 0
     for op, layout in zip(lowered.ops, layouts):
         try:
             ws, n = layout_weight_arrays(
@@ -129,8 +133,15 @@ def configure(lowered: Lowering, layouts, buffers) -> tuple[list, list, int]:
         except StatusError as e:
             raise StatusError(f"operator {op.op_index}: {e}") from None
         flats.append(ws)
-        calls.append(op.unit.prep([buffers[t] for t in op.act_ids], ws,
-                                   [buffers[t] for t in op.output_ids],
-                                   **op.params.values))
         copied += n
+    arena = [np.empty(0, "<f4")]
+    kws = [{"arena": arena} if takes_arena(op.unit.prep) else {}
+           for op in lowered.ops]
+    for _ in 0, 1:
+        calls = [op.unit.prep([buffers[t] for t in op.act_ids], ws,
+                              [buffers[t] for t in op.output_ids],
+                              **op.params.values, **kw)
+                 for op, ws, kw in zip(lowered.ops, flats, kws)]
+        if not arena[0].size:
+            break
     return flats, calls, copied

@@ -291,7 +291,7 @@ def case_conv2d_edge(i):
         h, w = 2 * int(rng.integers(22, 25)), 17
     elif kind == "wide_cout":
         # cout far above the taps: a one-tap chunk of one row's products,
-        # with its zero and bias rows, nearly fills the case budget, so
+        # with its leading and bias rows, nearly fills the case budget, so
         # each of the 3 rows is a block, and 4 taps go 2 at a time
         f, cin, cout = 1, 4, 64
         h, w = 3, 64

@@ -47,8 +47,10 @@ def test_same_programs_are_timed_step_by_step_at_one_sample_and_batch(
         # would refuse one sample's inputs
         for d in (base, change):
             d.run(ab_programs.inputs_for(d, 1))
-    # at BATCH, mlp's FC products and softmax rows hold far more
-    assert scratch[change.BATCH] > 100 * scratch[1]
+    # at BATCH, mlp's FC products and softmax rows hold far more, in one
+    # arena sized to the largest step: less than the 655,200 B the steps
+    # held apart
+    assert 100 * scratch[1] < scratch[change.BATCH] < 655_200
 
 
 def test_differing_outputs_are_reported_and_not_timed(tmp_path):
@@ -103,6 +105,36 @@ def test_spawns_are_timed_in_interleaved_rounds(tmp_path):
     assert line.startswith("mlp spawn, one sample: ")
     assert " change won " in line and line.endswith(
         " KiB; outputs byte-identical")
+
+
+def test_programs_are_spawned_on_one_sample_and_on_batch(
+        tmp_path, monkeypatch, capsys):
+    # one program on both sides and as the interpreter: main spawns it on
+    # one sample and on a file of BATCH samples, and reports each
+    program = _program(tmp_path, 1, "a")
+    monkeypatch.setattr(ab_programs, "_git", lambda *a: b"0" * 40)
+    monkeypatch.setattr(ab_programs, "_export", lambda sha, dest: None)
+    monkeypatch.setattr(ab_programs, "working_tree", lambda: "0" * 40)
+    monkeypatch.setattr(ab_programs, "build", lambda *a: program)
+    monkeypatch.setattr(ab_programs, "container", lambda *a: [])
+    monkeypatch.setattr(ab_programs, "interpreter_command",
+                        lambda checkout, paths: ([program], None))
+    assert ab_programs.main(["--rev", "HEAD", "--fixture", "mlp",
+                             "--rounds", "1"]) == 0
+    batch = ab_programs.load_driver(program).BATCH
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if " spawn, " in line]
+    assert [line.split(":")[0] for line in lines] == [
+        "mlp spawn, one sample", f"mlp spawn, {batch} samples",
+        "mlp interpreter spawn, one sample"]
+    assert all(line.endswith(" KiB; outputs byte-identical")
+               for line in lines)
+    r = {"rounds": 1, "identical": True,
+         "base": {"ms": [80.0], "rss_kb": [18916]},
+         "change": {"ms": [80.0], "rss_kb": [18150]}}
+    assert ab_programs.spawn_report("lenet", r, samples=9) == (
+        "lenet spawn, 9 samples: 80.0 -> 80.0 ms (+0.0%), change won 0/1; "
+        "ru_maxrss 18916 -> 18150 KiB; outputs byte-identical")
 
 
 def test_spawned_programs_that_differ_are_reported(tmp_path):

@@ -1028,17 +1028,51 @@ def test_kernel_calls_are_looked_up_at_call_time(built, monkeypatch, name,
 def test_bench_counts_buffers_and_output_copies_and_scratch_apart(built):
     bundle, artifact = built["lenet"]
     driver = harness.load_driver(artifact.executable)
-    counters = harness.bench(bundle, artifact,
-                             repetitions=3).generated_counters
-    assert counters == {
+    report = harness.bench(bundle, artifact, repetitions=3)
+    scratch = harness.plan_scratch(driver, 1)
+    assert report.generated_counters == {
         "load_bytes": 0, "configure_bytes": 0,
         "invoke_bytes": 4 * 10,  # lenet's 10 class scores
-        "peak_bytes": driver.BUFFER_BYTES + 4 * 10}
-    # the two conv product tensors, at most the product budget each, their
-    # gathered patches and accumulators, and the fc product tensors: the
-    # one-sample plan's scratch, the figure the build counted
-    budget = ops._PRODUCT_BYTES
-    assert 2 * budget < harness.plan_scratch(driver, 1) <= 3 * budget
+        "peak_bytes": driver.BUFFER_BYTES + 4 * 10,
+        "scratch_bytes": scratch}
+    # one arena, sized to conv1's gathered patches, product tensor and
+    # accumulator (278,784 B), beside fc3's product tensor and softmax's
+    # rows, which stay private below a page: the one-sample plan's scratch,
+    # which the interpreter's plan of the same steps holds too
+    assert scratch <= 300_000
+    assert report.interpreter_counters["scratch_bytes"] == scratch
+
+
+def _program_lists(driver):
+    return [v for k, v in sorted(vars(driver).items())
+            if k[0] == "S" and k[1:].isdigit()]
+
+
+def test_program_plans_share_one_arena_and_keep_small_steps_as_they_were(
+        built):
+    # lenet's plan(1) takes the product tensors of conv1, conv2, fc1 and
+    # fc2 from one arena, and fills each one's tail row once a run: its 45
+    # calls, less the two that put conv1's and conv2's leading rows back
+    # to +0.0, and 4 fills. mlp's scratch stays below a page, so its
+    # plan(1) makes its 9 calls and no fill; at BATCH, its steps share one
+    # arena too. Identity has no scratch, and its plan has no arena.
+    lenet = harness.load_driver(built["lenet"][1].executable)
+    bases = {k: {id(args[0].base) for f, args, _ in v
+                 if f == np.add.reduce}
+             for k, v in vars(lenet).items() if k in ("S0", "S2", "S5", "S6")}
+    assert len(set.union(*bases.values())) == 1
+    assert sum(map(len, _program_lists(lenet))) == 45 - 2 + 4
+    mlp = harness.load_driver(built["mlp"][1].executable)
+    assert sum(map(len, _program_lists(mlp))) == 9
+    mlp.plan(mlp.BATCH)
+    try:
+        assert len({id(args[0].base) for calls in _program_lists(mlp)
+                    for f, args, _ in calls if f == np.add.reduce}) == 1
+    finally:
+        mlp.plan(1)
+    driver = (Path(built["identity"][1].out_dir) / "src/net_driver.py"
+              ).read_text(encoding="utf-8")
+    assert "arena" not in driver and "_scratch" not in driver
 
 
 # -- batched serving ----------------------------------------------------------
@@ -1245,10 +1279,12 @@ def test_scratch_of_the_batched_plan(built):
     driver = harness.load_driver(artifact.executable)
     scratch = harness.plan_scratch(driver, driver.BATCH)
     assert scratch > 100 * harness.plan_scratch(driver, 1)
-    # and less than the 713,440 B of the layout that kept the short axis
-    # innermost: FC products with the output features as lanes, in one-tap
-    # chunks past the product budget, and softmax's (class, row) sums
-    assert scratch < 713_440
+    # every part of it takes a page or more, so it is all one arena, sized
+    # to the largest step: less than half the 655,200 B the three steps
+    # held apart, and the 713,440 B of the layout that kept the short axis
+    # innermost (FC products with the output features as lanes, in one-tap
+    # chunks past the product budget, and softmax's (class, row) sums)
+    assert scratch < 655_200 // 2
 
 
 # -- determinism --------------------------------------------------------------

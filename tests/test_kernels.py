@@ -141,8 +141,9 @@ def test_sum_products_is_the_scalar_loop_order(case_budget):
         rhs = rng.uniform(0.5, 2, (k, 1)).astype(np.float32)
         tail = rng.choice(values, lanes)
         acc = np.empty(lanes, dtype=np.float32)
-        calls = ops._sum_products_calls(
-            *ops._sum_products_prep(lhs, rhs, acc, tail), acc)
+        blocks, own, fill = ops._sum_products_prep(lhs, rhs, acc, tail)
+        assert fill == []  # with no arena, the product tensor is private
+        calls = ops._sum_products_calls(blocks, own, acc)
         sizes = _chunk_lengths(calls)
         assert len(sizes) > 1 and sizes[0] < sizes[-1], (lanes, sizes)
         ops.run_calls(calls)
@@ -201,8 +202,10 @@ def test_both_product_paths_are_the_scalar_loop_order(path, special,
     tail[0, 0] = np.float32(-0.0)
     # one block of lanes in several chunks; the outer products reduce into
     # a contiguous accumulator, the lone lane into its twin pair
-    [(lanes_in, chunks)], own = ops._sum_products_prep(lhs, rhs, acc, tail)
-    assert len(chunks) > 1 and (own is None) == (path == "fc_batch_1")
+    [(lanes_in, chunks)], own, fill = ops._sum_products_prep(lhs, rhs, acc,
+                                                             tail)
+    assert len(chunks) > 1 and fill == []
+    assert (own is None) == (path == "fc_batch_1")
     assert all(f is np.multiply for (f, _, _), _ in chunks)
     if path == "outer":  # as conv2d_f32_prep swaps them in
         chunks = [((ops.np.c_einsum, ("kc,kl->kcl", a[:, :, 0], b[:, 0]),
@@ -259,6 +262,61 @@ def test_lenet_blocking():
             fcs.append(_chunk_lengths(calls))
     assert convs == [(1, 24, 24, [12, 13]), (1, 8, 8, [50, 50, 50])]
     assert fcs == [[256], [120], [84]]
+
+
+def _roots(calls) -> set:
+    """The id of the array at the end of the chain of bases of every array
+    a call list names, keywords included."""
+    roots = set()
+    for _, args, kw in calls:
+        for a in (*args, *kw.values()):
+            if isinstance(a, np.ndarray):
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                roots.add(id(a))
+    return roots
+
+
+def test_lenet_plan_holds_one_arena_that_no_other_plan_shares():
+    # conv1, conv2, fc1 and fc2 take their product tensors from the plan's
+    # one arena, sized to conv1's patches, product tensor and accumulator;
+    # fc3's 3,440 B product tensor stays below a page, its own. Two plans
+    # share no array.
+    plans = [interpreter.load(fixtures.build_fixture("lenet"))
+             for _ in range(2)]
+    for plan in plans:
+        bases = [_product_bases(calls) for _, calls in plan.steps]
+        [arena] = bases[0].values()
+        assert [b.keys() == {id(arena)} for b in bases] == [
+            True, False, True, False, False, True, True, False, False]
+        assert bases[7] and id(arena) not in bases[7]
+        assert arena.nbytes == 278_784
+    a, b = ({r for _, calls in plan.steps for r in _roots(calls)}
+            for plan in plans)
+    assert a and not a & b
+
+
+def test_lenet_steps_over_the_arena_write_what_private_scratch_does():
+    # each run fills the tail rows other steps wrote over: every lenet
+    # tensor, after each of two runs in a row on each of three samples,
+    # holds the bits of the same steps prepared with scratch of their own
+    plan = interpreter.load(fixtures.build_fixture("lenet"))
+    lowered = plan.lowered
+    private = lowered.allocate()
+    steps = [op.unit.prep([private[t] for t in op.act_ids], ws,
+                          [private[t] for t in op.output_ids],
+                          **op.params.values)
+             for op, ws in zip(lowered.ops, plan.weights)]
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        x = rng.uniform(-1, 1, (1, 28, 28, 1)).astype(np.float32)
+        np.copyto(private[lowered.input_ids[0]], x.reshape(-1))
+        for calls in steps:
+            ops.run_calls(calls)
+        for _ in range(2):
+            interpreter.invoke(plan, x)
+            for t, buf in plan.buffers.items():
+                assert buf.tobytes() == private[t].tobytes(), t
 
 
 def test_conv_and_pool_shapes_leave_the_sample_axis_out():
@@ -578,7 +636,7 @@ def test_fc_scratch_stays_within_the_bound(shape):
         np.setbufsize(bufsize)
     assert peak <= ops._PRODUCT_BYTES + 4 * nout * lanes + 4096, peak
     for f, args, _ in calls:
-        if f is np.add.reduce:  # the rows of a product tensor
+        if f == np.add.reduce:  # the rows of a product tensor
             assert args[0].base.nbytes <= ops._PRODUCT_BYTES
 
 
@@ -616,6 +674,90 @@ def test_conv_scratch_stays_within_the_bound(shape):
     assert peak <= 2 * ops._PRODUCT_BYTES + 4096, peak
 
 
+def _arena_lists(steps, arena=None):
+    """Each (kernel, inputs, weights, outputs, params) step prepared over
+    one arena, in the two passes lowering.configure makes."""
+    arena = [np.empty(0, np.float32)] if arena is None else arena
+    for _ in 0, 1:
+        lists = [ops.PREPS[kernel](ins, ws, outs, arena=arena, **params)
+                 for kernel, ins, ws, outs, params in steps]
+    return lists, arena
+
+
+def _product_bases(calls) -> dict:
+    """The base array of every product tensor a call list reduces, by id."""
+    return {id(args[0].base): args[0].base for f, args, _ in calls
+            if f == np.add.reduce and args[0].base is not None}
+
+
+def test_reference_cases_take_turns_in_one_arena(monkeypatch):
+    # A conv and an FC case with their bias as a last chunk's tail row, at
+    # the case budget, prepared over one arena: where both product tensors
+    # take a page or more, they are views of it, each over rows the other
+    # writes. Run in turn, each writes its oracle's bits every time, zero
+    # signs included, which takes its tail row filled again before it
+    # reduces.
+    monkeypatch.setattr(ops, "_PRODUCT_BYTES",
+                        kernel_cases.CASE_PRODUCT_BYTES)
+    names = ("conv2d_tail", "fully_connected_tail")
+    shared = 0
+    for i in range(N_CASES):
+        steps = []
+        monkeypatch.setattr(
+            kernel_cases, "run_kernel",
+            lambda kernel, ins, ws, outs, **params: steps.append(
+                (kernel, ins, ws, outs, params)))
+        cases = [REFERENCE_CASES[name].__wrapped__(i) for name in names]
+        lists, arena = _arena_lists(steps)
+        shared += all(_product_bases(calls).keys() == {id(arena[0])}
+                      for calls in lists)
+        for _ in range(3):
+            for calls, (got, want) in zip(lists, cases):
+                ops.run_calls(calls)
+                assert np.array_equal(got.view(np.uint32),
+                                      want.view(np.uint32)), i
+    assert shared >= N_CASES // 2, shared
+
+
+@pytest.mark.parametrize("bias", [True, False])
+def test_one_sample_fc_wider_than_the_budget_runs_through_the_arena(bias):
+    # a one-tap chunk of 21,846 output features overruns the product
+    # budget; the arena grows to hold it, and the sum is the oracle's
+    rng = np.random.default_rng(31)
+    nin, nout = 3, 21_846
+    x = rng.uniform(-1, 1, (1, nin)).astype(np.float32)
+    x[0, 0] = np.float32(-0.0)
+    wt = rng.uniform(-1, 1, (nout, nin)).astype(np.float32)
+    b = rng.uniform(-0.5, 0.5, nout).astype(np.float32) if bias else None
+    out = np.empty(nout, np.float32)
+    step = ("fully_connected_f32", [x.reshape(-1)],
+            [wt.T.copy().reshape(-1)] + ([b] if bias else []), [out],
+            {"in_features": nin, "out_features": nout,
+             "activation_min": None, "activation_max": None})
+    [calls], arena = _arena_lists([step])
+    assert _product_bases(calls).keys() == {id(arena[0])}
+    assert arena[0].nbytes == 4 * 3 * nout > ops._PRODUCT_BYTES
+    for _ in range(2):
+        ops.run_calls(calls)
+        want = oracles.fully_connected(x, wt, b, (None, None))
+        assert np.array_equal(out.view(np.uint32),
+                              want.reshape(-1).view(np.uint32))
+
+
+def test_scratch_below_a_page_stays_private():
+    # scratch of fewer than 4096 B takes no view of the arena and no fill
+    # call, so a small step's run() is the one it makes without an arena
+    params = {"in_features": 8, "out_features": 3, "activation_min": None,
+              "activation_max": None}
+    step = ("fully_connected_f32", [np.ones(8, np.float32)],
+            [np.ones(24, np.float32), np.ones(3, np.float32)],
+            [np.empty(3, np.float32)], params)
+    [calls], arena = _arena_lists([step])
+    assert arena[0].size == 0
+    assert len(calls) == len(ops.fully_connected_f32_prep(*step[1:4],
+                                                          **params))
+
+
 def _names_read(code) -> set:
     """Every local and cell name that code or code nested in it reads."""
     read = set()
@@ -646,13 +788,15 @@ def test_helper_deps_follow_the_template_bodies():
     # names, each step of a split helper by its own name
     assert set(ops.HELPER_DEPS) == set(ops.KERNELS) == set(ops.PREPS)
     assert ops.HELPER_DEPS["conv2d_f32"] == (
-        "_clamp_calls", "_pad_nhwc_prep", "_sum_products_calls",
+        "_clamp_calls", "_pad_nhwc_prep", "_scratch", "_sum_products_calls",
         "_sum_products_prep")
     assert ops.HELPER_DEPS["fully_connected_f32"] == (
-        "_clamp_calls", "_sum_products_calls", "_sum_products_prep")
+        "_clamp_calls", "_scratch", "_sum_products_calls",
+        "_sum_products_prep")
     assert ops.HELPER_DEPS["max_pool2d_f32"] == (
         "_clamp_calls", "_pad_nhwc_prep", "_pool_windows_prep")
-    assert ops.HELPER_DEPS["softmax_f32"] == ()
+    # softmax's rows come from the arena too, through _scratch alone
+    assert ops.HELPER_DEPS["softmax_f32"] == ("_scratch",)
 
 
 # -- registry lookup ----------------------------------------------------------
