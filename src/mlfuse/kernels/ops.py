@@ -35,54 +35,72 @@ term onto +0.0, so results are bit-identical to a naive scalar loop nest.
 Filter taps go in (kh, kw, ci) order, input features in index order, softmax
 classes in class order, and a bias is the last term of its sum.
 
-Conv and FC reductions are vectorized without giving that order up
-(_sum_products_prep). The terms land in a product tensor whose reduced
-axis is the outermost one, ahead of a trailing row that holds the bias, or
-+0.0 when there is none (a sum begun at +0.0 is never -0.0, so adding +0.0
-changes no bit). One np.add.reduce over that axis adds whole rows in index
-order onto an explicit initial +0.0, so the result does not depend on
-whether numpy would start a reduction from its identity or from the first
-row. This holds only while the reduced axis is outermost and at least two
-output lanes run beside it: numpy sums a lone lane pairwise, so a
+Conv, depthwise conv and FC reductions are vectorized without giving that
+order up (_sum_products_prep). The terms land in a product tensor whose
+reduced axis is the outermost one, ahead of a trailing row that holds the
+bias, or +0.0 when there is none (a sum begun at +0.0 is never -0.0, so
+adding +0.0 changes no bit). One np.add.reduce over that axis adds whole
+rows in index order onto an explicit initial +0.0, so the result does not
+depend on whether numpy would start a reduction from its identity or from
+the first row. This holds only while the reduced axis is outermost and at
+least two output lanes run beside it: numpy sums a lone lane pairwise, so a
 single-lane reduction runs beside a twin lane. Softmax sums one row's
 classes with np.add.accumulate, which is sequential by definition. More
 rows go in a contiguous (class, row) buffer, and one np.add.reduce over its
-outer axis adds them class after class, the order the product sums rely
-on. Either sum's first term is e[0], and exp never returns -0.0, so
-starting from numpy's identity or from e[0] gives the same bits. Depthwise
-conv and pooling make one call per tap of their reduction axes, with
-vectorization over independent output lanes only.
+outer axis adds them class after class, the order the product sums rely on.
+Either sum's first term is e[0], and exp never returns -0.0, so starting
+from numpy's identity or from e[0] gives the same bits. Pooling makes one
+call per tap, with vectorization over independent output lanes only. Max
+pool starts from its first two windows, np.maximum(win1, win0), or a copy
+of a one-tap pool's window, with no -inf fill: max(-inf, w) is w bit for
+bit. np.maximum returns its second operand when the two are equal (+0.0 and
+-0.0), so the earlier window always goes second, and a tie keeps the
+earlier cell's sign, as the oracle's strict > does.
 
 matmul, dot and np.sum reorder a sum and are not used. einsum forms
-one-term products only, never sums: a conv chunk of 8192 products or more
-gets them from np.c_einsum("kc,kl->kcl"), the C loop np.einsum calls when
-optimize is off, which writes each as +0.0 + w * x. That has np.multiply's
-bits, NaN and inf included, except for a -0.0 product, which lands as
-+0.0. No output can see the difference: every sum starts at +0.0, and
-under round-to-nearest a sum begun at +0.0 is never -0.0, so adding a -0.0
-term to it gives exactly what adding +0.0 gives.
+one-term products only, never sums: a chunk of 8192 products or more that
+is an outer product, (taps, rows) by (taps, lanes) over contiguous lanes
+with no twin, gets them from np.c_einsum("kr,kl->krl"), the C loop
+np.einsum calls when optimize is off, which writes each as +0.0 + w * x.
+Conv chunks are such products, and so are FC's over its output features
+(lenet's fc1 and fc2, not fc3's 840). np.multiply forms the rest: smaller
+chunks, where einsum's larger cost per call loses; a lone lane's, which
+np.multiply broadcasts onto its twin; FC's over strided sample lanes, a
+transposed view of the input, where einsum measured slower; and
+depthwise's, whose lanes are its depth multiplier. einsum's products have
+np.multiply's bits, NaN and inf included, except for a -0.0 product, which
+lands as +0.0. No output can see the difference: every sum starts at +0.0,
+and under round-to-nearest a sum begun at +0.0 is never -0.0, so adding a
+-0.0 term to it gives exactly what adding +0.0 gives.
 
-Conv and FC plan that work for long lanes and few chunks: numpy pays a
-fixed cost per call, per chunk and per inner row, so overhead, not
-arithmetic, sets their time. One budget, _PRODUCT_BYTES (256 KiB, sized for
-a level-2 cache rather than L1), bounds a reduction's product tensor, its
-leading row (for a running sum) and tail row included. A conv block
-covers as many whole output rows as leave room for a one-tap chunk with
-those two rows, and whose gathered patches fit the budget too; blocks
-are split evenly, rows = ceil(oh / ceil(oh / rows_max)). FC's lanes are
-the output features while a call's samples do not outnumber them (every
-one-sample call), else the samples: products go in (tap, out, sample)
-order, through transposed views of the input and the output. _sum_products_prep plans a reduction's lanes the
-same way, in blocks of as many as leave room for a one-tap chunk, split
-evenly, where the tail is the same along them: FC's bias differs along
-its output features, so those stay one block, over the budget when a
-one-tap chunk of them is. Then the taps of a block go in the fewest
-chunks that fit, split evenly, step = ceil(k / ceil(k / step_max)), the
-smaller chunk first. A last block of rows or lanes ends at the last one,
-so it overlaps the block before it when the blocks do not divide them;
+Conv, depthwise conv and FC plan that work for long lanes and few chunks:
+numpy pays a fixed cost per call, per chunk and per inner row, so overhead,
+not arithmetic, sets their time. One budget, _PRODUCT_BYTES (256 KiB, sized
+for a level-2 cache rather than L1), bounds a reduction's product tensor,
+its leading row (for a running sum) and tail row included; a reduction done
+in one chunk has no leading row. A conv or depthwise block covers as many
+whole output rows of one sample as leave room for a one-tap chunk with
+those two rows, and whose gathered patches fit the budget too; blocks are
+split evenly, rows = ceil(oh / ceil(oh / rows_max)). Depthwise gathers a
+block's (kh, kw) windows, and each tap's products broadcast its window over
+the depth multiplier, so no input is repeated. FC's lanes are the output
+features while a call's samples do not outnumber them (every one-sample
+call), else the samples: products go in (tap, out, sample) order, through
+transposed views of the input and the output. _sum_products_prep plans a
+reduction's lanes the same way, in blocks of as many as leave room for a
+one-tap chunk, split evenly, where the tail is the same along them: FC's
+bias differs along its output features, so those stay one block, over the
+budget when a one-tap chunk of them is. Then the taps of a block go in the
+fewest chunks that fit, split evenly, step = ceil(k / ceil(k / step_max)),
+the smaller chunk first. A last block of rows or lanes ends at the last
+one, so it overlaps the block before it when the blocks do not divide them;
 the overlap comes out the same twice. A reduction of more than one chunk
 into strided lanes (a transposed view) runs in a contiguous accumulator,
-copied out once a block.
+copied out once a block. Conv's lower clamp rides that copy-out,
+np.maximum(own, lo, out=dst), in place of a whole-output np.maximum after
+it, with the same operands in the same order; a conv that reduces into its
+output's own lanes keeps the whole-output clamp, and an upper clamp stays
+one whole-output np.minimum.
 
 Steps run one at a time, so every step of a plan takes its scratch from
 one arena, sized to the largest step's need. A step that takes scratch
@@ -94,7 +112,7 @@ saves no resident page, and a part is a buffer of its own. Since the
 arena grows as the steps ask, views taken before it last grew are of one
 given up, so a plan prepares its steps again over the one it grew to
 (lowering.configure, and the program's plan(n)). Patches, accumulators,
-product rows, softmax rows and depthwise products are transient: every
+product rows and softmax rows are transient: every
 run writes them before it reads them, and so is a product tensor's
 leading row, which holds a running sum only after a chunk writes it. Its
 tail row is not, and the steps that share the arena write over it, so a
@@ -166,15 +184,18 @@ def _sum_products_prep(lhs, rhs, acc, tail, arena=None, at=0):
     # that differs along them, as FC's bias over its output features does,
     # keeps them in one block. Every block's taps go through one product
     # tensor in chunks, each a view of the tensor's leading rows: the
-    # fewest chunks whose terms, with the tensor's leading and tail rows,
-    # fit _PRODUCT_BYTES (or one tap, if more), split evenly. Each chunk
-    # after the first starts from the running sum, copied into row 0; the
-    # first one's rows start at row 1. The smaller chunk goes first, so
-    # only the last chunk, always a full one, reaches the tail row, and no
-    # multiply writes over it. A chunk is (product, part): the call that
-    # forms its terms, np.multiply(lhs, rhs, prod) here, which a caller may
-    # swap for another call that forms the same one-term products into
-    # prod, and the rows its reduction adds. Returns the blocks, each
+    # fewest chunks whose terms, with a leading and the tail row, fit
+    # _PRODUCT_BYTES (or one tap, if more), split evenly. With more than
+    # one chunk, each after the first starts from the running sum, copied
+    # into row 0, and the first one's rows start at row 1; one chunk has
+    # no leading row. The smaller chunk goes first, so only the last
+    # chunk, always a full one, reaches the tail row, and no product
+    # writes over it. A chunk is (product, part): the call that forms its
+    # terms, and the rows its reduction adds. A 2-D acc, (rows, lanes),
+    # takes lhs[k] as a (rows, 1) column and rhs[k] as a (1, lanes) row,
+    # so a chunk of 8192 products or more whose lanes are contiguous and
+    # have no twin forms them as one outer product through np.c_einsum;
+    # any other, through np.multiply (see above). Returns the blocks, each
     # (first lane, chunks), the lanes the reductions write when they are
     # not acc's own (else None): a twin pair for a lone lane, or a
     # contiguous accumulator for strided lanes reduced in more than one
@@ -195,9 +216,10 @@ def _sum_products_prep(lhs, rhs, acc, tail, arena=None, at=0):
     k = len(lhs)
     step = max(1, _PRODUCT_BYTES // (4 * rows * shape[-1]) - 2)
     step = -(-k // -(-k // step))
-    terms = _scratch(arena, (step + 2,) + shape, at)
+    lead = step < k
+    terms = _scratch(arena, (step + 1 + lead,) + shape, at)
     own = None
-    if acc.size == 1 or step < k and not acc.flags.c_contiguous:
+    if acc.size == 1 or lead and not acc.flags.c_contiguous:
         own = _scratch(arena, shape, at + terms.size)
     fill = [(np.copyto, (terms[-1], tail), {})]
     run_calls(fill)
@@ -208,16 +230,23 @@ def _sum_products_prep(lhs, rhs, acc, tail, arena=None, at=0):
         chunks = []
         k0 = 0
         for k1 in range((k - 1) % step + 1, k + 1, step):
-            chunks.append(((np.multiply, (lhs[k0:k1], rhs[k0:k1, ..., s:s + b],
-                                          terms[1:k1 - k0 + 1]), {}),
-                           terms[(k0 == 0):k1 - k0 + 1 + (k1 == k)]))
+            x, y = lhs[k0:k1], rhs[k0:k1, ..., s:s + b]
+            p = terms[lead:k1 - k0 + lead]
+            product = np.multiply, (x, y, p), {}
+            if (p.size >= 8192 and p.ndim == 3 and y.strides[-1] == 4
+                    and b == shape[-1]):
+                product = (np.c_einsum, ("kr,kl->krl", x[..., 0], y[:, 0]),
+                           {"out": p})
+            chunks.append((product, terms[lead and not k0:
+                                          k1 - k0 + lead + (k1 == k)]))
             k0 = k1
         blocks.append((s, chunks))
     return blocks, own, fill
 
 
-def _sum_products_calls(blocks, own, acc):
-    # one reduction into acc, from _sum_products_prep's blocks and own lanes
+def _sum_products_calls(blocks, own, acc, lo=None):
+    # one reduction into acc, from _sum_products_prep's blocks and own
+    # lanes; where they are its own, the copy out of them clamps at lo
     calls = []
     for s, chunks in blocks:
         dst = acc[..., s:s + chunks[0][1].shape[-1]]
@@ -228,7 +257,9 @@ def _sum_products_calls(blocks, own, acc):
             calls += [product, (np.add.reduce, (part, 0, None, into, False,
                                                 float32(0.0)), {})]
         if own is not None:  # a view: a twin pair's lane 0 is copied now
-            calls.append((np.copyto, (dst, own[..., :dst.shape[-1]]), {}))
+            into = own[..., :dst.shape[-1]]
+            calls.append((np.copyto, (dst, into), {}) if lo is None else
+                         (np.maximum, (into, float32(lo)), {"out": dst}))
     return calls
 
 
@@ -273,14 +304,6 @@ def conv2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
         out[0, :rows].reshape(-1, cout).T,
         weights[1][:, None] if len(weights) > 1 else 0.0, arena, cols.size)
     calls += fill
-    # a chunk's products as one (taps, cout) x (taps, lanes) outer product;
-    # below 8192 of them einsum's larger cost per call loses, and a lone
-    # lane keeps np.multiply, which broadcasts its terms onto the twin
-    for _, chunks in blocks:
-        for i, ((_, (lhs, rhs, prod), _), part) in enumerate(chunks):
-            if prod.size >= 8192 and rhs.shape[-1] == prod.shape[-1]:
-                chunks[i] = (np.c_einsum, ("kc,kl->kcl", lhs[:, :, 0],
-                                           rhs[:, 0]), {"out": prod}), part
     # Every block gathers into cols and reduces with the same chunks. The
     # last block ends at the last row, so it overlaps the one before it
     # when rows does not divide oh; the overlapped rows come out the same.
@@ -289,7 +312,11 @@ def conv2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
             calls.append((np.copyto, (cols, win[b, :, :, :, r0:r0 + rows]),
                           {}))
             calls += _sum_products_calls(
-                blocks, own, out[b, r0:r0 + rows].reshape(-1, cout).T)
+                blocks, own, out[b, r0:r0 + rows].reshape(-1, cout).T,
+                activation_min)
+    # a reduction into lanes of its own took the lower clamp on the way out
+    if own is not None:
+        activation_min = None
     return calls + _clamp_calls(out, activation_min, activation_max)
 
 
@@ -300,30 +327,34 @@ def depthwise_conv2d_f32_prep(inputs, weights, outputs, *, in_shape,
                               depth_multiplier, activation_min,
                               activation_max, arena=None):
     # output channel c * depth_multiplier + m reads input channel c: the
-    # output and filter are viewed as (..., cin, depth_multiplier) and each
-    # input window broadcasts over the last axis, so no input is repeated
+    # output and filter are viewed as (..., cin, depth_multiplier), and
+    # each tap's gathered window broadcasts over the last axis (see above)
     cin = in_shape[2]
     oh, ow = out_shape[0], out_shape[1]
     x, calls = _pad_nhwc_prep(inputs[0].reshape(-1, *in_shape),
                               pad_before_h, pad_after_h, pad_before_w,
                               pad_after_w, 0.0)
-    wk = weights[0].reshape(filter_h, filter_w, cin, depth_multiplier)
+    taps = filter_h * filter_w
     out = outputs[0].reshape(-1, oh, ow, cin, depth_multiplier)
-    prod = _scratch(arena, out.shape)
-    calls.append((np.copyto, (out, float32(0.0)), {}))
-    # every tap's input window over the whole batch, times its weights
-    for kh in range(filter_h):
-        for kw in range(filter_w):
-            patch = x[:, kh * dilation_h:
-                      kh * dilation_h + (oh - 1) * stride_h + 1:stride_h,
-                      kw * dilation_w:
-                      kw * dilation_w + (ow - 1) * stride_w + 1:stride_w,
-                      :, None]
-            calls += [(np.multiply, (patch, wk[kh, kw], prod), {}),
-                      (np.add, (out, prod, out), {})]
-    if len(weights) > 1:
-        calls.append((np.add, (out, weights[1].reshape(cin, depth_multiplier),
-                               out), {}))
+    rows = max(1, min(oh, _PRODUCT_BYTES // (12 * out[0, 0].size),
+                      _PRODUCT_BYTES // (4 * taps * ow * cin)))
+    rows = -(-oh // -(-oh // rows))
+    cols = _scratch(arena, (filter_h, filter_w, rows, ow, cin))
+    sn, sy, sx, sc = x.strides
+    win = np.ndarray(
+        (len(x), filter_h, filter_w, oh, ow, cin), x.dtype, x, 0,
+        (sn, dilation_h * sy, dilation_w * sx, stride_h * sy, stride_w * sx,
+         sc))
+    blocks, own, fill = _sum_products_prep(
+        cols.reshape(taps, rows, ow, cin, 1),
+        weights[0].reshape(taps, 1, 1, cin, depth_multiplier), out[0, :rows],
+        weights[1].reshape(cin, depth_multiplier) if len(weights) > 1
+        else 0.0, arena, cols.size)
+    calls += fill
+    for b in range(len(x)):
+        for r0 in [*range(0, oh - rows, rows), oh - rows]:
+            calls.append((np.copyto, (cols, win[b, :, :, r0:r0 + rows]), {}))
+            calls += _sum_products_calls(blocks, own, out[b, r0:r0 + rows])
     return calls + _clamp_calls(out, activation_min, activation_max)
 
 
@@ -361,10 +392,14 @@ def max_pool2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
                               pad_before_h, pad_after_h, pad_before_w,
                               pad_after_w, float("-inf"))
     out = outputs[0].reshape(-1, *out_shape)
-    calls.append((np.copyto, (out, float32("-inf")), {}))
-    calls += [(np.maximum, (out, win), {"out": out})
-              for win in _pool_windows_prep(x, out, filter_h, filter_w,
-                                            stride_h, stride_w)]
+    # from the first two windows, the earlier one second (see above)
+    wins = _pool_windows_prep(x, out, filter_h, filter_w, stride_h,
+                              stride_w)
+    if len(wins) < 2:
+        calls.append((np.copyto, (out, wins[0]), {}))
+    else:
+        calls.append((np.maximum, (wins[1], wins[0]), {"out": out}))
+    calls += [(np.maximum, (win, out), {"out": out}) for win in wins[2:]]
     return calls + _clamp_calls(out, activation_min, activation_max)
 
 

@@ -183,6 +183,49 @@ def case_max_pool(i):
     return _pool_case(i, 104, "max_pool2d_f32", oracles.max_pool2d)
 
 
+MAX_POOL_EDGE_KINDS = ("zero_ties", "negative_inf", "padded", "one_tap")
+
+
+@lru_cache(maxsize=None)
+def case_max_pool_edge(i):
+    # the cells a maximum begun from the first two windows could get
+    # wrong: windows whose maximum is +0.0 tied with -0.0 (the oracle's
+    # strict > keeps the earlier cell's sign), -inf cells and whole -inf
+    # windows, SAME padding around cells of -inf, -0.0 and below (a border
+    # that won would show), and one-tap pools, strided. No clamp: a
+    # clamp's zero is not the pool's.
+    rng = np.random.default_rng((114, i))
+    kind = MAX_POOL_EDGE_KINDS[i % len(MAX_POOL_EDGE_KINDS)]
+    n = int(rng.integers(1, 3))
+    h, w, c = (int(d) for d in rng.integers(3, 8, 3))
+    if kind == "one_tap":
+        fh = fw = 1
+    else:
+        fh, fw = (int(d) for d in rng.integers(2, 4, 2))
+    sh, sw = (int(d) for d in rng.integers(1, 3, 2))
+    if kind == "padded" or kind != "one_tap" and rng.random() < 0.5:
+        pt, pb = _same_pads(h, fh, sh)
+        pl, pr = _same_pads(w, fw, sw)
+    else:
+        pt = pb = pl = pr = 0
+    oh = (h + pt + pb - fh) // sh + 1
+    ow = (w + pl + pr - fw) // sw + 1
+    values = {"zero_ties": [0.0, -0.0, -0.0, -1.0],
+              "negative_inf": [-np.inf, -np.inf, -0.0, 0.0, -2.0],
+              "padded": [-np.inf, -0.0, 0.0, -3.0],
+              "one_tap": [-np.inf, -0.0, 0.0, 0.5]}[kind]
+    x = rng.choice(np.float32(values), (n, h, w, c))
+    out = np.empty(n * oh * ow * c, dtype=np.float32)
+    run_kernel("max_pool2d_f32", [x.ravel().copy()], [], [out],
+               in_shape=(h, w, c), out_shape=(oh, ow, c), filter_h=fh,
+               filter_w=fw, stride_h=sh, stride_w=sw, pad_before_h=pt,
+               pad_after_h=pb, pad_before_w=pl, pad_after_w=pr,
+               activation_min=None, activation_max=None)
+    want = oracles.max_pool2d(x, (fh, fw), (sh, sw), (pt, pb, pl, pr),
+                              (None, None))
+    return out.reshape(n, oh, ow, c), want
+
+
 def _run_fully_connected(x, wt, bias, clamp):
     """Reference FC kernel on flat buffers against the oracle.
 
@@ -565,6 +608,7 @@ REFERENCE_CASES = {
     "depthwise_conv2d": case_depthwise,
     "average_pool_2d": case_avg_pool,
     "max_pool_2d": case_max_pool,
+    "max_pool_2d_edge": case_max_pool_edge,
     "fully_connected": case_fully_connected,
     "fully_connected_edge": case_fully_connected_edge,
     "conv2d_edge": case_conv2d_edge,

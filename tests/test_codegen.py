@@ -1051,23 +1051,28 @@ def _program_lists(driver):
 def test_program_plans_share_one_arena_and_keep_small_steps_as_they_were(
         built):
     # lenet's plan(1) takes the product tensors of conv1, conv2, fc1 and
-    # fc2 from one arena, and fills each one's tail row once a run: its 45
-    # calls, less the two that put conv1's and conv2's leading rows back
-    # to +0.0, and 4 fills. mlp's scratch stays below a page, so its
-    # plan(1) makes its 9 calls and no fill; at BATCH, its steps share one
-    # arena too. Identity has no scratch, and its plan has no arena.
+    # fc2 from one arena, and fills each one's tail row once a run: 41
+    # calls, the 47 of a plan with a -inf fill and one more maximum a max
+    # pool and a whole-output RELU a conv, less those six, 4 fills
+    # included. mlp's scratch stays below a page, so its plan(1) makes its
+    # 9 calls and no fill; at BATCH, its steps share one arena too, and
+    # its FC products, over strided sample lanes, are np.multiply's.
+    # Identity has no scratch, and its plan has no arena.
     lenet = harness.load_driver(built["lenet"][1].executable)
     bases = {k: {id(args[0].base) for f, args, _ in v
                  if f == np.add.reduce}
              for k, v in vars(lenet).items() if k in ("S0", "S2", "S5", "S6")}
     assert len(set.union(*bases.values())) == 1
-    assert sum(map(len, _program_lists(lenet))) == 45 - 2 + 4
+    assert sum(map(len, _program_lists(lenet))) == 47 - 2 * 2 - 2
     mlp = harness.load_driver(built["mlp"][1].executable)
     assert sum(map(len, _program_lists(mlp))) == 9
     mlp.plan(mlp.BATCH)
     try:
         assert len({id(args[0].base) for calls in _program_lists(mlp)
                     for f, args, _ in calls if f == np.add.reduce}) == 1
+        products = [f for calls in _program_lists(mlp) for f, _, _ in calls
+                    if f in (np.multiply, mlp.np.c_einsum)]
+        assert products and set(products) == {np.multiply}
     finally:
         mlp.plan(1)
     driver = (Path(built["identity"][1].out_dir) / "src/net_driver.py"
@@ -1278,6 +1283,10 @@ def test_scratch_of_the_batched_plan(built):
     _, artifact = built["mlp"]
     driver = harness.load_driver(artifact.executable)
     scratch = harness.plan_scratch(driver, driver.BATCH)
+    # one sample: each FC reduces in one chunk, its product tensor the rows
+    # of its taps and its bias and no leading row, (4 + 1) x 8 and
+    # (8 + 1) x 3 floats, beside softmax's 3 + 1 + 3
+    assert harness.plan_scratch(driver, 1) == 4 * (40 + 27 + 7)
     assert scratch > 100 * harness.plan_scratch(driver, 1)
     # every part of it takes a page or more, so it is all one arena, sized
     # to the largest step: less than half the 655,200 B the three steps

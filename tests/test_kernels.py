@@ -96,22 +96,25 @@ def test_prepared_state_follows_its_buffers(name, monkeypatch):
     # the cases a prepared call list could get wrong: a padded border and a
     # single lane with its twin
     if name in ("conv2d", "depthwise_conv2d", "average_pool_2d",
-                "max_pool_2d"):
+                "max_pool_2d", "max_pool_2d_edge"):
         assert any(sum(p[k] for k in _PADS) for p in seen)  # SAME padding
     if name == "fully_connected_edge":  # a single lane, with its twin
         assert any(p["out_features"] == 1 for p in seen)
     if name == "conv2d_edge":
         assert any(p["out_shape"] == (1, 1, 1) for p in seen)
-    if name.endswith(("_edge", "_tail")):  # the bias as a last chunk's tail
+    if name.endswith(("_edge", "_tail")) and name != "max_pool_2d_edge":
+        # the bias as a last chunk's tail
         assert any(len(c) > 1 for c in biased_chunks)
 
 
 @pytest.mark.parametrize("name", ["conv2d_edge", "fully_connected_edge",
                                   "conv2d_tail", "fully_connected_tail",
-                                  "fully_connected_lanes"])
+                                  "fully_connected_lanes",
+                                  "max_pool_2d_edge"])
 def test_edge_cases_match_oracle_sign_of_zero_included(name):
     # stricter than bitwise_equal, which lets -0.0 pass for +0.0: every sum
-    # starts from +0.0 on both sides, so even zero signs must agree
+    # starts from +0.0 on both sides, and a maximum keeps the earlier of
+    # tied cells on both, so even zero signs must agree
     fn = REFERENCE_CASES[name]
     for i in range(N_CASES):
         got, want = fn(i)
@@ -179,38 +182,46 @@ def _special_terms(rng, k, lhs_rows, rhs_lanes, special):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("special", ["negative_zero", "inf_times_zero",
                                      "nan"])
-@pytest.mark.parametrize("path", ["outer", "fc_batch_1", "twin"])
+@pytest.mark.parametrize("path", ["outer", "fc_batch_1", "fc_batch_3",
+                                  "strided", "twin"])
 def test_both_product_paths_are_the_scalar_loop_order(path, special,
                                                      case_budget):
-    # conv's einsum outer products into a transposed (cout, lanes) view,
-    # and np.multiply for FC at batch 1 and for a single lane beside its
-    # twin, against the scalar loop bit for bit, zero signs included. Each
-    # reduction runs in several chunks; lane (0, 0) gets the special terms
-    # and a -0.0 tail, which only a sum begun at +0.0 turns into +0.0.
+    # the product call _sum_products_prep picks, against the scalar loop
+    # bit for bit, zero signs included: einsum's outer products for conv
+    # (into a transposed (cout, lanes) view) and for FC's feature lanes at
+    # one sample and at a few, each chunk 8192 products or more; and
+    # np.multiply for strided sample lanes, as FC's at mlp's BATCH, and
+    # for a single lane beside its twin. Each reduction runs in several
+    # chunks; lane (0, 0) gets the special terms and a -0.0 tail, which
+    # only a sum begun at +0.0 turns into +0.0.
     rng = np.random.default_rng(11)
     rows, lanes = {"outer": (3, 5), "fc_batch_1": (1, 7),
+                   "fc_batch_3": (3, 7), "strided": (3, 7),
                    "twin": (1, 1)}[path]
     lhs, rhs = _special_terms(rng, 10000, rows, lanes, special)
     if path == "outer":
         acc = np.empty((lanes, rows), np.float32).T
-    elif path == "fc_batch_1":  # the input row, viewed as FC's prep does
-        lhs = lhs.reshape(1, -1).T[:, :, None]
-        acc = np.empty((1, lanes), np.float32)
+    elif path.startswith("fc_"):  # the input rows, viewed as FC's prep does
+        lhs = lhs[:, :, 0].T.copy().T[:, :, None]
+        acc = np.empty((rows, lanes), np.float32)
+    elif path == "strided":  # the samples' transposed view, and the output's
+        rhs = rhs[:, 0].T.copy().T[:, None]
+        acc = np.empty((lanes, rows), np.float32).T
     else:
         acc = np.empty((1, 1), np.float32)
     tail = rng.choice(np.float32([1e8, -1e8, 1, 3e-8]), (rows, lanes))
     tail[0, 0] = np.float32(-0.0)
-    # one block of lanes in several chunks; the outer products reduce into
-    # a contiguous accumulator, the lone lane into its twin pair
+    # one block of lanes in several chunks; strided lanes reduce into a
+    # contiguous accumulator, the lone lane into its twin pair
     [(lanes_in, chunks)], own, fill = ops._sum_products_prep(lhs, rhs, acc,
                                                              tail)
     assert len(chunks) > 1 and fill == []
-    assert (own is None) == (path == "fc_batch_1")
-    assert all(f is np.multiply for (f, _, _), _ in chunks)
-    if path == "outer":  # as conv2d_f32_prep swaps them in
-        chunks = [((ops.np.c_einsum, ("kc,kl->kcl", a[:, :, 0], b[:, 0]),
-                    {"out": prod}), part)
-                  for (_, (a, b, prod), _), part in chunks]
+    assert (own is None) == path.startswith("fc_")
+    einsum = path in ("outer", "fc_batch_1", "fc_batch_3")
+    assert {f for (f, _, _), _ in chunks} == {
+        ops.np.c_einsum if einsum else np.multiply}
+    if einsum:
+        assert min(kw["out"].size for (_, _, kw), _ in chunks) >= 8192
     ops.run_calls(ops._sum_products_calls([(lanes_in, chunks)], own, acc))
     want = np.zeros((rows, lanes), np.float32)
     for t in range(len(lhs)):
@@ -225,19 +236,21 @@ def test_both_product_paths_are_the_scalar_loop_order(path, special,
 
 
 def test_lenet_states_take_the_product_call_their_kernel_names():
-    # lenet's conv chunks all hold 8192 products or more, so every one goes
-    # through einsum's outer products; FC chunks stay with np.multiply.
-    # A silent fallback to the broadcast multiply fails here.
+    # lenet's conv chunks and fc1's and fc2's one chunk each hold 8192
+    # products or more over contiguous lanes, so they go through einsum's
+    # outer products; fc3's 840 stay with np.multiply. A silent fallback
+    # to the broadcast multiply fails here.
     plan = interpreter.load(fixtures.build_fixture("lenet"))
     products = {}
     for op, calls in plan.steps:
         tid = op.unit.template_id
-        products.setdefault(tid, []).extend(
-            f for f, _, _ in _product_calls(calls))
-    assert len(products["conv2d_f32"]) == 2 + 3  # conv1 2, conv2 3
-    assert set(products["conv2d_f32"]) == {ops.np.c_einsum}
-    assert len(products["fully_connected_f32"]) >= 3
-    assert set(products["fully_connected_f32"]) == {np.multiply}
+        products.setdefault(tid, []).append(
+            [f for f, _, _ in _product_calls(calls)])
+    c_einsum = ops.np.c_einsum
+    # conv1 2 chunks, conv2 3
+    assert products["conv2d_f32"] == [[c_einsum] * 2, [c_einsum] * 3]
+    assert products["fully_connected_f32"] == [[c_einsum], [c_einsum],
+                                               [np.multiply]]
 
 
 def test_lenet_blocking():
@@ -280,8 +293,9 @@ def _roots(calls) -> set:
 def test_lenet_plan_holds_one_arena_that_no_other_plan_shares():
     # conv1, conv2, fc1 and fc2 take their product tensors from the plan's
     # one arena, sized to conv1's patches, product tensor and accumulator;
-    # fc3's 3,440 B product tensor stays below a page, its own. Two plans
-    # share no array.
+    # fc3's product tensor stays below a page, its own: 3,400 B, the rows
+    # of its 84 taps and its bias, reduced in one chunk with no leading
+    # row. Two plans share no array.
     plans = [interpreter.load(fixtures.build_fixture("lenet"))
              for _ in range(2)]
     for plan in plans:
@@ -290,6 +304,7 @@ def test_lenet_plan_holds_one_arena_that_no_other_plan_shares():
         assert [b.keys() == {id(arena)} for b in bases] == [
             True, False, True, False, False, True, True, False, False]
         assert bases[7] and id(arena) not in bases[7]
+        assert [b.nbytes for b in bases[7].values()] == [4 * 85 * 10]
         assert arena.nbytes == 278_784
     a, b = ({r for _, calls in plan.steps for r in _roots(calls)}
             for plan in plans)
@@ -550,8 +565,9 @@ def test_fc_and_softmax_prepared_for_40_samples_run_40_single_ones():
 
 
 def _product_lanes(calls):
-    """The lanes of each multiply's product tensor, in call order."""
-    return [args[2].shape[-1] for f, args, _ in calls if f is np.multiply]
+    """The lanes of each product call's product tensor, in call order."""
+    return [kw.get("out", args[-1]).shape[-1] for f, args, kw in calls
+            if f is np.multiply or f is ops.np.c_einsum]
 
 
 @pytest.mark.parametrize("bias", [True, False])
