@@ -3,13 +3,19 @@
 `run` and `inspect` load only the runtime: numpy's C core, graphir,
 lowering, the kernels and the interpreter. Run as the `mlfuse` command
 (`python -m mlfuse.cli`, or the installed script, which python names in
-argv[0]), they start as the generated program does, before anything
-imports numpy: corestart caps OpenBLAS at one thread and loads the core
-under its stand-ins, so numpy's Python layer never loads. Imported as a
-library, this module changes nothing of the kind. The toolchain loads with
-the command that uses it: fixtures inside `build-fixture`, codegen and
-harness inside `codegen`, `verify` and `bench`, the sniffer inside
-`sniff`.
+argv[0]), they are one-shot processes and start and end as the
+generated program does. They start before anything imports numpy: the
+cyclic collector goes off for the process's life (serving makes no
+cyclic garbage), and corestart caps OpenBLAS at one thread and loads the
+core under its stand-ins, so numpy's Python layer never loads. They end
+at their last write: main() flushes stdout and stderr and ends the
+process with os._exit, which skips CPython's teardown. A stdout that
+cannot take their lines (a pipe whose reader is gone) is an error, exit
+2. Imported as a library, or running a toolchain command, which makes
+temporary dirs and child processes, this module does none of that, and
+main() returns its code. The toolchain loads with the command that uses
+it: fixtures inside `build-fixture`, codegen and harness inside
+`codegen`, `verify` and `bench`, the sniffer inside `sniff`.
 
 Exit code contract: 0 success (or clean scan), 1 domain failure (failed
 verification, scan findings, exhausted status search), 2 usage or
@@ -20,14 +26,18 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
+import os
 import sys
 from pathlib import Path
 
-# the command serving a model starts as the program does, before the
-# imports below load numpy (see above)
-if (__name__ == "__main__" or Path(sys.argv[0]).name == "mlfuse") \
-        and sys.argv[1:2] in (["run"], ["inspect"]):
+# the command serving a model is one shot: it starts as the program does,
+# before the imports below load numpy, and ends as it does (see above)
+_ONE_SHOT = (__name__ == "__main__" or Path(sys.argv[0]).name == "mlfuse") \
+    and sys.argv[1:2] in (["run"], ["inspect"])
+if _ONE_SHOT:
+    gc.disable()
     from . import corestart
     corestart.start()
 
@@ -307,6 +317,23 @@ def _toolchain_errors(*names: str) -> tuple:
 
 
 def main(argv=None) -> int:
+    code = _main(argv)
+    if not _ONE_SHOT:
+        return code
+    # a one-shot command ends its process once what it printed is out
+    # (see above)
+    try:
+        if sys.stdout:  # None when the process started without one
+            sys.stdout.flush()
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        code = code or 2
+    if sys.stderr:
+        sys.stderr.flush()
+    os._exit(code)
+
+
+def _main(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -483,8 +483,17 @@ def _emit_driver(plan: EmissionPlan) -> str:
 # outputs, and holds nothing else. Timing and memory accounting are the
 # harness's, which imports net_driver in process (harness.load_driver).
 # The OpenBLAS cap and numpy's stand-ins are corestart.STANDINS, which
-# `mlfuse run` and `mlfuse inspect` start from too.
+# `mlfuse run` and `mlfuse inspect` start from too. The run is one shot:
+# the collector is off from the first statement, and the process ends at
+# its last write, as those two commands do.
 _MAIN_SRC = '''\
+import gc
+
+# Serving makes no cyclic garbage (the tests hold every fixture's run() to
+# that), so the collector would only walk live objects, at import and
+# between calls; it stays off for the process's life.
+gc.disable()
+
 import os
 import site
 import sys
@@ -527,9 +536,11 @@ def main(argv):
             return 2
         rows = flat.view("<f4").astype("=f4").reshape(-1, per_sample)
         count = len(rows)
-        # b samples a call; the last call ends at the last sample, so it may
-        # overlap the one before it and write the same values there again
-        b = min(count, net_driver.BATCH)
+        # b samples a call, the file split evenly into as few calls as
+        # BATCH allows; the last call ends at the last sample, so it may
+        # overlap the one before it (by fewer samples than there are
+        # calls) and write the same values there again
+        b = -(-count // -(-count // net_driver.BATCH))
         if b > 1:
             net_driver.plan(b)
         starts = [*range(0, count - b, b), count - b]
@@ -564,10 +575,18 @@ def main(argv):
 if __name__ == "__main__":
     # file access is the only source of OSError here
     try:
-        sys.exit(main(sys.argv[1:]))
+        code = main(sys.argv[1:])
     except OSError as e:
         print(f"{e.filename}: {e.strerror}", file=sys.stderr)
-        sys.exit(2)
+        code = 2
+    # The output file is closed and nothing is left to do: the process ends
+    # here, with its lines flushed (a closed stream is None), and skips
+    # CPython's teardown, which would free every module and object one by
+    # one. An uncaught exception still ends the usual way, in a traceback.
+    for f in sys.stdout, sys.stderr:
+        if f:
+            f.flush()
+    os._exit(code)
 '''
 
 

@@ -12,6 +12,10 @@ program's __main__ holds STANDINS verbatim (codegen._MAIN_SRC), and the
 comments speak of the program; the runtime modules those commands load
 (graphir, lowering, the kernels, interpreter, cli) likewise call only
 names on the core.
+
+Both deployments are one-shot processes. Each turns the cyclic collector
+off before this runs, and ends at its last write with os._exit, past
+CPython's teardown (codegen._MAIN_SRC; cli.main for those two commands).
 """
 
 import os

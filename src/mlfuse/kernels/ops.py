@@ -97,10 +97,12 @@ one, so it overlaps the block before it when the blocks do not divide them;
 the overlap comes out the same twice. A reduction of more than one chunk
 into strided lanes (a transposed view) runs in a contiguous accumulator,
 copied out once a block. Conv's lower clamp rides that copy-out,
-np.maximum(own, lo, out=dst), in place of a whole-output np.maximum after
+np.maximum(lo, own, out=dst), in place of a whole-output np.maximum after
 it, with the same operands in the same order; a conv that reduces into its
 output's own lanes keeps the whole-output clamp, and an upper clamp stays
-one whole-output np.minimum.
+one whole-output np.minimum. A lower clamp puts lo first, so a tie keeps
+the value, a -0.0 under a clamp at +0.0 included, as the oracle's (and
+TFLite's std::max(x, lo)) does.
 
 Steps run one at a time, so every step of a plan takes its scratch from
 one arena, sized to the largest step's need. A step that takes scratch
@@ -143,7 +145,7 @@ def run_calls(calls):
 def _clamp_calls(buf, lo, hi):
     calls = []
     if lo is not None:
-        calls.append((np.maximum, (buf, float32(lo)), {"out": buf}))
+        calls.append((np.maximum, (float32(lo), buf), {"out": buf}))
     if hi is not None:
         calls.append((np.minimum, (buf, float32(hi)), {"out": buf}))
     return calls
@@ -259,7 +261,7 @@ def _sum_products_calls(blocks, own, acc, lo=None):
         if own is not None:  # a view: a twin pair's lane 0 is copied now
             into = own[..., :dst.shape[-1]]
             calls.append((np.copyto, (dst, into), {}) if lo is None else
-                         (np.maximum, (into, float32(lo)), {"out": dst}))
+                         (np.maximum, (float32(lo), into), {"out": dst}))
     return calls
 
 

@@ -226,6 +226,37 @@ def case_max_pool_edge(i):
     return out.reshape(n, oh, ow, c), want
 
 
+@lru_cache(maxsize=None)
+def case_clamp_negative_zero(i):
+    # a lower clamp at +0.0 of a -0.0 result: the oracle's clamp, like
+    # TFLite's std::max(x, lo), replaces x only when x < lo, so -0.0 stays.
+    # Even cases max pool windows of -0.0 (and below) under RELU or RELU6;
+    # odd ones ADD two -0.0 (among other zeros and signs) under the same.
+    rng = np.random.default_rng((115, i))
+    clamp = _clamp_for(("RELU", "RELU6")[int(rng.integers(0, 2))])
+    if i % 2:
+        count = int(rng.integers(1, 64))
+        a, b = (rng.choice(np.float32([-0.0, -0.0, 0.0, -0.5, 0.5]), count)
+                for _ in range(2))
+        out = np.empty(count, dtype=np.float32)
+        run_kernel("add", [a.copy(), b.copy()], [], [out],
+                   activation_min=clamp[0], activation_max=clamp[1])
+        return out, oracles.add(a, b, clamp)
+    n = int(rng.integers(1, 3))
+    h, w, c = (int(d) for d in rng.integers(2, 6, 3))
+    fh, fw = (int(d) for d in rng.integers(1, 3, 2))
+    oh, ow = h - fh + 1, w - fw + 1
+    x = rng.choice(np.float32([-0.0, -0.0, -0.0, -1.0]), (n, h, w, c))
+    out = np.empty(n * oh * ow * c, dtype=np.float32)
+    run_kernel("max_pool2d_f32", [x.ravel().copy()], [], [out],
+               in_shape=(h, w, c), out_shape=(oh, ow, c), filter_h=fh,
+               filter_w=fw, stride_h=1, stride_w=1, pad_before_h=0,
+               pad_after_h=0, pad_before_w=0, pad_after_w=0,
+               activation_min=clamp[0], activation_max=clamp[1])
+    want = oracles.max_pool2d(x, (fh, fw), (1, 1), clamp=clamp)
+    return out.reshape(n, oh, ow, c), want
+
+
 def _run_fully_connected(x, wt, bias, clamp):
     """Reference FC kernel on flat buffers against the oracle.
 
@@ -609,7 +640,8 @@ REFERENCE_CASES = {
     "average_pool_2d": case_avg_pool,
     "max_pool_2d": case_max_pool,
     "max_pool_2d_edge": case_max_pool_edge,
-    "fully_connected": case_fully_connected,
+    "clamp_negative_zero": case_clamp_negative_zero,
+    "fully_connected":case_fully_connected,
     "fully_connected_edge": case_fully_connected_edge,
     "conv2d_edge": case_conv2d_edge,
     "fully_connected_tail": case_fully_connected_tail,

@@ -142,14 +142,24 @@ tasks = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
 print(json.dumps([code, sorted(sys.modules), tasks]))
 """
 
+# Makes os._exit raise SystemExit in a child, so that a one-shot command,
+# which ends its process with os._exit, returns to the child to report.
+_RAISE_ON_EXIT_SRC = """\
+def _exit(code):
+    raise SystemExit(code)
+os._exit = _exit
+"""
+
 # Children that run the CLI with their argv and then report. "-m" and
 # "script" are the command's two entries: as `python -m mlfuse.cli` runs
 # it, and as the installed `mlfuse` script, which imports main() and calls
-# it. "library" is neither: a caller that imports mlfuse.cli and calls
-# main(). The -c ones first run the code in argv[1].
+# it; os._exit raises in them (see above). "library" is neither: a caller
+# that imports mlfuse.cli and calls main(), which returns. The -c ones
+# first run the code in argv[1].
 _ENTRY_SRC = {
     "-m": """\
 import json, os, runpy, sys
+""" + _RAISE_ON_EXIT_SRC + """\
 exec(sys.argv.pop(1))
 try:
     runpy.run_module("mlfuse.cli", run_name="__main__", alter_sys=True)
@@ -158,8 +168,12 @@ except SystemExit as e:
 """ + _REPORT_SRC,
     "script": """\
 import json, os, sys
+""" + _RAISE_ON_EXIT_SRC + """\
 from mlfuse.cli import main
-code = main()
+try:
+    code = main()
+except SystemExit as e:
+    code = e.code
 """ + _REPORT_SRC,
     "library": """\
 import json, os, sys
@@ -291,6 +305,178 @@ def test_a_core_that_fails_part_way_ends_the_command_in_one_line(
         f"error: {sys.executable} cannot load numpy's C core: module "
         f"'numpy._globals' has no attribute '_NoValue'\n")
     assert not Path(argv[-1]).exists()
+
+
+# -- how a one-shot command ends ----------------------------------------------
+
+# The command's two entries as they are, each a child that first runs the
+# code in argv[1]: "-m" runs the module as `python -m mlfuse.cli` does,
+# "script" is what the installed `mlfuse` script runs, under that name.
+# "library" calls main() with the rest of its argv and exits with its code.
+_BARE_ENTRY_SRC = {
+    "-m": """\
+import runpy, sys
+exec(sys.argv.pop(1))
+runpy.run_module("mlfuse.cli", run_name="__main__", alter_sys=True)
+""",
+    "script": """\
+import sys
+exec(sys.argv.pop(1))
+from mlfuse.cli import main
+sys.exit(main())
+""",
+    "library": """\
+import sys
+exec(sys.argv.pop(1))
+from mlfuse import cli
+sys.exit(cli.main(sys.argv[1:]))
+""",
+}
+
+# run before the command: interpreter.invoke raises InterpreterError, a
+# domain failure, which run's own files cannot provoke
+_INVOKE_FAILS = """\
+from mlfuse import interpreter
+def invoke(plan, xs):
+    raise interpreter.InterpreterError("boom")
+interpreter.invoke = invoke
+"""
+
+# run before the command: an atexit hook that says teardown ran, and an
+# os._exit that says it was called and with what, and then ends the
+# process; each says whether the cyclic collector was on
+_SAY_HOW_IT_ENDS = """\
+import atexit, gc, os, sys
+def say(what):
+    on = "on" if gc.isenabled() else "off"
+    print(f"{what}, collector {on}", file=sys.stderr, flush=True)
+atexit.register(say, "teardown ran")
+_exit = os._exit
+def say_and_exit(code):
+    say(f"os._exit({code})")
+    _exit(code)
+os._exit = say_and_exit
+"""
+
+
+def _spawn(tmp_path, entry, argv, setup="", unbuffered=False, **kw):
+    """The command through one of its entries in a child, with stdout and
+    stderr pipes unless kw says otherwise; print() buffers in the stdout
+    pipe unless unbuffered."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = _BARE_ENTRY_SRC[entry]
+    if entry == "script":
+        script = tmp_path / "bin" / "mlfuse"
+        script.parent.mkdir(exist_ok=True)
+        script.write_text(src, encoding="utf-8")
+        cmd = [sys.executable, str(script), setup, *argv]
+    else:
+        cmd = [sys.executable, "-c", src, setup, *argv]
+    kw.setdefault("stdout", subprocess.PIPE)
+    kw.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run(cmd, env=env, text=True, **kw)
+
+
+@pytest.mark.parametrize("entry", ["-m", "script"])
+def test_one_shot_commands_write_every_line_through_pipes(workdir, tmp_path,
+                                                         bad_files, capsys,
+                                                         entry):
+    # print() buffers stdout in a pipe: the process must not end before the
+    # buffer is out. Each line is what cli.main() prints in process.
+    cases = _run_and_inspect(workdir, tmp_path)
+    out = cases["run"][-1]
+    for argv in (cases["run"], cases["run"] + ["--json"], cases["inspect"],
+                 cases["inspect"] + ["--json"]):
+        proc = _spawn(tmp_path, entry, argv)
+        Path(out).unlink(missing_ok=True)
+        assert cli.main(argv) == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, capsys.readouterr().out, ""), argv
+    assert proc.stdout.startswith('{"inputs": ')
+    assert _spawn(tmp_path, entry, cases["run"]).stdout == \
+        f"wrote 9 values to {out}\n"
+    # the usage lines, an input of the wrong size, and a domain failure
+    g, w = _paths(workdir, "mlp")
+    proc = _spawn(tmp_path, entry, ["run", g])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("usage: mlfuse run [-h] [--json] graph ")
+    assert proc.stderr.endswith("arguments are required: weights, input, "
+                                "output\n")
+    proc = _spawn(tmp_path, entry,
+                  ["run", g, w, str(bad_files["three-bytes.raw"]), out])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: input file holds 3 bytes, need ")
+    assert proc.stderr.count("\n") == 1
+    proc = _spawn(tmp_path, entry, cases["run"], setup=_INVOKE_FAILS)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: boom\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("entry", ["-m", "script"])
+def test_one_shot_exit_codes_hold_with_stdout_closed_or_broken(
+        workdir, tmp_path, entry, unbuffered):
+    # A process started without a stdout prints into nothing and succeeds.
+    # A stdout pipe whose reader is gone cannot take the result line, in
+    # the final flush (buffered) or in print() (unbuffered): one error
+    # line, exit 2, with the output file written. The usage line goes to
+    # stderr and keeps its code either way. None ends in a traceback.
+    cases = _run_and_inspect(workdir, tmp_path)
+    out = Path(cases["run"][-1])
+    usage = ["run", cases["inspect"][1]]
+    for argv, code in ((cases["run"], 0), (cases["inspect"], 0),
+                       (usage, 2)):
+        out.unlink(missing_ok=True)
+        proc = _spawn(tmp_path, entry, argv, unbuffered=unbuffered,
+                      stdout=None, preexec_fn=lambda: os.close(1))
+        assert proc.returncode == code, proc.stderr
+        assert (proc.stderr == "") == (code == 0), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert out.exists() == (argv is cases["run"])
+    for argv, code, err in (
+            (cases["run"], 2, "error: [Errno 32] Broken pipe\n"),
+            (cases["inspect"], 2, "error: [Errno 32] Broken pipe\n"),
+            (usage, 2, None)):
+        out.unlink(missing_ok=True)
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = _spawn(tmp_path, entry, argv, unbuffered=unbuffered,
+                          stdout=w)
+        finally:
+            os.close(w)
+        assert proc.returncode == code, proc.stderr
+        if err is None:
+            assert proc.stderr.startswith("usage: mlfuse run")
+        else:
+            assert proc.stderr == err
+        assert out.exists() == (argv is cases["run"])
+
+
+@pytest.mark.parametrize("entry", ["-m", "script", "library"])
+def test_one_shot_commands_skip_teardown_with_the_collector_off(
+        workdir, tmp_path, entry):
+    # run and inspect end in os._exit with their code and the collector
+    # still off, so an atexit hook never runs; a toolchain command returns,
+    # and the process tears down as usual, as it does after main() called
+    # as a library, whatever the command
+    cases = _run_and_inspect(workdir, tmp_path)
+    g, w = _paths(workdir, "mlp")
+    for argv, code in ((cases["run"], 0), (cases["inspect"], 0),
+                       (["run", g, w, "missing.raw", "out.raw"], 2),
+                       (["build-fixture", "identity", "--out",
+                         str(tmp_path)], 0)):
+        proc = _spawn(tmp_path, entry, argv, setup=_SAY_HOW_IT_ENDS)
+        assert proc.returncode == code
+        ends = "teardown ran, collector on" \
+            if entry == "library" or argv[0] == "build-fixture" \
+            else f"os._exit({code}), collector off"
+        assert proc.stderr.endswith(f"{ends}\n"), proc.stderr
+        assert proc.stderr.count("collector") == 1
 
 
 @pytest.fixture(scope="module")

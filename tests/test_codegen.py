@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import gc
 import importlib
 import importlib.util
 import inspect
@@ -366,19 +367,90 @@ def test_program_rejects_input_that_is_not_whole_samples(built, tmp_path,
     assert not (tmp_path / "out.raw").exists()
 
 
+# Run in a `python -S` child with argv PROGRAM ARG...: an atexit hook that
+# says teardown ran, and an os._exit that says it was called and with
+# what, then ends the process, each saying whether the cyclic collector
+# was on; then the program's zip runs in that process, as python runs a
+# zip.
+_HOW_IT_ENDS_SRC = """\
+import atexit, gc, os, runpy, sys
+def say(what):
+    on = "on" if gc.isenabled() else "off"
+    print(f"{what}, collector {on}", file=sys.stderr, flush=True)
+atexit.register(say, "teardown ran")
+_exit = os._exit
+def say_and_exit(code):
+    say(f"os._exit({code})")
+    _exit(code)
+os._exit = say_and_exit
+del sys.argv[0]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+def test_program_ends_at_its_last_write_with_the_collector_off(built,
+                                                              tmp_path):
+    # every exit code main() returns, and an OSError's, ends in os._exit
+    # with the collector still off, so no atexit hook runs
+    _, artifact = built["mlp"]
+    np.zeros(4, "<f4").tofile(tmp_path / "in.raw")
+    (tmp_path / "short.raw").write_bytes(b"abc")
+    for args, code, lines in (
+            (["in.raw", "out.raw"], 0, ""),
+            (["in.raw"], 2, "usage: program IN.raw OUT.raw\n"),
+            (["short.raw", "out.raw"], 2,
+             "input holds 3 bytes, need a multiple of 16\n"),
+            (["missing.raw", "out.raw"], 2,
+             "missing.raw: No such file or directory\n")):
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", _HOW_IT_ENDS_SRC,
+             artifact.executable, *args],
+            cwd=tmp_path, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, "", lines + f"os._exit({code}), collector off\n"), args
+    assert np.fromfile(tmp_path / "out.raw", "<f4").size == 3
+
+
+def test_program_exit_codes_hold_with_stdout_closed_or_broken(built,
+                                                             tmp_path):
+    # the program prints nothing to stdout, so a stdout that is closed or
+    # a pipe whose reader is gone changes no code and no stderr line
+    _, artifact = built["mlp"]
+    np.zeros(4, "<f4").tofile(tmp_path / "in.raw")
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        for stdout in ({"preexec_fn": lambda: os.close(1)},
+                       {"stdout": w}):
+            for args, code, err in (
+                    (["in.raw", "out.raw"], 0, ""),
+                    (["in.raw"], 2, "usage: program IN.raw OUT.raw\n")):
+                proc = subprocess.run([artifact.executable, *args],
+                                      cwd=tmp_path, stderr=subprocess.PIPE,
+                                      text=True, **stdout)
+                assert (proc.returncode, proc.stderr) == (code, err), args
+    finally:
+        os.close(w)
+
+
 def _program_main(artifact):
     """The built program's __main__.main, loaded from its zip.
 
-    Its module code extends sys.path, sets an environment variable and,
-    under a venv's python, sys.prefix; all are put back as they were.
+    Its module code turns the cyclic collector off, extends sys.path, sets
+    an environment variable and, under a venv's python, sys.prefix; all are
+    put back as they were.
     """
     code = zipimport.zipimporter(artifact.executable).get_code("__main__")
     ns = {"__name__": "program_main"}  # not "__main__": main must not run
     path, environ, prefix = sys.path[:], dict(os.environ), sys.prefix
+    collecting = gc.isenabled()
     sys.path.insert(0, artifact.executable)
     try:
         exec(code, ns)
+        assert not gc.isenabled()
     finally:
+        if collecting:
+            gc.enable()
         sys.path[:] = path
         sys.prefix = prefix
         os.environ.clear()
@@ -458,12 +530,16 @@ def _interpreter_output(bundle, xs) -> bytes:
 
 
 # Run in a `python -S` child with argv PROGRAM IN OUT: runs the program's
-# zip in that process, as python runs a zip, then reports the threads the
-# process holds, where numpy's C core came from (the program's numpy
-# package is a bare stand-in, with no file) and the name of the module
-# that serves `import datetime`.
+# zip in that process, as python runs a zip, with os._exit made to raise
+# SystemExit so that the program returns to the child, then reports the
+# threads the process holds, where numpy's C core came from (the
+# program's numpy package is a bare stand-in, with no file) and the name
+# of the module that serves `import datetime`.
 _IN_PROCESS_SRC = """\
 import json, os, runpy, sys
+def _exit(code):
+    raise SystemExit(code)
+os._exit = _exit
 del sys.argv[0]
 try:
     runpy.run_path(sys.argv[0], run_name="__main__")
@@ -521,15 +597,16 @@ def _count_runs(artifact, work, *args) -> dict:
 @pytest.mark.parametrize("name, count, calls", [
     ("mlp", 4096, 2), ("lenet", 20, 3), ("lenet", 1, 1)])
 def test_program_runs_each_call_once(built, tmp_path, name, count, calls):
-    # a file of `count` samples goes in `calls` calls of min(count, BATCH)
-    # samples each, and run() makes each once, with no warm-up call
+    # a file of `count` samples goes in as few calls as BATCH allows (mlp's
+    # is 3640, lenet's 9), split evenly: `calls` calls of ceil(count /
+    # calls) samples each, and run() makes each once, with no warm-up call
     _, artifact = built[name]
     driver = harness.load_driver(artifact.executable)
     np.random.default_rng(5).uniform(
         -1, 1, (count, sum(driver.INPUT_SIZES))).astype("<f4").tofile(
             tmp_path / "in.raw")
     assert _count_runs(artifact, tmp_path, "in.raw", "out.raw") == \
-        {"code": 0, "runs": [min(count, driver.BATCH)] * calls}
+        {"code": 0, "runs": [-(-count // calls)] * calls}
 
 
 def test_program_runs_no_host_site_code(built, tmp_path):
@@ -959,6 +1036,39 @@ def test_warm_program_run_allocates_only_its_outputs(built, name, at):
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_serving_makes_no_cyclic_garbage(built, name):
+    # The program and `mlfuse run` serve with the cyclic collector off for
+    # the process's life, which holds only while serving leaves it nothing
+    # to find: after one collection of what loading left, repeated program
+    # run() calls at one sample and at BATCH, and repeated interpreter
+    # invokes, leave no unreachable object behind.
+    bundle, artifact = built[name]
+    driver = harness.load_driver(artifact.executable)
+    plan = interpreter.load(bundle)
+    x = _sample(bundle, 3)
+    rng = np.random.default_rng(2)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for n in (1, driver.BATCH):
+            driver.plan(n)
+            inputs = [rng.uniform(-1, 1, (n, size)).astype(np.float32)
+                      for size in driver.INPUT_SIZES]
+            gc.collect()
+            for _ in range(50):
+                driver.run(inputs)
+            assert gc.collect() == 0, n
+        interpreter.invoke(plan, x)
+        gc.collect()
+        for _ in range(50):
+            interpreter.invoke(plan, x)
+        assert gc.collect() == 0
+    finally:
+        if collecting:
+            gc.enable()
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
 def test_no_kernel_code_runs_between_numpy_calls(built, name, monkeypatch):
     # Every step is a list of (f, args, kw) calls that the one run step,
     # run_calls, makes in turn, and every f is a ufunc or a C function or
@@ -1265,9 +1375,9 @@ def test_a_graph_the_batching_rule_excludes_runs_one_sample_a_call(
 
 
 def test_program_runs_the_batched_plan_a_file_needs(built, tmp_path):
-    # lenet's BATCH is 9: 20 samples run as 3 calls of 9, 5 as one call of 5
+    # lenet's BATCH is 9: 20 samples run as 3 calls of 7, 5 as one call of 5
     bundle, artifact = built["lenet"]
-    for count, runs in ((20, [9, 9, 9]), (5, [5])):
+    for count, runs in ((20, [7, 7, 7]), (5, [5])):
         xs = [_sample(bundle, s) for s in range(count)]
         np.concatenate([a.reshape(-1) for x in xs for a in x]).astype(
             "<f4").tofile(tmp_path / "in.raw")
@@ -1275,6 +1385,26 @@ def test_program_runs_the_batched_plan_a_file_needs(built, tmp_path):
             {"code": 0, "runs": runs}
         assert (tmp_path / "out.raw").read_bytes() == \
             _interpreter_output(bundle, xs)
+
+
+@pytest.mark.parametrize("name", ["lenet", "mlp"])
+def test_a_file_of_batch_plus_one_samples_splits_evenly_bit_for_bit(
+        built, tmp_path, name):
+    # two calls of ceil((BATCH + 1) / 2) samples, the second overlapping
+    # the first by one sample, where two calls of BATCH would compute
+    # nearly twice the samples; the file is the interpreter's, byte for
+    # byte
+    bundle, artifact = built[name]
+    driver = harness.load_driver(artifact.executable)
+    count = driver.BATCH + 1
+    rows = np.random.default_rng(9).uniform(
+        -1, 1, (count, sum(driver.INPUT_SIZES))).astype(np.float32)
+    xs = [[row.reshape(driver.INPUT_SHAPES[0])] for row in rows]
+    rows.astype("<f4").tofile(tmp_path / "in.raw")
+    assert _count_runs(artifact, tmp_path, "in.raw", "out.raw") == \
+        {"code": 0, "runs": [-(-count // 2)] * 2}
+    assert (tmp_path / "out.raw").read_bytes() == \
+        _interpreter_output(bundle, xs)
 
 
 def test_scratch_of_the_batched_plan(built):

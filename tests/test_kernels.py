@@ -110,11 +110,12 @@ def test_prepared_state_follows_its_buffers(name, monkeypatch):
 @pytest.mark.parametrize("name", ["conv2d_edge", "fully_connected_edge",
                                   "conv2d_tail", "fully_connected_tail",
                                   "fully_connected_lanes",
-                                  "max_pool_2d_edge"])
+                                  "max_pool_2d_edge", "clamp_negative_zero"])
 def test_edge_cases_match_oracle_sign_of_zero_included(name):
     # stricter than bitwise_equal, which lets -0.0 pass for +0.0: every sum
-    # starts from +0.0 on both sides, and a maximum keeps the earlier of
-    # tied cells on both, so even zero signs must agree
+    # starts from +0.0 on both sides, a maximum keeps the earlier of tied
+    # cells on both, and a lower clamp keeps a -0.0 that ties it, so even
+    # zero signs must agree
     fn = REFERENCE_CASES[name]
     for i in range(N_CASES):
         got, want = fn(i)
