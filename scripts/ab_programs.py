@@ -54,6 +54,7 @@ from bench_pairs import ROOT, _export, _git, working_tree  # noqa: E402
 sys.path.insert(0, str(ROOT / "src"))
 from mlfuse.harness import (  # noqa: E402
     HarnessError, load_driver, plan_scratch)
+from mlfuse.kernels.ops import KERNELS  # noqa: E402
 
 # Runs in a checkout with its src/ on PYTHONPATH: argv is the fixture, its
 # seed ("" for the fixture's own) and the build dir; prints the program.
@@ -154,8 +155,8 @@ def step_times(drivers, inputs, rounds: int) -> list[list]:
             seen.append((name, time.perf_counter_ns() - t0))
         return wrapper
 
-    kernels = [{name: fn for name, fn in vars(d).items()
-                if not name.startswith("_") and hasattr(d, name + "_prep")}
+    # every template id a driver binds names its run step
+    kernels = [{tid: getattr(d, tid) for tid in KERNELS if hasattr(d, tid)}
                for d in drivers]
     for d, ks in zip(drivers, kernels):
         for name, fn in ks.items():

@@ -10,9 +10,12 @@ unstripped: 30 builds a side for the five fixtures. It compares the sha256
 of every source and the program of each build and the text of its
 build_manifest.json, and prints each difference; for a manifest, each
 field that differs, with both values. Where a build's program differs, it
-runs both programs on one seeded file of 37 samples and prints whether
-their outputs are byte-identical. The summary line ends with the line
-count of the Python sources under src/ on both sides.
+runs both programs on a seeded file of one sample, which runs a program's
+plan of one sample a call, and on one of 37 samples, which runs its plan
+at BATCH (padded to BATCH where that is more, overlapping where it is
+less), and prints for each file whether their outputs are
+byte-identical. The summary line ends with the line count of the Python
+sources under src/ on both sides.
 
 Exit status 0 when every file is byte-identical, 1 on a difference or a
 failed build, 2 on a revision git cannot export.
@@ -35,7 +38,7 @@ from bench_pairs import ROOT, _export, _git  # noqa: E402
 
 SEEDS = (None, 1, 2)  # None: the fixture's own seed
 MANIFEST = "build_manifest.json"
-SAMPLES = 37  # samples in the file both sides' programs run on
+SAMPLES = (1, 37)  # samples in each file both sides' programs run on
 
 # Runs in a checkout with its src/ on PYTHONPATH; argv[1] is the build root.
 # Prints, as JSON, {build: {file: sha256, "build_manifest.json": its text}}
@@ -94,18 +97,18 @@ def src_lines(checkout: Path) -> int:
                for p in (checkout / "src").rglob("*.py"))
 
 
-def same_outputs(base_program, change_program, values: int,
-                 work: Path) -> bool:
-    """Whether two programs write the same bytes on one seeded file of
-    SAMPLES samples of `values` float32 values each. A program that fails
-    writes nothing the other can match."""
-    samples = work / "samples.raw"
-    np.random.default_rng(SAMPLES).uniform(
-        -1, 1, SAMPLES * values).astype("<f4").tofile(samples)
+def same_outputs(base_program, change_program, values: int, work: Path,
+                 samples: int = SAMPLES[-1]) -> bool:
+    """Whether two programs write the same bytes on one file of `samples`
+    samples of `values` float32 values each, seeded by its sample count. A
+    program that fails writes nothing the other can match."""
+    path = work / "samples.raw"
+    np.random.default_rng(samples).uniform(
+        -1, 1, samples * values).astype("<f4").tofile(path)
     outs = []
     for k, program in enumerate((base_program, change_program)):
         out = work / f"out{k}.raw"
-        proc = subprocess.run([program, samples, out], capture_output=True)
+        proc = subprocess.run([program, path, out], capture_output=True)
         outs.append(out.read_bytes() if proc.returncode == 0 else None)
     return outs[0] is not None and outs[0] == outs[1]
 
@@ -172,16 +175,19 @@ def main(argv=None) -> int:
             if base[build].get("program") == change[build].get("program"):
                 continue
             program, values = programs[build]
-            ok = same_outputs(base_programs[build][0], program, values, tmp)
-            ran += 1
-            same += ok
-            print(f"{build}: outputs on {SAMPLES} samples "
-                  f"{'byte-identical' if ok else 'differ'}")
+            for samples in SAMPLES:
+                ok = same_outputs(base_programs[build][0], program, values,
+                                  tmp, samples)
+                ran += 1
+                same += ok
+                print(f"{build}: outputs on {samples} sample(s) "
+                      f"{'byte-identical' if ok else 'differ'}")
         lines = src_lines(tmp / "base"), src_lines(ROOT)
     files = sum(len(v) for v in change.values())
     print(f"{len(change)} builds, {files} files: "
           f"{len(diffs)} difference(s) against {args.rev} ({sha[:12]}); "
-          f"{same} of {ran} differing programs write byte-identical outputs; "
+          f"{same} of {ran} runs of differing programs write byte-identical "
+          f"outputs; "
           f"src/ {lines[0]} -> {lines[1]} lines ({lines[1] - lines[0]:+d})")
     return 1 if diffs else 0
 

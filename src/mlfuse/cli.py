@@ -11,10 +11,11 @@ core under its stand-ins, so numpy's Python layer never loads. They end
 at their last write: main() flushes stdout and stderr and ends the
 process with os._exit, which skips CPython's teardown. A stdout that
 cannot take their lines (a pipe whose reader is gone) is an error, exit
-2. Imported as a library, or running a toolchain command, which makes
-temporary dirs and child processes, this module does none of that, and
-main() returns its code. The toolchain loads with the command that uses
-it: fixtures inside `build-fixture`, codegen and harness inside
+2; a stderr that cannot take an error line loses it, and the exit code
+stays what it was. Imported as a library, or running a toolchain command,
+which makes temporary dirs and child processes, this module does none of
+that, and main() returns its code. The toolchain loads with the command
+that uses it: fixtures inside `build-fixture`, codegen and harness inside
 `codegen`, `verify` and `bench`, the sniffer inside `sniff`.
 
 Exit code contract: 0 success (or clean scan), 1 domain failure (failed
@@ -316,6 +317,15 @@ def _toolchain_errors(*names: str) -> tuple:
     return tuple(errors)
 
 
+def _error(e) -> None:
+    # a stderr that cannot take the line (a pipe whose reader is gone)
+    # loses it, and the exit code alone tells what happened
+    try:
+        print(f"error: {e}", file=sys.stderr)
+    except OSError:
+        pass
+
+
 def main(argv=None) -> int:
     code = _main(argv)
     if not _ONE_SHOT:
@@ -326,10 +336,13 @@ def main(argv=None) -> int:
         if sys.stdout:  # None when the process started without one
             sys.stdout.flush()
     except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+        _error(e)
         code = code or 2
-    if sys.stderr:
-        sys.stderr.flush()
+    try:
+        if sys.stderr:
+            sys.stderr.flush()
+    except OSError:  # lines it could not take are lost, as in _error
+        pass
     os._exit(code)
 
 
@@ -345,12 +358,12 @@ def _main(argv) -> int:
     # failure
     except (*_toolchain_errors("codegen.SearchError", "harness.HarnessError"),
             interpreter.InterpreterError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        _error(e)
         return 1
     except (graphir.GraphError, RegistryError, StatusError, ParamError,
             *_toolchain_errors("codegen.CodegenError", "sniffer.SnifferError"),
             OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        _error(e)
         return 2
 
 

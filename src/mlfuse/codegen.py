@@ -5,12 +5,17 @@ operator with its known configuration resolved from the container, and one
 buffer per tensor. It searches the one unknown, the weight layout of each
 conv and FC, by comparing candidate behavior against the runtime; each
 candidate goes through lowering.configure, the step the interpreter uses
-too. It then emits, straight from the lowering and the accepted
-candidate's weights, a program of two code modules and one data member: the
-driver, with only the kernel templates the model needs, the entry point, and
-the accepted layouts' flat weights as one little-endian blob, which the
-driver reads once at import through its own loader and binds as read-only
-views. The emitted program carries no model container, no parser, and no
+too. It then emits a program of two code modules and one data member. The
+driver holds the accepted candidate's plans, prepared at one sample and
+at BATCH, as call tables (_call_table) and replays them: it carries no
+prepare step and no planner, and makes exactly the calls the search
+verified. The entry point serves a file of one sample through the first
+plan and any other in calls of BATCH, the last ending at the last sample
+(so it may overlap the one before it) and a file shorter than BATCH
+padded with copies of its own rows. The data member is the accepted
+layouts' flat weights as one little-endian blob, which the driver reads
+once at import through its own loader, every weight a read-only view
+into it. The program carries no model container, no parser, and no
 registry; past import, its only file access is the input tensor argument.
 
 Search never reads the layout table shipped with the runtime; it recovers
@@ -19,10 +24,9 @@ workable layouts purely from observed behavior.
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import inspect
 import json
+import marshal
 import math
 import os
 import shutil
@@ -31,16 +35,17 @@ import subprocess
 import sys
 import tempfile
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy._core import _multiarray_umath as _core
 
 from . import corestart, graphir, harness, interpreter
 from .graphir import GraphError, DataType, ModelBundle
 from .kernels import DeviceInfo, default_registry, splits_along_axis_0
-from .kernels import ops as kernel_ops
-from .lowering import LoweredOp, Lowering, configure, lower
+from .lowering import LoweredOp, Lowering, configure, lower, prepare
 
 
 class CodegenError(Exception):
@@ -110,8 +115,10 @@ class SearchResult:
 class EmissionPlan:
     """Everything the emitter needs, already cut loose from the container."""
     lowered: Lowering
-    # name -> flat array in the accepted layout, in operator then slot order
-    weights: dict
+    blob: np.ndarray  # the accepted flat weights, by operator and slot
+    batch: int
+    callables: tuple  # their names on numpy's C core (np.<name>)
+    tables: dict  # n -> the plan of n samples a call (_call_table)
 
 
 @dataclass
@@ -288,194 +295,233 @@ def search_status(bundle: ModelBundle, lowered: Lowering, configs,
 # Emission
 
 
-def _weight_names(op: LoweredOp) -> list[str]:
-    return [f"W{op.op_index}_{slot}" for slot in range(len(op.weight_keys))]
+# the tensor buffers of one batched plan fit in this many bytes
+_BATCH_BUFFER_BYTES = 262144
+
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def _call_table(lowered: Lowering, flats, blob, n: int, callables) -> tuple:
+    """The accepted candidate's plan of n samples a call, prepared over
+    fresh tensor buffers and flats (views of blob), as data.
+
+    It is (tensor bytes, scratch bytes, views, floats, constants, fills,
+    steps). The program's bases are blob (when it has weights), a buffer
+    per tensor in id order, then the scratch: the arena and each private
+    buffer. A view is (shape, dtype, base, byte offset, strides), those of
+    the graph's inputs and outputs first. A call is (its callable's index
+    in callables, the indices of its args, that of its out= or None), into
+    the views, then the floats, then the other constants. Its callable
+    must be the one of its name on numpy's C core, which the program
+    calls.
+    """
+    tensors = {t: np.empty(b.count * n, b.dtype.np_dtype)
+               for t, b in sorted(lowered.tensors.items())}
+    calls, fills = prepare(lowered, flats, tensors)
+    bases = [blob] if blob.size else []
+    bases += tensors.values()
+    own = len(bases)  # the bases after these are the plan's scratch
+    index = {id(b): (k, _address(b)) for k, b in enumerate(bases)}
+    groups = ({}, {}, {})  # views, floats, constants: key -> position
+    seen = {}  # id of an argument, all alive in the calls -> its ref
+
+    def ref(x):
+        if id(x) in seen:
+            return seen[id(x)]
+        if isinstance(x, np.ndarray):
+            root = x if x.base is None else x.base  # numpy's owner
+            if id(root) not in index:
+                index[id(root)] = len(bases), _address(root)
+                bases.append(root)
+            k, at = index[id(root)]
+            group, key = 0, (x.shape, x.dtype.str, k, _address(x) - at,
+                             x.strides)
+        elif isinstance(x, (float, np.floating)):
+            group, key = 1, repr(float(x))  # -0.0 is not 0.0
+            if float(np.float32(x)) != x:
+                raise CodegenError(f"constant {x!r} is not a float32")
+        elif x is None or isinstance(x, (int, str)):
+            group, key = 2, (type(x), x)  # False is not 0
+        else:
+            raise CodegenError(f"cannot tabulate a {type(x).__name__}")
+        seen[id(x)] = group, groups[group].setdefault(key, len(groups[group]))
+        return seen[id(x)]
+
+    def table(calls):
+        out = []
+        for f, args, kw in calls:
+            if set(kw) - {"out"}:
+                raise CodegenError(f"cannot tabulate keywords {sorted(kw)}")
+            owner = getattr(f, "__self__", None)  # a ufunc's for its methods
+            ufunc = isinstance(owner, np.ufunc)
+            path = f"{owner.__name__}.{f.__name__}" if ufunc else f.__name__
+            # the program calls np.<path>, which must be f (a method: the
+            # same method of the same ufunc)
+            on_core = getattr(_core, owner.__name__, None) if ufunc else _core
+            if getattr(on_core, f.__name__, None) != f:
+                raise CodegenError(f"cannot tabulate {f!r}: it is not "
+                                   f"np.{path} of numpy's C core")
+            out.append((callables.setdefault(path, len(callables)),
+                        [*map(ref, args)], ref(kw["out"]) if kw else None))
+        return out
+
+    for t in dict.fromkeys((*lowered.input_ids, *lowered.output_ids)):
+        ref(tensors[t])
+    lists = [table(fills), *map(table, calls)]
+    at = (0, len(groups[0]), len(groups[0]) + len(groups[1]))
+    lists = [tuple((f, tuple(at[g] + k for g, k in args),
+                    out and at[out[0]] + out[1]) for f, args, out in calls)
+             for calls in lists]
+    return (tuple(b.nbytes for b in tensors.values()),
+            tuple(b.nbytes for b in bases[own:]),
+            tuple(groups[0]), tuple(map(float, groups[1])),
+            tuple(v for _, v in groups[2]), lists[0], tuple(lists[1:]))
 
 
 def build_emission_plan(lowered: Lowering, configs,
                         result: SearchResult) -> EmissionPlan:
-    """Name the accepted candidate's weights; nothing is laid out again."""
-    weights = {name: arr for c, flats in zip(configs, result.weights)
-               for name, arr in zip(_weight_names(c), flats)}
-    return EmissionPlan(lowered=lowered, weights=weights)
+    """The accepted candidate's weights as one blob, and its plans at one
+    sample and at BATCH as call tables; nothing is laid out again. BATCH
+    is the largest sample count a call whose tensor buffers fit in
+    _BATCH_BUFFER_BYTES, or 1 when some operator does not compute each
+    slice along axis 0 on its own."""
+    ws = [w for flats in result.weights for w in flats]
+    for w in ws:
+        if w.dtype not in (np.float32, np.int32):
+            raise CodegenError(f"cannot embed weight dtype {w.dtype}")
+    blob = np.empty(sum(w.size for w in ws), np.float32)
+    views, at = [], 0
+    for flats in result.weights:
+        views.append([])
+        for w in flats:
+            views[-1].append(blob[at:at + w.size].view(w.dtype))
+            views[-1][-1][...] = w
+            at += w.size
+    batch = max(1, _BATCH_BUFFER_BYTES // sum(
+        b.count * 4 for b in lowered.tensors.values())) if all(
+        splits_along_axis_0(op.params, len(op.weight_keys))
+        for op in lowered.ops) else 1
+    callables = {}
+    tables = {n: _call_table(lowered, views, blob, n, callables)
+              for n in dict.fromkeys((1, batch))}
+    return EmissionPlan(lowered=lowered, blob=blob, batch=batch,
+                        callables=tuple(callables), tables=tables)
 
 
 _FORBIDDEN_TOKENS = ("tflite", ".lite", "graph.json", ".params", "MLW0",
                      "org.tensorflow", "libtvm")
 
-# the binding kernels/ops.py makes at its top: the emitted templates name
-# np and float32, and the program loads no more of numpy than this module;
-# _sum_products_prep, and so every template that uses it, also names the
-# budget of a reduction's product tensor
+# the binding kernels/ops.py makes at its top: the program names np and
+# float32, and loads no more of numpy than this module
 _NP_HEAD = ('from numpy._core import _multiarray_umath as np\n\n'
             'float32 = np.dtype("<f4").type')
-_BUDGET_LINE = f"_PRODUCT_BYTES = {kernel_ops._PRODUCT_BYTES}"
-_NP_DTYPE_TOKEN = {"F32": "float32", "I32": '"<i4"'}
-
-
-def _lit(v) -> str:
-    if v is None or isinstance(v, bool):
-        return repr(v)
-    if isinstance(v, int):
-        return repr(v)
-    if isinstance(v, float):
-        if math.isnan(v) or math.isinf(v):
-            return f'float("{v!r}")'
-        return repr(v)
-    if isinstance(v, str):
-        return repr(v)
-    if isinstance(v, tuple):
-        inner = ", ".join(_lit(x) for x in v)
-        return f"({inner},)" if len(v) == 1 else f"({inner})"
-    raise CodegenError(f"cannot render literal for {type(v).__name__}")
-
-
-# the tensor buffers of one batched plan fit in this many bytes
-_BATCH_BUFFER_BYTES = 262144
-
-
-def _wrap_args(parts, indent, width=80) -> list[str]:
-    lines = []
-    cur = ""
-    for part in parts:
-        piece = part + ","
-        joined = piece if not cur else f"{cur} {piece}"
-        if cur and len(indent) + len(joined) > width:
-            lines.append(indent + cur)
-            cur = piece
-        else:
-            cur = joined
-    if cur:
-        lines.append(indent + cur)
-    return lines
 
 
 # the program's one data member, beside net_driver in the zip or in src/
 _WEIGHTS = "net_weights.bin"
 
+# T holds the call tables as marshal data (_shared), which is what the
+# compiler would make of them as literals, without the compiler's time:
+# as literals, dwblock's took the toolchain step 20 ms more, nearly
+# doubling its build. plan(n) rebuilds T[n]'s bases, views and constants,
+# makes its fills and binds every step's calls; import runs plan(1).
+# run() copies the inputs in, runs each step through its template id, a
+# module-global name of the one run step, ops.run_calls, so a wrapper set
+# after import sees one call per step, and hands back fresh copies of the
+# outputs. The blob comes from the zip, or from the directory of an
+# unstripped build's sources.
+_DRIVER_SRC = """\
+import marshal
 
-def _weights_blob(plan: EmissionPlan) -> bytes:
-    for w in plan.weights.values():
-        if w.dtype not in (np.float32, np.int32):
-            raise CodegenError(f"cannot embed weight dtype {w.dtype}")
-    return b"".join(w.astype(w.dtype.newbyteorder("<"), copy=False).tobytes()
-                    for w in plan.weights.values())
+{head}
+{weights}
+
+def run_calls(calls):
+    for f, args, kw in calls:
+        f(*args, **kw)
 
 
-@functools.cache
-def _template_source(fn) -> str:
-    # inspect.getsource tokenizes the source anew on every call (about
-    # 0.3 ms), and a template's text is fixed for the life of the process
-    return inspect.getsource(fn).rstrip("\n")
+{aliases} = run_calls
+
+
+INPUT_SHAPES = {shapes}
+INPUT_SIZES = {sizes}
+BUFFER_BYTES = {buffer_bytes}
+BATCH = {batch}
+C = ({callables})
+T = marshal.loads({tables!r})
+
+
+def plan(n):
+    global B, {names}
+    z, s, v, e, k, f, c = T[n]
+    B = [*map(np.empty, z, ["u1"] * len(z))]
+    R = [{blob}*B, *map(np.empty, s, ["u1"] * len(s))]
+    h, d, b, o, w = zip(*v)
+    V = [*map(np.ndarray, h, d, map(R.__getitem__, b), o, w),
+         *map(float32, e), *k]
+    L = []
+    for q in f, *c:
+        L.append([])
+        for g, a, u in q:
+            L[-1].append((C[g], tuple(map(V.__getitem__, a)),
+                          {{}} if u is None else {{"out": V[u]}}))
+    run_calls(L[0])
+    {io}, = V[:{io_count}]
+    {steps}, = L[1:]
+
+
+plan(1)
+
+
+def run(inputs):
+{run}
+"""
+
+
+def _shared(x: tuple, memo: dict) -> tuple:
+    # x with every set of equal ints, strings and tuples made one object,
+    # as the compiler merges equal constants: marshal then writes each
+    # once, and the program loads it as one (unshared, lenet's program
+    # peaked about 50 KiB higher). The key tells 0 from False; a float,
+    # and a tuple that holds one, stays its own, since -0.0 equals 0.0.
+    x = tuple([_shared(i, memo) if type(i) is tuple else
+               i if type(i) is float else memo.setdefault((type(i), i), i)
+               for i in x])
+    types = tuple(map(type, x))
+    return x if float in types else memo.setdefault((types, x), x)
 
 
 def _emit_driver(plan: EmissionPlan) -> str:
-    # The buffers and every kernel's prepared calls live at module level.
-    # plan(n) makes them for n samples a call, stacked along axis 0 of
-    # every tensor, and import runs plan(1); run() only copies the inputs
-    # in, runs each step's calls and hands back fresh copies of the
-    # outputs. Only the buffer sizes depend on n: every prepare step takes
-    # its params at one sample and reads the sample count from its
-    # buffers. The steps that take scratch share one arena, prepared in
-    # the two passes lowering.configure makes; a model with none, such as
-    # identity, gets the plan it always had. Every template id the model
-    # uses names the one run step, run_calls, and run() calls a step
-    # through that module-global name, so a wrapper set after import sees
-    # one call per step. BATCH is the largest n whose buffers fit in
-    # _BATCH_BUFFER_BYTES, or 1 when some operator does not compute each
-    # slice along axis 0 on its own.
     lowered = plan.lowered
-    used_templates = list(dict.fromkeys(op.unit.template_id
-                                        for op in lowered.ops))
-    helpers = []
-    for tid in used_templates:
-        for h in kernel_ops.HELPER_DEPS[tid]:
-            if h not in helpers:
-                helpers.append(h)
-    helpers.sort()
-
-    out = [_NP_HEAD]
-    if "_sum_products_prep" in helpers:
-        out.append(_BUDGET_LINE)
-    out.append("")
-    if plan.weights:
-        # the driver's own loader reads the blob from the zip, or from the
-        # directory of an unstripped build's sources, and every weight is a
-        # read-only view into it
-        out.append("_F = np.frombuffer(__loader__.get_data(")
-        out.append(f'    __file__.rpartition("/")[0] + "/{_WEIGHTS}"), "<f4")')
-        at = 0
-        for name, w in plan.weights.items():
-            view = '.view("<i4")' if w.dtype == np.int32 else ""
-            out.append(f"{name} = _F[{at}:{at + w.size}]{view}")
-            at += w.size
-        out.append("")
-    out.append("")
-    sources = [kernel_ops.HELPERS[h] for h in helpers]
-    sources += [kernel_ops.PREPS[tid] for tid in used_templates]
-    for fn in sources + [kernel_ops.run_calls]:
-        out.append(_template_source(fn))
-        out.append("")
-        out.append("")
-    out.append(" = ".join(used_templates + ["run_calls"]))
-    out.append("")
-    out.append("")
-
     in_specs = [lowered.tensors[t] for t in lowered.input_ids]
-    out.append(f"INPUT_SHAPES = {_lit(tuple(b.shape for b in in_specs))}")
-    out.append(f"INPUT_SIZES = {_lit(tuple(b.count for b in in_specs))}")
-    total = sum(b.count * 4 for b in lowered.tensors.values())
-    out.append(f"BUFFER_BYTES = {total}")
-    batch = max(1, _BATCH_BUFFER_BYTES // total) if all(
-        splits_along_axis_0(op.params, len(op.weight_keys))
-        for op in lowered.ops) else 1
-    out.append(f"BATCH = {batch}")
-    out.append("")
-    out.append("")
-    out.append("def plan(n):")
-    names = [f"t{tid}" for tid in sorted(lowered.tensors)]
-    names += [f"S{op.op_index}" for op in lowered.ops]
-    out.append(f"    global {', '.join(names)}")
-    for tid in sorted(lowered.tensors):
-        b = lowered.tensors[tid]
-        out.append(f"    t{tid} = np.empty({b.count} * n, "
-                   f"{_NP_DTYPE_TOKEN[b.dtype.name]})")
-    shares = [kernel_ops.takes_arena(kernel_ops.PREPS[op.unit.template_id])
-              for op in lowered.ops]
-    arena = any(shares)
-    ind = "    " * (1 + arena)
-    if arena:
-        out.append("    A = [np.empty(0, float32)]")
-        out.append("    for _ in 0, 1:")
-    for op, share in zip(lowered.ops, shares):
-        ins = ", ".join(f"t{t}" for t in op.act_ids)
-        ws = ", ".join(_weight_names(op))
-        outs = ", ".join(f"t{t}" for t in op.output_ids)
-        out.append(f"{ind}S{op.op_index} = {op.unit.template_id}_prep(")
-        out.append(f"{ind}    [{ins}], [{ws}], [{outs}],")
-        kw_parts = [f"{k}={_lit(v)}" for k, v in op.params.values.items()]
-        if share:
-            kw_parts.append("arena=A")
-        out.extend(_wrap_args(kw_parts, ind + "    "))
-        out.append(f"{ind})")
-    if arena:
-        out.append("        if not A[0].size:")
-        out.append("            break")
-    out.append("")
-    out.append("")
-    out.append("plan(1)")
-    out.append("")
-    out.append("")
-    out.append("def run(inputs):")
-    for slot, tid in enumerate(lowered.input_ids):
-        out.append(f"    np.copyto(t{tid}, inputs[{slot}].reshape(-1))")
-    for op in lowered.ops:
-        out.append(f"    {op.unit.template_id}(S{op.op_index})")
-    rets = ", ".join(f"t{t}.copy()" for t in lowered.output_ids)
-    if len(lowered.output_ids) == 1:
-        rets += ","
-    out.append(f"    return ({rets})")
-    return "\n".join(out) + "\n"
+    io = [f"t{t}" for t in dict.fromkeys((*lowered.input_ids,
+                                          *lowered.output_ids))]
+    steps = [f"S{op.op_index}" for op in lowered.ops]
+    run = [f"    np.copyto(t{tid}, inputs[{slot}].reshape(-1))"
+           for slot, tid in enumerate(lowered.input_ids)]
+    run += [f"    {op.unit.template_id}(S{op.op_index})" for op in lowered.ops]
+    copies = "".join(f"t{t}.copy(), " for t in lowered.output_ids)
+    run.append(f"    return ({copies[:-1]})")
+    memo = {}
+    return _DRIVER_SRC.format(
+        head=_NP_HEAD, weights="" if not plan.blob.size else (
+            "\n_F = np.frombuffer(__loader__.get_data(\n"
+            f'    __file__.rpartition("/")[0] + "/{_WEIGHTS}"), "<f4")\n'),
+        aliases=" = ".join(dict.fromkeys(op.unit.template_id
+                                         for op in lowered.ops)),
+        shapes=repr(tuple(b.shape for b in in_specs)),
+        sizes=repr(tuple(b.count for b in in_specs)),
+        buffer_bytes=sum(b.count * 4 for b in lowered.tensors.values()),
+        batch=plan.batch,
+        callables="".join(f"np.{p}, " for p in plan.callables)[:-1],
+        tables=marshal.dumps({n: _shared(t, memo)
+                              for n, t in plan.tables.items()}),
+        names=", ".join(io + steps), blob="_F, " if plan.blob.size else "",
+        io=", ".join(io), io_count=len(io), steps=", ".join(steps),
+        run="\n".join(run))
 
 
 # The program's entry point, `program IN.raw OUT.raw` and no other argv: it
@@ -536,14 +582,17 @@ def main(argv):
             return 2
         rows = flat.view("<f4").astype("=f4").reshape(-1, per_sample)
         count = len(rows)
-        # b samples a call, the file split evenly into as few calls as
-        # BATCH allows; the last call ends at the last sample, so it may
-        # overlap the one before it (by fewer samples than there are
-        # calls) and write the same values there again
-        b = -(-count // -(-count // net_driver.BATCH))
+        # One sample runs the plan of one sample a call; more run in calls
+        # of BATCH, a file shorter than that padded with copies of its own
+        # rows. The last call ends at the last row, so it may overlap the
+        # one before it and write the same values there again.
+        b = net_driver.BATCH if count > 1 else 1
+        if count < b:
+            rows = rows[np.arange(b) % count]
         if b > 1:
             net_driver.plan(b)
-        starts = [*range(0, count - b, b), count - b]
+        m = len(rows)
+        starts = [*range(0, m - b, b), m - b]
         outs = []
         for k in starts:
             fields = []
@@ -555,14 +604,14 @@ def main(argv):
         width = 0
         for o in outs[0]:
             width += o.size // b
-        merged = np.empty((count, width), "<f4")
+        merged = np.empty((m, width), "<f4")
         for k, call in zip(starts, outs):
             at = 0
             for o in call:
                 n = o.size // b
                 merged[k:k + b, at:at + n] = o.reshape(b, n)
                 at += n
-        merged.tofile(argv[1])
+        merged[:count].tofile(argv[1])
         return 0
     except MemoryError:
         # the error's own text formats a dtype, which needs numpy's Python
@@ -573,19 +622,25 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    # file access is the only source of OSError here
+    # File access is one source of OSError here, and a stderr that cannot
+    # take a line (a pipe whose reader is gone) the other: either ends in
+    # exit 2, and in the second case the line is lost.
     try:
-        code = main(sys.argv[1:])
-    except OSError as e:
-        print(f"{e.filename}: {e.strerror}", file=sys.stderr)
-        code = 2
-    # The output file is closed and nothing is left to do: the process ends
-    # here, with its lines flushed (a closed stream is None), and skips
-    # CPython's teardown, which would free every module and object one by
-    # one. An uncaught exception still ends the usual way, in a traceback.
-    for f in sys.stdout, sys.stderr:
-        if f:
-            f.flush()
+        try:
+            code = main(sys.argv[1:])
+        except OSError as e:
+            code = 2
+            print(f"{e.filename}: {e.strerror}", file=sys.stderr)
+        # The output file is closed and nothing is left to do: the process
+        # ends here, with its lines flushed (a closed stream is None), and
+        # skips CPython's teardown, which would free every module and
+        # object one by one. An uncaught exception still ends the usual
+        # way, in a traceback.
+        for f in sys.stdout, sys.stderr:
+            if f:
+                f.flush()
+    except OSError:
+        pass
     os._exit(code)
 '''
 
@@ -632,8 +687,8 @@ def emit_source(plan: EmissionPlan, out_dir) -> list[str]:
     src = Path(out_dir) / "src"
     src.mkdir(parents=True, exist_ok=True)
     rel = []
-    if plan.weights:
-        (src / _WEIGHTS).write_bytes(_weights_blob(plan))
+    if plan.blob.size:
+        (src / _WEIGHTS).write_bytes(plan.blob.astype("<f4").tobytes())
         rel.append(f"src/{_WEIGHTS}")
     for name, text in code.items():
         (src / name).write_text(text, encoding="utf-8")
@@ -674,9 +729,18 @@ _BOOTSTRAP = (b"s=__import__('sys');a=s.argv;del(a[0]);s.path[:0]=a[:1];"
 
 # A weights blob this large or larger is stored: lenet's 174 KiB deflate
 # by 9% only and take 1.7 ms to inflate at every start. A smaller one
-# inflates in microseconds, and deflated its floats do not lie in the file
-# as they are, though mlp's 268 B do not shrink.
+# inflates in microseconds, and is deflated when that shrinks it, as any
+# other member is: mlp's 268 B would take 273.
 _DEFLATE_WEIGHTS_BELOW = 16384
+
+
+def _deflated(name, data) -> bool:
+    """Whether a member goes into the zip deflated (see above)."""
+    if name == _WEIGHTS and len(data) >= _DEFLATE_WEIGHTS_BELOW:
+        return False
+    # the compressor zipfile makes for ZIP_DEFLATED at level 9
+    z = zlib.compressobj(9, zlib.DEFLATED, -15)
+    return len(z.compress(data) + z.flush()) < len(data)
 
 # Linux reads this much of a #! line; a longer line would lose the end of
 # the bootstrap, so it falls back to running the zip through runpy.
@@ -696,10 +760,10 @@ def compile_program(out_dir, sources, toolchain: ToolchainConfig | None = None) 
     runpy: the bootstrap runs the zip's __main__ itself. When that line
     would pass the 256 bytes Linux reads, it is `#!<python> -IS`, which
     runs the same zip through runpy. Any other source, the weights blob,
-    goes in as it is. Code members are deflated at level 9, the smallest,
-    and so is a weights blob under _DEFLATE_WEIGHTS_BELOW; a larger one is
-    stored, since its float32 noise barely deflates and inflating it slows
-    every start.
+    goes in as it is. A member is deflated at level 9, the smallest, when
+    that shrinks it, and stored when it does not; a weights blob of
+    _DEFLATE_WEIGHTS_BELOW bytes or more is stored, since its float32 noise
+    barely deflates and inflating it slows every start.
     """
     toolchain = toolchain or ToolchainConfig()
     python = _resolve_toolchain(toolchain)
@@ -737,7 +801,7 @@ def compile_program(out_dir, sources, toolchain: ToolchainConfig | None = None) 
         with zipfile.ZipFile(f, "w") as z:
             for name, data in members:
                 info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
-                if name != _WEIGHTS or len(data) < _DEFLATE_WEIGHTS_BELOW:
+                if _deflated(name, data):
                     info.compress_type = zipfile.ZIP_DEFLATED
                 z.writestr(info, data, compresslevel=9)
     exe.chmod(exe.stat().st_mode | stat.S_IXUSR | stat.S_IXGRP | stat.S_IXOTH)

@@ -234,15 +234,17 @@ def scratch_bytes(call_lists, owned) -> int:
 
 
 def plan_scratch(driver, n) -> int:
-    """Kernel scratch of the driver's plan for n samples a call, over its
-    call lists S<i> and apart from its tensor buffers t<i>. The driver is
-    left at plan(1)."""
+    """Kernel scratch of the driver's plan for n samples a call (1 or its
+    BATCH), over its call lists S<i> and apart from its tensor buffers: B,
+    or t<i> in a program older than call tables. The driver is left at
+    plan(1)."""
     driver.plan(n)
     try:
         named = [(k[0], v) for k, v in vars(driver).items()
                  if k[0] in "St" and k[1:].isdigit()]
         return scratch_bytes([v for k, v in named if k == "S"],
-                             [v for k, v in named if k == "t"])
+                             [*getattr(driver, "B", ()),
+                              *(v for k, v in named if k == "t")])
     finally:
         driver.plan(1)
 

@@ -1,34 +1,33 @@
-"""Kernel template bodies shared by the runtime and generated programs.
+"""Kernel prepare steps, shared by the interpreter, the status search and
+the emitter.
 
 Every kernel is one prepare step, <template>_prep(inputs, weights, outputs,
 **params), which runs once per operator: it reshapes the flat buffers into
 views, builds strided windows, plans the reduction chunks and takes its
-scratch (see below), and returns the kernel's work as a list of calls
-(f, args, kw).
-Each f is a numpy C callable, a ufunc, a ufunc method, np.copyto or
-np.c_einsum, bound to the prepared views and scratch; kw is {} but for an
+scratch, and returns the kernel's work as a list of calls (f, args, kw).
+Each f is a numpy C callable (a ufunc, a ufunc method, np.copyto or
+np.c_einsum) bound to the prepared views and scratch; kw is {} but for an
 out= that np.maximum and np.minimum take only by keyword and np.c_einsum
 after its variadic operands. One run step serves every template:
 run_calls(calls) makes the calls in order, so no kernel code runs between
-them. A list binds views of the activation buffers, never copies of them,
-so one prepared list computes on whatever those buffers hold when it runs.
-Where a kernel needs its input in another layout (a padded border), the
-list holds a prepared buffer whose border is filled once and starts by
-copying in the interior.
+them. A list binds views of the activation buffers, never copies, so it
+computes on whatever they hold when it runs. The emitter writes the lists
+as data, so the program makes these same calls and ships no prepare step
+(codegen._call_table). np is numpy's C core, the one module of numpy the
+program loads.
+
+What a private buffer must hold for good (a padded border, avg-pool's
+count grid, a private product tensor's tail row) a step does not write at
+prepare time: it appends the calls that write it to the keyword fills,
+a list, which whoever prepared the plan makes once (lowering.prepare).
+The copy of an input's interior into a padded buffer is the first call
+of its list.
 
 The params give every shape at one sample a call; only the buffers say how
 many samples a call stacks along axis 0 of every activation. Conv, pool
 and pad shapes leave axis 0 out, and a step views its input as
 inputs[0].reshape(-1, *in_shape) (concat as reshape(-1, *shape[1:]), FC as
-reshape(-1, in_features)) and its output the same way, or reads a buffer
-flat.
-
-Every function here is a self-contained template: it may use np, which is
-numpy's C core (numpy._core._multiarray_umath), float32 and the helpers
-below, nothing else. The emitter copies function source verbatim into
-generated programs, which bind np and float32 as the top of this module
-does and load no more of numpy, so the same bytes call the same functions
-on both paths.
+reshape(-1, in_features)) and its output the same way, or reads it flat.
 
 Float32 discipline: every reduction is summed in one fixed order, term by
 term onto +0.0, so results are bit-identical to a naive scalar loop nest.
@@ -37,91 +36,61 @@ classes in class order, and a bias is the last term of its sum.
 
 Conv, depthwise conv and FC reductions are vectorized without giving that
 order up (_sum_products_prep). The terms land in a product tensor whose
-reduced axis is the outermost one, ahead of a trailing row that holds the
-bias, or +0.0 when there is none (a sum begun at +0.0 is never -0.0, so
-adding +0.0 changes no bit). One np.add.reduce over that axis adds whole
-rows in index order onto an explicit initial +0.0, so the result does not
-depend on whether numpy would start a reduction from its identity or from
-the first row. This holds only while the reduced axis is outermost and at
-least two output lanes run beside it: numpy sums a lone lane pairwise, so a
-single-lane reduction runs beside a twin lane. Softmax sums one row's
-classes with np.add.accumulate, which is sequential by definition. More
-rows go in a contiguous (class, row) buffer, and one np.add.reduce over its
-outer axis adds them class after class, the order the product sums rely on.
-Either sum's first term is e[0], and exp never returns -0.0, so starting
-from numpy's identity or from e[0] gives the same bits. Pooling makes one
-call per tap, with vectorization over independent output lanes only. Max
-pool starts from its first two windows, np.maximum(win1, win0), or a copy
-of a one-tap pool's window, with no -inf fill: max(-inf, w) is w bit for
-bit. np.maximum returns its second operand when the two are equal (+0.0 and
--0.0), so the earlier window always goes second, and a tie keeps the
-earlier cell's sign, as the oracle's strict > does.
+reduced axis is the outermost one, ahead of a tail row that holds the bias,
+or +0.0 (a sum begun at +0.0 is never -0.0, so adding +0.0 changes no
+bit). One np.add.reduce over that axis adds whole rows in index order onto
+an explicit initial +0.0. This holds only while at least two output lanes
+run beside the reduced axis: numpy sums a lone lane pairwise, so it runs
+beside a twin lane. Softmax sums one row's classes with np.add.accumulate,
+sequential by definition, and more rows in a contiguous (class, row)
+buffer with one np.add.reduce over its outer axis; exp never returns -0.0,
+so either start gives the same bits. Pooling makes one call per tap over
+independent output lanes. Max pool starts from its first two windows,
+np.maximum(win1, win0), with no -inf fill; np.maximum returns its second
+operand on a +0.0/-0.0 tie, so the earlier window goes second and a tie
+keeps the earlier cell's sign, as the oracle's strict > does. A lower
+clamp puts lo first, np.maximum(lo, x), so a -0.0 under a clamp at +0.0
+stays -0.0, as the oracle's (and TFLite's std::max(x, lo)) does.
 
 matmul, dot and np.sum reorder a sum and are not used. einsum forms
-one-term products only, never sums: a chunk of 8192 products or more that
-is an outer product, (taps, rows) by (taps, lanes) over contiguous lanes
-with no twin, gets them from np.c_einsum("kr,kl->krl"), the C loop
-np.einsum calls when optimize is off, which writes each as +0.0 + w * x.
-Conv chunks are such products, and so are FC's over its output features
-(lenet's fc1 and fc2, not fc3's 840). np.multiply forms the rest: smaller
-chunks, where einsum's larger cost per call loses; a lone lane's, which
-np.multiply broadcasts onto its twin; FC's over strided sample lanes, a
-transposed view of the input, where einsum measured slower; and
-depthwise's, whose lanes are its depth multiplier. einsum's products have
-np.multiply's bits, NaN and inf included, except for a -0.0 product, which
-lands as +0.0. No output can see the difference: every sum starts at +0.0,
-and under round-to-nearest a sum begun at +0.0 is never -0.0, so adding a
--0.0 term to it gives exactly what adding +0.0 gives.
+one-term products only: a chunk of 8192 products or more that is an outer
+product, (taps, rows) by (taps, lanes) over contiguous lanes with no twin,
+gets them from np.c_einsum("kr,kl->krl"), which writes each as +0.0 + w * x
+(lenet's conv chunks, fc1 and fc2). np.multiply forms the rest: smaller
+chunks, a lone lane's, FC's over strided sample lanes and depthwise's. A
+-0.0 product lands as +0.0 through einsum, which no sum begun at +0.0 can
+show.
 
-Conv, depthwise conv and FC plan that work for long lanes and few chunks:
-numpy pays a fixed cost per call, per chunk and per inner row, so overhead,
-not arithmetic, sets their time. One budget, _PRODUCT_BYTES (256 KiB, sized
-for a level-2 cache rather than L1), bounds a reduction's product tensor,
-its leading row (for a running sum) and tail row included; a reduction done
-in one chunk has no leading row. A conv or depthwise block covers as many
-whole output rows of one sample as leave room for a one-tap chunk with
-those two rows, and whose gathered patches fit the budget too; blocks are
-split evenly, rows = ceil(oh / ceil(oh / rows_max)). Depthwise gathers a
-block's (kh, kw) windows, and each tap's products broadcast its window over
-the depth multiplier, so no input is repeated. FC's lanes are the output
-features while a call's samples do not outnumber them (every one-sample
-call), else the samples: products go in (tap, out, sample) order, through
-transposed views of the input and the output. _sum_products_prep plans a
-reduction's lanes the same way, in blocks of as many as leave room for a
-one-tap chunk, split evenly, where the tail is the same along them: FC's
-bias differs along its output features, so those stay one block, over the
-budget when a one-tap chunk of them is. Then the taps of a block go in the
-fewest chunks that fit, split evenly, step = ceil(k / ceil(k / step_max)),
-the smaller chunk first. A last block of rows or lanes ends at the last
-one, so it overlaps the block before it when the blocks do not divide them;
-the overlap comes out the same twice. A reduction of more than one chunk
-into strided lanes (a transposed view) runs in a contiguous accumulator,
-copied out once a block. Conv's lower clamp rides that copy-out,
-np.maximum(lo, own, out=dst), in place of a whole-output np.maximum after
-it, with the same operands in the same order; a conv that reduces into its
-output's own lanes keeps the whole-output clamp, and an upper clamp stays
-one whole-output np.minimum. A lower clamp puts lo first, so a tie keeps
-the value, a -0.0 under a clamp at +0.0 included, as the oracle's (and
-TFLite's std::max(x, lo)) does.
+numpy pays a fixed cost per call, per chunk and per inner row, so these
+reductions are planned for long lanes and few chunks. One budget,
+_PRODUCT_BYTES (256 KiB, sized for a level-2 cache), bounds a product
+tensor, its leading row (a running sum, when there is more than one chunk)
+and tail row included. A conv or depthwise block covers as many whole
+output rows of one sample as leave room for a one-tap chunk and whose
+gathered patches fit too, split evenly, rows = ceil(oh / ceil(oh /
+rows_max)); depthwise broadcasts each tap's window over its depth
+multiplier. FC's lanes are its output features while a call's samples do
+not outnumber them, else its samples, through transposed views.
+_sum_products_prep blocks lanes the same way where the tail row is the
+same along them (FC's bias is not, so its features stay one block), then
+puts a block's taps in the fewest chunks that fit, split evenly, the
+smaller first. A last block of rows or lanes ends at the last one, so it
+may overlap the one before it, to the same values. A reduction of more
+than one chunk into strided lanes runs in a contiguous accumulator,
+copied out once a block; conv's lower clamp rides that copy-out.
 
 Steps run one at a time, so every step of a plan takes its scratch from
-one arena, sized to the largest step's need. A step that takes scratch
-takes the keyword arena, a list whose arena[0] is the plan's arena (None:
-all its scratch is its own), and asks _scratch for each part, the parts
-of one step end to end from element 0. A part of a page (4096 B) or more
-is a view of the arena, which grows to fit it; below a page, sharing
-saves no resident page, and a part is a buffer of its own. Since the
-arena grows as the steps ask, views taken before it last grew are of one
-given up, so a plan prepares its steps again over the one it grew to
-(lowering.configure, and the program's plan(n)). Patches, accumulators,
-product rows and softmax rows are transient: every
-run writes them before it reads them, and so is a product tensor's
-leading row, which holds a running sum only after a chunk writes it. Its
-tail row is not, and the steps that share the arena write over it, so a
-product tensor in the arena gets its tail row filled again, one
-np.copyto, at the start of every run of its step; a private one is filled
-once. A padded border and avg-pool's count grid, which hold for good, stay
-private.
+one arena, sized to the largest step's need: a step that takes scratch
+takes the keyword arena, a list whose arena[0] is the arena (None: all its
+scratch is its own), and asks _scratch for each part, end to end from
+element 0. A part of a page (4096 B) or more is a view of the arena, which
+grows to fit it; a smaller part is a buffer of its own. Views taken before
+the arena last grew are of one given up, so a plan prepares its steps
+again over the one it grew to (lowering.prepare). Patches, accumulators,
+product rows and softmax rows are written before they are read every run;
+a product tensor's tail row is not, and the steps that share the arena
+write over it, so one in the arena gets its tail row filled at the start
+of every run of its step, and a private one once, through fills.
 
 Weight buffers arrive flat, and may be read-only. Each kernel reshapes them
 according to the data layout its body was written against; callers are
@@ -151,14 +120,21 @@ def _clamp_calls(buf, lo, hi):
     return calls
 
 
-def _pad_nhwc_prep(x, ph0, ph1, pw0, pw1, value):
+def _filled(shape, value, fills):
+    # a private buffer that holds value for good, once the plan's fills
+    # are made (see above)
+    buf = np.empty(shape, float32)
+    fills.append((np.copyto, (buf, float32(value)), {}))
+    return buf
+
+
+def _pad_nhwc_prep(x, ph0, ph1, pw0, pw1, value, fills):
     # (x, []) when nothing is padded; else a buffer whose border holds
     # value for good, and the call that copies x into its interior
     if ph0 == 0 and ph1 == 0 and pw0 == 0 and pw1 == 0:
         return x, []
     n, h, w, c = x.shape
-    xp = np.empty((n, h + ph0 + ph1, w + pw0 + pw1, c), float32)
-    xp.fill(value)
+    xp = _filled((n, h + ph0 + ph1, w + pw0 + pw1, c), value, fills)
     return xp, [(np.copyto, (xp[:, ph0:ph0 + h, pw0:pw0 + w], x), {})]
 
 
@@ -178,7 +154,7 @@ def _scratch(arena, shape, at=0):
     return arena[0][at:at + size].reshape(shape)
 
 
-def _sum_products_prep(lhs, rhs, acc, tail, arena=None, at=0):
+def _sum_products_prep(lhs, rhs, acc, tail, arena=None, at=0, fills=None):
     # acc = ((((0 + lhs[0]*rhs[0]) + lhs[1]*rhs[1]) + ...) + tail), where
     # lhs[k] * rhs[k] and tail broadcast to acc's shape. acc's last axis
     # holds its lanes. Where tail is the same along them (lhs always is),
@@ -201,9 +177,10 @@ def _sum_products_prep(lhs, rhs, acc, tail, arena=None, at=0):
     # (first lane, chunks), the lanes the reductions write when they are
     # not acc's own (else None): a twin pair for a lone lane, or a
     # contiguous accumulator for strided lanes reduced in more than one
-    # chunk, and the call that fills the tail row again, which a step
-    # makes once a run before its first reduction when the product tensor
-    # is a view of the arena (else []). Neither holds acc, which
+    # chunk, and the call that fills the tail row, which a step makes once
+    # a run before its first reduction when the product tensor is a view
+    # of the arena (else [], and the call goes to fills). Neither holds
+    # acc, which
     # _sum_products_calls takes, so reductions of one shape into other
     # outputs can share them. The product tensor and the accumulator are
     # the _scratch at element at and after it.
@@ -224,8 +201,8 @@ def _sum_products_prep(lhs, rhs, acc, tail, arena=None, at=0):
     if acc.size == 1 or lead and not acc.flags.c_contiguous:
         own = _scratch(arena, shape, at + terms.size)
     fill = [(np.copyto, (terms[-1], tail), {})]
-    run_calls(fill)
     if terms.base is None:  # private: its tail row holds for good
+        fills += fill
         fill = []
     blocks = []
     for s in [*range(0, n - b, b), n - b]:
@@ -276,13 +253,14 @@ def _pool_windows_prep(x, out, filter_h, filter_w, stride_h, stride_w):
 def conv2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
                     filter_h, filter_w, stride_h, stride_w, dilation_h,
                     dilation_w, pad_before_h, pad_after_h, pad_before_w,
-                    pad_after_w, activation_min, activation_max, arena=None):
+                    pad_after_w, activation_min, activation_max, arena=None,
+                    fills=None):
     # filter buffer is read in height/width/in/out order
     cin = in_shape[2]
     oh, ow, cout = out_shape
     x, calls = _pad_nhwc_prep(inputs[0].reshape(-1, *in_shape),
                               pad_before_h, pad_after_h, pad_before_w,
-                              pad_after_w, 0.0)
+                              pad_after_w, 0.0, fills)
     taps = filter_h * filter_w * cin
     out = outputs[0].reshape(-1, *out_shape)
     # blocks of whole output rows, as many as leave room in _PRODUCT_BYTES
@@ -304,7 +282,8 @@ def conv2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
     blocks, own, fill = _sum_products_prep(
         weights[0].reshape(taps, cout, 1), cols.reshape(taps, 1, rows * ow),
         out[0, :rows].reshape(-1, cout).T,
-        weights[1][:, None] if len(weights) > 1 else 0.0, arena, cols.size)
+        weights[1][:, None] if len(weights) > 1 else 0.0, arena, cols.size,
+        fills)
     calls += fill
     # Every block gathers into cols and reduces with the same chunks. The
     # last block ends at the last row, so it overlaps the one before it
@@ -327,7 +306,7 @@ def depthwise_conv2d_f32_prep(inputs, weights, outputs, *, in_shape,
                               stride_w, dilation_h, dilation_w, pad_before_h,
                               pad_after_h, pad_before_w, pad_after_w,
                               depth_multiplier, activation_min,
-                              activation_max, arena=None):
+                              activation_max, arena=None, fills=None):
     # output channel c * depth_multiplier + m reads input channel c: the
     # output and filter are viewed as (..., cin, depth_multiplier), and
     # each tap's gathered window broadcasts over the last axis (see above)
@@ -335,7 +314,7 @@ def depthwise_conv2d_f32_prep(inputs, weights, outputs, *, in_shape,
     oh, ow = out_shape[0], out_shape[1]
     x, calls = _pad_nhwc_prep(inputs[0].reshape(-1, *in_shape),
                               pad_before_h, pad_after_h, pad_before_w,
-                              pad_after_w, 0.0)
+                              pad_after_w, 0.0, fills)
     taps = filter_h * filter_w
     out = outputs[0].reshape(-1, oh, ow, cin, depth_multiplier)
     rows = max(1, min(oh, _PRODUCT_BYTES // (12 * out[0, 0].size),
@@ -351,7 +330,7 @@ def depthwise_conv2d_f32_prep(inputs, weights, outputs, *, in_shape,
         cols.reshape(taps, rows, ow, cin, 1),
         weights[0].reshape(taps, 1, 1, cin, depth_multiplier), out[0, :rows],
         weights[1].reshape(cin, depth_multiplier) if len(weights) > 1
-        else 0.0, arena, cols.size)
+        else 0.0, arena, cols.size, fills)
     calls += fill
     for b in range(len(x)):
         for r0 in [*range(0, oh - rows, rows), oh - rows]:
@@ -363,21 +342,24 @@ def depthwise_conv2d_f32_prep(inputs, weights, outputs, *, in_shape,
 def avg_pool2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
                         filter_h, filter_w, stride_h, stride_w, pad_before_h,
                         pad_after_h, pad_before_w, pad_after_w,
-                        activation_min, activation_max):
+                        activation_min, activation_max, fills=None):
     h, w = in_shape[0], in_shape[1]
     oh, ow = out_shape[0], out_shape[1]
     x, calls = _pad_nhwc_prep(inputs[0].reshape(-1, *in_shape),
                               pad_before_h, pad_after_h, pad_before_w,
-                              pad_after_w, 0.0)
-    # padded cells contribute zero to the sum and are excluded from the count
-    mask = np.zeros((h + pad_before_h + pad_after_h,
-                     w + pad_before_w + pad_after_w), float32)
-    mask[pad_before_h:pad_before_h + h, pad_before_w:pad_before_w + w] = 1.0
-    cnt = np.zeros((oh, ow), float32)
-    for kh in range(filter_h):
-        for kw in range(filter_w):
-            cnt += mask[kh:kh + (oh - 1) * stride_h + 1:stride_h,
-                        kw:kw + (ow - 1) * stride_w + 1:stride_w]
+                              pad_after_w, 0.0, fills)
+    # padded cells contribute zero to the sum and are excluded from the
+    # count, which the fills sum tap by tap
+    mask = _filled((h + pad_before_h + pad_after_h,
+                    w + pad_before_w + pad_after_w), 0.0, fills)
+    cnt = _filled((oh, ow), 0.0, fills)
+    fills.append((np.copyto, (mask[pad_before_h:pad_before_h + h,
+                                   pad_before_w:pad_before_w + w],
+                              float32(1.0)), {}))
+    fills += [(np.add, (cnt, mask[kh:kh + (oh - 1) * stride_h + 1:stride_h,
+                                  kw:kw + (ow - 1) * stride_w + 1:stride_w],
+                        cnt), {})
+              for kh in range(filter_h) for kw in range(filter_w)]
     out = outputs[0].reshape(-1, *out_shape)
     calls.append((np.copyto, (out, float32(0.0)), {}))
     calls += [(np.add, (out, win, out), {}) for win in _pool_windows_prep(
@@ -389,10 +371,10 @@ def avg_pool2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
 def max_pool2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
                         filter_h, filter_w, stride_h, stride_w, pad_before_h,
                         pad_after_h, pad_before_w, pad_after_w,
-                        activation_min, activation_max):
+                        activation_min, activation_max, fills=None):
     x, calls = _pad_nhwc_prep(inputs[0].reshape(-1, *in_shape),
                               pad_before_h, pad_after_h, pad_before_w,
-                              pad_after_w, float("-inf"))
+                              pad_after_w, float("-inf"), fills)
     out = outputs[0].reshape(-1, *out_shape)
     # from the first two windows, the earlier one second (see above)
     wins = _pool_windows_prep(x, out, filter_h, filter_w, stride_h,
@@ -407,7 +389,7 @@ def max_pool2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
 
 def fully_connected_f32_prep(inputs, weights, outputs, *, in_features,
                              out_features, activation_min, activation_max,
-                             arena=None):
+                             arena=None, fills=None):
     # out = x @ w + bias, the weight buffer read with input features as the
     # major axis: a sum over the input features of (rows, 1) x (1, lanes)
     # products. The output features are the lanes while a call's samples
@@ -417,11 +399,12 @@ def fully_connected_f32_prep(inputs, weights, outputs, *, in_features,
     x = inputs[0].reshape(-1, in_features)
     w = weights[0].reshape(in_features, out_features)
     out = outputs[0].reshape(-1, out_features)
-    tail = weights[1] if len(weights) > 1 else np.zeros(out_features, float32)
+    tail = weights[1] if len(weights) > 1 else _filled(out_features, 0.0,
+                                                       fills)
     if len(x) > out_features:
         x, w, out, tail = w.T, x.T, out.T, tail[:, None]
     blocks, own, calls = _sum_products_prep(x.T[:, :, None], w[:, None], out,
-                                            tail, arena)
+                                            tail, arena, 0, fills)
     return (calls + _sum_products_calls(blocks, own, out)
             + _clamp_calls(out, activation_min, activation_max))
 
@@ -507,11 +490,6 @@ def scale_shift_f32_prep(inputs, weights, outputs, *, scale, shift):
             (np.add, (out, float32(shift), out), {})]
 
 
-HELPERS = {fn.__name__: fn for fn in (
-    _clamp_calls, _pad_nhwc_prep, _scratch, _sum_products_prep,
-    _sum_products_calls, _pool_windows_prep,
-)}
-
 # prepare steps, by template id
 PREPS = {fn.__name__[:-len("_prep")]: fn for fn in (
     conv2d_f32_prep, depthwise_conv2d_f32_prep, avg_pool2d_f32_prep,
@@ -522,25 +500,3 @@ PREPS = {fn.__name__[:-len("_prep")]: fn for fn in (
 
 # run steps, by template id: run_calls serves every template
 KERNELS = dict.fromkeys(PREPS, run_calls)
-
-
-def takes_arena(prep) -> bool:
-    """Whether a prepare step takes its scratch from a plan's arena."""
-    return "arena" in (getattr(prep, "__kwdefaults__", None) or ())
-
-
-def _helper_deps(fn) -> tuple:
-    # every helper a prepare step names, nested functions and helpers' own
-    # calls included, for the emitter's dependency closure
-    deps = set()
-    codes = [fn.__code__]
-    while codes:
-        code = codes.pop()
-        for name in (set(code.co_names) & HELPERS.keys()) - deps:
-            deps.add(name)
-            codes.append(HELPERS[name].__code__)
-        codes.extend(c for c in code.co_consts if isinstance(c, type(code)))
-    return tuple(sorted(deps))
-
-
-HELPER_DEPS = {name: _helper_deps(fn) for name, fn in PREPS.items()}

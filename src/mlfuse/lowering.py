@@ -39,7 +39,7 @@ from .kernels import (
     default_registry,
     layout_weight_arrays,
 )
-from .kernels.ops import takes_arena
+from .kernels.ops import run_calls
 
 
 @dataclass(frozen=True)
@@ -114,16 +114,38 @@ def lower(bundle: ModelBundle, device: DeviceInfo | None = None,
         input_ids=tuple(graph.inputs), output_ids=tuple(graph.outputs))
 
 
+def prepare(lowered: Lowering, flats, buffers) -> tuple[list, list]:
+    """Prepare every operator's kernel over buffers and its flat weights.
+
+    Returns, per operator, the calls its unit's prepare step bound
+    (unit.fn(calls) runs the operator), and the plan's fills, not yet made
+    (ops.py). A step gets those of the plan's keywords it declares with a
+    default: arena, which every step shares, and fills. When the first
+    pass grew the arena, a second binds every step to it as it grew, and
+    only its fills count.
+    """
+    arena = [np.empty(0, "<f4")]
+    for _ in 0, 1:
+        plan = {"arena": arena, "fills": []}
+        calls = [op.unit.prep([buffers[t] for t in op.act_ids], ws,
+                              [buffers[t] for t in op.output_ids],
+                              **op.params.values,
+                              **{k: plan[k] for k in
+                                 op.unit.prep.__kwdefaults__ or ()
+                                 if k in plan})
+                 for op, ws in zip(lowered.ops, flats)]
+        if not arena[0].size:
+            break
+    return calls, plan["fills"]
+
+
 def configure(lowered: Lowering, layouts, buffers) -> tuple[list, list, int]:
     """Lay every operator's weights out and prepare its kernel over buffers.
 
     layouts holds one layout name per operator, None for a unit that lists
     no layouts. Returns, per operator, the flat weights and the numpy
-    calls its unit's prepare step bound (unit.fn(calls) runs the operator),
-    and the bytes the layouts copied. The steps that take an arena share
-    one, which the first pass grows to the largest step's need; when any
-    step took a view of it, a second pass binds every step to the arena as
-    it grew (ops.py), as the program's plan(n) does.
+    calls of prepare, whose fills it makes, and the bytes the layouts
+    copied.
     """
     flats, copied = [], 0
     for op, layout in zip(lowered.ops, layouts):
@@ -134,14 +156,6 @@ def configure(lowered: Lowering, layouts, buffers) -> tuple[list, list, int]:
             raise StatusError(f"operator {op.op_index}: {e}") from None
         flats.append(ws)
         copied += n
-    arena = [np.empty(0, "<f4")]
-    kws = [{"arena": arena} if takes_arena(op.unit.prep) else {}
-           for op in lowered.ops]
-    for _ in 0, 1:
-        calls = [op.unit.prep([buffers[t] for t in op.act_ids], ws,
-                              [buffers[t] for t in op.output_ids],
-                              **op.params.values, **kw)
-                 for op, ws, kw in zip(lowered.ops, flats, kws)]
-        if not arena[0].size:
-            break
+    calls, fills = prepare(lowered, flats, buffers)
+    run_calls(fills)
     return flats, calls, copied

@@ -41,9 +41,21 @@ def _at_case_budget(case):
     return run
 
 
+def prepare(prep, inputs, weights, outputs, **params):
+    """prep's calls on the given flat buffers, the one-time fills it hands
+    back made at once, as a prepared plan makes them (lowering.prepare)."""
+    fills = []
+    if "fills" in (prep.__kwdefaults__ or ()):
+        params["fills"] = fills
+    calls = prep(inputs, weights, outputs, **params)
+    ops.run_calls(fills)
+    return calls
+
+
 def run_kernel(name, inputs, weights, outputs, **params):
     """Prepare kernel `name` on the given flat buffers, then run it once."""
-    ops.KERNELS[name](ops.PREPS[name](inputs, weights, outputs, **params))
+    ops.KERNELS[name](prepare(ops.PREPS[name], inputs, weights, outputs,
+                              **params))
 
 
 def _same_pads(in_dim, eff_k, stride):

@@ -457,6 +457,25 @@ def test_one_shot_exit_codes_hold_with_stdout_closed_or_broken(
         assert out.exists() == (argv is cases["run"])
 
 
+@pytest.mark.parametrize("entry", ["-m", "script"])
+def test_one_shot_exit_codes_hold_with_stderr_broken(workdir, tmp_path,
+                                                     entry):
+    # a stderr pipe whose reader is gone cannot take an error or usage
+    # line: the line is lost, and the code is the one it goes with
+    cases = _run_and_inspect(workdir, tmp_path)
+    g, w = _paths(workdir, "mlp")
+    r, fd = os.pipe()
+    os.close(r)
+    try:
+        for argv, code in ((cases["run"], 0), (cases["inspect"], 0),
+                           (["run", g], 2),
+                           (["run", g, w, "missing.raw", "out.raw"], 2)):
+            proc = _spawn(tmp_path, entry, argv, stderr=fd)
+            assert proc.returncode == code, argv
+    finally:
+        os.close(fd)
+
+
 @pytest.mark.parametrize("entry", ["-m", "script", "library"])
 def test_one_shot_commands_skip_teardown_with_the_collector_off(
         workdir, tmp_path, entry):

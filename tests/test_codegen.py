@@ -16,6 +16,7 @@ import time
 import tracemalloc
 import zipfile
 import zipimport
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -243,7 +244,8 @@ def test_emitted_sources_and_manifest(built):
     assert "def run(" in driver
     assert "INPUT_SHAPES" in driver
     assert "OUTPUT_SHAPES" not in driver  # nothing reads the output shapes
-    assert "W0_0 = " in driver
+    assert "_F = np.frombuffer(" in driver
+    assert "T = marshal.loads(b" in driver  # the call tables, as data
     # the program holds inference only: no timing loop, no --stats
     assert "--reps" not in texts["src/__main__.py"]
     m = artifact.manifest
@@ -254,42 +256,49 @@ def test_emitted_sources_and_manifest(built):
     assert m["device"] == {"threads": 1}
 
 
-def test_plan_sizes_the_buffers_by_n_and_nothing_else(built):
-    # each prepare step reads the sample count from its buffers, so plan(n)
-    # scales only the buffer sizes and passes the lowering's one-sample
-    # params as plain literals
-    for name, (_, art) in built.items():
-        tree = ast.parse((Path(art.out_dir) / "src/net_driver.py").read_text(
-            encoding="utf-8"))
-        plan = next(f for f in tree.body
-                    if isinstance(f, ast.FunctionDef) and f.name == "plan")
-        buffers = 0
-        for stmt in plan.body:
-            if isinstance(stmt, ast.Assign) and stmt.targets[0].id[0] == "t":
-                size = stmt.value.args[0]
-                assert isinstance(size, ast.BinOp) and size.right.id == "n"
-                assert isinstance(size.left, ast.Constant), name
-                buffers += 1
-            else:
-                assert "n" not in {node.id for node in ast.walk(stmt)
-                                   if isinstance(node, ast.Name)}, name
-        assert buffers > 1, name
+def test_plan_replays_its_table_at_one_sample_and_at_batch_only(built):
+    # T holds the plans at 1 and at BATCH, and plan(n) takes no other n;
+    # every tensor buffer of T[n] holds n samples
+    for name, (bundle, art) in built.items():
+        driver = harness.load_driver(art.executable)
+        assert list(driver.T) == list(dict.fromkeys((1, driver.BATCH))), name
+        lowered = interpreter.load(bundle).lowered
+        for n in driver.T:
+            assert driver.T[n][0] == tuple(
+                4 * n * b.count for _, b in sorted(lowered.tensors.items()))
+        with pytest.raises(KeyError):
+            driver.plan(2 if driver.BATCH != 2 else 3)
 
 
-def test_the_budget_is_bound_only_where_a_template_reads_it(built):
-    # the emitter binds _PRODUCT_BYTES with _sum_products_prep, so every
-    # template that reads the budget must depend on that helper
-    for tid in ops.KERNELS:
-        names = ops.PREPS[tid].__code__.co_names + \
-            ops.KERNELS[tid].__code__.co_names
-        if "_PRODUCT_BYTES" in names:
-            assert "_sum_products_prep" in ops.HELPER_DEPS[tid], tid
-    for name, (_, art) in built.items():
-        driver = (Path(art.out_dir) / "src/net_driver.py").read_text(
-            encoding="utf-8")
-        assert ("_PRODUCT_BYTES = 262144" in driver) == \
-            ("def _sum_products_prep(" in driver), name
-    assert set(built) >= {"identity", "mlp"}
+_PLANNER_NAMES = ("_prep", "_sum_products", "_scratch", "_pool_windows",
+                  "_pad_nhwc", "_PRODUCT_BYTES", "in_shape", "filter_h",
+                  "dilation_h")
+
+
+def test_the_shipped_driver_carries_no_planner(built):
+    # the program replays its tables: the inflated driver bytecode names no
+    # prepare step, helper, budget or kernel parameter, and still binds
+    # every template id that run() calls a step through
+    for name, (bundle, art) in built.items():
+        pyc = _members(art.executable)["net_driver.pyc"]
+        names = set()
+        codes = [marshal.loads(pyc[16:])]
+        while codes:
+            code = codes.pop()
+            names.update(code.co_names, code.co_varnames)
+            for c in code.co_consts:
+                if isinstance(c, type(code)):
+                    codes.append(c)
+                elif isinstance(c, str):
+                    names.add(c)
+        for token in _PLANNER_NAMES:
+            assert token.encode() not in pyc, (name, token)
+            assert not any(token in n for n in names), (name, token)
+        tids = {op.unit.template_id
+                for op in interpreter.load(bundle).lowered.ops}
+        assert tids <= names, name
+        driver = harness.load_driver(art.executable)
+        assert all(getattr(driver, t) is driver.run_calls for t in tids)
 
 
 def test_emitted_sources_carry_no_container_traces(built):
@@ -429,6 +438,26 @@ def test_program_exit_codes_hold_with_stdout_closed_or_broken(built,
                                       cwd=tmp_path, stderr=subprocess.PIPE,
                                       text=True, **stdout)
                 assert (proc.returncode, proc.stderr) == (code, err), args
+    finally:
+        os.close(w)
+
+
+def test_program_exit_codes_hold_with_stderr_broken(built, tmp_path):
+    # a stderr pipe whose reader is gone cannot take an error line: the
+    # line is lost, and the code is the one the line goes with
+    _, artifact = built["mlp"]
+    np.zeros(4, "<f4").tofile(tmp_path / "in.raw")
+    (tmp_path / "short.raw").write_bytes(b"abc")
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        for args, code in ((["in.raw", "out.raw"], 0), (["in.raw"], 2),
+                           (["short.raw", "out.raw"], 2),
+                           (["missing.raw", "out.raw"], 2)):
+            proc = subprocess.run([artifact.executable, *args],
+                                  cwd=tmp_path, stdout=subprocess.PIPE,
+                                  stderr=w)
+            assert (proc.returncode, proc.stdout) == (code, b""), args
     finally:
         os.close(w)
 
@@ -597,16 +626,17 @@ def _count_runs(artifact, work, *args) -> dict:
 @pytest.mark.parametrize("name, count, calls", [
     ("mlp", 4096, 2), ("lenet", 20, 3), ("lenet", 1, 1)])
 def test_program_runs_each_call_once(built, tmp_path, name, count, calls):
-    # a file of `count` samples goes in as few calls as BATCH allows (mlp's
-    # is 3640, lenet's 9), split evenly: `calls` calls of ceil(count /
-    # calls) samples each, and run() makes each once, with no warm-up call
+    # a file of `count` samples goes in as `calls` calls of BATCH samples
+    # (mlp's is 3640, lenet's 9), one sample in one call of one, and run()
+    # makes each once, with no warm-up call
     _, artifact = built[name]
     driver = harness.load_driver(artifact.executable)
     np.random.default_rng(5).uniform(
         -1, 1, (count, sum(driver.INPUT_SIZES))).astype("<f4").tofile(
             tmp_path / "in.raw")
+    b = driver.BATCH if count > 1 else 1
     assert _count_runs(artifact, tmp_path, "in.raw", "out.raw") == \
-        {"code": 0, "runs": [-(-count // calls)] * calls}
+        {"code": 0, "runs": [b] * calls}
 
 
 def test_program_runs_no_host_site_code(built, tmp_path):
@@ -650,9 +680,8 @@ def test_every_numpy_name_the_program_calls_is_on_the_c_core(built):
     core = importlib.import_module("numpy._core._multiarray_umath")
     assert ops.np is core
     assert codegen._NP_HEAD in inspect.getsource(ops)
-    texts = {f"ops.{fn.__name__}": inspect.getsource(fn) for fn in (
-        *ops.HELPERS.values(), *ops.PREPS.values(), *ops.KERNELS.values())}
-    for module in (graphir, lowering, registry, interpreter, cli):
+    texts = {}
+    for module in (ops, graphir, lowering, registry, interpreter, cli):
         assert module.np is core
         texts[module.__name__] = inspect.getsource(module)
     for name, (_, art) in built.items():
@@ -908,27 +937,38 @@ def test_program_writes_every_output_of_every_sample(tmp_path):
 
 
 def test_weights_ship_as_read_only_views_of_one_blob(built):
-    # the driver reads the blob member once at import and binds every
-    # weight as a read-only view into it, in the accepted layout
+    # the driver reads the blob member once at import, the accepted
+    # layouts' flat weights, and every weight a step reads is a read-only
+    # view into it; together the views read all of it
     bundle, artifact = built["lenet"]
     lowered = codegen.extract_units(bundle)
     configs = codegen.analyze_config(lowered)
-    want = codegen.build_emission_plan(lowered, configs, codegen.search_status(
-        bundle, lowered, configs)).weights
+    result = codegen.search_status(bundle, lowered, configs)
+    want = codegen.build_emission_plan(lowered, configs, result).blob
+    assert want.tobytes() == b"".join(w.tobytes() for ws in result.weights
+                                      for w in ws)
     driver = harness.load_driver(artifact.executable)
     blob = driver._F
     assert type(blob.base) is bytes and not blob.flags.writeable
-    assert blob.base == (Path(artifact.out_dir) / "src/net_weights.bin"
-                         ).read_bytes()
-    views = {k: v for k, v in vars(driver).items() if k.startswith("W")}
-    assert list(views) == list(want)
-    assert len(views) == len(bundle.weights.entries)
-    assert sum(v.nbytes for v in views.values()) == blob.nbytes
-    for name, v in views.items():
-        assert not v.flags.writeable, name
-        assert np.shares_memory(v, blob), name
-        assert v.dtype == want[name].dtype, name
-        assert np.array_equal(v, want[name]), name
+    assert blob.base == want.astype("<f4").tobytes() == (
+        Path(artifact.out_dir) / "src/net_weights.bin").read_bytes()
+    seen = 0
+    for calls in _program_lists(driver):
+        for _, args, kw in calls:
+            for a in (*args, *kw.values()):
+                if isinstance(a, np.ndarray) and np.shares_memory(a, blob):
+                    assert not a.flags.writeable
+                    seen += 1
+    assert seen
+    # the views of base 0, the blob, in the tables of both plans, whose
+    # fills read the biases of private product tensors
+    read = np.zeros(blob.size, bool)
+    for table in driver.T.values():
+        for shape, _, base, offset, strides in table[2]:
+            if base == 0:
+                hi = offset + sum((d - 1) * s for d, s in zip(shape, strides))
+                read[offset // 4:hi // 4 + 1] = True
+    assert read.all()
 
 
 def _members(executable) -> dict:
@@ -979,10 +1019,8 @@ def test_an_unstripped_build_reads_its_weights_from_its_sources(
         sys.modules.pop("net_driver", None)
     assert plain.__file__ == str(src / "net_driver.py")
     shipped = harness.load_driver(artifact.executable)
-    names = [k for k in vars(shipped) if k.startswith("W")]
-    assert names and names == [k for k in vars(plain) if k.startswith("W")]
-    for k in names:
-        assert getattr(plain, k).tobytes() == getattr(shipped, k).tobytes(), k
+    assert plain._F.size and plain._F.tobytes() == shipped._F.tobytes()
+    assert plain.T == shipped.T
 
 
 def _sample(bundle, seed):
@@ -1088,7 +1126,8 @@ def test_no_kernel_code_runs_between_numpy_calls(built, name, monkeypatch):
     assert {u.fn for u in default_registry().units()} == {ops.run_calls}
     if name == "lenet":  # once, beside the largest plan
         def collect(kernel, inputs, weights, outputs, **params):
-            calls = ops.PREPS[kernel](inputs, weights, outputs, **params)
+            calls = kernel_cases.prepare(ops.PREPS[kernel], inputs, weights,
+                                         outputs, **params)
             lists.append(calls)
             ops.run_calls(calls)
 
@@ -1198,13 +1237,13 @@ def _batch_counts(batch):
                    100})
 
 
-def _served_in_batches(bundle, artifact, counts, work, registry=None):
-    """Files of each count of seeded samples through the program, each
-    against the per-sample interpreter, bit for bit."""
+def _interpreted(bundle, count, registry=None):
+    """count seeded samples, one row each with the graph's inputs end to
+    end, and what the per-sample interpreter writes for each of them."""
     plan = interpreter.load(bundle, registry=registry)
     specs = [plan.lowered.tensors[t] for t in plan.lowered.input_ids]
     rows = np.random.default_rng(8).uniform(
-        -1, 1, (max(counts), sum(b.count for b in specs))).astype(np.float32)
+        -1, 1, (count, sum(b.count for b in specs))).astype(np.float32)
     want = []
     for row in rows:
         xs, at = [], 0
@@ -1213,6 +1252,13 @@ def _served_in_batches(bundle, artifact, counts, work, registry=None):
             at += b.count
         want.append(b"".join(o.astype("<f4").tobytes()
                              for o in interpreter.invoke(plan, xs)))
+    return rows, want
+
+
+def _served_in_batches(bundle, artifact, counts, work, registry=None):
+    """Files of each count of seeded samples through the program, each
+    against the per-sample interpreter, bit for bit."""
+    rows, want = _interpreted(bundle, max(counts), registry)
     for count in counts:
         rows[:count].astype("<f4").tofile(work / "in.raw")
         proc = subprocess.run([artifact.executable, "in.raw", "out.raw"],
@@ -1235,11 +1281,11 @@ def test_program_serves_a_file_in_batches_bit_for_bit(built, tmp_path, name,
     _served_in_batches(bundle, artifact, _batch_counts(batch), tmp_path)
 
 
-def test_batches_split_two_inputs_and_join_two_outputs(tmp_path):
-    # every operator kind that batches only under a condition, met: ADD of
-    # two activations, CONCATENATION on axis 1 with no weight part, PAD
-    # with nothing added on axis 0 and a two-row SOFTMAX a sample; the
-    # outputs, of different sizes, come in another order than the inputs
+def _two_inputs_bundle():
+    """Every operator kind that batches only under a condition, met: ADD
+    of two activations, CONCATENATION on axis 1 with no weight part, PAD
+    with nothing added on axis 0 and a two-row SOFTMAX a sample; the
+    outputs, of different sizes, come in another order than the inputs."""
     g = ComputationalGraph(
         tensors=[
             TensorSpec(0, "x", DataType.F32, (1, 4)),
@@ -1271,18 +1317,13 @@ def test_batches_split_two_inputs_and_join_two_outputs(tmp_path):
     rng = np.random.default_rng(4)
     store.put_array(0, rng.uniform(-1, 1, (3, 10)).astype(np.float32))
     store.put_array(1, rng.uniform(-1, 1, 3).astype(np.float32))
-    bundle = ModelBundle(g, store)
-    art = codegen.pipeline(bundle, tmp_path / "x")
-    driver = harness.load_driver(art.executable)
-    assert driver.BATCH == 262144 // driver.BUFFER_BYTES > 1
-    _served_in_batches(bundle, art, _batch_counts(driver.BATCH), tmp_path)
+    return ModelBundle(g, store)
 
 
-def test_a_graph_of_two_rows_a_sample_batches_with_one_sample_params(
-        tmp_path):
-    # every params shape is the graph's own, two rows a sample, and each
-    # kernel reads how many samples a call stacks from its buffers: conv
-    # with SAME padding and stride 2, depthwise, both pools, RESHAPE and FC
+def _two_rows_bundle():
+    """A graph whose every params shape is its own, two rows a sample:
+    conv with SAME padding and stride 2, depthwise, both pools (avg-pool's
+    count grid takes its border), RESHAPE and FC."""
     b = fixtures._Builder(6)
     x = b.tensor("x", (2, 9, 9, 3))
     conv = b.tensor("conv", (2, 5, 5, 4))
@@ -1305,11 +1346,93 @@ def test_a_graph_of_two_rows_a_sample_batches_with_one_sample_params(
     y = b.tensor("y", (2, 3))
     b.op(FULLY_CONNECTED, [flat, b.weight("fw", (3, 72)), b.bias("fb", 3)],
          [y], {"activation": "NONE"})
-    bundle = b.bundle([x], [y])
-    art = codegen.pipeline(bundle, tmp_path / "x")
+    return b.bundle([x], [y])
+
+
+def _signed_zeros_bundle():
+    """An FC with no bias, whose zero tail row is a fill, and a
+    SCALE_SHIFT by -0.0 plus -0.0 after it, whose output's zeros take the
+    sign of each FC output: +0.0 where that is negative, -0.0 elsewhere.
+    Both are outputs."""
+    b = fixtures._Builder(9)
+    x = b.tensor("x", (1, 6))
+    fc = b.tensor("fc", (1, 4))
+    b.op(FULLY_CONNECTED, [x, b.weight("fw", (4, 6))], [fc],
+         {"activation": "NONE"})
+    y = b.tensor("y", (1, 4))
+    b.op("SCALE_SHIFT", [fc], [y], {"scale": -0.0, "shift": -0.0})
+    return b.bundle([x], [fc, y])
+
+
+def _batches_bit_for_bit(bundle, work):
+    art = codegen.pipeline(bundle, work / "x")
     driver = harness.load_driver(art.executable)
     assert driver.BATCH == 262144 // driver.BUFFER_BYTES > 1
-    _served_in_batches(bundle, art, _batch_counts(driver.BATCH), tmp_path)
+    _served_in_batches(bundle, art, _batch_counts(driver.BATCH), work)
+
+
+def test_batches_split_two_inputs_and_join_two_outputs(tmp_path):
+    _batches_bit_for_bit(_two_inputs_bundle(), tmp_path)
+
+
+def test_a_graph_of_two_rows_a_sample_batches_with_one_sample_params(
+        tmp_path):
+    # each kernel reads how many samples a call stacks from its buffers
+    _batches_bit_for_bit(_two_rows_bundle(), tmp_path)
+
+
+def test_a_zero_constant_keeps_its_sign_in_the_tables(tmp_path):
+    # the tables hold the FC reduction's initial +0.0 and SCALE_SHIFT's
+    # -0.0 apart, as the interpreter does; as one, every zero the program
+    # writes would take one sign
+    bundle = _signed_zeros_bundle()
+    art = codegen.pipeline(bundle, tmp_path / "x")
+    _, want = _interpreted(bundle, 5)
+    zeros = np.frombuffer(b"".join(want), "<f4")[-4:]
+    assert not zeros.any() and len(set(np.signbit(zeros))) == 2
+    _served_in_batches(bundle, art, [1, 5], tmp_path)
+
+
+class _NaNCore:
+    """numpy's C core, but every buffer its empty() makes reads as NaN."""
+
+    def __init__(self, core):
+        self.core = core
+
+    def __getattr__(self, name):
+        return getattr(self.core, name)
+
+    def empty(self, *args):
+        buf = self.core.empty(*args)
+        buf.view("u1").fill(255)
+        return buf
+
+
+@pytest.mark.parametrize("graph", [*sorted(fixtures.FIXTURES), "two_inputs",
+                                   "two_rows", "signed_zeros"])
+def test_a_plan_needs_nothing_of_fresh_memory_but_its_fills(
+        built, tmp_path, monkeypatch, graph):
+    # the program makes every buffer of a table with np.empty and counts
+    # on the fills for whatever must hold before a run: with all of them
+    # made NaN, plan(1) and plan(BATCH) still write the interpreter's bits
+    if graph in fixtures.FIXTURES:
+        bundle, art = built[graph]
+    else:
+        bundle = globals()[f"_{graph}_bundle"]()
+        art = codegen.pipeline(bundle, tmp_path / "x")
+    driver = harness.load_driver(art.executable)
+    monkeypatch.setattr(driver, "np", _NaNCore(driver.np))
+    rows, want = _interpreted(bundle, driver.BATCH)
+    for n in dict.fromkeys((1, driver.BATCH)):
+        driver.plan(n)
+        xs, at = [], 0
+        for size in driver.INPUT_SIZES:
+            xs.append(rows[:n, at:at + size].copy())
+            at += size
+        outs = [o.reshape(n, -1) for o in driver.run(xs)]
+        got = [b"".join(o[i].astype("<f4").tobytes() for o in outs)
+               for i in range(n)]
+        assert got == want[:n], n
 
 
 def _one_op_graph(op, in_shapes, out_shape, options, weight=None):
@@ -1345,6 +1468,52 @@ def _negate_registry():
     return reg
 
 
+def _prep_registry(prep):
+    """The default units plus a custom STEP over one input, whose prepare
+    step is prep."""
+    reg = build_default_registry()
+    reg.register_custom(
+        "STEP",
+        ComputingUnit(UnitKey("STEP", DataType.F32), "scale_shift_f32",
+                      ops.KERNELS["scale_shift_f32"], prep),
+        param_mapper=lambda node, ins, out: {},
+        shape_rule=lambda node, ins: [tuple(ins[0])])
+    return reg
+
+
+def test_a_custom_prepare_step_keeps_a_keyword_of_its_own(tmp_path):
+    # a plan hands a step only the keywords it shares, arena and fills; a
+    # defaulted keyword of the step's own keeps its default
+    def prep(inputs, weights, outputs, *, gain=2.0):
+        return [(np.multiply, (inputs[0], ops.float32(gain), outputs[0]), {})]
+
+    reg = _prep_registry(prep)
+    bundle = _one_op_graph("STEP", [(1, 4)], (1, 4), {})
+    x = np.float32([[1, -2, 0.5, 3]])
+    [y] = interpreter.invoke(interpreter.load(bundle, registry=reg), [x])
+    assert y.tobytes() == (2 * x).tobytes()
+    art = codegen.pipeline(bundle, tmp_path / "x", registry=reg)
+    assert harness.verify(bundle, art, registry=reg).max_error == 0.0
+    _served_in_batches(bundle, art, [1, 3], tmp_path, registry=reg)
+
+
+def _negative(x, out):
+    np.negative(x, out=out)
+
+
+@pytest.mark.parametrize("name", ["negative", "_negative"])
+def test_a_callable_the_program_cannot_name_is_a_codegen_error(
+        tmp_path, monkeypatch, name):
+    # the program calls np.<name> on numpy's C core: a Python function is
+    # not that callable, even where the core has one by its name
+    monkeypatch.setattr(_negative, "__name__", name)
+    reg = _prep_registry(lambda inputs, weights, outputs: [
+        (_negative, (inputs[0], outputs[0]), {})])
+    bundle = _one_op_graph("STEP", [(1, 4)], (1, 4), {})
+    with pytest.raises(codegen.CodegenError, match="numpy's C core"):
+        codegen.pipeline(bundle, tmp_path / "x", registry=reg)
+
+
 _C4 = np.float32([[0.5, -2.0, 1.0, 0.25]])
 
 _UNBATCHED = {
@@ -1375,9 +1544,11 @@ def test_a_graph_the_batching_rule_excludes_runs_one_sample_a_call(
 
 
 def test_program_runs_the_batched_plan_a_file_needs(built, tmp_path):
-    # lenet's BATCH is 9: 20 samples run as 3 calls of 7, 5 as one call of 5
+    # lenet's BATCH is 9: 20 samples run as 3 calls of 9, the last
+    # overlapping the one before it, and 5 as one call of 9, padded with
+    # copies of its own samples
     bundle, artifact = built["lenet"]
-    for count, runs in ((20, [7, 7, 7]), (5, [5])):
+    for count, runs in ((20, [9, 9, 9]), (5, [9])):
         xs = [_sample(bundle, s) for s in range(count)]
         np.concatenate([a.reshape(-1) for x in xs for a in x]).astype(
             "<f4").tofile(tmp_path / "in.raw")
@@ -1388,12 +1559,11 @@ def test_program_runs_the_batched_plan_a_file_needs(built, tmp_path):
 
 
 @pytest.mark.parametrize("name", ["lenet", "mlp"])
-def test_a_file_of_batch_plus_one_samples_splits_evenly_bit_for_bit(
+def test_a_file_of_batch_plus_one_samples_overlaps_bit_for_bit(
         built, tmp_path, name):
-    # two calls of ceil((BATCH + 1) / 2) samples, the second overlapping
-    # the first by one sample, where two calls of BATCH would compute
-    # nearly twice the samples; the file is the interpreter's, byte for
-    # byte
+    # two calls of BATCH samples, the second overlapping the first by all
+    # but one sample, which it computes again to the same bits; the file
+    # is the interpreter's, byte for byte
     bundle, artifact = built[name]
     driver = harness.load_driver(artifact.executable)
     count = driver.BATCH + 1
@@ -1402,7 +1572,7 @@ def test_a_file_of_batch_plus_one_samples_splits_evenly_bit_for_bit(
     xs = [[row.reshape(driver.INPUT_SHAPES[0])] for row in rows]
     rows.astype("<f4").tofile(tmp_path / "in.raw")
     assert _count_runs(artifact, tmp_path, "in.raw", "out.raw") == \
-        {"code": 0, "runs": [-(-count // 2)] * 2}
+        {"code": 0, "runs": [driver.BATCH] * 2}
     assert (tmp_path / "out.raw").read_bytes() == \
         _interpreter_output(bundle, xs)
 
@@ -1621,10 +1791,12 @@ def test_shipped_bytecode_is_what_py_compile_writes(built, tmp_path):
             with zipfile.ZipFile(f) as z:
                 packed = {i.filename: i.compress_type for i in z.infolist()}
         # code deflates to well under half; a large float32 weights blob
-        # barely does, and a small one inflates in microseconds
+        # barely does and is stored, and a small one is deflated when that
+        # shrinks it
         assert packed == {
-            n: zipfile.ZIP_STORED if n == "net_weights.bin" and len(
-                members[n]) >= codegen._DEFLATE_WEIGHTS_BELOW
+            n: zipfile.ZIP_STORED if n == "net_weights.bin" and (
+                len(members[n]) >= codegen._DEFLATE_WEIGHTS_BELOW
+                or len(_deflate(members[n])) >= len(members[n]))
             else zipfile.ZIP_DEFLATED for n in members}, name
         stored[name] = packed.get("net_weights.bin") == zipfile.ZIP_STORED
         ref = tmp_path / name
@@ -1647,8 +1819,39 @@ def test_shipped_bytecode_is_what_py_compile_writes(built, tmp_path):
             want = marshal.loads((ref / f"{stem}.pyc").read_bytes()[16:])
             assert got == want, (name, s)
             assert got.co_filename == want.co_filename == Path(s).name
-    # both kinds of weights blob member are built
-    assert stored["lenet"] and stored["mlp"] is False
+    # no fixture's blob shrinks under deflate, the small ones included
+    assert stored == {"custom": True, "dwblock": True, "identity": False,
+                      "lenet": True, "mlp": True}
+
+
+def _deflate(data: bytes) -> bytes:
+    """data deflated at level 9, as zipfile deflates a member."""
+    z = zlib.compressobj(9, zlib.DEFLATED, -15)
+    return z.compress(data) + z.flush()
+
+
+def test_a_member_deflate_does_not_shrink_is_stored(built, tmp_path):
+    # mlp's 268 B blob would deflate to 273 B, so it goes in as it is; a
+    # member that deflate shrinks goes in deflated, a weights blob too
+    with open(built["mlp"][1].executable, "rb") as f:
+        f.readline()  # interpreter line
+        with zipfile.ZipFile(f) as z:
+            info = z.getinfo("net_weights.bin")
+            assert info.compress_type == zipfile.ZIP_STORED
+            assert info.compress_size == info.file_size == 268
+            assert len(_deflate(z.read(info))) == 273
+            assert z.getinfo("net_driver.pyc").compress_type == \
+                zipfile.ZIP_DEFLATED
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "net_weights.bin").write_bytes(bytes(1024))
+    (tmp_path / "src" / "m.py").write_text("x = 1\n")
+    exe = codegen.compile_program(tmp_path, ["src/net_weights.bin",
+                                             "src/m.py"])
+    with open(tmp_path / exe, "rb") as f:
+        f.readline()
+        with zipfile.ZipFile(f) as z:
+            assert z.getinfo("net_weights.bin").compress_type == \
+                zipfile.ZIP_DEFLATED
 
 
 @pytest.mark.parametrize("strip", [True, False], ids=["stripped", "plain"])

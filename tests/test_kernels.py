@@ -66,7 +66,7 @@ def test_prepared_state_follows_its_buffers(name, monkeypatch):
 
     def run_stale(kernel, inputs, weights, outputs, **params):
         prep, run = ops.PREPS[kernel], ops.KERNELS[kernel]
-        calls = prep(inputs, weights, outputs, **params)
+        calls = kernel_cases.prepare(prep, inputs, weights, outputs, **params)
         first = [x.copy() for x in inputs]
         run(calls)
         second = [rng.uniform(-1, 1, x.shape).astype(x.dtype)
@@ -78,7 +78,8 @@ def test_prepared_state_follows_its_buffers(name, monkeypatch):
         run(calls)
         got = [o.tobytes() for o in outputs]
         fresh = [np.empty_like(o) for o in outputs]
-        run(prep([x.copy() for x in second], weights, fresh, **params))
+        run(kernel_cases.prepare(prep, [x.copy() for x in second], weights,
+                                 fresh, **params))
         assert got == [o.tobytes() for o in fresh], (kernel, params)
         for buf, x in zip(inputs, first):
             np.copyto(buf, x)
@@ -145,12 +146,16 @@ def test_sum_products_is_the_scalar_loop_order(case_budget):
         rhs = rng.uniform(0.5, 2, (k, 1)).astype(np.float32)
         tail = rng.choice(values, lanes)
         acc = np.empty(lanes, dtype=np.float32)
-        blocks, own, fill = ops._sum_products_prep(lhs, rhs, acc, tail)
-        assert fill == []  # with no arena, the product tensor is private
+        fills = []
+        blocks, own, fill = ops._sum_products_prep(lhs, rhs, acc, tail,
+                                                   fills=fills)
+        # with no arena, the product tensor is private: its tail row is
+        # filled once
+        assert fill == [] and len(fills) == 1
         calls = ops._sum_products_calls(blocks, own, acc)
         sizes = _chunk_lengths(calls)
         assert len(sizes) > 1 and sizes[0] < sizes[-1], (lanes, sizes)
-        ops.run_calls(calls)
+        ops.run_calls(fills + calls)
         want = np.zeros(lanes, dtype=np.float32)
         for t in range(k):
             # float32 lanes added one term at a time, each lane on its own
@@ -214,9 +219,11 @@ def test_both_product_paths_are_the_scalar_loop_order(path, special,
     tail[0, 0] = np.float32(-0.0)
     # one block of lanes in several chunks; strided lanes reduce into a
     # contiguous accumulator, the lone lane into its twin pair
-    [(lanes_in, chunks)], own, fill = ops._sum_products_prep(lhs, rhs, acc,
-                                                             tail)
-    assert len(chunks) > 1 and fill == []
+    fills = []
+    [(lanes_in, chunks)], own, fill = ops._sum_products_prep(
+        lhs, rhs, acc, tail, fills=fills)
+    assert len(chunks) > 1 and fill == [] and len(fills) == 1
+    ops.run_calls(fills)
     assert (own is None) == path.startswith("fc_")
     einsum = path in ("outer", "fc_batch_1", "fc_batch_3")
     assert {f for (f, _, _), _ in chunks} == {
@@ -319,9 +326,10 @@ def test_lenet_steps_over_the_arena_write_what_private_scratch_does():
     plan = interpreter.load(fixtures.build_fixture("lenet"))
     lowered = plan.lowered
     private = lowered.allocate()
-    steps = [op.unit.prep([private[t] for t in op.act_ids], ws,
-                          [private[t] for t in op.output_ids],
-                          **op.params.values)
+    steps = [kernel_cases.prepare(op.unit.prep,
+                                  [private[t] for t in op.act_ids], ws,
+                                  [private[t] for t in op.output_ids],
+                                  **op.params.values)
              for op, ws in zip(lowered.ops, plan.weights)]
     rng = np.random.default_rng(17)
     for _ in range(3):
@@ -379,7 +387,8 @@ def test_tail_cases_take_the_shapes_their_kind_names(kind, monkeypatch):
     seen = []
 
     def keep(kernel, inputs, weights, outputs, **params):
-        calls = ops.PREPS[kernel](inputs, weights, outputs, **params)
+        calls = kernel_cases.prepare(ops.PREPS[kernel], inputs, weights,
+                                     outputs, **params)
         ops.KERNELS[kernel](calls)
         # no kernel takes a batch: the rows stacked in its input buffer
         # say it
@@ -414,7 +423,8 @@ def test_fc_lane_cases_take_the_layout_their_kind_names(kind, monkeypatch):
     seen = []
 
     def keep(kernel, inputs, weights, outputs, **params):
-        calls = ops.PREPS[kernel](inputs, weights, outputs, **params)
+        calls = kernel_cases.prepare(ops.PREPS[kernel], inputs, weights,
+                                     outputs, **params)
         ops.KERNELS[kernel](calls)
         # each block's multiplies read its samples through the input's
         # transposed view, from its first sample on
@@ -473,11 +483,12 @@ def _run_singles_and_stacked(kernel, samples, weights, outputs, params):
     singles = []
     for xs in samples:
         outs = [np.empty_like(o) for o in outputs]
-        run(prep([x.copy() for x in xs], weights, outs, **params))
+        run(kernel_cases.prepare(prep, [x.copy() for x in xs], weights, outs,
+                                 **params))
         singles.append(outs)
     stacked = [np.empty(len(samples) * o.size, o.dtype) for o in outputs]
-    run(prep([np.concatenate(xs) for xs in zip(*samples)], weights, stacked,
-             **params))
+    run(kernel_cases.prepare(prep, [*map(np.concatenate, zip(*samples))],
+                             weights, stacked, **params))
     want = [b"".join(outs[j].tobytes() for outs in singles)
             for j in range(len(outputs))]
     return [o.tobytes() for o in stacked], want
@@ -497,8 +508,8 @@ def test_a_state_prepared_for_three_samples_runs_three_single_ones(
     batched = []
 
     def run_stacked(kernel, inputs, weights, outputs, **params):
-        ops.KERNELS[kernel](ops.PREPS[kernel](inputs, weights, outputs,
-                                              **params))
+        ops.KERNELS[kernel](kernel_cases.prepare(
+            ops.PREPS[kernel], inputs, weights, outputs, **params))
         if not splits_along_axis_0(ParamRecord(kinds[kernel], params),
                                    len(weights)):
             return
@@ -588,9 +599,9 @@ def test_fc_feature_lanes_past_the_budget_stay_in_one_block(bias):
         weights.append(rng.uniform(-1, 1, nout).astype(np.float32))
     params = {"in_features": nin, "out_features": nout,
               "activation_min": None, "activation_max": None}
-    calls = ops.fully_connected_f32_prep(
-        [xs.reshape(-1)], weights, [np.empty(n * nout, np.float32)],
-        **params)
+    calls = kernel_cases.prepare(
+        ops.fully_connected_f32_prep, [xs.reshape(-1)], weights,
+        [np.empty(n * nout, np.float32)], **params)
     assert _product_lanes(calls) == [nout] * nin
     got, want = _run_singles_and_stacked(
         "fully_connected_f32", [[x] for x in xs], weights,
@@ -617,10 +628,11 @@ def test_one_sample_fc_wider_than_the_budget_matches_the_oracle(
     b = rng.uniform(-0.5, 0.5, nout).astype(np.float32) if bias else None
     got, want = kernel_cases._run_fully_connected(x, wt, b, (None, None))
     assert oracles.bitwise_equal(got, want)
-    calls = ops.fully_connected_f32_prep(
-        [x.reshape(-1)], [wt.T.copy().reshape(-1)],
-        [np.empty(nout, np.float32)], in_features=nin, out_features=nout,
-        activation_min=None, activation_max=None)
+    calls = kernel_cases.prepare(
+        ops.fully_connected_f32_prep, [x.reshape(-1)],
+        [wt.T.copy().reshape(-1)], [np.empty(nout, np.float32)],
+        in_features=nin, out_features=nout, activation_min=None,
+        activation_max=None)
     assert _product_lanes(calls) == [nout] * nin
 
 
@@ -643,9 +655,10 @@ def test_fc_scratch_stays_within_the_bound(shape):
     bufsize = np.setbufsize(16)
     tracemalloc.start()
     try:
-        calls = ops.fully_connected_f32_prep(
-            [x], weights, [out], in_features=nin, out_features=nout,
-            activation_min=None, activation_max=None)
+        calls = kernel_cases.prepare(
+            ops.fully_connected_f32_prep, [x], weights, [out],
+            in_features=nin, out_features=nout, activation_min=None,
+            activation_max=None)
         ops.run_calls(calls)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -683,7 +696,8 @@ def test_conv_scratch_stays_within_the_bound(shape):
     bufsize = np.setbufsize(16)
     tracemalloc.start()
     try:
-        ops.run_calls(ops.conv2d_f32_prep([x], [wt], [out], **kwargs))
+        ops.run_calls(kernel_cases.prepare(ops.conv2d_f32_prep, [x], [wt],
+                                           [out], **kwargs))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -693,10 +707,12 @@ def test_conv_scratch_stays_within_the_bound(shape):
 
 def _arena_lists(steps, arena=None):
     """Each (kernel, inputs, weights, outputs, params) step prepared over
-    one arena, in the two passes lowering.configure makes."""
+    one arena, in the two passes lowering.prepare makes, the last one's
+    fills made."""
     arena = [np.empty(0, np.float32)] if arena is None else arena
     for _ in 0, 1:
-        lists = [ops.PREPS[kernel](ins, ws, outs, arena=arena, **params)
+        lists = [kernel_cases.prepare(ops.PREPS[kernel], ins, ws, outs,
+                                      arena=arena, **params)
                  for kernel, ins, ws, outs, params in steps]
     return lists, arena
 
@@ -771,8 +787,8 @@ def test_scratch_below_a_page_stays_private():
             [np.empty(3, np.float32)], params)
     [calls], arena = _arena_lists([step])
     assert arena[0].size == 0
-    assert len(calls) == len(ops.fully_connected_f32_prep(*step[1:4],
-                                                          **params))
+    assert len(calls) == len(kernel_cases.prepare(
+        ops.fully_connected_f32_prep, *step[1:4], **params))
 
 
 def _names_read(code) -> set:
@@ -798,22 +814,6 @@ def test_every_prepare_step_reads_every_keyword_it_declares(tid):
     declared = code.co_varnames[
         code.co_argcount:code.co_argcount + code.co_kwonlyargcount]
     assert set(declared) - _names_read(code) == set()
-
-
-def test_helper_deps_follow_the_template_bodies():
-    # helpers named by a template's prepare step and by the helpers it
-    # names, each step of a split helper by its own name
-    assert set(ops.HELPER_DEPS) == set(ops.KERNELS) == set(ops.PREPS)
-    assert ops.HELPER_DEPS["conv2d_f32"] == (
-        "_clamp_calls", "_pad_nhwc_prep", "_scratch", "_sum_products_calls",
-        "_sum_products_prep")
-    assert ops.HELPER_DEPS["fully_connected_f32"] == (
-        "_clamp_calls", "_scratch", "_sum_products_calls",
-        "_sum_products_prep")
-    assert ops.HELPER_DEPS["max_pool2d_f32"] == (
-        "_clamp_calls", "_pad_nhwc_prep", "_pool_windows_prep")
-    # softmax's rows come from the arena too, through _scratch alone
-    assert ops.HELPER_DEPS["softmax_f32"] == ("_scratch",)
 
 
 # -- registry lookup ----------------------------------------------------------

@@ -81,3 +81,7 @@ def test_differing_programs_are_run_on_one_file_and_their_outputs_compared(
     assert not same_programs.same_outputs(stripped, other, 4, tmp_path)
     # a program that fails matches nothing, not even another failure
     assert not same_programs.same_outputs(stripped, plain, 3, tmp_path)
+    # and so on a file of one sample, which runs the plan of one sample
+    assert same_programs.SAMPLES == (1, 37)
+    assert same_programs.same_outputs(stripped, plain, 4, tmp_path, 1)
+    assert not same_programs.same_outputs(stripped, other, 4, tmp_path, 1)
