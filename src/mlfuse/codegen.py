@@ -4,19 +4,21 @@ The pipeline lowers the bundle once (lowering.py): one computing unit per
 operator with its known configuration resolved from the container, and one
 buffer per tensor. It searches the one unknown, the weight layout of each
 conv and FC, by comparing candidate behavior against the runtime; each
-candidate goes through lowering.configure, the step the interpreter uses
-too. It then emits a program of two code modules and one data member. The
-driver holds the accepted candidate's plans, prepared at one sample and
-at BATCH, as call tables (_call_table) and replays them: it carries no
-prepare step and no planner, and makes exactly the calls the search
-verified. The entry point serves a file of one sample through the first
-plan and any other in calls of BATCH, the last ending at the last sample
-(so it may overlap the one before it) and a file shorter than BATCH
-padded with copies of its own rows. The data member is the accepted
-layouts' flat weights as one little-endian blob, which the driver reads
-once at import through its own loader, every weight a read-only view
-into it. The program carries no model container, no parser, and no
-registry; past import, its only file access is the input tensor argument.
+candidate's weights are laid out by lowering.lay_out and its kernels
+prepared by lowering.prepare, the steps the interpreter uses too, at one
+sample a call and at BATCH. It then emits a program of two code modules
+and one data member. The driver holds the two plans the search verified
+for the accepted candidate as call tables (_call_table) and replays them:
+it carries no prepare step and no planner, and makes exactly the calls
+the search verified, at both sample counts. The entry point serves a file
+of one sample through the first plan and any other in calls of BATCH, the
+last ending at the last sample (so it may overlap the one before it) and
+a file shorter than BATCH padded with copies of its own rows. The data
+member is the accepted layouts' flat weights as one little-endian blob,
+which the driver reads once at import through its own loader, every
+weight a read-only view into it. The program carries no model container,
+no parser, and no registry; past import, its only file access is the
+input tensor argument.
 
 Search never reads the layout table shipped with the runtime; it recovers
 workable layouts purely from observed behavior.
@@ -31,10 +33,10 @@ import math
 import os
 import shutil
 import stat
+import struct
 import subprocess
 import sys
 import tempfile
-import zipfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,18 +47,31 @@ from numpy._core import _multiarray_umath as _core
 from . import corestart, graphir, harness, interpreter
 from .graphir import GraphError, DataType, ModelBundle
 from .kernels import DeviceInfo, default_registry, splits_along_axis_0
-from .lowering import LoweredOp, Lowering, configure, lower, prepare
+from .kernels.ops import run_calls
+from .lowering import LoweredOp, Lowering, lay_out, lower, prepare
 
 
 class CodegenError(Exception):
     pass
 
 
+@dataclass(frozen=True)
+class Breach:
+    """Where a candidate first went beyond delta: the l2 distance of one
+    sample of a tensor an operator writes (inf for a non-finite one)."""
+    error: float
+    operator: int  # its index in graph order
+    input: int  # index of the sample among the verify inputs
+    samples: int  # samples a call of the plan it ran in: 1 or BATCH
+
+
 class SearchError(CodegenError):
-    def __init__(self, msg, candidates_evaluated=0, best_error=math.inf):
+    def __init__(self, msg, candidates_evaluated=0, best_error=math.inf,
+                 breach: Breach | None = None):
         super().__init__(msg)
         self.candidates_evaluated = candidates_evaluated
         self.best_error = best_error
+        self.breach = breach  # the closest candidate's
 
 
 class ToolchainError(CodegenError):
@@ -102,13 +117,23 @@ class ToolchainConfig:
 
 
 @dataclass
+class Prepared:
+    """A candidate's plan of some samples a call, as the search ran it."""
+    buffers: dict  # tensor id -> its flat buffer
+    calls: list  # per operator: the calls its prepare step bound
+    fills: list  # the plan's fills, made
+
+
+@dataclass
 class SearchResult:
     layouts: list  # per operator index: the accepted layout name, or None
     candidates_evaluated: int
     # largest l2 error of any tensor an operator writes, on any sample
     # input; written to the manifest as max_diff
     max_error: float
-    weights: list  # per operator: its flat weights in the accepted layouts
+    blob: np.ndarray  # the accepted flat weights, by operator and slot
+    batch: int  # BATCH (_batch)
+    plans: dict  # n -> the accepted Prepared plan of n: 1, then BATCH
 
 
 @dataclass
@@ -118,7 +143,7 @@ class EmissionPlan:
     blob: np.ndarray  # the accepted flat weights, by operator and slot
     batch: int
     callables: tuple  # their names on numpy's C core (np.<name>)
-    tables: dict  # n -> the plan of n samples a call (_call_table)
+    tables: bytes  # {n: the plan of n samples a call (_call_table)}, marshaled
 
 
 @dataclass
@@ -201,26 +226,91 @@ def analyze_config(lowered: Lowering) -> list[LoweredOp]:
 # Status search
 
 
-def _worst_error(steps, xs, refs, input_bufs, buffers,
-                 delta) -> tuple[float, int | None]:
-    """Largest per-tensor l2 distance from the runtime over all inputs.
+# the tensor buffers of one batched plan fit in this many bytes
+_BATCH_BUFFER_BYTES = 262144
 
-    steps are (op index, unit, prepared calls, output ids) in graph order.
-    Stops at the first tensor beyond delta and returns its distance and the
-    index of the operator that wrote it; the index is None within delta.
+
+def _batch(lowered: Lowering) -> int:
+    """BATCH: the largest sample count a call whose tensor buffers fit in
+    _BATCH_BUFFER_BYTES, or 1 when some operator does not compute each
+    slice along axis 0 on its own."""
+    if not all(splits_along_axis_0(op.params, len(op.weight_keys))
+               for op in lowered.ops):
+        return 1
+    return max(1, _BATCH_BUFFER_BYTES // sum(
+        b.count * 4 for b in lowered.tensors.values()))
+
+
+def _packed(flats) -> tuple[np.ndarray, list]:
+    """One float32 blob of every operator's flat weights, in operator and
+    slot order, and the weights again as views of it."""
+    ws = [w for ops in flats for w in ops]
+    for w in ws:
+        if w.dtype not in (np.float32, np.int32):
+            raise CodegenError(f"cannot embed weight dtype {w.dtype}")
+    blob = np.empty(sum(w.size for w in ws), np.float32)
+    views, at = [], 0
+    for ops in flats:
+        views.append([])
+        for w in ops:
+            views[-1].append(blob[at:at + w.size].view(w.dtype))
+            views[-1][-1][...] = w
+            at += w.size
+    return blob, views
+
+
+def _served(samples, first: int, b: int) -> list:
+    """The calls of b samples a call the program makes of a file of these
+    samples (_MAIN_SRC): a file shorter than b is padded with copies of its
+    own rows, and the last call ends at the last row, so it may overlap the
+    one before it. Each call is (the verify index of its first sample, how
+    many of its samples the program writes, one flat array a graph
+    input); samples[k] is verify input first + k."""
+    count = len(samples)
+    fields = [np.stack([s[j].reshape(-1) for s in samples])
+              for j in range(len(samples[0]))]
+    if count < b:
+        fields = [f[np.arange(b) % count] for f in fields]
+    m = max(b, count)
+    return [(first + k, min(b, count), [f[k:k + b].reshape(-1) for f in fields])
+            for k in [*range(0, m - b, b), m - b]]
+
+
+def _distances(got, want, n: int, rows: int) -> list[float]:
+    """The l2 distance of each of the first rows samples of two flat
+    buffers of n samples, each sqrt(d.dot(d)) in float64 as np.linalg.norm
+    computes it."""
+    d = np.subtract(got.reshape(n, -1)[:rows], want.reshape(n, -1)[:rows],
+                    dtype=np.float64)
+    if not d.any():  # no NaN either
+        return [0.0] * rows
+    return [math.sqrt(r.dot(r)) for r in d]
+
+
+def _worst_error(n, steps, feeds, refs, buffers, input_ids,
+                 delta) -> tuple[float, Breach | None]:
+    """Largest per-sample l2 distance from the runtime of any tensor an
+    operator writes, over the calls of a plan of n samples.
+
+    steps are (op index, unit, prepared calls, output ids) in graph order;
+    feeds are _served calls and refs the runtime's tensors after each.
+    Stops at the first tensor with a sample beyond delta and returns where
+    that sample breached it; the breach is None within delta.
     """
     worst = 0.0
-    for x, ref in zip(xs, refs):
-        for buf, arr in zip(input_bufs, x):
-            np.copyto(buf, arr.reshape(-1))
+    for (first, rows, x), ref in zip(feeds, refs):
+        for t, arr in zip(input_ids, x):
+            np.copyto(buffers[t], arr)
         for at, unit, calls, out_ids in steps:
             unit.fn(calls)
             for tid in out_ids:
-                err = float(np.linalg.norm(
-                    np.subtract(buffers[tid], ref[tid], dtype=np.float64)))
-                if not err <= delta:
-                    return (err if math.isfinite(err) else math.inf), at
-                worst = max(worst, err)
+                errs = _distances(buffers[tid], ref[tid], n, rows)
+                for i, err in enumerate(errs):
+                    if not err <= delta:
+                        return worst, Breach(
+                            err if math.isfinite(err) else math.inf, at,
+                            first + i, n)
+                worst = max(worst, *errs)
     return worst, None
 
 
@@ -231,53 +321,74 @@ def search_status(bundle: ModelBundle, lowered: Lowering, configs,
 
     The unknowns are the operators whose unit lists layouts; candidates are
     walked in lexicographic order over them in graph order, each in its
-    unit's layout order. Every tensor an operator writes is compared with
-    the runtime's copy right after that operator runs, and a candidate is
-    rejected at the first tensor beyond delta, so a wrong layout cannot
-    hide behind a saturating later operator. Every candidate that agrees
-    with a rejected one on the unknowns up to its breach computes the same
-    tensors up to there and fails too, so the walk skips them all. The
-    first candidate within delta on every input is accepted. Each
-    candidate is configured once (lowering.configure) for all inputs; the
-    accepted one's flat weights go to the emitter as they are. The
-    runtime's plan is loaded with the given registry, not the lowering.
+    unit's layout order. A candidate's weights are laid out once
+    (lowering.lay_out) into one blob, and both plans the program ships are
+    prepared over views of it: the plan of one sample a call runs input 0,
+    and, if that passes, the plan of BATCH runs the other inputs (copies of
+    input 0 when there are none) in the calls the program makes of a file.
+    The runtime computes its reference in the same calls, at the same
+    sample counts. Every sample of every tensor an operator writes is
+    compared with the runtime's right after that operator runs, and a
+    candidate is rejected at the first one beyond delta, so a wrong layout
+    cannot hide behind a saturating later operator. Every candidate that
+    agrees with a rejected one on the unknowns up to its breach computes
+    the same tensors up to there and fails too, so the walk skips them all.
+    The first candidate within delta on every input is accepted, with the
+    blob and the two plans it ran, which the emitter tabulates as they are.
+    The runtime's plan is loaded with the given registry, not the lowering.
     """
     cfg = cfg or harness.VerifyConfig()
     unknowns = [c.op_index for c in configs if c.unit.layouts]
     domains = [list(configs[i].unit.layouts) for i in unknowns]
+    batch = _batch(lowered)
 
-    plan = interpreter.load(bundle, device=lowered.device, registry=registry)
     xs = harness.make_inputs(bundle.graph, cfg)
+    feeds = {1: _served(xs[:1], 0, 1)}
+    if batch > 1 or len(xs) > 1:
+        rest = (xs[1:], 1) if len(xs) > 1 else (xs, 0)
+        feeds.setdefault(batch, []).extend(_served(*rest, batch))
+    runtime = interpreter.load(bundle, device=lowered.device,
+                               registry=registry, samples=batch)
     produced = [t for c in configs for t in c.output_ids]
-    refs = []
-    for x in xs:
-        interpreter.invoke(plan, x)
-        refs.append({t: plan.buffers[t].copy() for t in produced})
+    refs = {}
+    for n, calls in feeds.items():
+        plan = runtime if n == batch else interpreter.replan(runtime, n)
+        refs[n] = []
+        for _, _, x in calls:
+            interpreter.invoke(plan, x)
+            refs[n].append({t: plan.buffers[t].copy() for t in produced})
 
-    buffers = lowered.allocate()
-    input_bufs = [buffers[t] for t in lowered.input_ids]
+    buffers = {n: lowered.allocate(n) for n in feeds}
     picks = [0] * len(unknowns)
     evaluated = 0
-    best, best_at = math.inf, None
+    best = None
     while True:
         evaluated += 1
         layouts = [None] * len(configs)
         for i, domain, pick in zip(unknowns, domains, picks):
             layouts[i] = domain[pick]
-        flats, calls, _ = configure(lowered, layouts, buffers)
-        worst, at = _worst_error(
-            [(c.op_index, c.unit, k, c.output_ids)
-             for c, k in zip(configs, calls)],
-            xs, refs, input_bufs, buffers, cfg.delta)
-        if at is None:
+        blob, views = _packed(lay_out(lowered, layouts)[0])
+        plans, worst = {}, 0.0
+        for n, calls in feeds.items():
+            prepared, fills = prepare(lowered, views, buffers[n])
+            run_calls(fills)
+            plans[n] = Prepared(buffers[n], prepared, fills)
+            err, breach = _worst_error(
+                n, [(c.op_index, c.unit, k, c.output_ids)
+                    for c, k in zip(configs, prepared)],
+                calls, refs[n], buffers[n], lowered.input_ids, cfg.delta)
+            worst = max(worst, err)
+            if breach:
+                break
+        else:
             return SearchResult(
                 layouts=layouts, candidates_evaluated=evaluated,
-                max_error=worst, weights=flats)
-        if best_at is None or worst < best:
-            best, best_at = worst, at
+                max_error=worst, blob=blob, batch=batch, plans=plans)
+        if best is None or breach.error < best.error:
+            best = breach
         # advance the last unknown at or before the breach, carrying like an
         # odometer, and reset the ones after it
-        k = sum(i <= at for i in unknowns) - 1
+        k = sum(i <= breach.operator for i in unknowns) - 1
         while k >= 0 and picks[k] == len(domains[k]) - 1:
             k -= 1
         if k < 0:
@@ -286,26 +397,25 @@ def search_status(bundle: ModelBundle, lowered: Lowering, configs,
         picks[k + 1:] = [0] * (len(picks) - k - 1)
     raise SearchError(
         f"status search exhausted {evaluated} candidate(s) without meeting "
-        f"delta={cfg.delta}; the best breached it at operator {best_at} "
-        f"({configs[best_at].kind}) with l2 distance {best}",
-        candidates_evaluated=evaluated, best_error=best)
+        f"delta={cfg.delta}; the best breached it at operator "
+        f"{best.operator} ({configs[best.operator].kind}) on input "
+        f"{best.input} in the plan of {best.samples} sample(s) a call, with "
+        f"l2 distance {best.error}",
+        candidates_evaluated=evaluated, best_error=best.error, breach=best)
 
 
 # ---------------------------------------------------------------------------
 # Emission
 
 
-# the tensor buffers of one batched plan fit in this many bytes
-_BATCH_BUFFER_BYTES = 262144
-
-
 def _address(a: np.ndarray) -> int:
     return a.__array_interface__["data"][0]
 
 
-def _call_table(lowered: Lowering, flats, blob, n: int, callables) -> tuple:
-    """The accepted candidate's plan of n samples a call, prepared over
-    fresh tensor buffers and flats (views of blob), as data.
+def _call_table(lowered: Lowering, plan: Prepared, blob, callables,
+                memo: dict) -> tuple:
+    """A plan the search verified, over its tensor buffers and views of
+    blob, as data.
 
     It is (tensor bytes, scratch bytes, views, floats, constants, fills,
     steps). The program's bases are blob (when it has weights), a buffer
@@ -316,12 +426,25 @@ def _call_table(lowered: Lowering, flats, blob, n: int, callables) -> tuple:
     the views, then the floats, then the other constants. Its callable
     must be the one of its name on numpy's C core, which the program
     calls.
+
+    Every int, string and float-free tuple is written as the object memo
+    holds for its key, as the compiler merges equal constants: marshal
+    then writes each once, and the program loads it as one (unshared,
+    lenet's program peaked about 50 KiB higher). The key tells 0 from
+    False. A float, and a tuple that holds one, is never merged, since
+    -0.0 equals 0.0; memo holds each float all the same, so marshal flags
+    it as it flags the merged objects.
     """
-    tensors = {t: np.empty(b.count * n, b.dtype.np_dtype)
-               for t, b in sorted(lowered.tensors.items())}
-    calls, fills = prepare(lowered, flats, tensors)
+    def keep(x):
+        return memo.setdefault(
+            (tuple(map(type, x)), x) if type(x) is tuple else (type(x), x), x)
+
+    def kept(xs):  # a tuple of scalars
+        return keep(tuple(map(keep, xs)))
+
+    tensors = [plan.buffers[t] for t in sorted(plan.buffers)]
     bases = [blob] if blob.size else []
-    bases += tensors.values()
+    bases += tensors
     own = len(bases)  # the bases after these are the plan's scratch
     index = {id(b): (k, _address(b)) for k, b in enumerate(bases)}
     groups = ({}, {}, {})  # views, floats, constants: key -> position
@@ -368,45 +491,36 @@ def _call_table(lowered: Lowering, flats, blob, n: int, callables) -> tuple:
         return out
 
     for t in dict.fromkeys((*lowered.input_ids, *lowered.output_ids)):
-        ref(tensors[t])
-    lists = [table(fills), *map(table, calls)]
+        ref(plan.buffers[t])
+    lists = [table(plan.fills), *(table(c) for c in plan.calls)]
     at = (0, len(groups[0]), len(groups[0]) + len(groups[1]))
-    lists = [tuple((f, tuple(at[g] + k for g, k in args),
-                    out and at[out[0]] + out[1]) for f, args, out in calls)
+    pos = [*map(keep, range(at[2] + len(groups[2])))]
+    lists = [keep(tuple(keep((keep(f), keep(tuple(pos[at[g] + k]
+                                                  for g, k in args)),
+                              out and pos[at[out[0]] + out[1]]))
+                        for f, args, out in calls))
              for calls in lists]
-    return (tuple(b.nbytes for b in tensors.values()),
-            tuple(b.nbytes for b in bases[own:]),
-            tuple(groups[0]), tuple(map(float, groups[1])),
-            tuple(v for _, v in groups[2]), lists[0], tuple(lists[1:]))
+    views = keep(tuple(keep((kept(h), keep(d), keep(b), keep(o), kept(w)))
+                       for h, d, b, o, w in groups[0]))
+    floats = tuple(map(float, groups[1]))
+    memo.update((id(x), x) for x in floats)
+    return keep((kept(b.nbytes for b in tensors),
+                 kept(b.nbytes for b in bases[own:]), views, floats,
+                 kept(v for _, v in groups[2]), lists[0],
+                 keep(tuple(lists[1:]))))
 
 
 def build_emission_plan(lowered: Lowering, configs,
                         result: SearchResult) -> EmissionPlan:
-    """The accepted candidate's weights as one blob, and its plans at one
-    sample and at BATCH as call tables; nothing is laid out again. BATCH
-    is the largest sample count a call whose tensor buffers fit in
-    _BATCH_BUFFER_BYTES, or 1 when some operator does not compute each
-    slice along axis 0 on its own."""
-    ws = [w for flats in result.weights for w in flats]
-    for w in ws:
-        if w.dtype not in (np.float32, np.int32):
-            raise CodegenError(f"cannot embed weight dtype {w.dtype}")
-    blob = np.empty(sum(w.size for w in ws), np.float32)
-    views, at = [], 0
-    for flats in result.weights:
-        views.append([])
-        for w in flats:
-            views[-1].append(blob[at:at + w.size].view(w.dtype))
-            views[-1][-1][...] = w
-            at += w.size
-    batch = max(1, _BATCH_BUFFER_BYTES // sum(
-        b.count * 4 for b in lowered.tensors.values())) if all(
-        splits_along_axis_0(op.params, len(op.weight_keys))
-        for op in lowered.ops) else 1
-    callables = {}
-    tables = {n: _call_table(lowered, views, blob, n, callables)
-              for n in dict.fromkeys((1, batch))}
-    return EmissionPlan(lowered=lowered, blob=blob, batch=batch,
+    """The accepted candidate's blob, and the plans at one sample and at
+    BATCH that the search verified, as call tables; nothing is laid out
+    or prepared again."""
+    callables, memo = {}, {}
+    # marshal while memo holds what the tables share (_call_table)
+    tables = marshal.dumps({
+        n: _call_table(lowered, p, result.blob, callables, memo)
+        for n, p in result.plans.items()})
+    return EmissionPlan(lowered=lowered, blob=result.blob, batch=result.batch,
                         callables=tuple(callables), tables=tables)
 
 
@@ -422,7 +536,7 @@ _NP_HEAD = ('from numpy._core import _multiarray_umath as np\n\n'
 # the program's one data member, beside net_driver in the zip or in src/
 _WEIGHTS = "net_weights.bin"
 
-# T holds the call tables as marshal data (_shared), which is what the
+# T holds the call tables as marshal data (_call_table), which is what the
 # compiler would make of them as literals, without the compiler's time:
 # as literals, dwblock's took the toolchain step 20 ms more, nearly
 # doubling its build. plan(n) rebuilds T[n]'s bases, views and constants,
@@ -481,19 +595,6 @@ def run(inputs):
 """
 
 
-def _shared(x: tuple, memo: dict) -> tuple:
-    # x with every set of equal ints, strings and tuples made one object,
-    # as the compiler merges equal constants: marshal then writes each
-    # once, and the program loads it as one (unshared, lenet's program
-    # peaked about 50 KiB higher). The key tells 0 from False; a float,
-    # and a tuple that holds one, stays its own, since -0.0 equals 0.0.
-    x = tuple([_shared(i, memo) if type(i) is tuple else
-               i if type(i) is float else memo.setdefault((type(i), i), i)
-               for i in x])
-    types = tuple(map(type, x))
-    return x if float in types else memo.setdefault((types, x), x)
-
-
 def _emit_driver(plan: EmissionPlan) -> str:
     lowered = plan.lowered
     in_specs = [lowered.tensors[t] for t in lowered.input_ids]
@@ -505,7 +606,6 @@ def _emit_driver(plan: EmissionPlan) -> str:
     run += [f"    {op.unit.template_id}(S{op.op_index})" for op in lowered.ops]
     copies = "".join(f"t{t}.copy(), " for t in lowered.output_ids)
     run.append(f"    return ({copies[:-1]})")
-    memo = {}
     return _DRIVER_SRC.format(
         head=_NP_HEAD, weights="" if not plan.blob.size else (
             "\n_F = np.frombuffer(__loader__.get_data(\n"
@@ -517,8 +617,7 @@ def _emit_driver(plan: EmissionPlan) -> str:
         buffer_bytes=sum(b.count * 4 for b in lowered.tensors.values()),
         batch=plan.batch,
         callables="".join(f"np.{p}, " for p in plan.callables)[:-1],
-        tables=marshal.dumps({n: _shared(t, memo)
-                              for n, t in plan.tables.items()}),
+        tables=plan.tables,
         names=", ".join(io + steps), blob="_F, " if plan.blob.size else "",
         io=", ".join(io), io_count=len(io), steps=", ".join(steps),
         run="\n".join(run))
@@ -734,13 +833,40 @@ _BOOTSTRAP = (b"s=__import__('sys');a=s.argv;del(a[0]);s.path[:0]=a[:1];"
 _DEFLATE_WEIGHTS_BELOW = 16384
 
 
-def _deflated(name, data) -> bool:
-    """Whether a member goes into the zip deflated (see above)."""
+def _deflated(name, data) -> bytes | None:
+    """The member's data deflated, or None when it goes in stored (see
+    above)."""
     if name == _WEIGHTS and len(data) >= _DEFLATE_WEIGHTS_BELOW:
-        return False
+        return None
     # the compressor zipfile makes for ZIP_DEFLATED at level 9
     z = zlib.compressobj(9, zlib.DEFLATED, -15)
-    return len(z.compress(data) + z.flush()) < len(data)
+    packed = z.compress(data) + z.flush()
+    return packed if len(packed) < len(data) else None
+
+
+def _write_zip(f, members) -> None:
+    """Append members, (name, data) pairs, to f as one zip archive, as
+    zipfile writes one to a seekable file: version 2.0 made on Unix, every
+    member dated 1980-01-01 and read-write for its owner, and offsets from
+    the start of f. Each member is deflated once (_deflated)."""
+    central = []
+    for name, data in members:
+        packed = _deflated(name, data)
+        method, body = (0, data) if packed is None else (8, packed)
+        # flags, method, DOS time and date, CRC, sizes, name and extra
+        # lengths: the fields the local header and the directory share
+        fields = struct.pack("<4H3L2H", 0, method, 0, 33, zlib.crc32(data),
+                             len(body), len(data), len(name), 0)
+        central.append((name, fields, f.tell()))
+        f.write(b"PK\3\4\x14\0" + fields + name.encode() + body)
+    start = f.tell()
+    for name, fields, offset in central:
+        f.write(b"PK\1\2\x14\3\x14\0" + fields
+                + struct.pack("<HHHLL", 0, 0, 0, 0o600 << 16, offset)
+                + name.encode())
+    f.write(struct.pack("<4s4H2LH", b"PK\5\6", 0, 0, len(central),
+                        len(central), f.tell() - start, start, 0))
+
 
 # Linux reads this much of a #! line; a longer line would lose the end of
 # the bootstrap, so it falls back to running the zip through runpy.
@@ -798,12 +924,7 @@ def compile_program(out_dir, sources, toolchain: ToolchainConfig | None = None) 
         if len(line) > _LINE_BYTES:
             line = b"#!" + python.encode() + b" -IS\n"
         f.write(line)
-        with zipfile.ZipFile(f, "w") as z:
-            for name, data in members:
-                info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
-                if _deflated(name, data):
-                    info.compress_type = zipfile.ZIP_DEFLATED
-                z.writestr(info, data, compresslevel=9)
+        _write_zip(f, members)
     exe.chmod(exe.stat().st_mode | stat.S_IXUSR | stat.S_IXGRP | stat.S_IXOTH)
     return "program"
 

@@ -8,7 +8,10 @@ kernels names: that lays every operator's weight out and runs each
 kernel's prepare step, which binds its views of the buffers and of the
 plan's one scratch arena and returns the operator's numpy calls. Invoke
 then only runs each operator's calls through its unit's run step,
-ops.run_calls, in topological order.
+ops.run_calls, in topological order. A plan runs one sample a call unless
+load or replan is given more: its buffers then stack that many along axis
+0, as the program's batched plan does, and its kernels read the count
+from them.
 
 Memory accounting covers plan-managed allocations only: the serialized graph
 text and weight arrays at load, tensor buffers and weight reorder copies at
@@ -54,12 +57,16 @@ class ExecutablePlan:
     weights: list  # per op: its flat weights in the runtime's layouts
     load_bytes: int  # graph text and canonical weights
     configure_bytes: int  # tensor buffers and weight reorder copies
+    # graph output id -> its shape at the plan's samples a call, which
+    # stack along axis 0
+    shapes: dict[int, tuple]
     invocations: int = 0
 
 
 def load(bundle: ModelBundle, device: DeviceInfo | None = None,
-         registry=None) -> ExecutablePlan:
-    """Build an executable plan: validate, lower, allocate, configure."""
+         registry=None, samples: int = 1) -> ExecutablePlan:
+    """Build an executable plan of samples samples a call: validate, lower,
+    allocate, configure."""
     registry = registry or default_registry()
     problems = graphir.validate(bundle, custom_rules=registry.custom_shape_rules())
     if problems:
@@ -67,18 +74,33 @@ def load(bundle: ModelBundle, device: DeviceInfo | None = None,
     lowered = lower(bundle, device, registry)
     load_bytes = len(graphir.graph_to_json(bundle.graph).encode("utf-8")) \
         + sum(arr.nbytes for arr in lowered.weights.values())
-    buffers = lowered.allocate()
+    return _configured(lowered, samples, load_bytes)
+
+
+def replan(plan: ExecutablePlan, samples: int) -> ExecutablePlan:
+    """plan's lowering configured anew, at samples samples a call; nothing
+    is validated or lowered again."""
+    return _configured(plan.lowered, samples, plan.load_bytes)
+
+
+def _configured(lowered: Lowering, samples: int,
+                load_bytes: int) -> ExecutablePlan:
+    buffers = lowered.allocate(samples)
     flats, calls, copied = configure(
         lowered, [hidden_status_for(op.unit.key) for op in lowered.ops],
         buffers)
     return ExecutablePlan(
         lowered=lowered, steps=list(zip(lowered.ops, calls)), buffers=buffers,
         weights=flats, load_bytes=load_bytes,
-        configure_bytes=sum(b.nbytes for b in buffers.values()) + copied)
+        configure_bytes=sum(b.nbytes for b in buffers.values()) + copied,
+        shapes={
+            t: (-1, *lowered.tensors[t].shape[1:]) if samples > 1
+            else lowered.tensors[t].shape for t in lowered.output_ids})
 
 
 def invoke(plan: ExecutablePlan, inputs) -> list[np.ndarray]:
-    """Run one inference; returns fresh copies of the graph output tensors."""
+    """Run one inference of the plan's samples a call; returns fresh copies
+    of the graph output tensors, their samples stacked along axis 0."""
     lowered = plan.lowered
     if isinstance(inputs, np.ndarray):
         inputs = [inputs]
@@ -102,7 +124,7 @@ def invoke(plan: ExecutablePlan, inputs) -> list[np.ndarray]:
     plan.invocations += 1
     out = []
     for tid in lowered.output_ids:
-        out.append(plan.buffers[tid].reshape(lowered.tensors[tid].shape).copy())
+        out.append(plan.buffers[tid].reshape(plan.shapes[tid]).copy())
     return out
 
 

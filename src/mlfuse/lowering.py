@@ -12,7 +12,7 @@ entry point validates the bundle first, and validation rejects any declared
 shape that contradicts graphir.infer_shapes, the only shape math, and any
 builtin option graphir.OPTION_SCHEMAS does not allow. It reads no layout
 table, so the search may use it. Weight layouts come in only through
-configure, which lays the weights out and prepares each kernel: the
+lay_out, which configure calls before it prepares each kernel: the
 interpreter passes the runtime's table, the search each candidate.
 
 Every shape and parameter it resolves is the graph's own, at one sample a
@@ -69,9 +69,10 @@ class Lowering:
     input_ids: tuple[int, ...]
     output_ids: tuple[int, ...]
 
-    def allocate(self) -> dict[int, np.ndarray]:
-        """A fresh flat buffer for every non-weight tensor."""
-        return {t: np.empty(b.count, b.dtype.np_dtype)
+    def allocate(self, samples: int = 1) -> dict[int, np.ndarray]:
+        """A fresh flat buffer for every non-weight tensor, of samples
+        samples stacked along axis 0."""
+        return {t: np.empty(b.count * samples, b.dtype.np_dtype)
                 for t, b in self.tensors.items()}
 
 
@@ -139,14 +140,10 @@ def prepare(lowered: Lowering, flats, buffers) -> tuple[list, list]:
     return calls, plan["fills"]
 
 
-def configure(lowered: Lowering, layouts, buffers) -> tuple[list, list, int]:
-    """Lay every operator's weights out and prepare its kernel over buffers.
-
-    layouts holds one layout name per operator, None for a unit that lists
-    no layouts. Returns, per operator, the flat weights and the numpy
-    calls of prepare, whose fills it makes, and the bytes the layouts
-    copied.
-    """
+def lay_out(lowered: Lowering, layouts) -> tuple[list, int]:
+    """Every operator's flat weights, laid out as layouts says, and the
+    bytes the layouts copied. layouts holds one layout name per operator,
+    None for a unit that lists no layouts."""
     flats, copied = [], 0
     for op, layout in zip(lowered.ops, layouts):
         try:
@@ -156,6 +153,16 @@ def configure(lowered: Lowering, layouts, buffers) -> tuple[list, list, int]:
             raise StatusError(f"operator {op.op_index}: {e}") from None
         flats.append(ws)
         copied += n
+    return flats, copied
+
+
+def configure(lowered: Lowering, layouts, buffers) -> tuple[list, list, int]:
+    """Lay every operator's weights out (lay_out) and prepare its kernel
+    over buffers. Returns, per operator, the flat weights and the numpy
+    calls of prepare, whose fills it makes, and the bytes the layouts
+    copied.
+    """
+    flats, copied = lay_out(lowered, layouts)
     calls, fills = prepare(lowered, flats, buffers)
     run_calls(fills)
     return flats, calls, copied

@@ -4,6 +4,7 @@ import gc
 import importlib
 import importlib.util
 import inspect
+import io
 import json
 import marshal
 import math
@@ -151,6 +152,106 @@ def test_walk_carries_past_a_layout_that_passes_its_own_operator():
                                    harness.VerifyConfig(delta=1e-2))
     assert result.candidates_evaluated == 4
     assert result.layouts == ["transposed", "transposed"]
+
+
+def _two_fc_bundle():
+    """x (1, 4) -> FC to 8 -> FC to 3: two unknowns."""
+    b = fixtures._Builder(5)
+    x = b.tensor("x", (1, 4))
+    h = b.tensor("h", (1, 8))
+    b.op(FULLY_CONNECTED, [x, b.weight("w1", (8, 4)), b.bias("b1", 8)], [h],
+         {"activation": "NONE"})
+    y = b.tensor("y", (1, 3))
+    b.op(FULLY_CONNECTED, [h, b.weight("w2", (3, 8)), b.bias("b2", 3)], [y],
+         {"activation": "NONE"})
+    return b.bundle([x], [y])
+
+
+def _batch_breaking_registry():
+    """The default units, but an FC of 3 output features adds 1e-3 to its
+    output whenever its buffers hold more than one sample."""
+    reg = build_default_registry()
+    unit = reg.lookup(FULLY_CONNECTED, DataType.F32, DeviceInfo())
+    prep = unit.prep
+
+    def broken(inputs, weights, outputs, *, arena=None, fills=None, **kw):
+        calls = prep(inputs, weights, outputs, arena=arena, fills=fills,
+                     **kw)
+        if kw["out_features"] == 3 and outputs[0].size > 3:
+            calls.append((np.add, (outputs[0], np.float32(1e-3)),
+                          {"out": outputs[0]}))
+        return calls
+
+    unit.prep = broken
+    return reg
+
+
+@pytest.mark.parametrize("n_inputs", [100, 1])
+def test_a_candidate_whose_batched_plan_breaches_is_rejected_there(
+        n_inputs):
+    # the runtime's layouts pass input 0 at one sample, and the plan of
+    # BATCH breaches at fc2 on the first sample it runs: input 1, or with
+    # one verify input, input 0 copied to fill the call
+    bundle = _two_fc_bundle()
+    ex, configs = _analysis(bundle, registry=_batch_breaking_registry())
+    batch = codegen._BATCH_BUFFER_BYTES // (4 * (4 + 8 + 3))
+    with pytest.raises(codegen.SearchError) as ei:
+        codegen.search_status(bundle, ex, configs,
+                              harness.VerifyConfig(n_inputs=n_inputs),
+                              registry=default_registry())
+    err = ei.value
+    first = 1 if n_inputs > 1 else 0
+    assert err.candidates_evaluated == 3
+    assert err.breach == codegen.Breach(err.best_error, 1, first, batch)
+    assert err.best_error == pytest.approx(1e-3 * math.sqrt(3), rel=1e-3)
+    assert (f"at operator 1 (FULLY_CONNECTED) on input {first} in the plan "
+            f"of {batch} sample(s) a call") in str(err)
+    # the stock units pass both plans
+    ex, configs = _analysis(bundle)
+    result = codegen.search_status(bundle, ex, configs,
+                                   harness.VerifyConfig(n_inputs=n_inputs))
+    assert result.layouts == ["transposed", "transposed"]
+    assert list(result.plans) == [1, batch]
+
+
+def test_search_distances_are_per_sample_norms_and_nan_breaches():
+    rng = np.random.default_rng(3)
+    got = rng.uniform(-1, 1, 5 * 7).astype(np.float32)
+    want = (got + rng.uniform(-1e-3, 1e-3, got.size)).astype(np.float32)
+    want[7:14] = got[7:14]  # sample 1 agrees
+    d = np.subtract(got.reshape(5, 7)[:4], want.reshape(5, 7)[:4],
+                    dtype=np.float64)
+    norms = [float(np.linalg.norm(r)) for r in d]
+    assert codegen._distances(got, want, 5, 4) == norms
+    assert norms[1] == 0.0 and all(norms[i] > 0 for i in (0, 2, 3))
+    assert codegen._distances(got, got, 5, 5) == [0.0] * 5
+    # a NaN on both sides is no agreement: a weight of NaN makes every
+    # candidate breach at the first operator, with an infinite distance
+    bundle = fixtures.build_fixture("mlp")
+    key = sorted(bundle.weights.entries)[0]
+    arr = bundle.weights.as_array(key).copy()
+    arr.flat[0] = np.nan
+    del bundle.weights.entries[key]
+    bundle.weights.put_array(key, arr)
+    ex, configs = _analysis(bundle)
+    with pytest.raises(codegen.SearchError) as ei:
+        codegen.search_status(bundle, ex, configs)
+    assert ei.value.best_error == math.inf
+    assert ei.value.breach == codegen.Breach(math.inf, 0, 0, 1)
+
+
+def test_the_search_serves_its_inputs_as_the_program_serves_a_file():
+    # calls of b, the last ending at the last sample; fewer samples than b
+    # are padded with copies of their own rows, and only those are compared
+    xs = [[np.float32([[k, -k]])] for k in range(7)]
+    calls = codegen._served(xs, 1, 3)
+    assert [(first, rows) for first, rows, _ in calls] == [
+        (1, 3), (4, 3), (5, 3)]
+    assert [x[0].tolist() for _, _, x in calls] == [
+        [0, 0, 1, -1, 2, -2], [3, -3, 4, -4, 5, -5], [4, -4, 5, -5, 6, -6]]
+    [(first, rows, [x])] = codegen._served(xs[:2], 0, 5)
+    assert (first, rows) == (0, 2)
+    assert x.tolist() == [0, 0, 1, -1, 0, 0, 1, -1, 0, 0]
 
 
 def _deep_chain(seed=7):
@@ -945,8 +1046,8 @@ def test_weights_ship_as_read_only_views_of_one_blob(built):
     configs = codegen.analyze_config(lowered)
     result = codegen.search_status(bundle, lowered, configs)
     want = codegen.build_emission_plan(lowered, configs, result).blob
-    assert want.tobytes() == b"".join(w.tobytes() for ws in result.weights
-                                      for w in ws)
+    flats, _ = lowering.lay_out(lowered, result.layouts)
+    assert want.tobytes() == b"".join(w.tobytes() for ws in flats for w in ws)
     driver = harness.load_driver(artifact.executable)
     blob = driver._F
     assert type(blob.base) is bytes and not blob.flags.writeable
@@ -969,6 +1070,71 @@ def test_weights_ship_as_read_only_views_of_one_blob(built):
                 hi = offset + sum((d - 1) * s for d, s in zip(shape, strides))
                 read[offset // 4:hi // 4 + 1] = True
     assert read.all()
+
+
+def _numpy_path(f) -> str:
+    """The name the program calls f by on numpy's C core."""
+    owner = getattr(f, "__self__", None)
+    if isinstance(owner, np.ufunc):
+        return f"{owner.__name__}.{f.__name__}"
+    return f.__name__
+
+
+@pytest.mark.parametrize("name", ["lenet", "dwblock"])
+def test_the_emitter_tabulates_the_plans_the_search_verified(
+        built, monkeypatch, name):
+    # the emitter prepares nothing: the shipped tables are the plans at one
+    # sample and at BATCH that the search ran, over its buffers and its blob
+    bundle, art = built[name]
+    lowered = codegen.extract_units(bundle)
+    configs = codegen.analyze_config(lowered)
+    result = codegen.search_status(bundle, lowered, configs)
+    assert list(result.plans) == [1, result.batch] and result.batch > 1
+    prepared = []
+    real = lowering.prepare
+
+    def counting(*args, **kwargs):
+        prepared.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lowering, "prepare", counting)
+    monkeypatch.setattr(codegen, "prepare", counting)
+    plan = codegen.build_emission_plan(lowered, configs, result)
+    assert prepared == []
+    tables = marshal.loads(plan.tables)
+    assert harness.load_driver(art.executable).T == tables
+    assert list(tables) == list(result.plans)
+    for n, p in result.plans.items():
+        t = tables[n]
+        assert t[0] == tuple(b.nbytes for _, b in sorted(p.buffers.items()))
+        assert [len(calls) for calls in t[6]] == [len(c) for c in p.calls]
+        assert len(t[5]) == len(p.fills)
+        assert [plan.callables[f] for calls in (t[5], *t[6])
+                for f, _, _ in calls] == [
+            _numpy_path(f) for calls in (p.fills, *p.calls)
+            for f, _, _ in calls]
+    assert plan.blob is result.blob
+
+
+def test_the_program_zip_is_what_zipfile_writes(built):
+    # the members deflated once, in the bytes zipfile writes when it
+    # deflates each at level 9 (stored where that does not shrink it)
+    for name, (_, art) in sorted(built.items()):
+        with open(art.executable, "rb") as f:
+            line = f.readline()
+            got = f.read()
+        members = _members(art.executable)
+        out = io.BytesIO()
+        out.write(line)
+        with zipfile.ZipFile(out, "w") as z:
+            for member, data in sorted(members.items()):
+                info = zipfile.ZipInfo(member, date_time=(1980, 1, 1, 0, 0, 0))
+                if len(_deflate(data)) < len(data) and not (
+                        member == "net_weights.bin" and len(data)
+                        >= codegen._DEFLATE_WEIGHTS_BELOW):
+                    info.compress_type = zipfile.ZIP_DEFLATED
+                z.writestr(info, data, compresslevel=9)
+        assert out.getvalue()[len(line):] == got, name
 
 
 def _members(executable) -> dict:

@@ -63,6 +63,33 @@ def test_invoke_is_deterministic():
     assert oracles.bitwise_equal(oa, ob)
 
 
+@pytest.mark.parametrize("name", ["dwblock", "identity", "lenet", "mlp"])
+def test_a_plan_of_n_samples_writes_each_sample_as_one_sample_plans_do(name):
+    # load(samples=n) and replan stack n samples along axis 0 of every
+    # buffer; each sample's outputs are the one-sample plan's, bit for bit
+    bundle = fixtures.build_fixture(name)
+    one = interpreter.load(bundle)
+    rng = np.random.default_rng(9)
+    specs = [one.lowered.tensors[t] for t in one.lowered.input_ids]
+    xs = [[rng.uniform(-1, 1, b.shape).astype(np.float32) for b in specs]
+          for _ in range(3)]
+    want = [[o.tobytes() for o in interpreter.invoke(one, x)] for x in xs]
+    for plan in interpreter.load(bundle, samples=3), interpreter.replan(
+            one, 3):
+        assert all(plan.buffers[t].size == 3 * b.count
+                   for t, b in plan.lowered.tensors.items())
+        outs = interpreter.invoke(
+            plan, [np.concatenate([x[j] for x in xs])
+                   for j in range(len(specs))])
+        for k, o in enumerate(outs):
+            assert o.shape[0] == 3 * one.lowered.tensors[
+                one.lowered.output_ids[k]].shape[0]
+            rows = o.reshape(3, -1)
+            assert [r.tobytes() for r in rows] == [w[k] for w in want]
+    with pytest.raises(InterpreterError, match="x"):
+        interpreter.invoke(interpreter.replan(one, 2), xs[0])
+
+
 def test_softmax_output_is_distribution():
     plan = interpreter.load(fixtures.build_fixture("mlp"))
     x = np.random.default_rng(11).uniform(-1, 1, (1, 4)).astype(np.float32)
