@@ -14,7 +14,8 @@ base first, odd rounds the change first. It prints each side's median time
 of one run() call, the median change and the rounds the change won, each
 side's kernel scratch (harness.plan_scratch on that side's driver at that
 many samples), then each step's median time per side, from a second
-interleaved pass with every run step wrapped in a timer. When the two
+interleaved pass with every step that side's driver binds (each module
+global bound to its run_calls) wrapped in a timer. When the two
 sides run different steps, it says so and lists each side's steps on their
 own. Then it starts each side's program once a round
 on one seeded sample, interleaved the same way, with posix_spawn from a
@@ -54,7 +55,6 @@ from bench_pairs import ROOT, _export, _git, working_tree  # noqa: E402
 sys.path.insert(0, str(ROOT / "src"))
 from mlfuse.harness import (  # noqa: E402
     HarnessError, load_driver, plan_scratch)
-from mlfuse.kernels.ops import KERNELS  # noqa: E402
 
 # Runs in a checkout with its src/ on PYTHONPATH: argv is the fixture, its
 # seed ("" for the fixture's own) and the build dir; prints the program.
@@ -155,8 +155,10 @@ def step_times(drivers, inputs, rounds: int) -> list[list]:
             seen.append((name, time.perf_counter_ns() - t0))
         return wrapper
 
-    # every template id a driver binds names its run step
-    kernels = [{tid: getattr(d, tid) for tid in KERNELS if hasattr(d, tid)}
+    # every template id a driver binds is a module global bound to its
+    # run_calls, whatever ids this tree's kernels have
+    kernels = [{name: fn for name, fn in vars(d).items()
+                if fn is d.run_calls and name != "run_calls"}
                for d in drivers]
     for d, ks in zip(drivers, kernels):
         for name, fn in ks.items():

@@ -2,8 +2,9 @@
 
 The pipeline lowers the bundle once (lowering.py): one computing unit per
 operator with its known configuration resolved from the container, and one
-buffer per tensor. It searches the one unknown, the weight layout of each
-conv and FC, by comparing candidate behavior against the runtime; each
+buffer per tensor, but for a RESHAPE's output, a view of its input's. It
+searches the one unknown, the weight layout of each conv and FC, by
+comparing candidate behavior against the runtime; each
 candidate's weights are laid out by lowering.lay_out and its kernels
 prepared by lowering.prepare, the steps the interpreter uses too, at one
 sample a call and at BATCH. It then emits a program of two code modules
@@ -143,6 +144,9 @@ class EmissionPlan:
     blob: np.ndarray  # the accepted flat weights, by operator and slot
     batch: int
     callables: tuple  # their names on numpy's C core (np.<name>)
+    # the operators whose steps make calls in some plan, by index: the
+    # tables hold and the driver binds only theirs (a RESHAPE makes none)
+    steps: tuple
     tables: bytes  # {n: the plan of n samples a call (_call_table)}, marshaled
 
 
@@ -233,7 +237,13 @@ _BATCH_BUFFER_BYTES = 262144
 def _batch(lowered: Lowering) -> int:
     """BATCH: the largest sample count a call whose tensor buffers fit in
     _BATCH_BUFFER_BYTES, or 1 when some operator does not compute each
-    slice along axis 0 on its own."""
+    slice along axis 0 on its own.
+
+    It counts every tensor's declared bytes, a RESHAPE's output as well as
+    the buffer it shares (lowering.py): counting each buffer once would
+    double identity's BATCH, to 16,384, and change which files a program
+    pads. Measured memory is to replace this accounting.
+    """
     if not all(splits_along_axis_0(op.params, len(op.weight_keys))
                for op in lowered.ops):
         return 1
@@ -412,16 +422,18 @@ def _address(a: np.ndarray) -> int:
     return a.__array_interface__["data"][0]
 
 
-def _call_table(lowered: Lowering, plan: Prepared, blob, callables,
+def _call_table(lowered: Lowering, plan: Prepared, blob, callables, steps,
                 memo: dict) -> tuple:
     """A plan the search verified, over its tensor buffers and views of
     blob, as data.
 
     It is (tensor bytes, scratch bytes, views, floats, constants, fills,
-    steps). The program's bases are blob (when it has weights), a buffer
-    per tensor in id order, then the scratch: the arena and each private
-    buffer. A view is (shape, dtype, base, byte offset, strides), those of
-    the graph's inputs and outputs first. A call is (its callable's index
+    steps), the steps those of the operators steps lists. The program's
+    bases are blob (when it has weights), a buffer per tensor that is no
+    alias (lowering.py) in id order, then the scratch: the arena and each
+    private buffer. A view is (shape, dtype, base, byte offset, strides),
+    those of the graph's inputs and outputs first, one a buffer: an alias
+    and the tensor it shares have one. A call is (its callable's index
     in callables, the indices of its args, that of its out= or None), into
     the views, then the floats, then the other constants. Its callable
     must be the one of its name on numpy's C core, which the program
@@ -442,7 +454,8 @@ def _call_table(lowered: Lowering, plan: Prepared, blob, callables,
     def kept(xs):  # a tuple of scalars
         return keep(tuple(map(keep, xs)))
 
-    tensors = [plan.buffers[t] for t in sorted(plan.buffers)]
+    tensors = [plan.buffers[t] for t in sorted(plan.buffers)
+               if t not in lowered.aliases]
     bases = [blob] if blob.size else []
     bases += tensors
     own = len(bases)  # the bases after these are the plan's scratch
@@ -492,7 +505,7 @@ def _call_table(lowered: Lowering, plan: Prepared, blob, callables,
 
     for t in dict.fromkeys((*lowered.input_ids, *lowered.output_ids)):
         ref(plan.buffers[t])
-    lists = [table(plan.fills), *(table(c) for c in plan.calls)]
+    lists = [table(plan.fills), *(table(plan.calls[i]) for i in steps)]
     at = (0, len(groups[0]), len(groups[0]) + len(groups[1]))
     pos = [*map(keep, range(at[2] + len(groups[2])))]
     lists = [keep(tuple(keep((keep(f), keep(tuple(pos[at[g] + k]
@@ -513,15 +526,18 @@ def _call_table(lowered: Lowering, plan: Prepared, blob, callables,
 def build_emission_plan(lowered: Lowering, configs,
                         result: SearchResult) -> EmissionPlan:
     """The accepted candidate's blob, and the plans at one sample and at
-    BATCH that the search verified, as call tables; nothing is laid out
-    or prepared again."""
+    BATCH that the search verified, as call tables of the steps that make
+    calls; nothing is laid out or prepared again."""
     callables, memo = {}, {}
+    steps = tuple(i for i in range(len(lowered.ops))
+                  if any(p.calls[i] for p in result.plans.values()))
     # marshal while memo holds what the tables share (_call_table)
     tables = marshal.dumps({
-        n: _call_table(lowered, p, result.blob, callables, memo)
+        n: _call_table(lowered, p, result.blob, callables, steps, memo)
         for n, p in result.plans.items()})
     return EmissionPlan(lowered=lowered, blob=result.blob, batch=result.batch,
-                        callables=tuple(callables), tables=tables)
+                        callables=tuple(callables), steps=steps,
+                        tables=tables)
 
 
 _FORBIDDEN_TOKENS = ("tflite", ".lite", "graph.json", ".params", "MLW0",
@@ -540,12 +556,14 @@ _WEIGHTS = "net_weights.bin"
 # compiler would make of them as literals, without the compiler's time:
 # as literals, dwblock's took the toolchain step 20 ms more, nearly
 # doubling its build. plan(n) rebuilds T[n]'s bases, views and constants,
-# makes its fills and binds every step's calls; import runs plan(1).
-# run() copies the inputs in, runs each step through its template id, a
-# module-global name of the one run step, ops.run_calls, so a wrapper set
-# after import sees one call per step, and hands back fresh copies of the
-# outputs. The blob comes from the zip, or from the directory of an
-# unstripped build's sources.
+# makes its fills and binds every step's calls; import runs plan(1). A
+# RESHAPE has no step: its output is a view of its input's buffer, named
+# by that tensor. run() copies the inputs in, runs each step through its
+# template id, a module-global name of the one run step, ops.run_calls, so
+# a wrapper set after import sees one call per step, and hands back fresh
+# copies of the outputs. BUFFER_BYTES counts every tensor's declared bytes,
+# an alias's too, as _batch does. The blob comes from the zip, or from the
+# directory of an unstripped build's sources.
 _DRIVER_SRC = """\
 import marshal
 
@@ -557,10 +575,7 @@ def run_calls(calls):
         f(*args, **kw)
 
 
-{aliases} = run_calls
-
-
-INPUT_SHAPES = {shapes}
+{aliases}INPUT_SHAPES = {shapes}
 INPUT_SIZES = {sizes}
 BUFFER_BYTES = {buffer_bytes}
 BATCH = {batch}
@@ -583,8 +598,7 @@ def plan(n):
             L[-1].append((C[g], tuple(map(V.__getitem__, a)),
                           {{}} if u is None else {{"out": V[u]}}))
     run_calls(L[0])
-    {io}, = V[:{io_count}]
-    {steps}, = L[1:]
+    {io}, = V[:{io_count}]{steps}
 
 
 plan(1)
@@ -598,20 +612,25 @@ def run(inputs):
 def _emit_driver(plan: EmissionPlan) -> str:
     lowered = plan.lowered
     in_specs = [lowered.tensors[t] for t in lowered.input_ids]
-    io = [f"t{t}" for t in dict.fromkeys((*lowered.input_ids,
-                                          *lowered.output_ids))]
-    steps = [f"S{op.op_index}" for op in lowered.ops]
-    run = [f"    np.copyto(t{tid}, inputs[{slot}].reshape(-1))"
+    ops = [lowered.ops[i] for i in plan.steps]
+
+    def name(t):  # an alias goes by the tensor whose buffer it shares
+        return f"t{lowered.aliases.get(t, t)}"
+
+    io = [*dict.fromkeys(map(name, (*lowered.input_ids,
+                                    *lowered.output_ids)))]
+    steps = [f"S{op.op_index}" for op in ops]
+    run = [f"    np.copyto({name(tid)}, inputs[{slot}].reshape(-1))"
            for slot, tid in enumerate(lowered.input_ids)]
-    run += [f"    {op.unit.template_id}(S{op.op_index})" for op in lowered.ops]
-    copies = "".join(f"t{t}.copy(), " for t in lowered.output_ids)
+    run += [f"    {op.unit.template_id}(S{op.op_index})" for op in ops]
+    copies = "".join(f"{name(t)}.copy(), " for t in lowered.output_ids)
     run.append(f"    return ({copies[:-1]})")
+    aliases = " = ".join(dict.fromkeys(op.unit.template_id for op in ops))
     return _DRIVER_SRC.format(
         head=_NP_HEAD, weights="" if not plan.blob.size else (
             "\n_F = np.frombuffer(__loader__.get_data(\n"
             f'    __file__.rpartition("/")[0] + "/{_WEIGHTS}"), "<f4")\n'),
-        aliases=" = ".join(dict.fromkeys(op.unit.template_id
-                                         for op in lowered.ops)),
+        aliases=f"{aliases} = run_calls\n\n\n" if aliases else "",
         shapes=repr(tuple(b.shape for b in in_specs)),
         sizes=repr(tuple(b.count for b in in_specs)),
         buffer_bytes=sum(b.count * 4 for b in lowered.tensors.values()),
@@ -619,7 +638,8 @@ def _emit_driver(plan: EmissionPlan) -> str:
         callables="".join(f"np.{p}, " for p in plan.callables)[:-1],
         tables=plan.tables,
         names=", ".join(io + steps), blob="_F, " if plan.blob.size else "",
-        io=", ".join(io), io_count=len(io), steps=", ".join(steps),
+        io=", ".join(io), io_count=len(io),
+        steps=f"\n    {', '.join(steps)}, = L[1:]" if steps else "",
         run="\n".join(run))
 
 

@@ -544,6 +544,14 @@ def validate(bundle: ModelBundle, custom_rules=None) -> list[str]:
         if inferred[t.id] != t.shape:
             out.append(f"tensor {t.id}: declared shape {t.shape} contradicts "
                        f"inferred shape {inferred[t.id]}")
+    # a RESHAPE's output is a view of its input's buffer (lowering.py)
+    for i, node in enumerate(graph.operators):
+        if node.op_id == RESHAPE:
+            a, b = (graph.tensors[t].dtype
+                    for t in (node.inputs[0], node.outputs[0]))
+            if a is not b:
+                out.append(f"operator {i} (RESHAPE): output dtype {b.name} "
+                           f"differs from input dtype {a.name}")
     return out
 
 

@@ -2,7 +2,8 @@
 
 Verification runs the program and the runtime on the same seeded random
 inputs, uniform over [-1, 1), and reports the worst l2 distance over all of
-them. Benchmarking imports the program's driver from its zip (load_driver),
+them, and beside it how many output values differ in their bits.
+Benchmarking imports the program's driver from its zip (load_driver),
 which reads the weights blob beside it in the zip, and times both
 deployments in this process, one pair of invokes at a time.
 """
@@ -86,6 +87,9 @@ class DiffReport:
     seed: int
     max_error: float
     max_abs_error: float
+    # output values whose <u4 bit patterns differ: a NaN equals only a NaN
+    # of the same bits, and -0.0 is not +0.0, which the l2 cannot see
+    bits_differing: int
     per_input: list[float]
     passed: bool
 
@@ -132,6 +136,9 @@ def verify(bundle: ModelBundle, artifact, cfg: VerifyConfig | None = None,
         raise HarnessError(f"program wrote {got.size} values, expected "
                            f"{per_sample * len(xs)}")
 
+    want = np.concatenate([o.reshape(-1) for outs in oracle for o in outs])
+    bits = int(np.count_nonzero(want.astype("<f4").view("<u4")
+                                != got.astype("<f4").view("<u4")))
     per_input = []
     max_abs = 0.0
     for i, outs in enumerate(oracle):
@@ -148,7 +155,7 @@ def verify(bundle: ModelBundle, artifact, cfg: VerifyConfig | None = None,
     max_error = max(per_input)
     return DiffReport(
         delta=cfg.delta, n_inputs=cfg.n_inputs, seed=cfg.seed,
-        max_error=max_error, max_abs_error=max_abs,
+        max_error=max_error, max_abs_error=max_abs, bits_differing=bits,
         per_input=per_input, passed=max_error <= cfg.delta)
 
 

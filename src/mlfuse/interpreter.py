@@ -2,24 +2,28 @@
 
 The interpreter is the reference deployment. Load validates the bundle and
 lowers it (lowering.py): one computing unit per operator with its resolved
-parameters, and one buffer per tensor. Configure allocates the buffers and
-calls lowering.configure with the layouts the table shipped with the
-kernels names: that lays every operator's weight out and runs each
-kernel's prepare step, which binds its views of the buffers and of the
-plan's one scratch arena and returns the operator's numpy calls. Invoke
-then only runs each operator's calls through its unit's run step,
-ops.run_calls, in topological order. A plan runs one sample a call unless
-load or replan is given more: its buffers then stack that many along axis
-0, as the program's batched plan does, and its kernels read the count
-from them.
+parameters, and one buffer per tensor, but for a RESHAPE's output, which
+shares its input's buffer. Configure allocates the buffers and calls
+lowering.configure with the layouts the table shipped with the kernels
+names: that lays every operator's weight out and runs each kernel's
+prepare step, which binds its views of the buffers and of the plan's one
+scratch arena and returns the operator's numpy calls. Invoke then only
+runs each operator's calls through its unit's run step, ops.run_calls, in
+topological order; a RESHAPE's step makes none, but it stays a step, so
+an error or a search breach names its operator. A plan runs one sample a
+call unless load or replan is given more: its buffers then stack that
+many along axis 0, as the program's batched plan does, and its kernels
+read the count from them.
 
 Memory accounting covers plan-managed allocations only: the serialized graph
 text and weight arrays at load, tensor buffers and weight reorder copies at
-configure. Kernel scratch, whether prepared at configure or temporary in a
-run, and the output copies handed back by invoke are not tracked here;
-harness.interpreter_scratch counts the prepared scratch. A plan owns its
-buffers and scratch, so concurrent invoke calls on one plan are not
-supported.
+configure. It counts every tensor's declared bytes, a RESHAPE's output as
+well as the buffer it shares, as BATCH and the program's BUFFER_BYTES do
+(codegen._batch). Kernel scratch, whether prepared at configure or
+temporary in a run, and the output copies handed back by invoke are not
+tracked here; harness.interpreter_scratch counts the prepared scratch. A
+plan owns its buffers and scratch, so concurrent invoke calls on one plan
+are not supported.
 """
 
 from __future__ import annotations
@@ -53,10 +57,12 @@ class ExecutablePlan:
     # (op, its unit's prepared calls) per lowered op, paired once here so
     # that invoke, which runs op.unit.fn(calls), zips nothing per call
     steps: list[tuple[LoweredOp, list]]
-    buffers: dict[int, np.ndarray]  # one flat buffer per lowered tensor
+    # a flat buffer per lowered tensor; an alias has its tensor's buffer
+    buffers: dict[int, np.ndarray]
     weights: list  # per op: its flat weights in the runtime's layouts
     load_bytes: int  # graph text and canonical weights
-    configure_bytes: int  # tensor buffers and weight reorder copies
+    # tensor buffers, each tensor's declared bytes, and weight reorder copies
+    configure_bytes: int
     # graph output id -> its shape at the plan's samples a call, which
     # stack along axis 0
     shapes: dict[int, tuple]
@@ -132,7 +138,9 @@ def counters(plan: ExecutablePlan) -> PhaseCounters:
     """Plan-managed bytes per phase; only defined once invoke has run.
 
     Invoke allocates nothing the plan manages, and nothing is freed, so the
-    peak is the load and configure bytes together.
+    peak is the load and configure bytes together. The tensor buffers count
+    every tensor's declared bytes, a RESHAPE's output's too, though it
+    shares its input's buffer.
     """
     if plan.invocations == 0:
         raise InterpreterError("counters requested before the first invoke")

@@ -11,10 +11,12 @@ out= that np.maximum and np.minimum take only by keyword and np.c_einsum
 after its variadic operands. One run step serves every template:
 run_calls(calls) makes the calls in order, so no kernel code runs between
 them. A list binds views of the activation buffers, never copies, so it
-computes on whatever they hold when it runs. The emitter writes the lists
-as data, so the program makes these same calls and ships no prepare step
-(codegen._call_table). np is numpy's C core, the one module of numpy the
-program loads.
+computes on whatever they hold when it runs. Every tensor has a buffer of
+its own but a RESHAPE's output, a view of its input's buffer
+(lowering.py), so reshape_prep returns no calls. The emitter writes the
+lists as data, so the program makes these same calls and ships no prepare
+step (codegen._call_table). np is numpy's C core, the one module of numpy
+the program loads.
 
 What a private buffer must hold for good (a padded border, avg-pool's
 count grid, a private product tensor's tail row) a step does not write at
@@ -447,8 +449,10 @@ def relu_f32_prep(inputs, weights, outputs):
     return [(np.maximum, (inputs[0].reshape(-1), float32(0.0)), {"out": out})]
 
 
-def reshape_copy_prep(inputs, weights, outputs):
-    return [(np.copyto, (outputs[0].reshape(-1), inputs[0].reshape(-1)), {})]
+def reshape_prep(inputs, weights, outputs):
+    # the output is a view of the input's buffer (lowering.py): nothing to
+    # compute
+    return []
 
 
 def add_prep(inputs, weights, outputs, *, activation_min, activation_max):
@@ -494,7 +498,7 @@ def scale_shift_f32_prep(inputs, weights, outputs, *, scale, shift):
 PREPS = {fn.__name__[:-len("_prep")]: fn for fn in (
     conv2d_f32_prep, depthwise_conv2d_f32_prep, avg_pool2d_f32_prep,
     max_pool2d_f32_prep, fully_connected_f32_prep, softmax_f32_prep,
-    relu_f32_prep, reshape_copy_prep, add_prep, concat_f32_prep,
+    relu_f32_prep, reshape_prep, add_prep, concat_f32_prep,
     pad_f32_prep, scale_shift_f32_prep,
 )}
 

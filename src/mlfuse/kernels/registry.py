@@ -327,8 +327,8 @@ def build_default_registry() -> KernelRegistry:
          layouts={"row_major": None, "transposed": (1, 0)})
     unit(SOFTMAX, f32, "softmax_f32")
     unit(RELU, f32, "relu_f32")
-    unit(RESHAPE, f32, "reshape_copy")
-    unit(RESHAPE, i32, "reshape_copy")
+    unit(RESHAPE, f32, "reshape")
+    unit(RESHAPE, i32, "reshape")
     unit(ADD, f32, "add")
     unit(ADD, i32, "add", param_check=_add_i32_check)
     unit(CONCATENATION, f32, "concat_f32")

@@ -7,6 +7,15 @@ known parameters (checked against the unit) and the activation, weight and
 output ids. For the model it lists every non-weight tensor's buffer and the
 canonical weights.
 
+One buffer serves each tensor, but for a RESHAPE's output: a RESHAPE
+computes nothing, so its output shares its input's storage (aliases),
+through chains of them too, and allocate gives both tensors one flat
+buffer. Validation makes the two of one dtype and count, and every
+tensor is written by one operator only, so no step can write over a value
+that another still reads. The RESHAPE units' prepare step returns no
+calls, so every consumer of the lowering, the interpreter, the search and
+the emitter's call tables, gets the view without code of its own.
+
 It reads the declared tensor shapes and the node options as given: every
 entry point validates the bundle first, and validation rejects any declared
 shape that contradicts graphir.infer_shapes, the only shape math, and any
@@ -27,7 +36,7 @@ from dataclasses import dataclass
 
 from numpy._core import _multiarray_umath as np
 
-from .graphir import DataType, GraphError, ModelBundle
+from .graphir import RESHAPE, DataType, GraphError, ModelBundle
 from .kernels import (
     ComputingUnit,
     DeviceInfo,
@@ -68,12 +77,17 @@ class Lowering:
     weights: dict[int, np.ndarray]  # canonical weight arrays, by key
     input_ids: tuple[int, ...]
     output_ids: tuple[int, ...]
+    # a RESHAPE output's id -> the id of the tensor whose buffer it shares,
+    # one that no RESHAPE writes
+    aliases: dict[int, int]
 
     def allocate(self, samples: int = 1) -> dict[int, np.ndarray]:
-        """A fresh flat buffer for every non-weight tensor, of samples
-        samples stacked along axis 0."""
-        return {t: np.empty(b.count * samples, b.dtype.np_dtype)
-                for t, b in self.tensors.items()}
+        """A flat buffer for every non-weight tensor, of samples samples
+        stacked along axis 0: a fresh one, or for an alias the buffer of
+        the tensor it shares."""
+        buffers = {t: np.empty(b.count * samples, b.dtype.np_dtype)
+                   for t, b in self.tensors.items() if t not in self.aliases}
+        return {t: buffers[self.aliases.get(t, t)] for t in self.tensors}
 
 
 def lower(bundle: ModelBundle, device: DeviceInfo | None = None,
@@ -85,7 +99,7 @@ def lower(bundle: ModelBundle, device: DeviceInfo | None = None,
     shapes = {t.id: t.shape for t in graph.tensors}
     weight_ids = {t.id: t.weight_ref for t in graph.tensors
                   if t.weight_ref is not None}
-    ops = []
+    ops, aliases = [], {}
     for i, node in enumerate(graph.operators):
         try:
             unit = registry.lookup(
@@ -105,6 +119,9 @@ def lower(bundle: ModelBundle, device: DeviceInfo | None = None,
             weight_keys=tuple(weight_ids[t] for t in node.inputs
                               if t in weight_ids),
             output_ids=tuple(node.outputs)))
+        if node.op_id == RESHAPE:
+            x = node.inputs[0]
+            aliases[node.outputs[0]] = aliases.get(x, x)
     return Lowering(
         device=device, ops=ops,
         tensors={t.id: BufferSpec(shapes[t.id], math.prod(shapes[t.id]),
@@ -112,7 +129,8 @@ def lower(bundle: ModelBundle, device: DeviceInfo | None = None,
                  for t in graph.tensors if t.weight_ref is None},
         weights={key: bundle.weights.as_array(key)
                  for key in sorted(bundle.weights.entries)},
-        input_ids=tuple(graph.inputs), output_ids=tuple(graph.outputs))
+        input_ids=tuple(graph.inputs), output_ids=tuple(graph.outputs),
+        aliases=aliases)
 
 
 def prepare(lowered: Lowering, flats, buffers) -> tuple[list, list]:

@@ -570,20 +570,6 @@ def case_add_i32(i):
 
 
 @lru_cache(maxsize=None)
-def case_reshape(i):
-    rng = np.random.default_rng((110, i))
-    count = int(rng.integers(1, 64))
-    if i % 2 == 0:
-        x = rng.uniform(-1, 1, count).astype(np.float32)
-        out = np.empty(count, dtype=np.float32)
-    else:
-        x = rng.integers(-50, 50, count, dtype=np.int32)
-        out = np.empty(count, dtype=np.int32)
-    run_kernel("reshape_copy", [x.copy()], [], [out])
-    return out, x.copy()
-
-
-@lru_cache(maxsize=None)
 def case_concat(i):
     rng = np.random.default_rng((111, i))
     rank = int(rng.integers(1, 4))
@@ -664,7 +650,6 @@ REFERENCE_CASES = {
     "relu": case_relu,
     "add_f32": case_add_f32,
     "add_i32": case_add_i32,
-    "reshape": case_reshape,
     "concatenation": case_concat,
     "pad": case_pad,
     "scale_shift": case_scale_shift,

@@ -74,6 +74,52 @@ def test_different_step_lists_are_listed_side_by_side_not_paired():
         "  change step 0  conv2d_f32                   5.0 us"]
 
 
+# identity's driver as it was while RESHAPE copied: a template id the
+# working tree's kernels no longer have, bound to the driver's run_calls
+_COPYING_IDENTITY = """\
+import numpy as np
+
+def run_calls(calls):
+    for f, args, kw in calls:
+        f(*args, **kw)
+
+reshape_copy = run_calls
+INPUT_SIZES = (4,)
+BATCH = 8192
+B = [np.empty(4, "<f4"), np.empty(4, "<f4")]
+t0, t1 = B
+S0 = [(np.copyto, (t1, t0), {})]
+
+def plan(n):
+    pass
+
+def run(inputs):
+    np.copyto(t0, inputs[0].reshape(-1))
+    reshape_copy(S0)
+    return (t1.copy(),)
+"""
+
+
+def test_each_side_times_the_steps_its_own_driver_binds(tmp_path):
+    # the base still copies its RESHAPE; the working tree's identity makes
+    # no step at all, so the base's step shows on its side alone
+    base = types.ModuleType("net_driver")
+    exec(_COPYING_IDENTITY, vars(base))
+    change = ab_programs.load_driver(
+        ab_programs.build(ab_programs.ROOT, "identity", None, tmp_path / "a"))
+    r = ab_programs.compare(base, change, 1, rounds=3, calls=2)
+    assert r["identical"]
+    assert [[s[0] for s in side] for side in r["steps"]] == [
+        ["reshape_copy"], []]
+    # the timers are taken off again
+    assert base.reshape_copy is base.run_calls
+    r["scratch"] = [0, 0]
+    lines = ab_programs.report("identity", r)
+    assert lines[2:] == ["  the two sides run different steps",
+                         f"  base   step 0  reshape_copy           "
+                         f"{r['steps'][0][0][1]:9.1f} us"]
+
+
 def test_a_base_without_batched_plans_exits_2(monkeypatch, capsys):
     # a program from before batched serving: no plan() and no BATCH
     old = types.SimpleNamespace(INPUT_SIZES=(4,), run=lambda inputs: ())

@@ -94,13 +94,15 @@ def test_output_distance_rejects_size_mismatch():
 def test_diff_report_json_round_trip(tmp_path):
     rep = harness.DiffReport(delta=1e-6, n_inputs=2, seed=9,
                              max_error=0.5, max_abs_error=0.25,
-                             per_input=[0.5, 0.1], passed=False)
+                             bits_differing=3, per_input=[0.5, 0.1],
+                             passed=False)
     path = tmp_path / "diff.json"
     rep.write(path)
     obj = json.loads(path.read_text(encoding="utf-8"))
     assert obj == {"delta": 1e-6, "n_inputs": 2, "seed": 9,
                    "max_error": 0.5, "max_abs_error": 0.25,
-                   "per_input": [0.5, 0.1], "passed": False}
+                   "bits_differing": 3, "per_input": [0.5, 0.1],
+                   "passed": False}
 
 
 def test_check_latency_stats_rejects_inconsistency():
