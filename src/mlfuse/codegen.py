@@ -59,7 +59,7 @@ class CodegenError(Exception):
 @dataclass(frozen=True)
 class Breach:
     """Where a candidate first went beyond delta: the l2 distance of one
-    sample of a tensor an operator writes (inf for a non-finite one)."""
+    sample of a tensor an operator writes (harness.distances)."""
     error: float
     operator: int  # its index in graph order
     input: int  # index of the sample among the verify inputs
@@ -235,20 +235,13 @@ _BATCH_BUFFER_BYTES = 262144
 
 
 def _batch(lowered: Lowering) -> int:
-    """BATCH: the largest sample count a call whose tensor buffers fit in
-    _BATCH_BUFFER_BYTES, or 1 when some operator does not compute each
-    slice along axis 0 on its own.
-
-    It counts every tensor's declared bytes, a RESHAPE's output as well as
-    the buffer it shares (lowering.py): counting each buffer once would
-    double identity's BATCH, to 16,384, and change which files a program
-    pads. Measured memory is to replace this accounting.
-    """
+    """BATCH: the largest sample count a call whose tensor buffers
+    (Lowering.buffer_bytes) fit in _BATCH_BUFFER_BYTES, or 1 when some
+    operator does not compute each slice along axis 0 on its own."""
     if not all(splits_along_axis_0(op.params, len(op.weight_keys))
                for op in lowered.ops):
         return 1
-    return max(1, _BATCH_BUFFER_BYTES // sum(
-        b.count * 4 for b in lowered.tensors.values()))
+    return max(1, _BATCH_BUFFER_BYTES // lowered.buffer_bytes)
 
 
 def _packed(flats) -> tuple[np.ndarray, list]:
@@ -286,17 +279,6 @@ def _served(samples, first: int, b: int) -> list:
             for k in [*range(0, m - b, b), m - b]]
 
 
-def _distances(got, want, n: int, rows: int) -> list[float]:
-    """The l2 distance of each of the first rows samples of two flat
-    buffers of n samples, each sqrt(d.dot(d)) in float64 as np.linalg.norm
-    computes it."""
-    d = np.subtract(got.reshape(n, -1)[:rows], want.reshape(n, -1)[:rows],
-                    dtype=np.float64)
-    if not d.any():  # no NaN either
-        return [0.0] * rows
-    return [math.sqrt(r.dot(r)) for r in d]
-
-
 def _worst_error(n, steps, feeds, refs, buffers, input_ids,
                  delta) -> tuple[float, Breach | None]:
     """Largest per-sample l2 distance from the runtime of any tensor an
@@ -314,12 +296,11 @@ def _worst_error(n, steps, feeds, refs, buffers, input_ids,
         for at, unit, calls, out_ids in steps:
             unit.fn(calls)
             for tid in out_ids:
-                errs = _distances(buffers[tid], ref[tid], n, rows)
+                errs = harness.distances(buffers[tid].reshape(n, -1)[:rows],
+                                         ref[tid].reshape(n, -1)[:rows])
                 for i, err in enumerate(errs):
                     if not err <= delta:
-                        return worst, Breach(
-                            err if math.isfinite(err) else math.inf, at,
-                            first + i, n)
+                        return worst, Breach(err, at, first + i, n)
                 worst = max(worst, *errs)
     return worst, None
 
@@ -523,7 +504,7 @@ def _call_table(lowered: Lowering, plan: Prepared, blob, callables, steps,
                  keep(tuple(lists[1:]))))
 
 
-def build_emission_plan(lowered: Lowering, configs,
+def build_emission_plan(lowered: Lowering,
                         result: SearchResult) -> EmissionPlan:
     """The accepted candidate's blob, and the plans at one sample and at
     BATCH that the search verified, as call tables of the steps that make
@@ -561,9 +542,9 @@ _WEIGHTS = "net_weights.bin"
 # by that tensor. run() copies the inputs in, runs each step through its
 # template id, a module-global name of the one run step, ops.run_calls, so
 # a wrapper set after import sees one call per step, and hands back fresh
-# copies of the outputs. BUFFER_BYTES counts every tensor's declared bytes,
-# an alias's too, as _batch does. The blob comes from the zip, or from the
-# directory of an unstripped build's sources.
+# copies of the outputs. BUFFER_BYTES is Lowering.buffer_bytes. The blob
+# comes from the zip, or from the directory of an unstripped build's
+# sources.
 _DRIVER_SRC = """\
 import marshal
 
@@ -633,7 +614,7 @@ def _emit_driver(plan: EmissionPlan) -> str:
         aliases=f"{aliases} = run_calls\n\n\n" if aliases else "",
         shapes=repr(tuple(b.shape for b in in_specs)),
         sizes=repr(tuple(b.count for b in in_specs)),
-        buffer_bytes=sum(b.count * 4 for b in lowered.tensors.values()),
+        buffer_bytes=lowered.buffer_bytes,
         batch=plan.batch,
         callables="".join(f"np.{p}, " for p in plan.callables)[:-1],
         tables=plan.tables,
@@ -985,7 +966,7 @@ def pipeline(bundle: ModelBundle, out_dir, device: DeviceInfo | None = None,
     lowered = extract_units(bundle, device, registry)
     configs = analyze_config(lowered)
     result = search_status(bundle, lowered, configs, cfg, registry)
-    plan = build_emission_plan(lowered, configs, result)
+    plan = build_emission_plan(lowered, result)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -2,7 +2,10 @@
 
 Verification runs the program and the runtime on the same seeded random
 inputs, uniform over [-1, 1), and reports the worst l2 distance over all of
-them, and beside it how many output values differ in their bits.
+them, and beside it how many output values differ in their bits. Each
+input's distance comes from distances, which the status search holds
+every candidate to as well: a NaN or an inf on any input reads inf and
+fails.
 Benchmarking imports the program's driver from its zip (load_driver),
 which reads the weights blob beside it in the zip, and times both
 deployments in this process, one pair of invokes at a time.
@@ -67,17 +70,15 @@ def make_inputs(graph, cfg: VerifyConfig) -> list[list[np.ndarray]]:
     return out
 
 
-def flatten_outputs(arrays) -> np.ndarray:
-    return np.concatenate([np.asarray(a).reshape(-1).astype(np.float64)
-                           for a in arrays])
-
-
-def output_distance(a, b) -> float:
-    """l2 distance between two output sets, accumulated in float64."""
-    fa, fb = flatten_outputs(a), flatten_outputs(b)
-    if fa.shape != fb.shape:
-        raise HarnessError(f"output element counts differ: {fa.size} vs {fb.size}")
-    return float(np.linalg.norm(fa - fb))
+def distances(got, want) -> list[float]:
+    """The l2 distance of each row of two (samples, values) arrays, each
+    sqrt(d.dot(d)) in float64 as np.linalg.norm computes it; one that is
+    not finite, a NaN's included, reads inf."""
+    d = np.subtract(got, want, dtype=np.float64)
+    if not d.any():  # no NaN either
+        return [0.0] * len(d)
+    return [e if e <= math.inf else math.inf
+            for e in [math.sqrt(r.dot(r)) for r in d]]
 
 
 @dataclass
@@ -120,43 +121,33 @@ def verify(bundle: ModelBundle, artifact, cfg: VerifyConfig | None = None,
     cfg = cfg or VerifyConfig()
     plan = interpreter.load(bundle, registry=registry)
     xs = make_inputs(bundle.graph, cfg)
-    oracle = [interpreter.invoke(plan, x) for x in xs]
-
-    out_counts = [plan.lowered.tensors[t].count
-                  for t in plan.lowered.output_ids]
-    per_sample = sum(out_counts)
+    want = np.concatenate([o.reshape(-1) for x in xs
+                           for o in interpreter.invoke(plan, x)])
+    want = want.reshape(len(xs), -1)
 
     with tempfile.TemporaryDirectory(prefix="mlfuse-verify-") as td:
         in_path = Path(td) / "in.raw"
         out_path = Path(td) / "out.raw"
         _write_samples(in_path, xs)
         _run_program(artifact.executable, in_path, out_path)
-        got = np.fromfile(out_path, dtype="<f4").astype(np.float32)
-    if got.size != per_sample * len(xs):
+        got = np.fromfile(out_path, dtype="<f4")
+    if got.size != want.size:
         raise HarnessError(f"program wrote {got.size} values, expected "
-                           f"{per_sample * len(xs)}")
+                           f"{want.size}")
+    got = got.reshape(want.shape)
 
-    want = np.concatenate([o.reshape(-1) for outs in oracle for o in outs])
-    bits = int(np.count_nonzero(want.astype("<f4").view("<u4")
-                                != got.astype("<f4").view("<u4")))
-    per_input = []
-    max_abs = 0.0
-    for i, outs in enumerate(oracle):
-        chunk = got[i * per_sample:(i + 1) * per_sample]
-        pieces = []
-        at = 0
-        for n in out_counts:
-            pieces.append(chunk[at:at + n])
-            at += n
-        per_input.append(output_distance(outs, pieces))
-        d = np.abs(flatten_outputs(outs) - flatten_outputs(pieces))
-        if d.size:
-            max_abs = max(max_abs, float(d.max()))
+    per_input = distances(got, want)
     max_error = max(per_input)
+    max_abs = float(np.abs(np.subtract(got, want, dtype=np.float64))
+                    .max(initial=0.0))
+    bits = int(np.count_nonzero(got.view("<u4")
+                                != want.astype("<f4").view("<u4")))
     return DiffReport(
         delta=cfg.delta, n_inputs=cfg.n_inputs, seed=cfg.seed,
-        max_error=max_error, max_abs_error=max_abs, bits_differing=bits,
-        per_input=per_input, passed=max_error <= cfg.delta)
+        max_error=max_error,
+        max_abs_error=max_abs if max_abs <= math.inf else math.inf,
+        bits_differing=bits, per_input=per_input,
+        passed=max_error <= cfg.delta)
 
 
 def _latency_stats(ns_list) -> dict:

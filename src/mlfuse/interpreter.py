@@ -16,14 +16,12 @@ many along axis 0, as the program's batched plan does, and its kernels
 read the count from them.
 
 Memory accounting covers plan-managed allocations only: the serialized graph
-text and weight arrays at load, tensor buffers and weight reorder copies at
-configure. It counts every tensor's declared bytes, a RESHAPE's output as
-well as the buffer it shares, as BATCH and the program's BUFFER_BYTES do
-(codegen._batch). Kernel scratch, whether prepared at configure or
-temporary in a run, and the output copies handed back by invoke are not
-tracked here; harness.interpreter_scratch counts the prepared scratch. A
-plan owns its buffers and scratch, so concurrent invoke calls on one plan
-are not supported.
+text and weight arrays at load, tensor buffers (Lowering.buffer_bytes) and
+weight reorder copies at configure. Kernel scratch, whether prepared at
+configure or temporary in a run, and the output copies handed back by
+invoke are not tracked here; harness.interpreter_scratch counts the
+prepared scratch. A plan owns its buffers and scratch, so concurrent
+invoke calls on one plan are not supported.
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ class ExecutablePlan:
     buffers: dict[int, np.ndarray]
     weights: list  # per op: its flat weights in the runtime's layouts
     load_bytes: int  # graph text and canonical weights
-    # tensor buffers, each tensor's declared bytes, and weight reorder copies
+    # tensor buffers (Lowering.buffer_bytes) and weight reorder copies
     configure_bytes: int
     # graph output id -> its shape at the plan's samples a call, which
     # stack along axis 0
@@ -98,7 +96,7 @@ def _configured(lowered: Lowering, samples: int,
     return ExecutablePlan(
         lowered=lowered, steps=list(zip(lowered.ops, calls)), buffers=buffers,
         weights=flats, load_bytes=load_bytes,
-        configure_bytes=sum(b.nbytes for b in buffers.values()) + copied,
+        configure_bytes=lowered.buffer_bytes * samples + copied,
         shapes={
             t: (-1, *lowered.tensors[t].shape[1:]) if samples > 1
             else lowered.tensors[t].shape for t in lowered.output_ids})
@@ -138,9 +136,7 @@ def counters(plan: ExecutablePlan) -> PhaseCounters:
     """Plan-managed bytes per phase; only defined once invoke has run.
 
     Invoke allocates nothing the plan manages, and nothing is freed, so the
-    peak is the load and configure bytes together. The tensor buffers count
-    every tensor's declared bytes, a RESHAPE's output's too, though it
-    shares its input's buffer.
+    peak is the load and configure bytes together.
     """
     if plan.invocations == 0:
         raise InterpreterError("counters requested before the first invoke")

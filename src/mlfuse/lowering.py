@@ -89,6 +89,17 @@ class Lowering:
                    for t, b in self.tensors.items() if t not in self.aliases}
         return {t: buffers[self.aliases.get(t, t)] for t in self.tensors}
 
+    @property
+    def buffer_bytes(self) -> int:
+        """The tensor buffers of one sample, as BATCH, the program's
+        BUFFER_BYTES and the interpreter's counters count them: every
+        tensor's declared bytes, an alias's as well as the buffer it
+        shares. Counting each buffer once would double identity's BATCH,
+        to 16,384, and change which files a program pads. Measured memory
+        is to replace this accounting."""
+        return sum(b.count * b.dtype.byte_width
+                   for b in self.tensors.values())
+
 
 def lower(bundle: ModelBundle, device: DeviceInfo | None = None,
           registry=None) -> Lowering:

@@ -219,12 +219,19 @@ def test_search_distances_are_per_sample_norms_and_nan_breaches():
     got = rng.uniform(-1, 1, 5 * 7).astype(np.float32)
     want = (got + rng.uniform(-1e-3, 1e-3, got.size)).astype(np.float32)
     want[7:14] = got[7:14]  # sample 1 agrees
-    d = np.subtract(got.reshape(5, 7)[:4], want.reshape(5, 7)[:4],
-                    dtype=np.float64)
+    got, want = got.reshape(5, 7)[:4], want.reshape(5, 7)[:4]
+    d = np.subtract(got, want, dtype=np.float64)
     norms = [float(np.linalg.norm(r)) for r in d]
-    assert codegen._distances(got, want, 5, 4) == norms
+    assert harness.distances(got, want) == norms
     assert norms[1] == 0.0 and all(norms[i] > 0 for i in (0, 2, 3))
-    assert codegen._distances(got, got, 5, 5) == [0.0] * 5
+    assert harness.distances(got, got) == [0.0] * 4
+    # a row that is not finite reads inf, whichever side holds it
+    for bad in (np.nan, np.inf, -np.inf):
+        rows = want.copy()
+        rows[2, 3] = bad
+        assert harness.distances(got, rows) == [*norms[:2], math.inf,
+                                                norms[3]]
+        assert harness.distances(rows, got)[2] == math.inf
     # a NaN on both sides is no agreement: a weight of NaN makes every
     # candidate breach at the first operator, with an infinite distance
     bundle = fixtures.build_fixture("mlp")
@@ -1048,7 +1055,7 @@ def test_weights_ship_as_read_only_views_of_one_blob(built):
     lowered = codegen.extract_units(bundle)
     configs = codegen.analyze_config(lowered)
     result = codegen.search_status(bundle, lowered, configs)
-    want = codegen.build_emission_plan(lowered, configs, result).blob
+    want = codegen.build_emission_plan(lowered, result).blob
     flats, _ = lowering.lay_out(lowered, result.layouts)
     assert want.tobytes() == b"".join(w.tobytes() for ws in flats for w in ws)
     driver = harness.load_driver(artifact.executable)
@@ -1102,7 +1109,7 @@ def test_the_emitter_tabulates_the_plans_the_search_verified(
 
     monkeypatch.setattr(lowering, "prepare", counting)
     monkeypatch.setattr(codegen, "prepare", counting)
-    plan = codegen.build_emission_plan(lowered, configs, result)
+    plan = codegen.build_emission_plan(lowered, result)
     assert prepared == []
     tables = marshal.loads(plan.tables)
     assert harness.load_driver(art.executable).T == tables

@@ -1,13 +1,16 @@
 import gc
 import json
+import math
+import shutil
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlfuse import codegen, fixtures, harness, interpreter
+from mlfuse import cli, codegen, fixtures, graphir, harness, interpreter
 from mlfuse.harness import HarnessError, VerifyConfig
 
 
@@ -79,16 +82,15 @@ def test_make_inputs_any_seed_stays_in_range(seed):
 
 # -- distances and reports ----------------------------------------------------
 
-def test_output_distance_accumulates_in_f64():
-    a = [np.full(3, 1.0, dtype=np.float32)]
-    b = [np.full(3, 2.0, dtype=np.float32)]
-    assert harness.output_distance(a, b) == pytest.approx(np.sqrt(3.0))
-    assert harness.output_distance(a, a) == 0.0
-
-
-def test_output_distance_rejects_size_mismatch():
-    with pytest.raises(HarnessError, match="element counts differ"):
-        harness.output_distance([np.zeros(3)], [np.zeros(4)])
+def test_distances_accumulate_in_f64():
+    a = np.full((2, 3), 1.0, dtype=np.float32)
+    b = np.full((2, 3), 2.0, dtype=np.float32)
+    b[1] = 1e20  # its square overflows float32, not float64
+    assert harness.distances(a, b) == [
+        pytest.approx(np.sqrt(3.0)),
+        float(np.linalg.norm(np.float64(b[1]) - 1.0))]
+    assert harness.distances(a, b)[1] < np.inf
+    assert harness.distances(a, a) == [0.0, 0.0]
 
 
 def test_diff_report_json_round_trip(tmp_path):
@@ -130,6 +132,36 @@ def test_verify_detects_model_program_mismatch(built):
     _, identity_artifact = built["identity"]
     with pytest.raises(HarnessError, match="program wrote"):
         harness.verify(mlp_bundle, identity_artifact)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_a_non_finite_value_on_a_later_input_fails_verify(built, tmp_path,
+                                                          capsys, bad):
+    # mlp's program, wrapped to write one value of input 5 (mlp writes 3
+    # values a sample) as a NaN or +inf: that input's distance is inf, so
+    # the worst is too, whichever input it is on
+    bundle, artifact = built["mlp"]
+    art = tmp_path / "build"
+    shutil.copytree(artifact.out_dir, art)
+    program = art / Path(artifact.executable).relative_to(artifact.out_dir)
+    real = program.rename(program.with_name("program.real"))
+    program.write_text(
+        f"#!{sys.executable}\n"
+        "import struct, subprocess, sys\n"
+        f"subprocess.run([{str(real)!r}, *sys.argv[1:]], check=True)\n"
+        "with open(sys.argv[2], 'r+b') as f:\n"
+        "    f.seek(4 * (5 * 3 + 1))\n"
+        f"    f.write(struct.pack('<f', float({bad!r})))\n")
+    program.chmod(0o755)
+    rep = harness.verify(bundle, codegen.load_artifact(art))
+    assert not rep.passed
+    assert rep.max_error == rep.max_abs_error == rep.per_input[5] == math.inf
+    assert rep.per_input[:5] + rep.per_input[6:] == [0.0] * 99
+    assert rep.bits_differing == 1
+    g, w = tmp_path / "m.mlg", tmp_path / "m.mlw"
+    graphir.save_bundle(bundle, g, w)
+    assert cli.main(["verify", str(g), str(w), str(art)]) == 1
+    assert capsys.readouterr().out.startswith("verify FAIL: max_error=inf ")
 
 
 def test_verify_report_is_reproducible(built):
