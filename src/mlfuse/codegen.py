@@ -4,22 +4,22 @@ The pipeline lowers the bundle once (lowering.py): one computing unit per
 operator with its known configuration resolved from the container, and one
 buffer per tensor, but for a RESHAPE's output, a view of its input's. It
 searches the one unknown, the weight layout of each conv and FC, by
-comparing candidate behavior against the runtime; each
-candidate's weights are laid out by lowering.lay_out and its kernels
-prepared by lowering.prepare, the steps the interpreter uses too, at one
-sample a call and at BATCH. It then emits a program of two code modules
-and one data member. The driver holds the two plans the search verified
-for the accepted candidate as call tables (_call_table) and replays them:
-it carries no prepare step and no planner, and makes exactly the calls
-the search verified, at both sample counts. The entry point serves a file
-of one sample through the first plan and any other in calls of BATCH, the
-last ending at the last sample (so it may overlap the one before it) and
-a file shorter than BATCH padded with copies of its own rows. The data
-member is the accepted layouts' flat weights as one little-endian blob,
-which the driver reads once at import through its own loader, every
-weight a read-only view into it. The program carries no model container,
-no parser, and no registry; past import, its only file access is the
-input tensor argument.
+comparing candidate behavior against one runtime plan; each candidate's
+weights are laid out in one blob by lowering.lay_out and its plans
+prepared over views of it by lowering.configure, the path the interpreter
+takes too, at one sample a call and at BATCH. It then emits a program of
+two code modules and one data member. The driver holds the two plans the
+search verified for the accepted candidate as call tables (_call_table)
+and replays them: it carries no prepare step and no planner, and makes
+exactly the calls the search verified, at both sample counts. The entry
+point serves a file of one sample through the first plan and any other in
+calls of BATCH, the last ending at the last sample (so it may overlap the
+one before it) and a file shorter than BATCH padded with copies of its own
+rows. The data member is the accepted candidate's blob, written
+little-endian, which the driver reads once at import through its own
+loader, every weight a read-only view into it. The program carries no
+model container, no parser, and no registry; past import, its only file
+access is the input tensor argument.
 
 Search never reads the layout table shipped with the runtime; it recovers
 workable layouts purely from observed behavior.
@@ -48,8 +48,7 @@ from numpy._core import _multiarray_umath as _core
 from . import corestart, graphir, harness, interpreter
 from .graphir import GraphError, DataType, ModelBundle
 from .kernels import DeviceInfo, default_registry, splits_along_axis_0
-from .kernels.ops import run_calls
-from .lowering import LoweredOp, Lowering, lay_out, lower, prepare
+from .lowering import LoweredOp, Lowering, configure, lay_out, lower
 
 
 class CodegenError(Exception):
@@ -244,24 +243,6 @@ def _batch(lowered: Lowering) -> int:
     return max(1, _BATCH_BUFFER_BYTES // lowered.buffer_bytes)
 
 
-def _packed(flats) -> tuple[np.ndarray, list]:
-    """One float32 blob of every operator's flat weights, in operator and
-    slot order, and the weights again as views of it."""
-    ws = [w for ops in flats for w in ops]
-    for w in ws:
-        if w.dtype not in (np.float32, np.int32):
-            raise CodegenError(f"cannot embed weight dtype {w.dtype}")
-    blob = np.empty(sum(w.size for w in ws), np.float32)
-    views, at = [], 0
-    for ops in flats:
-        views.append([])
-        for w in ops:
-            views[-1].append(blob[at:at + w.size].view(w.dtype))
-            views[-1][-1][...] = w
-            at += w.size
-    return blob, views
-
-
 def _served(samples, first: int, b: int) -> list:
     """The calls of b samples a call the program makes of a file of these
     samples (_MAIN_SRC): a file shorter than b is padded with copies of its
@@ -285,19 +266,20 @@ def _worst_error(n, steps, feeds, refs, buffers, input_ids,
     operator writes, over the calls of a plan of n samples.
 
     steps are (op index, unit, prepared calls, output ids) in graph order;
-    feeds are _served calls and refs the runtime's tensors after each.
-    Stops at the first tensor with a sample beyond delta and returns where
-    that sample breached it; the breach is None within delta.
+    feeds are _served calls, and refs hold each tensor's runtime value as
+    one row a verify input. Stops at the first tensor with a sample beyond
+    delta and returns where that sample breached it; the breach is None
+    within delta.
     """
     worst = 0.0
-    for (first, rows, x), ref in zip(feeds, refs):
+    for first, rows, x in feeds:
         for t, arr in zip(input_ids, x):
             np.copyto(buffers[t], arr)
         for at, unit, calls, out_ids in steps:
             unit.fn(calls)
             for tid in out_ids:
                 errs = harness.distances(buffers[tid].reshape(n, -1)[:rows],
-                                         ref[tid].reshape(n, -1)[:rows])
+                                         refs[tid][first:first + rows])
                 for i, err in enumerate(errs):
                     if not err <= delta:
                         return worst, Breach(err, at, first + i, n)
@@ -305,32 +287,36 @@ def _worst_error(n, steps, feeds, refs, buffers, input_ids,
     return worst, None
 
 
-def search_status(bundle: ModelBundle, lowered: Lowering, configs,
+def search_status(bundle: ModelBundle, lowered: Lowering,
                   cfg: harness.VerifyConfig | None = None,
                   registry=None) -> SearchResult:
     """Find weight layouts whose behavior matches the runtime within delta.
 
     The unknowns are the operators whose unit lists layouts; candidates are
     walked in lexicographic order over them in graph order, each in its
-    unit's layout order. A candidate's weights are laid out once
-    (lowering.lay_out) into one blob, and both plans the program ships are
-    prepared over views of it: the plan of one sample a call runs input 0,
-    and, if that passes, the plan of BATCH runs the other inputs (copies of
-    input 0 when there are none) in the calls the program makes of a file.
-    The runtime computes its reference in the same calls, at the same
-    sample counts. Every sample of every tensor an operator writes is
-    compared with the runtime's right after that operator runs, and a
-    candidate is rejected at the first one beyond delta, so a wrong layout
-    cannot hide behind a saturating later operator. Every candidate that
-    agrees with a rejected one on the unknowns up to its breach computes
-    the same tensors up to there and fails too, so the walk skips them all.
-    The first candidate within delta on every input is accepted, with the
-    blob and the two plans it ran, which the emitter tabulates as they are.
-    The runtime's plan is loaded with the given registry, not the lowering.
+    unit's layout order. A candidate's weights are laid out once into one
+    blob (lowering.lay_out), and both plans the program ships are prepared
+    over views of it (lowering.configure), as the interpreter prepares its
+    own: the plan of one sample a call runs input 0, and, if that passes,
+    the plan of BATCH runs the other inputs (copies of input 0 when there
+    are none) in the calls the program makes of a file. The reference is
+    one runtime plan of BATCH samples a call, run over every input in the
+    calls the program makes of a file; it computes each sample as a plan
+    of one sample a call does. Every sample of every tensor an operator
+    writes is compared with the runtime's right after that operator runs,
+    and a candidate is rejected at the first one beyond delta, so a wrong
+    layout cannot hide behind a saturating later operator. Every candidate
+    that agrees with a rejected one on the unknowns up to its breach
+    computes the same tensors up to there and fails too, so the walk skips
+    them all. The first candidate within delta on every input is accepted,
+    with the blob and the two plans it ran, which the emitter tabulates as
+    they are. The runtime's plan is loaded with the given registry, not
+    the lowering.
     """
     cfg = cfg or harness.VerifyConfig()
-    unknowns = [c.op_index for c in configs if c.unit.layouts]
-    domains = [list(configs[i].unit.layouts) for i in unknowns]
+    ops = lowered.ops
+    unknowns = [op.op_index for op in ops if op.unit.layouts]
+    domains = [list(ops[i].unit.layouts) for i in unknowns]
     batch = _batch(lowered)
 
     xs = harness.make_inputs(bundle.graph, cfg)
@@ -340,14 +326,14 @@ def search_status(bundle: ModelBundle, lowered: Lowering, configs,
         feeds.setdefault(batch, []).extend(_served(*rest, batch))
     runtime = interpreter.load(bundle, device=lowered.device,
                                registry=registry, samples=batch)
-    produced = [t for c in configs for t in c.output_ids]
-    refs = {}
-    for n, calls in feeds.items():
-        plan = runtime if n == batch else interpreter.replan(runtime, n)
-        refs[n] = []
-        for _, _, x in calls:
-            interpreter.invoke(plan, x)
-            refs[n].append({t: plan.buffers[t].copy() for t in produced})
+    refs = {t: np.empty((len(xs), lowered.tensors[t].count),
+                        runtime.buffers[t].dtype)
+            for op in ops for t in op.output_ids}
+    for first, rows, x in _served(xs, 0, batch):
+        interpreter.invoke(runtime, x)
+        for t, ref in refs.items():
+            ref[first:first + rows] = runtime.buffers[t].reshape(
+                batch, -1)[:rows]
 
     buffers = {n: lowered.allocate(n) for n in feeds}
     picks = [0] * len(unknowns)
@@ -355,19 +341,18 @@ def search_status(bundle: ModelBundle, lowered: Lowering, configs,
     best = None
     while True:
         evaluated += 1
-        layouts = [None] * len(configs)
+        layouts = [None] * len(ops)
         for i, domain, pick in zip(unknowns, domains, picks):
             layouts[i] = domain[pick]
-        blob, views = _packed(lay_out(lowered, layouts)[0])
+        blob, views = lay_out(lowered, layouts)
         plans, worst = {}, 0.0
         for n, calls in feeds.items():
-            prepared, fills = prepare(lowered, views, buffers[n])
-            run_calls(fills)
-            plans[n] = Prepared(buffers[n], prepared, fills)
+            plans[n] = Prepared(buffers[n],
+                                *configure(lowered, views, buffers[n]))
             err, breach = _worst_error(
-                n, [(c.op_index, c.unit, k, c.output_ids)
-                    for c, k in zip(configs, prepared)],
-                calls, refs[n], buffers[n], lowered.input_ids, cfg.delta)
+                n, [(op.op_index, op.unit, k, op.output_ids)
+                    for op, k in zip(ops, plans[n].calls)],
+                calls, refs, buffers[n], lowered.input_ids, cfg.delta)
             worst = max(worst, err)
             if breach:
                 break
@@ -389,7 +374,7 @@ def search_status(bundle: ModelBundle, lowered: Lowering, configs,
     raise SearchError(
         f"status search exhausted {evaluated} candidate(s) without meeting "
         f"delta={cfg.delta}; the best breached it at operator "
-        f"{best.operator} ({configs[best.operator].kind}) on input "
+        f"{best.operator} ({ops[best.operator].kind}) on input "
         f"{best.input} in the plan of {best.samples} sample(s) a call, with "
         f"l2 distance {best.error}",
         candidates_evaluated=evaluated, best_error=best.error, breach=best)
@@ -964,8 +949,8 @@ def pipeline(bundle: ModelBundle, out_dir, device: DeviceInfo | None = None,
                                f"tensor {tid} is {graph.tensors[tid].dtype.name}")
 
     lowered = extract_units(bundle, device, registry)
-    configs = analyze_config(lowered)
-    result = search_status(bundle, lowered, configs, cfg, registry)
+    analyze_config(lowered)  # the analyze phase, which the lowering did
+    result = search_status(bundle, lowered, cfg, registry)
     plan = build_emission_plan(lowered, result)
 
     out_dir = Path(out_dir)

@@ -95,8 +95,17 @@ class DiffReport:
     passed: bool
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True,
-                          separators=(",", ":"))
+        """The report as JSON, every float that is not finite as null:
+        passed is false then, and JSON has no inf or NaN."""
+        def finite(x):
+            return x if math.isfinite(x) else None
+
+        d = asdict(self)
+        d["max_error"] = finite(d["max_error"])
+        d["max_abs_error"] = finite(d["max_abs_error"])
+        d["per_input"] = [*map(finite, d["per_input"])]
+        return json.dumps(d, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
 
     def write(self, path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
@@ -249,10 +258,9 @@ def plan_scratch(driver, n) -> int:
 
 def interpreter_scratch(plan: interpreter.ExecutablePlan) -> int:
     """Kernel scratch of an interpreter plan, apart from its tensor buffers
-    and laid-out weights."""
+    and weights blob."""
     return scratch_bytes([calls for _, calls in plan.steps],
-                         [*plan.buffers.values(),
-                          *(w for ws in plan.weights for w in ws)])
+                         [*plan.buffers.values(), plan.blob])
 
 
 def bench(bundle: ModelBundle, artifact, repetitions: int = 1000,

@@ -3,21 +3,22 @@
 The interpreter is the reference deployment. Load validates the bundle and
 lowers it (lowering.py): one computing unit per operator with its resolved
 parameters, and one buffer per tensor, but for a RESHAPE's output, which
-shares its input's buffer. Configure allocates the buffers and calls
-lowering.configure with the layouts the table shipped with the kernels
-names: that lays every operator's weight out and runs each kernel's
-prepare step, which binds its views of the buffers and of the plan's one
-scratch arena and returns the operator's numpy calls. Invoke then only
-runs each operator's calls through its unit's run step, ops.run_calls, in
-topological order; a RESHAPE's step makes none, but it stays a step, so
-an error or a search breach names its operator. A plan runs one sample a
-call unless load or replan is given more: its buffers then stack that
-many along axis 0, as the program's batched plan does, and its kernels
-read the count from them.
+shares its input's buffer. Configure allocates the buffers, lays every
+operator's weights out in one blob in the layouts the table shipped with
+the kernels names (lowering.lay_out), and prepares the plan over them
+(lowering.configure), the path the status search takes too: each kernel's
+prepare step binds its views of the buffers, of the blob and of the
+plan's one scratch arena and returns the operator's numpy calls. Invoke
+then only runs each operator's calls through its unit's run step,
+ops.run_calls, in topological order; a RESHAPE's step makes none, but it
+stays a step, so an error or a search breach names its operator. A plan
+runs one sample a call unless load is given more: its buffers then stack
+that many along axis 0, as the program's batched plan does, and its
+kernels read the count from them.
 
 Memory accounting covers plan-managed allocations only: the serialized graph
 text and weight arrays at load, tensor buffers (Lowering.buffer_bytes) and
-weight reorder copies at configure. Kernel scratch, whether prepared at
+the weights blob at configure. Kernel scratch, whether prepared at
 configure or temporary in a run, and the output copies handed back by
 invoke are not tracked here; harness.interpreter_scratch counts the
 prepared scratch. A plan owns its buffers and scratch, so concurrent
@@ -34,7 +35,7 @@ from . import graphir
 from .graphir import GraphError, ModelBundle
 from .kernels import DeviceInfo, default_registry
 from .kernels.live_status import hidden_status_for
-from .lowering import Lowering, LoweredOp, configure, lower
+from .lowering import Lowering, LoweredOp, configure, lay_out, lower
 
 
 class InterpreterError(Exception):
@@ -57,10 +58,9 @@ class ExecutablePlan:
     steps: list[tuple[LoweredOp, list]]
     # a flat buffer per lowered tensor; an alias has its tensor's buffer
     buffers: dict[int, np.ndarray]
-    weights: list  # per op: its flat weights in the runtime's layouts
+    blob: np.ndarray  # every op's weights in the runtime's layouts (lay_out)
     load_bytes: int  # graph text and canonical weights
-    # tensor buffers (Lowering.buffer_bytes) and weight reorder copies
-    configure_bytes: int
+    configure_bytes: int  # tensor buffers (Lowering.buffer_bytes) and blob
     # graph output id -> its shape at the plan's samples a call, which
     # stack along axis 0
     shapes: dict[int, tuple]
@@ -76,27 +76,16 @@ def load(bundle: ModelBundle, device: DeviceInfo | None = None,
     if problems:
         raise GraphError("invalid bundle: " + "; ".join(problems))
     lowered = lower(bundle, device, registry)
-    load_bytes = len(graphir.graph_to_json(bundle.graph).encode("utf-8")) \
-        + sum(arr.nbytes for arr in lowered.weights.values())
-    return _configured(lowered, samples, load_bytes)
-
-
-def replan(plan: ExecutablePlan, samples: int) -> ExecutablePlan:
-    """plan's lowering configured anew, at samples samples a call; nothing
-    is validated or lowered again."""
-    return _configured(plan.lowered, samples, plan.load_bytes)
-
-
-def _configured(lowered: Lowering, samples: int,
-                load_bytes: int) -> ExecutablePlan:
     buffers = lowered.allocate(samples)
-    flats, calls, copied = configure(
-        lowered, [hidden_status_for(op.unit.key) for op in lowered.ops],
-        buffers)
+    blob, views = lay_out(
+        lowered, [hidden_status_for(op.unit.key) for op in lowered.ops])
+    calls, _ = configure(lowered, views, buffers)
     return ExecutablePlan(
         lowered=lowered, steps=list(zip(lowered.ops, calls)), buffers=buffers,
-        weights=flats, load_bytes=load_bytes,
-        configure_bytes=lowered.buffer_bytes * samples + copied,
+        blob=blob,
+        load_bytes=len(graphir.graph_to_json(bundle.graph).encode("utf-8"))
+        + sum(arr.nbytes for arr in lowered.weights.values()),
+        configure_bytes=lowered.buffer_bytes * samples + blob.nbytes,
         shapes={
             t: (-1, *lowered.tensors[t].shape[1:]) if samples > 1
             else lowered.tensors[t].shape for t in lowered.output_ids})

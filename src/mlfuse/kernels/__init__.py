@@ -11,7 +11,6 @@ from .registry import (
     UnitKey,
     build_default_registry,
     check_unit_params,
-    layout_weight_arrays,
     splits_along_axis_0,
 )
 

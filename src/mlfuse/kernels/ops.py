@@ -21,7 +21,7 @@ the program loads.
 What a private buffer must hold for good (a padded border, avg-pool's
 count grid, a private product tensor's tail row) a step does not write at
 prepare time: it appends the calls that write it to the keyword fills,
-a list, which whoever prepared the plan makes once (lowering.prepare).
+a list, which lowering.configure makes once it has prepared the plan.
 The copy of an input's interior into a padded buffer is the first call
 of its list.
 
@@ -88,15 +88,16 @@ scratch is its own), and asks _scratch for each part, end to end from
 element 0. A part of a page (4096 B) or more is a view of the arena, which
 grows to fit it; a smaller part is a buffer of its own. Views taken before
 the arena last grew are of one given up, so a plan prepares its steps
-again over the one it grew to (lowering.prepare). Patches, accumulators,
+again over the one it grew to (lowering.configure). Patches, accumulators,
 product rows and softmax rows are written before they are read every run;
 a product tensor's tail row is not, and the steps that share the arena
 write over it, so one in the arena gets its tail row filled at the start
 of every run of its step, and a private one once, through fills.
 
-Weight buffers arrive flat, and may be read-only. Each kernel reshapes them
-according to the data layout its body was written against; callers are
-responsible for delivering payload bytes in that layout.
+Weight buffers arrive flat, as views of one blob (lowering.lay_out), and
+may be read-only. Each kernel reshapes them according to the data layout
+its body was written against; callers are responsible for delivering
+payload bytes in that layout.
 """
 
 from numpy._core import _multiarray_umath as np

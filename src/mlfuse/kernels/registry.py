@@ -10,14 +10,12 @@ custom operators and each unit's own limits (param_check). The one setting
 the container does not carry is the memory layout a conv or FC kernel
 expects its weight in: a unit lists the layouts it may take, and the caller
 names one, either from the table shipped with the runtime or by search.
-layout_weight_arrays lays the stored weight out in it.
+lowering.lay_out lays the stored weight out in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from numpy._core import _multiarray_umath as np
 
 from .. import graphir
 from ..graphir import (
@@ -255,32 +253,6 @@ def check_unit_params(unit: ComputingUnit, params: ParamRecord) -> None:
         problem = unit.param_check(params.values)
         if problem:
             raise ParamError(f"{params.op_kind}: {problem}")
-
-
-# ---------------------------------------------------------------------------
-# Weight layouts
-
-
-def layout_weight_arrays(unit: ComputingUnit, layout,
-                         arrays: list) -> tuple[list, int]:
-    """Flatten canonical weight arrays, weight 0 laid out as layout says.
-
-    layout is a name from unit.layouts, or None for a unit that lists none.
-    Returns the flat arrays plus the byte count of reorder copies (zero when
-    every payload is already in canonical order).
-    """
-    table = unit.layouts or {None: None}
-    if layout not in table:
-        raise StatusError(f"{unit.template_id}: no weight layout {layout!r}, "
-                          f"expected one of {list(table)}")
-    flats = []
-    copied = 0
-    for slot, arr in enumerate(arrays):
-        if slot == 0 and table[layout] is not None:
-            arr = np.ascontiguousarray(arr.transpose(table[layout]))
-            copied += arr.nbytes
-        flats.append(np.ascontiguousarray(arr).reshape(-1))
-    return flats, copied
 
 
 # ---------------------------------------------------------------------------

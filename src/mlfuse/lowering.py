@@ -20,9 +20,14 @@ It reads the declared tensor shapes and the node options as given: every
 entry point validates the bundle first, and validation rejects any declared
 shape that contradicts graphir.infer_shapes, the only shape math, and any
 builtin option graphir.OPTION_SCHEMAS does not allow. It reads no layout
-table, so the search may use it. Weight layouts come in only through
-lay_out, which configure calls before it prepares each kernel: the
-interpreter passes the runtime's table, the search each candidate.
+table, so the search may use it.
+
+Every plan is made in two steps, by the interpreter and the search alike.
+lay_out writes every operator's weights into one blob in the layouts it
+is given: the interpreter passes the runtime's table, the search each
+candidate, and the program ships the accepted candidate's blob. configure
+then prepares each kernel over the buffers and views of that blob, and
+makes the plan's fills.
 
 Every shape and parameter it resolves is the graph's own, at one sample a
 call. A caller that stacks samples along axis 0 only sizes the buffers for
@@ -46,7 +51,6 @@ from .kernels import (
     StatusError,
     check_unit_params,
     default_registry,
-    layout_weight_arrays,
 )
 from .kernels.ops import run_calls
 
@@ -144,11 +148,42 @@ def lower(bundle: ModelBundle, device: DeviceInfo | None = None,
         aliases=aliases)
 
 
-def prepare(lowered: Lowering, flats, buffers) -> tuple[list, list]:
-    """Prepare every operator's kernel over buffers and its flat weights.
+def lay_out(lowered: Lowering, layouts) -> tuple[np.ndarray, list]:
+    """Every operator's weights, laid out as layouts says, in one native
+    float32 blob, by operator and slot, and each operator's weights again
+    as flat views of it.
+
+    layouts holds one layout name per operator, None for a unit that lists
+    no layouts. Weight 0 is written through the transpose its layout names,
+    the others as stored; an int32 weight's slice holds its bits.
+    """
+    arrays = [[lowered.weights[k] for k in op.weight_keys]
+              for op in lowered.ops]
+    blob = np.empty(sum(w.size for ws in arrays for w in ws), np.dtype("f4"))
+    views, at = [], 0
+    for op, layout, ws in zip(lowered.ops, layouts, arrays):
+        table = op.unit.layouts or {None: None}
+        if layout not in table:
+            raise StatusError(
+                f"operator {op.op_index}: {op.unit.template_id}: no weight "
+                f"layout {layout!r}, expected one of {list(table)}")
+        views.append([])
+        for slot, w in enumerate(ws):
+            flat = blob[at:at + w.size].view(w.dtype)
+            at += w.size
+            if slot == 0 and table[layout] is not None:
+                w = w.transpose(table[layout])
+            np.copyto(flat.reshape(w.shape), w)
+            views[-1].append(flat)
+    return blob, views
+
+
+def configure(lowered: Lowering, views, buffers) -> tuple[list, list]:
+    """Prepare every operator's kernel over buffers and its flat weights
+    (views, as lay_out returns them), and make the plan's fills.
 
     Returns, per operator, the calls its unit's prepare step bound
-    (unit.fn(calls) runs the operator), and the plan's fills, not yet made
+    (unit.fn(calls) runs the operator), and the plan's fills, made
     (ops.py). A step gets those of the plan's keywords it declares with a
     default: arena, which every step shares, and fills. When the first
     pass grew the arena, a second binds every step to it as it grew, and
@@ -163,35 +198,8 @@ def prepare(lowered: Lowering, flats, buffers) -> tuple[list, list]:
                               **{k: plan[k] for k in
                                  op.unit.prep.__kwdefaults__ or ()
                                  if k in plan})
-                 for op, ws in zip(lowered.ops, flats)]
+                 for op, ws in zip(lowered.ops, views)]
         if not arena[0].size:
             break
+    run_calls(plan["fills"])
     return calls, plan["fills"]
-
-
-def lay_out(lowered: Lowering, layouts) -> tuple[list, int]:
-    """Every operator's flat weights, laid out as layouts says, and the
-    bytes the layouts copied. layouts holds one layout name per operator,
-    None for a unit that lists no layouts."""
-    flats, copied = [], 0
-    for op, layout in zip(lowered.ops, layouts):
-        try:
-            ws, n = layout_weight_arrays(
-                op.unit, layout, [lowered.weights[k] for k in op.weight_keys])
-        except StatusError as e:
-            raise StatusError(f"operator {op.op_index}: {e}") from None
-        flats.append(ws)
-        copied += n
-    return flats, copied
-
-
-def configure(lowered: Lowering, layouts, buffers) -> tuple[list, list, int]:
-    """Lay every operator's weights out (lay_out) and prepare its kernel
-    over buffers. Returns, per operator, the flat weights and the numpy
-    calls of prepare, whose fills it makes, and the bytes the layouts
-    copied.
-    """
-    flats, copied = lay_out(lowered, layouts)
-    calls, fills = prepare(lowered, flats, buffers)
-    run_calls(fills)
-    return flats, calls, copied

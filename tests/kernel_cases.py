@@ -43,7 +43,7 @@ def _at_case_budget(case):
 
 def prepare(prep, inputs, weights, outputs, **params):
     """prep's calls on the given flat buffers, the one-time fills it hands
-    back made at once, as a prepared plan makes them (lowering.prepare)."""
+    back made at once, as a prepared plan makes them (lowering.configure)."""
     fills = []
     if "fills" in (prep.__kwdefaults__ or ()):
         params["fills"] = fills

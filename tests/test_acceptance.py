@@ -83,7 +83,7 @@ def test_criterion_3_dynamic_configuration(capsys):
         domains = [len(c.unit.layouts) for c in configs if c.unit.layouts]
         pruned = 1 + sum(n - 1 for n in domains)
         unpruned = math.prod(domains)
-        result = codegen.search_status(bundle, ex, configs)
+        result = codegen.search_status(bundle, ex)
         assert result.candidates_evaluated <= pruned < unpruned
 
         for c in configs:
@@ -96,9 +96,8 @@ def test_criterion_3_dynamic_configuration(capsys):
         unit = doctored.lookup(CONV_2D, DataType.F32, DeviceInfo())
         unit.layouts = {"OHWI": None}
         dex = codegen.extract_units(bundle, registry=doctored)
-        dcf = codegen.analyze_config(dex)
         with pytest.raises(codegen.SearchError, match="exhausted") as ei:
-            codegen.search_status(bundle, dex, dcf,
+            codegen.search_status(bundle, dex,
                                   registry=default_registry())
         assert ei.value.candidates_evaluated == 1
         assert math.isfinite(ei.value.best_error)

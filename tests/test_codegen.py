@@ -81,7 +81,7 @@ def test_search_prunes_joint_space():
     ex, configs = _analysis(bundle)
     domains = [len(c.unit.layouts) for c in configs if c.unit.layouts]
     pruned = 1 + sum(n - 1 for n in domains)
-    result = codegen.search_status(bundle, ex, configs)
+    result = codegen.search_status(bundle, ex)
     assert pruned == 6 and math.prod(domains) == 32
     assert result.candidates_evaluated <= pruned
     assert result.max_error <= 1e-6
@@ -91,7 +91,7 @@ def test_accepted_assignment_matches_runtime_layouts():
     """Weight layouts must come out exactly as the runtime uses them."""
     bundle = fixtures.build_fixture("lenet")
     ex, configs = _analysis(bundle)
-    result = codegen.search_status(bundle, ex, configs)
+    result = codegen.search_status(bundle, ex)
     want = {"CONV_2D": "HWIO", "FULLY_CONNECTED": "transposed"}
     assert result.layouts == [want.get(c.kind) for c in configs]
 
@@ -120,9 +120,9 @@ def test_search_exhaustion_reports_candidates_and_best_error():
     doctored = build_default_registry()
     unit = doctored.lookup(FULLY_CONNECTED, DataType.F32, DeviceInfo())
     unit.layouts = {"row_major": None}
-    ex, configs = _analysis(bundle, registry=doctored)
+    ex = codegen.extract_units(bundle, registry=doctored)
     with pytest.raises(codegen.SearchError) as ei:
-        codegen.search_status(bundle, ex, configs, registry=default_registry())
+        codegen.search_status(bundle, ex, registry=default_registry())
     err = ei.value
     assert err.candidates_evaluated == 1
     assert math.isfinite(err.best_error) and err.best_error > 1e-6
@@ -147,8 +147,8 @@ def test_walk_carries_past_a_layout_that_passes_its_own_operator():
     b.op(FULLY_CONNECTED, [h, w2, b.bias("b2", 3)], [y],
          {"activation": "NONE"})
     bundle = b.bundle([x], [y])
-    ex, configs = _analysis(bundle)
-    result = codegen.search_status(bundle, ex, configs,
+    ex = codegen.extract_units(bundle)
+    result = codegen.search_status(bundle, ex,
                                    harness.VerifyConfig(delta=1e-2))
     assert result.candidates_evaluated == 4
     assert result.layouts == ["transposed", "transposed"]
@@ -193,10 +193,10 @@ def test_a_candidate_whose_batched_plan_breaches_is_rejected_there(
     # BATCH breaches at fc2 on the first sample it runs: input 1, or with
     # one verify input, input 0 copied to fill the call
     bundle = _two_fc_bundle()
-    ex, configs = _analysis(bundle, registry=_batch_breaking_registry())
+    ex = codegen.extract_units(bundle, registry=_batch_breaking_registry())
     batch = codegen._BATCH_BUFFER_BYTES // (4 * (4 + 8 + 3))
     with pytest.raises(codegen.SearchError) as ei:
-        codegen.search_status(bundle, ex, configs,
+        codegen.search_status(bundle, ex,
                               harness.VerifyConfig(n_inputs=n_inputs),
                               registry=default_registry())
     err = ei.value
@@ -207,8 +207,8 @@ def test_a_candidate_whose_batched_plan_breaches_is_rejected_there(
     assert (f"at operator 1 (FULLY_CONNECTED) on input {first} in the plan "
             f"of {batch} sample(s) a call") in str(err)
     # the stock units pass both plans
-    ex, configs = _analysis(bundle)
-    result = codegen.search_status(bundle, ex, configs,
+    ex = codegen.extract_units(bundle)
+    result = codegen.search_status(bundle, ex,
                                    harness.VerifyConfig(n_inputs=n_inputs))
     assert result.layouts == ["transposed", "transposed"]
     assert list(result.plans) == [1, batch]
@@ -240,9 +240,9 @@ def test_search_distances_are_per_sample_norms_and_nan_breaches():
     arr.flat[0] = np.nan
     del bundle.weights.entries[key]
     bundle.weights.put_array(key, arr)
-    ex, configs = _analysis(bundle)
+    ex = codegen.extract_units(bundle)
     with pytest.raises(codegen.SearchError) as ei:
-        codegen.search_status(bundle, ex, configs)
+        codegen.search_status(bundle, ex)
     assert ei.value.best_error == math.inf
     assert ei.value.breach == codegen.Breach(math.inf, 0, 0, 1)
 
@@ -291,7 +291,7 @@ def test_deep_chain_search_stays_linear_in_its_unknowns(tmp_path):
     ex, configs = _analysis(bundle)
     unknowns = sum(1 for c in configs if c.unit.layouts)
     t0 = time.perf_counter()
-    result = codegen.search_status(bundle, ex, configs)
+    result = codegen.search_status(bundle, ex)
     elapsed = time.perf_counter() - t0
     assert unknowns == 13
     assert result.candidates_evaluated <= 1 + unknowns
@@ -792,9 +792,12 @@ def test_every_numpy_name_the_program_calls_is_on_the_c_core(built):
     assert ops.np is core
     assert codegen._NP_HEAD in inspect.getsource(ops)
     texts = {}
-    for module in (ops, graphir, lowering, registry, interpreter, cli):
+    for module in (ops, graphir, lowering, interpreter, cli):
         assert module.np is core
         texts[module.__name__] = inspect.getsource(module)
+    # the registry names no numpy at all: lowering.lay_out lays weights out
+    assert "np" not in vars(registry)
+    texts[registry.__name__] = inspect.getsource(registry)
     for name, (_, art) in built.items():
         for rel in art.sources:
             if rel.endswith(".py"):
@@ -1053,11 +1056,11 @@ def test_weights_ship_as_read_only_views_of_one_blob(built):
     # view into it; together the views read all of it
     bundle, artifact = built["lenet"]
     lowered = codegen.extract_units(bundle)
-    configs = codegen.analyze_config(lowered)
-    result = codegen.search_status(bundle, lowered, configs)
+    result = codegen.search_status(bundle, lowered)
     want = codegen.build_emission_plan(lowered, result).blob
-    flats, _ = lowering.lay_out(lowered, result.layouts)
-    assert want.tobytes() == b"".join(w.tobytes() for ws in flats for w in ws)
+    laid, views = lowering.lay_out(lowered, result.layouts)
+    assert want.tobytes() == laid.tobytes() == b"".join(
+        w.tobytes() for ws in views for w in ws)
     driver = harness.load_driver(artifact.executable)
     blob = driver._F
     assert type(blob.base) is bytes and not blob.flags.writeable
@@ -1082,6 +1085,19 @@ def test_weights_ship_as_read_only_views_of_one_blob(built):
     assert read.all()
 
 
+def test_the_runtime_and_the_program_hold_the_same_weight_bytes(built):
+    # the interpreter lays its weights out in the runtime's layouts through
+    # the lay_out each candidate of the search takes, which recovers those
+    # layouts: its blob is the program's data member, byte for byte
+    for name, (bundle, art) in sorted(built.items()):
+        blob = interpreter.load(bundle).blob
+        member = _members(art.executable).get("net_weights.bin")
+        if name == "identity":
+            assert blob.size == 0 and member is None
+        else:
+            assert blob.astype("<f4").tobytes() == member, name
+
+
 def _numpy_path(f) -> str:
     """The name the program calls f by on numpy's C core."""
     owner = getattr(f, "__self__", None)
@@ -1097,18 +1113,17 @@ def test_the_emitter_tabulates_the_plans_the_search_verified(
     # sample and at BATCH that the search ran, over its buffers and its blob
     bundle, art = built[name]
     lowered = codegen.extract_units(bundle)
-    configs = codegen.analyze_config(lowered)
-    result = codegen.search_status(bundle, lowered, configs)
+    result = codegen.search_status(bundle, lowered)
     assert list(result.plans) == [1, result.batch] and result.batch > 1
     prepared = []
-    real = lowering.prepare
+    real = lowering.configure
 
     def counting(*args, **kwargs):
         prepared.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(lowering, "prepare", counting)
-    monkeypatch.setattr(codegen, "prepare", counting)
+    monkeypatch.setattr(lowering, "configure", counting)
+    monkeypatch.setattr(codegen, "configure", counting)
     plan = codegen.build_emission_plan(lowered, result)
     assert prepared == []
     tables = marshal.loads(plan.tables)

@@ -162,6 +162,19 @@ def test_a_non_finite_value_on_a_later_input_fails_verify(built, tmp_path,
     graphir.save_bundle(bundle, g, w)
     assert cli.main(["verify", str(g), str(w), str(art)]) == 1
     assert capsys.readouterr().out.startswith("verify FAIL: max_error=inf ")
+    # --json writes JSON, which has no inf or NaN: each non-finite float
+    # is null, and passed carries the failure
+    assert cli.main(["verify", "--json", str(g), str(w), str(art)]) == 1
+    for text in rep.to_json(), capsys.readouterr().out:
+        got = json.loads(text, parse_constant=_no_constant)
+        assert got["passed"] is False
+        assert got["max_error"] is got["max_abs_error"] is None
+        assert got["per_input"][5] is None
+        assert got["per_input"][:5] + got["per_input"][6:] == [0.0] * 99
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def test_verify_report_is_reproducible(built):

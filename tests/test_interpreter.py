@@ -65,8 +65,8 @@ def test_invoke_is_deterministic():
 
 @pytest.mark.parametrize("name", ["dwblock", "identity", "lenet", "mlp"])
 def test_a_plan_of_n_samples_writes_each_sample_as_one_sample_plans_do(name):
-    # load(samples=n) and replan stack n samples along axis 0 of every
-    # buffer; each sample's outputs are the one-sample plan's, bit for bit
+    # load(samples=n) stacks n samples along axis 0 of every buffer; each
+    # sample's outputs are the one-sample plan's, bit for bit
     bundle = fixtures.build_fixture(name)
     one = interpreter.load(bundle)
     rng = np.random.default_rng(9)
@@ -74,20 +74,18 @@ def test_a_plan_of_n_samples_writes_each_sample_as_one_sample_plans_do(name):
     xs = [[rng.uniform(-1, 1, b.shape).astype(np.float32) for b in specs]
           for _ in range(3)]
     want = [[o.tobytes() for o in interpreter.invoke(one, x)] for x in xs]
-    for plan in interpreter.load(bundle, samples=3), interpreter.replan(
-            one, 3):
-        assert all(plan.buffers[t].size == 3 * b.count
-                   for t, b in plan.lowered.tensors.items())
-        outs = interpreter.invoke(
-            plan, [np.concatenate([x[j] for x in xs])
-                   for j in range(len(specs))])
-        for k, o in enumerate(outs):
-            assert o.shape[0] == 3 * one.lowered.tensors[
-                one.lowered.output_ids[k]].shape[0]
-            rows = o.reshape(3, -1)
-            assert [r.tobytes() for r in rows] == [w[k] for w in want]
+    plan = interpreter.load(bundle, samples=3)
+    assert all(plan.buffers[t].size == 3 * b.count
+               for t, b in plan.lowered.tensors.items())
+    outs = interpreter.invoke(
+        plan, [np.concatenate([x[j] for x in xs]) for j in range(len(specs))])
+    for k, o in enumerate(outs):
+        assert o.shape[0] == 3 * one.lowered.tensors[
+            one.lowered.output_ids[k]].shape[0]
+        rows = o.reshape(3, -1)
+        assert [r.tobytes() for r in rows] == [w[k] for w in want]
     with pytest.raises(InterpreterError, match="x"):
-        interpreter.invoke(interpreter.replan(one, 2), xs[0])
+        interpreter.invoke(plan, xs[0])
 
 
 def test_softmax_output_is_distribution():
@@ -118,25 +116,24 @@ def test_lenet_counters_match_accounting():
     weight_bytes = sum(len(e.data) for e in bundle.weights.entries.values())
     assert c.load_bytes == graph_bytes + weight_bytes
 
-    # configure phase: activation buffers + relaid weight payloads (the two
-    # conv filters and three fc weight matrices are copied into the layout
-    # their kernels read)
+    # configure phase: activation buffers + the weights blob, which holds
+    # every weight payload, each in the layout its kernel reads: the conv
+    # filters and fc matrices transposed, the biases as stored
     shapes = graphir.infer_shapes(bundle.graph)
     weight_ids = {t.id for t in bundle.graph.tensors
                   if t.weight_ref is not None}
     buf = sum(4 * int(np.prod(shapes[t.id]))
               for t in bundle.graph.tensors if t.id not in weight_ids)
-    relaid = sum(len(bundle.weights.entries[t.weight_ref].data)
-                 for t in bundle.graph.tensors
-                 if t.weight_ref is not None and len(t.shape) > 1)
-    assert c.configure_bytes == buf + relaid
+    assert buf == plan.lowered.buffer_bytes
+    assert plan.blob.nbytes == weight_bytes
+    assert c.configure_bytes == buf + plan.blob.nbytes
 
     assert c.invoke_bytes == 0
     assert c.peak_bytes == c.load_bytes + c.configure_bytes
 
     # regression anchors for the fixture as shipped
     assert (c.load_bytes, c.configure_bytes, c.peak_bytes) == (
-        179984, 204216, 384200)
+        179984, 205160, 385144)
 
 
 def test_identity_counters():

@@ -9,7 +9,7 @@ import kernel_cases
 import oracles
 from kernel_cases import N_CASES, REFERENCE_CASES
 
-from mlfuse import fixtures, graphir, interpreter
+from mlfuse import fixtures, graphir, interpreter, lowering
 from mlfuse.graphir import CONV_2D, DataType, OperatorNode
 from mlfuse.kernels import (
     DeviceInfo,
@@ -18,10 +18,10 @@ from mlfuse.kernels import (
     RegistryError,
     StatusError,
     default_registry,
-    layout_weight_arrays,
     ops,
     splits_along_axis_0,
 )
+from mlfuse.kernels.live_status import hidden_status_for
 
 
 # -- kernel vs oracle ---------------------------------------------------------
@@ -326,11 +326,13 @@ def test_lenet_steps_over_the_arena_write_what_private_scratch_does():
     plan = interpreter.load(fixtures.build_fixture("lenet"))
     lowered = plan.lowered
     private = lowered.allocate()
+    _, views = lowering.lay_out(
+        lowered, [hidden_status_for(op.unit.key) for op in lowered.ops])
     steps = [kernel_cases.prepare(op.unit.prep,
                                   [private[t] for t in op.act_ids], ws,
                                   [private[t] for t in op.output_ids],
                                   **op.params.values)
-             for op, ws in zip(lowered.ops, plan.weights)]
+             for op, ws in zip(lowered.ops, views)]
     rng = np.random.default_rng(17)
     for _ in range(3):
         x = rng.uniform(-1, 1, (1, 28, 28, 1)).astype(np.float32)
@@ -851,65 +853,85 @@ def _unit(op):
     return default_registry().lookup(op, DataType.F32, DeviceInfo())
 
 
+def _lay_out(op, layout, arrays):
+    """lowering.lay_out of a lowering of one operator, of op's unit, whose
+    weights are arrays: the blob and the operator's flat views of it."""
+    unit = _unit(op)
+    one = lowering.Lowering(
+        device=DeviceInfo(),
+        ops=[lowering.LoweredOp(
+            op_index=0, kind=unit.template_id, unit=unit, params=None,
+            act_ids=(), weight_keys=tuple(range(len(arrays))),
+            output_ids=())],
+        tensors={}, weights=dict(enumerate(arrays)), input_ids=(),
+        output_ids=(), aliases={})
+    blob, views = lowering.lay_out(one, [layout])
+    assert all(np.shares_memory(v, blob) for v in views[0])
+    return views[0]
+
+
 def test_layout_conv_weights_hwio():
-    unit = _unit(CONV_2D)
     rng = np.random.default_rng(3)
     w = rng.uniform(-1, 1, (3, 1, 1, 2)).astype(np.float32)  # OHWI
-    flats, copied = layout_weight_arrays(unit, "HWIO", [w])
-    assert copied == w.nbytes
+    flats = _lay_out(CONV_2D, "HWIO", [w])
     assert np.array_equal(flats[0],
                           np.ascontiguousarray(w.transpose(1, 2, 3, 0)).ravel())
-    flats2, copied2 = layout_weight_arrays(unit, "OHWI", [w])
-    assert copied2 == 0
+    flats2 = _lay_out(CONV_2D, "OHWI", [w])
     assert np.array_equal(flats2[0], w.ravel())
 
 
 def test_layout_fc_weights_transposed():
     from mlfuse.graphir import FULLY_CONNECTED
     w = np.arange(6, dtype=np.float32).reshape(3, 2)
-    flats, copied = layout_weight_arrays(_unit(FULLY_CONNECTED),
-                                         "transposed", [w])
-    assert copied == w.nbytes
+    flats = _lay_out(FULLY_CONNECTED, "transposed", [w])
     assert np.array_equal(flats[0], np.ascontiguousarray(w.T).ravel())
 
 
 def test_layout_unknown_layout_rejected():
     w = np.zeros((3, 1, 1, 2), dtype=np.float32)
-    with pytest.raises(StatusError, match="no weight layout 'NCHW'"):
-        layout_weight_arrays(_unit(CONV_2D), "NCHW", [w])
+    with pytest.raises(StatusError, match=r"^operator 0: conv2d_f32: no "
+                       r"weight layout 'NCHW', expected one of "
+                       r"\['OHWI', 'HWIO'\]$"):
+        _lay_out(CONV_2D, "NCHW", [w])
 
 
 def test_validate_status_out_of_domain():
     # a layout another unit lists is still outside this unit's domain
     from mlfuse.graphir import FULLY_CONNECTED
-    unit = _unit(FULLY_CONNECTED)
     assert "HWIO" in _unit(CONV_2D).layouts
     w = np.zeros((3, 2), dtype=np.float32)
     with pytest.raises(StatusError, match="no weight layout 'HWIO'"):
-        layout_weight_arrays(unit, "HWIO", [w])
+        _lay_out(FULLY_CONNECTED, "HWIO", [w])
 
 
 def test_layout_none_rejected_on_unit_with_layouts():
     w = np.zeros((3, 1, 1, 2), dtype=np.float32)
     with pytest.raises(StatusError, match="no weight layout None"):
-        layout_weight_arrays(_unit(CONV_2D), None, [w])
+        _lay_out(CONV_2D, None, [w])
 
 
 def test_layout_rejected_on_unit_without_layouts():
     from mlfuse.graphir import DEPTHWISE_CONV_2D
-    unit = _unit(DEPTHWISE_CONV_2D)
-    assert unit.layouts == {}
+    assert _unit(DEPTHWISE_CONV_2D).layouts == {}
     w = np.zeros((1, 3, 3, 2), dtype=np.float32)
     with pytest.raises(StatusError, match="no weight layout 'HWIO'"):
-        layout_weight_arrays(unit, "HWIO", [w])
-    flats, copied = layout_weight_arrays(unit, None, [w])
-    assert copied == 0 and np.array_equal(flats[0], w.ravel())
+        _lay_out(DEPTHWISE_CONV_2D, "HWIO", [w])
+    flats = _lay_out(DEPTHWISE_CONV_2D, None, [w])
+    assert np.array_equal(flats[0], w.ravel())
+
+
+def test_layout_int32_weight_keeps_its_bits():
+    # an int32 weight's slice of the float32 blob holds its bits
+    from mlfuse.graphir import ADD
+    w = np.array([1, -2, 2**31 - 1, -2**31], dtype=np.int32)
+    flats = _lay_out(ADD, None, [w])
+    assert flats[0].dtype == np.int32 and flats[0].tobytes() == w.tobytes()
 
 
 def test_layout_bias_slots_pass_through_flat():
     w = np.zeros((3, 1, 1, 2), dtype=np.float32)
     bias = np.arange(3, dtype=np.float32)
-    flats, _ = layout_weight_arrays(_unit(CONV_2D), "HWIO", [w, bias])
+    flats = _lay_out(CONV_2D, "HWIO", [w, bias])
     assert np.array_equal(flats[1], bias)
 
 
