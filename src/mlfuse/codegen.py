@@ -34,10 +34,10 @@ import math
 import os
 import shutil
 import stat
-import struct
 import subprocess
 import sys
 import tempfile
+import zipfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,8 +45,8 @@ from pathlib import Path
 import numpy as np
 from numpy._core import _multiarray_umath as _core
 
-from . import corestart, graphir, harness, interpreter
-from .graphir import GraphError, DataType, ModelBundle
+from . import corestart, harness, interpreter
+from .graphir import DataType, ModelBundle
 from .kernels import DeviceInfo, default_registry, splits_along_axis_0
 from .lowering import LoweredOp, Lowering, configure, lay_out, lower
 
@@ -86,7 +86,6 @@ class CompileError(CodegenError):
 class ToolchainConfig:
     command: str = sys.executable
     flags: tuple[str, ...] = ()
-    strip_flags: tuple[str, ...] = ("-OO",)
     strip: bool = True
 
     @classmethod
@@ -94,9 +93,9 @@ class ToolchainConfig:
         """Config from a parsed JSON object; CodegenError when malformed."""
         if not isinstance(obj, dict):
             raise CodegenError("toolchain config must be a JSON object")
-        extra = set(obj) - {"command", "flags", "strip_flags", "strip"}
+        extra = set(obj) - {"command", "flags", "strip"}
         if extra:
-            raise CodegenError(f"unknown toolchain field(s) {sorted(extra)}")
+            raise CodegenError(f"toolchain: unknown field(s) {sorted(extra)}")
         kw = dict(obj)
 
         def arg(v):  # no OS argv can carry a NUL
@@ -104,13 +103,11 @@ class ToolchainConfig:
 
         if "command" in kw and not arg(kw["command"]):
             raise CodegenError("toolchain command must be a string")
-        for key in ("flags", "strip_flags"):
-            if key in kw:
-                if not (isinstance(kw[key], list)
-                        and all(arg(v) for v in kw[key])):
-                    raise CodegenError(
-                        f"toolchain {key} must be a list of strings")
-                kw[key] = tuple(kw[key])
+        if "flags" in kw:
+            if not (isinstance(kw["flags"], list)
+                    and all(arg(v) for v in kw["flags"])):
+                raise CodegenError("toolchain flags must be a list of strings")
+            kw["flags"] = tuple(kw["flags"])
         if "strip" in kw and not isinstance(kw["strip"], bool):
             raise CodegenError("toolchain strip must be true or false")
         return cls(**kw)
@@ -211,8 +208,8 @@ def load_artifact(out_dir) -> GeneratedArtifact:
 
 def extract_units(bundle: ModelBundle, device: DeviceInfo | None = None,
                   registry=None) -> Lowering:
-    """Lower the bundle: one computing unit per operator for the target
-    device, with its resolved knowns, tensor ids and buffers."""
+    """Validate and lower the bundle: one computing unit per operator for
+    the target device, with its resolved knowns, tensor ids and buffers."""
     return lower(bundle, device, registry)
 
 
@@ -324,8 +321,7 @@ def search_status(bundle: ModelBundle, lowered: Lowering,
     if batch > 1 or len(xs) > 1:
         rest = (xs[1:], 1) if len(xs) > 1 else (xs, 0)
         feeds.setdefault(batch, []).extend(_served(*rest, batch))
-    runtime = interpreter.load(bundle, device=lowered.device,
-                               registry=registry, samples=batch)
+    runtime = interpreter.load(bundle, registry=registry, samples=batch)
     refs = {t: np.empty((len(xs), lowered.tensors[t].count),
                         runtime.buffers[t].dtype)
             for op in ops for t in op.output_ids}
@@ -814,44 +810,18 @@ _BOOTSTRAP = (b"s=__import__('sys');a=s.argv;del(a[0]);s.path[:0]=a[:1];"
 
 # A weights blob this large or larger is stored: lenet's 174 KiB deflate
 # by 9% only and take 1.7 ms to inflate at every start. A smaller one
-# inflates in microseconds, and is deflated when that shrinks it, as any
-# other member is: mlp's 268 B would take 273.
+# inflates in microseconds, and is deflated when that shrinks it: mlp's
+# 268 B would take 273. Code members always shrink, to 20-45%.
 _DEFLATE_WEIGHTS_BELOW = 16384
 
 
-def _deflated(name, data) -> bytes | None:
-    """The member's data deflated, or None when it goes in stored (see
-    above)."""
-    if name == _WEIGHTS and len(data) >= _DEFLATE_WEIGHTS_BELOW:
-        return None
-    # the compressor zipfile makes for ZIP_DEFLATED at level 9
-    z = zlib.compressobj(9, zlib.DEFLATED, -15)
-    packed = z.compress(data) + z.flush()
-    return packed if len(packed) < len(data) else None
-
-
-def _write_zip(f, members) -> None:
-    """Append members, (name, data) pairs, to f as one zip archive, as
-    zipfile writes one to a seekable file: version 2.0 made on Unix, every
-    member dated 1980-01-01 and read-write for its owner, and offsets from
-    the start of f. Each member is deflated once (_deflated)."""
-    central = []
-    for name, data in members:
-        packed = _deflated(name, data)
-        method, body = (0, data) if packed is None else (8, packed)
-        # flags, method, DOS time and date, CRC, sizes, name and extra
-        # lengths: the fields the local header and the directory share
-        fields = struct.pack("<4H3L2H", 0, method, 0, 33, zlib.crc32(data),
-                             len(body), len(data), len(name), 0)
-        central.append((name, fields, f.tell()))
-        f.write(b"PK\3\4\x14\0" + fields + name.encode() + body)
-    start = f.tell()
-    for name, fields, offset in central:
-        f.write(b"PK\1\2\x14\3\x14\0" + fields
-                + struct.pack("<HHHLL", 0, 0, 0, 0o600 << 16, offset)
-                + name.encode())
-    f.write(struct.pack("<4s4H2LH", b"PK\5\6", 0, 0, len(central),
-                        len(central), f.tell() - start, start, 0))
+def _compress_type(name, data) -> int:
+    """The zipfile method a member goes in with (see above). A small blob
+    is deflated on trial by the compressor zipfile makes at level 9."""
+    if name == _WEIGHTS and (len(data) >= _DEFLATE_WEIGHTS_BELOW or len(
+            zlib.compress(data, 9, wbits=-15)) >= len(data)):
+        return zipfile.ZIP_STORED
+    return zipfile.ZIP_DEFLATED
 
 
 # Linux reads this much of a #! line; a longer line would lose the end of
@@ -863,7 +833,7 @@ def compile_program(out_dir, sources, toolchain: ToolchainConfig | None = None) 
     """Check and package the emitted sources into one executable file.
 
     One toolchain process runs _COMPILE_SRC on every .py source: `python -S
-    <flags> <strip_flags> -X no_debug_ranges -c _COMPILE_SRC TMPDIR SRC...`
+    <flags> -OO -X no_debug_ranges -c _COMPILE_SRC TMPDIR SRC...`
     for a stripped build, which ships the pycs it writes, and `python -S
     <flags> -c _COMPILE_SRC "" SRC...` for an unstripped one, which only
     checks that each source compiles and ships the sources. The program's
@@ -872,10 +842,12 @@ def compile_program(out_dir, sources, toolchain: ToolchainConfig | None = None) 
     runpy: the bootstrap runs the zip's __main__ itself. When that line
     would pass the 256 bytes Linux reads, it is `#!<python> -IS`, which
     runs the same zip through runpy. Any other source, the weights blob,
-    goes in as it is. A member is deflated at level 9, the smallest, when
-    that shrinks it, and stored when it does not; a weights blob of
+    goes in as it is. zipfile writes the archive, every member dated
+    1980-01-01, so the same sources give the same bytes. Code members are
+    deflated at level 9, the smallest; a weights blob of
     _DEFLATE_WEIGHTS_BELOW bytes or more is stored, since its float32 noise
-    barely deflates and inflating it slows every start.
+    barely deflates and inflating it slows every start, and a smaller one
+    is deflated when that shrinks it.
     """
     toolchain = toolchain or ToolchainConfig()
     python = _resolve_toolchain(toolchain)
@@ -890,9 +862,10 @@ def compile_program(out_dir, sources, toolchain: ToolchainConfig | None = None) 
 
     if toolchain.strip:
         with tempfile.TemporaryDirectory(prefix="mlfuse-build-") as td:
-            # no_debug_ranges drops the per-instruction column tables, which
-            # only serve traceback carets (interpreters before 3.11 ignore it).
-            _run_tool([*tool, *toolchain.strip_flags, "-X", "no_debug_ranges",
+            # -OO drops docstrings and asserts; no_debug_ranges drops the
+            # per-instruction column tables, which only serve traceback
+            # carets (interpreters before 3.11 ignore it).
+            _run_tool([*tool, "-OO", "-X", "no_debug_ranges",
                        "-c", _COMPILE_SRC, td, *map(str, code)])
             for p in code:
                 pyc = Path(td) / (p.stem + ".pyc")
@@ -910,7 +883,10 @@ def compile_program(out_dir, sources, toolchain: ToolchainConfig | None = None) 
         if len(line) > _LINE_BYTES:
             line = b"#!" + python.encode() + b" -IS\n"
         f.write(line)
-        _write_zip(f, members)
+        with zipfile.ZipFile(f, "w") as z:
+            for name, data in members:
+                z.writestr(zipfile.ZipInfo(name, (1980, 1, 1, 0, 0, 0)), data,
+                           _compress_type(name, data), compresslevel=9)
     exe.chmod(exe.stat().st_mode | stat.S_IXUSR | stat.S_IXGRP | stat.S_IXOTH)
     return "program"
 
@@ -933,22 +909,19 @@ def pipeline(bundle: ModelBundle, out_dir, device: DeviceInfo | None = None,
              cfg: harness.VerifyConfig | None = None,
              toolchain: ToolchainConfig | None = None,
              registry=None) -> GeneratedArtifact:
-    """Full build: extract, analyze, search, emit, compile, manifest."""
+    """Full build: extract (which validates the bundle), analyze, search,
+    emit, compile, manifest."""
     device = device or DeviceInfo()
     cfg = cfg or harness.VerifyConfig()
     toolchain = toolchain or ToolchainConfig()
     registry = registry or default_registry()
     graph = bundle.graph
 
-    problems = graphir.validate(bundle, custom_rules=registry.custom_shape_rules())
-    if problems:
-        raise GraphError("invalid bundle: " + "; ".join(problems))
+    lowered = extract_units(bundle, device, registry)
     for tid in (*graph.inputs, *graph.outputs):
         if graph.tensors[tid].dtype is not DataType.F32:
             raise CodegenError("program IO is little-endian F32; graph "
                                f"tensor {tid} is {graph.tensors[tid].dtype.name}")
-
-    lowered = extract_units(bundle, device, registry)
     analyze_config(lowered)  # the analyze phase, which the lowering did
     result = search_status(bundle, lowered, cfg, registry)
     plan = build_emission_plan(lowered, result)

@@ -141,7 +141,7 @@ class WeightStore:
     def as_array(self, key: int) -> np.ndarray:
         entry = self.entries[key]
         flat = np.frombuffer(entry.data, dtype=entry.dtype.le_dtype)
-        return flat.astype(entry.dtype.np_dtype).reshape(entry.shape)
+        return flat.astype(entry.dtype.np_dtype, copy=False).reshape(entry.shape)
 
 
 @dataclass
@@ -401,10 +401,7 @@ def weights_from_bytes(blob: bytes) -> WeightStore:
         dtype = _DTYPE_BY_CODE[code]
         shape = struct.unpack(f"<{rank}I", take(4 * rank, "entry dims"))
         (nbytes,) = struct.unpack("<Q", take(8, "entry length"))
-        expect = dtype.byte_width
-        for d in shape:
-            expect *= d
-        if nbytes != expect:
+        if nbytes != dtype.byte_width * math.prod(shape):
             raise GraphError(
                 f"weight {key}: byte length {nbytes} does not match dims {shape}")
         data = take(nbytes, f"weight {key} payload")
@@ -684,12 +681,7 @@ def _node_output_shapes(node, in_shapes, custom_rules, what):
     if op == RESHAPE:
         (x,) = _expect_arity(in_shapes, 1, what)
         new_shape = tuple(opts["new_shape"])
-        have = 1
-        for d in x:
-            have *= d
-        want = 1
-        for d in new_shape:
-            want *= d
+        have, want = math.prod(x), math.prod(new_shape)
         if have != want:
             raise GraphError(f"{what}: element count mismatch, {x} has {have} "
                              f"elements but new_shape {new_shape} has {want}")

@@ -1,19 +1,19 @@
 """Baseline runtime: execute a model bundle directly, phase by phase.
 
-The interpreter is the reference deployment. Load validates the bundle and
-lowers it (lowering.py): one computing unit per operator with its resolved
-parameters, and one buffer per tensor, but for a RESHAPE's output, which
-shares its input's buffer. Configure allocates the buffers, lays every
-operator's weights out in one blob in the layouts the table shipped with
-the kernels names (lowering.lay_out), and prepares the plan over them
-(lowering.configure), the path the status search takes too: each kernel's
-prepare step binds its views of the buffers, of the blob and of the
-plan's one scratch arena and returns the operator's numpy calls. Invoke
-then only runs each operator's calls through its unit's run step,
-ops.run_calls, in topological order; a RESHAPE's step makes none, but it
-stays a step, so an error or a search breach names its operator. A plan
-runs one sample a call unless load is given more: its buffers then stack
-that many along axis 0, as the program's batched plan does, and its
+The interpreter is the reference deployment. Load lowers the bundle
+(lowering.py), which validates it first: one computing unit per operator
+with its resolved parameters, and one buffer per tensor, but for a
+RESHAPE's output, which shares its input's buffer. Configure allocates the
+buffers, lays every operator's weights out in one blob in the layouts the
+table shipped with the kernels names (lowering.lay_out), and prepares the
+plan over them (lowering.configure), the path the status search takes
+too: each kernel's prepare step binds its views of the buffers, of the
+blob and of the plan's one scratch arena and returns the operator's numpy
+calls. Invoke then only runs each operator's calls through its unit's run
+step, ops.run_calls, in topological order; a RESHAPE's step makes none,
+but it stays a step, so an error or a search breach names its operator. A
+plan runs one sample a call unless load is given more: its buffers then
+stack that many along axis 0, as the program's batched plan does, and its
 kernels read the count from them.
 
 Memory accounting covers plan-managed allocations only: the serialized graph
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from numpy._core import _multiarray_umath as np
 
 from . import graphir
-from .graphir import GraphError, ModelBundle
-from .kernels import DeviceInfo, default_registry
+from .graphir import ModelBundle
+from .kernels import DeviceInfo
 from .kernels.live_status import hidden_status_for
 from .lowering import Lowering, LoweredOp, configure, lay_out, lower
 
@@ -69,12 +69,8 @@ class ExecutablePlan:
 
 def load(bundle: ModelBundle, device: DeviceInfo | None = None,
          registry=None, samples: int = 1) -> ExecutablePlan:
-    """Build an executable plan of samples samples a call: validate, lower,
-    allocate, configure."""
-    registry = registry or default_registry()
-    problems = graphir.validate(bundle, custom_rules=registry.custom_shape_rules())
-    if problems:
-        raise GraphError("invalid bundle: " + "; ".join(problems))
+    """Build an executable plan of samples samples a call: lower (which
+    validates), allocate, configure."""
     lowered = lower(bundle, device, registry)
     buffers = lowered.allocate(samples)
     blob, views = lay_out(

@@ -100,6 +100,8 @@ its body was written against; callers are responsible for delivering
 payload bytes in that layout.
 """
 
+import math
+
 from numpy._core import _multiarray_umath as np
 
 float32 = np.dtype("<f4").type
@@ -147,9 +149,7 @@ def _scratch(arena, shape, at=0):
     # element at, which gives way to a larger arena when it does not fit
     # there (see above); below a page, or with no arena, a buffer of its
     # own
-    size = 1
-    for d in shape:
-        size *= d
+    size = math.prod(shape)
     if arena is None or size < 1024:
         return np.empty(shape, float32)
     if arena[0].size < at + size:

@@ -16,11 +16,11 @@ that another still reads. The RESHAPE units' prepare step returns no
 calls, so every consumer of the lowering, the interpreter, the search and
 the emitter's call tables, gets the view without code of its own.
 
-It reads the declared tensor shapes and the node options as given: every
-entry point validates the bundle first, and validation rejects any declared
-shape that contradicts graphir.infer_shapes, the only shape math, and any
-builtin option graphir.OPTION_SCHEMAS does not allow. It reads no layout
-table, so the search may use it.
+It reads the declared tensor shapes and the node options as given: lower
+validates the bundle first, and validation rejects any declared shape that
+contradicts graphir.infer_shapes, the only shape math, and any builtin
+option graphir.OPTION_SCHEMAS does not allow. It reads no layout table,
+so the search may use it.
 
 Every plan is made in two steps, by the interpreter and the search alike.
 lay_out writes every operator's weights into one blob in the layouts it
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 from numpy._core import _multiarray_umath as np
 
+from . import graphir
 from .graphir import RESHAPE, DataType, GraphError, ModelBundle
 from .kernels import (
     ComputingUnit,
@@ -75,10 +76,10 @@ class LoweredOp:
 
 @dataclass
 class Lowering:
-    device: DeviceInfo
     ops: list[LoweredOp]  # graph order
     tensors: dict[int, BufferSpec]  # every non-weight tensor, by id
-    weights: dict[int, np.ndarray]  # canonical weight arrays, by key
+    # canonical weight arrays, by key: read-only views of the bundle's bytes
+    weights: dict[int, np.ndarray]
     input_ids: tuple[int, ...]
     output_ids: tuple[int, ...]
     # a RESHAPE output's id -> the id of the tensor whose buffer it shares,
@@ -107,9 +108,14 @@ class Lowering:
 
 def lower(bundle: ModelBundle, device: DeviceInfo | None = None,
           registry=None) -> Lowering:
-    """Resolve every operator of a validated bundle, and its buffers."""
+    """Validate the bundle, then resolve every operator and its buffers."""
     device = device or DeviceInfo()
     registry = registry or default_registry()
+    # through the module, so that a wrapper set on graphir.validate sees it
+    problems = graphir.validate(bundle,
+                                custom_rules=registry.custom_shape_rules())
+    if problems:
+        raise GraphError("invalid bundle: " + "; ".join(problems))
     graph = bundle.graph
     shapes = {t.id: t.shape for t in graph.tensors}
     weight_ids = {t.id: t.weight_ref for t in graph.tensors
@@ -138,7 +144,7 @@ def lower(bundle: ModelBundle, device: DeviceInfo | None = None,
             x = node.inputs[0]
             aliases[node.outputs[0]] = aliases.get(x, x)
     return Lowering(
-        device=device, ops=ops,
+        ops=ops,
         tensors={t.id: BufferSpec(shapes[t.id], math.prod(shapes[t.id]),
                                   t.dtype)
                  for t in graph.tensors if t.weight_ref is None},

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
 import zipfile
 from dataclasses import dataclass
@@ -201,17 +202,8 @@ def scan(target, sigs: SignatureSet | None = None) -> ScanReport:
 
 def _printable_runs(data: bytes, min_len: int = 4):
     """Yield (offset, run) for maximal printable-ASCII runs of min_len+."""
-    start = None
-    for i, b in enumerate(data):
-        if 0x20 <= b <= 0x7E:
-            if start is None:
-                start = i
-        elif start is not None:
-            if i - start >= min_len:
-                yield start, data[start:i]
-            start = None
-    if start is not None and len(data) - start >= min_len:
-        yield start, data[start:]
+    for m in re.finditer(rb"[\x20-\x7e]{%d,}" % min_len, data):
+        yield m.start(), m.group()
 
 
 def scan_binary_strings(path, sigs: SignatureSet | None = None) -> ScanReport:

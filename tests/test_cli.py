@@ -712,10 +712,10 @@ def test_codegen_strip_toggle_changes_shipped_sources(workdir, tmp_path,
     {"command": 5},
     {"flags": [1]},
     {"strip": "no"},
-    {"strip_flags": "-OO"},
+    {"strip_flags": ["-OO"]},
     3,
 ], ids=["flags-int", "command-int", "flags-int-item", "strip-string",
-        "strip_flags-string", "not-an-object"])
+        "strip_flags-unknown", "not-an-object"])
 def test_malformed_toolchain_file_exits_2_without_traceback(workdir, tmp_path,
                                                             doc):
     g, w = _paths(workdir, "identity")

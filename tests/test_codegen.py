@@ -1845,15 +1845,17 @@ def test_missing_toolchain_is_reported(tmp_path):
 
 
 def test_toolchain_config_rejects_unknown_fields():
-    with pytest.raises(codegen.CodegenError, match="unknown toolchain field"):
+    with pytest.raises(codegen.CodegenError, match="toolchain: unknown field"):
         codegen.ToolchainConfig.from_obj({"command": "python3", "opt": 2})
+    # the compile step's strip flags are fixed at -OO
+    with pytest.raises(codegen.CodegenError, match="toolchain: unknown field"):
+        codegen.ToolchainConfig.from_obj({"strip_flags": ["-OO"]})
 
 
 def test_toolchain_config_from_obj_normalizes_sequences():
     tc = codegen.ToolchainConfig.from_obj(
         {"command": "python3", "flags": ["-B"], "strip": False})
     assert tc.flags == ("-B",)
-    assert tc.strip_flags == ("-OO",)
     assert not tc.strip
 
 
@@ -1864,18 +1866,17 @@ _JSON = st.recursive(
 
 
 @settings(max_examples=300, deadline=None)
-@given(field=st.sampled_from(["command", "flags", "strip_flags", "strip"]),
+@given(field=st.sampled_from(["command", "flags", "strip"]),
        value=_JSON)
 def test_toolchain_config_takes_any_json_field_or_raises_codegen_error(
         field, value):
-    obj = {"command": "python3", "flags": ["-B"], "strip_flags": ["-OO"],
-           "strip": True, field: value}
+    obj = {"command": "python3", "flags": ["-B"], "strip": True, field: value}
     try:
         tc = codegen.ToolchainConfig.from_obj(obj)
     except codegen.CodegenError:
         return
     assert isinstance(tc.command, str) and isinstance(tc.strip, bool)
-    assert all(isinstance(a, str) for a in (*tc.flags, *tc.strip_flags))
+    assert all(isinstance(a, str) for a in tc.flags)
 
 
 def test_unstripped_build_ships_plain_sources(tmp_path):
@@ -2004,7 +2005,7 @@ def test_shipped_bytecode_is_what_py_compile_writes(built, tmp_path):
         ref = tmp_path / name
         ref.mkdir()
         code = [s for s in art.sources if s.endswith(".py")]
-        subprocess.run([tc.command, "-S", *tc.flags, *tc.strip_flags,
+        subprocess.run([tc.command, "-S", *tc.flags, "-OO",
                         "-X", "no_debug_ranges", "-c", _PY_COMPILE_SRC,
                         str(ref), *(str(out / s) for s in code)],
                        check=True)
@@ -2099,6 +2100,18 @@ def test_pipeline_rejects_non_f32_io(tmp_path):
     bundle = ModelBundle(g, WeightStore())
     with pytest.raises(codegen.CodegenError, match="F32"):
         codegen.pipeline(bundle, tmp_path / "x")
+
+
+def test_extract_units_rejects_an_invalid_bundle():
+    # an FC output declared (1, 9) for its 8 features would otherwise be
+    # lowered to a buffer of 9 floats
+    b = fixtures._Builder(5)
+    x = b.tensor("x", (1, 4))
+    y = b.tensor("y", (1, 9))
+    b.op(FULLY_CONNECTED, [x, b.weight("w", (8, 4)), b.bias("b", 8)], [y],
+         {"activation": "NONE"})
+    with pytest.raises(graphir.GraphError, match="invalid bundle"):
+        codegen.extract_units(b.bundle([x], [y]))
 
 
 def test_pipeline_validates_the_bundle_first(tmp_path):

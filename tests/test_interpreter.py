@@ -136,6 +136,22 @@ def test_lenet_counters_match_accounting():
         179984, 205160, 385144)
 
 
+def test_the_lowering_reads_the_weights_in_the_container_bytes():
+    # every weight a read-only view of its entry's bytes: a plan keeps its
+    # lowering, and with it no second copy beside the container and blob
+    bundle = fixtures.build_fixture("lenet")
+    plan = interpreter.load(bundle)
+    owned = 0
+    for key, arr in plan.lowered.weights.items():
+        data = np.frombuffer(bundle.weights.entries[key].data, np.uint8)
+        assert np.shares_memory(arr, data), key
+        assert not arr.flags.writeable, key
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        owned += arr.nbytes if arr.flags.owndata else 0
+    assert owned == 0
+
+
 def test_identity_counters():
     plan = interpreter.load(fixtures.build_fixture("identity"))
     interpreter.invoke(plan, np.zeros((1, 4), dtype=np.float32))

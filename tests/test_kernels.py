@@ -858,7 +858,6 @@ def _lay_out(op, layout, arrays):
     weights are arrays: the blob and the operator's flat views of it."""
     unit = _unit(op)
     one = lowering.Lowering(
-        device=DeviceInfo(),
         ops=[lowering.LoweredOp(
             op_index=0, kind=unit.template_id, unit=unit, params=None,
             act_ids=(), weight_keys=tuple(range(len(arrays))),

@@ -132,6 +132,30 @@ def test_printable_run_floor():
             and runs[0][1] == b"abcd" and runs[1][1] == b"abcde")
 
 
+def _printable_runs_loop(data, min_len):
+    """The scalar reference: (offset, run) of each maximal run of bytes in
+    0x20..0x7e at least min_len long."""
+    runs, start = [], None
+    for i, b in enumerate([*data, None]):
+        if b is not None and 0x20 <= b <= 0x7E:
+            start = i if start is None else start
+        else:
+            if start is not None and i - start >= min_len:
+                runs.append((start, data[start:i]))
+            start = None
+    return runs
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.lists(st.sampled_from([0x00, 0x1F, 0x20, 0x21, 0x41, 0x7D,
+                                      0x7E, 0x7F, 0x80, 0xFF]),
+                     max_size=40).map(bytes),
+       min_len=st.integers(1, 6))
+def test_printable_runs_match_a_scalar_loop(data, min_len):
+    assert list(sniffer._printable_runs(data, min_len)) == \
+        _printable_runs_loop(data, min_len)
+
+
 # -- signature sets -----------------------------------------------------------
 
 def test_signature_set_json_round_trip():
