@@ -284,6 +284,22 @@ def _worst_error(n, steps, feeds, refs, buffers, input_ids,
     return worst, None
 
 
+def _reference(bundle: ModelBundle, lowered: Lowering, xs, n: int,
+               registry) -> dict:
+    """Each tensor an operator writes, as the runtime computes it, one row
+    a verify input: a runtime plan of n samples a call, loaded with
+    registry, run over xs in the calls the program makes of a file."""
+    runtime = interpreter.load(bundle, registry=registry, samples=n)
+    refs = {t: np.empty((len(xs), lowered.tensors[t].count),
+                        runtime.buffers[t].dtype)
+            for op in lowered.ops for t in op.output_ids}
+    for first, rows, x in _served(xs, 0, n):
+        interpreter.invoke(runtime, x)
+        for t, ref in refs.items():
+            ref[first:first + rows] = runtime.buffers[t].reshape(n, -1)[:rows]
+    return refs
+
+
 def search_status(bundle: ModelBundle, lowered: Lowering,
                   cfg: harness.VerifyConfig | None = None,
                   registry=None) -> SearchResult:
@@ -297,18 +313,18 @@ def search_status(bundle: ModelBundle, lowered: Lowering,
     own: the plan of one sample a call runs input 0, and, if that passes,
     the plan of BATCH runs the other inputs (copies of input 0 when there
     are none) in the calls the program makes of a file. The reference is
-    one runtime plan of BATCH samples a call, run over every input in the
-    calls the program makes of a file; it computes each sample as a plan
-    of one sample a call does. Every sample of every tensor an operator
-    writes is compared with the runtime's right after that operator runs,
-    and a candidate is rejected at the first one beyond delta, so a wrong
-    layout cannot hide behind a saturating later operator. Every candidate
-    that agrees with a rejected one on the unknowns up to its breach
-    computes the same tensors up to there and fails too, so the walk skips
-    them all. The first candidate within delta on every input is accepted,
-    with the blob and the two plans it ran, which the emitter tabulates as
-    they are. The runtime's plan is loaded with the given registry, not
-    the lowering.
+    one runtime plan of min(BATCH, inputs) samples a call (_reference), so
+    fewer inputs than BATCH are not padded to BATCH rows; it computes each
+    sample as a plan of one sample a call does. Every sample of every
+    tensor an operator writes is compared with the runtime's right after
+    that operator runs, and a candidate is rejected at the first one
+    beyond delta, so a wrong layout cannot hide behind a saturating later
+    operator. Every candidate that agrees with a rejected one on the
+    unknowns up to its breach computes the same tensors up to there and
+    fails too, so the walk skips them all. The first candidate within delta
+    on every input is accepted, with the blob and the two plans it ran,
+    which the emitter tabulates as they are. The runtime's plan is loaded
+    with the given registry, not the lowering.
     """
     cfg = cfg or harness.VerifyConfig()
     ops = lowered.ops
@@ -321,15 +337,7 @@ def search_status(bundle: ModelBundle, lowered: Lowering,
     if batch > 1 or len(xs) > 1:
         rest = (xs[1:], 1) if len(xs) > 1 else (xs, 0)
         feeds.setdefault(batch, []).extend(_served(*rest, batch))
-    runtime = interpreter.load(bundle, registry=registry, samples=batch)
-    refs = {t: np.empty((len(xs), lowered.tensors[t].count),
-                        runtime.buffers[t].dtype)
-            for op in ops for t in op.output_ids}
-    for first, rows, x in _served(xs, 0, batch):
-        interpreter.invoke(runtime, x)
-        for t, ref in refs.items():
-            ref[first:first + rows] = runtime.buffers[t].reshape(
-                batch, -1)[:rows]
+    refs = _reference(bundle, lowered, xs, min(batch, len(xs)), registry)
 
     buffers = {n: lowered.allocate(n) for n in feeds}
     picks = [0] * len(unknowns)
@@ -729,11 +737,15 @@ if __name__ == "__main__":
 # The one toolchain step: argv is the pyc directory ("" to compile as a
 # check only), then the source paths. It imports only builtin and frozen
 # modules, which a file in the working directory cannot shadow, and no more
-# than bare interpreter start-up does. Each source compiles under its bare
-# file name, so co_filename does not depend on where the build ran, and a
-# stripped build writes the PEP 552 unchecked-hash pyc py_compile would.
+# than bare interpreter start-up does (posix, not os). Each source compiles
+# under its bare file name, so co_filename does not depend on where the
+# build ran, and a stripped build writes the PEP 552 unchecked-hash pyc
+# py_compile would. It ends at its last write, flushing stdout and stderr
+# and skipping about 2 ms of teardown through posix._exit; a SyntaxError
+# or a failed read or write still ends it non-zero before that.
 _COMPILE_SRC = '''\
 import _imp
+import posix
 import sys
 from _frozen_importlib_external import (
     _RAW_MAGIC_NUMBER, _code_to_hash_pyc, _path_join, _path_split)
@@ -753,6 +765,9 @@ for path in sys.argv[2:]:
         with open(_path_join(out, name.rpartition(".")[0] + ".pyc"),
                   "wb") as f:
             f.write(data)
+sys.stdout.flush()
+sys.stderr.flush()
+posix._exit(0)
 '''
 
 

@@ -261,6 +261,51 @@ def test_the_search_serves_its_inputs_as_the_program_serves_a_file():
     assert x.tolist() == [0, 0, 1, -1, 0, 0, 1, -1, 0, 0]
 
 
+def test_the_reference_computes_only_the_rows_it_compares(monkeypatch):
+    # the reference plan takes min(BATCH, inputs) samples a call, so 100
+    # inputs are not padded to BATCH rows; its rows are, bit for bit, those
+    # of a plan of BATCH, and the search accepts what it accepted over those
+    cfg = harness.VerifyConfig()
+    real_load, real_reference = interpreter.load, codegen._reference
+    loaded = []
+
+    def load(*args, samples=1, **kwargs):
+        loaded.append(samples)
+        return real_load(*args, samples=samples, **kwargs)
+
+    def batch_reference(bundle, lowered, xs, n, registry):
+        return real_reference(bundle, lowered, xs, codegen._batch(lowered),
+                              registry)
+
+    monkeypatch.setattr(interpreter, "load", load)
+    sizes = {}
+    for name in sorted(fixtures.FIXTURES):
+        bundle = fixtures.build_fixture(name)
+        lowered = codegen.extract_units(bundle)
+        batch = codegen._batch(lowered)
+        xs = harness.make_inputs(bundle.graph, cfg)
+        got = codegen._reference(bundle, lowered, xs, min(batch, len(xs)),
+                                 None)
+        want = codegen._reference(bundle, lowered, xs, batch, None)
+        assert got.keys() == want.keys()
+        for t in want:
+            assert got[t].tobytes() == want[t].tobytes(), (name, t)
+        loaded.clear()
+        new = codegen.search_status(bundle, lowered, cfg)
+        sizes[name] = (loaded.pop(), batch)
+        with monkeypatch.context() as m:
+            m.setattr(codegen, "_reference", batch_reference)
+            old = codegen.search_status(bundle, lowered, cfg)
+        assert (new.layouts, new.candidates_evaluated, new.max_error,
+                new.blob.tobytes()) == (old.layouts, old.candidates_evaluated,
+                                        old.max_error, old.blob.tobytes())
+    # the three with BATCH above 100 load a plan of 100, the others BATCH
+    assert {n: s for n, (s, b) in sizes.items()} == {
+        n: min(b, cfg.n_inputs) for n, (_, b) in sizes.items()}
+    assert sorted(n for n, (s, b) in sizes.items() if s < b) == [
+        "custom", "identity", "mlp"]
+
+
 def _deep_chain(seed=7):
     """12 3x3 convs, each with its own (activation, padding, dilation),
     then a reshape and an FC: 13 unknowns, a joint space of 2**13."""
@@ -2074,6 +2119,32 @@ def test_toolchain_flags_gate_the_compile_step(tmp_path, strip):
     strict = dataclasses.replace(tc, flags=("-W", "error"))
     with pytest.raises(codegen.CompileError, match="SyntaxError"):
         codegen.compile_program(tmp_path, ["src/m.py"], strict)
+
+
+def test_a_failed_pyc_write_still_fails_the_step(tmp_path, monkeypatch):
+    # the step ends in posix._exit only after its last write: the build's
+    # exact command, given a pyc directory that is a regular file, exits
+    # non-zero with the error on stderr, and compile_program raises
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "m.py").write_text("x = 1\n")
+    not_a_dir = tmp_path / "pycs"
+    not_a_dir.write_bytes(b"")
+    run = codegen._run_tool
+    seen = []
+
+    def run_into_a_file(cmd):
+        at = cmd.index(codegen._COMPILE_SRC) + 1
+        cmd = [*cmd[:at], str(not_a_dir), *cmd[at + 1:]]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        seen.append((proc.returncode, proc.stderr))
+        run(cmd)
+
+    monkeypatch.setattr(codegen, "_run_tool", run_into_a_file)
+    with pytest.raises(codegen.CompileError, match="NotADirectoryError"):
+        codegen.compile_program(tmp_path, ["src/m.py"])
+    ((rc, err),) = seen
+    assert rc != 0 and "NotADirectoryError" in err
+    assert not_a_dir.read_bytes() == b""
 
 
 @pytest.mark.parametrize("strip", [True, False], ids=["stripped", "plain"])
