@@ -37,49 +37,72 @@ Filter taps go in (kh, kw, ci) order, input features in index order, softmax
 classes in class order, and a bias is the last term of its sum.
 
 Conv, depthwise conv and FC reductions are vectorized without giving that
-order up (_sum_products_prep). The terms land in a product tensor whose
-reduced axis is the outermost one, ahead of a tail row that holds the bias,
-or +0.0 (a sum begun at +0.0 is never -0.0, so adding +0.0 changes no
-bit). One np.add.reduce over that axis adds whole rows in index order onto
-an explicit initial +0.0. This holds only while at least two output lanes
-run beside the reduced axis: numpy sums a lone lane pairwise, so it runs
-beside a twin lane. Softmax sums one row's classes with np.add.accumulate,
-sequential by definition, and more rows in a contiguous (class, row)
-buffer with one np.add.reduce over its outer axis; exp never returns -0.0,
-so either start gives the same bits. Pooling makes one call per tap over
-independent output lanes. Max pool starts from its first two windows,
-np.maximum(win1, win0), with no -inf fill; np.maximum returns its second
-operand on a +0.0/-0.0 tie, so the earlier window goes second and a tie
-keeps the earlier cell's sign, as the oracle's strict > does. A lower
-clamp puts lo first, np.maximum(lo, x), so a -0.0 under a clamp at +0.0
-stays -0.0, as the oracle's (and TFLite's std::max(x, lo)) does.
+order up (_sum_products_prep), on one of two paths. A conv or FC reduction
+of 8192 products or more whose operands allow it is one contraction:
+np.c_einsum("kr,kl->rl", w, x, out=acc), the taps of (taps, rows) by
+(taps, lanes) over contiguous lanes summed into a contiguous accumulator,
+then one np.add of the bias. With this numpy's C core, c_einsum zero-fills
+out and then adds each rounded product onto it in tap order, the scalar
+loop's sum, on two conditions (_contracts): the tap axis has the largest
+stride in both operands, and out has two elements or more. Else it
+reorders the sum: a lone output is a dot product, and taps innermost are
+summed in SIMD partial sums. So the prepare step checks both, and FC
+copies more than one sample's inputs, transposed, into scratch. A numpy
+whose baseline has a fused multiply-add (aarch64, x86-64-v3 builds) may
+fuse the contraction's multiply and add, which would keep each product
+unrounded: _unfused checks that once, the first time a reduction
+qualifies, and on a fused result every reduction takes the products path.
 
-matmul, dot and np.sum reorder a sum and are not used. einsum forms
+Every other reduction takes the products path: smaller ones, FC's over
+strided sample lanes, a lone output lane's and depthwise's. The terms land
+in a product tensor whose reduced axis is the outermost one, ahead of a
+tail row that holds the bias, or +0.0 (a sum begun at +0.0 is never -0.0,
+so adding +0.0 changes no bit). One np.add.reduce over that axis adds
+whole rows in index order onto an explicit initial +0.0. This holds only
+while at least two output lanes run beside the reduced axis: numpy sums a
+lone lane pairwise, so it runs beside a twin lane. Softmax sums one row's
+classes with np.add.accumulate, sequential by definition, and more rows in
+a contiguous (class, row) buffer with one np.add.reduce over its outer
+axis; exp never returns -0.0, so either start gives the same bits.
+Pooling makes one call per tap over independent output lanes. Max pool
+starts from its first two windows, np.maximum(win1, win0), with no -inf
+fill; np.maximum returns its second operand on a +0.0/-0.0 tie, so the
+earlier window goes second and a tie keeps the earlier cell's sign, as
+the oracle's strict > does. A lower clamp puts lo first, np.maximum(lo,
+x), so a -0.0 under a clamp at +0.0 stays -0.0, as the oracle's (and
+TFLite's std::max(x, lo)) does.
+
+matmul, dot and np.sum reorder a sum and are not used; c_einsum takes no
+optimize argument and never calls BLAS. On the products path einsum forms
 one-term products only: a chunk of 8192 products or more that is an outer
 product, (taps, rows) by (taps, lanes) over contiguous lanes with no twin,
-gets them from np.c_einsum("kr,kl->krl"), which writes each as +0.0 + w * x
-(lenet's conv chunks, fc1 and fc2). np.multiply forms the rest: smaller
-chunks, a lone lane's, FC's over strided sample lanes and depthwise's. A
--0.0 product lands as +0.0 through einsum, which no sum begun at +0.0 can
-show.
+gets them from np.c_einsum("kr,kl->krl"), which writes each as +0.0 + w *
+x. np.multiply forms the rest. A -0.0 product lands as +0.0 through
+einsum, which no sum begun at +0.0 can show.
 
 numpy pays a fixed cost per call, per chunk and per inner row, so these
-reductions are planned for long lanes and few chunks. One budget,
-_PRODUCT_BYTES (256 KiB, sized for a level-2 cache), bounds a product
-tensor, its leading row (a running sum, when there is more than one chunk)
-and tail row included. A conv or depthwise block covers as many whole
-output rows of one sample as leave room for a one-tap chunk and whose
-gathered patches fit too, split evenly, rows = ceil(oh / ceil(oh /
-rows_max)); depthwise broadcasts each tap's window over its depth
-multiplier. FC's lanes are its output features while a call's samples do
-not outnumber them, else its samples, through transposed views.
-_sum_products_prep blocks lanes the same way where the tail row is the
-same along them (FC's bias is not, so its features stay one block), then
-puts a block's taps in the fewest chunks that fit, split evenly, the
-smaller first. A last block of rows or lanes ends at the last one, so it
-may overlap the one before it, to the same values. A reduction of more
-than one chunk into strided lanes runs in a contiguous accumulator,
-copied out once a block; conv's lower clamp rides that copy-out.
+reductions are planned for long lanes and few blocks. One budget,
+_PRODUCT_BYTES (256 KiB, sized for a level-2 cache), bounds each part of
+a block's scratch. A conv block gathers its patches, (kh, kw, ci) by
+lanes, into one buffer. A contraction's block covers as many whole output
+rows of one sample, or as many whole samples, as keep its patches and its
+accumulator each within the budget. On the products path the budget bounds
+a product tensor, its leading row (a running sum, when there is more than
+one chunk) and tail row included, and a conv or depthwise block covers as
+many whole output rows of one sample as leave room for a one-tap chunk
+and whose patches fit too; depthwise broadcasts each tap's window over its
+depth multiplier. Blocks are split evenly, rows = ceil(oh / ceil(oh /
+rows_max)), and samples the same way. FC's lanes are its output features
+while a call's samples do not outnumber them, else its samples, through
+transposed views; so its transposed inputs never outgrow its weights.
+_sum_products_prep blocks a product path's lanes the same way where the
+tail row is the same along them (FC's bias is not, so its features stay
+one block), then puts a block's taps in the fewest chunks that fit, split
+evenly, the smaller first. A last block of samples, rows or lanes ends at
+the last one, so it may overlap the one before it, to the same values. A
+contraction into strided lanes, or a product path's reduction of more
+than one chunk, runs in a contiguous accumulator, copied out once a
+block; conv's lower clamp rides that copy-out.
 
 Steps run one at a time, so every step of a plan takes its scratch from
 one arena, sized to the largest step's need: a step that takes scratch
@@ -88,11 +111,12 @@ scratch is its own), and asks _scratch for each part, end to end from
 element 0. A part of a page (4096 B) or more is a view of the arena, which
 grows to fit it; a smaller part is a buffer of its own. Views taken before
 the arena last grew are of one given up, so a plan prepares its steps
-again over the one it grew to (lowering.configure). Patches, accumulators,
-product rows and softmax rows are written before they are read every run;
-a product tensor's tail row is not, and the steps that share the arena
-write over it, so one in the arena gets its tail row filled at the start
-of every run of its step, and a private one once, through fills.
+again over the one it grew to (lowering.configure). Patches,
+accumulators, FC's transposed inputs, product rows and softmax rows are
+written before they are read every run; a product tensor's tail row is
+not, and the steps that share the arena write over it, so one in the arena
+gets its tail row filled at the start of every run of its step, and a
+private one once, through fills.
 
 Weight buffers arrive flat, as views of one blob (lowering.lay_out), and
 may be read-only. Each kernel reshapes them according to the data layout
@@ -100,14 +124,16 @@ its body was written against; callers are responsible for delivering
 payload bytes in that layout.
 """
 
+import functools
 import math
 
 from numpy._core import _multiarray_umath as np
 
 float32 = np.dtype("<f4").type
 
-# the budget of one conv or FC reduction's product tensor, its leading and
-# tail rows included (see above)
+# the budget of each part of a conv or FC block's scratch: its gathered
+# patches, its accumulator, a product tensor with its leading and tail rows
+# (see above)
 _PRODUCT_BYTES = 262144
 
 
@@ -157,45 +183,81 @@ def _scratch(arena, shape, at=0):
     return arena[0][at:at + size].reshape(shape)
 
 
+@functools.cache
+def _unfused():
+    # whether np.c_einsum rounds each product before it adds it, as the
+    # scalar loop does: -(1 + 2**-11) + (1 + 2**-12)**2 then sums to +0.0,
+    # where a multiply-add fused onto the running sum keeps the square's
+    # last 2**-24. Taken once, when a reduction first qualifies for a
+    # contraction (_contracts), over lanes enough for its SIMD loop.
+    a = 1 + 2.0 ** -12
+    w = np.array([[-(1 + 2.0 ** -11)] * 2, [a] * 2], float32)
+    x = np.array([[1.0] * 64, [a] * 64], float32)
+    return np.c_einsum("kr,kl->rl", w, x).tobytes() == bytes(512)
+
+
+def _contracts(k, size, *operands):
+    # whether np.c_einsum("kr,kl->rl") over operands of k taps sums them
+    # into size outputs exactly in tap order, and pays (see above): 8192
+    # products or more, two outputs or more, the tap axis of every operand
+    # (its first) of the largest stride, and an unfused einsum
+    return (k * size >= 8192 and size >= 2
+            and all(a.strides[0] >= max(a.strides[1:]) for a in operands)
+            and _unfused())
+
+
 def _sum_products_prep(lhs, rhs, acc, tail, arena=None, at=0, fills=None):
     # acc = ((((0 + lhs[0]*rhs[0]) + lhs[1]*rhs[1]) + ...) + tail), where
     # lhs[k] * rhs[k] and tail broadcast to acc's shape. acc's last axis
-    # holds its lanes. Where tail is the same along them (lhs always is),
-    # they go in blocks (see above), and rhs is sliced along them; a tail
-    # that differs along them, as FC's bias over its output features does,
-    # keeps them in one block. Every block's taps go through one product
-    # tensor in chunks, each a view of the tensor's leading rows: the
-    # fewest chunks whose terms, with a leading and the tail row, fit
-    # _PRODUCT_BYTES (or one tap, if more), split evenly. With more than
-    # one chunk, each after the first starts from the running sum, copied
-    # into row 0, and the first one's rows start at row 1; one chunk has
-    # no leading row. The smaller chunk goes first, so only the last
-    # chunk, always a full one, reaches the tail row, and no product
-    # writes over it. A chunk is (product, part): the call that forms its
-    # terms, and the rows its reduction adds. A 2-D acc, (rows, lanes),
-    # takes lhs[k] as a (rows, 1) column and rhs[k] as a (1, lanes) row,
-    # so a chunk of 8192 products or more whose lanes are contiguous and
-    # have no twin forms them as one outer product through np.c_einsum;
-    # any other, through np.multiply (see above). Returns the blocks, each
-    # (first lane, chunks), the lanes the reductions write when they are
-    # not acc's own (else None): a twin pair for a lone lane, or a
-    # contiguous accumulator for strided lanes reduced in more than one
+    # holds its lanes. A 2-D acc, (rows, lanes), takes lhs[k] as a (rows,
+    # 1) column and rhs[k] as a (1, lanes) row. Where lhs[..., 0] and
+    # rhs[:, 0] contract (_contracts) over contiguous lanes, the one block
+    # of them all is one chunk, (the np.c_einsum call, None), whose out= is
+    # the lanes, and its tail is added after (see above). Else, where tail
+    # is the same along the lanes (lhs always is), they go in blocks (see
+    # above), and rhs is sliced along them; a tail that differs along
+    # them, as FC's bias over its output features does, keeps them in one
+    # block. Every block's taps go through one product tensor in chunks,
+    # each a view of the tensor's leading rows: the fewest chunks whose
+    # terms, with a leading and the tail row, fit _PRODUCT_BYTES (or one
+    # tap, if more), split evenly. With more than one chunk, each after
+    # the first starts from the running sum, copied into row 0, and the
+    # first one's rows start at row 1; one chunk has no leading row. The
+    # smaller chunk goes first, so only the last chunk, always a full one,
+    # reaches the tail row, and no product writes over it. A chunk is
+    # (product, part): the call that forms its terms, and the rows its
+    # reduction adds. A chunk of 8192 products or more whose lanes are
+    # contiguous and have no twin forms them as one outer product through
+    # np.c_einsum; any other, through np.multiply (see above). Returns the
+    # blocks, each (first lane, chunks, the tail to add after them or
+    # None), the lanes the reductions write when they are not acc's own
+    # (else None): a twin pair for a lone lane, or a contiguous
+    # accumulator for strided lanes contracted or reduced in more than one
     # chunk, and the call that fills the tail row, which a step makes once
     # a run before its first reduction when the product tensor is a view
     # of the arena (else [], and the call goes to fills). Neither holds
-    # acc, which
-    # _sum_products_calls takes, so reductions of one shape into other
-    # outputs can share them. The product tensor and the accumulator are
-    # the _scratch at element at and after it.
+    # acc, which _sum_products_calls takes, so reductions of one shape
+    # into other outputs can share them. The product tensor and the
+    # accumulator are the _scratch at element at and after it.
     n = acc.shape[-1]
     rows = acc.size // n
+    k = len(lhs)
+    if (acc.ndim == 2 and rhs.strides[-1] == 4
+            and _contracts(k, acc.size, lhs[..., 0], rhs[:, 0])):
+        own = None
+        if not acc.flags.c_contiguous:
+            own = _scratch(arena, acc.shape, at)
+        # a number is conv's +0.0, which adds no bit
+        if not hasattr(tail, "shape"):
+            tail = None
+        product = np.c_einsum, ("kr,kl->rl", lhs[..., 0], rhs[:, 0]), {}
+        return [(0, [(product, None)], tail)], own, []
     b = n
     if getattr(tail, "shape", (1,))[-1] < 2:
         b = -(-n // -(-n // (_PRODUCT_BYTES // (12 * rows) or 1)))
     # numpy would sum a lone lane pairwise: it goes beside a twin lane,
     # computed from the same terms
     shape = acc.shape[:-1] + (b + (acc.size == 1),)
-    k = len(lhs)
     step = max(1, _PRODUCT_BYTES // (4 * rows * shape[-1]) - 2)
     step = -(-k // -(-k // step))
     lead = step < k
@@ -222,7 +284,7 @@ def _sum_products_prep(lhs, rhs, acc, tail, arena=None, at=0, fills=None):
             chunks.append((product, terms[lead and not k0:
                                           k1 - k0 + lead + (k1 == k)]))
             k0 = k1
-        blocks.append((s, chunks))
+        blocks.append((s, chunks, None))
     return blocks, own, fill
 
 
@@ -230,14 +292,20 @@ def _sum_products_calls(blocks, own, acc, lo=None):
     # one reduction into acc, from _sum_products_prep's blocks and own
     # lanes; where they are its own, the copy out of them clamps at lo
     calls = []
-    for s, chunks in blocks:
-        dst = acc[..., s:s + chunks[0][1].shape[-1]]
+    for s, chunks, tail in blocks:
+        part = chunks[0][1]
+        dst = acc if part is None else acc[..., s:s + part.shape[-1]]
         into = dst if own is None else own
         for k, (product, part) in enumerate(chunks):
+            if part is None:  # a contraction, into the lanes
+                calls.append((*product[:2], {"out": into}))
+                continue
             if k:
                 calls.append((np.copyto, (part[0], into), {}))
             calls += [product, (np.add.reduce, (part, 0, None, into, False,
                                                 float32(0.0)), {})]
+        if tail is not None:
+            calls.append((np.add, (into, tail, into), {}))
         if own is not None:  # a view: a twin pair's lane 0 is copied now
             into = own[..., :dst.shape[-1]]
             calls.append((np.copyto, (dst, into), {}) if lo is None else
@@ -266,37 +334,44 @@ def conv2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
                               pad_after_w, 0.0, fills)
     taps = filter_h * filter_w * cin
     out = outputs[0].reshape(-1, *out_shape)
-    # blocks of whole output rows, as many as leave room in _PRODUCT_BYTES
-    # for a one-tap chunk of products with its leading and bias rows and
-    # whose gathered patches fit it too (or one row, if more), split
-    # evenly; then the taps go in as few chunks as fit
-    rows = max(1, min(oh, _PRODUCT_BYTES // (12 * cout * ow),
-                      _PRODUCT_BYTES // (4 * taps * ow)))
-    rows = -(-oh // -(-oh // rows))
-    cols = _scratch(arena, (filter_h, filter_w, cin, rows, ow))
+    w = weights[0].reshape(taps, cout)
+    n = len(x)
+    # Blocks of whole output rows of one sample whose gathered patches fit
+    # _PRODUCT_BYTES, and so do the block's sums when they are contracted
+    # (or one-tap chunks of products, with their leading and bias rows,
+    # when not), split evenly; a contraction's block may also span whole
+    # samples (see above). One row, if more.
+    contract = _contracts(taps, out.size, w)
+    rows = max(1, _PRODUCT_BYTES // (4 * ow * max(
+        taps, cout if contract else 3 * cout)))
+    nb = max(1, min(n, rows // oh)) if contract else 1
+    nb = -(-n // -(-n // nb))
+    rows = -(-oh // -(-oh // min(oh, rows)))
+    cols = _scratch(arena, (filter_h, filter_w, cin, nb, rows, ow))
     # every (kh, kw, ci) tap's strided input plane, as one view
     sn, sy, sx, sc = x.strides
     win = np.ndarray(
-        (len(x), filter_h, filter_w, cin, oh, ow), x.dtype, x, 0,
-        (sn, dilation_h * sy, dilation_w * sx, sc, stride_h * sy,
+        (filter_h, filter_w, cin, n, oh, ow), x.dtype, x, 0,
+        (dilation_h * sy, dilation_w * sx, sc, sn, stride_h * sy,
          stride_w * sx))
     # a block's output rows are a transposed view, strides (4, 4 * cout),
     # which holds the lanes of its reduction
     blocks, own, fill = _sum_products_prep(
-        weights[0].reshape(taps, cout, 1), cols.reshape(taps, 1, rows * ow),
-        out[0, :rows].reshape(-1, cout).T,
+        w[:, :, None], cols.reshape(taps, 1, -1),
+        out[:nb, :rows].reshape(-1, cout).T,
         weights[1][:, None] if len(weights) > 1 else 0.0, arena, cols.size,
         fills)
     calls += fill
     # Every block gathers into cols and reduces with the same chunks. The
-    # last block ends at the last row, so it overlaps the one before it
-    # when rows does not divide oh; the overlapped rows come out the same.
-    for b in range(len(x)):
+    # last block ends at the last sample and row, so it overlaps the one
+    # before it when the blocks do not divide the samples or the output
+    # rows; the overlapped rows come out the same.
+    for b in [*range(0, n - nb, nb), n - nb]:
         for r0 in [*range(0, oh - rows, rows), oh - rows]:
-            calls.append((np.copyto, (cols, win[b, :, :, :, r0:r0 + rows]),
-                          {}))
+            calls.append((np.copyto, (cols, win[:, :, :, b:b + nb,
+                                                 r0:r0 + rows]), {}))
             calls += _sum_products_calls(
-                blocks, own, out[b, r0:r0 + rows].reshape(-1, cout).T,
+                blocks, own, out[b:b + nb, r0:r0 + rows].reshape(-1, cout).T,
                 activation_min)
     # a reduction into lanes of its own took the lower clamp on the way out
     if own is not None:
@@ -404,11 +479,21 @@ def fully_connected_f32_prep(inputs, weights, outputs, *, in_features,
     out = outputs[0].reshape(-1, out_features)
     tail = weights[1] if len(weights) > 1 else _filled(out_features, 0.0,
                                                        fills)
+    calls, at = [], 0
     if len(x) > out_features:
         x, w, out, tail = w.T, x.T, out.T, tail[:, None]
-    blocks, own, calls = _sum_products_prep(x.T[:, :, None], w[:, None], out,
-                                            tail, arena, 0, fills)
-    return (calls + _sum_products_calls(blocks, own, out)
+    elif _contracts(in_features, out.size, w):
+        # a contraction's rows, with the taps outermost: one sample's as a
+        # column, more copied transposed into scratch (see above)
+        if len(x) > 1:
+            xt = _scratch(arena, (in_features, len(x)))
+            calls.append((np.copyto, (xt, x.T), {}))
+            x, at = xt.T, xt.size
+        else:
+            x = x.reshape(-1, 1).T
+    blocks, own, fill = _sum_products_prep(
+        x.T[:, :, None], w[:, None], out, tail, arena, at, fills)
+    return (calls + fill + _sum_products_calls(blocks, own, out)
             + _clamp_calls(out, activation_min, activation_max))
 
 

@@ -426,8 +426,8 @@ def test_plan_replays_its_table_at_one_sample_and_at_batch_only(built):
 
 
 _PLANNER_NAMES = ("_prep", "_sum_products", "_scratch", "_pool_windows",
-                  "_pad_nhwc", "_PRODUCT_BYTES", "in_shape", "filter_h",
-                  "dilation_h")
+                  "_pad_nhwc", "_contracts", "_unfused", "_PRODUCT_BYTES",
+                  "in_shape", "filter_h", "dilation_h")
 
 
 def test_the_shipped_driver_carries_no_planner(built):
@@ -1431,11 +1431,12 @@ def test_bench_counts_buffers_and_output_copies_and_scratch_apart(built):
         "invoke_bytes": 4 * 10,  # lenet's 10 class scores
         "peak_bytes": driver.BUFFER_BYTES + 4 * 10,
         "scratch_bytes": scratch}
-    # one arena, sized to conv1's gathered patches, product tensor and
-    # accumulator (278,784 B), beside fc3's product tensor and softmax's
-    # rows, which stay private below a page: the one-sample plan's scratch,
-    # which the interpreter's plan of the same steps holds too
-    assert scratch <= 300_000
+    # one arena, sized to conv1's gathered patches and accumulator (25 x
+    # 576 and 6 x 576 floats, 71,424 B), beside fc3's product tensor
+    # (3,400 B) and softmax's rows (84 B), which stay private below a
+    # page: the one-sample plan's scratch, which the interpreter's plan of
+    # the same steps holds too
+    assert scratch == 71_424 + 3_400 + 84 == 74_908
     assert report.interpreter_counters["scratch_bytes"] == scratch
 
 
@@ -1446,20 +1447,26 @@ def _program_lists(driver):
 
 def test_program_plans_share_one_arena_and_keep_small_steps_as_they_were(
         built):
-    # lenet's plan(1) takes the product tensors of conv1, conv2, fc1 and
-    # fc2 from one arena, and fills each one's tail row once a run: 40
-    # calls, the 47 of a plan with a -inf fill and one more maximum a max
-    # pool and a whole-output RELU a conv, less those six and the copy of
-    # the flatten, now a view, 4 fills included. mlp's scratch stays below a page, so its plan(1) makes its
-    # 9 calls and no fill; at BATCH, its steps share one arena too, and
-    # its FC products, over strided sample lanes, are np.multiply's.
-    # Identity has no scratch, and its plan has no arena.
+    # lenet's plan(1) takes the gathered patches and the accumulators of
+    # conv1 and conv2 from one arena, and contracts fc1's and fc2's one
+    # sample straight into their outputs: 27 calls, no fill. Each conv
+    # gathers, contracts, adds its bias and copies out through its RELU
+    # (4 calls), each pool takes 3, fc1 and fc2 contract, add and clamp
+    # (3), fc3 multiplies and reduces (2) and softmax takes 5. mlp's
+    # scratch stays below a page, so its plan(1) makes its 9 calls and no
+    # fill; at BATCH, its steps share one arena too, and its FC products,
+    # over strided sample lanes, are np.multiply's. Identity has no
+    # scratch, and its plan has no arena.
     lenet = harness.load_driver(built["lenet"][1].executable)
-    bases = {k: {id(args[0].base) for f, args, _ in v
-                 if f == np.add.reduce}
-             for k, v in vars(lenet).items() if k in ("S0", "S2", "S5", "S6")}
-    assert len(set.union(*bases.values())) == 1
-    assert sum(map(len, _program_lists(lenet))) == 47 - 2 * 2 - 2 - 1
+    outs = {k: [kw["out"] for f, args, kw in v
+                if f is lenet.np.c_einsum and args[0] == "kr,kl->rl"]
+            for k, v in vars(lenet).items() if k in ("S0", "S2", "S5", "S6")}
+    assert {k: len(v) for k, v in outs.items()} == dict.fromkeys(outs, 1)
+    assert len({id(outs[k][0].base) for k in ("S0", "S2")}) == 1
+    assert all(outs[k][0].base is not outs["S0"][0].base
+               for k in ("S5", "S6"))
+    assert [len(calls) for calls in _program_lists(lenet)] == [
+        4, 3, 4, 3, 3, 3, 2, 5]
     mlp = harness.load_driver(built["mlp"][1].executable)
     assert sum(map(len, _program_lists(mlp))) == 9
     mlp.plan(mlp.BATCH)

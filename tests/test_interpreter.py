@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 
-from mlfuse import fixtures, graphir, interpreter
+from mlfuse import fixtures, graphir, harness, interpreter
 from mlfuse.graphir import (
     ADD,
     AVERAGE_POOL_2D,
@@ -131,9 +131,12 @@ def test_lenet_counters_match_accounting():
     assert c.invoke_bytes == 0
     assert c.peak_bytes == c.load_bytes + c.configure_bytes
 
-    # regression anchors for the fixture as shipped
+    # regression anchors for the fixture as shipped; the plan's scratch,
+    # kept apart from the counters, is conv1's patches and accumulator in
+    # the arena, fc3's product tensor and softmax's rows
     assert (c.load_bytes, c.configure_bytes, c.peak_bytes) == (
         179984, 205160, 385144)
+    assert harness.interpreter_scratch(plan) == 71_424 + 3_400 + 84
 
 
 def test_the_lowering_reads_the_weights_in_the_container_bytes():

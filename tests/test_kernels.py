@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kernel_cases
 import oracles
@@ -49,9 +51,26 @@ def _product_calls(calls):
 
 
 def _chunk_lengths(calls):
-    """Taps per chunk of the reduction a conv or FC call list makes."""
+    """Taps per chunk of the reduction a conv or FC call list makes, on the
+    products path; a contraction's one chunk counts its output rows."""
     return [len(kw.get("out", args[-1])) for _, args, kw
             in _product_calls(calls)]
+
+
+def _contractions(calls):
+    """The np.c_einsum("kr,kl->rl") calls of a call list, each the sum of
+    all a block's taps."""
+    return [(args, kw) for f, args, kw in calls
+            if f is ops.np.c_einsum and args[0] == "kr,kl->rl"]
+
+
+def _scalar_loop(lhs, rhs, tail):
+    """The scalar loop's sum of lhs[t] * rhs[t] over t, then tail, in
+    float32, one term at a time onto +0.0 in every lane."""
+    want = np.float32(0.0)
+    for t in range(len(lhs)):
+        want = want + lhs[t] * rhs[t]
+    return want + tail
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
@@ -137,7 +156,9 @@ def test_sum_products_is_the_scalar_loop_order(case_budget):
     # when added left to right, 1 when pairwise. 10001 terms overrun the
     # case budget's product tensor for 1 to 3 lanes, so the taps are split
     # evenly into chunks, the smaller one first; the tail is the last term
-    # of every lane.
+    # of every lane. (rows, lanes) sums of two or more, from taps outermost
+    # in both operands, are one contraction of all 10001 taps, into the
+    # output or a contiguous accumulator copied out to a transposed one.
     rng = np.random.default_rng(5)
     k = 10001
     values = np.float32([1e8, -1e8, 1, 3e-8])
@@ -155,14 +176,29 @@ def test_sum_products_is_the_scalar_loop_order(case_budget):
         calls = ops._sum_products_calls(blocks, own, acc)
         sizes = _chunk_lengths(calls)
         assert len(sizes) > 1 and sizes[0] < sizes[-1], (lanes, sizes)
+        assert not _contractions(calls)
         ops.run_calls(fills + calls)
-        want = np.zeros(lanes, dtype=np.float32)
-        for t in range(k):
-            # float32 lanes added one term at a time, each lane on its own
-            want = want + lhs[t] * rhs[t]
-        want = want + tail
+        want = _scalar_loop(lhs, rhs, tail)
         assert np.array_equal(acc.view(np.uint32), want.view(np.uint32)), \
             lanes
+    for rows, lanes, transposed in ((1, 2, False), (3, 5, True),
+                                    (120, 1, False), (2, 3, True)):
+        lhs = rng.choice(values, (k, rows, 1))
+        rhs = rng.uniform(0.5, 2, (k, 1, lanes)).astype(np.float32)
+        tail = rng.choice(values, (rows, lanes))
+        acc = (np.empty((lanes, rows), np.float32).T if transposed
+               else np.empty((rows, lanes), np.float32))
+        fills = []
+        blocks, own, fill = ops._sum_products_prep(lhs, rhs, acc, tail,
+                                                   fills=fills)
+        assert fill == fills == [] and (own is None) == (not transposed)
+        calls = ops._sum_products_calls(blocks, own, acc)
+        assert len(_contractions(calls)) == 1
+        assert not [f for f, _, _ in calls if f == np.add.reduce]
+        ops.run_calls(calls)
+        want = _scalar_loop(lhs, rhs, tail)
+        assert np.array_equal(acc.view(np.uint32), want.view(np.uint32)), \
+            (rows, lanes)
 
 
 def _special_terms(rng, k, lhs_rows, rhs_lanes, special):
@@ -189,23 +225,32 @@ def _special_terms(rng, k, lhs_rows, rhs_lanes, special):
 @pytest.mark.parametrize("special", ["negative_zero", "inf_times_zero",
                                      "nan"])
 @pytest.mark.parametrize("path", ["outer", "fc_batch_1", "fc_batch_3",
-                                  "strided", "twin"])
+                                  "strided", "twin", "contract",
+                                  "contract_fc"])
 def test_both_product_paths_are_the_scalar_loop_order(path, special,
-                                                     case_budget):
+                                                     case_budget,
+                                                     monkeypatch):
     # the product call _sum_products_prep picks, against the scalar loop
     # bit for bit, zero signs included: einsum's outer products for conv
-    # (into a transposed (cout, lanes) view) and for FC's feature lanes at
-    # one sample and at a few, each chunk 8192 products or more; and
+    # (into a transposed (cout, lanes) view, as with a fused einsum) and
+    # for FC's feature lanes at one sample and at a few, read through the
+    # transposed view of their inputs, each chunk 8192 products or more;
     # np.multiply for strided sample lanes, as FC's at mlp's BATCH, and
-    # for a single lane beside its twin. Each reduction runs in several
-    # chunks; lane (0, 0) gets the special terms and a -0.0 tail, which
-    # only a sum begun at +0.0 turns into +0.0.
+    # for a single lane beside its twin; and the contraction of all the
+    # taps, into conv's transposed view through a contiguous accumulator
+    # and straight into FC's output from its inputs copied transposed.
+    # Each products path reduces in several chunks; lane (0, 0) gets the
+    # special terms and a -0.0 tail, which only a sum begun at +0.0 turns
+    # into +0.0.
+    if path == "outer":
+        monkeypatch.setattr(ops, "_unfused", lambda: False)
     rng = np.random.default_rng(11)
     rows, lanes = {"outer": (3, 5), "fc_batch_1": (1, 7),
                    "fc_batch_3": (3, 7), "strided": (3, 7),
-                   "twin": (1, 1)}[path]
+                   "twin": (1, 1), "contract": (3, 5),
+                   "contract_fc": (3, 7)}[path]
     lhs, rhs = _special_terms(rng, 10000, rows, lanes, special)
-    if path == "outer":
+    if path in ("outer", "contract"):
         acc = np.empty((lanes, rows), np.float32).T
     elif path.startswith("fc_"):  # the input rows, viewed as FC's prep does
         lhs = lhs[:, :, 0].T.copy().T[:, :, None]
@@ -213,6 +258,8 @@ def test_both_product_paths_are_the_scalar_loop_order(path, special,
     elif path == "strided":  # the samples' transposed view, and the output's
         rhs = rhs[:, 0].T.copy().T[:, None]
         acc = np.empty((lanes, rows), np.float32).T
+    elif path == "contract_fc":
+        acc = np.empty((rows, lanes), np.float32)
     else:
         acc = np.empty((1, 1), np.float32)
     tail = rng.choice(np.float32([1e8, -1e8, 1, 3e-8]), (rows, lanes))
@@ -220,21 +267,29 @@ def test_both_product_paths_are_the_scalar_loop_order(path, special,
     # one block of lanes in several chunks; strided lanes reduce into a
     # contiguous accumulator, the lone lane into its twin pair
     fills = []
-    [(lanes_in, chunks)], own, fill = ops._sum_products_prep(
+    [(lanes_in, chunks, add)], own, fill = ops._sum_products_prep(
         lhs, rhs, acc, tail, fills=fills)
-    assert len(chunks) > 1 and fill == [] and len(fills) == 1
     ops.run_calls(fills)
-    assert (own is None) == path.startswith("fc_")
-    einsum = path in ("outer", "fc_batch_1", "fc_batch_3")
-    assert {f for (f, _, _), _ in chunks} == {
-        ops.np.c_einsum if einsum else np.multiply}
-    if einsum:
-        assert min(kw["out"].size for (_, _, kw), _ in chunks) >= 8192
-    ops.run_calls(ops._sum_products_calls([(lanes_in, chunks)], own, acc))
-    want = np.zeros((rows, lanes), np.float32)
-    for t in range(len(lhs)):
-        want = want + lhs[t] * rhs[t]
-    want = want + tail
+    calls = ops._sum_products_calls([(lanes_in, chunks, add)], own, acc)
+    if path.startswith("contract"):
+        # one chunk, np.c_einsum into the lanes, and the tail added after
+        [((f, args, _), part)] = chunks
+        assert f is ops.np.c_einsum and args[0] == "kr,kl->rl"
+        assert part is None
+        assert add is tail and fill == fills == []
+        assert (own is None) == (path == "contract_fc")
+        assert len(_contractions(calls)) == 1
+    else:
+        assert len(chunks) > 1 and fill == [] and len(fills) == 1
+        assert add is None and not _contractions(calls)
+        assert (own is None) == path.startswith("fc_")
+        einsum = path in ("outer", "fc_batch_1", "fc_batch_3")
+        assert {f for (f, _, _), _ in chunks} == {
+            ops.np.c_einsum if einsum else np.multiply}
+        if einsum:
+            assert min(kw["out"].size for (_, _, kw), _ in chunks) >= 8192
+    ops.run_calls(calls)
+    want = _scalar_loop(lhs, rhs, tail)
     if special == "negative_zero":
         assert want[0, 0].tobytes() == np.float32(0.0).tobytes()
     else:
@@ -243,46 +298,181 @@ def test_both_product_paths_are_the_scalar_loop_order(path, special,
     assert np.array_equal(acc.view(np.uint32), want.view(np.uint32))
 
 
-def test_lenet_states_take_the_product_call_their_kernel_names():
-    # lenet's conv chunks and fc1's and fc2's one chunk each hold 8192
-    # products or more over contiguous lanes, so they go through einsum's
-    # outer products; fc3's 840 stay with np.multiply. A silent fallback
-    # to the broadcast multiply fails here.
-    plan = interpreter.load(fixtures.build_fixture("lenet"))
-    products = {}
+def _laid_out(rng, taps, width, layout):
+    """(taps, width) order-sensitive terms: contiguous, a transposed view
+    (the taps innermost), or a view of rows padded by three floats."""
+    a = (rng.choice(np.float32([1e8, -1e8, 1, 3e-8]), (taps, width))
+         * rng.uniform(0.5, 2, (taps, width)).astype(np.float32))
+    if layout == "transposed":
+        return a.T.copy().T
+    if layout == "padded":
+        buf = np.zeros((taps, width + 3), np.float32)
+        buf[:, :width] = a
+        return buf[:, :width]
+    return a
+
+
+_LAYOUTS = st.sampled_from(["contiguous", "transposed", "padded"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(taps=st.sampled_from([1, 7, 300, 1000, 4000]),
+       rows=st.integers(1, 6), lanes=st.integers(1, 40),
+       lhs_layout=_LAYOUTS, rhs_layout=_LAYOUTS,
+       transposed_acc=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_the_contraction_is_taken_only_where_it_is_exact(
+        taps, rows, lanes, lhs_layout, rhs_layout, transposed_acc, seed):
+    # _sum_products_prep contracts a 2-D reduction only where einsum sums
+    # it in tap order, the tap axis of the largest stride in both operands
+    # and two outputs or more, and only where it pays, 8192 products or
+    # more over contiguous lanes; either path gives the scalar loop's bits
+    rng = np.random.default_rng(seed)
+    lhs = _laid_out(rng, taps, rows, lhs_layout)
+    rhs = _laid_out(rng, taps, lanes, rhs_layout)
+    tail = rng.uniform(-1, 1, (rows, lanes)).astype(np.float32)
+    acc = (np.empty((lanes, rows), np.float32).T if transposed_acc
+           else np.empty((rows, lanes), np.float32))
+    fills = []
+    blocks, own, fill = ops._sum_products_prep(
+        lhs[:, :, None], rhs[:, None], acc, tail, fills=fills)
+    calls = ops._sum_products_calls(blocks, own, acc)
+    exact = (rows * lanes >= 2 and all(
+        a.strides[0] >= max(a.strides[1:]) for a in (lhs, rhs)))
+    pays = taps * rows * lanes >= 8192 and rhs.strides[-1] == 4
+    assert bool(_contractions(calls)) == (exact and pays)
+    ops.run_calls(fills + fill + calls)
+    want = _scalar_loop(lhs[:, :, None], rhs[:, None], tail)
+    assert np.array_equal(acc.view(np.uint32), want.view(np.uint32))
+
+
+@pytest.mark.parametrize("case", ["one_output", "taps_innermost"])
+def test_the_sums_einsum_reorders_take_the_products_path(case):
+    # the two layouts where numpy's contraction reorders a sum: a single
+    # 1 x 1 output of 1000 taps or more, which it sums as a dot product,
+    # and both operands with the tap axis innermost. Each holds 8192
+    # products or more, yet takes the products path and the scalar loop's
+    # bits.
+    rng = np.random.default_rng(41)
+    if case == "one_output":
+        lhs = _laid_out(rng, 10_001, 1, "contiguous")
+        rhs = _laid_out(rng, 10_001, 1, "contiguous")
+        acc = np.empty((1, 1), np.float32)
+    else:
+        lhs = _laid_out(rng, 1000, 3, "transposed")
+        rhs = _laid_out(rng, 1000, 5, "transposed")
+        acc = np.empty((3, 5), np.float32)
+    tail = np.zeros(acc.shape, np.float32)
+    fills = []
+    blocks, own, fill = ops._sum_products_prep(
+        lhs[:, :, None], rhs[:, None], acc, tail, fills=fills)
+    calls = ops._sum_products_calls(blocks, own, acc)
+    assert not _contractions(calls)
+    assert [f for f, _, _ in calls if f == np.add.reduce]
+    ops.run_calls(fills + fill + calls)
+    want = _scalar_loop(lhs[:, :, None], rhs[:, None], tail)
+    assert np.array_equal(acc.view(np.uint32), want.view(np.uint32))
+
+
+def test_this_numpy_rounds_each_product_before_it_adds_it():
+    # the check itself, uncached, reads unfused here, and its sum would
+    # read 2**-24 where the square's product is kept exact
+    assert ops._unfused.__wrapped__() is True
+    a = 1 + 2.0 ** -12
+    assert np.float32(-(1 + 2.0 ** -11) + a * a) == 2.0 ** -24
+
+
+def test_a_fused_einsum_keeps_every_reduction_on_the_products_path(
+        monkeypatch):
+    # with the check read as fused, lenet's plan makes no contraction and
+    # reduces every conv and FC through products, to the same bits; and
+    # the check is lazy: mlp's plan, whose reductions are all below 8192
+    # products, never takes it
+    rng = np.random.default_rng(43)
+    x = rng.uniform(-1, 1, (1, 28, 28, 1)).astype(np.float32)
+    lenet = fixtures.build_fixture("lenet")
+    want = interpreter.invoke(interpreter.load(lenet), x)
+    taken = []
+    monkeypatch.setattr(ops, "_unfused", lambda: taken.append(1) or False)
+    interpreter.load(fixtures.build_fixture("mlp"), samples=3)
+    assert taken == []
+    plan = interpreter.load(lenet)
+    assert taken
     for op, calls in plan.steps:
-        tid = op.unit.template_id
-        products.setdefault(tid, []).append(
-            [f for f, _, _ in _product_calls(calls)])
+        assert not _contractions(calls), op.unit.template_id
+        if op.unit.template_id in ("conv2d_f32", "fully_connected_f32"):
+            assert [f for f, _, _ in calls if f == np.add.reduce]
+    got = interpreter.invoke(plan, x)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_lenet_states_take_the_product_call_their_kernel_names():
+    # lenet's convs, fc1 and fc2 hold 8192 products or more over contiguous
+    # lanes, so each block sums all its taps in one contraction: one a
+    # conv at one sample, three blocks of conv1 and two of conv2 at its
+    # BATCH of 9, one an FC. fc3's 840 products, and its 7,560 at 9
+    # samples, stay with np.multiply. A silent fallback to the products
+    # path fails here.
+    bundle = fixtures.build_fixture("lenet")
     c_einsum = ops.np.c_einsum
-    # conv1 2 chunks, conv2 3
-    assert products["conv2d_f32"] == [[c_einsum] * 2, [c_einsum] * 3]
-    assert products["fully_connected_f32"] == [[c_einsum], [c_einsum],
-                                               [np.multiply]]
+    for n, convs in ((1, [1, 1]), (9, [3, 2])):
+        plan = interpreter.load(bundle, samples=n)
+        products, contractions = {}, {}
+        for op, calls in plan.steps:
+            tid = op.unit.template_id
+            products.setdefault(tid, []).append(
+                [f for f, _, _ in _product_calls(calls)])
+            contractions.setdefault(tid, []).append(
+                len(_contractions(calls)))
+        assert products["conv2d_f32"] == [[c_einsum]] * 2
+        assert products["fully_connected_f32"] == [[c_einsum], [c_einsum],
+                                                   [np.multiply]]
+        assert contractions["conv2d_f32"] == convs
+        assert contractions["fully_connected_f32"] == [1, 1, 0]
 
 
 def test_lenet_blocking():
-    # lenet's plan at the kernels' own product budget: each conv is one
-    # block of all its output rows, so no row is computed twice, with its
-    # taps split evenly, conv1's 25 as 12 + 13 and conv2's 150 as 3 x 50;
-    # each FC reduces in one chunk. A change to the blocking rule shows
-    # here first.
-    plan = interpreter.load(fixtures.build_fixture("lenet"))
-    convs, fcs = [], []
-    for op, calls in plan.steps:
-        tid = op.unit.template_id
-        if tid == "conv2d_f32":
-            # a block starts with the copy that gathers its patches, the
-            # (kh, kw, ci, rows, ow) windows of its output rows
-            blocks = [args[1] for f, args, _ in calls
-                      if f is ops.np.copyto and args[0].ndim == 5]
-            convs.append((len(blocks), blocks[0].shape[-2],
-                          op.params.values["out_shape"][0],
-                          _chunk_lengths(calls)))
-        elif tid == "fully_connected_f32":
-            fcs.append(_chunk_lengths(calls))
-    assert convs == [(1, 24, 24, [12, 13]), (1, 8, 8, [50, 50, 50])]
-    assert fcs == [[256], [120], [84]]
+    # lenet's plans at the kernels' own budget. At one sample each conv is
+    # one block of all its output rows, so no row is computed twice. At
+    # its BATCH of 9, a block spans whole samples, as many as keep its
+    # patches within the budget, split evenly: conv1's 25 x 576 patches a
+    # sample fit 4 samples, so 3 blocks of 3; conv2's 150 x 64 fit 6, so 2
+    # blocks of 5, the second from sample 4 on, overlapping the first by
+    # one sample. fc1 and fc2 read more than one sample's inputs from a
+    # transposed copy, its taps outermost; fc3 reduces in one chunk. A
+    # change to the blocking rule shows here first.
+    bundle = fixtures.build_fixture("lenet")
+    want = {1: ([(24, 1, 24, [0]), (8, 1, 8, [0])], [[], [], []]),
+            9: ([(24, 3, 24, [0, 3, 6]), (8, 5, 8, [0, 4])],
+                [[(256, 9)], [(120, 9)], []])}
+    for n, (want_convs, want_copies) in want.items():
+        plan = interpreter.load(bundle, samples=n)
+        convs, copies = [], []
+        for op, calls in plan.steps:
+            tid = op.unit.template_id
+            if tid == "conv2d_f32":
+                # a block starts with the copy that gathers its patches,
+                # the (kh, kw, ci, samples, rows, ow) windows of its
+                # output rows
+                x = plan.buffers[op.act_ids[0]]
+                at = x.__array_interface__["data"][0]
+                blocks = [args[1] for f, args, _ in calls
+                          if f is ops.np.copyto and args[0].ndim == 6]
+                convs.append((
+                    op.params.values["out_shape"][0],
+                    blocks[0].shape[3], blocks[0].shape[4],
+                    [(b.__array_interface__["data"][0] - at)
+                     // (x.nbytes // n) for b in blocks]))
+            elif tid == "fully_connected_f32":
+                x = plan.buffers[op.act_ids[0]]
+                copies.append([args[0].shape for f, args, _ in calls
+                               if f is ops.np.copyto
+                               and np.shares_memory(args[1], x)])
+        assert convs == want_convs, n
+        assert copies == want_copies, n
+    plan = interpreter.load(bundle)
+    fc3 = [calls for op, calls in plan.steps
+           if op.unit.template_id == "fully_connected_f32"][-1]
+    assert _chunk_lengths(fc3) == [84]
 
 
 def _roots(calls) -> set:
@@ -298,51 +488,75 @@ def _roots(calls) -> set:
     return roots
 
 
+def _scratch_roots(plan, calls) -> dict:
+    """The root array of every array a step's calls name that is none of
+    the plan's tensor buffers and not its weights blob, by id."""
+    held = _roots([(None, (*plan.buffers.values(), plan.blob), {})])
+    roots = {}
+    for _, args, kw in calls:
+        for a in (*args, *kw.values()):
+            if isinstance(a, np.ndarray):
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                if id(a) not in held:
+                    roots[id(a)] = a
+    return roots
+
+
 def test_lenet_plan_holds_one_arena_that_no_other_plan_shares():
-    # conv1, conv2, fc1 and fc2 take their product tensors from the plan's
-    # one arena, sized to conv1's patches, product tensor and accumulator;
-    # fc3's product tensor stays below a page, its own: 3,400 B, the rows
-    # of its 84 taps and its bias, reduced in one chunk with no leading
-    # row. Two plans share no array.
+    # conv1 and conv2 take their gathered patches and their accumulators
+    # from the plan's one arena, sized to conv1's: 25 x 576 patches and
+    # 6 x 576 sums, 71,424 B. fc1 and fc2 contract one sample's inputs
+    # straight into their outputs and take no scratch. fc3's product
+    # tensor stays below a page, its own: 3,400 B, the rows of its 84
+    # taps and its bias, reduced in one chunk with no leading row; so do
+    # softmax's rows. Two plans share no array.
     plans = [interpreter.load(fixtures.build_fixture("lenet"))
              for _ in range(2)]
     for plan in plans:
-        bases = [_product_bases(calls) for _, calls in plan.steps]
-        [arena] = bases[0].values()
-        assert [b.keys() == {id(arena)} for b in bases] == [
-            True, False, True, False, False, True, True, False, False]
-        assert bases[7] and id(arena) not in bases[7]
-        assert [b.nbytes for b in bases[7].values()] == [4 * 85 * 10]
-        assert arena.nbytes == 278_784
+        scratch = [_scratch_roots(plan, calls) for _, calls in plan.steps]
+        [arena] = scratch[0].values()
+        assert [s.keys() == {id(arena)} for s in scratch] == [
+            True, False, True, False, False, False, False, False, False]
+        assert [sorted(a.nbytes for a in s.values()) for s in scratch[1:]
+                if id(arena) not in s] == [[], [], [], [], [], [4 * 85 * 10],
+                                           [4, 40, 40]]
+        assert arena.nbytes == 4 * (25 + 6) * 576 == 71_424
     a, b = ({r for _, calls in plan.steps for r in _roots(calls)}
             for plan in plans)
     assert a and not a & b
 
 
-def test_lenet_steps_over_the_arena_write_what_private_scratch_does():
-    # each run fills the tail rows other steps wrote over: every lenet
-    # tensor, after each of two runs in a row on each of three samples,
-    # holds the bits of the same steps prepared with scratch of their own
-    plan = interpreter.load(fixtures.build_fixture("lenet"))
-    lowered = plan.lowered
-    private = lowered.allocate()
-    _, views = lowering.lay_out(
-        lowered, [hidden_status_for(op.unit.key) for op in lowered.ops])
-    steps = [kernel_cases.prepare(op.unit.prep,
-                                  [private[t] for t in op.act_ids], ws,
-                                  [private[t] for t in op.output_ids],
-                                  **op.params.values)
-             for op, ws in zip(lowered.ops, views)]
-    rng = np.random.default_rng(17)
-    for _ in range(3):
-        x = rng.uniform(-1, 1, (1, 28, 28, 1)).astype(np.float32)
-        np.copyto(private[lowered.input_ids[0]], x.reshape(-1))
-        for calls in steps:
-            ops.run_calls(calls)
-        for _ in range(2):
-            interpreter.invoke(plan, x)
-            for t, buf in plan.buffers.items():
-                assert buf.tobytes() == private[t].tobytes(), t
+def test_lenet_steps_over_the_arena_write_what_private_scratch_does(
+        monkeypatch):
+    # every lenet tensor, after each of two runs in a row on each of three
+    # samples, holds the bits of the same steps prepared with scratch of
+    # their own: the convs' patches and sums are written before they are
+    # read, and on the products path (as with a fused einsum) each run
+    # fills the tail rows other steps wrote over
+    for path in ("contraction", "products"):
+        if path == "products":
+            monkeypatch.setattr(ops, "_unfused", lambda: False)
+        plan = interpreter.load(fixtures.build_fixture("lenet"))
+        lowered = plan.lowered
+        private = lowered.allocate()
+        _, views = lowering.lay_out(
+            lowered, [hidden_status_for(op.unit.key) for op in lowered.ops])
+        steps = [kernel_cases.prepare(op.unit.prep,
+                                      [private[t] for t in op.act_ids], ws,
+                                      [private[t] for t in op.output_ids],
+                                      **op.params.values)
+                 for op, ws in zip(lowered.ops, views)]
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            x = rng.uniform(-1, 1, (1, 28, 28, 1)).astype(np.float32)
+            np.copyto(private[lowered.input_ids[0]], x.reshape(-1))
+            for calls in steps:
+                ops.run_calls(calls)
+            for _ in range(2):
+                interpreter.invoke(plan, x)
+                for t, buf in plan.buffers.items():
+                    assert buf.tobytes() == private[t].tobytes(), (path, t)
 
 
 def test_conv_and_pool_shapes_leave_the_sample_axis_out():
@@ -362,10 +576,9 @@ def test_conv_and_pool_shapes_leave_the_sample_axis_out():
 
 
 def test_lenet_shapes_match_oracle_at_the_kernels_budget():
-    # the kernel cases chunk at a smaller budget; lenet's conv and first FC
-    # shapes take the kernels' own plan (two and three chunks, the smaller
-    # first and an exact multiple, and one 256-tap chunk) bit for bit,
-    # zero signs included
+    # the kernel cases block at a smaller budget; lenet's conv and first FC
+    # shapes take the kernels' own plan (one contraction of all their taps
+    # each) bit for bit, zero signs included
     rng = np.random.default_rng(13)
     got_want = []
     for h, cin, cout in ((28, 1, 6), (12, 6, 16)):
@@ -385,7 +598,10 @@ def test_lenet_shapes_match_oracle_at_the_kernels_budget():
 @pytest.mark.parametrize("kind", kernel_cases.TAIL_KINDS)
 def test_tail_cases_take_the_shapes_their_kind_names(kind, monkeypatch):
     # the bias-tail cases of each kind, FC and conv, reduce in the chunks
-    # or over the lanes that the kind names
+    # or over the lanes that the kind names on the products path, which
+    # the second half of the cases takes; in the first half, the kinds of
+    # 8192 products or more over two outputs or more are one contraction
+    # of all their taps instead, the bias added after
     seen = []
 
     def keep(kernel, inputs, weights, outputs, **params):
@@ -397,15 +613,23 @@ def test_tail_cases_take_the_shapes_their_kind_names(kind, monkeypatch):
         batch = inputs[0].size // (math.prod(params["in_shape"])
                                    if "in_shape" in params
                                    else params["in_features"])
-        seen.append((_chunk_lengths(calls), batch,
-                     outputs[0].size // batch))
+        seen.append((_chunk_lengths(calls), len(_contractions(calls)),
+                     batch, outputs[0].size // batch))
 
     monkeypatch.setattr(kernel_cases, "run_kernel", keep)
     i = kernel_cases.TAIL_KINDS.index(kind)
-    kernel_cases.case_fully_connected_tail.__wrapped__(i)
-    kernel_cases.case_conv2d_tail.__wrapped__(i)
-    assert len(seen) == 2
-    for sizes, batch, lanes in seen:
+    products = i + len(kernel_cases.TAIL_KINDS) * 2
+    assert products >= N_CASES // 2 > i
+    for j in (products, i):
+        kernel_cases.case_fully_connected_tail.__wrapped__(j)
+        kernel_cases.case_conv2d_tail.__wrapped__(j)
+    assert len(seen) == 4
+    for at, (sizes, contractions, batch, lanes) in enumerate(seen):
+        if at >= 2 and kind not in ("one_chunk", "single_lane",
+                                    "single_lane_batched"):
+            assert len(sizes) == 1 and contractions == 1
+            continue
+        assert contractions == 0
         if kind == "one_chunk":
             assert len(sizes) == 1
         elif kind == "exact_multiple":
@@ -584,14 +808,59 @@ def _product_lanes(calls):
             if f is np.multiply or f is ops.np.c_einsum]
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_conv_blocks_that_span_samples_match_the_oracle(case_budget,
+                                                        monkeypatch):
+    # At the case budget: 5 samples of 100 x 64 patches, 2 of which fit,
+    # go in 3 blocks of 2 from samples 0, 2 and 3, so the last writes
+    # sample 3 again; 3 samples of 18 x 64 go in one block. Inputs of
+    # -0.0, +-inf and NaN, a -0.0 and an inf bias, with and without a
+    # lower clamp: the stacked call writes the oracle's bits, the sign of
+    # every zero included.
+    rng = np.random.default_rng(47)
+    starts = []
+
+    def run(kernel, inputs, weights, outputs, **params):
+        calls = kernel_cases.prepare(ops.PREPS[kernel], inputs, weights,
+                                     outputs, **params)
+        ops.run_calls(calls)
+        at = inputs[0].__array_interface__["data"][0]
+        sample = 4 * math.prod(params["in_shape"])
+        blocks = [(args[1].__array_interface__["data"][0] - at) // sample
+                  for f, args, _ in calls
+                  if f is ops.np.copyto and args[0].ndim == 6]
+        assert len(_contractions(calls)) == len(blocks)
+        starts.append(blocks)
+
+    monkeypatch.setattr(kernel_cases, "run_kernel", run)
+    for n, h, cin, f, cout, clamp in ((5, 12, 4, 5, 8, (0.0, None)),
+                                      (3, 10, 2, 3, 5, (None, None))):
+        x = rng.uniform(-1, 1, (n, h, h, cin)).astype(np.float32)
+        x.reshape(-1)[::7] = np.float32(-0.0)
+        x[0, 3, 3, 0], x[1, 5, 5, 0], x[-1, 0, 0, 0] = (np.inf, -np.inf,
+                                                       np.nan)
+        wt = rng.uniform(-1, 1, (cout, f, f, cin)).astype(np.float32)
+        bias = rng.uniform(-0.5, 0.5, cout).astype(np.float32)
+        bias[0], bias[1] = np.float32(-0.0), np.inf
+        got, want = kernel_cases._run_conv2d(x, wt, bias, (1, 1), (1, 1),
+                                             (0, 0, 0, 0), clamp)
+        assert np.array_equal(got.view(np.uint32),
+                              np.asarray(want, np.float32).view(np.uint32))
+    assert starts == [[0, 2, 3], [0]]
+
+
 @pytest.mark.parametrize("bias", [True, False])
-def test_fc_feature_lanes_past_the_budget_stay_in_one_block(bias):
+def test_fc_feature_lanes_past_the_budget_stay_in_one_block(bias,
+                                                           monkeypatch):
     # 128 samples of a 256 -> 256 FC (a hidden layer that wide batches
     # 125): the samples do not outnumber the output features, so those are
-    # the lanes, and a one-tap chunk of them overruns the product budget.
-    # The bias differs along them (an absent one is zeros), so they stay
-    # in one block of one-tap chunks, as at one sample, and the stacked
-    # call writes the bytes of 128 single ones
+    # the lanes. They are one contraction of all 256 taps, straight into
+    # the output, from the samples' inputs copied transposed into 128 KiB
+    # of scratch, no product tensor; the bias (an absent one is zeros) is
+    # added after. On the products path a one-tap chunk of those lanes
+    # overruns the product budget, and the bias differs along them, so
+    # they stay in one block of one-tap chunks, as at one sample. Either
+    # way the stacked call writes the bytes of 128 single ones.
     n, nin, nout = 128, 256, 256
     assert 12 * n * nout > ops._PRODUCT_BYTES
     rng = np.random.default_rng(23)
@@ -601,23 +870,35 @@ def test_fc_feature_lanes_past_the_budget_stay_in_one_block(bias):
         weights.append(rng.uniform(-1, 1, nout).astype(np.float32))
     params = {"in_features": nin, "out_features": nout,
               "activation_min": None, "activation_max": None}
-    calls = kernel_cases.prepare(
-        ops.fully_connected_f32_prep, [xs.reshape(-1)], weights,
-        [np.empty(n * nout, np.float32)], **params)
-    assert _product_lanes(calls) == [nout] * nin
-    got, want = _run_singles_and_stacked(
-        "fully_connected_f32", [[x] for x in xs], weights,
-        [np.empty(nout, np.float32)], params)
-    assert got == want
+    out = np.empty(n * nout, np.float32)
+    for contract, lanes in ((True, [nout]), (False, [nout] * nin)):
+        if not contract:
+            monkeypatch.setattr(ops, "_unfused", lambda: False)
+        calls = kernel_cases.prepare(
+            ops.fully_connected_f32_prep, [xs.reshape(-1)], weights, [out],
+            **params)
+        assert _product_lanes(calls) == lanes
+        assert len(_contractions(calls)) == contract
+        if contract:
+            [(_, _, kw)] = _product_calls(calls)
+            assert kw["out"].base is out
+            assert [args[0].shape for f, args, _ in calls
+                    if f is ops.np.copyto] == [(nin, n)]
+        got, want = _run_singles_and_stacked(
+            "fully_connected_f32", [[x] for x in xs], weights,
+            [np.empty(nout, np.float32)], params)
+        assert got == want
 
 
 @pytest.mark.parametrize("bias", [True, False])
 @pytest.mark.parametrize("budget", ["kernels", "case"])
 def test_one_sample_fc_wider_than_the_budget_matches_the_oracle(
         budget, bias, monkeypatch):
-    # one sample of 21,846 output features: a one-tap chunk of them
-    # overruns the kernels' product budget and the case budget alike, and
-    # they stay in one block, against the scalar loop bit for bit
+    # one sample of 21,846 output features, against the scalar loop bit
+    # for bit: one contraction of its 3 taps straight into the output; on
+    # the products path a one-tap chunk of them overruns the kernels'
+    # product budget and the case budget alike, and they stay in one
+    # block
     if budget == "case":
         monkeypatch.setattr(ops, "_PRODUCT_BYTES",
                             kernel_cases.CASE_PRODUCT_BYTES)
@@ -628,14 +909,18 @@ def test_one_sample_fc_wider_than_the_budget_matches_the_oracle(
     x[0, 0] = np.float32(-0.0)
     wt = rng.uniform(-1, 1, (nout, nin)).astype(np.float32)
     b = rng.uniform(-0.5, 0.5, nout).astype(np.float32) if bias else None
-    got, want = kernel_cases._run_fully_connected(x, wt, b, (None, None))
-    assert oracles.bitwise_equal(got, want)
-    calls = kernel_cases.prepare(
-        ops.fully_connected_f32_prep, [x.reshape(-1)],
-        [wt.T.copy().reshape(-1)], [np.empty(nout, np.float32)],
-        in_features=nin, out_features=nout, activation_min=None,
-        activation_max=None)
-    assert _product_lanes(calls) == [nout] * nin
+    for lanes in ([nout], [nout] * nin):
+        if len(lanes) > 1:
+            monkeypatch.setattr(ops, "_unfused", lambda: False)
+        got, want = kernel_cases._run_fully_connected(x, wt, b, (None, None))
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        calls = kernel_cases.prepare(
+            ops.fully_connected_f32_prep, [x.reshape(-1)],
+            [wt.T.copy().reshape(-1)], [np.empty(nout, np.float32)],
+            in_features=nin, out_features=nout, activation_min=None,
+            activation_max=None)
+        assert _product_lanes(calls) == lanes
+        assert len(_contractions(calls)) == (len(lanes) == 1)
 
 
 @pytest.mark.parametrize("shape", [
@@ -673,17 +958,23 @@ def test_fc_scratch_stays_within_the_bound(shape):
 
 
 @pytest.mark.parametrize("shape", [
-    # (h, w, cin, f, cout): lenet conv1 and conv2 (two and three chunks of
-    # taps), a short image of 200 taps, a 1x1 conv with cout far above its
-    # taps (four row blocks, taps 2 at a time), and 800 taps in 3 chunks
+    # (h, w, cin, f, cout): lenet conv1 and conv2, a short image of 200
+    # taps, a 1x1 conv with cout far above its taps, and 800 taps; each
+    # one contraction of all its output rows (on the products path: two
+    # and three chunks of taps, one chunk, four row blocks of taps 2 at a
+    # time, and 3 chunks)
     (28, 28, 1, 5, 6), (12, 12, 6, 5, 16), (6, 10, 8, 5, 16),
     (32, 32, 16, 1, 64), (6, 10, 32, 5, 16)])
-def test_conv_scratch_stays_within_the_bound(shape):
-    # the product tensor and the gathered patches take at most the product
-    # budget each, prepared scratch and run temporaries together. numpy's
-    # ufunc iterator buffers up to np.getbufsize() elements per operand on
-    # its own account; shrinking them leaves the kernel's scratch in the
-    # peak.
+def test_conv_scratch_stays_within_the_bound(shape, monkeypatch):
+    # The gathered patches and the accumulator take at most the product
+    # budget each, prepared scratch and run temporaries together: here
+    # exactly the (taps + cout) x lanes floats of one block of every
+    # output row, with no product tensor, and 8 KiB for the prepared
+    # call list's objects and numpy's iterators; on the products path,
+    # the product tensor and the patches take at most the budget each.
+    # numpy's ufunc iterator buffers up to np.getbufsize() elements per
+    # operand on its own account; shrinking them leaves the kernel's
+    # scratch in the peak.
     h, w, cin, f, cout = shape
     oh, ow = h - f + 1, w - f + 1
     rng = np.random.default_rng(9)
@@ -695,16 +986,24 @@ def test_conv_scratch_stays_within_the_bound(shape):
                   dilation_h=1, dilation_w=1, pad_before_h=0, pad_after_h=0,
                   pad_before_w=0, pad_after_w=0, activation_min=None,
                   activation_max=None)
-    bufsize = np.setbufsize(16)
-    tracemalloc.start()
-    try:
-        ops.run_calls(kernel_cases.prepare(ops.conv2d_f32_prep, [x], [wt],
-                                           [out], **kwargs))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        np.setbufsize(bufsize)
-    assert peak <= 2 * ops._PRODUCT_BYTES + 4096, peak
+    scratch = 4 * (f * f * cin + cout) * oh * ow
+    assert scratch <= 2 * ops._PRODUCT_BYTES
+    for contract, bound in ((True, scratch + 4096),
+                            (False, 2 * ops._PRODUCT_BYTES)):
+        if not contract:
+            monkeypatch.setattr(ops, "_unfused", lambda: False)
+        bufsize = np.setbufsize(16)
+        tracemalloc.start()
+        try:
+            calls = kernel_cases.prepare(ops.conv2d_f32_prep, [x], [wt],
+                                         [out], **kwargs)
+            ops.run_calls(calls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert len(_contractions(calls)) == contract
+        assert peak <= bound + 4096, (peak, bound)
 
 
 def _arena_lists(steps, arena=None):
@@ -731,11 +1030,16 @@ def test_reference_cases_take_turns_in_one_arena(monkeypatch):
     # take a page or more, they are views of it, each over rows the other
     # writes. Run in turn, each writes its oracle's bits every time, zero
     # signs included, which takes its tail row filled again before it
-    # reduces.
+    # reduces. As in the cases themselves, the second half takes the
+    # products path; in the first, the kinds of 8192 products or more
+    # contract, and run in turn over the arena to the same bits.
     monkeypatch.setattr(ops, "_PRODUCT_BYTES",
                         kernel_cases.CASE_PRODUCT_BYTES)
+    unfused = ops._unfused
     names = ("conv2d_tail", "fully_connected_tail")
-    shared = 0
+    # below a page, the FC product tensors of these kinds are their own
+    private = ("one_chunk", "single_lane", "single_lane_batched")
+    shared = contracted = 0
     for i in range(N_CASES):
         steps = []
         monkeypatch.setattr(
@@ -743,21 +1047,34 @@ def test_reference_cases_take_turns_in_one_arena(monkeypatch):
             lambda kernel, ins, ws, outs, **params: steps.append(
                 (kernel, ins, ws, outs, params)))
         cases = [REFERENCE_CASES[name].__wrapped__(i) for name in names]
+        fused = i >= N_CASES // 2
+        monkeypatch.setattr(ops, "_unfused",
+                            (lambda: False) if fused else unfused)
         lists, arena = _arena_lists(steps)
         shared += all(_product_bases(calls).keys() == {id(arena[0])}
                       for calls in lists)
+        contracted += sum(map(bool, map(_contractions, lists)))
+        if fused:
+            assert not any(map(_contractions, lists))
         for _ in range(3):
             for calls, (got, want) in zip(lists, cases):
                 ops.run_calls(calls)
                 assert np.array_equal(got.view(np.uint32),
                                       want.view(np.uint32)), i
-    assert shared >= N_CASES // 2, shared
+    kinds = [kernel_cases.TAIL_KINDS[i % len(kernel_cases.TAIL_KINDS)]
+             for i in range(N_CASES)]
+    half = N_CASES // 2
+    assert shared == sum(k not in private for k in kinds[half:])
+    assert contracted == 2 * sum(k not in private for k in kinds[:half])
 
 
 @pytest.mark.parametrize("bias", [True, False])
-def test_one_sample_fc_wider_than_the_budget_runs_through_the_arena(bias):
-    # a one-tap chunk of 21,846 output features overruns the product
-    # budget; the arena grows to hold it, and the sum is the oracle's
+def test_one_sample_fc_wider_than_the_budget_runs_through_the_arena(
+        bias, monkeypatch):
+    # one sample of 21,846 output features contracts straight into its
+    # output and takes no scratch: the arena stays empty. On the products
+    # path a one-tap chunk of them overruns the product budget, and the
+    # arena grows to hold it. Either way the sum is the oracle's.
     rng = np.random.default_rng(31)
     nin, nout = 3, 21_846
     x = rng.uniform(-1, 1, (1, nin)).astype(np.float32)
@@ -769,14 +1086,21 @@ def test_one_sample_fc_wider_than_the_budget_runs_through_the_arena(bias):
             [wt.T.copy().reshape(-1)] + ([b] if bias else []), [out],
             {"in_features": nin, "out_features": nout,
              "activation_min": None, "activation_max": None})
-    [calls], arena = _arena_lists([step])
-    assert _product_bases(calls).keys() == {id(arena[0])}
-    assert arena[0].nbytes == 4 * 3 * nout > ops._PRODUCT_BYTES
-    for _ in range(2):
-        ops.run_calls(calls)
-        want = oracles.fully_connected(x, wt, b, (None, None))
-        assert np.array_equal(out.view(np.uint32),
-                              want.reshape(-1).view(np.uint32))
+    for arena_bytes in (0, 4 * 3 * nout):
+        if arena_bytes:
+            monkeypatch.setattr(ops, "_unfused", lambda: False)
+        [calls], arena = _arena_lists([step])
+        assert arena[0].nbytes == arena_bytes
+        if arena_bytes:
+            assert arena_bytes > ops._PRODUCT_BYTES
+            assert _product_bases(calls).keys() == {id(arena[0])}
+        else:
+            assert not _product_bases(calls) and _contractions(calls)
+        for _ in range(2):
+            ops.run_calls(calls)
+            want = oracles.fully_connected(x, wt, b, (None, None))
+            assert np.array_equal(out.view(np.uint32),
+                                  want.reshape(-1).view(np.uint32))
 
 
 def test_scratch_below_a_page_stays_private():
