@@ -13,7 +13,9 @@ them in interleaved rounds of _CALLS calls a side: even rounds run the
 base first, odd rounds the change first. It prints each side's median time
 of one run() call, the median change and the rounds the change won, each
 side's kernel scratch (harness.plan_scratch on that side's driver at that
-many samples), then each step's median time per side, from a second
+many samples) and its step calls (the calls in that driver's step lists
+S<i> at that many samples, so a plan that grows with the sample count
+shows), then each step's median time per side, from a second
 interleaved pass with every step that side's driver binds (each module
 global bound to its run_calls) wrapped in a timer. When the two
 sides run different steps, it says so and lists each side's steps on their
@@ -180,6 +182,17 @@ def step_times(drivers, inputs, rounds: int) -> list[list]:
              for j in range(len(rs[0]))] for rs in per_round]
 
 
+def step_calls(driver, n: int) -> int:
+    """The calls in the driver's step lists S<i> at plan(n) (1 or its
+    BATCH); the driver is left at plan(1)."""
+    driver.plan(n)
+    try:
+        return sum(len(v) for k, v in vars(driver).items()
+                   if k[0] == "S" and k[1:].isdigit())
+    finally:
+        driver.plan(1)
+
+
 def compare(base, change, n: int, rounds: int, calls: int) -> dict:
     """Check and time both drivers at n samples a call."""
     for d in (base, change):
@@ -258,8 +271,9 @@ def report(fixture: str, r: dict) -> list[str]:
              f"({pct:+.1f}%), change won {r['won']}/{r['rounds']}; "
              f"outputs byte-identical"]
     b, c = r["scratch"]
-    lines.append(f"  kernel scratch {b} -> {c} B ({100 * (c / b - 1):+.1f}%)"
-                 if b else f"  kernel scratch {b} -> {c} B")
+    lines.append((f"  kernel scratch {b} -> {c} B ({100 * (c / b - 1):+.1f}%)"
+                  if b else f"  kernel scratch {b} -> {c} B")
+                 + f"; step calls {r['calls'][0]} -> {r['calls'][1]}")
     base_steps, change_steps = r["steps"]
     if [s[0] for s in base_steps] == [s[0] for s in change_steps]:
         for k, ((name, b), (_, c)) in enumerate(zip(base_steps,
@@ -329,6 +343,7 @@ def main(argv=None) -> int:
                 if r["identical"]:
                     r["scratch"] = [plan_scratch(d, n)
                                     for d in (base, change)]
+                    r["calls"] = [step_calls(d, n) for d in (base, change)]
                 print("\n".join(report(args.fixture, r)), flush=True)
             for n in sorted({1, min(base.BATCH, change.BATCH)}):
                 # the file holds each sample's inputs in turn

@@ -82,27 +82,28 @@ einsum, which no sum begun at +0.0 can show.
 
 numpy pays a fixed cost per call, per chunk and per inner row, so these
 reductions are planned for long lanes and few blocks. One budget,
-_PRODUCT_BYTES (256 KiB, sized for a level-2 cache), bounds each part of
-a block's scratch. A conv block gathers its patches, (kh, kw, ci) by
-lanes, into one buffer. A contraction's block covers as many whole output
-rows of one sample, or as many whole samples, as keep its patches and its
-accumulator each within the budget. On the products path the budget bounds
-a product tensor, its leading row (a running sum, when there is more than
-one chunk) and tail row included, and a conv or depthwise block covers as
-many whole output rows of one sample as leave room for a one-tap chunk
-and whose patches fit too; depthwise broadcasts each tap's window over its
-depth multiplier. Blocks are split evenly, rows = ceil(oh / ceil(oh /
+_PRODUCT_BYTES (256 KiB, sized for a level-2 cache), bounds each part of a
+block's scratch. A conv or depthwise block gathers its patches, taps by
+lanes, into one buffer from _windows, one strided view of every tap's
+input window, which the pools read tap by tap. On the products path the
+budget bounds a product tensor, its leading row (a running sum, when there
+is more than one chunk) and tail row included. A block covers as many
+whole output rows of one sample, or as many whole samples, as keep its
+patches and its accumulator (a contraction) or a one-tap chunk (else) each
+within the budget; a conv block on the products path takes one sample,
+where more measured slower. Depthwise broadcasts each tap's window over
+its depth multiplier. Blocks are split evenly, rows = ceil(oh / ceil(oh /
 rows_max)), and samples the same way. FC's lanes are its output features
 while a call's samples do not outnumber them, else its samples, through
 transposed views; so its transposed inputs never outgrow its weights.
 _sum_products_prep blocks a product path's lanes the same way where the
-tail row is the same along them (FC's bias is not, so its features stay
-one block), then puts a block's taps in the fewest chunks that fit, split
-evenly, the smaller first. A last block of samples, rows or lanes ends at
-the last one, so it may overlap the one before it, to the same values. A
-contraction into strided lanes, or a product path's reduction of more
-than one chunk, runs in a contiguous accumulator, copied out once a
-block; conv's lower clamp rides that copy-out.
+tail row is the same along them (FC's bias is not, so a biased FC's
+features stay one block), then puts a block's taps in the fewest chunks
+that fit, split evenly, the smaller first. A last block of samples, rows
+or lanes ends at the last one, so it may overlap the one before it, to the
+same values. A contraction into strided lanes, or a product path's
+reduction of more than one chunk, runs in a contiguous accumulator, copied
+out once a block; conv's lower clamp rides that copy-out.
 
 Steps run one at a time, so every step of a plan takes its scratch from
 one arena, sized to the largest step's need: a step that takes scratch
@@ -313,12 +314,23 @@ def _sum_products_calls(blocks, own, acc, lo=None):
     return calls
 
 
-def _pool_windows_prep(x, out, filter_h, filter_w, stride_h, stride_w):
-    # every tap's input window over the whole batch
-    oh, ow = out.shape[1], out.shape[2]
-    return [x[:, kh:kh + (oh - 1) * stride_h + 1:stride_h,
-              kw:kw + (ow - 1) * stride_w + 1:stride_w]
-            for kh in range(filter_h) for kw in range(filter_w)]
+def _windows(x, out, fh, fw, sh, sw, dh=1, dw=1):
+    # every (kh, kw) tap's strided input window over the whole batch, as
+    # one (fh, fw, n, oh, ow, c) view of x
+    sn, sy, sx, sc = x.strides
+    return np.ndarray((fh, fw, len(x), *out.shape[1:3], x.shape[3]), x.dtype,
+                      x, 0, (dh * sy, dw * sx, sn, sh * sy, sw * sx, sc))
+
+
+def _blocks(n, oh, rows, samples=True):
+    # (samples a block, rows a block, each block's first sample and row):
+    # at most rows whole output rows of one sample (one, if rows is 0), or
+    # where samples holds and rows covers a sample, whole samples, each
+    # split evenly; the last ends at the last sample and row (see above)
+    nb = -(-n // -(-n // max(1, min(n, rows // oh)))) if samples else 1
+    rows = -(-oh // -(-oh // max(1, min(oh, rows))))
+    return nb, rows, [(b, r0) for b in [*range(0, n - nb, nb), n - nb]
+                      for r0 in [*range(0, oh - rows, rows), oh - rows]]
 
 
 def conv2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
@@ -335,25 +347,16 @@ def conv2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
     taps = filter_h * filter_w * cin
     out = outputs[0].reshape(-1, *out_shape)
     w = weights[0].reshape(taps, cout)
-    n = len(x)
-    # Blocks of whole output rows of one sample whose gathered patches fit
-    # _PRODUCT_BYTES, and so do the block's sums when they are contracted
-    # (or one-tap chunks of products, with their leading and bias rows,
-    # when not), split evenly; a contraction's block may also span whole
-    # samples (see above). One row, if more.
+    # Blocks of whole output rows, or of whole samples where it contracts,
+    # whose patches and sums (a contraction's) or one-tap chunk of products
+    # each fit _PRODUCT_BYTES, split evenly (see above); one row, if more.
     contract = _contracts(taps, out.size, w)
-    rows = max(1, _PRODUCT_BYTES // (4 * ow * max(
-        taps, cout if contract else 3 * cout)))
-    nb = max(1, min(n, rows // oh)) if contract else 1
-    nb = -(-n // -(-n // nb))
-    rows = -(-oh // -(-oh // min(oh, rows)))
+    nb, rows, starts = _blocks(len(x), oh, _PRODUCT_BYTES // (4 * ow * max(
+        taps, cout if contract else 3 * cout)), contract)
     cols = _scratch(arena, (filter_h, filter_w, cin, nb, rows, ow))
-    # every (kh, kw, ci) tap's strided input plane, as one view
-    sn, sy, sx, sc = x.strides
-    win = np.ndarray(
-        (filter_h, filter_w, cin, n, oh, ow), x.dtype, x, 0,
-        (dilation_h * sy, dilation_w * sx, sc, sn, stride_h * sy,
-         stride_w * sx))
+    # every (kh, kw, ci) tap's strided input plane
+    win = _windows(x, out, filter_h, filter_w, stride_h, stride_w,
+                   dilation_h, dilation_w).transpose(0, 1, 5, 2, 3, 4)
     # a block's output rows are a transposed view, strides (4, 4 * cout),
     # which holds the lanes of its reduction
     blocks, own, fill = _sum_products_prep(
@@ -362,17 +365,13 @@ def conv2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
         weights[1][:, None] if len(weights) > 1 else 0.0, arena, cols.size,
         fills)
     calls += fill
-    # Every block gathers into cols and reduces with the same chunks. The
-    # last block ends at the last sample and row, so it overlaps the one
-    # before it when the blocks do not divide the samples or the output
-    # rows; the overlapped rows come out the same.
-    for b in [*range(0, n - nb, nb), n - nb]:
-        for r0 in [*range(0, oh - rows, rows), oh - rows]:
-            calls.append((np.copyto, (cols, win[:, :, :, b:b + nb,
-                                                 r0:r0 + rows]), {}))
-            calls += _sum_products_calls(
-                blocks, own, out[b:b + nb, r0:r0 + rows].reshape(-1, cout).T,
-                activation_min)
+    # every block gathers into cols and reduces with the same chunks
+    for b, r0 in starts:
+        calls.append((np.copyto, (cols, win[:, :, :, b:b + nb,
+                                             r0:r0 + rows]), {}))
+        calls += _sum_products_calls(
+            blocks, own, out[b:b + nb, r0:r0 + rows].reshape(-1, cout).T,
+            activation_min)
     # a reduction into lanes of its own took the lower clamp on the way out
     if own is not None:
         activation_min = None
@@ -395,25 +394,25 @@ def depthwise_conv2d_f32_prep(inputs, weights, outputs, *, in_shape,
                               pad_after_w, 0.0, fills)
     taps = filter_h * filter_w
     out = outputs[0].reshape(-1, oh, ow, cin, depth_multiplier)
-    rows = max(1, min(oh, _PRODUCT_BYTES // (12 * out[0, 0].size),
-                      _PRODUCT_BYTES // (4 * taps * ow * cin)))
-    rows = -(-oh // -(-oh // rows))
-    cols = _scratch(arena, (filter_h, filter_w, rows, ow, cin))
-    sn, sy, sx, sc = x.strides
-    win = np.ndarray(
-        (len(x), filter_h, filter_w, oh, ow, cin), x.dtype, x, 0,
-        (sn, dilation_h * sy, dilation_w * sx, stride_h * sy, stride_w * sx,
-         sc))
+    acc = out.reshape(-1, ow, cin, depth_multiplier)  # every output row
+    # blocks of whole samples or rows (see above), each a run of acc's rows
+    nb, rows, starts = _blocks(len(x), oh, min(
+        _PRODUCT_BYTES // (12 * acc[0].size),
+        _PRODUCT_BYTES // (4 * taps * ow * cin)))
+    cols = _scratch(arena, (filter_h, filter_w, nb, rows, ow, cin))
+    win = _windows(x, out, filter_h, filter_w, stride_h, stride_w,
+                   dilation_h, dilation_w)
     blocks, own, fill = _sum_products_prep(
-        cols.reshape(taps, rows, ow, cin, 1),
-        weights[0].reshape(taps, 1, 1, cin, depth_multiplier), out[0, :rows],
-        weights[1].reshape(cin, depth_multiplier) if len(weights) > 1
-        else 0.0, arena, cols.size, fills)
+        cols.reshape(taps, nb * rows, ow, cin, 1),
+        weights[0].reshape(taps, 1, 1, cin, depth_multiplier),
+        acc[:nb * rows], weights[1].reshape(cin, depth_multiplier)
+        if len(weights) > 1 else 0.0, arena, cols.size, fills)
     calls += fill
-    for b in range(len(x)):
-        for r0 in [*range(0, oh - rows, rows), oh - rows]:
-            calls.append((np.copyto, (cols, win[b, :, :, r0:r0 + rows]), {}))
-            calls += _sum_products_calls(blocks, own, out[b, r0:r0 + rows])
+    for b, r0 in starts:
+        calls.append((np.copyto, (cols, win[:, :, b:b + nb, r0:r0 + rows]),
+                      {}))
+        calls += _sum_products_calls(blocks, own,
+                                     acc[b * oh + r0:][:nb * rows])
     return calls + _clamp_calls(out, activation_min, activation_max)
 
 
@@ -428,21 +427,19 @@ def avg_pool2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
                               pad_after_w, 0.0, fills)
     # padded cells contribute zero to the sum and are excluded from the
     # count, which the fills sum tap by tap
-    mask = _filled((h + pad_before_h + pad_after_h,
-                    w + pad_before_w + pad_after_w), 0.0, fills)
-    cnt = _filled((oh, ow), 0.0, fills)
-    fills.append((np.copyto, (mask[pad_before_h:pad_before_h + h,
+    mask = _filled((1, h + pad_before_h + pad_after_h,
+                    w + pad_before_w + pad_after_w, 1), 0.0, fills)
+    cnt = _filled((1, oh, ow, 1), 0.0, fills)
+    fills.append((np.copyto, (mask[:, pad_before_h:pad_before_h + h,
                                    pad_before_w:pad_before_w + w],
                               float32(1.0)), {}))
-    fills += [(np.add, (cnt, mask[kh:kh + (oh - 1) * stride_h + 1:stride_h,
-                                  kw:kw + (ow - 1) * stride_w + 1:stride_w],
-                        cnt), {})
-              for kh in range(filter_h) for kw in range(filter_w)]
+    fills += [(np.add, (cnt, m, cnt), {}) for ms in _windows(
+        mask, cnt, filter_h, filter_w, stride_h, stride_w) for m in ms]
     out = outputs[0].reshape(-1, *out_shape)
     calls.append((np.copyto, (out, float32(0.0)), {}))
-    calls += [(np.add, (out, win, out), {}) for win in _pool_windows_prep(
-        x, out, filter_h, filter_w, stride_h, stride_w)]
-    calls.append((np.divide, (out, cnt[:, :, None], out), {}))
+    calls += [(np.add, (out, win, out), {}) for ws in _windows(
+        x, out, filter_h, filter_w, stride_h, stride_w) for win in ws]
+    calls.append((np.divide, (out, cnt, out), {}))
     return calls + _clamp_calls(out, activation_min, activation_max)
 
 
@@ -455,8 +452,8 @@ def max_pool2d_f32_prep(inputs, weights, outputs, *, in_shape, out_shape,
                               pad_after_w, float("-inf"), fills)
     out = outputs[0].reshape(-1, *out_shape)
     # from the first two windows, the earlier one second (see above)
-    wins = _pool_windows_prep(x, out, filter_h, filter_w, stride_h,
-                              stride_w)
+    wins = [win for ws in _windows(x, out, filter_h, filter_w, stride_h,
+                                   stride_w) for win in ws]
     if len(wins) < 2:
         calls.append((np.copyto, (out, wins[0]), {}))
     else:
@@ -477,11 +474,11 @@ def fully_connected_f32_prep(inputs, weights, outputs, *, in_features,
     x = inputs[0].reshape(-1, in_features)
     w = weights[0].reshape(in_features, out_features)
     out = outputs[0].reshape(-1, out_features)
-    tail = weights[1] if len(weights) > 1 else _filled(out_features, 0.0,
-                                                       fills)
+    tail = weights[1] if len(weights) > 1 else 0.0
     calls, at = [], 0
     if len(x) > out_features:
-        x, w, out, tail = w.T, x.T, out.T, tail[:, None]
+        x, w, out = w.T, x.T, out.T
+        tail = tail[:, None] if len(weights) > 1 else 0.0
     elif _contracts(in_features, out.size, w):
         # a contraction's rows, with the taps outermost: one sample's as a
         # column, more copied transposed into scratch (see above)

@@ -37,11 +37,16 @@ def test_same_programs_are_timed_step_by_step_at_one_sample_and_batch(
                         for d in (base, change)]
         assert r["scratch"][0] == r["scratch"][1] > 0
         scratch[n] = r["scratch"][0]
+        # and make the same calls: 9 at one sample, 26 at BATCH, where
+        # each FC's sample lanes go in blocks
+        r["calls"] = [ab_programs.step_calls(d, n) for d in (base, change)]
+        assert r["calls"] == [9 if n == 1 else 26] * 2
         lines = ab_programs.report("mlp", r)
         assert lines[0].startswith(f"mlp n={n}: run() ")
         assert lines[0].endswith("outputs byte-identical")
         assert lines[1] == (f"  kernel scratch {r['scratch'][0]} -> "
-                            f"{r['scratch'][1]} B (+0.0%)")
+                            f"{r['scratch'][1]} B (+0.0%); step calls "
+                            f"{r['calls'][0]} -> {r['calls'][1]}")
         assert len(lines) == 5
         # each driver is left at one sample a call, where a larger plan
         # would refuse one sample's inputs
@@ -62,11 +67,12 @@ def test_differing_outputs_are_reported_and_not_timed(tmp_path):
 
 def test_different_step_lists_are_listed_side_by_side_not_paired():
     r = {"n": 1, "identical": True, "base_us": 10.0, "change_us": 8.0,
-         "won": 3, "rounds": 3, "scratch": [2048, 1024],
+         "won": 3, "rounds": 3, "scratch": [2048, 1024], "calls": [7, 4],
          "steps": [[("fully_connected_f32", 4.0), ("softmax_f32", 2.0)],
                    [("conv2d_f32", 5.0)]]}
     lines = ab_programs.report("mlp", r)
-    assert lines[1] == "  kernel scratch 2048 -> 1024 B (-50.0%)"
+    assert lines[1] == ("  kernel scratch 2048 -> 1024 B (-50.0%); "
+                        "step calls 7 -> 4")
     assert lines[2:] == [
         "  the two sides run different steps",
         "  base   step 0  fully_connected_f32          4.0 us",
@@ -114,7 +120,10 @@ def test_each_side_times_the_steps_its_own_driver_binds(tmp_path):
     # the timers are taken off again
     assert base.reshape_copy is base.run_calls
     r["scratch"] = [0, 0]
+    r["calls"] = [ab_programs.step_calls(d, 1) for d in (base, change)]
+    assert r["calls"] == [1, 0]
     lines = ab_programs.report("identity", r)
+    assert lines[1] == "  kernel scratch 0 -> 0 B; step calls 1 -> 0"
     assert lines[2:] == ["  the two sides run different steps",
                          f"  base   step 0  reshape_copy           "
                          f"{r['steps'][0][0][1]:9.1f} us"]

@@ -1445,6 +1445,23 @@ def _program_lists(driver):
             if k[0] == "S" and k[1:].isdigit()]
 
 
+def test_dwblock_plans_do_not_grow_with_the_sample_count(built):
+    # depthwise blocks span whole samples: its step makes 5 calls (the
+    # copy into its padded input, the tail row's fill, the gather, the
+    # products and their sum) at 1, 2 and 5 samples, and 20 at BATCH, 3
+    # blocks of 12 samples whose 9 taps go in 2 chunks. The shipped BATCH
+    # table then holds 30 calls, its one fill included.
+    bundle, art = built["dwblock"]
+    batch = codegen._batch(codegen.extract_units(bundle))
+    for n, want in ((1, 5), (2, 5), (5, 5), (batch, 20)):
+        plan = interpreter.load(bundle, samples=n)
+        [calls] = [c for op, c in plan.steps
+                   if op.kind == "DEPTHWISE_CONV_2D"]
+        assert len(calls) == want, n
+    t = harness.load_driver(art.executable).T[batch]
+    assert len(t[5]) + sum(map(len, t[6])) == 30
+
+
 def test_program_plans_share_one_arena_and_keep_small_steps_as_they_were(
         built):
     # lenet's plan(1) takes the gathered patches and the accumulators of

@@ -849,6 +849,84 @@ def test_conv_blocks_that_span_samples_match_the_oracle(case_budget,
     assert starts == [[0, 2, 3], [0]]
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_depthwise_blocks_that_span_samples_match_the_oracle(case_budget):
+    # At the case budget: 7 samples of 10 x 10 outputs over 4 channels, 4
+    # of which fit, go in 2 blocks of 4 from samples 0 and 3, so the last
+    # writes sample 3 again; 5 samples of 13 x 13 outputs at stride and
+    # dilation 2, depth multiplier 2, 3 of which fit, go in 2 blocks of 3
+    # from samples 0 and 2. Inputs of -0.0, +-inf and NaN, a -0.0 and an
+    # inf bias, with and without a clamp: the stacked call writes the
+    # oracle's bits, the sign of every zero included.
+    rng = np.random.default_rng(53)
+    for n, h, cin, mult, s, clamp, starts in (
+            (7, 12, 4, 1, 1, (0.0, 6.0), [0, 3]),
+            (5, 30, 3, 2, 2, (None, None), [0, 2])):
+        oh = (h - 2 * s - 1) // s + 1
+        x = rng.uniform(-1, 1, (n, h, h, cin)).astype(np.float32)
+        x.reshape(-1)[::7] = np.float32(-0.0)
+        x[0, 3, 3, 0], x[1, 5, 5, 0], x[-1, 0, 0, 0] = (np.inf, -np.inf,
+                                                       np.nan)
+        wt = rng.uniform(-1, 1, (1, 3, 3, cin * mult)).astype(np.float32)
+        bias = rng.uniform(-0.5, 0.5, cin * mult).astype(np.float32)
+        bias[0], bias[1] = np.float32(-0.0), np.inf
+        kwargs = kernel_cases._conv_kwargs((h, h, cin), (oh, oh, cin * mult),
+                                           3, 3, s, s, s, s, (0, 0, 0, 0),
+                                           clamp)
+        xs = x.reshape(-1)
+        out = np.empty(n * oh * oh * cin * mult, np.float32)
+        calls = kernel_cases.prepare(
+            ops.depthwise_conv2d_f32_prep, [xs], [wt.reshape(-1), bias],
+            [out], depth_multiplier=mult, **kwargs)
+        ops.run_calls(calls)
+        at, sample = xs.__array_interface__["data"][0], 4 * h * h * cin
+        assert [(args[1].__array_interface__["data"][0] - at) // sample
+                for f, args, _ in calls
+                if f is ops.np.copyto and args[0].ndim == 6] == starts
+        want = oracles.depthwise_conv2d(x, wt, bias, (s, s), (s, s),
+                                        (0, 0, 0, 0), mult, clamp)
+        assert np.array_equal(out.view(np.uint32),
+                              np.asarray(want, np.float32).reshape(-1)
+                              .view(np.uint32))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("contract", [True, False])
+@pytest.mark.parametrize("shape", [
+    (1, 300, 64), (1, 3, 5), (7, 16, 4), (9, 256, 120), (128, 256, 256),
+    (1, 1, 1), (2, 8, 1)])
+def test_a_bias_less_fc_sums_onto_a_plus_zero_tail(shape, contract,
+                                                   monkeypatch):
+    # With no bias, FC's tail is +0.0, as conv's is: a sum begun at +0.0
+    # is never -0.0, so adding it changes no bit, and no buffer of zeros
+    # is filled for it. A one-sample 300 -> 64 FC that contracts is then
+    # one np.c_einsum, with no fill and no np.add after it. On either
+    # path, -0.0 and +-inf inputs included, the bits are the scalar
+    # loop's.
+    if not contract:
+        monkeypatch.setattr(ops, "_unfused", lambda: False)
+    n, nin, nout = shape
+    rng = np.random.default_rng(61)
+    x = rng.uniform(-1, 1, (n, nin)).astype(np.float32)
+    x.reshape(-1)[::3] = np.float32(-0.0)
+    x.reshape(-1)[1::97] = np.inf
+    x.reshape(-1)[2::89] = -np.inf
+    w = rng.uniform(-1, 1, (nin, nout)).astype(np.float32)
+    out = np.empty(n * nout, np.float32)
+    fills = []
+    calls = ops.fully_connected_f32_prep(
+        [x.reshape(-1)], [w.reshape(-1)], [out], in_features=nin,
+        out_features=nout, activation_min=None, activation_max=None,
+        fills=fills)
+    if contract and shape == (1, 300, 64):
+        assert ([f for f, _, _ in calls], fills) == ([ops.np.c_einsum], [])
+    ops.run_calls(fills)
+    ops.run_calls(calls)
+    want = _scalar_loop(x.T[:, :, None], w[:, None], np.float32(0.0))
+    assert np.array_equal(out.view(np.uint32), want.reshape(-1).view(
+        np.uint32))
+
+
 @pytest.mark.parametrize("bias", [True, False])
 def test_fc_feature_lanes_past_the_budget_stay_in_one_block(bias,
                                                            monkeypatch):
@@ -856,11 +934,13 @@ def test_fc_feature_lanes_past_the_budget_stay_in_one_block(bias,
     # 125): the samples do not outnumber the output features, so those are
     # the lanes. They are one contraction of all 256 taps, straight into
     # the output, from the samples' inputs copied transposed into 128 KiB
-    # of scratch, no product tensor; the bias (an absent one is zeros) is
-    # added after. On the products path a one-tap chunk of those lanes
-    # overruns the product budget, and the bias differs along them, so
-    # they stay in one block of one-tap chunks, as at one sample. Either
-    # way the stacked call writes the bytes of 128 single ones.
+    # of scratch, no product tensor; a bias is added after. On the
+    # products path a one-tap chunk of those lanes overruns the product
+    # budget, and a bias differs along them, so they stay in one block of
+    # one-tap chunks, as at one sample; with no bias the tail is +0.0 along
+    # them all, so they go in two blocks of 128 lanes, in chunks of 2 taps
+    # within the budget. Either way the stacked call writes the bytes of
+    # 128 single ones.
     n, nin, nout = 128, 256, 256
     assert 12 * n * nout > ops._PRODUCT_BYTES
     rng = np.random.default_rng(23)
@@ -871,7 +951,8 @@ def test_fc_feature_lanes_past_the_budget_stay_in_one_block(bias,
     params = {"in_features": nin, "out_features": nout,
               "activation_min": None, "activation_max": None}
     out = np.empty(n * nout, np.float32)
-    for contract, lanes in ((True, [nout]), (False, [nout] * nin)):
+    products = [nout] * nin if bias else [nout // 2] * nin
+    for contract, lanes in ((True, [nout]), (False, products)):
         if not contract:
             monkeypatch.setattr(ops, "_unfused", lambda: False)
         calls = kernel_cases.prepare(
@@ -897,8 +978,9 @@ def test_one_sample_fc_wider_than_the_budget_matches_the_oracle(
     # one sample of 21,846 output features, against the scalar loop bit
     # for bit: one contraction of its 3 taps straight into the output; on
     # the products path a one-tap chunk of them overruns the kernels'
-    # product budget and the case budget alike, and they stay in one
-    # block
+    # product budget and the case budget alike, and with a bias they stay
+    # in one block; with none, they go in blocks of lanes within either
+    # budget (2 blocks of one 3-tap chunk, 5 of three one-tap chunks)
     if budget == "case":
         monkeypatch.setattr(ops, "_PRODUCT_BYTES",
                             kernel_cases.CASE_PRODUCT_BYTES)
@@ -909,18 +991,20 @@ def test_one_sample_fc_wider_than_the_budget_matches_the_oracle(
     x[0, 0] = np.float32(-0.0)
     wt = rng.uniform(-1, 1, (nout, nin)).astype(np.float32)
     b = rng.uniform(-0.5, 0.5, nout).astype(np.float32) if bias else None
-    for lanes in ([nout], [nout] * nin):
-        if len(lanes) > 1:
+    products = ([nout] * nin if bias else
+                {"kernels": [10_923] * 2, "case": [4_370] * 15}[budget])
+    for contract, lanes in ((True, [nout]), (False, products)):
+        if not contract:
             monkeypatch.setattr(ops, "_unfused", lambda: False)
         got, want = kernel_cases._run_fully_connected(x, wt, b, (None, None))
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
         calls = kernel_cases.prepare(
             ops.fully_connected_f32_prep, [x.reshape(-1)],
-            [wt.T.copy().reshape(-1)], [np.empty(nout, np.float32)],
-            in_features=nin, out_features=nout, activation_min=None,
-            activation_max=None)
+            [wt.T.copy().reshape(-1)] + ([b] if bias else []),
+            [np.empty(nout, np.float32)], in_features=nin, out_features=nout,
+            activation_min=None, activation_max=None)
         assert _product_lanes(calls) == lanes
-        assert len(_contractions(calls)) == (len(lanes) == 1)
+        assert len(_contractions(calls)) == contract
 
 
 @pytest.mark.parametrize("shape", [
@@ -1073,8 +1157,10 @@ def test_one_sample_fc_wider_than_the_budget_runs_through_the_arena(
         bias, monkeypatch):
     # one sample of 21,846 output features contracts straight into its
     # output and takes no scratch: the arena stays empty. On the products
-    # path a one-tap chunk of them overruns the product budget, and the
-    # arena grows to hold it. Either way the sum is the oracle's.
+    # path a one-tap chunk of them with a bias overruns the product
+    # budget, and the arena grows to hold it; with none, two blocks of
+    # 10,923 lanes take one 3-tap chunk each, within the budget. Either
+    # way the sum is the oracle's.
     rng = np.random.default_rng(31)
     nin, nout = 3, 21_846
     x = rng.uniform(-1, 1, (1, nin)).astype(np.float32)
@@ -1086,13 +1172,13 @@ def test_one_sample_fc_wider_than_the_budget_runs_through_the_arena(
             [wt.T.copy().reshape(-1)] + ([b] if bias else []), [out],
             {"in_features": nin, "out_features": nout,
              "activation_min": None, "activation_max": None})
-    for arena_bytes in (0, 4 * 3 * nout):
+    for arena_bytes in (0, 4 * 3 * nout if bias else 4 * 4 * 10_923):
         if arena_bytes:
             monkeypatch.setattr(ops, "_unfused", lambda: False)
         [calls], arena = _arena_lists([step])
         assert arena[0].nbytes == arena_bytes
         if arena_bytes:
-            assert arena_bytes > ops._PRODUCT_BYTES
+            assert (arena_bytes > ops._PRODUCT_BYTES) == bias
             assert _product_bases(calls).keys() == {id(arena[0])}
         else:
             assert not _product_bases(calls) and _contractions(calls)

@@ -227,7 +227,7 @@ def test_a_reshape_that_changes_dtype_is_invalid():
 # name -> (BATCH, BUFFER_BYTES, plan_scratch at 1, plan_scratch at BATCH)
 _ACCOUNTS = {
     "custom": (2520, 104, 296, 322_560),
-    "dwblock": (36, 7168, 45_184, 225_792),
+    "dwblock": (36, 7168, 45_184, 508_416),
     "identity": (8192, 32, 0, 0),
     "lenet": (9, 27_456, 74_908, 214_668),
     "mlp": (3640, 72, 296, 305_760),
