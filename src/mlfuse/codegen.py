@@ -4,10 +4,10 @@ The pipeline lowers the bundle once (lowering.py): one computing unit per
 operator with its known configuration resolved from the container, and one
 buffer per tensor, but for a RESHAPE's output, a view of its input's. It
 searches the one unknown, the weight layout of each conv and FC, by
-comparing candidate behavior against one runtime plan; each candidate's
-weights are laid out in one blob by lowering.lay_out and its plans
-prepared over views of it by lowering.configure, the path the interpreter
-takes too, at one sample a call and at BATCH. It then emits a program of
+comparing candidate behavior, step by step, against a runtime plan of the
+same lowering (interpreter.plan). It prepares its plans of one sample a
+call and of BATCH once (lowering.configure), over views of one blob, into
+which lowering.lay_out lays each candidate's weights. It then emits a program of
 two code modules and one data member. The driver holds the two plans the
 search verified for the accepted candidate as call tables (_call_table)
 and replays them: it carries no prepare step and no planner, and makes
@@ -48,6 +48,7 @@ from numpy._core import _multiarray_umath as _core
 from . import corestart, harness, interpreter
 from .graphir import DataType, ModelBundle
 from .kernels import DeviceInfo, default_registry, splits_along_axis_0
+from .kernels.ops import run_calls
 from .lowering import LoweredOp, Lowering, configure, lay_out, lower
 
 
@@ -257,74 +258,71 @@ def _served(samples, first: int, b: int) -> list:
             for k in [*range(0, m - b, b), m - b]]
 
 
-def _worst_error(n, steps, feeds, refs, buffers, input_ids,
-                 delta) -> tuple[float, Breach | None]:
-    """Largest per-sample l2 distance from the runtime of any tensor an
-    operator writes, over the calls of a plan of n samples.
-
-    steps are (op index, unit, prepared calls, output ids) in graph order;
-    feeds are _served calls, and refs hold each tensor's runtime value as
-    one row a verify input. Stops at the first tensor with a sample beyond
-    delta and returns where that sample breached it; the breach is None
-    within delta.
-    """
-    worst = 0.0
+def _stepped(n, steps, buffers, input_ids, feeds):
+    """Run a plan of n samples a call, its steps (op, its calls), on feeds
+    (_served calls); right after each step, yield (the call's first verify
+    index, op index, tensor id, the call's rows of it) for each tensor the
+    step writes."""
     for first, rows, x in feeds:
         for t, arr in zip(input_ids, x):
             np.copyto(buffers[t], arr)
-        for at, unit, calls, out_ids in steps:
-            unit.fn(calls)
-            for tid in out_ids:
-                errs = harness.distances(buffers[tid].reshape(n, -1)[:rows],
-                                         refs[tid][first:first + rows])
-                for i, err in enumerate(errs):
-                    if not err <= delta:
-                        return worst, Breach(err, at, first + i, n)
-                worst = max(worst, *errs)
-    return worst, None
+        for op, calls in steps:
+            op.unit.fn(calls)
+            for t in op.output_ids:
+                yield first, op.op_index, t, buffers[t].reshape(n, -1)[:rows]
 
 
-def _reference(bundle: ModelBundle, lowered: Lowering, xs, n: int,
-               registry) -> dict:
+def _reference(runtime: Lowering, xs, n: int) -> dict:
     """Each tensor an operator writes, as the runtime computes it, one row
-    a verify input: a runtime plan of n samples a call, loaded with
-    registry, run over xs in the calls the program makes of a file."""
-    runtime = interpreter.load(bundle, registry=registry, samples=n)
-    refs = {t: np.empty((len(xs), lowered.tensors[t].count),
-                        runtime.buffers[t].dtype)
-            for op in lowered.ops for t in op.output_ids}
-    for first, rows, x in _served(xs, 0, n):
-        interpreter.invoke(runtime, x)
-        for t, ref in refs.items():
-            ref[first:first + rows] = runtime.buffers[t].reshape(n, -1)[:rows]
+    a verify input: runtime's plan of n samples a call (interpreter.plan),
+    stepped over xs in the calls the program makes of a file."""
+    plan = interpreter.plan(runtime, n)
+    refs = {t: np.empty((len(xs), runtime.tensors[t].count),
+                        plan.buffers[t].dtype)
+            for op in runtime.ops for t in op.output_ids}
+    for first, _, t, rows in _stepped(n, plan.steps, plan.buffers,
+                                      runtime.input_ids, _served(xs, 0, n)):
+        refs[t][first:first + len(rows)] = rows
     return refs
+
+
+def _worst_error(n, stepped, refs, delta) -> tuple[float, Breach | None]:
+    """Largest per-sample l2 distance from refs of the tensors stepped
+    yields, and the breach of the first sample beyond delta, else None."""
+    worst = 0.0
+    for first, at, t, rows in stepped:
+        errs = harness.distances(rows, refs[t][first:first + len(rows)])
+        for i, err in enumerate(errs):
+            if not err <= delta:
+                return worst, Breach(err, at, first + i, n)
+        worst = max(worst, *errs)
+    return worst, None
 
 
 def search_status(bundle: ModelBundle, lowered: Lowering,
                   cfg: harness.VerifyConfig | None = None,
-                  registry=None) -> SearchResult:
+                  runtime: Lowering | None = None) -> SearchResult:
     """Find weight layouts whose behavior matches the runtime within delta.
 
     The unknowns are the operators whose unit lists layouts; candidates are
     walked in lexicographic order over them in graph order, each in its
-    unit's layout order. A candidate's weights are laid out once into one
-    blob (lowering.lay_out), and both plans the program ships are prepared
-    over views of it (lowering.configure), as the interpreter prepares its
-    own: the plan of one sample a call runs input 0, and, if that passes,
+    unit's layout order. Both plans the program ships are prepared once
+    (lowering.configure), over views of one blob: a prepared call list does
+    not depend on the layout, so each candidate's weights are laid out
+    (lowering.lay_out) into that blob in place, and each plan's fills made
+    again. The plan of one sample a call runs input 0, and, if that passes,
     the plan of BATCH runs the other inputs (copies of input 0 when there
     are none) in the calls the program makes of a file. The reference is
-    one runtime plan of min(BATCH, inputs) samples a call (_reference), so
-    fewer inputs than BATCH are not padded to BATCH rows; it computes each
-    sample as a plan of one sample a call does. Every sample of every
-    tensor an operator writes is compared with the runtime's right after
-    that operator runs, and a candidate is rejected at the first one
-    beyond delta, so a wrong layout cannot hide behind a saturating later
-    operator. Every candidate that agrees with a rejected one on the
-    unknowns up to its breach computes the same tensors up to there and
-    fails too, so the walk skips them all. The first candidate within delta
-    on every input is accepted, with the blob and the two plans it ran,
-    which the emitter tabulates as they are. The runtime's plan is loaded
-    with the given registry, not the lowering.
+    runtime's plan (the build's lowering unless given) of min(BATCH, inputs)
+    samples a call (_reference). Reference and candidates step through one
+    loop (_stepped): every sample of every tensor an operator writes is
+    compared with the runtime's right after its step, and a candidate is
+    rejected at the first one beyond delta, so a wrong layout cannot hide
+    behind a saturating later operator. Every candidate that agrees with a
+    rejected one on the unknowns up to its breach computes the same tensors
+    up to there and fails too, so the walk skips them all. The first
+    candidate within delta on every input is accepted, with the blob and the
+    two plans it ran, which the emitter tabulates as they are.
     """
     cfg = cfg or harness.VerifyConfig()
     ops = lowered.ops
@@ -337,26 +335,31 @@ def search_status(bundle: ModelBundle, lowered: Lowering,
     if batch > 1 or len(xs) > 1:
         rest = (xs[1:], 1) if len(xs) > 1 else (xs, 0)
         feeds.setdefault(batch, []).extend(_served(*rest, batch))
-    refs = _reference(bundle, lowered, xs, min(batch, len(xs)), registry)
+    refs = _reference(runtime or lowered, xs, min(batch, len(xs)))
 
     buffers = {n: lowered.allocate(n) for n in feeds}
     picks = [0] * len(unknowns)
     evaluated = 0
-    best = None
+    best = plans = None
     while True:
         evaluated += 1
         layouts = [None] * len(ops)
         for i, domain, pick in zip(unknowns, domains, picks):
             layouts[i] = domain[pick]
-        blob, views = lay_out(lowered, layouts)
-        plans, worst = {}, 0.0
+        laid, views = lay_out(lowered, layouts)
+        if plans is None:
+            blob, plans = laid, {n: Prepared(b, *configure(lowered, views, b))
+                                 for n, b in buffers.items()}
+            steps = {n: [*zip(ops, p.calls)] for n, p in plans.items()}
+        else:
+            np.copyto(blob, laid)
+            for p in plans.values():
+                run_calls(p.fills)
+        worst = 0.0
         for n, calls in feeds.items():
-            plans[n] = Prepared(buffers[n],
-                                *configure(lowered, views, buffers[n]))
-            err, breach = _worst_error(
-                n, [(op.op_index, op.unit, k, op.output_ids)
-                    for op, k in zip(ops, plans[n].calls)],
-                calls, refs, buffers[n], lowered.input_ids, cfg.delta)
+            err, breach = _worst_error(n, _stepped(
+                n, steps[n], buffers[n], lowered.input_ids, calls),
+                refs, cfg.delta)
             worst = max(worst, err)
             if breach:
                 break
@@ -938,7 +941,7 @@ def pipeline(bundle: ModelBundle, out_dir, device: DeviceInfo | None = None,
             raise CodegenError("program IO is little-endian F32; graph "
                                f"tensor {tid} is {graph.tensors[tid].dtype.name}")
     analyze_config(lowered)  # the analyze phase, which the lowering did
-    result = search_status(bundle, lowered, cfg, registry)
+    result = search_status(bundle, lowered, cfg)
     plan = build_emission_plan(lowered, result)
 
     out_dir = Path(out_dir)

@@ -611,7 +611,10 @@ def _node_output_shapes(node, in_shapes, custom_rules, what):
         rule = custom_rules.get(node.op_id)
         if rule is None:
             raise GraphError(f"{what}: no shape rule for custom operator")
-        return rule(node, in_shapes)
+        try:  # a custom rule checks its own arity, and may raise anything
+            return rule(node, in_shapes)
+        except Exception as e:
+            raise GraphError(f"{what}: {e}") from None
 
     op = node.op_id
     opts = node.options

@@ -3,18 +3,19 @@
 The interpreter is the reference deployment. Load lowers the bundle
 (lowering.py), which validates it first: one computing unit per operator
 with its resolved parameters, and one buffer per tensor, but for a
-RESHAPE's output, which shares its input's buffer. Configure allocates the
-buffers, lays every operator's weights out in one blob in the layouts the
-table shipped with the kernels names (lowering.lay_out), and prepares the
-plan over them (lowering.configure), the path the status search takes
-too: each kernel's prepare step binds its views of the buffers, of the
-blob and of the plan's one scratch arena and returns the operator's numpy
-calls. Invoke then only runs each operator's calls through its unit's run
-step, ops.run_calls, in topological order; a RESHAPE's step makes none,
-but it stays a step, so an error or a search breach names its operator. A
-plan runs one sample a call unless load is given more: its buffers then
-stack that many along axis 0, as the program's batched plan does, and its
-kernels read the count from them.
+RESHAPE's output, which shares its input's buffer. Plan, which the status
+search calls on the build's own lowering, allocates the buffers, lays
+every operator's weights out in one blob in the layouts the table shipped
+with the kernels names (lowering.lay_out), and prepares the plan over them
+(lowering.configure), as the search does for its candidates: each kernel's
+prepare step binds its views of the buffers, of the blob and of the plan's
+one scratch arena and returns the operator's numpy calls. Invoke then only
+runs each operator's calls through its unit's run step, ops.run_calls, in
+topological order; a RESHAPE's step makes none, but it stays a step, so an
+error or a search breach names its operator. A plan runs one sample a call
+unless it is made for more: its buffers then stack that many along axis 0,
+as the program's batched plan does, and its kernels read the count from
+them.
 
 Memory accounting covers plan-managed allocations only: the serialized graph
 text and weight arrays at load, tensor buffers (Lowering.buffer_bytes) and
@@ -70,16 +71,22 @@ class ExecutablePlan:
 def load(bundle: ModelBundle, device: DeviceInfo | None = None,
          registry=None, samples: int = 1) -> ExecutablePlan:
     """Build an executable plan of samples samples a call: lower (which
-    validates), allocate, configure."""
-    lowered = lower(bundle, device, registry)
+    validates), then plan the lowering."""
+    return plan(lower(bundle, device, registry), samples,
+                len(graphir.graph_to_json(bundle.graph).encode("utf-8")))
+
+
+def plan(lowered: Lowering, samples: int = 1,
+         graph_bytes: int = 0) -> ExecutablePlan:
+    """Allocate and configure a plan of lowered, samples samples a call,
+    in the runtime's layouts; graph_bytes is its graph text's size."""
     buffers = lowered.allocate(samples)
     blob, views = lay_out(
         lowered, [hidden_status_for(op.unit.key) for op in lowered.ops])
     calls, _ = configure(lowered, views, buffers)
     return ExecutablePlan(
         lowered=lowered, steps=list(zip(lowered.ops, calls)), buffers=buffers,
-        blob=blob,
-        load_bytes=len(graphir.graph_to_json(bundle.graph).encode("utf-8"))
+        blob=blob, load_bytes=graph_bytes
         + sum(arr.nbytes for arr in lowered.weights.values()),
         configure_bytes=lowered.buffer_bytes * samples + blob.nbytes,
         shapes={

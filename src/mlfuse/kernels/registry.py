@@ -278,6 +278,8 @@ def _scale_shift_mapper(node, in_shapes, out_shape) -> dict:
 
 
 def _scale_shift_shape(node, in_shapes):
+    if len(in_shapes) != 1:
+        raise graphir.GraphError(f"expects 1 input(s), got {len(in_shapes)}")
     return [tuple(in_shapes[0])]
 
 

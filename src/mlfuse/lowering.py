@@ -22,12 +22,14 @@ contradicts graphir.infer_shapes, the only shape math, and any builtin
 option graphir.OPTION_SCHEMAS does not allow. It reads no layout table,
 so the search may use it.
 
-Every plan is made in two steps, by the interpreter and the search alike.
-lay_out writes every operator's weights into one blob in the layouts it
-is given: the interpreter passes the runtime's table, the search each
-candidate, and the program ships the accepted candidate's blob. configure
-then prepares each kernel over the buffers and views of that blob, and
-makes the plan's fills.
+Every plan is made in two steps, by the interpreter and the search alike,
+and a build's search plans its candidates and its runtime reference
+(interpreter.plan) from the build's one lowering. lay_out writes every
+operator's weights into one blob in the layouts it is given: the
+runtime's table or a candidate's, and the program ships the accepted
+candidate's blob. configure then prepares each kernel over the buffers
+and views of that blob, and makes the plan's fills; the calls it binds do
+not depend on the layouts.
 
 Every shape and parameter it resolves is the graph's own, at one sample a
 call. A caller that stacks samples along axis 0 only sizes the buffers for

@@ -15,7 +15,7 @@ import oracles
 
 from mlfuse import codegen, fixtures, graphir, harness, sniffer
 from mlfuse.graphir import CONV_2D, DataType
-from mlfuse.kernels import DeviceInfo, default_registry
+from mlfuse.kernels import DeviceInfo
 from mlfuse.kernels.live_status import hidden_status_for
 from mlfuse.kernels.registry import build_default_registry
 
@@ -97,8 +97,7 @@ def test_criterion_3_dynamic_configuration(capsys):
         unit.layouts = {"OHWI": None}
         dex = codegen.extract_units(bundle, registry=doctored)
         with pytest.raises(codegen.SearchError, match="exhausted") as ei:
-            codegen.search_status(bundle, dex,
-                                  registry=default_registry())
+            codegen.search_status(bundle, dex, runtime=ex)
         assert ei.value.candidates_evaluated == 1
         assert math.isfinite(ei.value.best_error)
         assert ei.value.best_error > DELTA

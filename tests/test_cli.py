@@ -1,15 +1,19 @@
 import ast
+import contextlib
 import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlfuse import cli, fixtures, graphir
 
@@ -565,6 +569,99 @@ def test_build_fixture_offers_every_fixture():
     # a literal list, so that the parser loads no fixtures (and no
     # numpy.random) for the other commands
     assert cli._FIXTURES == sorted(fixtures.FIXTURES)
+
+
+@pytest.fixture(scope="module")
+def containers(tmp_path_factory):
+    """Every fixture's .mlg and .mlw, by fixture name."""
+    root = tmp_path_factory.mktemp("containers")
+    for name in fixtures.FIXTURES:
+        assert cli.main(["build-fixture", name, "--out", str(root)]) == 0
+    return {name: (root / f"{name}.mlg", root / f"{name}.mlw")
+            for name in fixtures.FIXTURES}
+
+
+@pytest.mark.parametrize("command", ["inspect", "run", "codegen"])
+@pytest.mark.parametrize("inputs", [[], [3, 3]], ids=["none", "two"])
+def test_a_custom_operator_of_the_wrong_arity_exits_2(containers, tmp_path,
+                                                      capsys, command,
+                                                      inputs):
+    # custom's SCALE_SHIFT (operator 1) takes one input: none, or two, is
+    # a container error, named in one line, as a builtin's arity is
+    g, w = containers["custom"]
+    obj = json.loads(g.read_text(encoding="utf-8"))
+    obj["operators"][1]["inputs"] = inputs
+    bad = tmp_path / "bad.mlg"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    np.zeros(4, "<f4").tofile(tmp_path / "in.raw")
+    argv = {"inspect": ["inspect", str(bad), str(w)],
+            "run": ["run", str(bad), str(w), str(tmp_path / "in.raw"),
+                    str(tmp_path / "out.raw")],
+            "codegen": ["codegen", str(bad), str(w),
+                        "--out", str(tmp_path / "b")]}[command]
+    assert cli._main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: invalid bundle: operator 1 (SCALE_SHIFT): "
+                   f"expects 1 input(s), got {len(inputs)}\n")
+    assert not (tmp_path / "out.raw").exists()
+
+
+# a value of each JSON type, for a value of another type
+_OTHER_VALUES = [None, True, -1, 0.5, "x", [1], {}]
+
+
+def _mutations(node, path=()):
+    """Every structural mutation of a JSON document, as (path, how, the
+    values it may take): drop a key, drop or duplicate a list element,
+    nudge an int, change a type."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        at = (*path, key)
+        yield at, "drop", [None]
+        if isinstance(node, list):
+            yield at, "duplicate", [None]
+        if type(child) is int:
+            yield at, "nudge", [-2, -1, 1, 2]
+        yield at, "retype", [v for v in _OTHER_VALUES
+                             if type(v) is not type(child)]
+        yield from _mutations(child, at)
+
+
+def _mutate(obj, path, how, value):
+    *parents, key = path
+    for k in parents:
+        obj = obj[k]
+    if how == "drop":
+        del obj[key]
+    elif how == "duplicate":
+        obj.insert(key, obj[key])
+    elif how == "nudge":
+        obj[key] += value
+    else:
+        obj[key] = value
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(fixtures.FIXTURES)), st.data())
+def test_inspect_of_a_mutated_container_exits_0_or_2(containers, name, data):
+    # structural mutations of every fixture's graph document, through the
+    # command in process: each is accepted or rejected in one error line
+    g, w = containers[name]
+    obj = json.loads(g.read_text(encoding="utf-8"))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path, how, values = data.draw(st.sampled_from(list(_mutations(obj))))
+        _mutate(obj, path, how, data.draw(st.sampled_from(values)))
+    with tempfile.TemporaryDirectory() as d:
+        bad = Path(d) / "bad.mlg"
+        bad.write_text(json.dumps(obj), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli._main(["inspect", str(bad), str(w)])
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
 
 
 # A fresh child that runs one command with cli._load raising the error class

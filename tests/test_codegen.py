@@ -122,7 +122,8 @@ def test_search_exhaustion_reports_candidates_and_best_error():
     unit.layouts = {"row_major": None}
     ex = codegen.extract_units(bundle, registry=doctored)
     with pytest.raises(codegen.SearchError) as ei:
-        codegen.search_status(bundle, ex, registry=default_registry())
+        codegen.search_status(bundle, ex,
+                              runtime=codegen.extract_units(bundle))
     err = ei.value
     assert err.candidates_evaluated == 1
     assert math.isfinite(err.best_error) and err.best_error > 1e-6
@@ -198,7 +199,7 @@ def test_a_candidate_whose_batched_plan_breaches_is_rejected_there(
     with pytest.raises(codegen.SearchError) as ei:
         codegen.search_status(bundle, ex,
                               harness.VerifyConfig(n_inputs=n_inputs),
-                              registry=default_registry())
+                              runtime=codegen.extract_units(bundle))
     err = ei.value
     first = 1 if n_inputs > 1 else 0
     assert err.candidates_evaluated == 3
@@ -266,40 +267,39 @@ def test_the_reference_computes_only_the_rows_it_compares(monkeypatch):
     # inputs are not padded to BATCH rows; its rows are, bit for bit, those
     # of a plan of BATCH, and the search accepts what it accepted over those
     cfg = harness.VerifyConfig()
-    real_load, real_reference = interpreter.load, codegen._reference
-    loaded = []
+    real_plan, real_reference = interpreter.plan, codegen._reference
+    planned = []
 
-    def load(*args, samples=1, **kwargs):
-        loaded.append(samples)
-        return real_load(*args, samples=samples, **kwargs)
+    def plan(lowered, samples=1, *args):
+        planned.append(samples)
+        return real_plan(lowered, samples, *args)
 
-    def batch_reference(bundle, lowered, xs, n, registry):
-        return real_reference(bundle, lowered, xs, codegen._batch(lowered),
-                              registry)
+    def batch_reference(runtime, xs, n):
+        return real_reference(runtime, xs, codegen._batch(runtime))
 
-    monkeypatch.setattr(interpreter, "load", load)
+    monkeypatch.setattr(interpreter, "plan", plan)
     sizes = {}
     for name in sorted(fixtures.FIXTURES):
         bundle = fixtures.build_fixture(name)
         lowered = codegen.extract_units(bundle)
         batch = codegen._batch(lowered)
         xs = harness.make_inputs(bundle.graph, cfg)
-        got = codegen._reference(bundle, lowered, xs, min(batch, len(xs)),
-                                 None)
-        want = codegen._reference(bundle, lowered, xs, batch, None)
+        got = codegen._reference(lowered, xs, min(batch, len(xs)))
+        want = codegen._reference(lowered, xs, batch)
         assert got.keys() == want.keys()
         for t in want:
             assert got[t].tobytes() == want[t].tobytes(), (name, t)
-        loaded.clear()
+        planned.clear()
         new = codegen.search_status(bundle, lowered, cfg)
-        sizes[name] = (loaded.pop(), batch)
+        sizes[name] = (planned.pop(), batch)
         with monkeypatch.context() as m:
             m.setattr(codegen, "_reference", batch_reference)
             old = codegen.search_status(bundle, lowered, cfg)
         assert (new.layouts, new.candidates_evaluated, new.max_error,
                 new.blob.tobytes()) == (old.layouts, old.candidates_evaluated,
                                         old.max_error, old.blob.tobytes())
-    # the three with BATCH above 100 load a plan of 100, the others BATCH
+    # the three with BATCH above 100 plan 100 samples a call, the others
+    # BATCH
     assert {n: s for n, (s, b) in sizes.items()} == {
         n: min(b, cfg.n_inputs) for n, (_, b) in sizes.items()}
     assert sorted(n for n, (s, b) in sizes.items() if s < b) == [
@@ -349,26 +349,28 @@ def test_deep_chain_search_stays_linear_in_its_unknowns(tmp_path):
 # -- lowering -----------------------------------------------------------------
 
 def test_one_lowering_per_build(tmp_path, monkeypatch):
-    # shapes are inferred only inside the two validate calls (the build's
-    # and the runtime plan's); everything else reads the one lowering,
-    # which the emitter takes as it is, at one sample a call
-    calls = []
-    lowerings = []
-    infer, lower = graphir.infer_shapes, codegen.lower
+    # shapes are inferred only inside the build's one validate call, and
+    # the runtime's reference is planned from the build's own lowering, not
+    # loaded again; the search configures each plan it ships once, however
+    # many candidates it walks (6 on lenet)
+    calls = {"infer_shapes": 0, "lower": 0, "load": 0, "configure": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return infer(*args, **kwargs)
+    def counting(module, name):
+        real = getattr(module, name)
 
-    def lowering(*args, **kwargs):
-        lowerings.append(args)
-        return lower(*args, **kwargs)
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, count)
 
-    monkeypatch.setattr(graphir, "infer_shapes", counting)
-    monkeypatch.setattr(codegen, "lower", lowering)
-    codegen.pipeline(fixtures.build_fixture("lenet"), tmp_path)
-    assert len(calls) <= 2
-    assert len(lowerings) == 1
+    counting(graphir, "infer_shapes")
+    counting(codegen, "lower")
+    counting(interpreter, "load")
+    counting(codegen, "configure")
+    artifact = codegen.pipeline(fixtures.build_fixture("lenet"), tmp_path)
+    assert artifact.manifest["candidates_evaluated"] == 6
+    assert calls == {"infer_shapes": 1, "lower": 1, "load": 0,
+                     "configure": 2}
 
 
 def test_lowering_reads_no_status_table(monkeypatch):
@@ -1706,6 +1708,35 @@ def test_a_plan_needs_nothing_of_fresh_memory_but_its_fills(
         assert got == want[:n], n
 
 
+@pytest.mark.parametrize("graph", [*sorted(fixtures.FIXTURES), "two_inputs",
+                                   "two_rows", "signed_zeros"])
+def test_fills_made_again_leave_the_next_run_as_it_was(graph):
+    # the search configures each plan once and makes its fills again for
+    # each candidate, so fills made after a run must hold what they held
+    # before it: avg-pool's count grid is zeroed before the fills sum it
+    bundle = (fixtures.build_fixture(graph) if graph in fixtures.FIXTURES
+              else globals()[f"_{graph}_bundle"]())
+    lowered = lowering.lower(bundle)
+    _, views = lowering.lay_out(
+        lowered, [hidden_status_for(op.unit.key) for op in lowered.ops])
+    rng = np.random.default_rng(11)
+    for n in dict.fromkeys((1, codegen._batch(lowered))):
+        buffers = lowered.allocate(n)
+        calls, fills = lowering.configure(lowered, views, buffers)
+        for t in lowered.input_ids:
+            buffers[t][:] = rng.uniform(-1, 1, buffers[t].size)
+
+        def run():
+            for op, k in zip(lowered.ops, calls):
+                op.unit.fn(k)
+            return [buffers[t].tobytes() for t in lowered.output_ids]
+
+        first = run()
+        for _ in range(2):
+            ops.run_calls(fills)
+            assert run() == first, n
+
+
 def _one_op_graph(op, in_shapes, out_shape, options, weight=None):
     """Graph inputs for in_shapes, an optional weight input after them, one
     operator and its output."""
@@ -1766,6 +1797,28 @@ def test_a_custom_prepare_step_keeps_a_keyword_of_its_own(tmp_path):
     art = codegen.pipeline(bundle, tmp_path / "x", registry=reg)
     assert harness.verify(bundle, art, registry=reg).max_error == 0.0
     _served_in_batches(bundle, art, [1, 3], tmp_path, registry=reg)
+
+
+def test_a_step_that_writes_over_its_input_is_compared_before_it_does(
+        tmp_path):
+    # STEP reads h, then writes over it, as an in-place step would; the
+    # reference records h right after FC's step, as the candidates compare
+    # it, not after the whole run, when h holds STEP's zeros
+    reg = _prep_registry(lambda inputs, weights, outputs: [
+        (ops.np.multiply, (inputs[0], 2, outputs[0]), {}),
+        (ops.np.copyto, (inputs[0], 0.0), {})])
+    b = fixtures._Builder(5)
+    x = b.tensor("x", (1, 4))
+    h, y = b.tensor("h", (1, 8)), b.tensor("y", (1, 8))
+    b.op(FULLY_CONNECTED, [x, b.weight("w", (8, 4)), b.bias("b", 8)], [h],
+         {"activation": "NONE"})
+    b.op("STEP", [h], [y], {})
+    bundle = b.bundle([x], [y])
+    art = codegen.pipeline(bundle, tmp_path / "x", registry=reg)
+    assert art.manifest["max_diff"] == 0.0
+    assert harness.verify(bundle, art, registry=reg).max_error == 0.0
+    batch = harness.load_driver(art.executable).BATCH
+    _served_in_batches(bundle, art, [1, batch + 1], tmp_path, registry=reg)
 
 
 def _negative(x, out):
