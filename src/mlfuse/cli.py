@@ -268,9 +268,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--toolchain", default=None,
                    help="JSON {command: str, flags: [str], strip: bool}:"
-                        " the one compile step runs `command -S flags"
-                        " [-OO -X no_debug_ranges] -c <compile script>`;"
-                        " strip ships its pycs")
+                        " the compile step runs in a worker started as"
+                        " `command -S flags [-OO -X no_debug_ranges] -c"
+                        " <compile script>`; strip ships its pycs")
     p.add_argument("--strip", action=argparse.BooleanOptionalAction,
                    default=None)
     p.add_argument("--json", action="store_true")

@@ -27,6 +27,7 @@ workable layouts purely from observed behavior.
 
 from __future__ import annotations
 
+import atexit
 import hashlib
 import json
 import marshal
@@ -37,6 +38,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -737,15 +739,25 @@ if __name__ == "__main__":
 '''
 
 
-# The one toolchain step: argv is the pyc directory ("" to compile as a
-# check only), then the source paths. It imports only builtin and frozen
-# modules, which a file in the working directory cannot shadow, and no more
-# than bare interpreter start-up does (posix, not os). Each source compiles
-# under its bare file name, so co_filename does not depend on where the
-# build ran, and a stripped build writes the PEP 552 unchecked-hash pyc
-# py_compile would. It ends at its last write, flushing stdout and stderr
-# and skipping about 2 ms of teardown through posix._exit; a SyntaxError
-# or a failed read or write still ends it non-zero before that.
+# The toolchain's one script. It runs as a worker that serves a build
+# process (see _Worker): each request is the pyc directory ("" to compile as
+# a check only), then the absolute source paths, NUL-separated and sized by
+# a header line. The worker forks one child per request, which compiles
+# those sources in step() and exits; the worker reads what the child
+# writes to stdout and stderr and replies with its exit code and that text.
+# Every child starts from the state the worker's start-up left, which no
+# request changes, so every build writes the same pycs (marshal's reference
+# flags follow reference counts). The script imports only builtin and frozen
+# modules, which a file in the working directory cannot shadow, and no
+# more than bare interpreter start-up does (posix, not os). Each source
+# compiles under its bare file name, so co_filename does not depend on
+# where the build ran, and a stripped build writes the PEP 552
+# unchecked-hash pyc py_compile would. A child ends at its last write,
+# flushing stdout and stderr and skipping interpreter teardown through
+# posix._exit; a SyntaxError or a failed read or write still ends it
+# non-zero before that. Replies go out on a copy of the worker's stdout,
+# and its fd 1 then points at stderr, so stray output cannot reach them.
+# The worker ends at the EOF of its requests.
 _COMPILE_SRC = '''\
 import _imp
 import posix
@@ -753,23 +765,49 @@ import sys
 from _frozen_importlib_external import (
     _RAW_MAGIC_NUMBER, _code_to_hash_pyc, _path_join, _path_split)
 
-out = sys.argv[1]
-for path in sys.argv[2:]:
-    name = _path_split(path)[1]
-    with open(path, "rb") as f:
-        src = f.read()
-    try:
-        code = compile(src, name, "exec", dont_inherit=True)
-    except SyntaxError as e:
-        sys.exit(f"SyntaxError: {e}")
-    if out:
-        data = _code_to_hash_pyc(
-            code, _imp.source_hash(_RAW_MAGIC_NUMBER, src), False)
-        with open(_path_join(out, name.rpartition(".")[0] + ".pyc"),
-                  "wb") as f:
-            f.write(data)
-sys.stdout.flush()
-sys.stderr.flush()
+
+def step(out, paths):
+    for path in paths:
+        name = _path_split(path)[1]
+        with open(path, "rb") as f:
+            src = f.read()
+        try:
+            code = compile(src, name, "exec", dont_inherit=True)
+        except SyntaxError as e:
+            sys.exit(f"SyntaxError: {e}")
+        if out:
+            data = _code_to_hash_pyc(
+                code, _imp.source_hash(_RAW_MAGIC_NUMBER, src), False)
+            with open(_path_join(out, name.rpartition(".")[0] + ".pyc"),
+                      "wb") as f:
+                f.write(data)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    posix._exit(0)
+
+
+replies = posix.dup(1)
+posix.dup2(2, 1)
+requests = sys.stdin.buffer
+while size := requests.readline():
+    out, *paths = requests.read(int(size)).decode(
+        sys.getfilesystemencoding(), sys.getfilesystemencodeerrors()
+    ).split("\\0")
+    r, w = posix.pipe()
+    pid = posix.fork()
+    if not pid:
+        posix.dup2(w, 1)
+        posix.dup2(w, 2)
+        step(out, paths)
+    posix.close(w)
+    text = b""
+    while chunk := posix.read(r, 65536):
+        text += chunk
+    posix.close(r)
+    rc = posix.waitstatus_to_exitcode(posix.waitpid(pid, 0)[1])
+    reply = b"%d %d\\n" % (rc, len(text)) + text
+    while reply:
+        reply = reply[posix.write(replies, reply):]
 posix._exit(0)
 '''
 
@@ -811,11 +849,79 @@ def _resolve_toolchain(toolchain: ToolchainConfig) -> str:
     return resolved
 
 
-def _run_tool(cmd) -> None:
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise CompileError(f"toolchain step failed (rc={proc.returncode}): "
-                           f"{proc.stderr.strip() or proc.stdout.strip()}")
+class _Worker:
+    """A toolchain process running _COMPILE_SRC, started with `cmd`, which
+    forks one compile step per request. Its stderr goes to a file, read
+    only when it dies."""
+
+    def __init__(self, cmd):
+        self.errors = tempfile.TemporaryFile()
+        self.proc = subprocess.Popen(cmd, stdin=subprocess.PIPE,
+                                     stdout=subprocess.PIPE,
+                                     stderr=self.errors)
+
+    def step(self, args: list) -> None:
+        """Compile in one forked step: args are the pyc directory ("" for
+        a check only) and the absolute source paths. CompileError when the
+        step fails, or when the worker dies during it."""
+        payload = b"\0".join(map(os.fsencode, args))
+        try:
+            self.proc.stdin.write(b"%d\n" % len(payload) + payload)
+            self.proc.stdin.flush()
+            rc, size = map(int, self.proc.stdout.readline().split())
+            text = self.proc.stdout.read(size)
+        except (OSError, ValueError):  # EOF, or not a reply: it died
+            self.proc.kill()
+            self.proc.wait()
+            self.errors.seek(0)
+            rc, text = self.proc.returncode, self.errors.read()
+        if rc != 0:
+            raise CompileError(f"toolchain step failed (rc={rc}): "
+                               f"{text.decode(errors='replace').strip()}")
+
+    def close(self) -> None:
+        """Close its requests, which ends it, and wait for it to exit."""
+        try:
+            self.proc.stdin.close()
+        except OSError:  # requests it could not take
+            pass
+        try:
+            self.proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:  # a fork of this process holds it
+            self.proc.kill()
+            self.proc.wait()
+        self.proc.stdout.close()
+        self.errors.close()
+
+
+# The build process's toolchain workers, by start command, environment and
+# pid: a changed environment, or a process forked from this one, starts a
+# worker of its own. The lock serializes the requests.
+_workers: dict[tuple, _Worker] = {}
+_workers_lock = threading.Lock()
+
+
+def _compile_step(cmd: list[str], args: list) -> None:
+    """Run one compile step on the worker started with cmd, starting one
+    when there is none or it has died."""
+    key = (tuple(cmd), tuple(sorted(os.environ.items())), os.getpid())
+    with _workers_lock:
+        worker = _workers.get(key)
+        if worker is None or worker.proc.poll() is not None:
+            if worker is not None:
+                worker.close()
+            worker = _workers[key] = _Worker(cmd)
+        worker.step(args)
+
+
+@atexit.register
+def _close_workers() -> None:
+    """End every toolchain worker this process started."""
+    with _workers_lock:
+        for key, worker in list(_workers.items()):
+            if key[2] == os.getpid():
+                worker.close()
+                del _workers[key]
 
 
 # The interpreter line's -c code: it runs the zip's __main__ as python would
@@ -850,27 +956,30 @@ _LINE_BYTES = 256
 def compile_program(out_dir, sources, toolchain: ToolchainConfig | None = None) -> str:
     """Check and package the emitted sources into one executable file.
 
-    One toolchain process runs _COMPILE_SRC on every .py source: `python -S
-    <flags> -OO -X no_debug_ranges -c _COMPILE_SRC TMPDIR SRC...`
-    for a stripped build, which ships the pycs it writes, and `python -S
-    <flags> -c _COMPILE_SRC "" SRC...` for an unstripped one, which only
-    checks that each source compiles and ships the sources. The program's
-    interpreter line is `#!<python> -ISc<_BOOTSTRAP>`, so no site hooks of
-    the host run in it, nothing on PYTHONPATH (see _MAIN_SRC), and no
-    runpy: the bootstrap runs the zip's __main__ itself. When that line
-    would pass the 256 bytes Linux reads, it is `#!<python> -IS`, which
-    runs the same zip through runpy. Any other source, the weights blob,
-    goes in as it is. zipfile writes the archive, every member dated
-    1980-01-01, so the same sources give the same bytes. Code members are
-    deflated at level 9, the smallest; a weights blob of
-    _DEFLATE_WEIGHTS_BELOW bytes or more is stored, since its float32 noise
-    barely deflates and inflating it slows every start, and a smaller one
-    is deflated when that shrinks it.
+    A toolchain worker runs _COMPILE_SRC and forks one step per build to
+    compile every .py source: the process's first build with a toolchain
+    starts it as `python -S <flags> -OO -X no_debug_ranges -c _COMPILE_SRC`
+    for a stripped build, which ships the pycs its step writes, and as
+    `python -S <flags> -c _COMPILE_SRC` for an unstripped one, whose step
+    only checks that each source compiles and which ships the sources.
+    Later builds with the same toolchain, environment and process reuse
+    it; one that has died is replaced, and it ends when the process does.
+    The program's interpreter line is `#!<python> -ISc<_BOOTSTRAP>`, so no
+    site hooks of the host run in it, nothing on PYTHONPATH (see
+    _MAIN_SRC), and no runpy: the bootstrap runs the zip's __main__
+    itself. When that line would pass the 256 bytes Linux reads, it is
+    `#!<python> -IS`, which runs the same zip through runpy. Any other
+    source, the weights blob, goes in as it is. zipfile writes the
+    archive, every member dated 1980-01-01, so the same sources give the
+    same bytes. Code members are deflated at level 9, the smallest; a
+    weights blob of _DEFLATE_WEIGHTS_BELOW bytes or more is stored, since
+    its float32 noise barely deflates and inflating it slows every start,
+    and a smaller one is deflated when that shrinks it.
     """
     toolchain = toolchain or ToolchainConfig()
     python = _resolve_toolchain(toolchain)
     out_dir = Path(out_dir)
-    code = [out_dir / s for s in sources if s.endswith(".py")]
+    code = [(out_dir / s).absolute() for s in sources if s.endswith(".py")]
     members = [(Path(s).name, (out_dir / s).read_bytes())
                for s in sources if not s.endswith(".py")]
     # -S: the step needs no site packages, and no .pth or sitecustomize
@@ -883,15 +992,15 @@ def compile_program(out_dir, sources, toolchain: ToolchainConfig | None = None) 
             # -OO drops docstrings and asserts; no_debug_ranges drops the
             # per-instruction column tables, which only serve traceback
             # carets (interpreters before 3.11 ignore it).
-            _run_tool([*tool, "-OO", "-X", "no_debug_ranges",
-                       "-c", _COMPILE_SRC, td, *map(str, code)])
+            _compile_step([*tool, "-OO", "-X", "no_debug_ranges",
+                           "-c", _COMPILE_SRC], [os.path.abspath(td), *code])
             for p in code:
                 pyc = Path(td) / (p.stem + ".pyc")
                 if not pyc.is_file():
                     raise CompileError(f"no bytecode produced for {p.name}")
                 members.append((p.stem + ".pyc", pyc.read_bytes()))
     else:
-        _run_tool([*tool, "-c", _COMPILE_SRC, "", *map(str, code)])
+        _compile_step([*tool, "-c", _COMPILE_SRC], ["", *code])
         members += [(p.name, p.read_bytes()) for p in code]
     members.sort()
 

@@ -10,9 +10,11 @@ import marshal
 import math
 import os
 import shutil
+import signal
 import stat
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import zipfile
@@ -2012,17 +2014,31 @@ def test_unstripped_build_ships_plain_sources(tmp_path):
     assert not any(n.endswith(".pyc") for n in names)
 
 
+@dataclasses.dataclass
+class ToolCalls:
+    starts: list  # each worker's start command
+    steps: list  # (worker pid, request args) of each compile step
+
+
 @pytest.fixture
 def tool_calls(monkeypatch):
-    """Record every toolchain command a build runs, then run it."""
-    calls = []
-    run = codegen._run_tool
+    """Record the start command of every toolchain worker a build starts
+    and every request it sends, then start and send them. The workers of
+    earlier tests are closed first, so each test sees its own start."""
+    codegen._close_workers()
+    calls = ToolCalls([], [])
+    start, step = codegen._Worker.__init__, codegen._Worker.step
 
-    def record(cmd):
-        calls.append(list(cmd))
-        run(cmd)
+    def record_start(self, cmd):
+        calls.starts.append(list(cmd))
+        start(self, cmd)
 
-    monkeypatch.setattr(codegen, "_run_tool", record)
+    def record_step(self, args):
+        calls.steps.append((self.proc.pid, list(args)))
+        step(self, args)
+
+    monkeypatch.setattr(codegen._Worker, "__init__", record_start)
+    monkeypatch.setattr(codegen._Worker, "step", record_step)
     return calls
 
 
@@ -2030,12 +2046,13 @@ def test_stripped_build_runs_one_compile_step(tmp_path, tool_calls):
     bundle = fixtures.build_fixture("identity")
     tc = codegen.ToolchainConfig(flags=("-W", "error"))
     codegen.pipeline(bundle, tmp_path / "x", toolchain=tc)
-    assert len(tool_calls) == 1
-    (cmd,) = tool_calls
+    (cmd,) = tool_calls.starts
     assert cmd[1] == "-S"
     # the user's flags gate the check, then the strip flags apply
     assert cmd[2:8] == ["-W", "error", "-OO", "-X", "no_debug_ranges", "-c"]
-    assert cmd[8] == codegen._COMPILE_SRC
+    assert cmd[8:] == [codegen._COMPILE_SRC]
+    ((_, args),) = tool_calls.steps
+    assert all(os.path.isabs(a) for a in args)
 
 
 @pytest.mark.parametrize("strip", [True, False], ids=["stripped", "plain"])
@@ -2043,51 +2060,67 @@ def test_toolchain_step_gets_only_the_code(tmp_path, tool_calls, strip):
     # the weights blob goes into the zip as it is
     codegen.pipeline(fixtures.build_fixture("mlp"), tmp_path / "x",
                      toolchain=codegen.ToolchainConfig(strip=strip))
-    (cmd,) = tool_calls
-    paths = cmd[cmd.index(codegen._COMPILE_SRC) + 2:]
+    ((_, args),) = tool_calls.steps
+    paths = args[1:]
     assert [Path(p).name for p in paths] == ["net_driver.py", "__main__.py"]
+    assert all(os.path.isabs(p) for p in paths)
 
 
 def test_unstripped_build_runs_one_check_step(tmp_path, tool_calls):
     bundle = fixtures.build_fixture("identity")
     codegen.pipeline(bundle, tmp_path / "x", toolchain=codegen.ToolchainConfig(
         flags=("-W", "error"), strip=False))
-    assert len(tool_calls) == 1
-    (cmd,) = tool_calls
+    (cmd,) = tool_calls.starts
     # no strip flags, and no pyc directory: the sources compile as a check
-    assert cmd[1:7] == ["-S", "-W", "error", "-c", codegen._COMPILE_SRC, ""]
-    assert all(a.endswith(".py") for a in cmd[7:])
+    assert cmd[1:] == ["-S", "-W", "error", "-c", codegen._COMPILE_SRC]
+    ((_, args),) = tool_calls.steps
+    assert args[0] == ""
+    assert all(str(a).endswith(".py") for a in args[1:])
     assert not (tmp_path / "x" / "src" / "__pycache__").exists()
 
 
-def _imported_modules(cmd) -> set:
+def _import_times(cmd, stdin=b""):
+    """cmd run under -X importtime: its stdout and the modules it loaded."""
     proc = subprocess.run([cmd[0], "-X", "importtime", *cmd[1:]],
-                          capture_output=True, text=True)
+                          input=stdin, capture_output=True)
     assert proc.returncode == 0, proc.stderr
-    return {line.rpartition("|")[2].strip()
-            for line in proc.stderr.splitlines()
-            if line.startswith("import time:")} - {"imported package"}
+    return proc.stdout, {line.rpartition("|")[2].strip()
+                         for line in proc.stderr.decode().splitlines()
+                         if line.startswith("import time:")
+                         } - {"imported package"}
+
+
+def _imported_modules(cmd) -> set:
+    return _import_times(cmd)[1]
+
+
+def _request(args) -> bytes:
+    """A compile request as the worker reads it: a size line, then the
+    pyc directory and the sources, NUL-separated."""
+    payload = b"\0".join(map(os.fsencode, args))
+    return b"%d\n" % len(payload) + payload
 
 
 @pytest.mark.parametrize("strip", [True, False], ids=["stripped", "plain"])
 def test_toolchain_step_imports_only_what_bare_startup_does(
-        tmp_path, monkeypatch, strip):
-    # the step is the build's exact command; its start-up baseline is the
-    # same interpreter and flags running `-c pass`
+        tmp_path, tool_calls, strip):
+    # the worker is started with the build's exact command and serves the
+    # build's exact request; its start-up baseline is the same interpreter
+    # and flags running `-c pass`
     (tmp_path / "src").mkdir()
     (tmp_path / "src" / "m.py").write_text("def f():\n    return 1\n")
-    seen = []
-
-    def run(cmd):
-        at = next(i for i, a in enumerate(cmd) if a in ("-c", "-m"))
-        seen.append((_imported_modules(cmd),
-                     _imported_modules([*cmd[:at], "-c", "pass"])))
-
-    monkeypatch.setattr(codegen, "_run_tool", run)
+    (tmp_path / "pycs").mkdir()
     tc = codegen.ToolchainConfig(flags=("-W", "error"), strip=strip)
     codegen.compile_program(tmp_path, ["src/m.py"], tc)
-    ((step, bare),) = seen
-    assert step == bare
+    (cmd,) = tool_calls.starts
+    ((_, args),) = tool_calls.steps
+    if strip:  # the build's own pyc directory is gone with the build
+        args = [str(tmp_path / "pycs"), *args[1:]]
+    replies, step = _import_times(cmd, _request(args))
+    # the forked step wrote nothing, import times included, and exited 0
+    assert replies == b"0 0\n"
+    at = cmd.index("-c")
+    assert step == _imported_modules([*cmd[:at], "-c", "pass"])
 
 
 _PY_COMPILE_SRC = """\
@@ -2199,29 +2232,168 @@ def test_toolchain_flags_gate_the_compile_step(tmp_path, strip):
 
 
 def test_a_failed_pyc_write_still_fails_the_step(tmp_path, monkeypatch):
-    # the step ends in posix._exit only after its last write: the build's
-    # exact command, given a pyc directory that is a regular file, exits
-    # non-zero with the error on stderr, and compile_program raises
+    # a step ends in posix._exit only after its last write: the build's
+    # own request, given a pyc directory that is a regular file, ends the
+    # forked step non-zero with the error it wrote, and compile_program
+    # raises
     (tmp_path / "src").mkdir()
     (tmp_path / "src" / "m.py").write_text("x = 1\n")
     not_a_dir = tmp_path / "pycs"
     not_a_dir.write_bytes(b"")
-    run = codegen._run_tool
-    seen = []
+    step = codegen._Worker.step
 
-    def run_into_a_file(cmd):
-        at = cmd.index(codegen._COMPILE_SRC) + 1
-        cmd = [*cmd[:at], str(not_a_dir), *cmd[at + 1:]]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        seen.append((proc.returncode, proc.stderr))
-        run(cmd)
+    def step_into_a_file(self, args):
+        step(self, [str(not_a_dir), *args[1:]])
 
-    monkeypatch.setattr(codegen, "_run_tool", run_into_a_file)
-    with pytest.raises(codegen.CompileError, match="NotADirectoryError"):
+    monkeypatch.setattr(codegen._Worker, "step", step_into_a_file)
+    with pytest.raises(codegen.CompileError,
+                       match=r"(?s)rc=1\): .*NotADirectoryError"):
         codegen.compile_program(tmp_path, ["src/m.py"])
-    ((rc, err),) = seen
-    assert rc != 0 and "NotADirectoryError" in err
     assert not_a_dir.read_bytes() == b""
+
+
+@pytest.mark.parametrize("failure", ["SyntaxError", "NotADirectoryError"])
+def test_a_failed_step_leaves_the_worker_serving_the_next_build(
+        tmp_path, tool_calls, failure):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "ok.py").write_text("x = 1\n")
+    (tmp_path / "src" / "bad.py").write_text("x = 1\ny = x is 1\n")
+    not_a_dir = tmp_path / "pycs"
+    not_a_dir.write_bytes(b"")
+    tc = codegen.ToolchainConfig(flags=("-W", "error"))
+    codegen.compile_program(tmp_path, ["src/ok.py"], tc)
+    with pytest.raises(codegen.CompileError, match=failure):
+        if failure == "SyntaxError":  # a SyntaxWarning, under -W error
+            codegen.compile_program(tmp_path, ["src/bad.py"], tc)
+        else:
+            codegen._compile_step(tool_calls.starts[0], [
+                str(not_a_dir), str(tmp_path / "src" / "ok.py")])
+    codegen.compile_program(tmp_path, ["src/ok.py"], tc)
+    assert len(tool_calls.starts) == 1
+    assert len({pid for pid, _ in tool_calls.steps}) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.waitid")
+def test_a_worker_killed_between_builds_is_replaced(tmp_path, tool_calls):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "m.py").write_text("x = 1\n")
+    codegen.compile_program(tmp_path, ["src/m.py"])
+    ((pid, _),) = tool_calls.steps
+    os.kill(pid, signal.SIGKILL)
+    # dead, and left for the build process to reap
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+    codegen.compile_program(tmp_path, ["src/m.py"])
+    assert len(tool_calls.starts) == 2
+    first, second = (p for p, _ in tool_calls.steps)
+    assert second != first
+
+
+def _running(pid) -> bool:
+    """Whether pid is a process that has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+_BUILD_AND_NAME_THE_WORKER = """\
+import os, sys
+from mlfuse import codegen, fixtures
+codegen.pipeline(fixtures.build_fixture("identity"), sys.argv[1])
+print(*(w.proc.pid for w in codegen._workers.values()), flush=True)
+if sys.argv[2] == "os._exit":
+    os._exit(0)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+@pytest.mark.parametrize("leave", ["exit", "os._exit"])
+def test_no_toolchain_process_outlives_its_build_process(tmp_path, leave):
+    # a normal exit closes the worker's requests and waits for it; an exit
+    # that skips atexit closes them too, and the worker ends at their EOF
+    proc = subprocess.run([sys.executable, "-c", _BUILD_AND_NAME_THE_WORKER,
+                           str(tmp_path / "x"), leave],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    (pid,) = map(int, proc.stdout.split())
+    if leave == "os._exit":
+        deadline = time.monotonic() + 10
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+    assert not _running(pid)
+
+
+def test_builds_through_a_warm_worker_match_a_fresh_process(tmp_path,
+                                                            tool_calls):
+    # two builds a fixture in this process, the second through the warm
+    # worker, give the bytes a build in a fresh process gives
+    names = ["lenet", "mlp", "dwblock"]
+    script = ("import sys\nfrom mlfuse import codegen, fixtures\n"
+              "for n in sys.argv[2:]:\n"
+              "    codegen.pipeline(fixtures.build_fixture(n),"
+              " f'{sys.argv[1]}/{n}')\n")
+    subprocess.run([sys.executable, "-c", script, str(tmp_path / "fresh"),
+                    *names], check=True, timeout=300)
+    for name in names:
+        bundle = fixtures.build_fixture(name)
+        for k in range(2):
+            art = codegen.pipeline(bundle, tmp_path / f"{name}{k}")
+            fresh = tmp_path / "fresh" / name
+            assert art.sources == json.loads(
+                (fresh / "build_manifest.json").read_text())["sources"]
+            for rel in [*art.sources, "program"]:
+                assert (Path(art.out_dir) / rel).read_bytes() == \
+                    (fresh / rel).read_bytes(), (name, k, rel)
+    assert len(tool_calls.starts) == 1
+    assert len({pid for pid, _ in tool_calls.steps}) == 1
+    assert len(tool_calls.steps) == 2 * len(names)
+
+
+def test_threads_building_at_once_share_one_worker(tmp_path, tool_calls):
+    # the lock keeps each request and its reply together: without it two
+    # threads interleave their writes and reads on the worker's pipes
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "m.py").write_text("def f():\n    return 1\n")
+    want = (tmp_path / codegen.compile_program(tmp_path, ["src/m.py"])
+            ).read_bytes()
+    errors, outs = [], []
+
+    def build(k):
+        try:
+            for j in range(8):
+                out = tmp_path / f"t{k}-{j}"
+                shutil.copytree(tmp_path / "src", out / "src")
+                outs.append(out / codegen.compile_program(out, ["src/m.py"]))
+        except Exception as e:  # reported below, with the thread's number
+            errors.append((k, e))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(outs) == 64 and {p.read_bytes() for p in outs} == {want}
+    assert len(tool_calls.starts) == 1
+
+
+def test_stray_output_of_toolchain_flags_leaves_the_build_as_it_was(
+        tmp_path):
+    # -v writes every import, and -X importtime its times, to the worker's
+    # stderr; neither reaches its replies
+    bundle = fixtures.build_fixture("identity")
+    plain = codegen.pipeline(bundle, tmp_path / "a")
+    noisy = codegen.pipeline(bundle, tmp_path / "b", toolchain=(
+        codegen.ToolchainConfig(flags=("-v", "-X", "importtime"))))
+    assert Path(plain.executable).read_bytes() == \
+        Path(noisy.executable).read_bytes()
 
 
 @pytest.mark.parametrize("strip", [True, False], ids=["stripped", "plain"])
