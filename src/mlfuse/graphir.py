@@ -4,11 +4,19 @@ A model bundle is two files. The graph side (.mlg) is strict JSON naming
 tensors, operators, and the graph inputs/outputs. The weight side (.mlw) is a
 little-endian binary keyed by integer ids. Loading is strict: unknown fields,
 bad references, or shape contradictions are hard errors, never warnings.
+
+Each operator kind has one rule, rule(options, in_shapes, consts) ->
+(output shapes, kernel parameters at one sample a call); consts flags the
+inputs that are weights. RULES holds the builtins'. A custom kind's rule,
+registered with its unit, checks its own options and arity, as validate
+checks a builtin's against OPTION_SCHEMAS. validate infers every shape
+through the rules, and lowering.lower takes the parameters from them.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 import struct
@@ -165,7 +173,7 @@ def _pos_int_list(v) -> bool:
     return isinstance(v, list) and len(v) > 0 and all(type(x) is int and x >= 1 for x in v)
 
 
-def _number(v) -> bool:
+def is_number(v) -> bool:
     return type(v) in (int, float)
 
 
@@ -209,8 +217,192 @@ OPTION_SCHEMAS: dict[int, dict] = {
     MAX_POOL_2D: dict(_POOL),
     RELU: {},
     RESHAPE: {"new_shape": _pos_int_list},
-    SOFTMAX: {"beta": _number},
+    SOFTMAX: {"beta": is_number},
     PAD: {"paddings": _nonneg_int_list},
+}
+
+
+def option_problems(schema: dict, options: dict) -> list[str]:
+    """Each way options breaks schema: a key missing, one unknown, or a
+    value its checker refuses."""
+    out = [f"missing required option '{key}'" for key in schema
+           if key not in options]
+    for key, value in options.items():
+        if key not in schema:
+            out.append(f"unknown option '{key}'")
+        elif not schema[key](value):
+            out.append(f"bad value for option '{key}': {value!r}")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Operator rules, one a kind. A rule raises on a graph it rejects, and
+# apply_rule names the operator.
+
+_ACT_CLAMPS = {  # a fused activation's kernel parameters
+    "NONE": {"activation_min": None, "activation_max": None},
+    "RELU": {"activation_min": 0.0, "activation_max": None},
+    "RELU6": {"activation_min": 0.0, "activation_max": 6.0},
+}
+
+
+def check_arity(in_shapes, *counts) -> None:
+    if len(in_shapes) not in counts:
+        raise GraphError(f"expects {' or '.join(map(str, counts))} input(s), "
+                         f"got {len(in_shapes)}")
+
+
+def same_padding(in_dim: int, out_dim: int, eff_k: int, stride: int) -> tuple[int, int]:
+    """Total pre/post padding for SAME mode; pre gets the floor half."""
+    total = max(0, (out_dim - 1) * stride + eff_k - in_dim)
+    before = total // 2
+    return before, total - before
+
+
+def _window(o, x, fh, fw, dh, dw):
+    """The output rows and columns, and the parameters, of a window of
+    fh x fw taps dilated dh x dw over NHWC x, strided and padded as the
+    options o say: conv's, depthwise's and both pools'."""
+    if len(x) != 4:
+        raise GraphError(f"input must be rank 4, got {x}")
+    h, w = x[1], x[2]
+    sh, sw = o["stride_h"], o["stride_w"]
+    eh, ew = (fh - 1) * dh + 1, (fw - 1) * dw + 1
+    if o["padding"] == "SAME":
+        oh, ow = -(-h // sh), -(-w // sw)
+        (pbh, pah), (pbw, paw) = (same_padding(h, oh, eh, sh),
+                                  same_padding(w, ow, ew, sw))
+    else:
+        oh, ow = -(-(h - eh + 1) // sh), -(-(w - ew + 1) // sw)
+        if oh < 1 or ow < 1:
+            raise GraphError(f"window {eh}x{ew} larger than input {h}x{w}")
+        pbh = pah = pbw = paw = 0
+    return oh, ow, {
+        "in_shape": x[1:], "filter_h": fh, "filter_w": fw,
+        "stride_h": sh, "stride_w": sw,
+        "pad_before_h": pbh, "pad_after_h": pah,
+        "pad_before_w": pbw, "pad_after_w": paw,
+        **_ACT_CLAMPS[o["activation"]],
+    }
+
+
+def _conv(o, in_shapes, consts, depthwise=False):
+    check_arity(in_shapes, 2, 3)
+    x, f = in_shapes[0], in_shapes[1]
+    if len(f) != 4:
+        raise GraphError(f"filter must be rank 4, got {f}")
+    dh, dw = o["dilation_h"], o["dilation_w"]
+    oh, ow, p = _window(o, x, f[1], f[2], dh, dw)
+    if depthwise:
+        cout = x[3] * o["depth_multiplier"]
+        if f[0] != 1 or f[3] != cout:
+            raise GraphError(f"filter shape {f} does not match channels "
+                             f"{x[3]} x multiplier")
+        p["depth_multiplier"] = o["depth_multiplier"]
+    else:
+        if f[3] != x[3]:
+            raise GraphError(f"filter input channels {f[3]} do not match "
+                             f"data channels {x[3]}")
+        cout = f[0]
+    if len(in_shapes) == 3 and in_shapes[2] != (cout,):
+        raise GraphError(f"bias shape {in_shapes[2]} must be ({cout},)")
+    p["out_shape"], p["dilation_h"], p["dilation_w"] = (oh, ow, cout), dh, dw
+    return [(x[0], oh, ow, cout)], p
+
+
+def _pool(o, in_shapes, consts):
+    check_arity(in_shapes, 1)
+    x = in_shapes[0]
+    oh, ow, p = _window(o, x, o["filter_h"], o["filter_w"], 1, 1)
+    p["out_shape"] = (oh, ow, x[3])
+    return [(x[0], oh, ow, x[3])], p
+
+
+def _fully_connected(o, in_shapes, consts):
+    check_arity(in_shapes, 2, 3)
+    x, wt = in_shapes[0], in_shapes[1]
+    if len(x) != 2 or len(wt) != 2:
+        raise GraphError("data and weights must be rank 2")
+    if wt[1] != x[1]:
+        raise GraphError(f"weight columns {wt[1]} do not match input "
+                         f"features {x[1]}")
+    if len(in_shapes) == 3 and in_shapes[2] != (wt[0],):
+        raise GraphError(f"bias shape {in_shapes[2]} must be ({wt[0]},)")
+    return [(x[0], wt[0])], {"in_features": x[1], "out_features": wt[0],
+                             **_ACT_CLAMPS[o["activation"]]}
+
+
+def _add(o, in_shapes, consts):
+    check_arity(in_shapes, 2)
+    a, b = in_shapes
+    if a != b:
+        raise GraphError(f"operand shapes {a} and {b} differ "
+                         "(broadcast is not supported)")
+    return [a], dict(_ACT_CLAMPS[o["activation"]])
+
+
+def _relu(o, in_shapes, consts):
+    check_arity(in_shapes, 1)
+    return [in_shapes[0]], {}
+
+
+def _softmax(o, in_shapes, consts):
+    check_arity(in_shapes, 1)
+    return [in_shapes[0]], {"in_shape": in_shapes[0], "beta": float(o["beta"])}
+
+
+def _reshape(o, in_shapes, consts):
+    check_arity(in_shapes, 1)
+    x, new_shape = in_shapes[0], tuple(o["new_shape"])
+    if math.prod(x) != math.prod(new_shape):
+        raise GraphError(f"element count mismatch, {x} has {math.prod(x)} "
+                         f"elements but new_shape {new_shape} has "
+                         f"{math.prod(new_shape)}")
+    return [new_shape], {}
+
+
+def _concatenation(o, in_shapes, consts):
+    if not in_shapes:
+        raise GraphError("needs at least one input")
+    x, axis = in_shapes[0], o["axis"]
+    if not 0 <= axis < len(x):
+        raise GraphError(f"axis {axis} out of range for rank {len(x)}")
+    for s in in_shapes:
+        if len(s) != len(x):
+            raise GraphError("rank mismatch among inputs")
+        for d in range(len(x)):
+            if d != axis and s[d] != x[d]:
+                raise GraphError(f"inputs disagree on dim {d}")
+    out = (*x[:axis], sum(s[axis] for s in in_shapes), *x[axis + 1:])
+    return [out], {
+        "axis": axis, "in_shapes": tuple(in_shapes), "out_shape": out,
+        "weight_slots": tuple(k for k, c in enumerate(consts) if c),
+    }
+
+
+def _pad(o, in_shapes, consts):
+    check_arity(in_shapes, 1)
+    x, flat = in_shapes[0], o["paddings"]
+    if len(flat) != 2 * len(x):
+        raise GraphError(f"paddings needs {2 * len(x)} values for rank "
+                         f"{len(x)}, got {len(flat)}")
+    pads = tuple(zip(flat[::2], flat[1::2]))
+    out = tuple(d + a + b for d, (a, b) in zip(x, pads))
+    return [out], {"in_shape": x[1:], "out_shape": out[1:], "paddings": pads}
+
+
+RULES = {
+    ADD: _add,
+    AVERAGE_POOL_2D: _pool,
+    CONCATENATION: _concatenation,
+    CONV_2D: _conv,
+    DEPTHWISE_CONV_2D: functools.partial(_conv, depthwise=True),
+    FULLY_CONNECTED: _fully_connected,
+    MAX_POOL_2D: _pool,
+    RELU: _relu,
+    RESHAPE: _reshape,
+    SOFTMAX: _softmax,
+    PAD: _pad,
 }
 
 
@@ -510,16 +702,8 @@ def validate(bundle: ModelBundle, custom_rules=None) -> list[str]:
                 produced_by[tid] = i
                 available.add(tid)
         if not node.is_custom:
-            schema = OPTION_SCHEMAS[node.op_id]
-            for key in schema:
-                if key not in node.options:
-                    out.append(f"{what} ({kind}): missing required option '{key}'")
-            for key, value in node.options.items():
-                if key not in schema:
-                    out.append(f"{what} ({kind}): unknown option '{key}'")
-                elif not schema[key](value):
-                    out.append(f"{what} ({kind}): bad value for option "
-                               f"'{key}': {value!r}")
+            out += [f"{what} ({kind}): {p}" for p in
+                    option_problems(OPTION_SCHEMAS[node.op_id], node.options)]
 
     for tid in range(n_tensors):
         if tid not in available:
@@ -535,8 +719,7 @@ def validate(bundle: ModelBundle, custom_rules=None) -> list[str]:
     try:
         inferred = infer_shapes(graph, custom_rules=custom_rules)
     except GraphError as e:
-        out.append(str(e))
-        return out
+        return [str(e)]
     for t in graph.tensors:
         if inferred[t.id] != t.shape:
             out.append(f"tensor {t.id}: declared shape {t.shape} contradicts "
@@ -556,174 +739,40 @@ def validate(bundle: ModelBundle, custom_rules=None) -> list[str]:
 # Shape inference
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
-def _conv_out_dim(in_dim: int, eff_k: int, stride: int, padding: str,
-                  what: str) -> int:
-    if padding == "SAME":
-        return _ceil_div(in_dim, stride)
-    out = _ceil_div(in_dim - eff_k + 1, stride)
-    if out < 1:
-        raise GraphError(f"{what}: window {eff_k} larger than input {in_dim}")
-    return out
-
-
-def same_padding(in_dim: int, out_dim: int, eff_k: int, stride: int) -> tuple[int, int]:
-    """Total pre/post padding for SAME mode; pre gets the floor half."""
-    total = max(0, (out_dim - 1) * stride + eff_k - in_dim)
-    before = total // 2
-    return before, total - before
+def apply_rule(i: int, node: OperatorNode, in_shapes, consts,
+               custom_rules=None) -> tuple[list, dict]:
+    """Operator i's output shapes and kernel parameters, from its kind's
+    rule: RULES for a builtin, custom_rules by name for a custom kind.
+    Raises GraphError, naming the operator, where the rule rejects it or
+    gives a shape count other than the node's output count."""
+    rule = ((custom_rules or {}).get(node.op_id) if node.is_custom
+            else RULES[node.op_id])
+    try:
+        if rule is None:
+            raise GraphError("no shape rule for custom operator")
+        shapes, params = rule(node.options, in_shapes, consts)
+        shapes = [tuple(map(int, s)) for s in shapes]
+        if len(shapes) != len(node.outputs):
+            raise GraphError(f"produces {len(shapes)} shapes for "
+                             f"{len(node.outputs)} outputs")
+        return shapes, params
+    except Exception as e:  # a custom rule may raise anything
+        raise GraphError(f"operator {i} ({op_kind(node)}): {e}") from None
 
 
 def infer_shapes(graph: ComputationalGraph, custom_rules=None) -> dict[int, tuple[int, ...]]:
-    """Compute every tensor's shape from graph inputs and weight tensors.
-
-    Declared shapes of graph inputs and weight-backed tensors are the
-    sources; everything else follows from operator semantics. Raises
-    GraphError on a semantic contradiction.
-    """
-    shapes: dict[int, tuple[int, ...]] = {}
-    for t in graph.tensors:
-        if t.weight_ref is not None or t.id in graph.inputs:
-            shapes[t.id] = t.shape
-
-    custom_rules = custom_rules or {}
+    """Every tensor's shape: as declared for graph inputs and weights, and
+    for the rest from each operator's rule, in graph order, which validate
+    has checked is topological. Raises GraphError on a contradiction."""
+    shapes = {t.id: t.shape for t in graph.tensors
+              if t.weight_ref is not None or t.id in graph.inputs}
     for i, node in enumerate(graph.operators):
-        what = f"operator {i} ({op_kind(node)})"
-        in_shapes = []
-        for tid in node.inputs:
-            if tid not in shapes:
-                raise GraphError(f"{what}: input tensor {tid} has no shape yet")
-            in_shapes.append(shapes[tid])
-        out_shapes = _node_output_shapes(node, in_shapes, custom_rules, what)
-        if len(out_shapes) != len(node.outputs):
-            raise GraphError(f"{what}: produces {len(out_shapes)} shapes for "
-                             f"{len(node.outputs)} outputs")
-        for tid, shp in zip(node.outputs, out_shapes):
-            shapes[tid] = tuple(int(d) for d in shp)
+        out_shapes, _ = apply_rule(
+            i, node, [shapes[t] for t in node.inputs],
+            [graph.tensors[t].weight_ref is not None for t in node.inputs],
+            custom_rules)
+        shapes.update(zip(node.outputs, out_shapes))
     return shapes
-
-
-def _node_output_shapes(node, in_shapes, custom_rules, what):
-    if node.is_custom:
-        rule = custom_rules.get(node.op_id)
-        if rule is None:
-            raise GraphError(f"{what}: no shape rule for custom operator")
-        try:  # a custom rule checks its own arity, and may raise anything
-            return rule(node, in_shapes)
-        except Exception as e:
-            raise GraphError(f"{what}: {e}") from None
-
-    op = node.op_id
-    opts = node.options
-
-    if op in (CONV_2D, DEPTHWISE_CONV_2D):
-        if len(node.inputs) not in (2, 3):
-            raise GraphError(f"{what}: expects data, filter, optional bias")
-        x, f = in_shapes[0], in_shapes[1]
-        if len(x) != 4 or len(f) != 4:
-            raise GraphError(f"{what}: data and filter must be rank 4")
-        n, h, w, cin = x
-        eff_h = (f[1] - 1) * opts["dilation_h"] + 1
-        eff_w = (f[2] - 1) * opts["dilation_w"] + 1
-        oh = _conv_out_dim(h, eff_h, opts["stride_h"], opts["padding"], what)
-        ow = _conv_out_dim(w, eff_w, opts["stride_w"], opts["padding"], what)
-        if op == CONV_2D:
-            if f[3] != cin:
-                raise GraphError(f"{what}: filter input channels {f[3]} "
-                                 f"do not match data channels {cin}")
-            cout = f[0]
-        else:
-            cout = cin * opts["depth_multiplier"]
-            if f[0] != 1 or f[3] != cout:
-                raise GraphError(f"{what}: filter shape {f} does not match "
-                                 f"channels {cin} x multiplier")
-        if len(in_shapes) == 3 and in_shapes[2] != (cout,):
-            raise GraphError(f"{what}: bias shape {in_shapes[2]} must be ({cout},)")
-        return [(n, oh, ow, cout)]
-
-    if op in (AVERAGE_POOL_2D, MAX_POOL_2D):
-        (x,) = _expect_arity(in_shapes, 1, what)
-        if len(x) != 4:
-            raise GraphError(f"{what}: input must be rank 4")
-        n, h, w, c = x
-        oh = _conv_out_dim(h, opts["filter_h"], opts["stride_h"], opts["padding"], what)
-        ow = _conv_out_dim(w, opts["filter_w"], opts["stride_w"], opts["padding"], what)
-        return [(n, oh, ow, c)]
-
-    if op == FULLY_CONNECTED:
-        if len(in_shapes) not in (2, 3):
-            raise GraphError(f"{what}: expects data, weights, optional bias")
-        x, wt = in_shapes[0], in_shapes[1]
-        if len(x) != 2 or len(wt) != 2:
-            raise GraphError(f"{what}: data and weights must be rank 2")
-        if wt[1] != x[1]:
-            raise GraphError(f"{what}: weight columns {wt[1]} do not match "
-                             f"input features {x[1]}")
-        if len(in_shapes) == 3 and in_shapes[2] != (wt[0],):
-            raise GraphError(f"{what}: bias shape {in_shapes[2]} must be ({wt[0]},)")
-        return [(x[0], wt[0])]
-
-    if op == ADD:
-        a, b = _expect_arity(in_shapes, 2, what)
-        if a != b:
-            raise GraphError(f"{what}: operand shapes {a} and {b} differ "
-                             "(broadcast is not supported)")
-        return [a]
-
-    if op == RELU:
-        (x,) = _expect_arity(in_shapes, 1, what)
-        return [x]
-
-    if op == SOFTMAX:
-        (x,) = _expect_arity(in_shapes, 1, what)
-        return [x]
-
-    if op == RESHAPE:
-        (x,) = _expect_arity(in_shapes, 1, what)
-        new_shape = tuple(opts["new_shape"])
-        have, want = math.prod(x), math.prod(new_shape)
-        if have != want:
-            raise GraphError(f"{what}: element count mismatch, {x} has {have} "
-                             f"elements but new_shape {new_shape} has {want}")
-        return [new_shape]
-
-    if op == CONCATENATION:
-        if len(in_shapes) < 1:
-            raise GraphError(f"{what}: needs at least one input")
-        rank = len(in_shapes[0])
-        axis = opts["axis"]
-        if not 0 <= axis < rank:
-            raise GraphError(f"{what}: axis {axis} out of range for rank {rank}")
-        total = 0
-        for s in in_shapes:
-            if len(s) != rank:
-                raise GraphError(f"{what}: rank mismatch among inputs")
-            for d in range(rank):
-                if d != axis and s[d] != in_shapes[0][d]:
-                    raise GraphError(f"{what}: inputs disagree on dim {d}")
-            total += s[axis]
-        out = list(in_shapes[0])
-        out[axis] = total
-        return [tuple(out)]
-
-    if op == PAD:
-        (x,) = _expect_arity(in_shapes, 1, what)
-        pads = opts["paddings"]
-        if len(pads) != 2 * len(x):
-            raise GraphError(f"{what}: paddings needs {2 * len(x)} values "
-                             f"for rank {len(x)}, got {len(pads)}")
-        return [tuple(d + pads[2 * i] + pads[2 * i + 1] for i, d in enumerate(x))]
-
-    raise GraphError(f"{what}: no shape rule")
-
-
-def _expect_arity(in_shapes, n, what):
-    if len(in_shapes) != n:
-        raise GraphError(f"{what}: expects {n} input(s), got {len(in_shapes)}")
-    return in_shapes
 
 
 # ---------------------------------------------------------------------------

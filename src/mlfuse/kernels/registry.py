@@ -2,15 +2,15 @@
 
 A computing unit binds one operator kind and one data type to a kernel
 template: its prepare step, which returns the operator's numpy calls, and
-the run step that makes them; one unit serves every device.
-Known configuration is resolved from node options into a ParamRecord.
-graphir.validate owns the rules of builtin options, so the registry reads
-them as given; it checks only what validation cannot see, the options of
-custom operators and each unit's own limits (param_check). The one setting
-the container does not carry is the memory layout a conv or FC kernel
-expects its weight in: a unit lists the layouts it may take, and the caller
-names one, either from the table shipped with the runtime or by search.
-lowering.lay_out lays the stored weight out in it.
+the run step that makes them; one unit serves every device. An operator's
+known parameters come from its kind's rule, with its output shapes:
+graphir.RULES for a builtin, and for a custom kind the rule registered
+with its unit. The registry checks only each unit's own limits
+(param_check). The one setting the container does not carry is the memory
+layout a conv or FC kernel expects its weight in: a unit lists the layouts
+it may take, and the caller names one, either from the table shipped with
+the runtime or by search. lowering.lay_out lays the stored weight out in
+it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .. import graphir
 from ..graphir import (
     ADD, AVERAGE_POOL_2D, CONCATENATION, CONV_2D, DEPTHWISE_CONV_2D,
     FULLY_CONNECTED, MAX_POOL_2D, PAD, RELU, RESHAPE, SOFTMAX,
-    DataType, OperatorNode, op_kind, same_padding,
+    DataType, GraphError,
 )
 from . import ops
 
@@ -75,59 +75,6 @@ class ParamRecord:
     values: dict
 
 
-# ---------------------------------------------------------------------------
-# Option resolution, from options graphir.validate has checked
-
-_ACT_CLAMPS = {
-    "NONE": (None, None),
-    "RELU": (0.0, None),
-    "RELU6": (0.0, 6.0),
-}
-
-
-def _spatial_pads(o, in_hw, out_hw, eff_hw) -> tuple:
-    if o["padding"] == "VALID":
-        return 0, 0, 0, 0
-    return (*same_padding(in_hw[0], out_hw[0], eff_hw[0], o["stride_h"]),
-            *same_padding(in_hw[1], out_hw[1], eff_hw[1], o["stride_w"]))
-
-
-def _map_conv(o, in_shapes, out_shape, depthwise: bool) -> dict:
-    x, f = in_shapes[0], in_shapes[1]
-    dh, dw = o["dilation_h"], o["dilation_w"]
-    fh, fw = f[1], f[2]
-    pbh, pah, pbw, paw = _spatial_pads(
-        o, x[1:3], out_shape[1:3], ((fh - 1) * dh + 1, (fw - 1) * dw + 1))
-    lo, hi = _ACT_CLAMPS[o["activation"]]
-    values = {
-        "in_shape": x[1:], "out_shape": out_shape[1:],
-        "filter_h": fh, "filter_w": fw,
-        "stride_h": o["stride_h"], "stride_w": o["stride_w"],
-        "dilation_h": dh, "dilation_w": dw,
-        "pad_before_h": pbh, "pad_after_h": pah,
-        "pad_before_w": pbw, "pad_after_w": paw,
-        "activation_min": lo, "activation_max": hi,
-    }
-    if depthwise:
-        values["depth_multiplier"] = o["depth_multiplier"]
-    return values
-
-
-def _map_pool(o, in_shapes, out_shape) -> dict:
-    x = in_shapes[0]
-    fh, fw = o["filter_h"], o["filter_w"]
-    pbh, pah, pbw, paw = _spatial_pads(o, x[1:3], out_shape[1:3], (fh, fw))
-    lo, hi = _ACT_CLAMPS[o["activation"]]
-    return {
-        "in_shape": x[1:], "out_shape": out_shape[1:],
-        "filter_h": fh, "filter_w": fw,
-        "stride_h": o["stride_h"], "stride_w": o["stride_w"],
-        "pad_before_h": pbh, "pad_after_h": pah,
-        "pad_before_w": pbw, "pad_after_w": paw,
-        "activation_min": lo, "activation_max": hi,
-    }
-
-
 # kinds whose kernel computes each slice along axis 0 of its activations on
 # its own, whatever the options
 _SPLIT_ALONG_AXIS_0 = {
@@ -165,8 +112,7 @@ def splits_along_axis_0(params: ParamRecord, weights: int) -> bool:
 class KernelRegistry:
     def __init__(self):
         self._units: dict[UnitKey, ComputingUnit] = {}
-        self._custom_mappers: dict[str, object] = {}
-        self._custom_shapes: dict[str, object] = {}
+        self._custom_rules: dict[str, object] = {}
 
     def register_builtin(self, unit: ComputingUnit) -> None:
         if unit.key in self._units:
@@ -174,12 +120,12 @@ class KernelRegistry:
         self._units[unit.key] = unit
 
     def register_custom(self, name: str, unit: ComputingUnit, *,
-                        param_mapper, shape_rule) -> None:
+                        rule) -> None:
+        """Register a custom kind's unit, and its rule in graphir's form."""
         if unit.key.op_id != name:
             raise RegistryError(f"unit key {unit.key} does not carry name {name!r}")
         self.register_builtin(unit)
-        self._custom_mappers[name] = param_mapper
-        self._custom_shapes[name] = shape_rule
+        self._custom_rules[name] = rule
 
     def lookup(self, op_id, dtype: DataType, device: DeviceInfo) -> ComputingUnit:
         """The unit for an operator kind and dtype; it serves any device."""
@@ -194,58 +140,8 @@ class KernelRegistry:
         return list(self._units.values())
 
     def custom_shape_rules(self) -> dict:
-        return dict(self._custom_shapes)
-
-    # -- known-parameter resolution
-
-    def map_options_to_params(self, node: OperatorNode, shapes: dict,
-                              weight_ids=frozenset()) -> ParamRecord:
-        """Resolve a node's options plus shapes into the kernel's knowns."""
-        kind = op_kind(node)
-        in_shapes = [tuple(shapes[t]) for t in node.inputs]
-        out_shape = tuple(shapes[node.outputs[0]])
-
-        if node.is_custom:
-            mapper = self._custom_mappers.get(kind)
-            if mapper is None:
-                raise ParamError(f"no parameter mapper for custom operator {kind!r}")
-            return ParamRecord(kind, mapper(node, in_shapes, out_shape))
-
-        op, o = node.op_id, node.options
-        if op in (CONV_2D, DEPTHWISE_CONV_2D):
-            values = _map_conv(o, in_shapes, out_shape,
-                               depthwise=op == DEPTHWISE_CONV_2D)
-        elif op in (AVERAGE_POOL_2D, MAX_POOL_2D):
-            values = _map_pool(o, in_shapes, out_shape)
-        elif op == FULLY_CONNECTED:
-            lo, hi = _ACT_CLAMPS[o["activation"]]
-            values = {"in_features": in_shapes[0][1],
-                      "out_features": in_shapes[1][0],
-                      "activation_min": lo, "activation_max": hi}
-        elif op == SOFTMAX:
-            values = {"in_shape": in_shapes[0], "beta": float(o["beta"])}
-        elif op in (RESHAPE, RELU):
-            values = {}
-        elif op == ADD:
-            lo, hi = _ACT_CLAMPS[o["activation"]]
-            values = {"activation_min": lo, "activation_max": hi}
-        elif op == CONCATENATION:
-            values = {
-                "axis": o["axis"], "in_shapes": tuple(in_shapes),
-                "out_shape": out_shape,
-                "weight_slots": tuple(k for k, t in enumerate(node.inputs)
-                                      if t in weight_ids),
-            }
-        elif op == PAD:
-            flat = o["paddings"]
-            values = {
-                "in_shape": in_shapes[0][1:], "out_shape": out_shape[1:],
-                "paddings": tuple((flat[2 * i], flat[2 * i + 1])
-                                  for i in range(len(flat) // 2)),
-            }
-        else:
-            raise ParamError(f"no parameter mapping for opcode {op}")
-        return ParamRecord(kind, values)
+        """Each custom kind's rule, by name, as graphir takes them."""
+        return dict(self._custom_rules)
 
 
 def check_unit_params(unit: ComputingUnit, params: ParamRecord) -> None:
@@ -265,22 +161,16 @@ def _add_i32_check(values):
     return None
 
 
-def _scale_shift_mapper(node, in_shapes, out_shape) -> dict:
-    for key in ("scale", "shift"):
-        if key not in node.options:
-            raise ParamError(f"SCALE_SHIFT: missing required option '{key}'")
-        if type(node.options[key]) not in (int, float):
-            raise ParamError(f"invalid option value: {key}")
-    return {
-        "scale": float(node.options["scale"]),
-        "shift": float(node.options["shift"]),
-    }
+_SCALE_SHIFT_OPTIONS = {"scale": graphir.is_number, "shift": graphir.is_number}
 
 
-def _scale_shift_shape(node, in_shapes):
-    if len(in_shapes) != 1:
-        raise graphir.GraphError(f"expects 1 input(s), got {len(in_shapes)}")
-    return [tuple(in_shapes[0])]
+def _scale_shift_rule(options, in_shapes, consts):
+    problems = graphir.option_problems(_SCALE_SHIFT_OPTIONS, options)
+    if problems:
+        raise GraphError("; ".join(problems))
+    graphir.check_arity(in_shapes, 1)
+    return [in_shapes[0]], {"scale": float(options["scale"]),
+                            "shift": float(options["shift"])}
 
 
 def build_default_registry() -> KernelRegistry:
@@ -313,7 +203,6 @@ def build_default_registry() -> KernelRegistry:
         ComputingUnit(UnitKey("SCALE_SHIFT", f32),
                       "scale_shift_f32", ops.KERNELS["scale_shift_f32"],
                       ops.PREPS["scale_shift_f32"]),
-        param_mapper=_scale_shift_mapper,
-        shape_rule=_scale_shift_shape,
+        rule=_scale_shift_rule,
     )
     return reg

@@ -16,11 +16,11 @@ that another still reads. The RESHAPE units' prepare step returns no
 calls, so every consumer of the lowering, the interpreter, the search and
 the emitter's call tables, gets the view without code of its own.
 
-It reads the declared tensor shapes and the node options as given: lower
-validates the bundle first, and validation rejects any declared shape that
-contradicts graphir.infer_shapes, the only shape math, and any builtin
-option graphir.OPTION_SCHEMAS does not allow. It reads no layout table,
-so the search may use it.
+lower validates the bundle first: validation rejects any builtin option
+graphir.OPTION_SCHEMAS does not allow, and any declared shape that
+contradicts the one each operator's rule infers. lower then takes each
+operator's kernel parameters from the same rule (graphir.apply_rule), over
+the declared shapes. It reads no layout table, so the search may use it.
 
 Every plan is made in two steps, by the interpreter and the search alike,
 and a build's search plans its candidates and its runtime reference
@@ -113,9 +113,9 @@ def lower(bundle: ModelBundle, device: DeviceInfo | None = None,
     """Validate the bundle, then resolve every operator and its buffers."""
     device = device or DeviceInfo()
     registry = registry or default_registry()
+    rules = registry.custom_shape_rules()
     # through the module, so that a wrapper set on graphir.validate sees it
-    problems = graphir.validate(bundle,
-                                custom_rules=registry.custom_shape_rules())
+    problems = graphir.validate(bundle, custom_rules=rules)
     if problems:
         raise GraphError("invalid bundle: " + "; ".join(problems))
     graph = bundle.graph
@@ -124,17 +124,19 @@ def lower(bundle: ModelBundle, device: DeviceInfo | None = None,
                   if t.weight_ref is not None}
     ops, aliases = [], {}
     for i, node in enumerate(graph.operators):
+        _, values = graphir.apply_rule(
+            i, node, [shapes[t] for t in node.inputs],
+            [t in weight_ids for t in node.inputs], rules)
+        params = ParamRecord(graphir.op_kind(node), values)
         try:
             unit = registry.lookup(
                 node.op_id, graph.tensors[node.inputs[0]].dtype, device)
-            params = registry.map_options_to_params(node, shapes,
-                                                    weight_ids=weight_ids)
             check_unit_params(unit, params)
             act_ids = tuple(t for t in node.inputs if t not in weight_ids)
             if not act_ids:
                 raise ParamError("every operator needs at least one "
                                  "non-constant input")
-        except (RegistryError, ParamError, GraphError) as e:
+        except (RegistryError, ParamError) as e:
             raise type(e)(f"operator {i}: {e}") from None
         ops.append(LoweredOp(
             op_index=i, kind=params.op_kind, unit=unit, params=params,

@@ -606,6 +606,62 @@ def test_a_custom_operator_of_the_wrong_arity_exits_2(containers, tmp_path,
     assert not (tmp_path / "out.raw").exists()
 
 
+@pytest.mark.parametrize("command", ["inspect", "run", "codegen"])
+@pytest.mark.parametrize("options, problem", [
+    ({"scale": "x", "shift": 0.5}, "bad value for option 'scale': 'x'"),
+    ({"shift": 0.5}, "missing required option 'scale'"),
+    ({"scale": 2.0, "shift": 0.5, "gain": 2.0}, "unknown option 'gain'"),
+], ids=["not-a-number", "missing", "unknown"])
+def test_a_custom_operator_with_bad_options_exits_2(containers, tmp_path,
+                                                    capsys, command, options,
+                                                    problem):
+    # custom's SCALE_SHIFT (operator 1) has its options checked where a
+    # builtin's are, so every command that loads the container rejects
+    # them in one line, inspect too
+    g, w = containers["custom"]
+    obj = json.loads(g.read_text(encoding="utf-8"))
+    obj["operators"][1]["options"] = options
+    bad = tmp_path / "bad.mlg"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    np.zeros(4, "<f4").tofile(tmp_path / "in.raw")
+    argv = {"inspect": ["inspect", str(bad), str(w)],
+            "run": ["run", str(bad), str(w), str(tmp_path / "in.raw"),
+                    str(tmp_path / "out.raw")],
+            "codegen": ["codegen", str(bad), str(w),
+                        "--out", str(tmp_path / "b")]}[command]
+    assert cli._main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: invalid bundle: operator 1 (SCALE_SHIFT): {problem}\n")
+    assert not (tmp_path / "out.raw").exists()
+
+
+def test_an_operator_of_weights_alone_passes_inspect_and_fails_run(
+        tmp_path, capsys):
+    # validate accepts an ADD of two weights; only lower, which every
+    # command but inspect runs, refuses an operator with no activation
+    # input. Pinned until one gate checks both.
+    x, a, b, y = (graphir.TensorSpec(i, n, graphir.DataType.F32, (1, 4),
+                                     weight_ref=i if n in "ab" else None)
+                  for i, n in enumerate("xaby"))
+    store = graphir.WeightStore()
+    for t in a, b:
+        store.put_array(t.id, np.ones((1, 4), np.float32))
+    bundle = graphir.ModelBundle(graphir.ComputationalGraph(
+        [x, a, b, y], [graphir.OperatorNode(graphir.ADD, (1, 2), (3,),
+                                            {"activation": "NONE"})],
+        inputs=(0,), outputs=(3,)), store)
+    g, w = tmp_path / "m.mlg", tmp_path / "m.mlw"
+    graphir.save_bundle(bundle, g, w)
+    np.zeros(4, "<f4").tofile(tmp_path / "in.raw")
+    assert cli._main(["inspect", str(g), str(w)]) == 0
+    capsys.readouterr()
+    assert cli._main(["run", str(g), str(w), str(tmp_path / "in.raw"),
+                      str(tmp_path / "out.raw")]) == 2
+    assert capsys.readouterr().err == (
+        "error: operator 0: every operator needs at least one non-constant "
+        "input\n")
+
+
 # a value of each JSON type, for a value of another type
 _OTHER_VALUES = [None, True, -1, 0.5, "x", [1], {}]
 

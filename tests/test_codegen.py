@@ -1767,8 +1767,8 @@ def _negate_registry():
         ComputingUnit(UnitKey("NEGATE", DataType.F32), "scale_shift_f32",
                       ops.KERNELS["scale_shift_f32"],
                       ops.PREPS["scale_shift_f32"]),
-        param_mapper=lambda node, ins, out: {"scale": -1.0, "shift": 0.0},
-        shape_rule=lambda node, ins: [tuple(ins[0])])
+        rule=lambda options, ins, consts: (
+            [ins[0]], {"scale": -1.0, "shift": 0.0}))
     return reg
 
 
@@ -1780,8 +1780,7 @@ def _prep_registry(prep):
         "STEP",
         ComputingUnit(UnitKey("STEP", DataType.F32), "scale_shift_f32",
                       ops.KERNELS["scale_shift_f32"], prep),
-        param_mapper=lambda node, ins, out: {},
-        shape_rule=lambda node, ins: [tuple(ins[0])])
+        rule=lambda options, ins, consts: ([ins[0]], {}))
     return reg
 
 

@@ -1346,6 +1346,15 @@ def test_layout_bias_slots_pass_through_flat():
 
 # -- parameter checking -------------------------------------------------------
 
+def _resolve(node, shapes, weight_ids=frozenset()):
+    """A node's parameters, from its kind's rule, over the tensor shapes."""
+    _, values = graphir.apply_rule(
+        0, node, [shapes[t] for t in node.inputs],
+        [t in weight_ids for t in node.inputs],
+        default_registry().custom_shape_rules())
+    return ParamRecord(graphir.op_kind(node), values)
+
+
 class _ReadKeys(dict):
     """Node options that record every key looked up in them."""
 
@@ -1382,10 +1391,9 @@ _UNCOVERED = [
 
 
 def test_registry_reads_only_options_validation_checks():
-    # graphir.validate owns the builtin option rules and the registry reads
-    # node.options unchecked, so a key outside OPTION_SCHEMAS would reach
-    # a kernel without any check
-    reg = default_registry()
+    # graphir.validate owns the builtin option rules and each builtin's
+    # rule reads node.options unchecked, so a key outside OPTION_SCHEMAS
+    # would reach a kernel without any check
     cases = list(_UNCOVERED)
     for name in sorted(fixtures.FIXTURES):
         graph = fixtures.build_fixture(name).graph
@@ -1398,7 +1406,7 @@ def test_registry_reads_only_options_validation_checks():
         seen = read.setdefault(node.op_id, set())
         node = OperatorNode(node.op_id, node.inputs, node.outputs,
                             _ReadKeys(node.options, seen))
-        reg.map_options_to_params(node, shapes)
+        _resolve(node, shapes)
     assert set(read) == set(graphir.OPTION_SCHEMAS)
     for op, keys in read.items():
         assert keys <= set(graphir.OPTION_SCHEMAS[op]), \
@@ -1422,7 +1430,7 @@ def _params(op, inputs, out_shape, options, weight_ids=frozenset()):
     node = OperatorNode(op, tuple(range(len(inputs))), (len(inputs),),
                         options)
     shapes = dict(enumerate([*inputs, out_shape]))
-    return default_registry().map_options_to_params(node, shapes, weight_ids)
+    return _resolve(node, shapes, weight_ids)
 
 
 # each exclusion of the rule, beside the twin that differs from it only there
@@ -1464,13 +1472,12 @@ def test_batching_rule_excludes_what_mixes_or_sizes_along_axis_0(name):
 
 
 def test_batching_rule_takes_every_fixture_operator():
-    reg = default_registry()
     for name in sorted(fixtures.FIXTURES):
         graph = fixtures.build_fixture(name).graph
         shapes = {t.id: t.shape for t in graph.tensors}
         weight_ids = {t.id for t in graph.tensors if t.weight_ref is not None}
         for node in graph.operators:
-            params = reg.map_options_to_params(node, shapes, weight_ids)
+            params = _resolve(node, shapes, weight_ids)
             weights = sum(t in weight_ids for t in node.inputs)
             # conv, depthwise and FC carry weights and batch all the same
             assert splits_along_axis_0(params, weights), (name, node)
