@@ -745,9 +745,14 @@ if __name__ == "__main__":
 # a header line. The worker forks one child per request, which compiles
 # those sources in step() and exits; the worker reads what the child
 # writes to stdout and stderr and replies with its exit code and that text.
-# Every child starts from the state the worker's start-up left, which no
-# request changes, so every build writes the same pycs (marshal's reference
-# flags follow reference counts). The script imports only builtin and frozen
+# The worker's start-up ends in one compile of nothing, which imports and
+# writes nothing: a process's first compile sets up the compiler's state,
+# and a child that inherits it does not pay for that set-up again in
+# copy-on-write faults. Every child starts from the state the worker's
+# start-up left, which no request changes, so every build writes the same
+# pycs (marshal's reference flags follow reference counts), and a pyc that
+# the build process holds from an earlier step (_compile_step) is the one
+# a new step would write. The script imports only builtin and frozen
 # modules, which a file in the working directory cannot shadow, and no
 # more than bare interpreter start-up does (posix, not os). Each source
 # compiles under its bare file name, so co_filename does not depend on
@@ -786,6 +791,7 @@ def step(out, paths):
     posix._exit(0)
 
 
+compile(b"", "", "exec", dont_inherit=True)
 replies = posix.dup(1)
 posix.dup2(2, 1)
 requests = sys.stdin.buffer
@@ -852,9 +858,12 @@ def _resolve_toolchain(toolchain: ToolchainConfig) -> str:
 class _Worker:
     """A toolchain process running _COMPILE_SRC, started with `cmd`, which
     forks one compile step per request. Its stderr goes to a file, read
-    only when it dies."""
+    only when it dies. `held` maps the exact bytes of the __main__.py it
+    last compiled without error to the pyc it wrote (b"" for a check
+    only)."""
 
     def __init__(self, cmd):
+        self.held: dict[bytes, bytes] = {}
         self.errors = tempfile.TemporaryFile()
         self.proc = subprocess.Popen(cmd, stdin=subprocess.PIPE,
                                      stdout=subprocess.PIPE,
@@ -903,15 +912,30 @@ _workers_lock = threading.Lock()
 
 def _compile_step(cmd: list[str], args: list) -> None:
     """Run one compile step on the worker started with cmd, starting one
-    when there is none or it has died."""
+    when there is none or it has died: args are the pyc directory ("" for
+    a check only) and the absolute source paths. Every build's __main__.py
+    is the same, so a worker compiles it once: one whose exact bytes the
+    worker holds (_Worker.held) is not sent, and its held pyc goes into
+    the pyc directory. Any other source compiles in every step."""
     key = (tuple(cmd), tuple(sorted(os.environ.items())), os.getpid())
+    out, *paths = args
+    main = next((p for p in paths if Path(p).name == "__main__.py"), None)
+    src = main and Path(main).read_bytes()
     with _workers_lock:
         worker = _workers.get(key)
         if worker is None or worker.proc.poll() is not None:
             if worker is not None:
                 worker.close()
             worker = _workers[key] = _Worker(cmd)
-        worker.step(args)
+        if src in worker.held:
+            worker.step([out, *(p for p in paths if p != main)])
+            if out:
+                Path(out, "__main__.pyc").write_bytes(worker.held[src])
+        else:
+            worker.step(args)
+            if main:
+                worker.held = {src: Path(out, "__main__.pyc").read_bytes()
+                               if out else b""}
 
 
 @atexit.register
@@ -963,7 +987,8 @@ def compile_program(out_dir, sources, toolchain: ToolchainConfig | None = None) 
     `python -S <flags> -c _COMPILE_SRC` for an unstripped one, whose step
     only checks that each source compiles and which ships the sources.
     Later builds with the same toolchain, environment and process reuse
-    it; one that has died is replaced, and it ends when the process does.
+    it, and send it no __main__.py it has compiled before (_compile_step);
+    one that has died is replaced, and it ends when the process does.
     The program's interpreter line is `#!<python> -ISc<_BOOTSTRAP>`, so no
     site hooks of the host run in it, nothing on PYTHONPATH (see
     _MAIN_SRC), and no runpy: the bootstrap runs the zip's __main__

@@ -724,8 +724,12 @@ def validate(bundle: ModelBundle, custom_rules=None) -> list[str]:
         if inferred[t.id] != t.shape:
             out.append(f"tensor {t.id}: declared shape {t.shape} contradicts "
                        f"inferred shape {inferred[t.id]}")
-    # a RESHAPE's output is a view of its input's buffer (lowering.py)
     for i, node in enumerate(graph.operators):
+        # every kernel runs over an activation (lowering.LoweredOp.act_ids)
+        if all(t in weight_ids for t in node.inputs):
+            out.append(f"operator {i} ({op_kind(node)}): needs an input "
+                       "that is not a weight")
+        # a RESHAPE's output is a view of its input's buffer (lowering.py)
         if node.op_id == RESHAPE:
             a, b = (graph.tensors[t].dtype
                     for t in (node.inputs[0], node.outputs[0]))

@@ -132,15 +132,11 @@ def lower(bundle: ModelBundle, device: DeviceInfo | None = None,
             unit = registry.lookup(
                 node.op_id, graph.tensors[node.inputs[0]].dtype, device)
             check_unit_params(unit, params)
-            act_ids = tuple(t for t in node.inputs if t not in weight_ids)
-            if not act_ids:
-                raise ParamError("every operator needs at least one "
-                                 "non-constant input")
         except (RegistryError, ParamError) as e:
             raise type(e)(f"operator {i}: {e}") from None
         ops.append(LoweredOp(
             op_index=i, kind=params.op_kind, unit=unit, params=params,
-            act_ids=act_ids,
+            act_ids=tuple(t for t in node.inputs if t not in weight_ids),
             weight_keys=tuple(weight_ids[t] for t in node.inputs
                               if t in weight_ids),
             output_ids=tuple(node.outputs)))

@@ -635,11 +635,10 @@ def test_a_custom_operator_with_bad_options_exits_2(containers, tmp_path,
     assert not (tmp_path / "out.raw").exists()
 
 
-def test_an_operator_of_weights_alone_passes_inspect_and_fails_run(
+def test_an_operator_of_weights_alone_exits_2_in_every_command(
         tmp_path, capsys):
-    # validate accepts an ADD of two weights; only lower, which every
-    # command but inspect runs, refuses an operator with no activation
-    # input. Pinned until one gate checks both.
+    # an ADD of two weights has no activation input: validate refuses it,
+    # so inspect, run and codegen all exit 2 in the same one line
     x, a, b, y = (graphir.TensorSpec(i, n, graphir.DataType.F32, (1, 4),
                                      weight_ref=i if n in "ab" else None)
                   for i, n in enumerate("xaby"))
@@ -653,13 +652,16 @@ def test_an_operator_of_weights_alone_passes_inspect_and_fails_run(
     g, w = tmp_path / "m.mlg", tmp_path / "m.mlw"
     graphir.save_bundle(bundle, g, w)
     np.zeros(4, "<f4").tofile(tmp_path / "in.raw")
-    assert cli._main(["inspect", str(g), str(w)]) == 0
-    capsys.readouterr()
-    assert cli._main(["run", str(g), str(w), str(tmp_path / "in.raw"),
-                      str(tmp_path / "out.raw")]) == 2
-    assert capsys.readouterr().err == (
-        "error: operator 0: every operator needs at least one non-constant "
-        "input\n")
+    for argv in (["inspect", str(g), str(w)],
+                 ["run", str(g), str(w), str(tmp_path / "in.raw"),
+                  str(tmp_path / "out.raw")],
+                 ["codegen", str(g), str(w), "--out", str(tmp_path / "b")]):
+        assert cli._main(argv) == 2, argv[0]
+        assert capsys.readouterr().err == (
+            "error: invalid bundle: operator 0 (ADD): needs an input that "
+            "is not a weight\n"), argv[0]
+    assert not (tmp_path / "out.raw").exists()
+    assert not (tmp_path / "b").exists()
 
 
 # a value of each JSON type, for a value of another type

@@ -2349,6 +2349,84 @@ def test_builds_through_a_warm_worker_match_a_fresh_process(tmp_path,
     assert len(tool_calls.steps) == 2 * len(names)
 
 
+def _sent(tool_calls) -> list:
+    """The file names of the sources each compile step was sent."""
+    return [[Path(p).name for p in args[1:]] for _, args in tool_calls.steps]
+
+
+@pytest.mark.parametrize("strip", [True, False], ids=["stripped", "plain"])
+def test_a_warm_worker_compiles_the_entry_point_once(tmp_path, tool_calls,
+                                                     strip):
+    # every build's __main__.py is the same: the worker's second build is
+    # sent only net_driver.py, and ships what a fresh process builds
+    tc = codegen.ToolchainConfig(strip=strip)
+    script = ("import sys\nfrom mlfuse import codegen, fixtures\n"
+              "codegen.pipeline(fixtures.build_fixture('mlp'), sys.argv[1],"
+              " toolchain=codegen.ToolchainConfig(strip=sys.argv[2] == '1'))"
+              "\n")
+    subprocess.run([sys.executable, "-c", script, str(tmp_path / "fresh"),
+                    str(int(strip))], check=True, timeout=300)
+    codegen.pipeline(fixtures.build_fixture("lenet"), tmp_path / "a",
+                     toolchain=tc)
+    art = codegen.pipeline(fixtures.build_fixture("mlp"), tmp_path / "b",
+                           toolchain=tc)
+    assert _sent(tool_calls) == [["net_driver.py", "__main__.py"],
+                                 ["net_driver.py"]]
+    assert Path(art.executable).read_bytes() == \
+        (tmp_path / "fresh" / "program").read_bytes()
+
+
+def test_an_entry_point_of_other_bytes_is_compiled_again(tmp_path,
+                                                         tool_calls,
+                                                         monkeypatch):
+    # the worker holds the pyc of the exact bytes it compiled: a build
+    # whose __main__.py differs sends it again and ships its new pyc, the
+    # one a fresh worker writes, and the next build of those bytes reuses
+    # it
+    bundle = fixtures.build_fixture("mlp")
+    first = codegen.pipeline(bundle, tmp_path / "a")
+    monkeypatch.setattr(codegen, "_MAIN_SRC",
+                        codegen._MAIN_SRC.replace("return 2", "return 3"))
+    again = [Path(codegen.pipeline(bundle, tmp_path / d).executable)
+             for d in "bc"]
+    assert _sent(tool_calls) == [["net_driver.py", "__main__.py"],
+                                 ["net_driver.py", "__main__.py"],
+                                 ["net_driver.py"]]
+    codegen._close_workers()
+    fresh = codegen.pipeline(bundle, tmp_path / "fresh").executable
+    assert len(tool_calls.starts) == 2
+    main = _members(fresh)["__main__.pyc"]
+    assert main != _members(first.executable)["__main__.pyc"]
+    assert [_members(p)["__main__.pyc"] for p in again] == [main, main]
+    assert [p.read_bytes() for p in again] == [Path(fresh).read_bytes()] * 2
+
+
+@pytest.mark.parametrize("strip", [True, False], ids=["stripped", "plain"])
+def test_a_failed_step_leaves_the_worker_holding_what_it_held(
+        tmp_path, tool_calls, monkeypatch, strip):
+    # an entry point that fails under -W error is not held as compiled: a
+    # build of it fails each time, and the entry point held before the
+    # failure is still held
+    bundle = fixtures.build_fixture("identity")
+    tc = codegen.ToolchainConfig(flags=("-W", "error"), strip=strip)
+    codegen.pipeline(bundle, tmp_path / "a", toolchain=tc)
+    ok = codegen._MAIN_SRC
+    monkeypatch.setattr(codegen, "_MAIN_SRC", ok + "\nx = 1 is 1\n")
+    for d in "bc":
+        with pytest.raises(codegen.CompileError, match="SyntaxError"):
+            codegen.pipeline(bundle, tmp_path / d, toolchain=tc)
+    (worker,) = codegen._workers.values()
+    assert list(worker.held) == [ok.encode()]
+    monkeypatch.setattr(codegen, "_MAIN_SRC", ok)
+    codegen.pipeline(bundle, tmp_path / "d", toolchain=tc)
+    assert _sent(tool_calls) == [["net_driver.py", "__main__.py"],
+                                 ["net_driver.py", "__main__.py"],
+                                 ["net_driver.py", "__main__.py"],
+                                 ["net_driver.py"]]
+    assert (tmp_path / "d" / "program").read_bytes() == \
+        (tmp_path / "a" / "program").read_bytes()
+
+
 def test_threads_building_at_once_share_one_worker(tmp_path, tool_calls):
     # the lock keeps each request and its reply together: without it two
     # threads interleave their writes and reads on the worker's pipes

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -151,6 +152,15 @@ def test_weight_store_trailing_bytes():
     blob = weights_to_bytes(fixtures.build_fixture("mlp").weights)
     with pytest.raises(GraphError, match="trailing"):
         weights_from_bytes(blob + b"\x00")
+
+
+def test_weight_store_duplicate_key():
+    # one entry written twice, under a count of two
+    store = WeightStore()
+    store.put_array(7, np.zeros(2, np.float32))
+    blob = weights_to_bytes(store)
+    with pytest.raises(GraphError, match="duplicate weight key 7"):
+        weights_from_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:] * 2)
 
 
 # -- validation ---------------------------------------------------------------
@@ -481,6 +491,10 @@ _REJECTIONS = {
     "shapes-for-outputs": (
         _doc([(graphir.RELU, [0], [1, 2], {})], [(1, 4), (1, 4), (1, 4)]),
         "operator 0 (RELU): produces 1 shapes for 2 outputs"),
+    "weights-alone": (
+        _one(graphir.ADD, [(1, 4), (1, 4), (1, 4), (1, 4)], _NONE,
+             weights=(1, 2), inputs=[1, 2]),
+        "operator 0 (ADD): needs an input that is not a weight"),
     # each rule's rejections
     "conv-arity": (
         _one(CONV_2D, [(1, 4, 4, 1), (1, 3, 3, 1)], _CONV, inputs=[0]),
